@@ -76,18 +76,18 @@ class _NetworkCache:
         self._nets: dict = {}
 
     def __contains__(self, headword: str) -> bool:
-        return any(s.headword == headword for s in self._lexicon.entries)
+        return self._lexicon.has_headword(headword)
 
     def __getitem__(self, headword: str):
         if headword not in self._nets:
-            grouped: dict = {}
-            for s in self._lexicon.entries:
-                if s.headword == headword:
-                    grouped.setdefault(s.key, []).append(s)
+            grouped = self._lexicon.records_by_key(headword)
             if not grouped:
                 raise KeyError(headword)
             self._nets[headword] = compile_ssn(headword, grouped, self._frames)
         return self._nets[headword]
+
+
+FORMATS = ("dot", "tsv", "text")
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -97,31 +97,40 @@ def build_argparser() -> argparse.ArgumentParser:
     parser.add_argument("--lexicon", action="append", default=[],
                         help="LEXF file (repeatable); bundled corpus if omitted")
     parser.add_argument("--resolutions", help="extra LEXF file of R records")
-    parser.add_argument("--format", choices=("dot", "tsv", "text"),
-                        default="text")
+    parser.add_argument("--format", choices=FORMATS, default="text")
     parser.add_argument("--output", help="output path (default stdout)")
+    # --format and --output are also accepted after the subcommand; there
+    # they default to SUPPRESS, so a value given before it is kept
+    output_flags = argparse.ArgumentParser(add_help=False)
+    output_flags.add_argument("--format", choices=FORMATS,
+                              default=argparse.SUPPRESS)
+    output_flags.add_argument("--output", default=argparse.SUPPRESS,
+                              help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("ingest", help="validate input and check manifest counts")
-    graph_p = sub.add_parser("graph", help="export the definition graph")
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[output_flags], **kwargs)
+
+    command("ingest", help="validate input and check manifest counts")
+    graph_p = command("graph", help="export the definition graph")
     graph_p.add_argument("--mode", choices=("optimistic", "resolved"),
                          default="optimistic")
-    scc_p = sub.add_parser("scc", help="strongly connected components")
+    scc_p = command("scc", help="strongly connected components")
     scc_p.add_argument("--mode", choices=("optimistic", "resolved"),
                        default="optimistic")
-    sub.add_parser("primitives", help="primitive candidates and undefined leaves")
-    sub.add_parser("autoresolve", help="propose resolution records")
-    sub.add_parser("reduce", help="non-primitive reduction report")
-    frames_p = sub.add_parser("frames", help="dump a sense frame")
+    command("primitives", help="primitive candidates and undefined leaves")
+    command("autoresolve", help="propose resolution records")
+    command("reduce", help="non-primitive reduction report")
+    frames_p = command("frames", help="dump a sense frame")
     frames_p.add_argument("--word", required=True)
     frames_p.add_argument("--label")
-    ssn_p = sub.add_parser("ssn", help="export a sense selection network")
+    ssn_p = command("ssn", help="export a sense selection network")
     ssn_p.add_argument("--word", required=True)
-    parse_p = sub.add_parser("parse", help="disambiguate one sentence")
+    parse_p = command("parse", help="disambiguate one sentence")
     parse_p.add_argument("--text", required=True)
     parse_p.add_argument("--strict", action="store_true",
                          help="exit 3 when ambiguity remains")
-    disc_p = sub.add_parser("discourse", help="parse sentences from a file")
+    disc_p = command("discourse", help="parse sentences from a file")
     disc_p.add_argument("--file", required=True,
                         help="one sentence per line")
     return parser

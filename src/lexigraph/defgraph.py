@@ -18,7 +18,9 @@ from .lexicon import (
     Sense,
     SenseKey,
     SenseLabel,
+    dot_quote,
     parse_sense,
+    senses_of,
 )
 
 
@@ -123,21 +125,18 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
     """One node per sense key, one arc per (definition line, genus head).
     Synonym refs arc identically; genus words with no compatible sense in
     the lexicon get a single external target."""
-    nodes: set[NodeId] = set()
+    nodes: set[NodeId] = {NodeId.from_key(k) for k in lexicon.sense_keys()}
     arcs: list[Arc] = []
-    by_headword: dict[str, list[Sense]] = {}
-    for s in lexicon.entries:
-        nodes.add(NodeId.from_key(s.key))
-        by_headword.setdefault(s.headword, []).append(s)
+    bundles: dict[tuple[str, PartOfSpeech], frozenset[NodeId]] = {}
 
     def targets_for(word: str, use: PartOfSpeech) -> frozenset[NodeId]:
-        found: dict[NodeId, None] = {}
-        for cand in by_headword.get(word, []):
-            if use.accepts_target(cand.pos):
-                found.setdefault(NodeId.from_key(cand.key), None)
-        if not found:
-            return frozenset({NodeId(word)})
-        return frozenset(found)
+        bundle = bundles.get((word, use))
+        if bundle is None:
+            found = frozenset(NodeId.from_key(cand.key)
+                              for cand in senses_of(lexicon, word)
+                              if use.accepts_target(cand.pos))
+            bundle = bundles[(word, use)] = found or frozenset({NodeId(word)})
+        return bundle
 
     for s in lexicon.entries:
         if not s.pos.is_verb:
@@ -154,7 +153,8 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
         use = _use_pos(s, parsed)
         for head in parsed.genus:
             # phrasal genus falls back to its bare verb unless listed whole
-            word = head if (" " not in head or head in by_headword) else head.split()[0]
+            word = (head if (" " not in head or lexicon.has_headword(head))
+                    else head.split()[0])
             tg = targets_for(word, use)
             arcs.append(Arc(source, word, tg, False, parsed.negated, False, s.line))
 
@@ -168,32 +168,37 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
 def resolve(graph: DefinitionGraph, record: ResolutionRecord) -> DefinitionGraph:
     """Resolve every arc matching (from sense, genus word) to the single
     target sense. Idempotent for a repeated record."""
-    source = NodeId.from_key(record.from_key)
-    target = NodeId.from_key(record.target)
-    if record.target.headword != record.genus_word:
-        raise ResolutionError(
-            f"target {record.target.render()} is not a sense of {record.genus_word!r}")
-    if target not in graph.nodes:
-        raise ResolutionError(f"unknown target sense {record.target.render()}")
-    matched = False
-    new_arcs = []
-    for arc in graph.arcs:
-        if arc.source == source and arc.genus_word == record.genus_word:
-            matched = True
-            new_arcs.append(replace(arc, targets=frozenset({target}), resolved=True))
-        else:
-            new_arcs.append(arc)
-    if not matched:
-        raise ResolutionError(
-            f"no arc from {record.from_key.render()} via {record.genus_word!r}")
-    return DefinitionGraph(graph.nodes, tuple(new_arcs))
+    return apply_resolutions(graph, (record,))
 
 
 def apply_resolutions(graph: DefinitionGraph,
                       records: Iterable[ResolutionRecord]) -> DefinitionGraph:
+    """Apply resolution records in one pass over the arcs.  Records are
+    checked in order and the first bad one raises ResolutionError; when
+    several records name the same (from sense, genus word), the last wins,
+    as if each were applied to the result of the one before."""
+    arc_keys = {(arc.source, arc.genus_word) for arc in graph.arcs}
+    chosen: dict[tuple[NodeId, str], NodeId] = {}
     for record in records:
-        graph = resolve(graph, record)
-    return graph
+        source = NodeId.from_key(record.from_key)
+        target = NodeId.from_key(record.target)
+        if record.target.headword != record.genus_word:
+            raise ResolutionError(
+                f"target {record.target.render()} is not a sense of {record.genus_word!r}")
+        if target not in graph.nodes:
+            raise ResolutionError(f"unknown target sense {record.target.render()}")
+        if (source, record.genus_word) not in arc_keys:
+            raise ResolutionError(
+                f"no arc from {record.from_key.render()} via {record.genus_word!r}")
+        chosen[(source, record.genus_word)] = target
+    new_arcs = []
+    for arc in graph.arcs:
+        target = chosen.get((arc.source, arc.genus_word))
+        if target is None:
+            new_arcs.append(arc)
+        else:
+            new_arcs.append(replace(arc, targets=frozenset({target}), resolved=True))
+    return DefinitionGraph(graph.nodes, tuple(new_arcs))
 
 
 def strongly_connected_components(graph: DefinitionGraph,
@@ -333,7 +338,7 @@ def to_dot(graph: DefinitionGraph) -> str:
     lines = ["digraph definitions {"]
     for node in sorted(graph.nodes, key=NodeId.sort_key):
         shape = "box" if node.is_external else "ellipse"
-        lines.append(f'  "{node.render()}" [shape={shape}];')
+        lines.append(f"  {dot_quote(node.render())} [shape={shape}];")
     seen: set[tuple] = set()
     for arc in graph.arcs:
         style = "solid" if arc.resolved else "dashed"
@@ -343,8 +348,9 @@ def to_dot(graph: DefinitionGraph) -> str:
                 continue
             seen.add(sig)
             label = arc.genus_word + (" (not)" if arc.negated else "")
-            lines.append(f'  "{arc.source.render()}" -> "{t.render()}"'
-                         f' [style={style}, label="{label}"];')
+            lines.append(f"  {dot_quote(arc.source.render())} -> "
+                         f"{dot_quote(t.render())}"
+                         f" [style={style}, label={dot_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

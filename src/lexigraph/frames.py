@@ -7,7 +7,7 @@ Frames are immutable values; every derivation operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from .lexicon import (
     Lexicon,
@@ -58,7 +58,7 @@ class Descriptor:
         return f"?{self.var}"
 
 
-Filler = Union[str, Descriptor]
+Filler = str | Descriptor
 
 
 @dataclass(frozen=True)
@@ -457,12 +457,25 @@ def build_frames(lexicon: Lexicon, rules: RuleTable) -> dict[SenseKey, Frame]:
     """A frame for every sense: seeded senses from their seed lines (with
     label-parent inheritance), other senses derived along their resolved
     genus arc, and provisional frames where no resolution exists."""
-    frames: dict[SenseKey, Frame] = dict(load_seed_frames(lexicon))
-    resolution_map = {(r.from_key, r.genus_word): r.target
-                      for r in lexicon.resolutions}
-    all_keys = lexicon.sense_keys()
-    in_progress: set[SenseKey] = set()
+    derivation = _FrameDerivation(lexicon, rules)
+    for key in sorted(lexicon.sense_keys(), key=SenseKey.sort_key):
+        derivation.frame_for(key)
+    return derivation.frames
 
+
+class _FrameDerivation:
+    """The state of one ``build_frames`` call.  A class rather than nested
+    functions: mutually recursive closures form a reference cycle that
+    keeps the lexicon alive until the cyclic collector runs."""
+
+    def __init__(self, lexicon: Lexicon, rules: RuleTable):
+        self.lexicon, self.rules = lexicon, rules
+        self.frames: dict[SenseKey, Frame] = dict(load_seed_frames(lexicon))
+        self.resolution_map = {(r.from_key, r.genus_word): r.target
+                               for r in lexicon.resolutions}
+        self.in_progress: set[SenseKey] = set()
+
+    @staticmethod
     def genus_words(rec: Sense) -> list[str]:
         if rec.is_synonym_line:
             return [ref.lower() for ref in rec.synonym_refs]
@@ -472,35 +485,35 @@ def build_frames(lexicon: Lexicon, rules: RuleTable) -> dict[SenseKey, Frame]:
             out.append(head if " " not in head else head.split()[0])
         return out
 
-    def frame_for(key: SenseKey) -> Frame:
-        if key in frames:
-            return frames[key]
-        if key in in_progress:
-            return _provisional_frame(key, lexicon)
-        in_progress.add(key)
+    def frame_for(self, key: SenseKey) -> Frame:
+        if key in self.frames:
+            return self.frames[key]
+        if key in self.in_progress:
+            return _provisional_frame(key, self.lexicon)
+        self.in_progress.add(key)
         try:
-            frame = _derive(key)
+            frame = self._derive(key)
         finally:
-            in_progress.discard(key)
-        frames[key] = frame
+            self.in_progress.discard(key)
+        self.frames[key] = frame
         return frame
 
-    def _derive(key: SenseKey) -> Frame:
-        records = lexicon.records_for(key)
-        parent = _nearest_ancestor_frame_in(key, frames, all_keys, frame_for)
+    def _derive(self, key: SenseKey) -> Frame:
+        records = self.lexicon.records_for(key)
+        parent = _nearest_ancestor_frame_in(key, self.lexicon, self.frame_for)
         if parent is not None:
             frame = specialize_subsense(parent, records[0])
             return _merge_record_annotations(frame, records[1:])
         for rec in records:
-            for word in genus_words(rec):
-                target = resolution_map.get((key, word))
+            for word in self.genus_words(rec):
+                target = self.resolution_map.get((key, word))
                 if target is None:
                     continue
-                base = frame_for(target)
-                return _derive_from(base, rec, records)
-        return _finish_records(_provisional_frame(key, lexicon), records)
+                base = self.frame_for(target)
+                return self._derive_from(base, rec, records)
+        return self._finish_records(_provisional_frame(key, self.lexicon), records)
 
-    def _derive_from(base: Frame, rec: Sense, records: list[Sense]) -> Frame:
+    def _derive_from(self, base: Frame, rec: Sense, records: list[Sense]) -> Frame:
         builder = _FrameBuilder.from_frame(base, rec.pos)
         builder.strip_usage_conditions()
         stripped = builder.freeze(rec.key)
@@ -509,9 +522,10 @@ def build_frames(lexicon: Lexicon, rules: RuleTable) -> dict[SenseKey, Frame]:
                             provenance=base.provenance + ("synonym copy",))
         else:
             parsed = parse_sense(rec)
-            frame = apply_use(stripped, parsed, rules).frame
-        return _finish_records(frame, records)
+            frame = apply_use(stripped, parsed, self.rules).frame
+        return self._finish_records(frame, records)
 
+    @staticmethod
     def _finish_records(frame: Frame, records: list[Sense]) -> Frame:
         builder = _FrameBuilder.from_frame(frame)
         for rec in records:
@@ -527,17 +541,12 @@ def build_frames(lexicon: Lexicon, rules: RuleTable) -> dict[SenseKey, Frame]:
                     node.filler = subject
         return builder.freeze(frame.sense or records[0].key)
 
-    for key in sorted(all_keys, key=SenseKey.sort_key):
-        frame_for(key)
-    return frames
 
-
-def _nearest_ancestor_frame_in(key: SenseKey, frames: dict, all_keys,
+def _nearest_ancestor_frame_in(key: SenseKey, lexicon: Lexicon,
                                frame_for: Callable) -> Optional[Frame]:
-    existing = set(all_keys)
     for anc in SenseLabel(key.label).ancestors():
         pk = SenseKey(key.headword, key.pos, key.homograph, anc.text)
-        if pk in existing:
+        if lexicon.has_sense(pk):
             return frame_for(pk)
     return None
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 
@@ -125,13 +126,20 @@ class Sense:
     synonym_refs: tuple[str, ...] = ()
     line: int = field(default=0, compare=False)
 
-    @property
+    @cached_property
     def key(self) -> SenseKey:
         return SenseKey(self.headword, self.pos, self.homograph, self.label.text)
 
     @property
     def is_synonym_line(self) -> bool:
         return bool(self.synonym_refs) and not self.raw_definition
+
+    @cached_property
+    def _parsed(self) -> Optional["ParsedDefinition"]:
+        """The memo behind ``parse_sense``."""
+        if self.is_synonym_line:
+            return None
+        return parse_definition(self.raw_definition, self.pos)
 
     @property
     def subject_restriction(self) -> Optional[str]:
@@ -189,34 +197,72 @@ class ResolutionRecord:
 
 @dataclass(frozen=True, eq=True)
 class Lexicon:
+    """Sense records in file order, seed frames and resolution records.
+
+    A Lexicon is an immutable value: a frozen dataclass whose ``entries``
+    is a tuple.  The lookups below read by-key and by-headword indexes
+    that are built from ``entries`` on first use and kept for the life of
+    the instance, so they assume ``entries`` never changes.  The indexes
+    are not fields: ``==`` and ``serialize_lexf`` ignore them.  Every
+    lookup keeps file order.
+    """
+
     entries: tuple[Sense, ...] = ()
     seed_frames: dict = field(default_factory=dict)   # SenseKey -> tuple[str, ...]
     resolutions: tuple[ResolutionRecord, ...] = ()
 
-    def sense_keys(self) -> list[SenseKey]:
-        seen: dict[SenseKey, None] = {}
+    # The index lists are never handed out: lookups return copies.
+    @cached_property
+    def _by_key(self) -> dict[SenseKey, list[Sense]]:
+        grouped: dict[SenseKey, list[Sense]] = {}
         for s in self.entries:
-            seen.setdefault(s.key, None)
-        return list(seen)
+            grouped.setdefault(s.key, []).append(s)
+        return grouped
+
+    @cached_property
+    def _by_headword(self) -> dict[str, list[Sense]]:
+        grouped: dict[str, list[Sense]] = {}
+        for s in self.entries:
+            grouped.setdefault(s.headword, []).append(s)
+        return grouped
+
+    @cached_property
+    def verb_headwords(self) -> frozenset[str]:
+        return frozenset(s.headword for s in self.entries if s.pos.is_verb)
+
+    @cached_property
+    def prep_headwords(self) -> frozenset[str]:
+        return frozenset(s.headword for s in self.entries
+                         if s.pos is PartOfSpeech.PREP)
+
+    def sense_keys(self) -> list[SenseKey]:
+        return list(self._by_key)
 
     def records_for(self, key: SenseKey) -> list[Sense]:
-        return [s for s in self.entries if s.key == key]
+        return list(self._by_key.get(key, ()))
+
+    def has_sense(self, key: SenseKey) -> bool:
+        return key in self._by_key
+
+    def records_by_key(self, headword: str) -> dict[SenseKey, list[Sense]]:
+        """The records of each sense key of a headword, keys in file order."""
+        grouped: dict[SenseKey, list[Sense]] = {}
+        for s in self._by_headword.get(headword, ()):
+            grouped.setdefault(s.key, []).append(s)
+        return grouped
 
     def headwords(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for s in self.entries:
-            seen.setdefault(s.headword, None)
-        return list(seen)
+        return list(self._by_headword)
 
     def has_headword(self, word: str) -> bool:
-        return any(s.headword == word for s in self.entries)
+        return word in self._by_headword
 
 
 def senses_of(lexicon: Lexicon, headword: str,
               pos: Optional[PartOfSpeech] = None) -> list[Sense]:
     """All senses of a headword across homographs, in file order."""
-    return [s for s in lexicon.entries
-            if s.headword == headword and (pos is None or s.pos is pos)]
+    return [s for s in lexicon._by_headword.get(headword, ())
+            if pos is None or s.pos is pos]
 
 
 def merge_lexicons(*lexicons: Lexicon) -> Lexicon:
@@ -482,6 +528,12 @@ def split_alternatives(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
+def dot_quote(text: str) -> str:
+    """A DOT quoted string, for the graph and network exports: backslashes
+    and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def head_noun(text: str) -> str:
     """Head of a noun phrase: last word of its first alternative."""
     alts = split_alternatives(text)
@@ -693,10 +745,10 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
 
 
 def parse_sense(sense: Sense) -> Optional[ParsedDefinition]:
-    """Parse a Sense record; synonym-only lines have no parse."""
-    if sense.is_synonym_line:
-        return None
-    return parse_definition(sense.raw_definition, sense.pos)
+    """Parse a Sense record; synonym-only lines have no parse.  The parse
+    is memoized on the (immutable) Sense instance, so each record is
+    segmented once however many stages read it."""
+    return sense._parsed
 
 
 def usage_particles(note: Optional[str]) -> tuple[str, ...]:

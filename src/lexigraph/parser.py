@@ -99,9 +99,8 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
     if not words:
         raise ChunkError("empty input")
 
-    verb_words = {s.headword for s in lexicon.entries if s.pos.is_verb}
-    prep_words = ({s.headword for s in lexicon.entries
-                   if s.pos is PartOfSpeech.PREP} | CHUNKING_PREPS)
+    verb_words = lexicon.verb_headwords
+    prep_words = lexicon.prep_headwords | CHUNKING_PREPS
 
     def verb_lemma(word: str) -> Optional[str]:
         for cand in _inflection_candidates(word):

@@ -18,6 +18,7 @@ from .lexicon import (
     SenseKey,
     head_noun,
     parse_sense,
+    senses_of,
 )
 
 DEFAULT_OPERATORS = ("attempt", "begin", "cause", "cease", "refuse", "serve")
@@ -111,8 +112,8 @@ class ReductionContext:
         head = head_noun(phrase_text)
         if not head:
             return False
-        for sense in self.lexicon.entries:
-            if sense.headword != head or sense.pos.is_verb:
+        for sense in senses_of(self.lexicon, head):
+            if sense.pos.is_verb:
                 continue
             if "instrument" in sense.field_labels:
                 return True

@@ -12,8 +12,9 @@ records the question.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from .frames import Frame, group_first_diff
 from .lexicon import (
@@ -21,6 +22,7 @@ from .lexicon import (
     Sense,
     SenseKey,
     SenseLabel,
+    dot_quote,
     parse_sense,
     usage_particles,
 )
@@ -74,7 +76,7 @@ class Question:
         return dict(self.payload[1])
 
 
-Node = Union[Terminal, Nonterminal, Question]
+Node = Terminal | Nonterminal | Question
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class TraverseResult:
     frames: tuple[Frame, ...] = ()
 
 
-Oracle = Union[dict, Callable[[Question], str]]
+Oracle = dict | Callable[[Question], str]
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +140,29 @@ def compile_ssn(headword: str,
             raise CompileError(f"no frame for {k.render()}")
 
     stages = _stage_questions(keys, senses_by_key)
-
-    def build(group: list[SenseKey], stage_idx: int) -> Node:
-        if len(group) == 1:
-            return Terminal(group[0], frames[group[0]])
-        while stage_idx < len(stages):
-            kind, payload, partition = stages[stage_idx]
-            stage_idx += 1
-            parts = partition(group)
-            parts = {a: sub for a, sub in parts.items() if sub}
-            outcomes = {tuple(sub) for sub in parts.values()}
-            if len(parts) < 2 or len(outcomes) < 2:
-                continue
-            branches = tuple((answer, build(sub, stage_idx))
-                             for answer, sub in sorted(parts.items()))
-            return Question(kind, payload, branches)
-        return _frame_diff_tree(group, senses_by_key, frames)
-
-    root = build(keys, 0)
+    root = _build(keys, 0, stages, senses_by_key, frames)
     return SSN(headword, tuple(keys), root)
+
+
+def _build(group: list[SenseKey], stage_idx: int, stages,
+           senses_by_key, frames) -> Node:
+    """The subtree that tells ``group`` apart, asking the stage questions
+    from ``stage_idx`` on, then frame differences."""
+    if len(group) == 1:
+        return Terminal(group[0], frames[group[0]])
+    while stage_idx < len(stages):
+        kind, payload, partition = stages[stage_idx]
+        stage_idx += 1
+        parts = partition(group)
+        parts = {a: sub for a, sub in parts.items() if sub}
+        outcomes = {tuple(sub) for sub in parts.values()}
+        if len(parts) < 2 or len(outcomes) < 2:
+            continue
+        branches = tuple((answer, _build(sub, stage_idx, stages,
+                                         senses_by_key, frames))
+                         for answer, sub in sorted(parts.items()))
+        return Question(kind, payload, branches)
+    return _frame_diff_tree(group, senses_by_key, frames)
 
 
 def _stage_questions(keys, senses_by_key):
@@ -386,16 +392,17 @@ def to_dot(ssn: SSN) -> str:
         counter[0] += 1
         name = f"n{counter[0]}"
         if isinstance(node, Terminal):
-            lines.append(f'  {name} [shape=box, label="{node.sense.render()}"];')
+            lines.append(f"  {name} [shape=box, "
+                         f"label={dot_quote(node.sense.render())}];")
             return name
         if isinstance(node, Nonterminal):
-            lines.append(f'  {name} [shape=box, style=dashed, '
-                         f'label="{node.sense.render()} (nonterminal)"];')
+            lines.append(f"  {name} [shape=box, style=dashed, label="
+                         f"{dot_quote(node.sense.render() + ' (nonterminal)')}];")
             return name
-        lines.append(f'  {name} [shape=diamond, label="{node.qid}"];')
+        lines.append(f"  {name} [shape=diamond, label={dot_quote(node.qid)}];")
         for answer, child in node.branches:
             cname = walk(child)
-            lines.append(f'  {name} -> {cname} [label="{answer}"];')
+            lines.append(f"  {name} -> {cname} [label={dot_quote(answer)}];")
         return name
 
     walk(ssn.root)
@@ -405,8 +412,5 @@ def to_dot(ssn: SSN) -> str:
 
 def build_all_ssns(lexicon, frames: dict[SenseKey, Frame]) -> dict[str, SSN]:
     """One network per headword."""
-    grouped: dict[str, dict[SenseKey, list[Sense]]] = {}
-    for s in lexicon.entries:
-        grouped.setdefault(s.headword, {}).setdefault(s.key, []).append(s)
-    return {hw: compile_ssn(hw, by_key, frames)
-            for hw, by_key in sorted(grouped.items())}
+    return {hw: compile_ssn(hw, lexicon.records_by_key(hw), frames)
+            for hw in sorted(lexicon.headwords())}

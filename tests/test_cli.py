@@ -88,6 +88,21 @@ def test_ssn_export(capout):
     assert "ssn for change" in out
 
 
+def test_output_flags_before_or_after_subcommand(tmp_path, capout):
+    before = capout(["--format", "dot", "ssn", "--word", "change"])
+    after = capout(["ssn", "--word", "change", "--format", "dot"])
+    assert before[0] == after[0] == 0
+    assert before[1] == after[1]
+    assert before[1].startswith("digraph ssn")
+    paths = [tmp_path / "before.dot", tmp_path / "after.dot"]
+    assert capout(["--output", str(paths[0]), "--format", "dot", "graph"])[0] == 0
+    assert capout(["graph", "--format", "dot", "--output", str(paths[1])])[0] == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # the subcommand's own value wins over one given before it
+    assert capout(["--format", "dot", "ssn", "--word", "change",
+                   "--format", "text"])[1].startswith("ssn for change")
+
+
 def test_unknown_flag_is_usage_error(capout):
     code, _, _ = capout(["parse", "--nonsense", "x"])
     assert code == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import dot_strings, lexf_texts
 from lexigraph.defgraph import (
     Arc,
     DefinitionGraph,
@@ -25,6 +26,7 @@ from lexigraph.lexicon import (
     PartOfSpeech,
     ResolutionRecord,
     SenseKey,
+    dot_quote,
     parse_lexf,
 )
 
@@ -319,3 +321,117 @@ def test_components_partition_nodes(n, seed):
 def test_condensation_acyclic_on_random_graphs(n, seed):
     g = _random_graph(random.Random(seed), n)
     assert condensation(g, "resolved-only").is_acyclic()
+
+
+# ---------------------------------------------------------------------------
+# one-pass resolution against the per-record fold
+
+def _resolve_reference(graph: DefinitionGraph,
+                       record: ResolutionRecord) -> DefinitionGraph:
+    """One record against every arc: the definition apply_resolutions
+    must agree with when folded over the records in order."""
+    source = NodeId.from_key(record.from_key)
+    target = NodeId.from_key(record.target)
+    if record.target.headword != record.genus_word:
+        raise ResolutionError(
+            f"target {record.target.render()} is not a sense of {record.genus_word!r}")
+    if target not in graph.nodes:
+        raise ResolutionError(f"unknown target sense {record.target.render()}")
+    matched = False
+    new_arcs = []
+    for arc in graph.arcs:
+        if arc.source == source and arc.genus_word == record.genus_word:
+            matched = True
+            new_arcs.append(Arc(arc.source, arc.genus_word, frozenset({target}),
+                                True, arc.negated, arc.synonym, arc.line))
+        else:
+            new_arcs.append(arc)
+    if not matched:
+        raise ResolutionError(
+            f"no arc from {record.from_key.render()} via {record.genus_word!r}")
+    return DefinitionGraph(graph.nodes, tuple(new_arcs))
+
+
+def _outcome(fn):
+    try:
+        graph = fn()
+    except ResolutionError as exc:
+        return ("error", str(exc))
+    return ("graph", graph, tuple(a.line for a in graph.arcs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lexf_texts(), st.data())
+def test_apply_resolutions_equals_per_record_fold(text, data):
+    lx = parse_lexf(text)
+    graph = build_graph(lx)
+    # the text's records are mostly bad; records drawn from real arcs,
+    # with repeats, test last-wins
+    records = list(lx.resolutions) if data.draw(st.booleans()) else []
+    internal = [n for n in graph.nodes if not n.is_external]
+    for _ in range(data.draw(st.integers(0, 6))):
+        if not graph.arcs:
+            break
+        arc = data.draw(st.sampled_from(graph.arcs))
+        pool = [n for n in internal if n.headword == arc.genus_word] or internal
+        target = data.draw(st.sampled_from(pool))
+        records.insert(data.draw(st.integers(0, len(records))),
+                       ResolutionRecord(arc.source.key, arc.genus_word, target.key))
+
+    def fold():
+        g = graph
+        for record in records:
+            g = _resolve_reference(g, record)
+        return g
+
+    assert _outcome(lambda: apply_resolutions(graph, records)) == _outcome(fold)
+    for record in records[:3]:
+        assert (_outcome(lambda: resolve(graph, record))
+                == _outcome(lambda: _resolve_reference(graph, record)))
+
+
+def test_apply_resolutions_last_record_wins(lexicon, graph):
+    source = SenseKey("coalify", PartOfSpeech.VB, 1, "1")
+    first = ResolutionRecord(source, "change", SenseKey("change", PartOfSpeech.VI, 1, "2"))
+    last = ResolutionRecord(source, "change", SenseKey("change", PartOfSpeech.VI, 1, "1"))
+    g = apply_resolutions(graph, [first, last])
+    arcs = [a for a in g.arcs_from(node("coalify:vb:1:1")) if a.genus_word == "change"]
+    assert arcs and all(a.target() == node("change:vi:1:1") for a in arcs)
+
+
+def test_apply_resolutions_reports_first_bad_record(graph):
+    good = ResolutionRecord(SenseKey("coalify", PartOfSpeech.VB, 1, "1"), "change",
+                            SenseKey("change", PartOfSpeech.VI, 1, "2"))
+    no_arc = ResolutionRecord(SenseKey("nothere", PartOfSpeech.VI, 1, "1"), "change",
+                              SenseKey("change", PartOfSpeech.VI, 1, "2"))
+    wrong_word = ResolutionRecord(SenseKey("coalify", PartOfSpeech.VB, 1, "1"), "change",
+                                  SenseKey("turn", PartOfSpeech.VI, 1, "6b(2)"))
+    with pytest.raises(ResolutionError, match="no arc from nothere"):
+        apply_resolutions(graph, [good, no_arc, wrong_word])
+    with pytest.raises(ResolutionError, match="is not a sense of"):
+        apply_resolutions(graph, [good, wrong_word, no_arc])
+
+
+# ---------------------------------------------------------------------------
+# DOT export escapes its quoted strings
+
+QUOTED_LEXICON = (
+    "E|change|vi|1\nS|1||become different|\n"
+    'E|say "when"|vi|1\nS|1||change slowly|\n'
+    "E|back\\slash|vi|1\nS|1||change with care|\n"
+    'E|quote|vi|1\nY|1|SAY"WHEN"\n')
+
+
+def test_dot_quote_escapes_quotes_and_backslashes():
+    assert dot_quote('say "when"') == '"say \\"when\\""'
+    assert dot_quote("back\\slash") == '"back\\\\slash"'
+    assert dot_quote("change:vi:1:1") == '"change:vi:1:1"'
+
+
+def test_graph_dot_escapes_labels():
+    g = build_graph(parse_lexf(QUOTED_LEXICON))
+    names = dot_strings(to_dot(g))
+    assert 'say "when":vi:1:1' in names
+    assert "back\\slash:vi:1:1" in names
+    assert 'say"when"' in names   # a synonym's genus word as an arc label
+    assert 'say"when" (external)' in names

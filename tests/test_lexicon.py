@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
+from support import HEADWORDS, lexf_texts
 from lexigraph.lexicon import (
     DefinitionParseError,
     LexfError,
     PartOfSpeech,
+    SenseKey,
     SenseLabel,
     parse_definition,
     parse_lexf,
@@ -212,3 +215,74 @@ def test_corpus_definition_strings_verbatim():
         "not change",
     ]:
         assert needle in text
+
+
+# ---------------------------------------------------------------------------
+# the lexicon's indexes against their linear-scan definitions
+
+def _first_seen(values) -> list:
+    return list(dict.fromkeys(values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lexf_texts())
+def test_indexes_equal_linear_scans(text):
+    lx = parse_lexf(text)
+    entries = lx.entries
+    keys = _first_seen(s.key for s in entries)
+    assert lx.sense_keys() == keys
+    assert lx.headwords() == _first_seen(s.headword for s in entries)
+    absent = SenseKey("zzz", PartOfSpeech.VI, 1, "1")
+    for key in keys + [absent]:
+        expected = [s for s in entries if s.key == key]
+        got = lx.records_for(key)
+        assert got == expected and [s.line for s in got] == [s.line for s in expected]
+        got.clear()   # a fresh list each call
+        assert lx.records_for(key) == expected
+        assert lx.has_sense(key) == bool(expected)
+    for word in HEADWORDS + ("zzz",):
+        assert lx.has_headword(word) == any(s.headword == word for s in entries)
+        for pos in (None, *PartOfSpeech):
+            assert senses_of(lx, word, pos) == [
+                s for s in entries
+                if s.headword == word and (pos is None or s.pos is pos)]
+        grouped: dict = {}
+        for s in entries:
+            if s.headword == word:
+                grouped.setdefault(s.key, []).append(s)
+        assert lx.records_by_key(word) == grouped
+        assert list(lx.records_by_key(word)) == list(grouped)
+    assert lx.verb_headwords == {s.headword for s in entries if s.pos.is_verb}
+    assert lx.prep_headwords == {s.headword for s in entries
+                                 if s.pos is PartOfSpeech.PREP}
+
+
+@settings(max_examples=80, deadline=None)
+@given(lexf_texts())
+def test_warmed_lexicon_equals_fresh_parse(text):
+    warm = parse_lexf(text)
+    for key in warm.sense_keys():
+        warm.records_for(key)
+    for word in warm.headwords():
+        senses_of(warm, word)
+        warm.records_by_key(word)
+    for sense in warm.entries:
+        parse_sense(sense)
+    assert warm.verb_headwords is not None and warm.prep_headwords is not None
+    fresh = parse_lexf(text)
+    assert warm == fresh
+    assert serialize_lexf(warm) == serialize_lexf(fresh)
+    assert parse_lexf(serialize_lexf(warm)) == fresh
+
+
+def test_parse_sense_memoized_per_record(lexicon):
+    for sense in lexicon.entries:
+        parsed = parse_sense(sense)
+        assert parse_sense(sense) is parsed
+        if sense.is_synonym_line:
+            assert parsed is None
+        else:
+            assert parsed == parse_definition(sense.raw_definition, sense.pos)
+    # an equal record from a fresh parse carries its own memo
+    again = parse_lexf(corpus_text())
+    assert parse_sense(again.entries[0]) is not parse_sense(lexicon.entries[0])

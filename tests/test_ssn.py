@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import gc
+import importlib
 import random
+import sys
+import weakref
 
 import pytest
 
+from support import dot_strings
+from lexigraph import corpus
 from lexigraph.corpus import load_rules
 from lexigraph.frames import build_frames
 from lexigraph.lexicon import PartOfSpeech, Sense, SenseKey, parse_lexf
@@ -274,3 +280,48 @@ def test_exports(change_ssn):
 def test_build_all_ssns_covers_headwords(lexicon, ssns):
     heads = {s.headword for s in lexicon.entries}
     assert set(ssns) == heads
+
+
+def test_dot_export_escapes_labels(rules):
+    lx = parse_lexf('E|say "when"|vt|1\n'
+                    'S|1||utter ("hello") loudly|\n'
+                    'S|2||speak words|\n')
+    net = build_all_ssns(lx, build_frames(lx, rules))['say "when"']
+    names = dot_strings(to_dot(net))
+    assert 'say "when":vt:1:1' in names and 'say "when":vt:1:2' in names
+    assert 'OBJ-IS "hello"' in names
+
+
+def test_analysis_is_freed_without_the_cycle_collector():
+    # build_frames and compile_ssn keep no reference cycle, so dropping the
+    # results frees the lexicon at once, not at the next full collection
+    lx = corpus.load_corpus()
+    rules = load_rules()
+    gone = [weakref.ref(lx), weakref.ref(lx.entries[0])]
+    gc.disable()
+    try:
+        frames = build_frames(lx, rules)
+        networks = build_all_ssns(lx, frames)
+        assert networks and gone[0]() is lx
+        del lx, frames, networks
+        assert [ref() for ref in gone] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_reimported_modules_are_freed():
+    # module-level type aliases must not pin lexigraph classes in a
+    # process-wide cache: a re-imported copy is freed once dropped
+    names = [m for m in sys.modules if m == "lexigraph" or m.startswith("lexigraph.")]
+    saved = {m: sys.modules.pop(m) for m in names}
+    try:
+        fresh = importlib.import_module("lexigraph.ssn")
+        gone = [weakref.ref(fresh.Question), weakref.ref(fresh.Frame),
+                weakref.ref(fresh.Sense)]
+        del fresh
+    finally:
+        for m in [m for m in sys.modules if m == "lexigraph" or m.startswith("lexigraph.")]:
+            del sys.modules[m]
+        sys.modules.update(saved)
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None, None]
