@@ -12,6 +12,7 @@ from .lexicon import (
     Sense,
     SenseKey,
     SenseLabel,
+    genus_words,
     merge_lexicons,
     parse_definition,
     parse_lexf,
@@ -40,6 +41,7 @@ from .frames import (
     frame_diff,
     load_seed_frames,
     specialize_subsense,
+    use_deltas,
 )
 from .prep_rules import (
     CueTable,

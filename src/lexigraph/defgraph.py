@@ -9,6 +9,7 @@ Graphs are immutable values; resolve() returns a new graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .lexicon import (
@@ -17,11 +18,13 @@ from .lexicon import (
     ResolutionRecord,
     Sense,
     SenseKey,
-    SenseLabel,
     dot_quote,
+    genus_words,
     parse_sense,
     senses_of,
 )
+
+MODES = ("optimistic", "resolved-only")
 
 
 class ResolutionError(ValueError):
@@ -53,10 +56,13 @@ class NodeId:
         return SenseKey(self.headword, self.pos, self.homograph, self.label)
 
     def sort_key(self) -> tuple:
+        return self._sort_key
+
+    @cached_property
+    def _sort_key(self) -> tuple:
         if self.is_external:
             return (self.headword, "~external", 0, ())
-        return (self.headword, self.pos.value, self.homograph,
-                SenseLabel(self.label).sort_key())
+        return self.key.sort_key()
 
     def render(self) -> str:
         if self.is_external:
@@ -85,8 +91,28 @@ class Arc:
 
 @dataclass(frozen=True)
 class DefinitionGraph:
+    """Nodes and arcs.  A graph is an immutable value: the adjacency,
+    components and condensation of each mode are computed on first use and
+    kept on the instance (not as fields, so ``==`` ignores them).  Callers
+    get copies of the mutable ones."""
+
     nodes: frozenset[NodeId]
     arcs: tuple[Arc, ...]
+
+    @cached_property
+    def _by_mode(self) -> dict[tuple[str, str], object]:
+        """(fact, mode) -> the memoized adjacency, components or
+        condensation; never handed out."""
+        return {}
+
+    def _memo(self, fact: str, mode: str, compute):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        memo = self._by_mode
+        value = memo.get((fact, mode))
+        if value is None:
+            value = memo[(fact, mode)] = compute(self, mode)
+        return value
 
     def internal_nodes(self) -> list[NodeId]:
         return sorted((n for n in self.nodes if not n.is_external),
@@ -102,16 +128,20 @@ class DefinitionGraph:
     def edges(self, mode: str) -> dict[NodeId, list[NodeId]]:
         """Adjacency under a mode: optimistic takes every member of every
         bundle; resolved-only takes resolved arcs exclusively."""
-        if mode not in ("optimistic", "resolved-only"):
-            raise ValueError(f"unknown mode {mode!r}")
-        adj: dict[NodeId, list[NodeId]] = {n: [] for n in self.nodes}
-        for arc in self.arcs:
-            if mode == "resolved-only" and not arc.resolved:
-                continue
-            for t in sorted(arc.targets, key=NodeId.sort_key):
-                if t not in adj[arc.source]:
-                    adj[arc.source].append(t)
-        return adj
+        return {n: list(outs)
+                for n, outs in self._memo("edges", mode, _adjacency).items()}
+
+
+def _adjacency(graph: DefinitionGraph, mode: str) -> dict[NodeId, list[NodeId]]:
+    adj: dict[NodeId, list[NodeId]] = {n: [] for n in graph.nodes}
+    for arc in graph.arcs:
+        if mode == "resolved-only" and not arc.resolved:
+            continue
+        outs = adj[arc.source]
+        for t in sorted(arc.targets, key=NodeId.sort_key):
+            if t not in outs:
+                outs.append(t)
+    return adj
 
 
 def _use_pos(sense: Sense, parsed) -> PartOfSpeech:
@@ -143,20 +173,14 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
             continue
         source = NodeId.from_key(s.key)
         if s.is_synonym_line:
-            for ref in s.synonym_refs:
-                word = ref.lower()
-                tg = targets_for(word, s.pos if s.pos is not PartOfSpeech.VB
-                                 else PartOfSpeech.VI)
-                arcs.append(Arc(source, word, tg, False, False, True, s.line))
-            continue
-        parsed = parse_sense(s)
-        use = _use_pos(s, parsed)
-        for head in parsed.genus:
-            # phrasal genus falls back to its bare verb unless listed whole
-            word = (head if (" " not in head or lexicon.has_headword(head))
-                    else head.split()[0])
-            tg = targets_for(word, use)
-            arcs.append(Arc(source, word, tg, False, parsed.negated, False, s.line))
+            use = s.pos if s.pos is not PartOfSpeech.VB else PartOfSpeech.VI
+            negated = False
+        else:
+            parsed = parse_sense(s)
+            use, negated = _use_pos(s, parsed), parsed.negated
+        for word in genus_words(s, lexicon):
+            arcs.append(Arc(source, word, targets_for(word, use), False,
+                            negated, s.is_synonym_line, s.line))
 
     for arc in arcs:
         nodes.update(arc.targets)
@@ -205,7 +229,11 @@ def strongly_connected_components(graph: DefinitionGraph,
                                   mode: str = "optimistic") -> list[list[NodeId]]:
     """Tarjan over the mode's edge set; components in canonical order
     (smallest member key first), members sorted."""
-    adj = graph.edges(mode)
+    return [list(comp) for comp in graph._memo("components", mode, _tarjan)]
+
+
+def _tarjan(graph: DefinitionGraph, mode: str) -> list[list[NodeId]]:
+    adj = graph._memo("edges", mode, _adjacency)
     order = sorted(adj, key=NodeId.sort_key)
     index: dict[NodeId, int] = {}
     low: dict[NodeId, int] = {}
@@ -263,7 +291,9 @@ class Condensation:
         return [b for a, b in self.arcs if a == idx]
 
     def is_acyclic(self) -> bool:
-        adj = {i: self.outgoing(i) for i in range(len(self.components))}
+        adj: dict[int, list[int]] = {i: [] for i in range(len(self.components))}
+        for a, b in self.arcs:
+            adj[a].append(b)
         state: dict[int, int] = {}
 
         def visit(u: int) -> bool:
@@ -295,10 +325,14 @@ class Condensation:
 def condensation(graph: DefinitionGraph, mode: str = "optimistic") -> Condensation:
     """Components collapsed to single nodes; arcs lifted without duplicates
     or self-loops. Acyclic by construction (and testably so)."""
-    comps = strongly_connected_components(graph, mode)
+    return graph._memo("condensation", mode, _condense)
+
+
+def _condense(graph: DefinitionGraph, mode: str) -> Condensation:
+    comps = graph._memo("components", mode, _tarjan)
     where = {node: i for i, comp in enumerate(comps) for node in comp}
     lifted: dict[tuple[int, int], None] = {}
-    adj = graph.edges(mode)
+    adj = graph._memo("edges", mode, _adjacency)
     for src, outs in adj.items():
         for dst in outs:
             a, b = where[src], where[dst]

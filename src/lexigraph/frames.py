@@ -6,8 +6,8 @@ Frames are immutable values; every derivation operation is pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .lexicon import (
     Lexicon,
@@ -16,6 +16,7 @@ from .lexicon import (
     Sense,
     SenseKey,
     SenseLabel,
+    genus_words,
     parse_sense,
     usage_particles,
 )
@@ -29,11 +30,12 @@ SLOT_ORDER = (
 )
 
 
+_SLOT_RANK = {name: i for i, name in enumerate(SLOT_ORDER)}
+
+
 def slot_order_key(name: str) -> tuple:
-    try:
-        return (SLOT_ORDER.index(name), name)
-    except ValueError:
-        return (len(SLOT_ORDER), name)  # open extension names sort last
+    # open extension names sort last
+    return (_SLOT_RANK.get(name, len(SLOT_ORDER)), name)
 
 
 class SeedGrammarError(ValueError):
@@ -301,6 +303,11 @@ def specialize_subsense(parent: Frame, subsense: Sense,
     """Derive a subsense frame from its parent: apply the subsense's seed
     lines, subject restriction, and usage conditions; all other structure
     inherits."""
+    return _specialized(parent, subsense, seed_lines).freeze(subsense.key)
+
+
+def _specialized(parent: Frame, subsense: Sense,
+                 seed_lines: Iterable[str] = ()) -> _FrameBuilder:
     if parent.sense is not None:
         plabel = SenseLabel(parent.sense.label)
         if plabel not in subsense.label.ancestors():
@@ -310,17 +317,26 @@ def specialize_subsense(parent: Frame, subsense: Sense,
     builder.strip_usage_conditions()
     for line in seed_lines:
         _apply_seed_line(builder, line)
-    subject = subsense.subject_restriction
+    _annotate(builder, subsense)
+    builder.provenance = list(parent.provenance) + [
+        f"specialized from {parent.sense.render() if parent.sense else parent.predicate}"]
+    return builder
+
+
+def _annotate(builder: _FrameBuilder, rec: Sense,
+              fill_subject: bool = False) -> None:
+    """Add a record's usage condition and subject restriction; with
+    ``fill_subject`` the restriction also fills an empty SUBJ."""
+    particles = usage_particles(rec.usage_note)
+    if particles:
+        builder.add_usage_condition(particles)
+    subject = rec.subject_restriction
     if subject:
         node = builder.ensure_path(("SUBJ",))
         if subject not in node.restrictions:
             node.restrictions.append(subject)
-    particles = usage_particles(subsense.usage_note)
-    if particles:
-        builder.add_usage_condition(particles)
-    builder.provenance = list(parent.provenance) + [
-        f"specialized from {parent.sense.render() if parent.sense else parent.predicate}"]
-    return builder.freeze(subsense.key)
+        if fill_subject and node.filler is None:
+            node.filler = subject
 
 
 def load_seed_frames(lexicon: Lexicon) -> dict[SenseKey, Frame]:
@@ -335,44 +351,18 @@ def load_seed_frames(lexicon: Lexicon) -> dict[SenseKey, Frame]:
         primary = records[0]
         parent = _nearest_ancestor_frame(key, out)
         if parent is not None:
-            frame = specialize_subsense(parent, primary, lexicon.seed_frames[key])
+            builder = _specialized(parent, primary, lexicon.seed_frames[key])
         else:
             builder = _FrameBuilder(key.pos)
             builder.provenance = ["seeded"]
             for line in lexicon.seed_frames[key]:
                 _apply_seed_line(builder, line)
-            subject = primary.subject_restriction
-            if subject:
-                node = builder.ensure_path(("SUBJ",))
-                if subject not in node.restrictions:
-                    node.restrictions.append(subject)
-            particles = usage_particles(primary.usage_note)
-            if particles:
-                builder.add_usage_condition(particles)
-            frame = builder.freeze(key)
+            _annotate(builder, primary)
         # coordinate records may add their own usage notes / subjects
-        frame = _merge_record_annotations(frame, records[1:])
-        out[key] = frame
+        for rec in records[1:]:
+            _annotate(builder, rec)
+        out[key] = builder.freeze(key)
     return out
-
-
-def _merge_record_annotations(frame: Frame, records: Iterable[Sense]) -> Frame:
-    builder = _FrameBuilder.from_frame(frame)
-    changed = False
-    for rec in records:
-        particles = usage_particles(rec.usage_note)
-        if particles:
-            builder.add_usage_condition(particles)
-            changed = True
-        subject = rec.subject_restriction
-        if subject:
-            node = builder.ensure_path(("SUBJ",))
-            if subject not in node.restrictions:
-                node.restrictions.append(subject)
-                changed = True
-    if not changed:
-        return frame
-    return builder.freeze(frame.sense)
 
 
 def _nearest_ancestor_frame(key: SenseKey,
@@ -390,10 +380,25 @@ def apply_use(base: Frame, use: ParsedDefinition,
     differentia may fill a slot, add a restriction, or add a slot.
     Unmapped differentiae land in the residue, never dropped."""
     builder = _FrameBuilder.from_frame(base)
+    deltas, residue = _apply_use_to(builder, use, rules)
+    builder.provenance = list(base.provenance) + ["applied use"]
+    return ApplyOutcome(builder.freeze(base.sense), deltas, residue)
+
+
+def use_deltas(base: Frame, use: ParsedDefinition,
+               rules: RuleTable) -> tuple[UseDelta, ...]:
+    """The deltas of ``apply_use(base, use, rules)``, without building the
+    resulting frame."""
+    return _apply_use_to(_FrameBuilder.from_frame(base), use, rules)[0]
+
+
+def _apply_use_to(builder: _FrameBuilder, use: ParsedDefinition,
+                  rules: RuleTable) -> tuple[tuple[UseDelta, ...], tuple[str, ...]]:
+    """Apply a use to a thawed frame in place: (deltas, residue)."""
     deltas: list[UseDelta] = []
     residue: list[str] = []
     descriptor_count = 0
-    family = base.predicate
+    family = builder.predicate
 
     for phrase in use.differentiae:
         if phrase.kind == "adverb":
@@ -448,9 +453,7 @@ def apply_use(base: Frame, use: ParsedDefinition,
         else:
             residue.append(f"{phrase.prep}-phrase (unknown action {kind}): "
                            f"{phrase.text}")
-
-    builder.provenance = list(base.provenance) + ["applied use"]
-    return ApplyOutcome(builder.freeze(base.sense), tuple(deltas), tuple(residue))
+    return tuple(deltas), tuple(residue)
 
 
 def build_frames(lexicon: Lexicon, rules: RuleTable) -> dict[SenseKey, Frame]:
@@ -464,94 +467,89 @@ def build_frames(lexicon: Lexicon, rules: RuleTable) -> dict[SenseKey, Frame]:
 
 
 class _FrameDerivation:
-    """The state of one ``build_frames`` call.  A class rather than nested
-    functions: mutually recursive closures form a reference cycle that
-    keeps the lexicon alive until the cyclic collector runs."""
+    """The state of one ``build_frames`` call.
+
+    A sense's frame depends on at most one other frame: its nearest
+    label ancestor's, or else the target of its first resolved genus word.
+    ``frame_for`` follows that chain with an explicit stack, so a chain of
+    any depth derives without recursion; a key met again while its chain
+    is still open (a cycle) contributes a provisional frame, which is not
+    kept."""
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
         self.frames: dict[SenseKey, Frame] = dict(load_seed_frames(lexicon))
         self.resolution_map = {(r.from_key, r.genus_word): r.target
                                for r in lexicon.resolutions}
-        self.in_progress: set[SenseKey] = set()
-
-    @staticmethod
-    def genus_words(rec: Sense) -> list[str]:
-        if rec.is_synonym_line:
-            return [ref.lower() for ref in rec.synonym_refs]
-        parsed = parse_sense(rec)
-        out = []
-        for head in parsed.genus:
-            out.append(head if " " not in head else head.split()[0])
-        return out
 
     def frame_for(self, key: SenseKey) -> Frame:
-        if key in self.frames:
-            return self.frames[key]
-        if key in self.in_progress:
-            return _provisional_frame(key, self.lexicon)
-        self.in_progress.add(key)
-        try:
-            frame = self._derive(key)
-        finally:
-            self.in_progress.discard(key)
-        self.frames[key] = frame
+        frame = self.frames.get(key)
+        if frame is not None:
+            return frame
+        # walk to the first dependency with a frame, then derive back
+        chain: list[tuple[SenseKey, Optional[Sense]]] = []
+        open_keys: set[SenseKey] = set()
+        while True:
+            open_keys.add(key)
+            dep = self._dependency(key)
+            if dep is None:
+                chain.append((key, None))
+                break
+            target, via = dep
+            chain.append((key, via))
+            frame = self.frames.get(target)
+            if frame is not None:
+                break
+            if target in open_keys:
+                frame = _provisional(target, self.lexicon).freeze(target)
+                break
+            key = target
+        for key, via in reversed(chain):
+            frame = self.frames[key] = self._derive(key, via, frame)
         return frame
 
-    def _derive(self, key: SenseKey) -> Frame:
-        records = self.lexicon.records_for(key)
-        parent = _nearest_ancestor_frame_in(key, self.lexicon, self.frame_for)
-        if parent is not None:
-            frame = specialize_subsense(parent, records[0])
-            return _merge_record_annotations(frame, records[1:])
-        for rec in records:
-            for word in self.genus_words(rec):
+    def _dependency(self, key: SenseKey) -> Optional[tuple[SenseKey, Optional[Sense]]]:
+        """The key whose frame this key's frame is derived from, with the
+        record whose genus word leads there (None for a label ancestor)."""
+        for anc in SenseLabel(key.label).ancestors():
+            pk = SenseKey(key.headword, key.pos, key.homograph, anc.text)
+            if self.lexicon.has_sense(pk):
+                return pk, None
+        for rec in self.lexicon.records_for(key):
+            for word in genus_words(rec, self.lexicon):
                 target = self.resolution_map.get((key, word))
-                if target is None:
-                    continue
-                base = self.frame_for(target)
-                return self._derive_from(base, rec, records)
-        return self._finish_records(_provisional_frame(key, self.lexicon), records)
+                if target is not None:
+                    return target, rec
+        return None
 
-    def _derive_from(self, base: Frame, rec: Sense, records: list[Sense]) -> Frame:
-        builder = _FrameBuilder.from_frame(base, rec.pos)
-        builder.strip_usage_conditions()
-        stripped = builder.freeze(rec.key)
-        if rec.is_synonym_line:
-            frame = replace(stripped,
-                            provenance=base.provenance + ("synonym copy",))
+    def _derive(self, key: SenseKey, via: Optional[Sense],
+                base: Optional[Frame]) -> Frame:
+        """The frame of ``key`` from the frame of its dependency: a label
+        ancestor's when ``via`` is None, else the genus target ``via``
+        names; a provisional frame when there is no dependency."""
+        records = self.lexicon.records_for(key)
+        if base is None:
+            builder = _provisional(key, self.lexicon)
+            fill_subject = True
+        elif via is None:
+            builder = _specialized(base, records[0])
+            records, fill_subject = records[1:], False
         else:
-            parsed = parse_sense(rec)
-            frame = apply_use(stripped, parsed, self.rules).frame
-        return self._finish_records(frame, records)
-
-    @staticmethod
-    def _finish_records(frame: Frame, records: list[Sense]) -> Frame:
-        builder = _FrameBuilder.from_frame(frame)
+            builder = _FrameBuilder.from_frame(base, via.pos)
+            builder.strip_usage_conditions()
+            if via.is_synonym_line:
+                note = "synonym copy"
+            else:
+                _apply_use_to(builder, parse_sense(via), self.rules)
+                note = "applied use"
+            builder.provenance = list(base.provenance) + [note]
+            fill_subject = True
         for rec in records:
-            particles = usage_particles(rec.usage_note)
-            if particles:
-                builder.add_usage_condition(particles)
-            subject = rec.subject_restriction
-            if subject:
-                node = builder.ensure_path(("SUBJ",))
-                if subject not in node.restrictions:
-                    node.restrictions.append(subject)
-                if node.filler is None:
-                    node.filler = subject
-        return builder.freeze(frame.sense or records[0].key)
+            _annotate(builder, rec, fill_subject)
+        return builder.freeze(key)
 
 
-def _nearest_ancestor_frame_in(key: SenseKey, lexicon: Lexicon,
-                               frame_for: Callable) -> Optional[Frame]:
-    for anc in SenseLabel(key.label).ancestors():
-        pk = SenseKey(key.headword, key.pos, key.homograph, anc.text)
-        if lexicon.has_sense(pk):
-            return frame_for(pk)
-    return None
-
-
-def _provisional_frame(key: SenseKey, lexicon: Lexicon) -> Frame:
+def _provisional(key: SenseKey, lexicon: Lexicon) -> _FrameBuilder:
     """Fallback frame: uppercased genus word as a provisional predicate."""
     records = lexicon.records_for(key)
     predicate = key.headword.upper()
@@ -559,10 +557,11 @@ def _provisional_frame(key: SenseKey, lexicon: Lexicon) -> Frame:
         if rec.is_synonym_line:
             predicate = rec.synonym_refs[0].upper()
             break
-        parsed = parse_sense(rec)
-        if parsed.genus:
-            predicate = parsed.genus[0].split()[0].upper()
+        words = genus_words(rec, lexicon)
+        if words:
+            predicate = words[0].upper()
             break
+        parsed = parse_sense(rec)
         if parsed.genus_complement:
             predicate = parsed.genus_complement.split()[-1].upper()
             break
@@ -573,7 +572,7 @@ def _provisional_frame(key: SenseKey, lexicon: Lexicon) -> Frame:
         subj = builder.ensure_path(("SUBJ",))
         subj.case = ("PAT", "AGT")
     builder.provenance = ["provisional predicate"]
-    return builder.freeze(key)
+    return builder
 
 
 # ---------------------------------------------------------------------------

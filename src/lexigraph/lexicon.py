@@ -54,6 +54,14 @@ class PartOfSpeech(str, Enum):
 _LABEL_RE = re.compile(r"^(\d+)([a-z])?(?:\((\d+)\))?$")
 
 
+def _label_parts(text: str) -> tuple[int, str, int]:
+    """(number, letter, parenthesized number) of a sense label."""
+    m = _LABEL_RE.match(text)
+    if m is None:
+        raise ValueError(f"bad sense label: {text!r}")
+    return int(m.group(1)), m.group(2) or "", int(m.group(3) or 0)
+
+
 @dataclass(frozen=True, order=True)
 class SenseLabel:
     """Hierarchical sense label: digit(s), optional letter, optional
@@ -62,14 +70,11 @@ class SenseLabel:
     text: str
 
     def __post_init__(self):
-        if not _LABEL_RE.match(self.text):
-            raise ValueError(f"bad sense label: {self.text!r}")
+        _label_parts(self.text)
 
     @property
     def parts(self) -> tuple[int, str, int]:
-        m = _LABEL_RE.match(self.text)
-        assert m is not None
-        return int(m.group(1)), m.group(2) or "", int(m.group(3) or 0)
+        return _label_parts(self.text)
 
     def parent(self) -> Optional["SenseLabel"]:
         num, letter, paren = self.parts
@@ -105,7 +110,7 @@ class SenseKey(NamedTuple):
 
     def sort_key(self) -> tuple:
         return (self.headword, self.pos.value, self.homograph,
-                SenseLabel(self.label).sort_key())
+                _label_parts(self.label))
 
 
 _STATUS_SIMPLE = {"obs", "dial", "Brit", "specif"}
@@ -263,6 +268,18 @@ def senses_of(lexicon: Lexicon, headword: str,
     """All senses of a headword across homographs, in file order."""
     return [s for s in lexicon._by_headword.get(headword, ())
             if pos is None or s.pos is pos]
+
+
+def genus_words(sense: Sense, lexicon: Lexicon) -> list[str]:
+    """The genus words of one record, in definition order: the lowercased
+    synonym references of a synonym line, else the parsed genus heads.  A
+    phrasal head ("give up") stays whole when the lexicon lists the phrase
+    as a headword and falls back to its bare verb otherwise."""
+    if sense.is_synonym_line:
+        return [ref.lower() for ref in sense.synonym_refs]
+    return [head if " " not in head or lexicon.has_headword(head)
+            else head.split()[0]
+            for head in parse_sense(sense).genus]
 
 
 def merge_lexicons(*lexicons: Lexicon) -> Lexicon:

@@ -32,9 +32,9 @@ from .lexicon import (
     Sense,
     SenseKey,
     SenseLabel,
+    genus_words,
     head_noun,
     parse_sense,
-    senses_of,
     split_alternatives,
     usage_particles,
 )
@@ -526,35 +526,57 @@ class AutoResolution:
         return ResolutionRecord(self.using, self.genus_word, self.unique)
 
 
-def _genus_families(genus_keys: list[SenseKey],
-                    frames: dict[SenseKey, Frame]):
-    """Split the genus verb's senses by frame structure: the family whose
-    subject is bound as the from-state vs the family carrying a respect
-    group."""
-    bind_family: list[SenseKey] = []
-    respect_family: list[SenseKey] = []
-    for k in genus_keys:
-        frame = frames.get(k)
-        if frame is None:
-            continue
+class _GenusTable:
+    """What disambiguation needs to know about one genus verb, computed
+    once however many definitions use it: its verb sense keys in canonical
+    order (``rank`` maps each to its position), the family carrying a
+    respect group and the family whose subject is bound as the from-state,
+    the head of the latter, the particles each of its senses requires, and
+    the respect alternatives stated in each respect-family frame."""
 
-        def has(name, slots) -> bool:
-            return any(s.name == name or has(name, s.children) for s in slots)
+    def __init__(self, word: str, lexicon: Lexicon,
+                 frames: dict[SenseKey, Frame]):
+        records = lexicon.records_by_key(word)
+        self.keys = tuple(sorted((k for k in records if k.pos.is_verb),
+                                 key=SenseKey.sort_key))
+        self.rank = {k: i for i, k in enumerate(self.keys)}
+        self.respect_family: list[SenseKey] = []
+        self.bind_family: list[SenseKey] = []
+        self.respect_sets: dict[SenseKey, set[str]] = {}
+        self.required: dict[SenseKey, set[str]] = {}
+        for k in self.keys:
+            frame = frames.get(k)
+            if frame is None:
+                continue
+            if any(s.name == "SUBJ" and s.bind == "FROM-STATE"
+                   for s in frame.slots):
+                self.bind_family.append(k)
+                self.required[k] = {p for rec in records[k]
+                                    for p in usage_particles(rec.usage_note)}
+            elif _has_slot("RESPECT", frame.slots):
+                self.respect_family.append(k)
+                self.respect_sets[k] = _stated_respect(frame.slots)
+        self.family_head = min(
+            self.bind_family, default=None,
+            key=lambda k: (len(SenseLabel(k.label).ancestors()), self.rank[k]))
 
-        subj_bound = any(s.name == "SUBJ" and s.bind == "FROM-STATE"
-                         for s in frame.slots)
-        if subj_bound:
-            bind_family.append(k)
-        elif has("RESPECT", frame.slots):
-            respect_family.append(k)
-    return respect_family, bind_family
+    def ordered(self, keys: Iterable[SenseKey]) -> tuple[SenseKey, ...]:
+        return tuple(sorted(set(keys), key=self.rank.__getitem__))
 
 
-def _family_head(keys: list[SenseKey]) -> Optional[SenseKey]:
-    if not keys:
-        return None
-    return min(keys, key=lambda k: (len(SenseLabel(k.label).ancestors()),
-                                    SenseKey.sort_key(k)))
+def _has_slot(name: str, slots: Iterable[Slot]) -> bool:
+    return any(s.name == name or _has_slot(name, s.children) for s in slots)
+
+
+def _stated_respect(slots: Iterable[Slot]) -> set[str]:
+    """The lowercased alternatives of every RESPECT restriction."""
+    stated: set[str] = set()
+    for s in slots:
+        if s.name == "RESPECT":
+            for r in s.restrictions:
+                stated.update(a.lower() for a in split_alternatives(r))
+        stated |= _stated_respect(s.children)
+    return stated
 
 
 def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
@@ -564,31 +586,31 @@ def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
     adjacent from...to pair forces the respect family; an into/to object
     presumes the subject-transforming family subject to the essential-change
     check; an in-phrase is compared against the subsense respect sets."""
+    return _propose(records, lexicon, frames, {})
+
+
+def _propose(records: list[Sense], lexicon: Lexicon,
+             frames: dict[SenseKey, Frame],
+             tables: dict[str, _GenusTable]) -> AutoResolution:
+    """``disambiguate_in_definition``, reading and filling ``tables``, the
+    genus tables of one run."""
     using = records[0].key
     genus_word = None
     for rec in records:
-        if rec.is_synonym_line:
-            genus_word = rec.synonym_refs[0].lower()
-        else:
-            parsed = parse_sense(rec)
-            if parsed.genus:
-                head = parsed.genus[0]
-                genus_word = head if " " not in head else head.split()[0]
-        if genus_word:
+        words = genus_words(rec, lexicon)
+        if words:
+            genus_word = words[0]
             break
     if genus_word is None:
         raise ValueError(f"{using.render()} has no genus")
-
-    genus_keys = [s.key for s in senses_of(lexicon, genus_word)
-                  if s.pos.is_verb]
-    genus_keys = sorted(set(genus_keys), key=SenseKey.sort_key)
-    fam1, fam2 = _genus_families(genus_keys, frames)
-    all_keys = tuple(genus_keys)
+    table = tables.get(genus_word)
+    if table is None:
+        table = tables[genus_word] = _GenusTable(genus_word, lexicon, frames)
+    fam1, fam2 = table.respect_family, table.bind_family
 
     def result(unique, candidates, why):
         return AutoResolution(using, genus_word, unique,
-                              tuple(sorted(set(candidates), key=SenseKey.sort_key)),
-                              why)
+                              table.ordered(candidates), why)
 
     phrases: list[Phrase] = []
     subject = None
@@ -615,12 +637,8 @@ def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
     if state_pp is not None:
         if not state_pp.text:
             particles = {p.prep for p in pps}
-            keep = []
-            for k in fam2:
-                required = _required_particles(lexicon, k)
-                if required and not (required & particles):
-                    continue
-                keep.append(k)
+            keep = [k for k in fam2
+                    if not table.required[k] or table.required[k] & particles]
             return result(None, keep or fam2,
                           "state preposition without an object: "
                           "subject-transforming family presumed, object "
@@ -629,7 +647,7 @@ def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
             return result(None, fam1 + fam2,
                           "disjunctive state object: both families apply")
         if essential_change(subject, state_pp.text, lexicon):
-            head = _family_head(fam2)
+            head = table.family_head
             if head is not None:
                 return result(head, [head],
                               "essential change into a new kind: "
@@ -641,23 +659,7 @@ def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
     in_pp = next((p for p in pps if p.prep == "in" and p.text), None)
     if in_pp is not None:
         given = {a.lower() for a in split_alternatives(in_pp.text)}
-        matches = []
-        for k in fam1:
-            frame = frames.get(k)
-            if frame is None:
-                continue
-            stated: set[str] = set()
-
-            def collect(slots):
-                for s in slots:
-                    if s.name == "RESPECT":
-                        for r in s.restrictions:
-                            stated.update(a.lower() for a in split_alternatives(r))
-                    collect(s.children)
-
-            collect(frame.slots)
-            if given & stated:
-                matches.append(k)
+        matches = [k for k in fam1 if given & table.respect_sets[k]]
         if len(matches) == 1:
             return result(matches[0], matches,
                           "respect matches exactly one subsense restriction set")
@@ -675,34 +677,21 @@ def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
 
     why = ("negated use: any sense may be the negated base"
            if negated else "no discriminating context: all senses apply")
-    return result(None, all_keys, why)
-
-
-def _required_particles(lexicon: Lexicon, key: SenseKey) -> set[str]:
-    out: set[str] = set()
-    for rec in lexicon.records_for(key):
-        out.update(usage_particles(rec.usage_note))
-    return out
+    return result(None, table.keys, why)
 
 
 def autoresolve_all(lexicon: Lexicon, frames: dict[SenseKey, Frame],
                     rules: RuleTable,
                     genus_word: str = "change") -> list[AutoResolution]:
     """Proposals for every sense whose main verb is the given word."""
+    tables: dict[str, _GenusTable] = {}
     out = []
     for key in lexicon.sense_keys():
         if not key.pos.is_verb or key.headword == genus_word:
             continue
         records = lexicon.records_for(key)
-        words = set()
-        for rec in records:
-            if rec.is_synonym_line:
-                words.update(r.lower() for r in rec.synonym_refs)
-            else:
-                parsed = parse_sense(rec)
-                words.update(h.split()[0] for h in parsed.genus)
-        if genus_word in words:
-            out.append(disambiguate_in_definition(records, lexicon, frames, rules))
+        if any(genus_word in genus_words(rec, lexicon) for rec in records):
+            out.append(_propose(records, lexicon, frames, tables))
     return sorted(out, key=lambda r: SenseKey.sort_key(r.using))
 
 

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .defgraph import DefinitionGraph
-from .frames import Frame, RuleTable, apply_use
+from .frames import Frame, RuleTable, use_deltas
 from .lexicon import (
     Lexicon,
     Sense,
     SenseKey,
+    genus_words,
     head_noun,
     parse_sense,
     senses_of,
@@ -101,12 +102,6 @@ class ReductionContext:
             return None
         return self.frames.get(target)
 
-    def record_genus_words(self, rec: Sense) -> list[str]:
-        if rec.is_synonym_line:
-            return [r.lower() for r in rec.synonym_refs]
-        parsed = parse_sense(rec)
-        return [h if " " not in h else h.split()[0] for h in parsed.genus]
-
     def noun_is_instrument(self, phrase_text: str) -> bool:
         """Is the head noun of this phrase defined as an instrument?"""
         head = head_noun(phrase_text)
@@ -160,11 +155,11 @@ def rule_multi_concept(records: list[Sense],
             return NonprimitiveEvidence(
                 rec.key, "MULTI-CONCEPT",
                 f"operator NOT over {base}; operator contribution owed")
-        for head in parsed.genus:
-            if head.split()[0] in ctx.operators:
+        for word in genus_words(rec, ctx.lexicon):
+            if word in ctx.operators:
                 return NonprimitiveEvidence(
                     rec.key, "MULTI-CONCEPT",
-                    f"operator {head.split()[0]} over embedded concept; "
+                    f"operator {word} over embedded concept; "
                     f"operator contribution owed")
     return None
 
@@ -175,16 +170,14 @@ def rule_slot_fill(records: list[Sense],
     or a subject label fills SUBJ. Pure synonym lines are degenerate
     slot-fills: they bind nothing and add nothing of their own."""
     for rec in records:
-        for word in ctx.record_genus_words(rec):
+        for word in genus_words(rec, ctx.lexicon):
             base = ctx.genus_frame(rec.key, word)
             if base is None:
                 continue
             if rec.is_synonym_line:
                 return NonprimitiveEvidence(rec.key, "SLOT-FILL", "pure synonym")
-            parsed = parse_sense(rec)
-            outcome = apply_use(base, parsed, ctx.rules)
-            fills = [d for d in outcome.deltas if d.kind == "FILL"]
-            details = [d.render() for d in fills]
+            deltas = use_deltas(base, parse_sense(rec), ctx.rules)
+            details = [d.render() for d in deltas if d.kind == "FILL"]
             if rec.subject_restriction:
                 details.insert(0, f"FILL SUBJ = {rec.subject_restriction}")
             if details:
@@ -206,7 +199,7 @@ def rule_word_government(records: list[Sense],
                         and not p.hedged and p.text]
         if not with_phrases:
             continue
-        for word in ctx.record_genus_words(rec):
+        for word in genus_words(rec, ctx.lexicon):
             target = ctx.genus_target(rec.key, word)
             base = ctx.genus_frame(rec.key, word)
             if target is None or base is None:
@@ -235,14 +228,13 @@ def rule_optional_component(records: list[Sense],
         if rec.subject_restriction:
             continue
         base = None
-        for word in ctx.record_genus_words(rec):
+        for word in genus_words(rec, ctx.lexicon):
             base = ctx.genus_frame(rec.key, word)
             if base is not None:
                 break
         if base is None:
             continue
-        outcome = apply_use(base, parsed, ctx.rules)
-        if any(d.kind == "FILL" for d in outcome.deltas):
+        if any(d.kind == "FILL" for d in use_deltas(base, parsed, ctx.rules)):
             continue
         if all(p.kind in ("adverb", "prep-phrase", "clause")
                for p in parsed.differentiae):

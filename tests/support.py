@@ -16,7 +16,10 @@ GENUS_WORDS = ("alpha", "beta", "gamma", "give up", "delta")
 POS = ("vi", "vt", "vb", "n", "prep")
 LABELS = ("1", "1a", "1b", "1b(2)", "2", "2a")
 TAILS = ("", " into something", " with an instrument", " slowly",
-         " from one state to another")
+         " from one state to another", " into", " in color")
+NOTES = ("", "used with into", "used with to or from")
+SEED_LINES = ("PRED {}", "SLOT SUBJ BIND FROM-STATE",
+              "SLOT RESPECT RESTRICT color", "SLOT RESPECT RESTRICT size")
 
 _headers = st.lists(
     st.tuples(st.sampled_from(HEADWORDS), st.sampled_from(POS),
@@ -32,13 +35,15 @@ def _verb_line(draw) -> str:
     negated = "not " if draw(st.integers(0, 5)) == 0 else ""
     genus = draw(st.sampled_from(GENUS_WORDS))
     tail = draw(st.sampled_from(TAILS))
-    return f"S|{label}||to {negated}{genus}{tail}|"
+    note = draw(st.sampled_from(NOTES))
+    return f"S|{label}||to {negated}{genus}{tail}|{note}"
 
 
 @st.composite
 def lexf_texts(draw) -> str:
-    """A valid LEXF text: entries, an optional seed frame per entry, and R
-    records that may or may not name a real arc."""
+    """A valid LEXF text: entries, an optional seed line per entry (a
+    predicate, a subject bound as the from-state, or a respect group), and
+    R records that may or may not name a real arc."""
     lines: list[str] = []
     keys: list[str] = []
     for headword, pos, hom in draw(_headers):
@@ -54,7 +59,9 @@ def lexf_texts(draw) -> str:
         lines.extend(body)
         first_label = body[0].split("|")[1]
         if draw(st.booleans()):
-            lines.append(f"F|{first_label}|PRED {headword.upper().replace(' ', '-')}")
+            seed = draw(st.sampled_from(SEED_LINES))
+            lines.append(f"F|{first_label}|"
+                         + seed.format(headword.upper().replace(' ', '-')))
         keys.extend(f"{headword}:{pos}:{hom}:{ln.split('|')[1]}" for ln in body)
         lines.append("")
     for _ in range(draw(st.integers(0, 6))):
@@ -75,3 +82,44 @@ def dot_strings(dot: str) -> list[str]:
         bare = _DOT_STRING.sub("", line)
         assert '"' not in bare and "\\" not in bare, line
     return [re.sub(r"\\(.)", r"\1", m) for m in _DOT_STRING.findall(dot)]
+
+
+# A phrasal genus listed as a headword: "quit" is defined by "give up", and
+# its R record resolves that arc to the phrase's own sense.
+PHRASAL_LEXF = """\
+E|give|vt|1
+S|1||to hand over|
+
+E|give up|vi|1
+S|1||to stop trying|
+F|1|PRED GIVE-UP
+
+E|quit|vi|1
+S|1||to give up in despair|
+
+R|quit:vi:1|give up|give up:vi:1
+"""
+
+
+def chain_word(n: int) -> str:
+    """A letters-only headword; later links of a chain sort first."""
+    n = 9999 - n
+    word = ""
+    for _ in range(3):
+        word = chr(97 + n % 26) + word
+        n //= 26
+    return "w" + word
+
+
+def chain_lexf(depth: int) -> str:
+    """A resolved definition chain ``depth`` senses deep: link N is defined
+    by link N-1 and resolved to it, and the deepest link sorts first, so
+    deriving it first walks the whole chain."""
+    lines = [f"E|{chain_word(0)}|vi|1", "S|1||to move slowly|", ""]
+    for n in range(1, depth):
+        lines += [f"E|{chain_word(n)}|vi|1",
+                  f"S|1||to {chain_word(n - 1)} slowly|", ""]
+    for n in range(1, depth):
+        lines.append(f"R|{chain_word(n)}:vi:1:1|{chain_word(n - 1)}|"
+                     f"{chain_word(n - 1)}:vi:1:1")
+    return "\n".join(lines) + "\n"

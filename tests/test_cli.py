@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from support import chain_lexf, chain_word
 from lexigraph.cli import run
 
 
@@ -55,6 +56,29 @@ def test_ingest_ok(capout):
     code, out, _ = capout(["ingest"])
     assert code == 0
     assert "MISMATCH" not in out
+
+
+def test_ingest_marks_uncomputed_counts_unchecked(capout):
+    code, out, _ = capout(["ingest"])
+    assert code == 0
+    rows = [ln.split("\t") for ln in out.splitlines()]
+    unchecked = {r[1] for r in rows if r[0] == "unchecked"}
+    assert len(rows) == 21 and len(unchecked) == 11
+    assert "respect_use_rows" in unchecked
+    assert all(r[1].startswith(("reduction_", "autoresolve_"))
+               for r in rows if r[0] == "unchecked" and r[1] != "respect_use_rows")
+    assert all(r[3] != "actual -" for r in rows if r[0] == "ok")
+
+
+def test_deep_definition_chain_commands_succeed(capout, tmp_path):
+    path = tmp_path / "chain.lexf"
+    path.write_text(chain_lexf(1500), encoding="utf-8")
+    deepest = chain_word(1499)
+    for argv in (["frames", "--word", deepest], ["reduce"], ["autoresolve"],
+                 ["ssn", "--word", deepest]):
+        code, out, err = capout(["--lexicon", str(path), *argv])
+        assert code == 0, (argv, err)
+        assert out
 
 
 def test_graph_dot_export(capout):

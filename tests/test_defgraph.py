@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from support import dot_strings, lexf_texts
 from lexigraph.defgraph import (
+    MODES,
     Arc,
     DefinitionGraph,
     NodeId,
@@ -388,6 +389,50 @@ def test_apply_resolutions_equals_per_record_fold(text, data):
     for record in records[:3]:
         assert (_outcome(lambda: resolve(graph, record))
                 == _outcome(lambda: _resolve_reference(graph, record)))
+
+
+def _graph_facts(g: DefinitionGraph) -> list:
+    return [(g.edges(m), strongly_connected_components(g, m), condensation(g, m))
+            for m in MODES] + [primitive_candidates(g)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(lexf_texts(), st.data())
+def test_graph_facts_are_memoized_safely(text, data):
+    def resolved_graph():
+        graph = build_graph(parse_lexf(text))
+        return apply_resolutions(graph, records)
+
+    graph = build_graph(parse_lexf(text))
+    records = []
+    for arc in graph.arcs:
+        target = min(arc.targets, key=NodeId.sort_key)
+        if not target.is_external and data.draw(st.booleans()):
+            records.append(ResolutionRecord(arc.source.key, arc.genus_word,
+                                            target.key))
+    g = resolved_graph()
+    first = _graph_facts(g)
+    # callers own what they are handed: mutating it leaves the memo intact
+    bogus = NodeId("bogus")
+    for mode in MODES:
+        adj = g.edges(mode)
+        for outs in adj.values():
+            outs.append(bogus)
+        adj[bogus] = []
+        comps = strongly_connected_components(g, mode)
+        for comp in comps:
+            comp.clear()
+        comps.append([bogus])
+    fresh = resolved_graph()
+    assert g == fresh
+    assert _graph_facts(g) == first == _graph_facts(fresh)
+
+
+def test_unknown_mode_is_rejected(graph):
+    for fn in (graph.edges, lambda m: strongly_connected_components(graph, m),
+               lambda m: condensation(graph, m)):
+        with pytest.raises(ValueError, match="unknown mode"):
+            fn("pessimistic")
 
 
 def test_apply_resolutions_last_record_wins(lexicon, graph):

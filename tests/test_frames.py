@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
+from support import PHRASAL_LEXF, chain_lexf, chain_word, lexf_texts
 from lexigraph.frames import (
     Descriptor,
     Frame,
+    RuleTable,
     SeedGrammarError,
     Slot,
     SpecializationError,
     apply_use,
+    build_frames,
     frame_canonicalize,
     frame_diff,
     frame_to_text,
     group_first_diff,
     load_seed_frames,
     specialize_subsense,
+    use_deltas,
 )
 from lexigraph.lexicon import (
     PartOfSpeech,
@@ -22,6 +27,7 @@ from lexigraph.lexicon import (
     SenseKey,
     SenseLabel,
     parse_definition,
+    parse_lexf,
     parse_sense,
     senses_of,
 )
@@ -340,3 +346,64 @@ def test_frame_dump_stable(frames):
     text2 = frame_to_text(frames[change_key("1e")])
     assert text1 == text2
     assert "RESPECT" in text1 and "phase of the moon" in text1
+
+
+# ---------------------------------------------------------------------------
+# derivation along resolved arcs: phrasal genus words, cycles, deep chains
+
+def test_phrasal_genus_resolution_is_followed(rules):
+    lx = parse_lexf(PHRASAL_LEXF)
+    frames = build_frames(lx, rules)
+    quit_frame = frames[SenseKey("quit", PartOfSpeech.VI, 1, "1")]
+    assert quit_frame.predicate == "GIVE-UP"
+    assert not quit_frame.provisional
+    assert quit_frame.provenance == ("seeded", "applied use")
+
+
+def test_cycle_derives_from_a_provisional_frame(rules):
+    lx = parse_lexf("E|alpha|vi|1\nS|1||to beta slowly|\n"
+                    "E|beta|vi|1\nS|1||to alpha quickly|\n"
+                    "R|alpha:vi:1|beta|beta:vi:1\n"
+                    "R|beta:vi:1|alpha|alpha:vi:1\n")
+    frames = build_frames(lx, rules)
+    alpha = frames[SenseKey("alpha", PartOfSpeech.VI, 1, "1")]
+    beta = frames[SenseKey("beta", PartOfSpeech.VI, 1, "1")]
+    # alpha is derived first; beta, reached through it, meets alpha still
+    # open and derives from alpha's provisional frame, which is not kept
+    assert beta.predicate == alpha.predicate == "BETA"
+    assert beta.provisional and alpha.provisional
+    assert beta.provenance == ("provisional predicate", "applied use")
+    assert alpha.provenance == beta.provenance + ("applied use",)
+    assert find_slot(beta, "MANNER").restrictions == ("quickly",)
+    assert find_slot(alpha, "MANNER").restrictions == ("quickly", "slowly")
+
+
+def test_deep_chain_derives_without_recursion(rules):
+    depth = 1500
+    lx = parse_lexf(chain_lexf(depth))
+    frames = build_frames(lx, rules)
+    assert len(frames) == depth
+    deepest = frames[SenseKey(chain_word(depth - 1), PartOfSpeech.VI, 1, "1")]
+    assert deepest.predicate == "MOVE"
+    assert deepest.provenance == (("provisional predicate",)
+                                  + ("applied use",) * (depth - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lexf_texts())
+def test_use_deltas_equal_apply_use_deltas(text):
+    lx = parse_lexf(text)
+    families = sorted({f.predicate for f in build_frames(lx, RuleTable()).values()})
+    rules = RuleTable([(prep, family, slot, action)
+                       for family in families
+                       for prep, slot, action in (
+                           ("into", "TO-STATE", "FILL"),
+                           ("to", "TO-STATE", "FILL"),
+                           ("from", "FROM-STATE", "FILL"),
+                           ("with", "INSTRUMENT", "RESTRICT"))])
+    frames = build_frames(lx, rules)
+    uses = [parse_sense(s) for s in lx.entries
+            if s.pos.is_verb and not s.is_synonym_line]
+    for base in frames.values():
+        for use in uses:
+            assert use_deltas(base, use, rules) == apply_use(base, use, rules).deltas

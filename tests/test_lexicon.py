@@ -3,13 +3,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from support import HEADWORDS, lexf_texts
+from support import HEADWORDS, PHRASAL_LEXF, lexf_texts
 from lexigraph.lexicon import (
     DefinitionParseError,
     LexfError,
     PartOfSpeech,
     SenseKey,
     SenseLabel,
+    genus_words,
     parse_definition,
     parse_lexf,
     parse_sense,
@@ -82,6 +83,25 @@ def test_sense_label_parent_chain():
     assert SenseLabel("1b").parent() == SenseLabel("1")
     assert SenseLabel("1").parent() is None
     assert [a.text for a in SenseLabel("1b(2)").ancestors()] == ["1b", "1"]
+
+
+def test_sense_key_sort_key():
+    key = SenseKey("change", PartOfSpeech.VI, 1, "1b(2)")
+    assert key.sort_key() == ("change", "vi", 1, (1, "b", 2))
+    with pytest.raises(ValueError, match="bad sense label"):
+        SenseKey("change", PartOfSpeech.VI, 1, "b1").sort_key()
+
+
+def test_genus_words_keep_listed_phrases_whole():
+    lx = parse_lexf(PHRASAL_LEXF + "E|leave|vi|1\nS|1||to give up hope|\n"
+                    "E|stay|vi|1\nS|1||to hang up for good|\nY|2|REMAIN\n")
+    words = {s.key.headword + ":" + s.label.text: genus_words(s, lx)
+             for s in lx.entries}
+    assert words["quit:1"] == ["give up"]          # "give up" is a headword
+    assert words["stay:1"] == ["hang"]             # "hang up" is not
+    assert words["stay:2"] == ["remain"]           # synonym reference
+    assert words["give:1"] == ["hand"]             # "hand over": not listed
+    assert words["leave:1"] == ["give"]            # "up hope" is no particle
 
 
 def test_parse_definition_coalify_row():

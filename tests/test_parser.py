@@ -1,9 +1,13 @@
 from __future__ import annotations
 
-import pytest
+from dataclasses import astuple
 
-from lexigraph.frames import Descriptor
-from lexigraph.lexicon import PartOfSpeech, SenseKey
+import pytest
+from hypothesis import given, settings
+
+from support import GENUS_WORDS, PHRASAL_LEXF, lexf_texts
+from lexigraph.frames import Descriptor, build_frames
+from lexigraph.lexicon import PartOfSpeech, SenseKey, genus_words, parse_lexf
 from lexigraph.parser import (
     ChunkError,
     SentenceContext,
@@ -11,6 +15,7 @@ from lexigraph.parser import (
     autoresolve_all,
     chunk_sentence,
     disambiguate,
+    disambiguate_in_definition,
     essential_change,
     parse_discourse,
     results_to_tsv,
@@ -216,6 +221,30 @@ def test_autoresolve_tallies_match_manifest(proposals, manifest):
 
 def test_proposals_cover_all_using_senses(proposals):
     assert len(proposals) == 47
+
+
+@settings(max_examples=150, deadline=None)
+@given(lexf_texts())
+def test_autoresolve_all_equals_per_sense_calls(rules, text):
+    lx = parse_lexf(text)
+    frames = build_frames(lx, rules)
+    for word in GENUS_WORDS:
+        expected = [
+            disambiguate_in_definition(lx.records_for(key), lx, frames, rules)
+            for key in sorted(lx.sense_keys(), key=SenseKey.sort_key)
+            if key.pos.is_verb and key.headword != word
+            and any(word in genus_words(rec, lx) for rec in lx.records_for(key))]
+        got = autoresolve_all(lx, frames, rules, word)
+        assert [astuple(p) for p in got] == [astuple(p) for p in expected]
+
+
+def test_autoresolve_keeps_a_listed_phrasal_genus(rules):
+    lx = parse_lexf(PHRASAL_LEXF)
+    frames = build_frames(lx, rules)
+    (proposal,) = autoresolve_all(lx, frames, rules, "give up")
+    assert proposal.using == SenseKey("quit", PartOfSpeech.VI, 1, "1")
+    assert proposal.genus_word == "give up"
+    assert autoresolve_all(lx, frames, rules, "give") == []
 
 
 # ---------------------------------------------------------------------------

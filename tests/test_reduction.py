@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from support import PHRASAL_LEXF
 from lexigraph.corpus import load_rules
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import build_frames
@@ -176,3 +177,13 @@ def test_report_formats(report):
     summary = report.summary()
     assert "iterations to fixpoint" in summary
     assert "unverified" in summary  # reverse derivability not checked
+
+
+def test_phrasal_genus_reaches_its_resolved_frame(rules):
+    lx = parse_lexf(PHRASAL_LEXF)
+    graph = apply_resolutions(build_graph(lx), lx.resolutions)
+    report = reduce_fixpoint(lx, graph, build_frames(lx, rules), rules)
+    (evidence,) = report.set_aside
+    assert evidence.sense == key("quit", "vi", "1")
+    assert evidence.rule == "OPTIONAL-COMPONENT"
+    assert evidence.detail == "adverbial only | in: despair"
