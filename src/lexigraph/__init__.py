@@ -1,63 +1,55 @@
 """Dictionary-definition analysis: definitional digraphs, case frames,
 sense selection networks, non-primitive reduction, and a definition-driven
-disambiguator, with a bundled study corpus."""
+disambiguator, with a bundled study corpus.
 
-from .lexicon import (
-    Lexicon,
-    LexfError,
-    ParsedDefinition,
-    PartOfSpeech,
-    Phrase,
-    ResolutionRecord,
-    Sense,
-    SenseKey,
-    SenseLabel,
-    genus_words,
-    merge_lexicons,
-    parse_definition,
-    parse_lexf,
-    senses_of,
-    serialize_lexf,
-)
-from .defgraph import (
-    Arc,
-    DefinitionGraph,
-    NodeId,
-    build_graph,
-    condensation,
-    primitive_candidates,
-    resolve,
-    strongly_connected_components,
-)
-from .frames import (
-    Descriptor,
-    Frame,
-    RuleTable,
-    Slot,
-    UseDelta,
-    apply_use,
-    build_frames,
-    frame_canonicalize,
-    frame_diff,
-    load_seed_frames,
-    specialize_subsense,
-    use_deltas,
-)
-from .prep_rules import (
-    CueTable,
-    PrepSense,
-    PrepSpecKind,
-    classify_prep_sense,
-    slot_action_for,
-)
-from .reduction import ReductionReport, reduce_fixpoint
-from .ssn import SSN, compile_ssn, traverse
-from .parser import (
-    DisambiguationResult,
-    chunk_sentence,
-    disambiguate,
-    disambiguate_in_definition,
-    parse_discourse,
-)
+The public names below are imported from their modules on first use
+(PEP 562), so ``import lexigraph`` loads no submodule and a command pays
+only for the modules it calls."""
 
+import importlib
+
+_EXPORTS = {
+    "lexicon": (
+        "Lexicon", "LexfError", "ParsedDefinition", "PartOfSpeech", "Phrase",
+        "ResolutionRecord", "Sense", "SenseKey", "SenseLabel", "genus_words",
+        "merge_lexicons", "parse_definition", "parse_lexf", "senses_of",
+        "serialize_lexf",
+    ),
+    "defgraph": (
+        "Arc", "DefinitionGraph", "NodeId", "build_graph", "condensation",
+        "primitive_candidates", "resolve", "strongly_connected_components",
+    ),
+    "frames": (
+        "Descriptor", "Frame", "Slot", "UseDelta", "apply_use", "build_frames",
+        "frame_canonicalize", "frame_diff", "load_seed_frames",
+        "specialize_subsense", "use_deltas",
+    ),
+    "prep_rules": (
+        "CueTable", "PrepSense", "PrepSpecKind", "RuleTable",
+        "classify_prep_sense",
+    ),
+    "reduction": ("ReductionReport", "reduce_fixpoint"),
+    "ssn": ("SSN", "compile_ssn", "traverse"),
+    "parser": (
+        "DisambiguationResult", "chunk_sentence", "disambiguate",
+        "disambiguate_in_definition", "parse_discourse",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,30 +9,18 @@ import sys
 from typing import Optional
 
 from . import corpus as corpus_mod
-from .defgraph import (
-    apply_resolutions,
-    build_graph,
-    components_tsv,
-    primitive_candidates,
-    strongly_connected_components,
-    to_dot,
-)
-from .frames import build_frames, frame_to_text
-from .lexicon import Lexicon, LexfError, merge_lexicons, parse_lexf
-from .parser import (
-    ChunkError,
-    NoNetworkError,
-    autoresolve_all,
-    chunk_sentence,
-    disambiguate,
-    parse_discourse,
-    results_to_tsv,
-    SentenceContext,
-    VarAllocator,
+from .lexicon import (
+    Lexicon,
+    LexfError,
+    ResolutionError,
+    merge_lexicons,
+    parse_lexf,
 )
 from .prep_rules import load_rule_table
-from .reduction import reduce_fixpoint
-from .ssn import compile_ssn, to_dot as ssn_dot, to_text as ssn_text
+
+# Each command imports the analysis modules it uses, so a call loads only
+# those: graph, scc and primitives never pay for frames, networks or the
+# parser.
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -61,8 +49,19 @@ def _load_rules():
 
 
 def _resolved_graph(lexicon: Lexicon):
+    from .defgraph import apply_resolutions, build_graph
     graph = build_graph(lexicon)
     return apply_resolutions(graph, lexicon.resolutions)
+
+
+def _build_frames(lexicon: Lexicon, rules):
+    """The frames of every sense, once every resolution record is known
+    to target a sense, as the graph commands require."""
+    from .frames import build_frames
+    for record in lexicon.resolutions:
+        if not lexicon.has_sense(record.target):
+            raise ResolutionError.unknown_target(record)
+    return build_frames(lexicon, rules)
 
 
 class _NetworkCache:
@@ -80,6 +79,7 @@ class _NetworkCache:
 
     def __getitem__(self, headword: str):
         if headword not in self._nets:
+            from .ssn import compile_ssn
             grouped = self._lexicon.records_by_key(headword)
             if not grouped:
                 raise KeyError(headword)
@@ -160,7 +160,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     try:
         return _dispatch(args, lexicon, rules)
-    except (LexfError, ChunkError, NoNetworkError, ValueError) as exc:
+    except (LexfError, ValueError) as exc:
         print(f"lexigraph: {exc}", file=sys.stderr)
         return DATA_ERROR
 
@@ -178,6 +178,11 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
         return 0
 
     if args.command == "graph":
+        from .defgraph import (
+            components_tsv,
+            strongly_connected_components,
+            to_dot,
+        )
         graph = _resolved_graph(lexicon)
         if args.format == "tsv":
             comps = strongly_connected_components(graph, mode)
@@ -187,12 +192,14 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
         return 0
 
     if args.command == "scc":
+        from .defgraph import components_tsv, strongly_connected_components
         graph = _resolved_graph(lexicon)
         comps = strongly_connected_components(graph, mode)
         _emit(args, components_tsv(comps))
         return 0
 
     if args.command == "primitives":
+        from .defgraph import primitive_candidates
         graph = _resolved_graph(lexicon)
         report = primitive_candidates(graph)
         lines = []
@@ -204,7 +211,8 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
         return 0
 
     if args.command == "autoresolve":
-        frames = build_frames(lexicon, rules)
+        from .parser import autoresolve_all
+        frames = _build_frames(lexicon, rules)
         proposals = autoresolve_all(lexicon, frames, rules)
         lines = []
         for p in proposals:
@@ -218,8 +226,9 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
         return 0
 
     if args.command == "reduce":
+        from .reduction import reduce_fixpoint
         graph = _resolved_graph(lexicon)
-        frames = build_frames(lexicon, rules)
+        frames = _build_frames(lexicon, rules)
         report = reduce_fixpoint(lexicon, graph, frames, rules)
         if args.format == "tsv":
             _emit(args, report.to_tsv())
@@ -228,7 +237,8 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
         return 0
 
     if args.command == "frames":
-        frames = build_frames(lexicon, rules)
+        from .frames import frame_to_text
+        frames = _build_frames(lexicon, rules)
         keys = [k for k in sorted(frames, key=lambda k: k.sort_key())
                 if k.headword == args.word
                 and (args.label is None or k.label == args.label)]
@@ -239,18 +249,42 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
         return 0
 
     if args.command == "ssn":
-        frames = build_frames(lexicon, rules)
+        from .ssn import to_dot, to_text
+        frames = _build_frames(lexicon, rules)
         ssns = _NetworkCache(lexicon, frames)
         if args.word not in ssns:
             print(f"lexigraph: no senses for {args.word!r}", file=sys.stderr)
             return DATA_ERROR
         net = ssns[args.word]
-        _emit(args, ssn_dot(net) if args.format == "dot" else ssn_text(net))
+        _emit(args, to_dot(net) if args.format == "dot" else to_text(net))
         return 0
 
+    if args.command in ("parse", "discourse"):
+        from .parser import ChunkError, NoNetworkError
+        try:
+            return _parse(args, lexicon, rules)
+        except (ChunkError, NoNetworkError) as exc:
+            print(f"lexigraph: {exc}", file=sys.stderr)
+            return DATA_ERROR
+
+    print(f"lexigraph: unknown command {args.command!r}", file=sys.stderr)
+    return USAGE_ERROR
+
+
+def _parse(args, lexicon: Lexicon, rules) -> int:
+    """The parse and discourse commands."""
+    from .parser import (
+        SentenceContext,
+        VarAllocator,
+        chunk_sentence,
+        disambiguate,
+        parse_discourse,
+        results_to_tsv,
+    )
+    frames = _build_frames(lexicon, rules)
+    ssns = _NetworkCache(lexicon, frames)
+
     if args.command == "parse":
-        frames = build_frames(lexicon, rules)
-        ssns = _NetworkCache(lexicon, frames)
         chunks = chunk_sentence(args.text, lexicon)
         ctx = SentenceContext(chunks)
         verb = ctx.verb
@@ -267,24 +301,18 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
             return AMBIGUITY_REMAINING
         return 0
 
-    if args.command == "discourse":
-        frames = build_frames(lexicon, rules)
-        ssns = _NetworkCache(lexicon, frames)
-        with open(args.file, encoding="utf-8") as fh:
-            sentences = [ln.strip() for ln in fh if ln.strip()]
-        results, state = parse_discourse(sentences, lexicon, ssns, frames, rules)
-        if args.format == "tsv":
-            _emit(args, results_to_tsv(results))
-        else:
-            parts = [r.to_text() for r in results]
-            if state.bindings:
-                parts.append("bindings:\n" + "\n".join(
-                    f"  ?{var} = {value}" for var, value in state.bindings) + "\n")
-            _emit(args, "\n".join(parts))
-        return 0
-
-    print(f"lexigraph: unknown command {args.command!r}", file=sys.stderr)
-    return USAGE_ERROR
+    with open(args.file, encoding="utf-8") as fh:
+        sentences = [ln.strip() for ln in fh if ln.strip()]
+    results, state = parse_discourse(sentences, lexicon, ssns, frames, rules)
+    if args.format == "tsv":
+        _emit(args, results_to_tsv(results))
+    else:
+        parts = [r.to_text() for r in results]
+        if state.bindings:
+            parts.append("bindings:\n" + "\n".join(
+                f"  ?{var} = {value}" for var, value in state.bindings) + "\n")
+        _emit(args, "\n".join(parts))
+    return 0
 
 
 def main() -> None:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .frames import RuleTable
 from .lexicon import (
     Lexicon,
     PartOfSpeech,
@@ -16,7 +15,7 @@ from .lexicon import (
     parse_lexf,
     senses_of,
 )
-from .prep_rules import CueTable, load_cue_table, load_rule_table
+from .prep_rules import CueTable, RuleTable, load_cue_table, load_rule_table
 
 _DATA = "lexigraph.data"
 

@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 from .lexicon import (
     Lexicon,
     PartOfSpeech,
+    ResolutionError,
     ResolutionRecord,
     Sense,
     SenseKey,
@@ -25,10 +26,6 @@ from .lexicon import (
 )
 
 MODES = ("optimistic", "resolved-only")
-
-
-class ResolutionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True, order=False)
@@ -210,7 +207,7 @@ def apply_resolutions(graph: DefinitionGraph,
             raise ResolutionError(
                 f"target {record.target.render()} is not a sense of {record.genus_word!r}")
         if target not in graph.nodes:
-            raise ResolutionError(f"unknown target sense {record.target.render()}")
+            raise ResolutionError.unknown_target(record)
         if (source, record.genus_word) not in arc_keys:
             raise ResolutionError(
                 f"no arc from {record.from_key.render()} via {record.genus_word!r}")

@@ -20,6 +20,7 @@ from .lexicon import (
     parse_sense,
     usage_particles,
 )
+from .prep_rules import RuleTable
 
 CASE_LABELS = ("PAT", "AGT")
 
@@ -275,27 +276,6 @@ def _apply_seed_line(builder: _FrameBuilder, line: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rule-table protocol (loaded from data by the corpus module)
-
-class RuleTable:
-    """(prep, predicate family) -> (slot name, action)."""
-
-    def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):
-        self._rows: dict[tuple[str, str], tuple[str, str]] = {}
-        for prep, family, slot, action in rows:
-            self._rows[(prep, family)] = (slot, action)
-
-    def slot_action(self, prep: str, family: str) -> Optional[tuple[str, str]]:
-        return self._rows.get((prep, family))
-
-    def preps_for(self, family: str) -> list[str]:
-        return sorted(p for (p, f) in self._rows if f == family)
-
-
-EMPTY_RULES = RuleTable()
-
-
-# ---------------------------------------------------------------------------
 # operations
 
 def specialize_subsense(parent: Frame, subsense: Sense,
@@ -510,7 +490,11 @@ class _FrameDerivation:
 
     def _dependency(self, key: SenseKey) -> Optional[tuple[SenseKey, Optional[Sense]]]:
         """The key whose frame this key's frame is derived from, with the
-        record whose genus word leads there (None for a label ancestor)."""
+        record whose genus word leads there (None for a label ancestor).
+        A key that is no sense of the lexicon (an R record's unknown
+        target) has none, so it gets a provisional frame."""
+        if not self.lexicon.has_sense(key):
+            return None
         for anc in SenseLabel(key.label).ancestors():
             pk = SenseKey(key.headword, key.pos, key.homograph, anc.text)
             if self.lexicon.has_sense(pk):
@@ -666,23 +650,48 @@ def frame_diff(a: Frame, b: Frame) -> Optional[DiffPoint]:
     return None
 
 
-def group_first_diff(frames: dict[SenseKey, Frame]):
-    """First canonical position at which any two frames of the group differ:
-    (display path, {sense key: value-at-position}) or None."""
+# the values of a canonical position that read as nothing: absent, or an
+# empty string or tuple
+EMPTY_VALUES = (None, "", ())
+
+
+def flat_group(frames: dict[SenseKey, Frame]) -> tuple[dict, list]:
+    """Each frame's ``canonical_paths`` and the sorted union of their
+    positions, as ``first_diff`` reads them."""
     flats = {k: canonical_paths(f) for k, f in frames.items()}
-    all_positions = sorted(set().union(*flats.values()) if flats else set())
-    for pos in all_positions:
+    return flats, sorted(set().union(*flats.values()))
+
+
+def first_diff(keys: list[SenseKey], flats: dict, positions: list,
+               start: int = 0):
+    """The first of ``positions[start:]`` at which any two of ``keys``
+    differ: (its index, display path, {sense key: value-at-position}), or
+    None.  An absent value (None) and an empty one ("" or ()) are no
+    difference, so a position none of the keys has is none either, and
+    ``flats`` and ``positions`` may cover more keys."""
+    for index in range(start, len(positions)):
+        pos = positions[index]
         values = {}
         display = None
-        for key, flat in flats.items():
-            entry = flat.get(pos)
+        for key in keys:
+            entry = flats[key].get(pos)
             if entry is not None:
                 display = entry[0]
             values[key] = entry[1] if entry is not None else None
-        distinct = {repr(v) for v in values.values()}
+        distinct = {None if v in EMPTY_VALUES else repr(v)
+                    for v in values.values()}
         if len(distinct) > 1:
-            return display, values
+            return index, display, values
     return None
+
+
+def group_first_diff(frames: dict[SenseKey, Frame]):
+    """First canonical position at which any two frames of the group differ,
+    absent and empty values being alike: (display path, {sense key:
+    value-at-position}) or None."""
+    flats, positions = flat_group(frames)
+    found = first_diff(list(frames), flats, positions)
+    return None if found is None else found[1:]
 
 
 # ---------------------------------------------------------------------------

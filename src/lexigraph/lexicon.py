@@ -200,6 +200,14 @@ class ResolutionRecord:
     line: int = field(default=0, compare=False)
 
 
+class ResolutionError(ValueError):
+    """A resolution record that names no arc or no known target."""
+
+    @classmethod
+    def unknown_target(cls, record: ResolutionRecord) -> "ResolutionError":
+        return cls(f"unknown target sense {record.target.render()}")
+
+
 @dataclass(frozen=True, eq=True)
 class Lexicon:
     """Sense records in file order, seed frames and resolution records.

@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence, Union
 from .frames import (
     Descriptor,
     Frame,
-    RuleTable,
     Slot,
     UseDelta,
     apply_use,
@@ -38,6 +37,7 @@ from .lexicon import (
     split_alternatives,
     usage_particles,
 )
+from .prep_rules import RuleTable
 from .ssn import SSN, Question, traverse
 
 PRONOUNS = {"it", "they", "he", "she", "we", "you", "i", "them"}

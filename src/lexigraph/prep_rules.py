@@ -1,5 +1,5 @@
-"""Classification of preposition usage-note definitions and the table
-mapping prepositional phrases to slot actions.
+"""The table mapping prepositional phrases to slot actions, and the
+classification of preposition usage-note definitions.
 
 Function-word definitions uniformly open with "used as a function word to
 indicate"; what follows "indicate" is segmented and classified into the
@@ -13,8 +13,22 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .frames import RuleTable
 from .lexicon import split_alternatives
+
+
+class RuleTable:
+    """(prep, predicate family) -> (slot name, action)."""
+
+    def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):
+        self._rows: dict[tuple[str, str], tuple[str, str]] = {}
+        for prep, family, slot, action in rows:
+            self._rows[(prep, family)] = (slot, action)
+
+    def slot_action(self, prep: str, family: str) -> Optional[tuple[str, str]]:
+        return self._rows.get((prep, family))
+
+    def preps_for(self, family: str) -> list[str]:
+        return sorted(p for (p, f) in self._rows if f == family)
 
 
 class PrepSpecKind(str, Enum):
@@ -114,12 +128,6 @@ def classify_prep_sense(definition: str, prep: str, cues: CueTable,
     raise PrepClassificationError(
         f"not a function-word definition and no preposition cross-reference: "
         f"{definition!r}")
-
-
-def slot_action_for(prep: str, frame_family: str,
-                    rules: RuleTable) -> Optional[tuple[str, str]]:
-    """Pure table lookup: (slot name, action) or None for unmapped pairs."""
-    return rules.slot_action(prep, frame_family)
 
 
 def load_rule_table(text: str) -> RuleTable:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .defgraph import DefinitionGraph
-from .frames import Frame, RuleTable, use_deltas
+from .frames import Frame, use_deltas
 from .lexicon import (
     Lexicon,
     Sense,
@@ -21,6 +21,7 @@ from .lexicon import (
     parse_sense,
     senses_of,
 )
+from .prep_rules import RuleTable
 
 DEFAULT_OPERATORS = ("attempt", "begin", "cause", "cease", "refuse", "serve")
 

@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
-from .frames import Frame, group_first_diff
+from .frames import EMPTY_VALUES, Frame, first_diff, flat_group
 from .lexicon import (
     PartOfSpeech,
     Sense,
@@ -162,7 +162,8 @@ def _build(group: list[SenseKey], stage_idx: int, stages,
                                          senses_by_key, frames))
                          for answer, sub in sorted(parts.items()))
         return Question(kind, payload, branches)
-    return _frame_diff_tree(group, senses_by_key, frames)
+    flats, positions = flat_group({k: frames[k] for k in group})
+    return _frame_diff_tree(group, 0, flats, positions, senses_by_key, frames)
 
 
 def _stage_questions(keys, senses_by_key):
@@ -235,18 +236,23 @@ def _stage_questions(keys, senses_by_key):
     return stages
 
 
-def _frame_diff_tree(group: list[SenseKey], senses_by_key, frames) -> Node:
+def _frame_diff_tree(group: list[SenseKey], start: int, flats, positions,
+                     senses_by_key, frames) -> Node:
+    """Frame-difference questions that tell ``group`` apart.  ``flats``
+    and ``positions`` are those of the whole subtree's frames, flattened
+    once; ``group`` agrees on ``positions[:start]``, as the first
+    difference of a larger group was at ``start``."""
     if len(group) == 1:
         return Terminal(group[0], frames[group[0]])
-    diff = group_first_diff({k: frames[k] for k in group})
+    diff = first_diff(group, flats, positions, start)
     if diff is None:
         return _collapse(group, senses_by_key, frames)
-    path, values = diff
+    index, path, values = diff
     concrete: dict[str, list[SenseKey]] = {}
     empties: list[SenseKey] = []
     for k in group:
         v = values.get(k)
-        if v is None or v == "" or v == ():
+        if v in EMPTY_VALUES:
             empties.append(k)
         else:
             concrete.setdefault(_render_value(v), []).append(k)
@@ -254,10 +260,12 @@ def _frame_diff_tree(group: list[SenseKey], senses_by_key, frames) -> Node:
     alts: list[tuple[str, object]] = []
     for answer in sorted(concrete):
         sub = concrete[answer]
-        branches.append((answer, _frame_diff_tree(sub, senses_by_key, frames)))
+        branches.append((answer, _frame_diff_tree(
+            sub, index, flats, positions, senses_by_key, frames)))
         alts.append((answer, values[sub[0]]))
     if empties:
-        branches.append(("other", _frame_diff_tree(empties, senses_by_key, frames)))
+        branches.append(("other", _frame_diff_tree(
+            empties, index, flats, positions, senses_by_key, frames)))
         alts.append(("other", ""))
     return Question("FRAME-DIFF", (tuple(path), tuple(alts)), tuple(branches))
 
@@ -285,12 +293,6 @@ def _collapse(group, senses_by_key, frames) -> Node:
 
 # ---------------------------------------------------------------------------
 # traversal
-
-def frame_diff(a: Frame, b: Frame):
-    """Re-exported first-difference of two frames (see frames module)."""
-    from .frames import frame_diff as _fd
-    return _fd(a, b)
-
 
 def traverse(ssn: SSN, oracle: Oracle) -> TraverseResult:
     """Deterministic walk. A concrete answer follows its branch; anything

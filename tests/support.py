@@ -101,6 +101,20 @@ R|quit:vi:1|give up|give up:vi:1
 """
 
 
+# An R record whose target is no sense of the lexicon, though the target's
+# label parent is: beta has senses 1 and 1a, not 1b.
+UNKNOWN_SUBSENSE_LEXF = """\
+E|alpha|vi|1
+S|1||to beta slowly|
+
+E|beta|vi|1
+S|1||to move|
+S|1a||to move fast|
+
+R|alpha:vi:1:1|beta|beta:vi:1:1b
+"""
+
+
 def chain_word(n: int) -> str:
     """A letters-only headword; later links of a chain sort first."""
     n = 9999 - n

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from support import chain_lexf, chain_word
+from support import UNKNOWN_SUBSENSE_LEXF, chain_lexf, chain_word
 from lexigraph.cli import run
 
 
@@ -79,6 +79,23 @@ def test_deep_definition_chain_commands_succeed(capout, tmp_path):
         code, out, err = capout(["--lexicon", str(path), *argv])
         assert code == 0, (argv, err)
         assert out
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph"], ["reduce"], ["frames", "--word", "alpha"], ["autoresolve"],
+    ["ssn", "--word", "alpha"], ["parse", "--text", "The milk alphas"],
+    ["discourse", "--file", "story.txt"],
+])
+def test_unknown_target_sense_is_data_error(capout, tmp_path, monkeypatch, argv):
+    # the target's label parent exists; deriving frames once raised
+    # IndexError (traceback, exit 1) where the graph commands exit 2
+    (tmp_path / "repro.lexf").write_text(UNKNOWN_SUBSENSE_LEXF, encoding="utf-8")
+    (tmp_path / "story.txt").write_text("The milk alphas.\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = capout(["--lexicon", "repro.lexf", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == "lexigraph: unknown target sense beta:vi:1:1b\n"
 
 
 def test_graph_dot_export(capout):

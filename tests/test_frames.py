@@ -3,7 +3,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from support import PHRASAL_LEXF, chain_lexf, chain_word, lexf_texts
+from support import (
+    PHRASAL_LEXF,
+    UNKNOWN_SUBSENSE_LEXF,
+    chain_lexf,
+    chain_word,
+    lexf_texts,
+)
 from lexigraph.frames import (
     Descriptor,
     Frame,
@@ -387,6 +393,19 @@ def test_deep_chain_derives_without_recursion(rules):
     assert deepest.predicate == "MOVE"
     assert deepest.provenance == (("provisional predicate",)
                                   + ("applied use",) * (depth - 1))
+
+
+def test_unknown_target_with_label_parent_gets_provisional_frame(rules):
+    # the unknown target has no records to specialize from its label
+    # parent's frame, so it is provisional, like an unknown target whose
+    # label has no parent
+    lx = parse_lexf(UNKNOWN_SUBSENSE_LEXF)
+    frames = build_frames(lx, rules)
+    missing = SenseKey("beta", PartOfSpeech.VI, 1, "1b")
+    assert frames[missing].provisional
+    assert frames[missing].provenance == ("provisional predicate",)
+    alpha = frames[SenseKey("alpha", PartOfSpeech.VI, 1, "1")]
+    assert alpha.provenance == ("provisional predicate", "applied use")
 
 
 @settings(max_examples=40, deadline=None)

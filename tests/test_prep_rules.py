@@ -7,7 +7,6 @@ from lexigraph.prep_rules import (
     PrepClassificationError,
     PrepSpecKind,
     classify_prep_sense,
-    slot_action_for,
 )
 
 
@@ -63,17 +62,17 @@ def test_every_corpus_prep_sense_classifies(lexicon, cues, rules):
 
 
 def test_slot_action_table(rules):
-    assert slot_action_for("in", "BECOME-DIFFERENT", rules) == ("RESPECT", "RESTRICT")
-    assert slot_action_for("into", "BECOME-DIFFERENT", rules) == ("TO-STATE", "FILL")
-    assert slot_action_for("to", "BECOME-DIFFERENT", rules) == ("TO-STATE", "FILL")
-    assert slot_action_for("from", "BECOME-DIFFERENT", rules) == ("FROM-STATE", "FILL")
-    assert slot_action_for("by", "BECOME-DIFFERENT", rules) == ("AGENT", "FILL")
-    assert slot_action_for("with", "BECOME-DIFFERENT", rules) == ("INSTRUMENT", "FILL")
-    assert slot_action_for("aboard", "BECOME-DIFFERENT", rules) is None
-    assert slot_action_for("with", "PENETRATE", rules) is None
+    assert rules.slot_action("in", "BECOME-DIFFERENT") == ("RESPECT", "RESTRICT")
+    assert rules.slot_action("into", "BECOME-DIFFERENT") == ("TO-STATE", "FILL")
+    assert rules.slot_action("to", "BECOME-DIFFERENT") == ("TO-STATE", "FILL")
+    assert rules.slot_action("from", "BECOME-DIFFERENT") == ("FROM-STATE", "FILL")
+    assert rules.slot_action("by", "BECOME-DIFFERENT") == ("AGENT", "FILL")
+    assert rules.slot_action("with", "BECOME-DIFFERENT") == ("INSTRUMENT", "FILL")
+    assert rules.slot_action("aboard", "BECOME-DIFFERENT") is None
+    assert rules.slot_action("with", "PENETRATE") is None
 
 
 def test_slot_action_deterministic(rules):
     for _ in range(3):
-        assert slot_action_for("in", "BECOME-DIFFERENT", rules) == (
+        assert rules.slot_action("in", "BECOME-DIFFERENT") == (
             "RESPECT", "RESTRICT")

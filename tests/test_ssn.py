@@ -7,11 +7,12 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
 
-from support import dot_strings
+from support import dot_strings, lexf_texts
 from lexigraph import corpus
 from lexigraph.corpus import load_rules
-from lexigraph.frames import build_frames
+from lexigraph.frames import build_frames, group_first_diff
 from lexigraph.lexicon import PartOfSpeech, Sense, SenseKey, parse_lexf
 from lexigraph.ssn import (
     CompileError,
@@ -290,6 +291,57 @@ def test_dot_export_escapes_labels(rules):
     names = dot_strings(to_dot(net))
     assert 'say "when":vt:1:1' in names and 'say "when":vt:1:2' in names
     assert 'OBJ-IS "hello"' in names
+
+
+def test_empty_slot_against_no_slot_is_no_frame_difference(rules):
+    # homograph 1 has a SUBJ slot with a bind but no case, homograph 2 no
+    # SUBJ slot: at SUBJ's case both read as empty and answer "other", so
+    # asking there recursed on the same group until RecursionError
+    lx = parse_lexf("E|alpha|vt|1\nY|1|ALPHA\nF|1|SLOT SUBJ BIND FROM-STATE\n\n"
+                    "E|alpha|vt|2\nY|1|ALPHA\nF|1|SLOT RESPECT RESTRICT color\n")
+    net = compile_ssn("alpha", lx.records_by_key("alpha"), build_frames(lx, rules))
+    assert [q.qid for q in net.questions()] == ["FRAME-DIFF slots.SUBJ.bind"]
+    assert net.root.alternatives() == {"FROM-STATE": "FROM-STATE", "other": ""}
+
+
+def _keys_under(node) -> list[SenseKey]:
+    if isinstance(node, Terminal):
+        return [node.sense]
+    if isinstance(node, Nonterminal):
+        return list(node.members)
+    keys = [k for _, child in node.branches for k in _keys_under(child)]
+    return sorted(set(keys), key=SenseKey.sort_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lexf_texts())
+def test_frame_diff_questions_equal_a_fresh_group_first_diff(rules, text):
+    # each network flattens its frames once per frame-difference subtree;
+    # every question must still be the first difference of its own group
+    lx = parse_lexf(text)
+    frames = build_frames(lx, rules)
+    for headword in sorted(lx.headwords()):
+        try:
+            net = compile_ssn(headword, lx.records_by_key(headword), frames)
+        except CompileError:
+            continue
+        for q in net.questions():
+            if q.kind != "FRAME-DIFF":
+                continue
+            group = _keys_under(q)
+            path, values = group_first_diff({k: frames[k] for k in group})
+            assert q.payload[0] == tuple(path)
+            alts = q.alternatives()
+            assert list(alts) == [answer for answer, _ in q.branches]
+            for answer, child in q.branches:
+                under = _keys_under(child)
+                if answer == "other":
+                    assert alts[answer] == ""
+                    assert all(values[k] in (None, "", ()) for k in under)
+                else:
+                    assert alts[answer] == values[under[0]]
+                    assert all(repr(values[k]) == repr(alts[answer])
+                               for k in under)
 
 
 def test_analysis_is_freed_without_the_cycle_collector():
