@@ -160,7 +160,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     try:
         return _dispatch(args, lexicon, rules)
-    except (LexfError, ValueError) as exc:
+    except (LexfError, OSError, ValueError) as exc:
         print(f"lexigraph: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -9,8 +9,8 @@ surfaced, never guessed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .frames import (
     Descriptor,
@@ -18,7 +18,10 @@ from .frames import (
     Slot,
     UseDelta,
     apply_use,
+    find_slot,
     frame_to_text,
+    update_slot,
+    walk_slots,
 )
 from .lexicon import (
     CHUNKING_PREPS,
@@ -38,7 +41,9 @@ from .lexicon import (
     usage_particles,
 )
 from .prep_rules import RuleTable
-from .ssn import SSN, Question, traverse
+
+if TYPE_CHECKING:
+    from .ssn import SSN, Question
 
 PRONOUNS = {"it", "they", "he", "she", "we", "you", "i", "them"}
 _PARTICLE_WORDS = {"up", "out", "off", "down", "away", "round"}
@@ -233,8 +238,7 @@ class SentenceContext:
             differentiae=tuple(phrases))
 
 
-def essential_change(subject_text: Optional[str], object_text: str,
-                     lexicon: Optional[Lexicon] = None) -> bool:
+def essential_change(subject_text: Optional[str], object_text: str) -> bool:
     """Crude but deterministic: the change is accidental when the object
     head is listed among the subject's stated kinds, else essential."""
     obj_head = head_noun(object_text).lower()
@@ -341,7 +345,7 @@ class ContextOracle:
         pp = self.ctx.pp_object(["into", "to"])
         preps = self.ctx.particles_present()
         if pp is not None and pp.text:
-            if essential_change(self.subject_text, pp.text, self.lexicon):
+            if essential_change(self.subject_text, pp.text):
                 return ("FROM-STATE" if "FROM-STATE" in branch_keys
                         else "unknown")
             return "other" if "other" in branch_keys else "unknown"
@@ -372,7 +376,7 @@ class ContextOracle:
                     any_relevant = True
                     pp = self.ctx.pp_object(hit)
                     if pp is not None and pp.text and not essential_change(
-                            self.subject_text, pp.text, self.lexicon):
+                            self.subject_text, pp.text):
                         ok = False
                         break
             if ok:
@@ -427,28 +431,34 @@ def _instantiate(frame: Frame, ctx: SentenceContext, rules: RuleTable,
                  subject_override: Optional[str] = None
                  ) -> tuple[Frame, tuple[UseDelta, ...]]:
     outcome = apply_use(frame, ctx.to_parsed_definition(), rules)
-    from .frames import _FrameBuilder  # builder reuse for instantiation
-    builder = _FrameBuilder.from_frame(outcome.frame)
+    slots = outcome.frame.slots
     deltas = list(outcome.deltas)
     subject = subject_override or (ctx.subject.text if ctx.subject else None)
     if subject:
-        found = builder.find_slot("SUBJ")
+        found = find_slot(slots, "SUBJ")
         if found and found[1].filler is None:
-            found[1].filler = subject
+            slots = update_slot(slots, found[0], lambda s: Slot(
+                s.name, s.case, s.bind, subject, s.restrictions, s.children))
             deltas.append(UseDelta("FILL", found[0], subject))
+    slots = _fill_descriptors(slots, allocator)
+    return replace(outcome.frame, slots=slots), tuple(deltas)
 
-    def fill_descriptors(node, path):
-        mandatory = (node.name in MANDATORY_SLOTS or node.bind is not None
-                     or node.case)
-        if mandatory and node.filler is None:
-            node.filler = Descriptor(allocator.fresh(),
-                                     tuple(node.restrictions))
-        for k in sorted(node.children):
-            fill_descriptors(node.children[k], path + (k,))
 
-    for k in sorted(builder.roots):
-        fill_descriptors(builder.roots[k], (k,))
-    return builder.freeze(frame.sense), tuple(deltas)
+def _fill_descriptors(slots: tuple[Slot, ...],
+                      allocator: VarAllocator) -> tuple[Slot, ...]:
+    """A fresh descriptor in every empty mandatory slot: one named by
+    MANDATORY_SLOTS, bound to a role, or with a case.  Variables are
+    allocated in name order at each level, parents before children."""
+    filled: dict[str, Slot] = {}
+    for slot in sorted(slots, key=lambda s: s.name):
+        filler = slot.filler
+        if filler is None and (slot.name in MANDATORY_SLOTS
+                               or slot.bind is not None or slot.case):
+            filler = Descriptor(allocator.fresh(), slot.restrictions)
+        kids = _fill_descriptors(slot.children, allocator)
+        filled[slot.name] = Slot(slot.name, slot.case, slot.bind, filler,
+                                 slot.restrictions, kids)
+    return tuple(filled[s.name] for s in slots)
 
 
 def _match_score(frame: Frame, ctx: SentenceContext,
@@ -456,9 +466,7 @@ def _match_score(frame: Frame, ctx: SentenceContext,
     """Informative-match refinement: count context-confirmed constraints."""
     score = 0
     subj_head = head_noun(subject_text).lower() if subject_text else ""
-
-    def walk(slot: Slot):
-        nonlocal score
+    for slot in walk_slots(frame.slots):
         if slot.name == "SUBJ" and isinstance(slot.filler, str) and subj_head:
             if slot.filler.lower() in (subj_head, (subject_text or "").lower()):
                 score += 1
@@ -466,16 +474,8 @@ def _match_score(frame: Frame, ctx: SentenceContext,
             pp = ctx.pp_object(["in"])
             if pp is not None:
                 given = {a.lower() for a in split_alternatives(pp.text)}
-                stated = set()
-                for r in slot.restrictions:
-                    stated.update(a.lower() for a in split_alternatives(r))
-                if given & stated:
+                if given & _stated_respect((slot,)):
                     score += 1
-        for child in slot.children:
-            walk(child)
-
-    for slot in frame.slots:
-        walk(slot)
     present = ctx.particles_present()
     for cond in frame.conditions:
         if cond[0] == "USED-WITH" and set(cond[1]) & present:
@@ -490,6 +490,8 @@ def disambiguate(word: str, chunks: list[Chunk], ssn: SSN,
                  subject_override: Optional[str] = None) -> DisambiguationResult:
     """Traverse the word's network with context-probing answers, refine by
     informative match, and instantiate the representative frame."""
+    from .ssn import traverse  # the only use of ssn here; autoresolve needs none
+
     allocator = allocator or VarAllocator()
     ctx = SentenceContext(chunks)
     oracle = ContextOracle(ctx, rules, lexicon, subject_override)
@@ -553,7 +555,7 @@ class _GenusTable:
                 self.bind_family.append(k)
                 self.required[k] = {p for rec in records[k]
                                     for p in usage_particles(rec.usage_note)}
-            elif _has_slot("RESPECT", frame.slots):
+            elif any(s.name == "RESPECT" for s in walk_slots(frame.slots)):
                 self.respect_family.append(k)
                 self.respect_sets[k] = _stated_respect(frame.slots)
         self.family_head = min(
@@ -564,19 +566,10 @@ class _GenusTable:
         return tuple(sorted(set(keys), key=self.rank.__getitem__))
 
 
-def _has_slot(name: str, slots: Iterable[Slot]) -> bool:
-    return any(s.name == name or _has_slot(name, s.children) for s in slots)
-
-
-def _stated_respect(slots: Iterable[Slot]) -> set[str]:
+def _stated_respect(slots: tuple[Slot, ...]) -> set[str]:
     """The lowercased alternatives of every RESPECT restriction."""
-    stated: set[str] = set()
-    for s in slots:
-        if s.name == "RESPECT":
-            for r in s.restrictions:
-                stated.update(a.lower() for a in split_alternatives(r))
-        stated |= _stated_respect(s.children)
-    return stated
+    return {a.lower() for s in walk_slots(slots) if s.name == "RESPECT"
+            for r in s.restrictions for a in split_alternatives(r)}
 
 
 def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
@@ -646,7 +639,7 @@ def _propose(records: list[Sense], lexicon: Lexicon,
         if len(split_alternatives(state_pp.text)) > 1:
             return result(None, fam1 + fam2,
                           "disjunctive state object: both families apply")
-        if essential_change(subject, state_pp.text, lexicon):
+        if essential_change(subject, state_pp.text):
             head = table.family_head
             if head is not None:
                 return result(head, [head],
@@ -730,29 +723,17 @@ def _descriptor_paths(frame: Frame) -> dict[str, str]:
     """Unfilled-slot descriptor vars by role; the role is the slot's bound
     alias when it has one, so bindings survive a change of frame shape."""
     out: dict[str, str] = {}
-
-    def walk(slot: Slot):
+    for slot in walk_slots(frame.slots):
         if isinstance(slot.filler, Descriptor):
             out.setdefault(slot.bind or slot.name, slot.filler.var)
-        for child in slot.children:
-            walk(child)
-
-    for slot in frame.slots:
-        walk(slot)
     return out
 
 
 def _literal_fills(frame: Frame) -> dict[str, str]:
     out: dict[str, str] = {}
-
-    def walk(slot: Slot):
+    for slot in walk_slots(frame.slots):
         if isinstance(slot.filler, str):
             out.setdefault(slot.bind or slot.name, slot.filler)
-        for child in slot.children:
-            walk(child)
-
-    for slot in frame.slots:
-        walk(slot)
     return out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .defgraph import DefinitionGraph
-from .frames import Frame, use_deltas
+from .frames import Frame, UseDelta, use_deltas, walk_slots
 from .lexicon import (
     Lexicon,
     Sense,
@@ -87,6 +87,9 @@ class ReductionContext:
         self.frames = frames
         self.rules = rules
         self.operators = frozenset(operators)
+        # keyed by the record's id: the lexicon keeps every record alive
+        # as long as the context
+        self._deltas: dict[tuple[int, str], tuple[UseDelta, ...]] = {}
         self._resolved: dict[tuple[SenseKey, str], SenseKey] = {}
         for arc in graph.arcs:
             if arc.resolved and not arc.source.is_external:
@@ -102,6 +105,15 @@ class ReductionContext:
         if target is None:
             return None
         return self.frames.get(target)
+
+    def use_deltas(self, rec: Sense, genus_word: str) -> tuple[UseDelta, ...]:
+        """The deltas of ``rec``'s use of ``genus_word`` over its genus
+        frame, which must exist; computed once per context."""
+        key = (id(rec), genus_word)
+        if key not in self._deltas:
+            self._deltas[key] = use_deltas(self.genus_frame(rec.key, genus_word),
+                                           parse_sense(rec), self.rules)
+        return self._deltas[key]
 
     def noun_is_instrument(self, phrase_text: str) -> bool:
         """Is the head noun of this phrase defined as an instrument?"""
@@ -121,13 +133,7 @@ class ReductionContext:
     def frame_governs_instrument(self, frame: Frame, target: SenseKey) -> bool:
         """The genus frame declares an instrument pattern: an INSTRUMENT
         slot, or a literal with-an-instrument phrase in its definition."""
-        def has_instrument(slots) -> bool:
-            for s in slots:
-                if s.name == "INSTRUMENT" or has_instrument(s.children):
-                    return True
-            return False
-
-        if has_instrument(frame.slots):
+        if any(s.name == "INSTRUMENT" for s in walk_slots(frame.slots)):
             return True
         for rec in self.lexicon.records_for(target):
             if rec.is_synonym_line:
@@ -177,7 +183,7 @@ def rule_slot_fill(records: list[Sense],
                 continue
             if rec.is_synonym_line:
                 return NonprimitiveEvidence(rec.key, "SLOT-FILL", "pure synonym")
-            deltas = use_deltas(base, parse_sense(rec), ctx.rules)
+            deltas = ctx.use_deltas(rec, word)
             details = [d.render() for d in deltas if d.kind == "FILL"]
             if rec.subject_restriction:
                 details.insert(0, f"FILL SUBJ = {rec.subject_restriction}")
@@ -235,7 +241,7 @@ def rule_optional_component(records: list[Sense],
                 break
         if base is None:
             continue
-        if any(d.kind == "FILL" for d in use_deltas(base, parsed, ctx.rules)):
+        if any(d.kind == "FILL" for d in ctx.use_deltas(rec, word)):
             continue
         if all(p.kind in ("adverb", "prep-phrase", "clause")
                for p in parsed.differentiae):

@@ -201,6 +201,25 @@ def test_discourse_file(tmp_path, capout):
     assert "bindings:" in out and "curd" in out
 
 
+def test_missing_discourse_file_is_data_error(tmp_path, capout):
+    missing = tmp_path / "nosuch.txt"
+    code, out, err = capout(["discourse", "--file", str(missing)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("lexigraph: ") and "nosuch.txt" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_is_data_error(tmp_path, capout):
+    target = tmp_path / "nonexistent" / "x"
+    code, out, err = capout(["frames", "--word", "change",
+                             "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("lexigraph: ") and str(target) in err
+    assert not target.exists()
+
+
 def test_rules_env_override(tmp_path, capout, monkeypatch):
     table = tmp_path / "rules.tsv"
     table.write_text("into\tBECOME-DIFFERENT\tTO-STATE\tFILL\n",

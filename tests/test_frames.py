@@ -24,6 +24,8 @@ from lexigraph.frames import (
     frame_to_text,
     group_first_diff,
     load_seed_frames,
+    render_condition,
+    slot_order_key,
     specialize_subsense,
     use_deltas,
 )
@@ -102,6 +104,21 @@ def test_bad_seed_line_raises():
     lx = parse_lexf("E|w|vi|1\nS|1||move about|\nF|1|SLOT SUBJ WIGGLE x\n")
     with pytest.raises(SeedGrammarError):
         load_seed_frames(lx)
+
+
+def test_root_seed_without_pred_gets_provisional_predicate():
+    lx = parse_lexf("E|alpha|vi|1\nS|1||to move|\nS|1a||to move fast|\n"
+                    "F|1|SLOT SUBJ BIND FROM-STATE\n"
+                    "F|1a|SLOT MANNER RESTRICT fast\n")
+    seeded = load_seed_frames(lx)
+    root = seeded[SenseKey("alpha", PartOfSpeech.VI, 1, "1")]
+    assert (root.predicate, root.provisional) == ("MOVE", True)
+    assert find_slot(root, "SUBJ").bind == "FROM-STATE"
+    assert root.provenance == ("seeded",)
+    # a subsense seed still inherits its parent's predicate
+    sub = seeded[SenseKey("alpha", PartOfSpeech.VI, 1, "1a")]
+    assert (sub.predicate, sub.provisional) == ("MOVE", True)
+    assert find_slot(sub, "MANNER").restrictions == ("fast",)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +290,45 @@ def test_apply_use_empty_object_fills_descriptor(lexicon, frames, rules):
     assert isinstance(result.filler, Descriptor)
 
 
+def test_apply_use_shares_untouched_slots(lexicon, frames, rules):
+    # a use rebuilds only the slots on the paths it changes
+    for base_label in ("1", "2"):
+        base = frames[change_key(base_label)]
+        for sense in lexicon.entries:
+            if not sense.pos.is_verb or sense.is_synonym_line:
+                continue
+            after = {s.name: s
+                     for s in apply_use(base, parse_sense(sense), rules).frame.slots}
+            for slot in base.slots:
+                assert after[slot.name] is slot or after[slot.name] != slot
+    base = frames[change_key("1")]
+    deform = [s for s in lexicon.entries if s.headword == "deform"][0]
+    outcome = apply_use(base, parse_sense(deform), rules)
+    assert [d.path[0] for d in outcome.deltas] == ["ACCIDENTAL-ATTRS"]
+    for old, new in zip(base.slots, outcome.frame.slots, strict=True):
+        assert (new is old) == (old.name != "ACCIDENTAL-ATTRS")
+
+
+def test_operations_keep_hand_built_frames_in_slot_order(lexicon, rules):
+    # a frame built out of slot order reads as its sorted form
+    base = Frame("BECOME-DIFFERENT", PartOfSpeech.VI,
+                 conditions=(("USED-WITH", ("to",)),
+                             ("NE", "FROM-STATE", "TO-STATE")),
+                 slots=(Slot("MANNER"), Slot("SUBJ", ("PAT", "AGT")),
+                        Slot("ACCIDENTAL-ATTRS", children=(
+                            Slot("RESPECT", children=(Slot("TO-STATE"),
+                                                      Slot("FROM-STATE"))),))))
+    use = parse_definition("to change slowly from ice into coal",
+                           PartOfSpeech.VI)
+    outcome = apply_use(base, use, rules)
+    assert [s.name for s in outcome.frame.slots] == [
+        "SUBJ", "MANNER", "ACCIDENTAL-ATTRS"]
+    respect = find_slot(outcome.frame, "RESPECT")
+    assert [s.name for s in respect.children] == ["FROM-STATE", "TO-STATE"]
+    assert [c[0] for c in outcome.frame.conditions] == ["NE", "USED-WITH"]
+    assert use_deltas(base, use, rules) == outcome.deltas
+
+
 # ---------------------------------------------------------------------------
 # canonical form and diffs
 
@@ -408,18 +464,48 @@ def test_unknown_target_with_label_parent_gets_provisional_frame(rules):
     assert alpha.provenance == ("provisional predicate", "applied use")
 
 
+def family_rules(lx) -> RuleTable:
+    """Slot rules for every predicate the lexicon's frames carry."""
+    families = sorted({f.predicate for f in build_frames(lx, RuleTable()).values()})
+    return RuleTable([(prep, family, slot, action)
+                      for family in families
+                      for prep, slot, action in (
+                          ("into", "TO-STATE", "FILL"),
+                          ("to", "TO-STATE", "FILL"),
+                          ("from", "FROM-STATE", "FILL"),
+                          ("with", "INSTRUMENT", "RESTRICT"))])
+
+
+def assert_in_slot_order(frame: Frame):
+    def walk(slots):
+        keys = [slot_order_key(s.name) for s in slots]
+        assert keys == sorted(set(keys))
+        for s in slots:
+            walk(s.children)
+    walk(frame.slots)
+    assert list(frame.conditions) == sorted(frame.conditions,
+                                            key=render_condition)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lexf_texts())
+def test_frames_keep_slots_and_conditions_in_order(text):
+    lx = parse_lexf(text)
+    rules = family_rules(lx)
+    frames = build_frames(lx, rules)
+    uses = [parse_sense(s) for s in lx.entries
+            if s.pos.is_verb and not s.is_synonym_line]
+    for frame in frames.values():
+        assert_in_slot_order(frame)
+        for use in uses[:4]:
+            assert_in_slot_order(apply_use(frame, use, rules).frame)
+
+
 @settings(max_examples=40, deadline=None)
 @given(lexf_texts())
 def test_use_deltas_equal_apply_use_deltas(text):
     lx = parse_lexf(text)
-    families = sorted({f.predicate for f in build_frames(lx, RuleTable()).values()})
-    rules = RuleTable([(prep, family, slot, action)
-                       for family in families
-                       for prep, slot, action in (
-                           ("into", "TO-STATE", "FILL"),
-                           ("to", "TO-STATE", "FILL"),
-                           ("from", "FROM-STATE", "FILL"),
-                           ("with", "INSTRUMENT", "RESTRICT"))])
+    rules = family_rules(lx)
     frames = build_frames(lx, rules)
     uses = [parse_sense(s) for s in lx.entries
             if s.pos.is_verb and not s.is_synonym_line]

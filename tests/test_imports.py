@@ -43,7 +43,7 @@ def loaded_modules(code: str, *argv: str) -> tuple[str, set[str]]:
     (["frames", "--word", "change"], {"frames"}),
     (["ssn", "--word", "change"], {"frames", "ssn"}),
     (["reduce"], {"defgraph", "frames", "reduction"}),
-    (["autoresolve"], {"frames", "ssn", "parser"}),
+    (["autoresolve"], {"frames", "parser"}),
     (["parse", "--text", "The milk changed into curd"],
      {"frames", "ssn", "parser"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
