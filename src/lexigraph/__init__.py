@@ -16,7 +16,7 @@ _EXPORTS = {
         "serialize_lexf",
     ),
     "defgraph": (
-        "Arc", "DefinitionGraph", "NodeId", "build_graph", "condensation",
+        "Arc", "DefinitionGraph", "External", "build_graph", "condensation",
         "primitive_candidates", "resolve", "strongly_connected_components",
     ),
     "frames": (

@@ -13,6 +13,7 @@ from .lexicon import (
     Lexicon,
     LexfError,
     ResolutionError,
+    genus_words,
     merge_lexicons,
     parse_lexf,
 )
@@ -55,12 +56,20 @@ def _resolved_graph(lexicon: Lexicon):
 
 
 def _build_frames(lexicon: Lexicon, rules):
-    """The frames of every sense, once every resolution record is known
-    to target a sense, as the graph commands require."""
+    """The frames of every sense, once every resolution record passes the
+    checks ``defgraph.apply_resolutions`` makes, in the same order: its
+    target is a sense of the genus word and of the lexicon, and the arc
+    exists (a verb record of the from-sense has that genus word)."""
     from .frames import build_frames
     for record in lexicon.resolutions:
+        if record.target.headword != record.genus_word:
+            raise ResolutionError.not_a_sense_of_genus(record)
         if not lexicon.has_sense(record.target):
             raise ResolutionError.unknown_target(record)
+        if not any(rec.pos.is_verb
+                   and record.genus_word in genus_words(rec, lexicon)
+                   for rec in lexicon.records_for(record.from_key)):
+            raise ResolutionError.no_arc(record)
     return build_frames(lexicon, rules)
 
 

@@ -2,6 +2,10 @@
 words, arc resolution to break spurious cycles, strong components,
 condensation, and primitive candidates.
 
+Nodes are sense keys: one SenseKey per sense of the lexicon.  A genus word
+with no compatible sense in the lexicon becomes an External node, rendered
+``word (external)``.
+
 Arc direction is definiendum -> defining sense ("derives from"); primitives
 live in terminal (sink-side) components of the fully resolved graph.
 Graphs are immutable values; resolve() returns a new graph.
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple
 
 from .lexicon import (
     Lexicon,
@@ -28,43 +32,26 @@ from .lexicon import (
 MODES = ("optimistic", "resolved-only")
 
 
-@dataclass(frozen=True, order=False)
-class NodeId:
-    """A sense node, or an external node for a word defined nowhere in the
-    lexicon. External nodes carry the headword only and have no arcs."""
+class External(NamedTuple):
+    """A genus word with no compatible sense in the lexicon.  Every other
+    node is a SenseKey; ``pos is None`` tells the two apart.  External
+    nodes have no arcs of their own."""
 
     headword: str
-    pos: Optional[PartOfSpeech] = None
-    homograph: Optional[int] = None
-    label: Optional[str] = None
-
-    @property
-    def is_external(self) -> bool:
-        return self.pos is None
-
-    @classmethod
-    def from_key(cls, key: SenseKey) -> "NodeId":
-        return cls(key.headword, key.pos, key.homograph, key.label)
-
-    @property
-    def key(self) -> Optional[SenseKey]:
-        if self.is_external:
-            return None
-        return SenseKey(self.headword, self.pos, self.homograph, self.label)
-
-    def sort_key(self) -> tuple:
-        return self._sort_key
-
-    @cached_property
-    def _sort_key(self) -> tuple:
-        if self.is_external:
-            return (self.headword, "~external", 0, ())
-        return self.key.sort_key()
+    pos = None
 
     def render(self) -> str:
-        if self.is_external:
-            return f"{self.headword} (external)"
-        return f"{self.headword}:{self.pos.value}:{self.homograph}:{self.label}"
+        return f"{self.headword} (external)"
+
+    def sort_key(self) -> tuple:
+        return (self.headword, "~external", 0, ())
+
+
+Node = SenseKey | External
+
+
+def _sort_key(node: Node) -> tuple:
+    return node.sort_key()
 
 
 @dataclass(frozen=True)
@@ -73,15 +60,15 @@ class Arc:
     POS-compatible sense of the genus word; resolution narrows the bundle
     to a single target."""
 
-    source: NodeId
+    source: SenseKey
     genus_word: str
-    targets: frozenset[NodeId]
+    targets: frozenset[Node]
     resolved: bool = False
     negated: bool = False
     synonym: bool = False
     line: int = field(default=0, compare=False)
 
-    def target(self) -> NodeId:
+    def target(self) -> SenseKey:
         assert self.resolved and len(self.targets) == 1
         return next(iter(self.targets))
 
@@ -93,7 +80,7 @@ class DefinitionGraph:
     kept on the instance (not as fields, so ``==`` ignores them).  Callers
     get copies of the mutable ones."""
 
-    nodes: frozenset[NodeId]
+    nodes: frozenset[Node]
     arcs: tuple[Arc, ...]
 
     @cached_property
@@ -111,31 +98,23 @@ class DefinitionGraph:
             value = memo[(fact, mode)] = compute(self, mode)
         return value
 
-    def internal_nodes(self) -> list[NodeId]:
-        return sorted((n for n in self.nodes if not n.is_external),
-                      key=NodeId.sort_key)
-
-    def external_nodes(self) -> list[NodeId]:
-        return sorted((n for n in self.nodes if n.is_external),
-                      key=NodeId.sort_key)
-
-    def arcs_from(self, node: NodeId) -> list[Arc]:
+    def arcs_from(self, node: SenseKey) -> list[Arc]:
         return [a for a in self.arcs if a.source == node]
 
-    def edges(self, mode: str) -> dict[NodeId, list[NodeId]]:
+    def edges(self, mode: str) -> dict[Node, list[Node]]:
         """Adjacency under a mode: optimistic takes every member of every
         bundle; resolved-only takes resolved arcs exclusively."""
         return {n: list(outs)
                 for n, outs in self._memo("edges", mode, _adjacency).items()}
 
 
-def _adjacency(graph: DefinitionGraph, mode: str) -> dict[NodeId, list[NodeId]]:
-    adj: dict[NodeId, list[NodeId]] = {n: [] for n in graph.nodes}
+def _adjacency(graph: DefinitionGraph, mode: str) -> dict[Node, list[Node]]:
+    adj: dict[Node, list[Node]] = {n: [] for n in graph.nodes}
     for arc in graph.arcs:
         if mode == "resolved-only" and not arc.resolved:
             continue
         outs = adj[arc.source]
-        for t in sorted(arc.targets, key=NodeId.sort_key):
+        for t in sorted(arc.targets, key=_sort_key):
             if t not in outs:
                 outs.append(t)
     return adj
@@ -152,23 +131,22 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
     """One node per sense key, one arc per (definition line, genus head).
     Synonym refs arc identically; genus words with no compatible sense in
     the lexicon get a single external target."""
-    nodes: set[NodeId] = {NodeId.from_key(k) for k in lexicon.sense_keys()}
+    nodes: set[Node] = set(lexicon.sense_keys())
     arcs: list[Arc] = []
-    bundles: dict[tuple[str, PartOfSpeech], frozenset[NodeId]] = {}
+    bundles: dict[tuple[str, PartOfSpeech], frozenset[Node]] = {}
 
-    def targets_for(word: str, use: PartOfSpeech) -> frozenset[NodeId]:
+    def targets_for(word: str, use: PartOfSpeech) -> frozenset[Node]:
         bundle = bundles.get((word, use))
         if bundle is None:
-            found = frozenset(NodeId.from_key(cand.key)
-                              for cand in senses_of(lexicon, word)
+            found = frozenset(cand.key for cand in senses_of(lexicon, word)
                               if use.accepts_target(cand.pos))
-            bundle = bundles[(word, use)] = found or frozenset({NodeId(word)})
+            bundle = bundles[(word, use)] = found or frozenset({External(word)})
         return bundle
 
     for s in lexicon.entries:
         if not s.pos.is_verb:
             continue
-        source = NodeId.from_key(s.key)
+        source = s.key
         if s.is_synonym_line:
             use = s.pos if s.pos is not PartOfSpeech.VB else PartOfSpeech.VI
             negated = False
@@ -199,19 +177,16 @@ def apply_resolutions(graph: DefinitionGraph,
     several records name the same (from sense, genus word), the last wins,
     as if each were applied to the result of the one before."""
     arc_keys = {(arc.source, arc.genus_word) for arc in graph.arcs}
-    chosen: dict[tuple[NodeId, str], NodeId] = {}
+    chosen: dict[tuple[SenseKey, str], SenseKey] = {}
     for record in records:
-        source = NodeId.from_key(record.from_key)
-        target = NodeId.from_key(record.target)
         if record.target.headword != record.genus_word:
-            raise ResolutionError(
-                f"target {record.target.render()} is not a sense of {record.genus_word!r}")
-        if target not in graph.nodes:
+            raise ResolutionError.not_a_sense_of_genus(record)
+        if record.target not in graph.nodes:
             raise ResolutionError.unknown_target(record)
-        if (source, record.genus_word) not in arc_keys:
-            raise ResolutionError(
-                f"no arc from {record.from_key.render()} via {record.genus_word!r}")
-        chosen[(source, record.genus_word)] = target
+        arc_key = (record.from_key, record.genus_word)
+        if arc_key not in arc_keys:
+            raise ResolutionError.no_arc(record)
+        chosen[arc_key] = record.target
     new_arcs = []
     for arc in graph.arcs:
         target = chosen.get((arc.source, arc.genus_word))
@@ -223,26 +198,26 @@ def apply_resolutions(graph: DefinitionGraph,
 
 
 def strongly_connected_components(graph: DefinitionGraph,
-                                  mode: str = "optimistic") -> list[list[NodeId]]:
+                                  mode: str = "optimistic") -> list[list[Node]]:
     """Tarjan over the mode's edge set; components in canonical order
     (smallest member key first), members sorted."""
     return [list(comp) for comp in graph._memo("components", mode, _tarjan)]
 
 
-def _tarjan(graph: DefinitionGraph, mode: str) -> list[list[NodeId]]:
+def _tarjan(graph: DefinitionGraph, mode: str) -> list[list[Node]]:
     adj = graph._memo("edges", mode, _adjacency)
-    order = sorted(adj, key=NodeId.sort_key)
-    index: dict[NodeId, int] = {}
-    low: dict[NodeId, int] = {}
-    on_stack: set[NodeId] = set()
-    stack: list[NodeId] = []
+    order = sorted(adj, key=_sort_key)
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
     counter = 0
-    components: list[list[NodeId]] = []
+    components: list[list[Node]] = []
 
     for root in order:
         if root in index:
             continue
-        work: list[tuple[NodeId, int]] = [(root, 0)]
+        work: list[tuple[Node, int]] = [(root, 0)]
         while work:
             node, ei = work.pop()
             if ei == 0:
@@ -272,7 +247,7 @@ def _tarjan(graph: DefinitionGraph, mode: str) -> list[list[NodeId]]:
                     comp.append(w)
                     if w == node:
                         break
-                components.append(sorted(comp, key=NodeId.sort_key))
+                components.append(sorted(comp, key=_sort_key))
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
@@ -281,11 +256,8 @@ def _tarjan(graph: DefinitionGraph, mode: str) -> list[list[NodeId]]:
 
 @dataclass(frozen=True)
 class Condensation:
-    components: tuple[tuple[NodeId, ...], ...]
+    components: tuple[tuple[Node, ...], ...]
     arcs: tuple[tuple[int, int], ...]          # indexes into components
-
-    def outgoing(self, idx: int) -> list[int]:
-        return [b for a, b in self.arcs if a == idx]
 
     def is_acyclic(self) -> bool:
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.components))}
@@ -340,8 +312,8 @@ def _condense(graph: DefinitionGraph, mode: str) -> Condensation:
 
 @dataclass(frozen=True)
 class PrimitiveReport:
-    candidates: tuple[tuple[NodeId, ...], ...]
-    undefined_leaves: tuple[NodeId, ...]
+    candidates: tuple[tuple[SenseKey, ...], ...]
+    undefined_leaves: tuple[External, ...]
 
 
 def primitive_candidates(graph: DefinitionGraph) -> PrimitiveReport:
@@ -353,10 +325,10 @@ def primitive_candidates(graph: DefinitionGraph) -> PrimitiveReport:
     for i, comp in enumerate(cond.components):
         if i in has_out:
             continue
-        if all((not n.is_external) and n.pos.is_verb for n in comp):
+        if all(n.pos is not None and n.pos.is_verb for n in comp):
             candidates.append(comp)
-    leaves = tuple(sorted((n for n in graph.nodes if n.is_external),
-                          key=NodeId.sort_key))
+    leaves = tuple(sorted((n for n in graph.nodes if n.pos is None),
+                          key=_sort_key))
     return PrimitiveReport(tuple(candidates), leaves)
 
 
@@ -367,13 +339,13 @@ def to_dot(graph: DefinitionGraph) -> str:
     """DOT export: unresolved bundles dashed, resolved arcs solid, external
     nodes box-shaped."""
     lines = ["digraph definitions {"]
-    for node in sorted(graph.nodes, key=NodeId.sort_key):
-        shape = "box" if node.is_external else "ellipse"
+    for node in sorted(graph.nodes, key=_sort_key):
+        shape = "box" if node.pos is None else "ellipse"
         lines.append(f"  {dot_quote(node.render())} [shape={shape}];")
     seen: set[tuple] = set()
     for arc in graph.arcs:
         style = "solid" if arc.resolved else "dashed"
-        for t in sorted(arc.targets, key=NodeId.sort_key):
+        for t in sorted(arc.targets, key=_sort_key):
             sig = (arc.source.render(), t.render(), style)
             if sig in seen:
                 continue
@@ -386,7 +358,7 @@ def to_dot(graph: DefinitionGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def components_tsv(components: list[list[NodeId]]) -> str:
+def components_tsv(components: list[list[Node]]) -> str:
     """One component per line, members tab-separated."""
     rows = ["\t".join(n.render() for n in comp) for comp in components]
     return "\n".join(rows) + ("\n" if rows else "")

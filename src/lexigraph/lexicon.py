@@ -204,8 +204,18 @@ class ResolutionError(ValueError):
     """A resolution record that names no arc or no known target."""
 
     @classmethod
+    def not_a_sense_of_genus(cls, record: ResolutionRecord) -> "ResolutionError":
+        return cls(f"target {record.target.render()} is not a sense of "
+                   f"{record.genus_word!r}")
+
+    @classmethod
     def unknown_target(cls, record: ResolutionRecord) -> "ResolutionError":
         return cls(f"unknown target sense {record.target.render()}")
+
+    @classmethod
+    def no_arc(cls, record: ResolutionRecord) -> "ResolutionError":
+        return cls(f"no arc from {record.from_key.render()} via "
+                   f"{record.genus_word!r}")
 
 
 @dataclass(frozen=True, eq=True)

@@ -256,10 +256,9 @@ class ContextOracle:
     """Answers network questions by probing the sentence context."""
 
     def __init__(self, ctx: SentenceContext, rules: RuleTable,
-                 lexicon: Lexicon, subject_override: Optional[str] = None):
+                 subject_override: Optional[str] = None):
         self.ctx = ctx
         self.rules = rules
-        self.lexicon = lexicon
         self.subject_text = subject_override or (
             ctx.subject.text if ctx.subject else None)
 
@@ -489,12 +488,15 @@ def disambiguate(word: str, chunks: list[Chunk], ssn: SSN,
                  allocator: Optional[VarAllocator] = None,
                  subject_override: Optional[str] = None) -> DisambiguationResult:
     """Traverse the word's network with context-probing answers, refine by
-    informative match, and instantiate the representative frame."""
+    informative match, and instantiate the representative frame.
+
+    ``lexicon`` is unused: no answer reads the lexicon.  It keeps its
+    position because callers pass the arguments after it positionally."""
     from .ssn import traverse  # the only use of ssn here; autoresolve needs none
 
     allocator = allocator or VarAllocator()
     ctx = SentenceContext(chunks)
-    oracle = ContextOracle(ctx, rules, lexicon, subject_override)
+    oracle = ContextOracle(ctx, rules, subject_override)
     result = traverse(ssn, oracle)
     candidates = list(result.senses)
     subject_text = subject_override or (ctx.subject.text if ctx.subject else None)

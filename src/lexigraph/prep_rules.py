@@ -27,9 +27,6 @@ class RuleTable:
     def slot_action(self, prep: str, family: str) -> Optional[tuple[str, str]]:
         return self._rows.get((prep, family))
 
-    def preps_for(self, family: str) -> list[str]:
-        return sorted(p for (p, f) in self._rows if f == family)
-
 
 class PrepSpecKind(str, Enum):
     OBJECT_RESTRICTION = "OBJECT-RESTRICTION"

@@ -90,12 +90,8 @@ class ReductionContext:
         # keyed by the record's id: the lexicon keeps every record alive
         # as long as the context
         self._deltas: dict[tuple[int, str], tuple[UseDelta, ...]] = {}
-        self._resolved: dict[tuple[SenseKey, str], SenseKey] = {}
-        for arc in graph.arcs:
-            if arc.resolved and not arc.source.is_external:
-                target = arc.target()
-                if not target.is_external:
-                    self._resolved[(arc.source.key, arc.genus_word)] = target.key
+        self._resolved: dict[tuple[SenseKey, str], SenseKey] = {
+            (a.source, a.genus_word): a.target() for a in graph.arcs if a.resolved}
 
     def genus_target(self, key: SenseKey, genus_word: str) -> Optional[SenseKey]:
         return self._resolved.get((key, genus_word))

@@ -12,7 +12,6 @@ from lexigraph.corpus import load_corpus, load_manifest, load_rules
 from lexigraph.defgraph import (
     Arc,
     DefinitionGraph,
-    NodeId,
     apply_resolutions,
     build_graph,
     condensation,
@@ -254,7 +253,7 @@ def test_criterion_8_component_oracle_equivalence(env):
         rng = random.Random(20260810)
         for trial in range(200):
             n = rng.randint(1, 30)
-            nodes = [NodeId(f"w{i}", PartOfSpeech.VI, 1, "1")
+            nodes = [SenseKey(f"w{i}", PartOfSpeech.VI, 1, "1")
                      for i in range(n)]
             arcs = []
             for i, src in enumerate(nodes):

@@ -81,21 +81,54 @@ def test_deep_definition_chain_commands_succeed(capout, tmp_path):
         assert out
 
 
-@pytest.mark.parametrize("argv", [
+# alpha's one arc is to beta; each R record below fails one check of
+# defgraph.apply_resolutions, the first two ones frames did not make
+BAD_RECORD_LEXF = """\
+E|alpha|vi|1
+S|1||to beta in form|
+
+E|beta|vi|1
+S|1||to move|
+
+E|gamma|vi|1
+S|1||to move|
+
+E|move|vi|1
+S|1||to go|
+"""
+BAD_RECORDS = {
+    "unknown-target": (UNKNOWN_SUBSENSE_LEXF,
+                       "unknown target sense beta:vi:1:1b"),
+    "not-a-sense": (BAD_RECORD_LEXF + "R|alpha:vi:1:1|beta|gamma:vi:1:1\n",
+                    "target gamma:vi:1:1 is not a sense of 'beta'"),
+    "no-arc": (BAD_RECORD_LEXF + "R|alpha:vi:1:1|move|move:vi:1:1\n",
+               "no arc from alpha:vi:1:1 via 'move'"),
+}
+FRAME_COMMANDS = [
     ["graph"], ["reduce"], ["frames", "--word", "alpha"], ["autoresolve"],
     ["ssn", "--word", "alpha"], ["parse", "--text", "The milk alphas"],
     ["discourse", "--file", "story.txt"],
+]
+
+
+@pytest.mark.parametrize("kind,argv", [
+    pytest.param(kind, argv, id=f"argv{i}" if kind == "unknown-target"
+                 else f"{kind}-argv{i}")
+    for kind in BAD_RECORDS for i, argv in enumerate(FRAME_COMMANDS)
 ])
-def test_unknown_target_sense_is_data_error(capout, tmp_path, monkeypatch, argv):
-    # the target's label parent exists; deriving frames once raised
-    # IndexError (traceback, exit 1) where the graph commands exit 2
-    (tmp_path / "repro.lexf").write_text(UNKNOWN_SUBSENSE_LEXF, encoding="utf-8")
+def test_unknown_target_sense_is_data_error(capout, tmp_path, monkeypatch,
+                                            kind, argv):
+    # every command that resolves or derives frames rejects the record
+    # with graph's message; frames once raised IndexError for an unknown
+    # target and accepted the other two kinds
+    lexf, message = BAD_RECORDS[kind]
+    (tmp_path / "repro.lexf").write_text(lexf, encoding="utf-8")
     (tmp_path / "story.txt").write_text("The milk alphas.\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code, out, err = capout(["--lexicon", "repro.lexf", *argv])
     assert code == 2
     assert out == ""
-    assert err == "lexigraph: unknown target sense beta:vi:1:1b\n"
+    assert err == f"lexigraph: {message}\n"
 
 
 def test_graph_dot_export(capout):

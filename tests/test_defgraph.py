@@ -11,7 +11,7 @@ from lexigraph.defgraph import (
     MODES,
     Arc,
     DefinitionGraph,
-    NodeId,
+    External,
     ResolutionError,
     apply_resolutions,
     build_graph,
@@ -32,9 +32,13 @@ from lexigraph.lexicon import (
 )
 
 
-def node(key: str) -> NodeId:
+def node(key: str) -> SenseKey:
     head, pos, hom, label = key.rsplit(":", 3)
-    return NodeId(head, PartOfSpeech(pos), int(hom), label)
+    return SenseKey(head, PartOfSpeech(pos), int(hom), label)
+
+
+def by_sort_key(node):
+    return node.sort_key()
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +73,7 @@ def oracle_sccs(adj):
 
 def oracle_condensation_arcs(adj, comps):
     where = {}
-    comp_list = sorted((sorted(c, key=NodeId.sort_key) for c in comps),
+    comp_list = sorted((sorted(c, key=by_sort_key) for c in comps),
                        key=lambda c: c[0].sort_key())
     for i, comp in enumerate(comp_list):
         for n in comp:
@@ -103,12 +107,13 @@ def test_every_using_sense_arcs_to_change(lexicon, graph):
     using = {s.key for s in lexicon.entries
              if s.pos.is_verb and s.headword != "change"}
     for key in using:
-        arcs = graph.arcs_from(NodeId.from_key(key))
+        arcs = graph.arcs_from(key)
         assert any(a.genus_word == "change" for a in arcs), key
 
 
 def test_external_genus_words_get_box_nodes(graph):
-    externals = {n.headword for n in graph.external_nodes()}
+    externals = {n.headword
+                 for n in primitive_candidates(graph).undefined_leaves}
     assert "shift" in externals and "pass" in externals
     dot = to_dot(graph)
     assert 'shape=box' in dot and "dashed" in dot
@@ -117,6 +122,28 @@ def test_external_genus_words_get_box_nodes(graph):
 def test_negated_genus_still_arcs(graph):
     arcs = graph.arcs_from(node("hold:vi:1:1b(1)"))
     assert arcs and arcs[0].negated
+
+
+@settings(max_examples=100, deadline=None)
+@given(lexf_texts())
+def test_nodes_are_sense_keys_or_external_genus_words(text):
+    lx = parse_lexf(text)
+    graph = build_graph(lx)
+    external = {n for n in graph.nodes if n.pos is None}
+    assert graph.nodes - external == set(lx.sense_keys())
+    for ext in external:
+        assert isinstance(ext, External)
+        assert any(arc.genus_word == ext.headword
+                   and arc.targets == frozenset({ext}) for arc in graph.arcs)
+    shapes = {}
+    for line in to_dot(graph).splitlines():
+        if "[shape=" in line:
+            (name,) = dot_strings(line)
+            assert name not in shapes, name
+            shapes[name] = line.rsplit("shape=", 1)[1].rstrip("];")
+    assert shapes == {n.render(): "box" if n in external else "ellipse"
+                      for n in graph.nodes}
+    assert len(shapes) == len(graph.nodes)
 
 
 def test_build_graph_deterministic(lexicon):
@@ -200,7 +227,7 @@ def test_resolution_monotonicity(lexicon, graph):
 # components, condensation, primitives
 
 def test_no_arcs_all_singletons():
-    nodes = frozenset(NodeId(f"w{i}", PartOfSpeech.VI, 1, "1") for i in range(5))
+    nodes = frozenset(SenseKey(f"w{i}", PartOfSpeech.VI, 1, "1") for i in range(5))
     g = DefinitionGraph(nodes, ())
     comps = strongly_connected_components(g, "optimistic")
     assert all(len(c) == 1 for c in comps)
@@ -232,13 +259,13 @@ def test_condensation_lifted_arc_to_external_shift(graph):
     comps = cond.components
     big_idx = next(i for i, c in enumerate(comps) if len(c) > 1)
     shift_idx = next(i for i, c in enumerate(comps)
-                     if len(c) == 1 and c[0].is_external
+                     if len(c) == 1 and c[0].pos is None
                      and c[0].headword == "shift")
     assert (big_idx, shift_idx) in cond.arcs
 
 
 def test_singleton_graph_condensation():
-    n = NodeId("w", PartOfSpeech.VI, 1, "1")
+    n = SenseKey("w", PartOfSpeech.VI, 1, "1")
     g = DefinitionGraph(frozenset({n}), ())
     cond = condensation(g, "optimistic")
     assert cond.components == ((n,),) and cond.arcs == ()
@@ -251,7 +278,7 @@ def test_primitive_candidates_exclude_using_senses(lexicon, resolved_graph):
     assert all(n.headword == "change" for n in members)
     using = {s.key for s in lexicon.entries
              if s.pos.is_verb and s.headword != "change"}
-    assert not {n.key for n in members} & using
+    assert not members & using
 
 
 def test_externally_defined_sense_is_not_candidate():
@@ -263,7 +290,7 @@ def test_externally_defined_sense_is_not_candidate():
     leaves = {n.headword for n in report.undefined_leaves}
     assert "wiggle" in leaves
     for comp in report.candidates:
-        assert all(not n.is_external for n in comp)
+        assert all(n.pos is not None for n in comp)
 
 
 def test_mutual_pair_reports_one_candidate_block():
@@ -288,7 +315,7 @@ def test_components_tsv_format(resolved_graph):
 # random-graph properties
 
 def _random_graph(rng: random.Random, n_nodes: int) -> DefinitionGraph:
-    nodes = [NodeId(f"w{i}", PartOfSpeech.VI, 1, "1") for i in range(n_nodes)]
+    nodes = [SenseKey(f"w{i}", PartOfSpeech.VI, 1, "1") for i in range(n_nodes)]
     arcs = []
     for i, src in enumerate(nodes):
         for j, dst in enumerate(nodes):
@@ -313,7 +340,7 @@ def test_components_partition_nodes(n, seed):
     g = _random_graph(random.Random(seed), n)
     comps = strongly_connected_components(g, "resolved-only")
     seen = [node for comp in comps for node in comp]
-    assert sorted(seen, key=NodeId.sort_key) == sorted(g.nodes, key=NodeId.sort_key)
+    assert sorted(seen, key=by_sort_key) == sorted(g.nodes, key=by_sort_key)
     assert len(seen) == len(set(seen))
 
 
@@ -331,8 +358,7 @@ def _resolve_reference(graph: DefinitionGraph,
                        record: ResolutionRecord) -> DefinitionGraph:
     """One record against every arc: the definition apply_resolutions
     must agree with when folded over the records in order."""
-    source = NodeId.from_key(record.from_key)
-    target = NodeId.from_key(record.target)
+    source, target = record.from_key, record.target
     if record.target.headword != record.genus_word:
         raise ResolutionError(
             f"target {record.target.render()} is not a sense of {record.genus_word!r}")
@@ -369,7 +395,7 @@ def test_apply_resolutions_equals_per_record_fold(text, data):
     # the text's records are mostly bad; records drawn from real arcs,
     # with repeats, test last-wins
     records = list(lx.resolutions) if data.draw(st.booleans()) else []
-    internal = [n for n in graph.nodes if not n.is_external]
+    internal = [n for n in graph.nodes if n.pos is not None]
     for _ in range(data.draw(st.integers(0, 6))):
         if not graph.arcs:
             break
@@ -377,7 +403,7 @@ def test_apply_resolutions_equals_per_record_fold(text, data):
         pool = [n for n in internal if n.headword == arc.genus_word] or internal
         target = data.draw(st.sampled_from(pool))
         records.insert(data.draw(st.integers(0, len(records))),
-                       ResolutionRecord(arc.source.key, arc.genus_word, target.key))
+                       ResolutionRecord(arc.source, arc.genus_word, target))
 
     def fold():
         g = graph
@@ -406,14 +432,13 @@ def test_graph_facts_are_memoized_safely(text, data):
     graph = build_graph(parse_lexf(text))
     records = []
     for arc in graph.arcs:
-        target = min(arc.targets, key=NodeId.sort_key)
-        if not target.is_external and data.draw(st.booleans()):
-            records.append(ResolutionRecord(arc.source.key, arc.genus_word,
-                                            target.key))
+        target = min(arc.targets, key=by_sort_key)
+        if target.pos is not None and data.draw(st.booleans()):
+            records.append(ResolutionRecord(arc.source, arc.genus_word, target))
     g = resolved_graph()
     first = _graph_facts(g)
     # callers own what they are handed: mutating it leaves the memo intact
-    bogus = NodeId("bogus")
+    bogus = External("bogus")
     for mode in MODES:
         adj = g.edges(mode)
         for outs in adj.values():
