@@ -5,17 +5,15 @@ used in defining another, and canonical tuple forms for diffing.
 Frames are persistent values: every derivation operation is pure and
 path-copies, rebuilding only the slots on the path it changes and sharing
 every other slot with the frame it started from (Driscoll, Sarnak, Sleator
-and Tarjan 1989, "Making data structures persistent").  On the 16-copy
-benchmark lexicon (perfbench build-x16, traced, seed 1, shared 2-vCPU VM)
-this took ``build_frames`` from about 69 to about 37 ms per analysis, and
-the reduction fixpoint, which reads the use deltas, from about 44 to about
-35 ms.
+and Tarjan 1989, "Making data structures persistent").  A ``Slot`` is a
+NamedTuple, cheap to build.  Library code keeps no self-recursive closure,
+so reference counting alone frees whatever an analysis discards.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .lexicon import (
     Lexicon,
@@ -72,8 +70,7 @@ class Descriptor:
 Filler = str | Descriptor
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     name: str
     case: tuple[str, ...] = ()            # disjunction, e.g. (PAT, AGT)
     bind: Optional[str] = None             # alias to another slot role
@@ -602,9 +599,6 @@ def frame_canonicalize(frame: Frame) -> tuple:
                             sorted(frame.slots, key=lambda s: slot_order_key(s.name)))))
 
 
-_FIELD_ORDER = {"case": 0, "bind": 1, "filler": 2, "restrictions": 3}
-
-
 def canonical_paths(frame: Frame) -> dict[tuple, tuple[tuple[str, ...], object]]:
     """Flatten to {sortable position: (display path, value)}; alignment-proof
     across frames with different slot inventories."""
@@ -620,22 +614,25 @@ def canonical_paths(frame: Frame) -> dict[tuple, tuple[tuple[str, ...], object]]
                                             for c in frame.conditions))),
     }
 
-    def walk(slot: Slot, sort_prefix: tuple, display_prefix: tuple[str, ...]):
-        base_sort = sort_prefix + (slot_order_key(slot.name),)
-        base_disp = display_prefix + (slot.name,)
-        out[base_sort + ((0, "case"),)] = (base_disp + ("case",),
-                                           " v ".join(slot.case))
-        out[base_sort + ((1, "bind"),)] = (base_disp + ("bind",), slot.bind or "")
-        out[base_sort + ((2, "filler"),)] = (base_disp + ("filler",),
-                                             slot.render_filler())
-        out[base_sort + ((3, "restrictions"),)] = (
-            base_disp + ("restrictions",), tuple(sorted(slot.restrictions)))
-        for child in slot.children:
-            walk(child, base_sort + ((4, "children"),), base_disp)
-
     for slot in frame.slots:
-        walk(slot, ((4, "slots"),), ("slots",))
+        _slot_paths(out, slot, ((4, "slots"),), ("slots",))
     return out
+
+
+def _slot_paths(out: dict, slot: Slot, sort_prefix: tuple,
+                display_prefix: tuple[str, ...]) -> None:
+    """Add the canonical positions of ``slot`` and its children to ``out``."""
+    base_sort = sort_prefix + (slot_order_key(slot.name),)
+    base_disp = display_prefix + (slot.name,)
+    out[base_sort + ((0, "case"),)] = (base_disp + ("case",),
+                                       " v ".join(slot.case))
+    out[base_sort + ((1, "bind"),)] = (base_disp + ("bind",), slot.bind or "")
+    out[base_sort + ((2, "filler"),)] = (base_disp + ("filler",),
+                                         slot.render_filler())
+    out[base_sort + ((3, "restrictions"),)] = (
+        base_disp + ("restrictions",), tuple(sorted(slot.restrictions)))
+    for child in slot.children:
+        _slot_paths(out, child, base_sort + ((4, "children"),), base_disp)
 
 
 @dataclass(frozen=True)
@@ -717,21 +714,22 @@ def frame_to_text(frame: Frame) -> str:
         lines.append(f"sense: {frame.sense.render()}")
     for cond in sorted(frame.conditions, key=render_condition):
         lines.append(f"condition: {render_condition(cond)}")
-
-    def emit(slot: Slot, depth: int):
-        bits = [slot.name]
-        if slot.case:
-            bits.append(f"case={' v '.join(slot.case)}")
-        if slot.bind:
-            bits.append(f"bind={slot.bind}")
-        if slot.filler is not None:
-            bits.append(f"= {slot.render_filler()}")
-        for r in slot.restrictions:
-            bits.append(f"[{r}]")
-        lines.append("  " * depth + " ".join(bits))
-        for child in sorted(slot.children, key=lambda s: slot_order_key(s.name)):
-            emit(child, depth + 1)
-
     for slot in sorted(frame.slots, key=lambda s: slot_order_key(s.name)):
-        emit(slot, 1)
+        _emit_slot(lines, slot, 1)
     return "\n".join(lines) + "\n"
+
+
+def _emit_slot(lines: list[str], slot: Slot, depth: int) -> None:
+    """Append ``slot`` and its children to ``lines``, indented by depth."""
+    bits = [slot.name]
+    if slot.case:
+        bits.append(f"case={' v '.join(slot.case)}")
+    if slot.bind:
+        bits.append(f"bind={slot.bind}")
+    if slot.filler is not None:
+        bits.append(f"= {slot.render_filler()}")
+    for r in slot.restrictions:
+        bits.append(f"[{r}]")
+    lines.append("  " * depth + " ".join(bits))
+    for child in sorted(slot.children, key=lambda s: slot_order_key(s.name)):
+        _emit_slot(lines, child, depth + 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
 
@@ -54,8 +54,9 @@ class PartOfSpeech(str, Enum):
 _LABEL_RE = re.compile(r"^(\d+)([a-z])?(?:\((\d+)\))?$")
 
 
+@cache
 def _label_parts(text: str) -> tuple[int, str, int]:
-    """(number, letter, parenthesized number) of a sense label."""
+    """(number, letter, parenthesized number) of a sense label, memoized."""
     m = _LABEL_RE.match(text)
     if m is None:
         raise ValueError(f"bad sense label: {text!r}")
@@ -339,7 +340,7 @@ def _parse_sense_key(text: str, line: int) -> SenseKey:
     except ValueError:
         raise LexfError(f"bad part of speech in key {text!r}", line)
     try:
-        SenseLabel(label)
+        _label_parts(label)
     except ValueError as exc:
         raise LexfError(str(exc), line)
     return SenseKey(head, p, homograph, label)

@@ -86,15 +86,14 @@ class SSN:
     root: Node
 
     def questions(self) -> list[Question]:
+        """Every question of the network, depth first, parents first."""
         out: list[Question] = []
-
-        def walk(node: Node):
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if isinstance(node, Question):
                 out.append(node)
-                for _, child in node.branches:
-                    walk(child)
-
-        walk(self.root)
+                stack.extend(child for _, child in reversed(node.branches))
         return out
 
 
@@ -297,69 +296,63 @@ def _collapse(group, senses_by_key, frames) -> Node:
 def traverse(ssn: SSN, oracle: Oracle) -> TraverseResult:
     """Deterministic walk. A concrete answer follows its branch; anything
     else retains all branches (union) and records the question."""
-
-    def ask(q: Question) -> str:
-        if callable(oracle):
-            answer = oracle(q)
-        else:
-            answer = oracle.get(q.qid, "unknown")
-        return answer if isinstance(answer, str) else "unknown"
-
     open_questions: list[str] = []
-    seen_questions: set[str] = set()
-
-    def note_open(q: Question):
-        if q.qid not in seen_questions:
-            seen_questions.add(q.qid)
-            open_questions.append(q.qid)
-
-    def walk(node: Node) -> tuple[list[SenseKey], bool, list[Frame]]:
-        if isinstance(node, Terminal):
-            return [node.sense], True, [node.frame]
-        if isinstance(node, Nonterminal):
-            return [node.sense], False, [node.frame] if node.frame else []
-        answer = ask(node)
-        bmap = node.branch_map()
-        if answer in bmap:
-            return walk(bmap[answer])
-        note_open(node)
-        senses: list[SenseKey] = []
-        frames_out: list[Frame] = []
-        for _, child in node.branches:
-            s, _, f = walk(child)
-            for k in s:
-                if k not in senses:
-                    senses.append(k)
-            for fr in f:
-                if fr not in frames_out:
-                    frames_out.append(fr)
-        return senses, False, frames_out
-
-    senses, terminal, frames_out = walk(ssn.root)
+    senses, terminal, frames_out = _walk(ssn.root, oracle, open_questions)
     senses = sorted(set(senses), key=SenseKey.sort_key)
     terminal = terminal and len(senses) == 1
     return TraverseResult(tuple(senses), terminal, tuple(open_questions),
                           tuple(frames_out))
 
 
+def _walk(node: Node, oracle: Oracle, open_questions: list[str]
+          ) -> tuple[list[SenseKey], bool, list[Frame]]:
+    """The senses and frames ``traverse`` reaches from ``node``, and whether
+    it reached a terminal; each question left open is noted once."""
+    if isinstance(node, Terminal):
+        return [node.sense], True, [node.frame]
+    if isinstance(node, Nonterminal):
+        return [node.sense], False, [node.frame] if node.frame else []
+    qid = node.qid
+    answer = oracle(node) if callable(oracle) else oracle.get(qid, "unknown")
+    if not isinstance(answer, str):
+        answer = "unknown"
+    bmap = node.branch_map()
+    if answer in bmap:
+        return _walk(bmap[answer], oracle, open_questions)
+    if qid not in open_questions:
+        open_questions.append(qid)
+    senses: list[SenseKey] = []
+    frames_out: list[Frame] = []
+    for _, child in node.branches:
+        s, _, f = _walk(child, oracle, open_questions)
+        for k in s:
+            if k not in senses:
+                senses.append(k)
+        for fr in f:
+            if fr not in frames_out:
+                frames_out.append(fr)
+    return senses, False, frames_out
+
+
 def oracle_reaching(ssn: SSN, target: SenseKey) -> Optional[dict]:
     """An answer map under which traversal returns exactly the target
     (completeness helper)."""
+    return _search(ssn.root, target, {})
 
-    def search(node: Node, answers: dict) -> Optional[dict]:
-        if isinstance(node, Terminal):
-            return answers if node.sense == target else None
-        if isinstance(node, Nonterminal):
-            return None
-        for answer, child in node.branches:
-            if node.qid in answers and answers[node.qid] != answer:
-                continue
-            found = search(child, {**answers, node.qid: answer})
-            if found is not None:
-                return found
+
+def _search(node: Node, target: SenseKey, answers: dict) -> Optional[dict]:
+    """``oracle_reaching`` below ``node``, given the answers that lead there."""
+    if isinstance(node, Terminal):
+        return answers if node.sense == target else None
+    if isinstance(node, Nonterminal):
         return None
-
-    return search(ssn.root, {})
+    for answer, child in node.branches:
+        if node.qid in answers and answers[node.qid] != answer:
+            continue
+        found = _search(child, target, {**answers, node.qid: answer})
+        if found is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -367,49 +360,48 @@ def oracle_reaching(ssn: SSN, target: SenseKey) -> Optional[dict]:
 
 def to_text(ssn: SSN) -> str:
     lines: list[str] = [f"ssn for {ssn.headword} ({len(ssn.senses)} senses)"]
-
-    def walk(node: Node, depth: int, label: str):
+    stack: list[tuple[Node, int, str]] = [(ssn.root, 1, "")]
+    while stack:
+        node, depth, label = stack.pop()
         pad = "  " * depth
         if isinstance(node, Terminal):
             lines.append(f"{pad}{label}-> sense {node.sense.render()}")
-            return
-        if isinstance(node, Nonterminal):
+        elif isinstance(node, Nonterminal):
             lines.append(f"{pad}{label}-> nonterminal sense "
                          f"{node.sense.render()} "
                          f"({len(node.members)} members)")
-            return
-        lines.append(f"{pad}{label}? {node.qid}")
-        for answer, child in node.branches:
-            walk(child, depth + 1, f"[{answer}] ")
-
-    walk(ssn.root, 1, "")
+        else:
+            lines.append(f"{pad}{label}? {node.qid}")
+            stack.extend((child, depth + 1, f"[{answer}] ")
+                         for answer, child in reversed(node.branches))
     return "\n".join(lines) + "\n"
 
 
 def to_dot(ssn: SSN) -> str:
     lines = ["digraph ssn {"]
-    counter = [0]
-
-    def walk(node: Node) -> str:
-        counter[0] += 1
-        name = f"n{counter[0]}"
-        if isinstance(node, Terminal):
-            lines.append(f"  {name} [shape=box, "
-                         f"label={dot_quote(node.sense.render())}];")
-            return name
-        if isinstance(node, Nonterminal):
-            lines.append(f"  {name} [shape=box, style=dashed, label="
-                         f"{dot_quote(node.sense.render() + ' (nonterminal)')}];")
-            return name
-        lines.append(f"  {name} [shape=diamond, label={dot_quote(node.qid)}];")
-        for answer, child in node.branches:
-            cname = walk(child)
-            lines.append(f"  {name} -> {cname} [label={dot_quote(answer)}];")
-        return name
-
-    walk(ssn.root)
+    _dot_node(ssn.root, lines, [0])
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_node(node: Node, lines: list[str], counter: list[int]) -> str:
+    """Append the DOT lines of ``node``'s subtree, numbering its nodes in
+    preorder, and return the node's name."""
+    counter[0] += 1
+    name = f"n{counter[0]}"
+    if isinstance(node, Terminal):
+        lines.append(f"  {name} [shape=box, "
+                     f"label={dot_quote(node.sense.render())}];")
+        return name
+    if isinstance(node, Nonterminal):
+        lines.append(f"  {name} [shape=box, style=dashed, label="
+                     f"{dot_quote(node.sense.render() + ' (nonterminal)')}];")
+        return name
+    lines.append(f"  {name} [shape=diamond, label={dot_quote(node.qid)}];")
+    for answer, child in node.branches:
+        cname = _dot_node(child, lines, counter)
+        lines.append(f"  {name} -> {cname} [label={dot_quote(answer)}];")
+    return name
 
 
 def build_all_ssns(lexicon, frames: dict[SenseKey, Frame]) -> dict[str, SSN]:

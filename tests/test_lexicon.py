@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import HEADWORDS, PHRASAL_LEXF, lexf_texts
 from lexigraph.lexicon import (
@@ -10,6 +11,7 @@ from lexigraph.lexicon import (
     PartOfSpeech,
     SenseKey,
     SenseLabel,
+    _label_parts,
     genus_words,
     parse_definition,
     parse_lexf,
@@ -90,6 +92,33 @@ def test_sense_key_sort_key():
     assert key.sort_key() == ("change", "vi", 1, (1, "b", 2))
     with pytest.raises(ValueError, match="bad sense label"):
         SenseKey("change", PartOfSpeech.VI, 1, "b1").sort_key()
+    keys = [SenseKey("change", PartOfSpeech.VI, 1, label)
+            for label in ("10", "2", "1b(10)", "1b(2)")]
+    assert sorted(keys, key=SenseKey.sort_key) == [keys[3], keys[2], keys[1],
+                                                   keys[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(r"\d+[a-z]?(\(\d+\))?", fullmatch=True))
+def test_label_parts_memo_equals_a_fresh_parse(label):
+    fresh = _label_parts.__wrapped__(label)   # the regex match, unmemoized
+    assert _label_parts(label) == fresh
+    assert _label_parts(label) == fresh       # a memo hit
+
+
+@pytest.mark.parametrize("text, error", [
+    ("E|change|vi|1\nS|1||to vary|\nS|b1||to vary|\n",
+     "line 3: bad sense label: 'b1'"),
+    ("E|change|vi|1\nS|1||to vary|\nR|change:vi:1:1(x)|vary|change:vi:1:1\n",
+     "line 3: bad sense label: '1(x)'"),
+])
+def test_bad_label_fails_alike_on_every_ingest(text, error):
+    # a failed label parse is not memoized: the second ingest of the same
+    # text raises the same error at the same line
+    for _ in range(2):
+        with pytest.raises(LexfError) as err:
+            parse_lexf(text)
+        assert (str(err.value), err.value.line) == (error, 3)
 
 
 def test_genus_words_keep_listed_phrases_whole():
