@@ -3,9 +3,8 @@ prep rule and cue tables, hand resolutions, and the manifest of expected
 counts with their derivations."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .lexicon import (
     Lexicon,
@@ -46,8 +45,7 @@ def load_cues() -> CueTable:
     return load_cue_table(_read("prep_cues.tsv"))
 
 
-@dataclass(frozen=True)
-class FixtureManifest:
+class FixtureManifest(NamedTuple):
     values: dict
     derivations: dict
 
@@ -71,8 +69,7 @@ def load_manifest() -> FixtureManifest:
     return FixtureManifest(values, derivations)
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     """One manifest count; ``actual`` is None when it was not computed."""
 
     key: str
@@ -88,8 +85,7 @@ class VerifyRow:
         return self.actual == self.expected
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     rows: tuple[VerifyRow, ...]
 
     @property

@@ -12,7 +12,6 @@ Graphs are immutable values; resolve() returns a new graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -23,6 +22,7 @@ from .lexicon import (
     ResolutionRecord,
     Sense,
     SenseKey,
+    _LineBlind,
     dot_quote,
     genus_words,
     parse_sense,
@@ -54,34 +54,42 @@ def _sort_key(node: Node) -> tuple:
     return node.sort_key()
 
 
-@dataclass(frozen=True)
-class Arc:
-    """One genus head of one definition line. Unresolved arcs bundle every
-    POS-compatible sense of the genus word; resolution narrows the bundle
-    to a single target."""
-
+class _ArcFields(NamedTuple):
     source: SenseKey
     genus_word: str
     targets: frozenset[Node]
     resolved: bool = False
     negated: bool = False
     synonym: bool = False
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+
+class Arc(_LineBlind, _ArcFields):
+    """One genus head of one definition line. Unresolved arcs bundle every
+    POS-compatible sense of the genus word; resolution narrows the bundle
+    to a single target."""
+
+    __slots__ = ()
 
     def target(self) -> SenseKey:
-        assert self.resolved and len(self.targets) == 1
+        """The one target of a resolved arc; ValueError for a bundle."""
+        if not self.resolved or len(self.targets) != 1:
+            raise ValueError(
+                f"arc {self.source.render()} via {self.genus_word!r} is not "
+                f"resolved to one target")
         return next(iter(self.targets))
 
 
-@dataclass(frozen=True)
-class DefinitionGraph:
+class _DefinitionGraphFields(NamedTuple):
+    nodes: frozenset[Node]
+    arcs: tuple[Arc, ...]
+
+
+class DefinitionGraph(_DefinitionGraphFields):
     """Nodes and arcs.  A graph is an immutable value: the adjacency,
     components and condensation of each mode are computed on first use and
     kept on the instance (not as fields, so ``==`` ignores them).  Callers
     get copies of the mutable ones."""
-
-    nodes: frozenset[Node]
-    arcs: tuple[Arc, ...]
 
     @cached_property
     def _by_mode(self) -> dict[tuple[str, str], object]:
@@ -193,7 +201,8 @@ def apply_resolutions(graph: DefinitionGraph,
         if target is None:
             new_arcs.append(arc)
         else:
-            new_arcs.append(replace(arc, targets=frozenset({target}), resolved=True))
+            new_arcs.append(arc._replace(targets=frozenset({target}),
+                                         resolved=True))
     return DefinitionGraph(graph.nodes, tuple(new_arcs))
 
 
@@ -254,8 +263,7 @@ def _tarjan(graph: DefinitionGraph, mode: str) -> list[list[Node]]:
     return sorted(components, key=lambda c: c[0].sort_key())
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(NamedTuple):
     components: tuple[tuple[Node, ...], ...]
     arcs: tuple[tuple[int, int], ...]          # indexes into components
 
@@ -310,8 +318,7 @@ def _condense(graph: DefinitionGraph, mode: str) -> Condensation:
     return Condensation(tuple(tuple(c) for c in comps), tuple(sorted(lifted)))
 
 
-@dataclass(frozen=True)
-class PrimitiveReport:
+class PrimitiveReport(NamedTuple):
     candidates: tuple[tuple[SenseKey, ...], ...]
     undefined_leaves: tuple[External, ...]
 

@@ -5,13 +5,13 @@ used in defining another, and canonical tuple forms for diffing.
 Frames are persistent values: every derivation operation is pure and
 path-copies, rebuilding only the slots on the path it changes and sharing
 every other slot with the frame it started from (Driscoll, Sarnak, Sleator
-and Tarjan 1989, "Making data structures persistent").  A ``Slot`` is a
-NamedTuple, cheap to build.  Library code keeps no self-recursive closure,
-so reference counting alone frees whatever an analysis discards.
+and Tarjan 1989, "Making data structures persistent").  Slots, frames
+and deltas are NamedTuples, cheap to build.  Library code keeps no
+self-recursive closure, so reference counting alone frees whatever an
+analysis discards.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -53,8 +53,7 @@ class SpecializationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     """Oblique reference to an unknown concept: a variable that satisfies
     the listed features."""
 
@@ -97,8 +96,7 @@ def render_condition(cond: Condition) -> str:
     return " ".join(str(c) for c in cond)
 
 
-@dataclass(frozen=True)
-class Frame:
+class _FrameFields(NamedTuple):
     predicate: str
     pos: PartOfSpeech
     conditions: tuple[Condition, ...] = ()
@@ -106,6 +104,10 @@ class Frame:
     provisional: bool = False
     sense: Optional[SenseKey] = None
     provenance: tuple[str, ...] = ()
+
+
+class Frame(_FrameFields):
+    """A sense's case frame: predicate, conditions and slots."""
 
     @cached_property
     def _is_canonical(self) -> bool:
@@ -116,8 +118,7 @@ class Frame:
                 and _sorted_slots(self.slots) == self.slots)
 
 
-@dataclass(frozen=True)
-class UseDelta:
+class UseDelta(NamedTuple):
     """One effect of a use on the genus frame: fill a slot, restrict one,
     or add one."""
 
@@ -129,8 +130,7 @@ class UseDelta:
         return f"{self.kind} {'.'.join(self.path)} = {self.value}"
 
 
-@dataclass(frozen=True)
-class ApplyOutcome:
+class ApplyOutcome(NamedTuple):
     frame: Frame
     deltas: tuple[UseDelta, ...]
     residue: tuple[str, ...]    # differentiae that mapped to nothing
@@ -225,7 +225,7 @@ def _restricted(slot: Slot, text: str, fill: bool = False) -> Slot:
 def _with_condition(frame: Frame, cond: Condition) -> Frame:
     if cond in frame.conditions:
         return frame
-    return replace(frame, conditions=tuple(
+    return frame._replace(conditions=tuple(
         sorted(frame.conditions + (cond,), key=render_condition)))
 
 
@@ -245,9 +245,9 @@ def _canonical(frame: Frame) -> Frame:
     it is so already, as every frame they return is."""
     if frame._is_canonical:
         return frame
-    return replace(frame, slots=_sorted_slots(frame.slots),
-                   conditions=tuple(sorted(frame.conditions,
-                                           key=render_condition)))
+    return frame._replace(slots=_sorted_slots(frame.slots),
+                          conditions=tuple(sorted(frame.conditions,
+                                                  key=render_condition)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def _apply_seed_line(frame: Frame, line: str) -> Frame:
     if keyword == "PRED":
         if not rest.strip():
             raise SeedGrammarError(f"PRED needs a symbol: {line!r}")
-        return replace(frame, predicate=rest.strip(), provisional=False)
+        return frame._replace(predicate=rest.strip(), provisional=False)
     if keyword == "COND":
         toks = rest.split()
         if len(toks) != 3 or toks[1] != "NE":
@@ -286,7 +286,7 @@ def _apply_seed_line(frame: Frame, line: str) -> Frame:
         raise SeedGrammarError(f"SLOT needs a path: {line!r}")
     path = tuple(toks[0].split("."))
     if len(toks) == 1:  # a bare declaration
-        return replace(frame, slots=update_slot(frame.slots, path, _as_is))
+        return frame._replace(slots=update_slot(frame.slots, path, _as_is))
     action, _, payload = toks[1].partition(" ")
     value = payload.strip()
     if action == "CASE":
@@ -303,7 +303,7 @@ def _apply_seed_line(frame: Frame, line: str) -> Frame:
     else:
         slots = update_slot(frame.slots, path, _with, _SEED_FIELDS[action],
                             value)
-    return replace(frame, slots=slots)
+    return frame._replace(slots=slots)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def _annotate(frame: Frame, rec: Sense, fill_subject: bool = False) -> Frame:
         frame = _with_condition(frame, ("USED-WITH", tuple(sorted(particles))))
     subject = rec.subject_restriction
     if subject:
-        frame = replace(frame, slots=update_slot(
+        frame = frame._replace(slots=update_slot(
             frame.slots, ("SUBJ",), _restricted, subject, fill_subject))
     return frame
 
@@ -364,8 +364,9 @@ def load_seed_frames(lexicon: Lexicon) -> dict[SenseKey, Frame]:
             for line in lexicon.seed_frames[key]:
                 frame = _apply_seed_line(frame, line)
             if not frame.predicate:
-                frame = replace(frame, provisional=True,
-                                predicate=_provisional(key, lexicon).predicate)
+                frame = frame._replace(
+                    provisional=True,
+                    predicate=_provisional(key, lexicon).predicate)
             frame = _annotate(frame, primary)
         # coordinate records may add their own usage notes / subjects
         for rec in records[1:]:
@@ -388,8 +389,8 @@ def apply_use(base: Frame, use: ParsedDefinition,
     base = _canonical(base)
     slots, deltas, residue = _apply_use_to(base.slots, base.predicate, use,
                                            rules)
-    frame = replace(base, slots=slots,
-                    provenance=base.provenance + ("applied use",))
+    frame = base._replace(slots=slots,
+                          provenance=base.provenance + ("applied use",))
     return ApplyOutcome(frame, deltas, residue)
 
 
@@ -425,10 +426,6 @@ def _apply_use_to(slots: tuple[Slot, ...], family: str, use: ParsedDefinition,
             residue.append(f"{phrase.prep}-phrase: {phrase.text}")
             continue
         slot_name, kind = action
-        if kind not in ("FILL", "RESTRICT"):
-            residue.append(f"{phrase.prep}-phrase (unknown action {kind}): "
-                           f"{phrase.text}")
-            continue
         path, slot = find_slot(slots, slot_name) or ((slot_name,), None)
         if kind == "RESTRICT":
             change = _restricted if phrase.text else _as_is
@@ -635,8 +632,7 @@ def _slot_paths(out: dict, slot: Slot, sort_prefix: tuple,
         _slot_paths(out, child, base_sort + ((4, "children"),), base_disp)
 
 
-@dataclass(frozen=True)
-class DiffPoint:
+class DiffPoint(NamedTuple):
     path: tuple[str, ...]
     a_value: object
     b_value: object

@@ -8,7 +8,6 @@ segmentation, not syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from typing import NamedTuple, Optional
@@ -63,15 +62,43 @@ def _label_parts(text: str) -> tuple[int, str, int]:
     return int(m.group(1)), m.group(2) or "", int(m.group(3) or 0)
 
 
-@dataclass(frozen=True, order=True)
-class SenseLabel:
-    """Hierarchical sense label: digit(s), optional letter, optional
-    parenthesized number ("1", "1b", "1b(2)")."""
+class _LineBlind:
+    """``==`` and ``hash`` of a record over every field but its last,
+    ``line``: where a record was read is no part of what it says."""
 
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] != other[:-1]
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+
+class _SenseLabelFields(NamedTuple):
     text: str
 
-    def __post_init__(self):
-        _label_parts(self.text)
+
+class SenseLabel(_SenseLabelFields):
+    """Hierarchical sense label: digit(s), optional letter, optional
+    parenthesized number ("1", "1b", "1b(2)"), checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, text: str):
+        _label_parts(text)
+        return super().__new__(cls, text)
+
+    @classmethod
+    def _make(cls, iterable) -> "SenseLabel":  # so _replace checks too
+        return cls(*iterable)
 
     @property
     def parts(self) -> tuple[int, str, int]:
@@ -117,11 +144,7 @@ class SenseKey(NamedTuple):
 _STATUS_SIMPLE = {"obs", "dial", "Brit", "specif"}
 
 
-@dataclass(frozen=True)
-class Sense:
-    """One definition (or synonym) line of an entry. Coordinate lines under
-    the same label are separate Sense records sharing the label."""
-
+class _SenseFields(NamedTuple):
     headword: str
     pos: PartOfSpeech
     homograph: int
@@ -130,7 +153,12 @@ class Sense:
     raw_definition: str = ""
     usage_note: Optional[str] = None
     synonym_refs: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+
+class Sense(_LineBlind, _SenseFields):
+    """One definition (or synonym) line of an entry. Coordinate lines under
+    the same label are separate Sense records sharing the label."""
 
     @cached_property
     def key(self) -> SenseKey:
@@ -162,23 +190,33 @@ class Sense:
 PHRASE_KINDS = ("prep-phrase", "adverb", "infinitive", "clause", "coordination")
 
 
-@dataclass(frozen=True)
-class Phrase:
+class _PhraseFields(NamedTuple):
     kind: str
     text: str
     prep: Optional[str] = None
     hedged: bool = False
 
-    def __post_init__(self):
+
+class Phrase(_PhraseFields):
+    """One differentia of a definition, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.kind == "prep-phrase") != (self.prep is not None):
             raise ValueError("prep present iff kind is prep-phrase")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Phrase":  # so _replace checks too
+        return cls(*iterable)
 
     def alternatives(self) -> tuple[str, ...]:
         return split_alternatives(self.text)
 
 
-@dataclass(frozen=True)
-class ParsedDefinition:
+class ParsedDefinition(NamedTuple):
     genus: tuple[str, ...]
     genus_complement: Optional[str] = None
     specified_object: Optional[str] = None
@@ -191,14 +229,17 @@ class ParsedDefinition:
         return self.specified_object is not None or self.object_np is not None
 
 
-@dataclass(frozen=True)
-class ResolutionRecord:
-    """Resolves one genus arc to a single target sense."""
-
+class _ResolutionRecordFields(NamedTuple):
     from_key: SenseKey
     genus_word: str
     target: SenseKey
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+
+class ResolutionRecord(_LineBlind, _ResolutionRecordFields):
+    """Resolves one genus arc to a single target sense."""
+
+    __slots__ = ()
 
 
 class ResolutionError(ValueError):
@@ -219,21 +260,29 @@ class ResolutionError(ValueError):
                    f"{record.genus_word!r}")
 
 
-@dataclass(frozen=True, eq=True)
-class Lexicon:
+class _LexiconFields(NamedTuple):
+    entries: tuple[Sense, ...]
+    seed_frames: dict   # SenseKey -> tuple[str, ...]
+    resolutions: tuple[ResolutionRecord, ...]
+
+
+class Lexicon(_LexiconFields):
     """Sense records in file order, seed frames and resolution records.
 
-    A Lexicon is an immutable value: a frozen dataclass whose ``entries``
-    is a tuple.  The lookups below read by-key and by-headword indexes
-    that are built from ``entries`` on first use and kept for the life of
-    the instance, so they assume ``entries`` never changes.  The indexes
-    are not fields: ``==`` and ``serialize_lexf`` ignore them.  Every
-    lookup keeps file order.
+    A Lexicon is an immutable value: a NamedTuple whose ``entries`` is a
+    tuple.  The lookups below read by-key and by-headword indexes that
+    are built from ``entries`` on first use and kept for the life of the
+    instance, so they assume ``entries`` never changes.  The indexes are
+    not fields: ``==`` and ``serialize_lexf`` ignore them.  Every lookup
+    keeps file order.
     """
 
-    entries: tuple[Sense, ...] = ()
-    seed_frames: dict = field(default_factory=dict)   # SenseKey -> tuple[str, ...]
-    resolutions: tuple[ResolutionRecord, ...] = ()
+    def __new__(cls, entries: tuple[Sense, ...] = (),
+                seed_frames: Optional[dict] = None,
+                resolutions: tuple[ResolutionRecord, ...] = ()):
+        return super().__new__(cls, entries,
+                               {} if seed_frames is None else seed_frames,
+                               resolutions)
 
     # The index lists are never handed out: lookups return copies.
     @cached_property

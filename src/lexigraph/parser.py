@@ -9,8 +9,14 @@ surfaced, never guessed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from .frames import (
     Descriptor,
@@ -57,8 +63,7 @@ class NoNetworkError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     kind: str                     # verb | noun-phrase | prep-phrase | adverb | particle
     text: str
     prep: Optional[str] = None
@@ -171,9 +176,13 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
 # ---------------------------------------------------------------------------
 # sentence context and the probing oracle
 
-@dataclass
 class SentenceContext:
-    chunks: list[Chunk]
+    """The chunks of one sentence, and what the network questions probe."""
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks: list[Chunk]):
+        self.chunks = chunks
 
     @property
     def verb(self) -> Optional[Chunk]:
@@ -391,8 +400,7 @@ class ContextOracle:
 # ---------------------------------------------------------------------------
 # disambiguation
 
-@dataclass(frozen=True)
-class DisambiguationResult:
+class DisambiguationResult(NamedTuple):
     word: str
     lemma: str
     candidates: tuple[SenseKey, ...]
@@ -440,7 +448,7 @@ def _instantiate(frame: Frame, ctx: SentenceContext, rules: RuleTable,
                 s.name, s.case, s.bind, subject, s.restrictions, s.children))
             deltas.append(UseDelta("FILL", found[0], subject))
     slots = _fill_descriptors(slots, allocator)
-    return replace(outcome.frame, slots=slots), tuple(deltas)
+    return outcome.frame._replace(slots=slots), tuple(deltas)
 
 
 def _fill_descriptors(slots: tuple[Slot, ...],
@@ -515,8 +523,7 @@ def disambiguate(word: str, chunks: list[Chunk], ssn: SSN,
 # ---------------------------------------------------------------------------
 # resolving genus uses inside definitions
 
-@dataclass(frozen=True)
-class AutoResolution:
+class AutoResolution(NamedTuple):
     using: SenseKey
     genus_word: str
     unique: Optional[SenseKey]
@@ -693,21 +700,29 @@ def autoresolve_all(lexicon: Lexicon, frames: dict[SenseKey, Frame],
 # ---------------------------------------------------------------------------
 # multisentence parsing
 
-@dataclass
 class Entity:
-    var: str
-    head: str
-    text: str
-    sentence: int
-    chunks: list[Chunk] = field(default_factory=list)
-    result_index: Optional[int] = None
+    """A discourse referent, the chunks gathered for it so far and the
+    index of its pending result."""
+
+    __slots__ = ("var", "head", "text", "sentence", "chunks", "result_index")
+
+    def __init__(self, var: str, head: str, text: str, sentence: int,
+                 chunks: list[Chunk]):
+        self.var, self.head, self.text = var, head, text
+        self.sentence, self.chunks = sentence, chunks
+        self.result_index: Optional[int] = None
 
 
-@dataclass
 class DiscourseState:
-    entities: list[Entity] = field(default_factory=list)
-    pending: list[tuple[int, dict[tuple[str, ...], str]]] = field(default_factory=list)
-    bindings: list[tuple[str, str]] = field(default_factory=list)
+    """The entities of a discourse, the descriptor paths of each pending
+    result, and the (variable, value) bindings made so far."""
+
+    __slots__ = ("entities", "pending", "bindings")
+
+    def __init__(self):
+        self.entities: list[Entity] = []
+        self.pending: list[tuple[int, dict[str, str]]] = []
+        self.bindings: list[tuple[str, str]] = []
 
     def find_entity(self, subject: Optional[Chunk]) -> Optional[Entity]:
         if subject is None:

@@ -9,20 +9,31 @@ that instead lead with another preposition are cross-reference senses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .lexicon import split_alternatives
 
 
+_COLUMNS = ("preposition", "predicate family", "slot", "action")
+
+
 class RuleTable:
-    """(prep, predicate family) -> (slot name, action)."""
+    """(prep, predicate family) -> (slot name, action); every column is
+    non-empty and every action is FILL or RESTRICT."""
 
     def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):
         self._rows: dict[tuple[str, str], tuple[str, str]] = {}
-        for prep, family, slot, action in rows:
-            self._rows[(prep, family)] = (slot, action)
+        for row in rows:
+            self._add(*row)
+
+    def _add(self, prep: str, family: str, slot: str, action: str) -> None:
+        for name, value in zip(_COLUMNS, (prep, family, slot, action)):
+            if not value:
+                raise ValueError(f"empty {name}")
+        if action not in ("FILL", "RESTRICT"):
+            raise ValueError(f"action {action!r} is neither FILL nor RESTRICT")
+        self._rows[(prep, family)] = (slot, action)
 
     def slot_action(self, prep: str, family: str) -> Optional[tuple[str, str]]:
         return self._rows.get((prep, family))
@@ -39,8 +50,7 @@ class PrepClassificationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PrepSense:
+class PrepSense(NamedTuple):
     prep: str
     specs: tuple[tuple[PrepSpecKind, str], ...]
     cross_ref: Optional[str] = None         # defining phrase of a non-primitive sense
@@ -128,8 +138,9 @@ def classify_prep_sense(definition: str, prep: str, cues: CueTable,
 
 
 def load_rule_table(text: str) -> RuleTable:
-    """TSV with columns prep, predicate-family, slot, action."""
-    rows = []
+    """TSV with columns prep, predicate-family, slot, action; a malformed
+    row raises ValueError naming its line."""
+    table = RuleTable()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -137,8 +148,11 @@ def load_rule_table(text: str) -> RuleTable:
         parts = line.split("\t")
         if len(parts) != 4:
             raise ValueError(f"rule table line {lineno}: need 4 columns")
-        rows.append((parts[0], parts[1], parts[2], parts[3]))
-    return RuleTable(rows)
+        try:
+            table._add(*parts)
+        except ValueError as exc:
+            raise ValueError(f"rule table line {lineno}: {exc}") from None
+    return table
 
 
 def load_cue_table(text: str) -> CueTable:

@@ -7,8 +7,7 @@ fixpoint loop sequences them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .defgraph import DefinitionGraph
 from .frames import Frame, UseDelta, use_deltas, walk_slots
@@ -29,8 +28,7 @@ RULE_ORDER = ("MULTI-CONCEPT", "SLOT-FILL", "WORD-GOVERNMENT",
               "OPTIONAL-COMPONENT")
 
 
-@dataclass(frozen=True)
-class NonprimitiveEvidence:
+class NonprimitiveEvidence(NamedTuple):
     sense: SenseKey
     rule: str
     detail: str
@@ -39,8 +37,7 @@ class NonprimitiveEvidence:
         return f"{self.sense.render()}\t{self.rule}\t{self.detail}"
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     initial: int
     set_aside: tuple[NonprimitiveEvidence, ...]
     remaining: tuple[SenseKey, ...]

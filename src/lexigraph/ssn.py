@@ -13,8 +13,7 @@ records the question.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .frames import EMPTY_VALUES, Frame, first_diff, flat_group
 from .lexicon import (
@@ -32,14 +31,12 @@ class CompileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(NamedTuple):
     sense: SenseKey
     frame: Frame
 
 
-@dataclass(frozen=True)
-class Nonterminal:
+class Nonterminal(NamedTuple):
     """Exhausted, indistinguishable group collapsed to its parent sense."""
 
     sense: SenseKey
@@ -47,8 +44,7 @@ class Nonterminal:
     frame: Optional[Frame] = None
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     kind: str                                   # POS | TRANSITIVITY | OBJ-IS |
                                                 # OBJ-SAT | ADJ-COMPLEMENT |
                                                 # USAGE | FRAME-DIFF
@@ -79,8 +75,7 @@ class Question:
 Node = Terminal | Nonterminal | Question
 
 
-@dataclass(frozen=True)
-class SSN:
+class SSN(NamedTuple):
     headword: str
     senses: tuple[SenseKey, ...]
     root: Node
@@ -97,8 +92,7 @@ class SSN:
         return out
 
 
-@dataclass(frozen=True)
-class TraverseResult:
+class TraverseResult(NamedTuple):
     senses: tuple[SenseKey, ...]
     terminal: bool
     open_questions: tuple[str, ...]

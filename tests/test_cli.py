@@ -253,6 +253,28 @@ def test_unwritable_output_is_data_error(tmp_path, capout):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("row", [
+    "into\tBECOME-DIFFERENT\t\tFILL",
+    "into\tBECOME-DIFFERENT\tTO-STATE\tfill",
+], ids=["empty-slot", "lowercase-action"])
+@pytest.mark.parametrize("argv", [
+    ["frames", "--word", "become"],
+    ["reduce", "--format", "tsv"],
+], ids=["frames", "reduce"])
+def test_malformed_rule_row_is_data_error(tmp_path, capout, monkeypatch,
+                                          row, argv):
+    # a row with no slot once printed a nameless slot ("   = being") and a
+    # lowercase action silently turned the rule into residue
+    table = tmp_path / "rules.tsv"
+    table.write_text("to\tBECOME-DIFFERENT\tTO-STATE\tFILL\n" + row + "\n",
+                     encoding="utf-8")
+    monkeypatch.setenv("LEXIGRAPH_RULES", str(table))
+    code, out, err = capout(argv)
+    assert code == 2
+    assert out == ""
+    assert "rule table line 2:" in err
+
+
 def test_rules_env_override(tmp_path, capout, monkeypatch):
     table = tmp_path / "rules.tsv"
     table.write_text("into\tBECOME-DIFFERENT\tTO-STATE\tFILL\n",

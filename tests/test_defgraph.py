@@ -176,6 +176,15 @@ def test_resolve_coalify(lexicon, graph):
     assert arcs[0].resolved and arcs[0].target() == node("change:vi:1:2")
 
 
+def test_target_of_unresolved_bundle_raises(resolved_graph):
+    # a check that holds under python -O as well, where assert is skipped
+    arc = next(a for a in resolved_graph.arcs_from(node("change:vi:1:1f"))
+               if a.genus_word == "turn")
+    assert not arc.resolved and len(arc.targets) == 4
+    with pytest.raises(ValueError, match="not resolved to one target"):
+        arc.target()
+
+
 def test_resolve_idempotent(lexicon, graph):
     record = lexicon.resolutions[0]
     once = resolve(graph, record)

@@ -1,7 +1,9 @@
 """Import footprint: ``import lexigraph`` loads no submodule, every public
-name still resolves, and each CLI command loads only the modules it uses."""
+name still resolves, and each CLI command loads only the modules it uses
+and neither ``dataclasses`` nor ``inspect``."""
 from __future__ import annotations
 
+import functools
 import importlib
 import os
 import subprocess
@@ -15,13 +17,18 @@ SRC = Path(__file__).parents[1] / "src"
 # package, the lexicon and the rule tables
 BASE = {"lexigraph", "cli", "corpus", "data", "lexicon", "prep_rules"}
 
-REPORT = """\
+# standard modules a command must not load: dataclasses costs about 10 ms
+# at start-up with the inspect, ast, dis and tokenize it imports
+SLOW = ("dataclasses", "inspect")
+
+REPORT = f"""\
 import contextlib, io, sys
 from lexigraph.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
 print(code, *sorted(m.partition(".")[2] or m for m in sys.modules
-                    if m == "lexigraph" or m.startswith("lexigraph.")))
+                    if m == "lexigraph" or m.startswith("lexigraph.")),
+      *[m for m in {SLOW!r} if m in sys.modules])
 """
 
 
@@ -50,7 +57,7 @@ def loaded_modules(code: str, *argv: str) -> tuple[str, set[str]]:
 def test_command_loads_only_what_it_uses(argv, extra):
     code, modules = loaded_modules(REPORT, *argv)
     assert code == "0"
-    assert modules == BASE | extra
+    assert modules == BASE | extra | slow_loaded_by_resources()
 
 
 def test_discourse_loads_only_what_it_uses(tmp_path):
@@ -58,7 +65,18 @@ def test_discourse_loads_only_what_it_uses(tmp_path):
     doc.write_text("The milk changed.\n", encoding="utf-8")
     code, modules = loaded_modules(REPORT, "discourse", "--file", str(doc))
     assert code == "0"
-    assert modules == BASE | {"frames", "ssn", "parser"}
+    assert modules == (BASE | {"frames", "ssn", "parser"}
+                       | slow_loaded_by_resources())
+
+
+@functools.cache
+def slow_loaded_by_resources() -> set[str]:
+    """The SLOW modules that ``importlib.resources``, which reads the
+    bundled corpus, loads by itself: inspect from Python 3.12 on."""
+    _, modules = loaded_modules(
+        f"import sys, importlib.resources; "
+        f"print(0, *[m for m in {SLOW!r} if m in sys.modules])")
+    return modules
 
 
 def test_package_import_loads_no_submodule():

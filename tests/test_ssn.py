@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import importlib
+import pkgutil
 import random
 import sys
 import weakref
@@ -346,34 +347,53 @@ def test_frame_diff_questions_equal_a_fresh_group_first_diff(rules, text):
 
 def test_analysis_is_freed_without_the_cycle_collector():
     # build_frames and compile_ssn keep no reference cycle, so dropping the
-    # results frees the lexicon at once, not at the next full collection
+    # results drops every reference they took to the lexicon and its
+    # records at once, not at the next full collection.  Both are tuples,
+    # which take no weak reference, so their references are counted.
     lx = corpus.load_corpus()
     rules = load_rules()
-    gone = [weakref.ref(lx), weakref.ref(lx.entries[0])]
+    sense = lx.entries[0]
+    lx.sense_keys(), lx.headwords()  # the lexicon's own indexes hold records
+    before = sys.getrefcount(lx), sys.getrefcount(sense)
     gc.disable()
     try:
         frames = build_frames(lx, rules)
         networks = build_all_ssns(lx, frames)
-        assert networks and gone[0]() is lx
-        del lx, frames, networks
-        assert [ref() for ref in gone] == [None, None]
+        assert networks
+        del frames, networks
+        assert (sys.getrefcount(lx), sys.getrefcount(sense)) == before
     finally:
         gc.enable()
 
 
+def _namespace_anchor(module):
+    """One object that lives as long as the module's namespace: a class or
+    function it defines, else the module itself."""
+    for value in vars(module).values():
+        if callable(value) and getattr(value, "__module__", None) == module.__name__:
+            return value
+    return module
+
+
 def test_reimported_modules_are_freed():
-    # module-level type aliases must not pin lexigraph classes in a
-    # process-wide cache: a re-imported copy is freed once dropped
-    names = [m for m in sys.modules if m == "lexigraph" or m.startswith("lexigraph.")]
-    saved = {m: sys.modules.pop(m) for m in names}
+    # module-level type aliases and class annotations must not pin
+    # lexigraph classes in a process-wide cache: every module of a
+    # re-imported copy is freed once dropped
+    def ours(m):
+        return m == "lexigraph" or m.startswith("lexigraph.")
+
+    saved = {m: sys.modules.pop(m) for m in [m for m in sys.modules if ours(m)]}
     try:
-        fresh = importlib.import_module("lexigraph.ssn")
-        gone = [weakref.ref(fresh.Question), weakref.ref(fresh.Frame),
-                weakref.ref(fresh.Sense)]
-        del fresh
+        package = importlib.import_module("lexigraph")
+        names = sorted(info.name for info in pkgutil.iter_modules(package.__path__))
+        modules = [package] + [importlib.import_module(f"lexigraph.{name}")
+                               for name in names]
+        gone = {m.__name__: weakref.ref(_namespace_anchor(m)) for m in modules}
+        del package, modules
     finally:
-        for m in [m for m in sys.modules if m == "lexigraph" or m.startswith("lexigraph.")]:
+        for m in [m for m in sys.modules if ours(m)]:
             del sys.modules[m]
         sys.modules.update(saved)
     gc.collect()
-    assert [ref() for ref in gone] == [None, None, None]
+    assert {"lexigraph.cli", "lexigraph.lexicon", "lexigraph.ssn"} <= set(gone)
+    assert [name for name, ref in gone.items() if ref() is not None] == []
