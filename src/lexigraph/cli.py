@@ -6,22 +6,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cached_property
 from typing import Optional
 
 from . import corpus as corpus_mod
 from .lexicon import (
     Lexicon,
     LexfError,
-    ResolutionError,
     genus_words,
     merge_lexicons,
     parse_lexf,
+    resolution_targets,
 )
 from .prep_rules import load_rule_table
-
-# Each command imports the analysis modules it uses, so a call loads only
-# those: graph, scc and primitives never pay for frames, networks or the
-# parser.
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -41,36 +38,43 @@ def _load_lexicon(args) -> Lexicon:
     return merge_lexicons(*parts)
 
 
-def _load_rules():
-    override = os.environ.get("LEXIGRAPH_RULES")
-    if override:
-        with open(override, encoding="utf-8") as fh:
-            return load_rule_table(fh.read())
-    return corpus_mod.load_rules()
+class Analysis:
+    """One run's stages over one lexicon.  Each stage is computed on first
+    use and kept, and imports its module only then, so a command loads only
+    what it reads: graph, scc and primitives never pay for frames, networks
+    or the parser."""
 
+    def __init__(self, lexicon: Lexicon):
+        self.lexicon = lexicon
 
-def _resolved_graph(lexicon: Lexicon):
-    from .defgraph import apply_resolutions, build_graph
-    graph = build_graph(lexicon)
-    return apply_resolutions(graph, lexicon.resolutions)
+    @cached_property
+    def rules(self):
+        override = os.environ.get("LEXIGRAPH_RULES")
+        if override:
+            with open(override, encoding="utf-8") as fh:
+                return load_rule_table(fh.read())
+        return corpus_mod.load_rules()
 
+    @cached_property
+    def graph(self):
+        from .defgraph import apply_resolutions, build_graph
+        return apply_resolutions(build_graph(self.lexicon),
+                                 self.lexicon.resolutions)
 
-def _build_frames(lexicon: Lexicon, rules):
-    """The frames of every sense, once every resolution record passes the
-    checks ``defgraph.apply_resolutions`` makes, in the same order: its
-    target is a sense of the genus word and of the lexicon, and the arc
-    exists (a verb record of the from-sense has that genus word)."""
-    from .frames import build_frames
-    for record in lexicon.resolutions:
-        if record.target.headword != record.genus_word:
-            raise ResolutionError.not_a_sense_of_genus(record)
-        if not lexicon.has_sense(record.target):
-            raise ResolutionError.unknown_target(record)
-        if not any(rec.pos.is_verb
-                   and record.genus_word in genus_words(rec, lexicon)
-                   for rec in lexicon.records_for(record.from_key)):
-            raise ResolutionError.no_arc(record)
-    return build_frames(lexicon, rules)
+    @cached_property
+    def frames(self):
+        """The frames of every sense, once the rule table loads and every
+        resolution record passes the checks the graph makes."""
+        from .frames import build_frames
+        lexicon, rules = self.lexicon, self.rules
+        arcs = {(rec.key, word) for rec in lexicon.entries if rec.pos.is_verb
+                for word in genus_words(rec, lexicon)}
+        resolution_targets(lexicon.resolutions, lexicon._by_key, arcs)
+        return build_frames(lexicon, rules)
+
+    @cached_property
+    def networks(self) -> _NetworkCache:
+        return _NetworkCache(self.lexicon, self.frames)
 
 
 class _NetworkCache:
@@ -161,25 +165,18 @@ def run(argv: Optional[list[str]] = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
 
     try:
-        lexicon = _load_lexicon(args)
-        rules = _load_rules()
-    except (LexfError, OSError, ValueError) as exc:
-        print(f"lexigraph: {exc}", file=sys.stderr)
-        return DATA_ERROR
-
-    try:
-        return _dispatch(args, lexicon, rules)
+        return _dispatch(args, Analysis(_load_lexicon(args)))
     except (LexfError, OSError, ValueError) as exc:
         print(f"lexigraph: {exc}", file=sys.stderr)
         return DATA_ERROR
 
 
-def _dispatch(args, lexicon: Lexicon, rules) -> int:
+def _dispatch(args, a: Analysis) -> int:
     mode_name = getattr(args, "mode", "optimistic")
     mode = "resolved-only" if mode_name == "resolved" else "optimistic"
 
     if args.command == "ingest":
-        report = corpus_mod.verify_fixture(lexicon)
+        report = corpus_mod.verify_fixture(a.lexicon)
         _emit(args, report.to_text())
         if not report.ok:
             print("lexigraph: manifest mismatch", file=sys.stderr)
@@ -192,25 +189,22 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
             strongly_connected_components,
             to_dot,
         )
-        graph = _resolved_graph(lexicon)
         if args.format == "tsv":
-            comps = strongly_connected_components(graph, mode)
+            comps = strongly_connected_components(a.graph, mode)
             _emit(args, components_tsv(comps))
         else:
-            _emit(args, to_dot(graph))
+            _emit(args, to_dot(a.graph))
         return 0
 
     if args.command == "scc":
         from .defgraph import components_tsv, strongly_connected_components
-        graph = _resolved_graph(lexicon)
-        comps = strongly_connected_components(graph, mode)
+        comps = strongly_connected_components(a.graph, mode)
         _emit(args, components_tsv(comps))
         return 0
 
     if args.command == "primitives":
         from .defgraph import primitive_candidates
-        graph = _resolved_graph(lexicon)
-        report = primitive_candidates(graph)
+        report = primitive_candidates(a.graph)
         lines = []
         for comp in report.candidates:
             lines.append("candidate\t" + "\t".join(n.render() for n in comp))
@@ -221,8 +215,7 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
 
     if args.command == "autoresolve":
         from .parser import autoresolve_all
-        frames = _build_frames(lexicon, rules)
-        proposals = autoresolve_all(lexicon, frames, rules)
+        proposals = autoresolve_all(a.lexicon, a.frames, a.rules)
         lines = []
         for p in proposals:
             if p.unique is not None:
@@ -236,9 +229,7 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
 
     if args.command == "reduce":
         from .reduction import reduce_fixpoint
-        graph = _resolved_graph(lexicon)
-        frames = _build_frames(lexicon, rules)
-        report = reduce_fixpoint(lexicon, graph, frames, rules)
+        report = reduce_fixpoint(a.lexicon, a.graph, a.frames, a.rules)
         if args.format == "tsv":
             _emit(args, report.to_tsv())
         else:
@@ -247,31 +238,31 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
 
     if args.command == "frames":
         from .frames import frame_to_text
-        frames = _build_frames(lexicon, rules)
+        frames = a.frames
         keys = [k for k in sorted(frames, key=lambda k: k.sort_key())
                 if k.headword == args.word
                 and (args.label is None or k.label == args.label)]
         if not keys:
-            print(f"lexigraph: no frames for {args.word!r}", file=sys.stderr)
+            label = "" if args.label is None else f" with label {args.label!r}"
+            print(f"lexigraph: no frames for {args.word!r}{label}",
+                  file=sys.stderr)
             return DATA_ERROR
         _emit(args, "\n".join(frame_to_text(frames[k]) for k in keys))
         return 0
 
     if args.command == "ssn":
         from .ssn import to_dot, to_text
-        frames = _build_frames(lexicon, rules)
-        ssns = _NetworkCache(lexicon, frames)
-        if args.word not in ssns:
+        if args.word not in a.networks:
             print(f"lexigraph: no senses for {args.word!r}", file=sys.stderr)
             return DATA_ERROR
-        net = ssns[args.word]
+        net = a.networks[args.word]
         _emit(args, to_dot(net) if args.format == "dot" else to_text(net))
         return 0
 
     if args.command in ("parse", "discourse"):
         from .parser import ChunkError, NoNetworkError
         try:
-            return _parse(args, lexicon, rules)
+            return _parse(args, a)
         except (ChunkError, NoNetworkError) as exc:
             print(f"lexigraph: {exc}", file=sys.stderr)
             return DATA_ERROR
@@ -280,7 +271,7 @@ def _dispatch(args, lexicon: Lexicon, rules) -> int:
     return USAGE_ERROR
 
 
-def _parse(args, lexicon: Lexicon, rules) -> int:
+def _parse(args, a: Analysis) -> int:
     """The parse and discourse commands."""
     from .parser import (
         SentenceContext,
@@ -290,8 +281,7 @@ def _parse(args, lexicon: Lexicon, rules) -> int:
         parse_discourse,
         results_to_tsv,
     )
-    frames = _build_frames(lexicon, rules)
-    ssns = _NetworkCache(lexicon, frames)
+    lexicon, frames, ssns = a.lexicon, a.frames, a.networks
 
     if args.command == "parse":
         chunks = chunk_sentence(args.text, lexicon)
@@ -301,7 +291,7 @@ def _parse(args, lexicon: Lexicon, rules) -> int:
             print("lexigraph: no known verb in the sentence", file=sys.stderr)
             return DATA_ERROR
         result = disambiguate(verb.text, chunks, ssns[verb.lemma], frames,
-                              rules, lexicon, VarAllocator())
+                              a.rules, lexicon, VarAllocator())
         if args.format == "tsv":
             _emit(args, results_to_tsv([result]))
         else:
@@ -312,7 +302,7 @@ def _parse(args, lexicon: Lexicon, rules) -> int:
 
     with open(args.file, encoding="utf-8") as fh:
         sentences = [ln.strip() for ln in fh if ln.strip()]
-    results, state = parse_discourse(sentences, lexicon, ssns, frames, rules)
+    results, state = parse_discourse(sentences, lexicon, ssns, frames, a.rules)
     if args.format == "tsv":
         _emit(args, results_to_tsv(results))
     else:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 from .lexicon import (
     Lexicon,
     PartOfSpeech,
-    ResolutionError,
+    ResolutionError,  # re-exported
     ResolutionRecord,
     Sense,
     SenseKey,
@@ -26,6 +26,7 @@ from .lexicon import (
     dot_quote,
     genus_words,
     parse_sense,
+    resolution_targets,
     senses_of,
 )
 
@@ -184,17 +185,8 @@ def apply_resolutions(graph: DefinitionGraph,
     checked in order and the first bad one raises ResolutionError; when
     several records name the same (from sense, genus word), the last wins,
     as if each were applied to the result of the one before."""
-    arc_keys = {(arc.source, arc.genus_word) for arc in graph.arcs}
-    chosen: dict[tuple[SenseKey, str], SenseKey] = {}
-    for record in records:
-        if record.target.headword != record.genus_word:
-            raise ResolutionError.not_a_sense_of_genus(record)
-        if record.target not in graph.nodes:
-            raise ResolutionError.unknown_target(record)
-        arc_key = (record.from_key, record.genus_word)
-        if arc_key not in arc_keys:
-            raise ResolutionError.no_arc(record)
-        chosen[arc_key] = record.target
+    chosen = resolution_targets(
+        records, graph.nodes, {(arc.source, arc.genus_word) for arc in graph.arcs})
     new_arcs = []
     for arc in graph.arcs:
         target = chosen.get((arc.source, arc.genus_word))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cache, cached_property
-from typing import NamedTuple, Optional
+from typing import Container, Iterable, NamedTuple, Optional
 
 
 class LexfError(ValueError):
@@ -245,19 +245,30 @@ class ResolutionRecord(_LineBlind, _ResolutionRecordFields):
 class ResolutionError(ValueError):
     """A resolution record that names no arc or no known target."""
 
-    @classmethod
-    def not_a_sense_of_genus(cls, record: ResolutionRecord) -> "ResolutionError":
-        return cls(f"target {record.target.render()} is not a sense of "
-                   f"{record.genus_word!r}")
 
-    @classmethod
-    def unknown_target(cls, record: ResolutionRecord) -> "ResolutionError":
-        return cls(f"unknown target sense {record.target.render()}")
-
-    @classmethod
-    def no_arc(cls, record: ResolutionRecord) -> "ResolutionError":
-        return cls(f"no arc from {record.from_key.render()} via "
-                   f"{record.genus_word!r}")
+def resolution_targets(records: Iterable[ResolutionRecord],
+                       senses: Container[SenseKey],
+                       arcs: Container[tuple[SenseKey, str]],
+                       ) -> dict[tuple[SenseKey, str], SenseKey]:
+    """The one target of each (from sense, genus word) the records resolve.
+    Records are checked in order and the first bad one raises
+    ResolutionError: its target must be a sense of its genus word and be
+    in ``senses``, and its (from sense, genus word) must be in ``arcs``.
+    When several records name the same arc, the last wins."""
+    chosen: dict[tuple[SenseKey, str], SenseKey] = {}
+    for record in records:
+        target = record.target
+        if target.headword != record.genus_word:
+            raise ResolutionError(f"target {target.render()} is not a sense "
+                                  f"of {record.genus_word!r}")
+        if target not in senses:
+            raise ResolutionError(f"unknown target sense {target.render()}")
+        arc = (record.from_key, record.genus_word)
+        if arc not in arcs:
+            raise ResolutionError(f"no arc from {record.from_key.render()} "
+                                  f"via {record.genus_word!r}")
+        chosen[arc] = target
+    return chosen
 
 
 class _LexiconFields(NamedTuple):
@@ -388,11 +399,14 @@ def _parse_sense_key(text: str, line: int) -> SenseKey:
         p = PartOfSpeech(pos)
     except ValueError:
         raise LexfError(f"bad part of speech in key {text!r}", line)
+    return SenseKey(head, p, homograph, _parse_label(label, line).text)
+
+
+def _parse_label(text: str, line: int) -> SenseLabel:
     try:
-        _label_parts(label)
+        return SenseLabel(text)
     except ValueError as exc:
         raise LexfError(str(exc), line)
-    return SenseKey(head, p, homograph, label)
 
 
 def _parse_status(csv: str, line: int) -> frozenset[str]:
@@ -444,10 +458,7 @@ def parse_lexf(text: str) -> Lexicon:
                 raise LexfError("S record needs label|status|definition|[note]", lineno)
             label_text, status_csv, definition = fields[0], fields[1], fields[2]
             note = fields[3].strip() if len(fields) == 4 and fields[3].strip() else None
-            try:
-                label = SenseLabel(label_text)
-            except ValueError as exc:
-                raise LexfError(str(exc), lineno)
+            label = _parse_label(label_text, lineno)
             if not definition.strip():
                 raise LexfError("empty definition on S record", lineno)
             sense = Sense(current[0], current[1], current[2], label,
@@ -468,10 +479,7 @@ def parse_lexf(text: str) -> Lexicon:
             note = fields[2].strip() if len(fields) == 3 and fields[2].strip() else None
             if not syn or not syn.isupper():
                 raise LexfError(f"synonym must be a single uppercase word: {syn!r}", lineno)
-            try:
-                label = SenseLabel(label_text)
-            except ValueError as exc:
-                raise LexfError(str(exc), lineno)
+            label = _parse_label(label_text, lineno)
             sense = Sense(current[0], current[1], current[2], label,
                           frozenset(), "", note, (syn,), lineno)
             record_id = (sense.key, syn, note)
@@ -486,10 +494,7 @@ def parse_lexf(text: str) -> Lexicon:
             label_text, _, payload = rest.partition("|")
             if not payload:
                 raise LexfError("F record needs label|seed-line", lineno)
-            try:
-                label = SenseLabel(label_text)
-            except ValueError as exc:
-                raise LexfError(str(exc), lineno)
+            label = _parse_label(label_text, lineno)
             key = SenseKey(current[0], current[1], current[2], label.text)
             pending_seeds.append((key, payload.strip(), lineno))
         elif kind == "R":

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from support import UNKNOWN_SUBSENSE_LEXF, chain_lexf, chain_word
+from support import UNKNOWN_SUBSENSE_LEXF, chain_lexf, chain_word, lexf_texts
+from test_golden_cli import GOLDEN, golden_commands
 from lexigraph.cli import run
+from lexigraph.defgraph import apply_resolutions, build_graph
+from lexigraph.lexicon import ResolutionError, parse_lexf
 
 
 @pytest.fixture()
@@ -131,6 +139,39 @@ def test_unknown_target_sense_is_data_error(capout, tmp_path, monkeypatch,
     assert err == f"lexigraph: {message}\n"
 
 
+RECORD_ERRORS = ("is not a sense of", "unknown target sense", "no arc from")
+
+
+@settings(max_examples=60, deadline=None)
+@given(lexf_texts())
+def test_every_command_agrees_with_the_graph_on_records(text):
+    # the graph's resolution is the one reading of an R record: a command
+    # rejects a record exactly when apply_resolutions does, with its message
+    lx = parse_lexf(text)
+    try:
+        apply_resolutions(build_graph(lx), lx.resolutions)
+        expected = None
+    except ResolutionError as exc:
+        expected = f"lexigraph: {exc}\n"
+    word = lx.headwords()[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        lexf, story = Path(tmp, "lexicon.lexf"), Path(tmp, "story.txt")
+        lexf.write_text(text, encoding="utf-8")
+        story.write_text(f"The milk {word}.\n", encoding="utf-8")
+        for argv in (["graph"], ["scc"], ["primitives"], ["reduce"],
+                     ["frames", "--word", word], ["ssn", "--word", word],
+                     ["autoresolve"], ["parse", "--text", f"The milk {word}"],
+                     ["discourse", "--file", str(story)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(["--lexicon", str(lexf), *argv])
+            assert code in (0, 2, 3), (argv, err.getvalue())
+            if expected is not None:
+                assert (code, out.getvalue(), err.getvalue()) == (2, "", expected), argv
+            else:
+                assert not any(e in err.getvalue() for e in RECORD_ERRORS), argv
+
+
 def test_graph_dot_export(capout):
     code, out, _ = capout(["--format", "dot", "graph"])
     assert code == 0
@@ -154,6 +195,14 @@ def test_frames_dump(capout):
     code, out, _ = capout(["frames", "--word", "change", "--label", "1e"])
     assert code == 0
     assert "phase of the moon" in out
+
+
+def test_frames_unknown_label_names_the_label(capout):
+    # change has frames, only none under label 9z; the message once said
+    # "no frames for 'change'"
+    code, out, err = capout(["frames", "--word", "change", "--label", "9z"])
+    assert (code, out) == (2, "")
+    assert err == "lexigraph: no frames for 'change' with label '9z'\n"
 
 
 def test_ssn_export(capout):
@@ -282,3 +331,21 @@ def test_rules_env_override(tmp_path, capout, monkeypatch):
     monkeypatch.setenv("LEXIGRAPH_RULES", str(table))
     code, out, _ = capout(["parse", "--text", "The milk changed into curd"])
     assert code == 0
+
+
+@pytest.mark.parametrize("table", ["empty-slot", "missing"])
+@pytest.mark.parametrize("stem,argv", [
+    pytest.param(stem, argv, id=" ".join(argv))
+    for stem, _, argv in golden_commands()
+    if {"ingest", "graph", "scc", "primitives"} & set(argv)])
+def test_commands_without_rules_ignore_rule_table(tmp_path, capout,
+                                                  monkeypatch, table, stem,
+                                                  argv):
+    # these commands read no rule table; a bad one once made them exit 2
+    path = tmp_path / "rules.tsv"
+    if table == "empty-slot":
+        path.write_text("into\tBECOME-DIFFERENT\t\tFILL\n", encoding="utf-8")
+    monkeypatch.setenv("LEXIGRAPH_RULES", str(path))
+    code, out, err = capout(argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
