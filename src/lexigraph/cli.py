@@ -61,16 +61,22 @@ class Analysis:
         return apply_resolutions(build_graph(self.lexicon),
                                  self.lexicon.resolutions)
 
-    @cached_property
-    def frames(self):
-        """The frames of every sense, once the rule table loads and every
-        resolution record passes the checks the graph makes."""
-        from .frames import build_frames
-        lexicon, rules = self.lexicon, self.rules
+    def checked(self) -> Lexicon:
+        """The lexicon, once every resolution record passes the checks the
+        graph makes, without building the graph."""
+        lexicon = self.lexicon
         arcs = {(rec.key, word) for rec in lexicon.entries if rec.pos.is_verb
                 for word in genus_words(rec, lexicon)}
         resolution_targets(lexicon.resolutions, lexicon._by_key, arcs)
-        return build_frames(lexicon, rules)
+        return lexicon
+
+    @cached_property
+    def frames(self):
+        """The frames of every sense, once the rule table loads and the
+        resolution records are checked."""
+        from .frames import build_frames
+        rules = self.rules
+        return build_frames(self.checked(), rules)
 
     @cached_property
     def networks(self) -> _NetworkCache:
@@ -176,7 +182,7 @@ def _dispatch(args, a: Analysis) -> int:
     mode = "resolved-only" if mode_name == "resolved" else "optimistic"
 
     if args.command == "ingest":
-        report = corpus_mod.verify_fixture(a.lexicon)
+        report = corpus_mod.verify_fixture(a.checked())
         _emit(args, report.to_text())
         if not report.ok:
             print("lexigraph: manifest mismatch", file=sys.stderr)

@@ -341,18 +341,17 @@ def to_dot(graph: DefinitionGraph) -> str:
     for node in sorted(graph.nodes, key=_sort_key):
         shape = "box" if node.pos is None else "ellipse"
         lines.append(f"  {dot_quote(node.render())} [shape={shape}];")
-    seen: set[tuple] = set()
+    # one line per (source, target, style) with its least label, sorted
+    edges: dict[tuple[str, str, str], str] = {}
     for arc in graph.arcs:
         style = "solid" if arc.resolved else "dashed"
-        for t in sorted(arc.targets, key=_sort_key):
+        label = arc.genus_word + (" (not)" if arc.negated else "")
+        for t in arc.targets:
             sig = (arc.source.render(), t.render(), style)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            label = arc.genus_word + (" (not)" if arc.negated else "")
-            lines.append(f"  {dot_quote(arc.source.render())} -> "
-                         f"{dot_quote(t.render())}"
-                         f" [style={style}, label={dot_quote(label)}];")
+            edges[sig] = min(label, edges.get(sig, label))
+    for (source, target, style), label in sorted(edges.items()):
+        lines.append(f"  {dot_quote(source)} -> {dot_quote(target)}"
+                     f" [style={style}, label={dot_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

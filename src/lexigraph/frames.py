@@ -21,7 +21,7 @@ from .lexicon import (
     PartOfSpeech,
     Sense,
     SenseKey,
-    SenseLabel,
+    _label_ancestors,
     genus_words,
     parse_sense,
     usage_particles,
@@ -315,11 +315,10 @@ def specialize_subsense(parent: Frame, subsense: Sense,
     lines, subject restriction, and usage conditions; all other structure
     inherits."""
     parent = _canonical(parent)
-    if parent.sense is not None:
-        plabel = SenseLabel(parent.sense.label)
-        if plabel not in subsense.label.ancestors():
-            raise SpecializationError(
-                f"{subsense.label} is not a child of {plabel}")
+    if (parent.sense is not None and parent.sense.label
+            not in _label_ancestors(subsense.label.text)):
+        raise SpecializationError(
+            f"{subsense.label} is not a child of {parent.sense.label}")
     origin = parent.sense.render() if parent.sense else parent.predicate
     frame = Frame(parent.predicate, subsense.pos,
                   _without_usage(parent.conditions), parent.slots,
@@ -377,8 +376,8 @@ def load_seed_frames(lexicon: Lexicon) -> dict[SenseKey, Frame]:
 
 def _ancestor_keys(key: SenseKey) -> list[SenseKey]:
     """The keys of a sense's label ancestors, nearest first."""
-    return [SenseKey(key.headword, key.pos, key.homograph, anc.text)
-            for anc in SenseLabel(key.label).ancestors()]
+    return [SenseKey(key.headword, key.pos, key.homograph, text)
+            for text in _label_ancestors(key.label)]
 
 
 def apply_use(base: Frame, use: ParsedDefinition,
@@ -449,7 +448,15 @@ def _apply_use_to(slots: tuple[Slot, ...], family: str, use: ParsedDefinition,
     return slots, tuple(deltas), tuple(residue)
 
 
-def build_frames(lexicon: Lexicon, rules: RuleTable) -> dict[SenseKey, Frame]:
+class FrameTable(dict):
+    """``build_frames``' frame per sense key, with the ``rules`` it used and
+    the ``uses`` it applied: (record id, genus word) -> (record, genus
+    frame, deltas); holding the record keeps its id from being reused."""
+
+    __slots__ = ("rules", "uses")
+
+
+def build_frames(lexicon: Lexicon, rules: RuleTable) -> FrameTable:
     """A frame for every sense: seeded senses from their seed lines (with
     label-parent inheritance), other senses derived along their resolved
     genus arc, and provisional frames where no resolution exists."""
@@ -471,7 +478,8 @@ class _FrameDerivation:
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
-        self.frames: dict[SenseKey, Frame] = dict(load_seed_frames(lexicon))
+        self.frames = FrameTable(load_seed_frames(lexicon))
+        self.frames.rules, self.frames.uses = rules, {}
         self.resolution_map = {(r.from_key, r.genus_word): r.target
                                for r in lexicon.resolutions}
 
@@ -480,7 +488,7 @@ class _FrameDerivation:
         if frame is not None:
             return frame
         # walk to the first dependency with a frame, then derive back
-        chain: list[tuple[SenseKey, Optional[Sense]]] = []
+        chain: list[tuple[SenseKey, Optional[tuple[Sense, str]]]] = []
         open_keys: set[SenseKey] = set()
         while True:
             open_keys.add(key)
@@ -501,9 +509,10 @@ class _FrameDerivation:
             frame = self.frames[key] = self._derive(key, via, frame)
         return frame
 
-    def _dependency(self, key: SenseKey) -> Optional[tuple[SenseKey, Optional[Sense]]]:
+    def _dependency(self, key: SenseKey
+                    ) -> Optional[tuple[SenseKey, Optional[tuple[Sense, str]]]]:
         """The key whose frame this key's frame is derived from, with the
-        record whose genus word leads there (None for a label ancestor).
+        record and genus word that lead there (None for a label ancestor).
         A key that is no sense of the lexicon (an R record's unknown
         target) has none, so it gets a provisional frame."""
         if not self.lexicon.has_sense(key):
@@ -515,14 +524,14 @@ class _FrameDerivation:
             for word in genus_words(rec, self.lexicon):
                 target = self.resolution_map.get((key, word))
                 if target is not None:
-                    return target, rec
+                    return target, (rec, word)
         return None
 
-    def _derive(self, key: SenseKey, via: Optional[Sense],
+    def _derive(self, key: SenseKey, via: Optional[tuple[Sense, str]],
                 base: Optional[Frame]) -> Frame:
         """The frame of ``key`` from the frame of its dependency: a label
-        ancestor's when ``via`` is None, else the genus target ``via``
-        names; a provisional frame when there is no dependency."""
+        ancestor's when ``via`` is None, else the genus target of the
+        (record, genus word) ``via``; a provisional frame when there is none."""
         records = self.lexicon.records_for(key)
         if base is None:
             frame = _provisional(key, self.lexicon)
@@ -531,12 +540,13 @@ class _FrameDerivation:
             frame = specialize_subsense(base, records[0])
             records, fill_subject = records[1:], False
         else:
-            slots, note = base.slots, "synonym copy"
-            if not via.is_synonym_line:
-                slots = _apply_use_to(slots, base.predicate, parse_sense(via),
-                                      self.rules)[0]
+            (rec, word), slots, note = via, base.slots, "synonym copy"
+            if not rec.is_synonym_line:
+                slots, deltas, _ = _apply_use_to(slots, base.predicate,
+                                                 parse_sense(rec), self.rules)
+                self.frames.uses[id(rec), word] = rec, base, deltas
                 note = "applied use"
-            frame = Frame(base.predicate, via.pos,
+            frame = Frame(base.predicate, rec.pos,
                           _without_usage(base.conditions), slots,
                           base.provisional, key, base.provenance + (note,))
             fill_subject = True

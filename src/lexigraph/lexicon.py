@@ -62,6 +62,13 @@ def _label_parts(text: str) -> tuple[int, str, int]:
     return int(m.group(1)), m.group(2) or "", int(m.group(3) or 0)
 
 
+@cache
+def _label_ancestors(text: str) -> tuple[str, ...]:
+    """Texts of a label's ancestors, nearest first ("1b", "1" for "1b(2)")."""
+    num, letter, paren = _label_parts(text)
+    return ((f"{num}{letter}",) if paren else ()) + ((str(num),) if letter else ())
+
+
 class _LineBlind:
     """``==`` and ``hash`` of a record over every field but its last,
     ``line``: where a record was read is no part of what it says."""
@@ -105,20 +112,10 @@ class SenseLabel(_SenseLabelFields):
         return _label_parts(self.text)
 
     def parent(self) -> Optional["SenseLabel"]:
-        num, letter, paren = self.parts
-        if paren:
-            return SenseLabel(f"{num}{letter}")
-        if letter:
-            return SenseLabel(str(num))
-        return None
+        return next(iter(self.ancestors()), None)
 
     def ancestors(self) -> list["SenseLabel"]:
-        out = []
-        cur = self.parent()
-        while cur is not None:
-            out.append(cur)
-            cur = cur.parent()
-        return out
+        return [SenseLabel(text) for text in _label_ancestors(self.text)]
 
     def sort_key(self) -> tuple:
         return self.parts
@@ -304,6 +301,11 @@ class Lexicon(_LexiconFields):
         return grouped
 
     @cached_property
+    def _genus(self) -> dict[int, list[str]]:
+        """Genus words by record id; ``entries`` keeps each record alive."""
+        return {id(s): _genus_words(s, self) for s in self.entries}
+
+    @cached_property
     def _by_headword(self) -> dict[str, list[Sense]]:
         grouped: dict[str, list[Sense]] = {}
         for s in self.entries:
@@ -353,7 +355,13 @@ def genus_words(sense: Sense, lexicon: Lexicon) -> list[str]:
     """The genus words of one record, in definition order: the lowercased
     synonym references of a synonym line, else the parsed genus heads.  A
     phrasal head ("give up") stays whole when the lexicon lists the phrase
-    as a headword and falls back to its bare verb otherwise."""
+    as a headword and falls back to its bare verb otherwise.  A record of
+    ``lexicon`` reads them from its index, computed once per lexicon."""
+    words = lexicon._genus.get(id(sense))
+    return list(words) if words is not None else _genus_words(sense, lexicon)
+
+
+def _genus_words(sense: Sense, lexicon: Lexicon) -> list[str]:
     if sense.is_synonym_line:
         return [ref.lower() for ref in sense.synonym_refs]
     return [head if " " not in head or lexicon.has_headword(head)

@@ -39,7 +39,7 @@ from .lexicon import (
     ResolutionRecord,
     Sense,
     SenseKey,
-    SenseLabel,
+    _label_ancestors,
     genus_words,
     head_noun,
     parse_sense,
@@ -569,7 +569,7 @@ class _GenusTable:
                 self.respect_sets[k] = _stated_respect(frame.slots)
         self.family_head = min(
             self.bind_family, default=None,
-            key=lambda k: (len(SenseLabel(k.label).ancestors()), self.rank[k]))
+            key=lambda k: (len(_label_ancestors(k.label)), self.rank[k]))
 
     def ordered(self, keys: Iterable[SenseKey]) -> tuple[SenseKey, ...]:
         return tuple(sorted(set(keys), key=self.rank.__getitem__))

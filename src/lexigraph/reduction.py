@@ -74,7 +74,8 @@ class ReductionReport(NamedTuple):
 
 class ReductionContext:
     """Shared lookups for the rules: resolved genus targets, frames, and
-    the prep rule table."""
+    the prep rule table.  A use's deltas come from a ``FrameTable`` built
+    with these ``rules`` over the genus frame that ``frames`` holds."""
 
     def __init__(self, lexicon: Lexicon, graph: DefinitionGraph,
                  frames: dict[SenseKey, Frame], rules: RuleTable,
@@ -89,15 +90,16 @@ class ReductionContext:
         self._deltas: dict[tuple[int, str], tuple[UseDelta, ...]] = {}
         self._resolved: dict[tuple[SenseKey, str], SenseKey] = {
             (a.source, a.genus_word): a.target() for a in graph.arcs if a.resolved}
+        if getattr(frames, "rules", None) is rules:
+            for (rec_id, word), (rec, base, deltas) in frames.uses.items():
+                if self.genus_frame(rec.key, word) is base:
+                    self._deltas[rec_id, word] = deltas
 
     def genus_target(self, key: SenseKey, genus_word: str) -> Optional[SenseKey]:
         return self._resolved.get((key, genus_word))
 
     def genus_frame(self, key: SenseKey, genus_word: str) -> Optional[Frame]:
-        target = self.genus_target(key, genus_word)
-        if target is None:
-            return None
-        return self.frames.get(target)
+        return self.frames.get(self.genus_target(key, genus_word))
 
     def use_deltas(self, rec: Sense, genus_word: str) -> tuple[UseDelta, ...]:
         """The deltas of ``rec``'s use of ``genus_word`` over its genus
@@ -227,12 +229,9 @@ def rule_optional_component(records: list[Sense],
             continue
         if rec.subject_restriction:
             continue
-        base = None
-        for word in genus_words(rec, ctx.lexicon):
-            base = ctx.genus_frame(rec.key, word)
-            if base is not None:
-                break
-        if base is None:
+        word = next((w for w in genus_words(rec, ctx.lexicon)
+                     if ctx.genus_frame(rec.key, w) is not None), None)
+        if word is None:
             continue
         if any(d.kind == "FILL" for d in ctx.use_deltas(rec, word)):
             continue

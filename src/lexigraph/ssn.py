@@ -20,7 +20,8 @@ from .lexicon import (
     PartOfSpeech,
     Sense,
     SenseKey,
-    SenseLabel,
+    _label_ancestors,
+    _label_parts,
     dot_quote,
     parse_sense,
     usage_particles,
@@ -131,7 +132,8 @@ def compile_ssn(headword: str,
     for k in keys:
         if k not in frames:
             raise CompileError(f"no frame for {k.render()}")
-
+    if len(keys) == 1:  # nothing to ask
+        return SSN(headword, (keys[0],), Terminal(keys[0], frames[keys[0]]))
     stages = _stage_questions(keys, senses_by_key)
     root = _build(keys, 0, stages, senses_by_key, frames)
     return SSN(headword, tuple(keys), root)
@@ -266,16 +268,11 @@ def _frame_diff_tree(group: list[SenseKey], start: int, flats, positions,
 def _collapse(group, senses_by_key, frames) -> Node:
     """Identical canonical frames: collapse to a label-parent nonterminal,
     else the distinctness requirement is violated."""
-    labels = [SenseLabel(k.label) for k in group]
-    chains = [[lab] + lab.ancestors() for lab in labels]
-    common = set(c.text for c in chains[0])
-    for chain in chains[1:]:
-        common &= {c.text for c in chain}
+    common = set.intersection(*({k.label, *_label_ancestors(k.label)}
+                                for k in group))
     base = group[0]
-    candidates = sorted((SenseLabel(t) for t in common),
-                        key=lambda l: l.sort_key(), reverse=True)
-    for lab in candidates:
-        parent_key = SenseKey(base.headword, base.pos, base.homograph, lab.text)
+    for label in sorted(common, key=_label_parts, reverse=True):
+        parent_key = SenseKey(base.headword, base.pos, base.homograph, label)
         if parent_key in senses_by_key:
             return Nonterminal(parent_key, tuple(group), frames.get(parent_key))
     a, b = group[0], group[1]

@@ -7,9 +7,15 @@ coordinate lines of one sense key may be split by lines of another.
 """
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
+
+from lexigraph.defgraph import build_graph
+from lexigraph.lexicon import parse_lexf
 
 HEADWORDS = ("alpha", "beta", "gamma", "give", "give up", "into")
 GENUS_WORDS = ("alpha", "beta", "gamma", "give up", "delta")
@@ -70,6 +76,34 @@ def lexf_texts(draw) -> str:
         target = draw(st.sampled_from(keys + [f"{word}:vi:1:1"]))
         lines.append(f"R|{source}|{word}|{target}")
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def resolved_lexf_texts(draw) -> str:
+    """A ``lexf_texts()`` text whose R records are replaced by valid ones:
+    most arcs of its graph are resolved to one sense of their bundle."""
+    text = "".join(line for line in draw(lexf_texts()).splitlines(True)
+                   if not line.startswith("R|"))
+    records = []
+    for arc in build_graph(parse_lexf(text)).arcs:
+        senses = sorted((t for t in arc.targets if t.pos is not None),
+                        key=lambda t: t.sort_key())
+        if senses and draw(st.integers(0, 3)):
+            target = draw(st.sampled_from(senses))
+            records.append(f"R|{arc.source.render()}|{arc.genus_word}|"
+                           f"{target.render()}\n")
+    return text + "".join(records)
+
+
+def lexgen():
+    """``perfbench/lexgen.py``, the benchmark's lexicon generator, loaded
+    from its file and only read."""
+    path = Path(__file__).parents[1] / "perfbench" / "lexgen.py"
+    spec = importlib.util.spec_from_file_location("lexgen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("lexgen", module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 _DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')

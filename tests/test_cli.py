@@ -116,6 +116,8 @@ FRAME_COMMANDS = [
     ["graph"], ["reduce"], ["frames", "--word", "alpha"], ["autoresolve"],
     ["ssn", "--word", "alpha"], ["parse", "--text", "The milk alphas"],
     ["discourse", "--file", "story.txt"],
+    # ingest validates its input: it once printed the manifest report
+    ["ingest"],
 ]
 
 
@@ -158,7 +160,7 @@ def test_every_command_agrees_with_the_graph_on_records(text):
         lexf, story = Path(tmp, "lexicon.lexf"), Path(tmp, "story.txt")
         lexf.write_text(text, encoding="utf-8")
         story.write_text(f"The milk {word}.\n", encoding="utf-8")
-        for argv in (["graph"], ["scc"], ["primitives"], ["reduce"],
+        for argv in (["ingest"], ["graph"], ["scc"], ["primitives"], ["reduce"],
                      ["frames", "--word", word], ["ssn", "--word", word],
                      ["autoresolve"], ["parse", "--text", f"The milk {word}"],
                      ["discourse", "--file", str(story)]):

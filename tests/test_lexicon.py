@@ -192,6 +192,25 @@ def test_parse_definition_requires_verb_head():
         parse_definition("   ", PartOfSpeech.VI)
 
 
+# tokens that steer segmentation: heads, particles, coordinators,
+# prepositions, hedges, adverbs and parentheses, whole or split
+DEFINITION_TOKENS = (
+    "to", "not", "change", "give", "up", "be", "or", "and", "as", "if", "of",
+    "into", "with", "from", "in", "by", "a", "the", "something", "esp.",
+    "usually", "slowly", "(", ")", "(one's", "hair)", "(x)", "to be", ".")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(DEFINITION_TOKENS),
+                                     max_size=8).map(" ".join)),
+       st.sampled_from(PartOfSpeech))
+def test_parse_definition_raises_only_its_own_error(text, pos):
+    try:
+        parse_definition(text, pos)
+    except DefinitionParseError:
+        pass
+
+
 def test_parse_definition_total_over_corpus(lexicon):
     for sense in lexicon.entries:
         if not sense.pos.is_verb or sense.is_synonym_line:
