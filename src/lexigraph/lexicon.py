@@ -610,17 +610,18 @@ def _is_paren(token: str) -> bool:
     return token.startswith("(") and token.endswith(")")
 
 
+_ALTERNATIVE_SEP = re.compile(r",\s*(?:or\s+)?|\s+or\s+")
+
+
 def split_alternatives(text: str) -> tuple[str, ...]:
-    """Set semantics for restriction phrases: split on commas and 'or'."""
-    text = re.sub(r"\s+", " ", text.strip())
-    parts = re.split(r",\s*(?:or\s+)?|\s+or\s+", text)
+    """Set semantics for restriction phrases: split on commas and 'or',
+    and drop a leading determiner from each part."""
     out = []
-    for p in parts:
+    for p in _ALTERNATIVE_SEP.split(" ".join(text.split())):
         p = p.strip()
-        for d in DETERMINERS:
-            if p.startswith(d + " "):
-                p = p[len(d) + 1:]
-                break
+        first, _, rest = p.partition(" ")
+        if rest and first in DETERMINERS:
+            p = rest
         if p:
             out.append(p)
     return tuple(out)

@@ -1,7 +1,8 @@
 """Definition-driven disambiguation of running text: minimal chunking,
 network traversal with context-probing answers, frame instantiation with
 descriptors for unfilled slots, open-question reporting, and cross-sentence
-slot carryover.
+slot carryover.  A sentence's roles and the facts its questions and
+candidates read are computed once per sentence.
 
 No inference model and no world-knowledge store: unresolved ambiguity is
 surfaced, never guessed.
@@ -34,7 +35,6 @@ from .lexicon import (
     DETERMINERS,
     Lexicon,
     ParsedDefinition,
-    PartOfSpeech,
     Phrase,
     ResolutionRecord,
     Sense,
@@ -53,6 +53,7 @@ if TYPE_CHECKING:
 
 PRONOUNS = {"it", "they", "he", "she", "we", "you", "i", "them"}
 _PARTICLE_WORDS = {"up", "out", "off", "down", "away", "round"}
+_COORDINATORS = {"or", "and"}
 
 
 class ChunkError(ValueError):
@@ -97,32 +98,35 @@ def _inflection_candidates(word: str) -> list[str]:
     return out
 
 
+def _verb_lemma(word: str, verb_words: frozenset[str]) -> Optional[str]:
+    for cand in _inflection_candidates(word):
+        if cand in verb_words:
+            return cand
+    return None
+
+
 def chunk_sentence(tokens: Union[str, Sequence[str]],
                    lexicon: Lexicon) -> list[Chunk]:
     """Deterministic chunking: POS by lexicon lookup with verb preference
-    for the single main-verb position, greedy prep-phrase grouping."""
+    for the single main-verb position, greedy prep-phrase grouping.  An
+    "or" or "and" right before a preposition ends a prep phrase and is
+    dropped: "into curd or into cheese" is two phrases."""
     if isinstance(tokens, str):
         tokens = tokens.split()
     if not tokens:
         raise ChunkError("empty input")
-    words = [_strip_token(t) for t in tokens if _strip_token(t)]
+    words = [w for w in map(_strip_token, tokens) if w]
     if not words:
         raise ChunkError("empty input")
 
     verb_words = lexicon.verb_headwords
     prep_words = lexicon.prep_headwords | CHUNKING_PREPS
 
-    def verb_lemma(word: str) -> Optional[str]:
-        for cand in _inflection_candidates(word):
-            if cand in verb_words:
-                return cand
-        return None
-
-    verb_idx = None
+    verb_idx = lemma = None
     for i, w in enumerate(words):
         if w in DETERMINERS or w in PRONOUNS or w in prep_words:
             continue
-        lemma = verb_lemma(w)
+        lemma = _verb_lemma(w, verb_words)
         if lemma is not None:
             verb_idx = i
             break
@@ -141,7 +145,7 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
         w = words[i]
         if verb_idx is not None and i == verb_idx:
             flush_np(buf)
-            chunks.append(Chunk("verb", w, None, verb_lemma(w)))
+            chunks.append(Chunk("verb", w, None, lemma))
             i += 1
             continue
         if w in prep_words and (verb_idx is None or i > verb_idx):
@@ -149,6 +153,10 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
             obj: list[str] = []
             j = i + 1
             while j < n and words[j] not in prep_words:
+                if (words[j] in _COORDINATORS and j + 1 < n
+                        and words[j + 1] in prep_words):
+                    j += 1
+                    break
                 obj.append(words[j])
                 j += 1
             if obj:
@@ -177,58 +185,42 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
 # sentence context and the probing oracle
 
 class SentenceContext:
-    """The chunks of one sentence, and what the network questions probe."""
+    """The chunks of one sentence and its roles, found in one pass: the
+    (first) verb, the subject (the first noun phrase before the verb), the
+    object (the first noun phrase after it), the prep phrases, the adverbs,
+    and the prepositions and particles present."""
 
-    __slots__ = ("chunks",)
+    __slots__ = ("chunks", "verb", "subject", "object_np", "prep_phrases",
+                 "adverbs", "particles")
 
     def __init__(self, chunks: list[Chunk]):
         self.chunks = chunks
+        self.verb: Optional[Chunk] = None
+        self.subject: Optional[Chunk] = None
+        self.object_np: Optional[Chunk] = None
+        self.prep_phrases: list[Chunk] = []
+        self.adverbs: list[Chunk] = []
+        self.particles: set[str] = set()
+        for c in chunks:
+            kind = c.kind
+            if kind == "verb":
+                self.verb = self.verb or c
+            elif kind == "noun-phrase":
+                if self.verb is None:
+                    self.subject = self.subject or c
+                elif self.object_np is None:
+                    self.object_np = c
+            elif kind == "prep-phrase":
+                self.prep_phrases.append(c)
+                self.particles.add(c.prep)
+            elif kind == "particle":
+                self.particles.add(c.prep)
+            elif kind == "adverb":
+                self.adverbs.append(c)
 
-    @property
-    def verb(self) -> Optional[Chunk]:
-        for c in self.chunks:
-            if c.kind == "verb":
-                return c
-        return None
-
-    @property
-    def subject(self) -> Optional[Chunk]:
-        for c in self.chunks:
-            if c.kind == "verb":
-                return None
-            if c.kind == "noun-phrase":
-                return c
-        return None
-
-    @property
-    def object_np(self) -> Optional[Chunk]:
-        seen_verb = False
-        for c in self.chunks:
-            if c.kind == "verb":
-                seen_verb = True
-            elif seen_verb and c.kind == "noun-phrase":
-                return c
-        return None
-
-    @property
-    def prep_phrases(self) -> list[Chunk]:
-        return [c for c in self.chunks if c.kind == "prep-phrase"]
-
-    @property
-    def adverbs(self) -> list[Chunk]:
-        return [c for c in self.chunks if c.kind == "adverb"]
-
-    def particles_present(self) -> set[str]:
-        out = set()
-        for c in self.chunks:
-            if c.kind == "prep-phrase" or c.kind == "particle":
-                out.add(c.prep)
-        return out
-
-    def pp_object(self, preps: Iterable[str]) -> Optional[Chunk]:
-        wanted = set(preps)
+    def pp_object(self, preps: Sequence[str]) -> Optional[Chunk]:
         for c in self.prep_phrases:
-            if c.prep in wanted:
+            if c.prep in preps:
                 return c
         return None
 
@@ -262,7 +254,13 @@ def essential_change(subject_text: Optional[str], object_text: str) -> bool:
 
 
 class ContextOracle:
-    """Answers network questions by probing the sentence context."""
+    """Answers network questions by probing the sentence context, and keeps
+    the facts of the sentence that several questions and candidates read,
+    each computed once: the subject's text, its lowercased head and text
+    (on first use) and the lowercased alternatives of the first in-phrase.
+    The context holds the particles present."""
+
+    __slots__ = ("ctx", "rules", "subject_text", "in_given", "_subject_names")
 
     def __init__(self, ctx: SentenceContext, rules: RuleTable,
                  subject_override: Optional[str] = None):
@@ -270,6 +268,18 @@ class ContextOracle:
         self.rules = rules
         self.subject_text = subject_override or (
             ctx.subject.text if ctx.subject else None)
+        in_pp = ctx.pp_object(("in",))
+        self.in_given = (None if in_pp is None
+                         else _lower_alternatives((in_pp.text,)))
+        self._subject_names: Optional[tuple[str, str]] = None
+
+    def subject_names(self) -> tuple[str, str]:
+        """The subject's lowercased head and lowercased text; call only
+        when there is a subject."""
+        if self._subject_names is None:
+            self._subject_names = (head_noun(self.subject_text).lower(),
+                                   self.subject_text.lower())
+        return self._subject_names
 
     def __call__(self, q: Question) -> str:
         if q.kind == "POS":
@@ -288,8 +298,8 @@ class ContextOracle:
         if q.kind == "ADJ-COMPLEMENT":
             return "absent"
         if q.kind == "USAGE":
-            present = self.ctx.particles_present()
-            return "present" if set(q.payload) & present else "absent"
+            return ("absent" if self.ctx.particles.isdisjoint(q.payload)
+                    else "present")
         if q.kind == "FRAME-DIFF":
             return self._frame_diff_answer(q)
         return "unknown"
@@ -299,7 +309,6 @@ class ContextOracle:
     def _frame_diff_answer(self, q: Question) -> str:
         path = q.payload[0]
         alts = q.alternatives()
-        branch_keys = [a for a, _ in q.branches]
         if path == ("predicate",):
             for answer in sorted(alts):
                 value = alts[answer]
@@ -312,33 +321,26 @@ class ContextOracle:
         if path == ("conditions",):
             return self._conditions_answer(alts)
         last = path[-1]
+        other = "other" if "other" in alts else "unknown"
         if last == "bind" and "SUBJ" in path:
-            return self._bind_answer(branch_keys)
+            return self._bind_answer(alts, other)
         if last == "filler" and len(path) > 1 and path[1] == "SUBJ":
             if self.subject_text is None:
                 return "unknown"
-            subj_head = head_noun(self.subject_text)
+            names = self.subject_names()
             for answer, value in alts.items():
-                if answer == "other":
-                    continue
-                if str(value).lower() in (subj_head.lower(),
-                                          self.subject_text.lower()):
+                if answer != "other" and str(value).lower() in names:
                     return answer
-            return "other" if "other" in branch_keys else "unknown"
+            return other
         if last == "restrictions" and len(path) > 1 and path[-2] == "RESPECT":
-            pp = self.ctx.pp_object(["in"])
-            if pp is None:
+            if self.in_given is None:
                 return "unknown"
-            given = {a.lower() for a in split_alternatives(pp.text)}
             for answer, value in alts.items():
-                if answer == "other":
-                    continue
-                stated = set()
-                for phrase in (value if isinstance(value, tuple) else (value,)):
-                    stated.update(a.lower() for a in split_alternatives(str(phrase)))
-                if given & stated:
+                phrases = value if isinstance(value, tuple) else (value,)
+                if answer != "other" and not self.in_given.isdisjoint(
+                        _lower_alternatives(map(str, phrases))):
                     return answer
-            return "other" if "other" in branch_keys else "unknown"
+            return other
         if last == "filler":
             for answer, value in alts.items():
                 if answer == "other":
@@ -349,20 +351,19 @@ class ContextOracle:
             return "unknown"
         return "unknown"
 
-    def _bind_answer(self, branch_keys: list[str]) -> str:
-        pp = self.ctx.pp_object(["into", "to"])
-        preps = self.ctx.particles_present()
+    def _bind_answer(self, alts: dict[str, object], other: str) -> str:
+        pp = self.ctx.pp_object(("into", "to"))
         if pp is not None and pp.text:
             if essential_change(self.subject_text, pp.text):
-                return ("FROM-STATE" if "FROM-STATE" in branch_keys
-                        else "unknown")
-            return "other" if "other" in branch_keys else "unknown"
+                return "FROM-STATE" if "FROM-STATE" in alts else "unknown"
+            return other
+        preps = self.ctx.particles
         if "from" in preps and "to" in preps:
-            return "other" if "other" in branch_keys else "unknown"
+            return other
         return "unknown"
 
     def _conditions_answer(self, alts: dict[str, object]) -> str:
-        present = self.ctx.particles_present()
+        present = self.ctx.particles
         scored: list[tuple[int, str]] = []
         base: Optional[tuple[int, str]] = None
         any_relevant = False
@@ -433,14 +434,12 @@ class VarAllocator:
 MANDATORY_SLOTS = {"SUBJ", "FROM-STATE", "TO-STATE"}
 
 
-def _instantiate(frame: Frame, ctx: SentenceContext, rules: RuleTable,
-                 allocator: VarAllocator,
-                 subject_override: Optional[str] = None
-                 ) -> tuple[Frame, tuple[UseDelta, ...]]:
-    outcome = apply_use(frame, ctx.to_parsed_definition(), rules)
+def _instantiate(frame: Frame, oracle: ContextOracle,
+                 allocator: VarAllocator) -> tuple[Frame, tuple[UseDelta, ...]]:
+    outcome = apply_use(frame, oracle.ctx.to_parsed_definition(), oracle.rules)
     slots = outcome.frame.slots
     deltas = list(outcome.deltas)
-    subject = subject_override or (ctx.subject.text if ctx.subject else None)
+    subject = oracle.subject_text
     if subject:
         found = find_slot(slots, "SUBJ")
         if found and found[1].filler is None:
@@ -455,37 +454,38 @@ def _fill_descriptors(slots: tuple[Slot, ...],
                       allocator: VarAllocator) -> tuple[Slot, ...]:
     """A fresh descriptor in every empty mandatory slot: one named by
     MANDATORY_SLOTS, bound to a role, or with a case.  Variables are
-    allocated in name order at each level, parents before children."""
+    allocated in name order at each level, parents before children.  A
+    slot that gains no descriptor, nor do its children, is kept as is."""
     filled: dict[str, Slot] = {}
     for slot in sorted(slots, key=lambda s: s.name):
         filler = slot.filler
         if filler is None and (slot.name in MANDATORY_SLOTS
                                or slot.bind is not None or slot.case):
             filler = Descriptor(allocator.fresh(), slot.restrictions)
-        kids = _fill_descriptors(slot.children, allocator)
-        filled[slot.name] = Slot(slot.name, slot.case, slot.bind, filler,
-                                 slot.restrictions, kids)
+        kids = (_fill_descriptors(slot.children, allocator) if slot.children
+                else ())
+        filled[slot.name] = (slot if filler is slot.filler
+                             and kids == slot.children else Slot(
+                                 slot.name, slot.case, slot.bind, filler,
+                                 slot.restrictions, kids))
     return tuple(filled[s.name] for s in slots)
 
 
-def _match_score(frame: Frame, ctx: SentenceContext,
-                 subject_text: Optional[str]) -> int:
+def _match_score(frame: Frame, oracle: ContextOracle) -> int:
     """Informative-match refinement: count context-confirmed constraints."""
     score = 0
-    subj_head = head_noun(subject_text).lower() if subject_text else ""
+    names = oracle.subject_names() if oracle.subject_text else ("", "")
     for slot in walk_slots(frame.slots):
-        if slot.name == "SUBJ" and isinstance(slot.filler, str) and subj_head:
-            if slot.filler.lower() in (subj_head, (subject_text or "").lower()):
+        if slot.name == "SUBJ" and isinstance(slot.filler, str) and names[0]:
+            if slot.filler.lower() in names:
                 score += 1
-        if slot.name == "RESPECT" and slot.restrictions:
-            pp = ctx.pp_object(["in"])
-            if pp is not None:
-                given = {a.lower() for a in split_alternatives(pp.text)}
-                if given & _stated_respect((slot,)):
-                    score += 1
-    present = ctx.particles_present()
+        if (slot.name == "RESPECT" and slot.restrictions
+                and oracle.in_given is not None
+                and not oracle.in_given.isdisjoint(_stated_respect((slot,)))):
+            score += 1
     for cond in frame.conditions:
-        if cond[0] == "USED-WITH" and set(cond[1]) & present:
+        if (cond[0] == "USED-WITH"
+                and not oracle.ctx.particles.isdisjoint(cond[1])):
             score += 1
     return score
 
@@ -496,27 +496,24 @@ def disambiguate(word: str, chunks: list[Chunk], ssn: SSN,
                  allocator: Optional[VarAllocator] = None,
                  subject_override: Optional[str] = None) -> DisambiguationResult:
     """Traverse the word's network with context-probing answers, refine by
-    informative match, and instantiate the representative frame.
+    informative match, and instantiate the representative frame.  The
+    sentence's roles and facts are found once, in the oracle, and read by
+    every question and candidate.
 
     ``lexicon`` is unused: no answer reads the lexicon.  It keeps its
     position because callers pass the arguments after it positionally."""
     from .ssn import traverse  # the only use of ssn here; autoresolve needs none
 
-    allocator = allocator or VarAllocator()
-    ctx = SentenceContext(chunks)
-    oracle = ContextOracle(ctx, rules, subject_override)
+    oracle = ContextOracle(SentenceContext(chunks), rules, subject_override)
     result = traverse(ssn, oracle)
     candidates = list(result.senses)
-    subject_text = subject_override or (ctx.subject.text if ctx.subject else None)
     if len(candidates) > 1:
-        scores = {k: _match_score(frames[k], ctx, subject_text)
-                  for k in candidates}
+        scores = {k: _match_score(frames[k], oracle) for k in candidates}
         best = max(scores.values())
         candidates = [k for k in candidates if scores[k] == best]
-    rep = frames[candidates[0]]
-    frame, deltas = _instantiate(rep, ctx, rules, allocator, subject_override)
-    lemma = ssn.headword
-    return DisambiguationResult(word, lemma, tuple(candidates), frame,
+    frame, deltas = _instantiate(frames[candidates[0]], oracle,
+                                 allocator or VarAllocator())
+    return DisambiguationResult(word, ssn.headword, tuple(candidates), frame,
                                 result.open_questions, deltas)
 
 
@@ -577,8 +574,13 @@ class _GenusTable:
 
 def _stated_respect(slots: tuple[Slot, ...]) -> set[str]:
     """The lowercased alternatives of every RESPECT restriction."""
-    return {a.lower() for s in walk_slots(slots) if s.name == "RESPECT"
-            for r in s.restrictions for a in split_alternatives(r)}
+    return _lower_alternatives(r for s in walk_slots(slots)
+                               if s.name == "RESPECT" for r in s.restrictions)
+
+
+def _lower_alternatives(phrases: Iterable[str]) -> set[str]:
+    """The lowercased alternatives of each phrase."""
+    return {a.lower() for p in phrases for a in split_alternatives(p)}
 
 
 def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
@@ -660,7 +662,7 @@ def _propose(records: list[Sense], lexicon: Lexicon,
 
     in_pp = next((p for p in pps if p.prep == "in" and p.text), None)
     if in_pp is not None:
-        given = {a.lower() for a in split_alternatives(in_pp.text)}
+        given = _lower_alternatives((in_pp.text,))
         matches = [k for k in fam1 if given & table.respect_sets[k]]
         if len(matches) == 1:
             return result(matches[0], matches,

@@ -7,7 +7,8 @@ questions carry necessary-condition semantics: absence prunes, presence
 does not confirm.
 
 Compiled networks are immutable and shareable; traversal keeps all state
-in the traversal record. An unknown answer retains every branch and
+in the traversal record, which holds the senses reached and the questions
+left open, nothing else. An unknown answer retains every branch and
 records the question.
 """
 from __future__ import annotations
@@ -63,9 +64,6 @@ class Question(NamedTuple):
             return f"{self.kind} {' '.join(str(p) for p in self.payload)}".strip()
         return self.kind
 
-    def branch_map(self) -> dict[str, "Node"]:
-        return dict(self.branches)
-
     def alternatives(self) -> dict[str, object]:
         """FRAME-DIFF only: branch answer -> canonical value."""
         if self.kind != "FRAME-DIFF":
@@ -97,7 +95,6 @@ class TraverseResult(NamedTuple):
     senses: tuple[SenseKey, ...]
     terminal: bool
     open_questions: tuple[str, ...]
-    frames: tuple[Frame, ...] = ()
 
 
 Oracle = dict | Callable[[Question], str]
@@ -286,43 +283,35 @@ def _collapse(group, senses_by_key, frames) -> Node:
 
 def traverse(ssn: SSN, oracle: Oracle) -> TraverseResult:
     """Deterministic walk. A concrete answer follows its branch; anything
-    else retains all branches (union) and records the question."""
+    else retains all branches (union) and records the question.  The
+    result holds the senses reached and the questions left open."""
+    senses: set[SenseKey] = set()
     open_questions: list[str] = []
-    senses, terminal, frames_out = _walk(ssn.root, oracle, open_questions)
-    senses = sorted(set(senses), key=SenseKey.sort_key)
-    terminal = terminal and len(senses) == 1
-    return TraverseResult(tuple(senses), terminal, tuple(open_questions),
-                          tuple(frames_out))
+    terminal = _walk(ssn.root, oracle, senses, open_questions)
+    return TraverseResult(tuple(sorted(senses, key=SenseKey.sort_key)),
+                          terminal and len(senses) == 1, tuple(open_questions))
 
 
-def _walk(node: Node, oracle: Oracle, open_questions: list[str]
-          ) -> tuple[list[SenseKey], bool, list[Frame]]:
-    """The senses and frames ``traverse`` reaches from ``node``, and whether
-    it reached a terminal; each question left open is noted once."""
-    if isinstance(node, Terminal):
-        return [node.sense], True, [node.frame]
-    if isinstance(node, Nonterminal):
-        return [node.sense], False, [node.frame] if node.frame else []
-    qid = node.qid
-    answer = oracle(node) if callable(oracle) else oracle.get(qid, "unknown")
+def _walk(node: Node, oracle: Oracle, senses: set[SenseKey],
+          open_questions: list[str]) -> bool:
+    """Add the senses ``traverse`` reaches from ``node`` to ``senses``, and
+    say whether it reached a terminal; each question left open is noted
+    once."""
+    if not isinstance(node, Question):
+        senses.add(node.sense)
+        return isinstance(node, Terminal)
+    answer = oracle(node) if callable(oracle) else oracle.get(node.qid, "unknown")
     if not isinstance(answer, str):
         answer = "unknown"
-    bmap = node.branch_map()
-    if answer in bmap:
-        return _walk(bmap[answer], oracle, open_questions)
+    for branch, child in reversed(node.branches):  # as a dict of them would
+        if branch == answer:
+            return _walk(child, oracle, senses, open_questions)
+    qid = node.qid
     if qid not in open_questions:
         open_questions.append(qid)
-    senses: list[SenseKey] = []
-    frames_out: list[Frame] = []
     for _, child in node.branches:
-        s, _, f = _walk(child, oracle, open_questions)
-        for k in s:
-            if k not in senses:
-                senses.append(k)
-        for fr in f:
-            if fr not in frames_out:
-                frames_out.append(fr)
-    return senses, False, frames_out
+        _walk(child, oracle, senses, open_questions)
+    return False
 
 
 def oracle_reaching(ssn: SSN, target: SenseKey) -> Optional[dict]:

@@ -1,7 +1,9 @@
 """Each per-record fact is computed once per analysis: one pass of graph,
 frames, reduction, networks and autoresolve computes a record's genus words
 once and applies each use of a genus word once, and facts carried from one
-stage to the next equal the ones a stage would compute afresh."""
+stage to the next equal the ones a stage would compute afresh.  Each fact of
+a sentence is computed once per parse of it, and network traversal builds
+no lookup table."""
 from __future__ import annotations
 
 import collections
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 
 from support import lexf_texts, resolved_lexf_texts
 from lexigraph import corpus, frames as frames_mod, lexicon as lexicon_mod
+from lexigraph import parser as parser_mod, ssn as ssn_mod
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import build_frames
 from lexigraph.lexicon import ResolutionError, genus_words, parse_lexf
@@ -119,3 +122,33 @@ def test_carried_facts_equal_fresh_ones(text):
 @given(resolved_lexf_texts())
 def test_carried_facts_equal_fresh_ones_when_resolved(text):
     check_carried_facts(text)
+
+
+# ---------------------------------------------------------------------------
+# the parse path: facts of the sentence are computed once per sentence
+
+def test_disambiguate_takes_the_subject_head_once(monkeypatch, lexicon, ssns,
+                                                  frames, rules):
+    heads = counting(monkeypatch, parser_mod, "head_noun", lambda text: text)
+    chunks = parser_mod.chunk_sentence("The wind changed", lexicon)
+    result = parser_mod.disambiguate("changed", chunks, ssns["change"],
+                                     frames, rules, lexicon)
+    # ten candidates are scored, and questions on the subject are asked
+    assert len(result.candidates) > 1
+    assert heads["the wind"] <= 1
+
+
+def test_traverse_builds_no_dict(monkeypatch, lexicon, change_ssn, rules):
+    built: list[tuple] = []
+
+    def counting_dict(*args, **kwargs):
+        built.append(args)
+        return dict(*args, **kwargs)
+
+    # every dict call made by the code of the ssn module, branch maps too
+    monkeypatch.setattr(ssn_mod, "dict", counting_dict, raising=False)
+    first = ssn_mod.traverse(change_ssn, lambda q: q.branches[0][0])
+    unknown = ssn_mod.traverse(change_ssn, {})
+    assert len(first.senses) == 1 and not first.open_questions
+    assert len(unknown.senses) == len(change_ssn.senses)
+    assert built == []

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from support import GENUS_WORDS, PHRASAL_LEXF, lexf_texts
+from lexigraph import corpus
 from lexigraph.frames import Descriptor, build_frames
-from lexigraph.lexicon import PartOfSpeech, SenseKey, genus_words, parse_lexf
+from lexigraph.lexicon import (
+    CHUNKING_PREPS,
+    PartOfSpeech,
+    SenseKey,
+    genus_words,
+    parse_lexf,
+)
 from lexigraph.parser import (
     ChunkError,
     SentenceContext,
@@ -18,6 +25,7 @@ from lexigraph.parser import (
     parse_discourse,
     results_to_tsv,
 )
+from lexigraph.ssn import build_all_ssns
 
 
 def change_key(label: str) -> SenseKey:
@@ -77,6 +85,39 @@ def test_chunks_partition_tokens(lexicon):
         (c.prep + " " + c.text if c.kind == "prep-phrase" else c.text)
         for c in chunks)
     assert rebuilt == text.lower()
+
+
+def test_chunk_drops_a_coordinator_before_a_preposition(lexicon):
+    for text, prep, first, second in (
+            ("The milk changed into curd or into cheese", "into", "curd",
+             "cheese"),
+            ("The water changed in color, or in shape", "in", "color",
+             "shape"),
+            ("The water changed in color and in shape", "in", "color",
+             "shape")):
+        chunks = chunk_sentence(text, lexicon)
+        assert [(c.kind, c.prep, c.text) for c in chunks[2:]] == [
+            ("prep-phrase", prep, first), ("prep-phrase", prep, second)]
+    # a coordinator inside one phrase stays in it
+    chunks = chunk_sentence("The water changed in color or shape", lexicon)
+    assert chunks[2] == ("prep-phrase", "color or shape", "in", None)
+
+
+def test_coordinated_state_phrase_fills_the_result(lexicon, ssns, frames,
+                                                   rules):
+    r = run("The milk changed into curd or into cheese", lexicon, ssns,
+            frames, rules)
+    assert r.candidates == (change_key("2a"),)
+    assert _slot(r.frame, "RESULT").filler == "curd"
+
+
+def test_coordinated_respect_phrase_restricts_the_respect(lexicon, ssns,
+                                                          frames, rules):
+    r = run("The water changed in color, or in shape", lexicon, ssns,
+            frames, rules)
+    restrictions = _slot(r.frame, "RESPECT").restrictions
+    assert "color" in restrictions
+    assert not any(t.endswith((" or", " and")) for t in restrictions)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +192,53 @@ def test_essential_change_check():
     assert not essential_change("a liquid", "a liquid")
     assert essential_change(None, "coal")
     assert not essential_change("a simple vowel", "vowel")
+
+
+# a sentence's result depends on that sentence alone: parsed after any
+# other sentences, in any order, it equals its first parse, made in a
+# separate analysis
+_ALONE = {}
+_SUBJECTS = ("the milk", "the wind", "the moon", "the voice", "the water",
+             "a liquid", "a simple vowel", "it")
+_OBJECTS = ("curd", "vapor", "color", "shape", "direction", "color or shape",
+            "the milk", "a liquid", "coal")
+
+
+def _sentences(lexicon, ssns):
+    """Sentences of a bundled verb, half of them one whose network asks
+    questions, with a subject, prep phrases and an adverb."""
+    verbs = sorted(w for w in lexicon.verb_headwords if " " not in w)
+    asking = [w for w in verbs if len(ssns[w].senses) > 1]
+    preps = sorted(lexicon.prep_headwords | CHUNKING_PREPS)
+    phrase = st.tuples(st.sampled_from(preps), st.sampled_from(_OBJECTS))
+    return st.builds(
+        lambda subj, verb, phrases, adverb: " ".join(
+            [subj, verb, *(f"{p} {o}" for p, o in phrases)]) + adverb,
+        st.sampled_from(_SUBJECTS),
+        st.sampled_from(asking) | st.sampled_from(verbs),
+        st.lists(phrase, max_size=3), st.sampled_from(("", " slowly")))
+
+
+@pytest.fixture(scope="module")
+def separate_analysis():
+    """A second analysis of the bundled corpus, sharing no object with the
+    session's one."""
+    lx, rules = corpus.load_corpus(), corpus.load_rules()
+    frames = build_frames(lx, rules)
+    return lx, build_all_ssns(lx, frames), frames, rules
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_no_state_leaks_between_sentences(lexicon, ssns, frames, rules,
+                                          separate_analysis, data):
+    sentences = data.draw(st.lists(_sentences(lexicon, ssns), min_size=1,
+                                   max_size=8))
+    for text in sentences:
+        if text not in _ALONE:
+            _ALONE[text] = run(text, *separate_analysis)
+    for text in data.draw(st.permutations(sentences)):
+        assert run(text, lexicon, ssns, frames, rules) == _ALONE[text]
 
 
 # ---------------------------------------------------------------------------

@@ -186,8 +186,7 @@ SAMPLES = [
      "frame=None))"),
     (TraverseResult, lambda: TraverseResult((KEY,), True, ()), "terminal", False,
      "TraverseResult(senses=(SenseKey(headword='turn', pos=<PartOfSpeech.VI: "
-     "'vi'>, homograph=1, label='1a'),), terminal=True, open_questions=(), "
-     "frames=())"),
+     "'vi'>, homograph=1, label='1a'),), terminal=True, open_questions=())"),
     (FixtureManifest, lambda: FixtureManifest({"a": 1}, {"a": "one"}), "values",
      False, "FixtureManifest(values={'a': 1}, derivations={'a': 'one'})"),
     (VerifyRow, lambda: VerifyRow("a", 1, None), "actual", False,
