@@ -23,6 +23,7 @@ from .lexicon import (
     SenseKey,
     _label_ancestors,
     genus_words,
+    lower_alternatives,
     parse_sense,
     usage_particles,
 )
@@ -107,7 +108,9 @@ class _FrameFields(NamedTuple):
 
 
 class Frame(_FrameFields):
-    """A sense's case frame: predicate, conditions and slots."""
+    """A sense's case frame: predicate, conditions and slots.  It holds two
+    memos, computed on first use: whether it is canonical, and its match
+    facts; a frame from ``_replace`` starts without them."""
 
     @cached_property
     def _is_canonical(self) -> bool:
@@ -116,6 +119,22 @@ class Frame(_FrameFields):
         return (list(self.conditions)
                 == sorted(self.conditions, key=render_condition)
                 and _sorted_slots(self.slots) == self.slots)
+
+    @cached_property
+    def _match_facts(self) -> tuple:
+        """What ``parser._match_score`` reads: the lowercased string filler
+        of each SUBJ slot; per RESPECT slot with restrictions, the lowercased
+        alternatives of the RESPECT restrictions at and below it; the
+        particles of each USED-WITH condition."""
+        slots = list(walk_slots(self.slots))
+        return (tuple(s.filler.lower() for s in slots
+                      if s.name == "SUBJ" and isinstance(s.filler, str)),
+                tuple(lower_alternatives(r for t in walk_slots((s,))
+                                         if t.name == "RESPECT"
+                                         for r in t.restrictions)
+                      for s in slots if s.name == "RESPECT" and s.restrictions),
+                tuple(frozenset(c[1]) for c in self.conditions
+                      if c[0] == "USED-WITH"))
 
 
 class UseDelta(NamedTuple):

@@ -134,7 +134,8 @@ class SenseKey(NamedTuple):
         return f"{self.headword}:{self.pos.value}:{self.homograph}:{self.label}"
 
     def sort_key(self) -> tuple:
-        return (self.headword, self.pos.value, self.homograph,
+        # a str enum compares as its value, without the ``value`` lookup
+        return (self.headword, self.pos, self.homograph,
                 _label_parts(self.label))
 
 
@@ -625,6 +626,11 @@ def split_alternatives(text: str) -> tuple[str, ...]:
         if p:
             out.append(p)
     return tuple(out)
+
+
+def lower_alternatives(phrases: Iterable[str]) -> frozenset[str]:
+    """The lowercased alternatives of each phrase."""
+    return frozenset(a.lower() for p in phrases for a in split_alternatives(p))
 
 
 def dot_quote(text: str) -> str:

@@ -9,7 +9,6 @@ surfaced, never guessed.
 """
 from __future__ import annotations
 
-import re
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -42,6 +41,7 @@ from .lexicon import (
     _label_ancestors,
     genus_words,
     head_noun,
+    lower_alternatives,
     parse_sense,
     split_alternatives,
     usage_particles,
@@ -187,11 +187,11 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
 class SentenceContext:
     """The chunks of one sentence and its roles, found in one pass: the
     (first) verb, the subject (the first noun phrase before the verb), the
-    object (the first noun phrase after it), the prep phrases, the adverbs,
-    and the prepositions and particles present."""
+    object (the first noun phrase after it), the prep phrases, and the
+    prepositions and particles present."""
 
     __slots__ = ("chunks", "verb", "subject", "object_np", "prep_phrases",
-                 "adverbs", "particles")
+                 "particles")
 
     def __init__(self, chunks: list[Chunk]):
         self.chunks = chunks
@@ -199,7 +199,6 @@ class SentenceContext:
         self.subject: Optional[Chunk] = None
         self.object_np: Optional[Chunk] = None
         self.prep_phrases: list[Chunk] = []
-        self.adverbs: list[Chunk] = []
         self.particles: set[str] = set()
         for c in chunks:
             kind = c.kind
@@ -215,8 +214,6 @@ class SentenceContext:
                 self.particles.add(c.prep)
             elif kind == "particle":
                 self.particles.add(c.prep)
-            elif kind == "adverb":
-                self.adverbs.append(c)
 
     def pp_object(self, preps: Sequence[str]) -> Optional[Chunk]:
         for c in self.prep_phrases:
@@ -270,7 +267,7 @@ class ContextOracle:
             ctx.subject.text if ctx.subject else None)
         in_pp = ctx.pp_object(("in",))
         self.in_given = (None if in_pp is None
-                         else _lower_alternatives((in_pp.text,)))
+                         else lower_alternatives((in_pp.text,)))
         self._subject_names: Optional[tuple[str, str]] = None
 
     def subject_names(self) -> tuple[str, str]:
@@ -307,92 +304,60 @@ class ContextOracle:
     # -- frame-difference probes ------------------------------------------
 
     def _frame_diff_answer(self, q: Question) -> str:
-        path = q.payload[0]
-        alts = q.alternatives()
-        if path == ("predicate",):
-            for answer in sorted(alts):
-                value = alts[answer]
-                family = value[0] if isinstance(value, tuple) and value else (
-                    re.sub(r" \(provisional\)$", "", str(value)))
-                for pp in self.ctx.prep_phrases:
-                    if self.rules.slot_action(pp.prep, family):
-                        return answer
-            return "unknown"
-        if path == ("conditions",):
-            return self._conditions_answer(alts)
-        last = path[-1]
-        other = "other" if "other" in alts else "unknown"
-        if last == "bind" and "SUBJ" in path:
-            return self._bind_answer(alts, other)
-        if last == "filler" and len(path) > 1 and path[1] == "SUBJ":
+        """The answer whose fact (``Question._probe``) the sentence bears out."""
+        probe, other, facts = q._probe
+        if probe == "predicate":
+            return next((a for a, family in facts if any(
+                self.rules.slot_action(pp.prep, family)
+                for pp in self.ctx.prep_phrases)), "unknown")
+        if probe == "conditions":
+            return self._conditions_answer(facts)
+        if probe == "bind":  # the FROM-STATE answer, if any, is the fact
+            pp = self.ctx.pp_object(("into", "to"))
+            if pp is not None and pp.text:
+                if not essential_change(self.subject_text, pp.text):
+                    return other
+                return "FROM-STATE" if facts else "unknown"
+            return other if {"from", "to"} <= self.ctx.particles else "unknown"
+        if probe == "subject":
             if self.subject_text is None:
                 return "unknown"
             names = self.subject_names()
-            for answer, value in alts.items():
-                if answer != "other" and str(value).lower() in names:
-                    return answer
-            return other
-        if last == "restrictions" and len(path) > 1 and path[-2] == "RESPECT":
+            return next((a for a, value in facts if value in names), other)
+        if probe == "respect":
             if self.in_given is None:
                 return "unknown"
-            for answer, value in alts.items():
-                phrases = value if isinstance(value, tuple) else (value,)
-                if answer != "other" and not self.in_given.isdisjoint(
-                        _lower_alternatives(map(str, phrases))):
-                    return answer
-            return other
-        if last == "filler":
-            for answer, value in alts.items():
-                if answer == "other":
-                    continue
-                for pp in self.ctx.prep_phrases:
-                    if str(value).lower() == pp.text.lower():
-                        return answer
-            return "unknown"
+            return next((a for a, alts in facts
+                         if not self.in_given.isdisjoint(alts)), other)
+        if probe == "filler":
+            texts = [pp.text.lower() for pp in self.ctx.prep_phrases]
+            return next((a for a, value in facts if value in texts), "unknown")
         return "unknown"
 
-    def _bind_answer(self, alts: dict[str, object], other: str) -> str:
-        pp = self.ctx.pp_object(("into", "to"))
-        if pp is not None and pp.text:
-            if essential_change(self.subject_text, pp.text):
-                return "FROM-STATE" if "FROM-STATE" in alts else "unknown"
-            return other
-        preps = self.ctx.particles
-        if "from" in preps and "to" in preps:
-            return other
-        return "unknown"
-
-    def _conditions_answer(self, alts: dict[str, object]) -> str:
+    def _conditions_answer(self, facts: tuple) -> str:
         present = self.ctx.particles
         scored: list[tuple[int, str]] = []
         base: Optional[tuple[int, str]] = None
         any_relevant = False
-        for answer, value in alts.items():
-            conds = value if isinstance(value, tuple) else (value,)
-            used_with = [c for c in conds if str(c).startswith("USED-WITH")]
+        for answer, (count, used_with) in facts:
             if not used_with:
-                if base is None or len(conds) < base[0]:
-                    base = (len(conds), answer)
+                if base is None or count < base[0]:
+                    base = (count, answer)
                 continue
-            ok = True
-            for cond in used_with:
-                particles = str(cond).split(None, 1)[1].split("|")
+            for particles in used_with:
                 hit = [p for p in particles if p in present]
                 if not hit:
-                    ok = False
                     break
                 if set(hit) & {"into", "to"}:
                     any_relevant = True
                     pp = self.ctx.pp_object(hit)
                     if pp is not None and pp.text and not essential_change(
                             self.subject_text, pp.text):
-                        ok = False
                         break
-            if ok:
+            else:
                 scored.append((len(used_with), answer))
         if scored:
-            scored.sort(reverse=True)
-            return scored[0][1]
+            return max(scored)[1]
         if any_relevant and base is not None:
             return base[1]
         return "unknown"
@@ -472,21 +437,16 @@ def _fill_descriptors(slots: tuple[Slot, ...],
 
 
 def _match_score(frame: Frame, oracle: ContextOracle) -> int:
-    """Informative-match refinement: count context-confirmed constraints."""
-    score = 0
-    names = oracle.subject_names() if oracle.subject_text else ("", "")
-    for slot in walk_slots(frame.slots):
-        if slot.name == "SUBJ" and isinstance(slot.filler, str) and names[0]:
-            if slot.filler.lower() in names:
-                score += 1
-        if (slot.name == "RESPECT" and slot.restrictions
-                and oracle.in_given is not None
-                and not oracle.in_given.isdisjoint(_stated_respect((slot,)))):
-            score += 1
-    for cond in frame.conditions:
-        if (cond[0] == "USED-WITH"
-                and not oracle.ctx.particles.isdisjoint(cond[1])):
-            score += 1
+    """Informative-match refinement: count context-confirmed constraints,
+    read from the frame's match facts."""
+    subjects, respects, particle_sets = frame._match_facts
+    names = oracle.subject_names() if subjects and oracle.subject_text else ("",)
+    score = sum(f in names for f in subjects) if names[0] else 0
+    if respects and oracle.in_given is not None:
+        score += sum(not oracle.in_given.isdisjoint(r) for r in respects)
+    if particle_sets:
+        present = oracle.ctx.particles
+        score += sum(not present.isdisjoint(p) for p in particle_sets)
     return score
 
 
@@ -550,7 +510,7 @@ class _GenusTable:
         self.rank = {k: i for i, k in enumerate(self.keys)}
         self.respect_family: list[SenseKey] = []
         self.bind_family: list[SenseKey] = []
-        self.respect_sets: dict[SenseKey, set[str]] = {}
+        self.respect_sets: dict[SenseKey, frozenset[str]] = {}
         self.required: dict[SenseKey, set[str]] = {}
         for k in self.keys:
             frame = frames.get(k)
@@ -563,24 +523,13 @@ class _GenusTable:
                                     for p in usage_particles(rec.usage_note)}
             elif any(s.name == "RESPECT" for s in walk_slots(frame.slots)):
                 self.respect_family.append(k)
-                self.respect_sets[k] = _stated_respect(frame.slots)
+                self.respect_sets[k] = frozenset().union(*frame._match_facts[1])
         self.family_head = min(
             self.bind_family, default=None,
             key=lambda k: (len(_label_ancestors(k.label)), self.rank[k]))
 
     def ordered(self, keys: Iterable[SenseKey]) -> tuple[SenseKey, ...]:
         return tuple(sorted(set(keys), key=self.rank.__getitem__))
-
-
-def _stated_respect(slots: tuple[Slot, ...]) -> set[str]:
-    """The lowercased alternatives of every RESPECT restriction."""
-    return _lower_alternatives(r for s in walk_slots(slots)
-                               if s.name == "RESPECT" for r in s.restrictions)
-
-
-def _lower_alternatives(phrases: Iterable[str]) -> set[str]:
-    """The lowercased alternatives of each phrase."""
-    return {a.lower() for p in phrases for a in split_alternatives(p)}
 
 
 def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
@@ -662,7 +611,7 @@ def _propose(records: list[Sense], lexicon: Lexicon,
 
     in_pp = next((p for p in pps if p.prep == "in" and p.text), None)
     if in_pp is not None:
-        given = _lower_alternatives((in_pp.text,))
+        given = lower_alternatives((in_pp.text,))
         matches = [k for k in fam1 if given & table.respect_sets[k]]
         if len(matches) == 1:
             return result(matches[0], matches,

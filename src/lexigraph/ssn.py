@@ -14,6 +14,7 @@ records the question.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .frames import EMPTY_VALUES, Frame, first_diff, flat_group
@@ -24,6 +25,7 @@ from .lexicon import (
     _label_ancestors,
     _label_parts,
     dot_quote,
+    lower_alternatives,
     parse_sense,
     usage_particles,
 )
@@ -46,13 +48,18 @@ class Nonterminal(NamedTuple):
     frame: Optional[Frame] = None
 
 
-class Question(NamedTuple):
+class _QuestionFields(NamedTuple):
     kind: str                                   # POS | TRANSITIVITY | OBJ-IS |
                                                 # OBJ-SAT | ADJ-COMPLEMENT |
                                                 # USAGE | FRAME-DIFF
     payload: tuple                              # kind-specific, renderable
     branches: tuple[tuple[str, "Node"], ...]
     retain_all_on_unknown: bool = True
+
+
+class Question(_QuestionFields):
+    """A network question.  A FRAME-DIFF question holds, once computed,
+    what the sense parser tests a sentence against (``_probe``)."""
 
     @property
     def qid(self) -> str:
@@ -69,6 +76,43 @@ class Question(NamedTuple):
         if self.kind != "FRAME-DIFF":
             return {}
         return dict(self.payload[1])
+
+    @cached_property
+    def _probe(self) -> tuple[str, str, tuple[tuple[str, object], ...]]:
+        """FRAME-DIFF only: (probe, answer when no fact matches, (answer,
+        fact) pairs).  By the path asked about, a fact is the ``predicate``
+        family (every answer, sorted), the ``conditions`` count and USED-WITH
+        particles, the lowercased value of a ``subject`` (SUBJ) or
+        ``filler``, the lowercased ``respect`` alternatives, for a SUBJ
+        ``bind`` only the FROM-STATE answer, else (``none``) nothing."""
+        path, alts = self.payload[0], self.alternatives()
+        other = "other" if "other" in alts else "unknown"
+        tuples = [(a, v if isinstance(v, tuple) else (v,))
+                  for a, v in alts.items()]
+        if path == ("predicate",):
+            return "predicate", other, tuple(
+                (a, alts[a][0] if isinstance(alts[a], tuple) and alts[a]
+                 else str(alts[a]).removesuffix(" (provisional)"))
+                for a in sorted(alts))
+        if path == ("conditions",):
+            return "conditions", other, tuple((a, (len(v), tuple(
+                tuple(str(c).split(None, 1)[1].split("|"))
+                for c in v if str(c).startswith("USED-WITH"))))
+                for a, v in tuples)
+        last = path[-1]
+        if last == "bind" and "SUBJ" in path:
+            return "bind", other, (
+                (("FROM-STATE", None),) if "FROM-STATE" in alts else ())
+        if last == "filler":
+            return ("subject" if len(path) > 1 and path[1] == "SUBJ"
+                    else "filler"), other, tuple(
+                        (a, str(v).lower()) for a, v in alts.items()
+                        if a != "other")
+        if last == "restrictions" and len(path) > 1 and path[-2] == "RESPECT":
+            return "respect", other, tuple(
+                (a, lower_alternatives(map(str, v)))
+                for a, v in tuples if a != "other")
+        return "none", other, ()
 
 
 Node = Terminal | Nonterminal | Question

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import HEADWORDS, PHRASAL_LEXF, lexf_texts
+from support import HEADWORDS, PHRASAL_LEXF, lexf_texts, lexgen
+from lexigraph import corpus
+from lexigraph.defgraph import build_graph
 from lexigraph.lexicon import (
     DefinitionParseError,
     LexfError,
@@ -13,6 +15,7 @@ from lexigraph.lexicon import (
     SenseLabel,
     _label_parts,
     genus_words,
+    merge_lexicons,
     parse_definition,
     parse_lexf,
     parse_sense,
@@ -354,3 +357,31 @@ def test_parse_sense_memoized_per_record(lexicon):
     # an equal record from a fresh parse carries its own memo
     again = parse_lexf(corpus_text())
     assert parse_sense(again.entries[0]) is not parse_sense(lexicon.entries[0])
+
+
+@pytest.mark.parametrize("source", ["corpus", 7, 11])
+def test_sense_keys_sort_as_by_the_pos_value(source):
+    """``SenseKey.sort_key`` holds the part of speech, a str enum, where it
+    held its value: every sense key and every external node of the bundled
+    corpus and of the x16 lexicons sorts as it did."""
+    if source == "corpus":
+        lx = corpus.load_corpus(include_word_government=True)
+    else:
+        lx = merge_lexicons(*(parse_lexf(t) for t in
+                              lexgen().generate(16, source).texts()))
+    nodes = sorted(set(lx.sense_keys()) | build_graph(lx).nodes,
+                   key=lambda n: n.render())
+    assert any(n.pos is None for n in nodes)
+
+    def by_value(node) -> tuple:
+        if node.pos is None:
+            return node.sort_key()
+        return (node.headword, node.pos.value, node.homograph,
+                _label_parts(node.label))
+
+    assert ([n.render() for n in sorted(nodes, key=lambda n: n.sort_key())]
+            == [n.render() for n in sorted(nodes, key=by_value)])
+    tags = {pos: pos.value for pos in PartOfSpeech} | {"~external": "~external"}
+    for a, a_value in tags.items():
+        for b, b_value in tags.items():
+            assert (a < b, a == b) == (a_value < b_value, a_value == b_value)
