@@ -3,7 +3,7 @@ prep rule and cue tables, hand resolutions, and the manifest of expected
 counts with their derivations."""
 from __future__ import annotations
 
-from importlib import resources
+import os
 from typing import NamedTuple, Optional
 
 from .lexicon import (
@@ -16,11 +16,15 @@ from .lexicon import (
 )
 from .prep_rules import CueTable, RuleTable, load_cue_table, load_rule_table
 
-_DATA = "lexigraph.data"
+# The files are read from the directory next to this module, which a
+# zipped install does not have; importlib.resources would cost each CLI
+# call the pathlib, zipfile and tempfile imports.
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _read(name: str) -> str:
-    return resources.files(_DATA).joinpath(name).read_text(encoding="utf-8")
+    with open(os.path.join(_DATA, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def corpus_text(name: str = "change_corpus.lexf") -> str:

@@ -13,6 +13,7 @@ Graphs are immutable values; resolve() returns a new graph.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .lexicon import (
@@ -123,7 +124,10 @@ def _adjacency(graph: DefinitionGraph, mode: str) -> dict[Node, list[Node]]:
         if mode == "resolved-only" and not arc.resolved:
             continue
         outs = adj[arc.source]
-        for t in sorted(arc.targets, key=_sort_key):
+        targets = arc.targets
+        if len(targets) > 1:
+            targets = sorted(targets, key=_sort_key)
+        for t in targets:
             if t not in outs:
                 outs.append(t)
     return adj
@@ -140,37 +144,31 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
     """One node per sense key, one arc per (definition line, genus head).
     Synonym refs arc identically; genus words with no compatible sense in
     the lexicon get a single external target."""
-    nodes: set[Node] = set(lexicon.sense_keys())
     arcs: list[Arc] = []
     bundles: dict[tuple[str, PartOfSpeech], frozenset[Node]] = {}
-
-    def targets_for(word: str, use: PartOfSpeech) -> frozenset[Node]:
-        bundle = bundles.get((word, use))
-        if bundle is None:
-            found = frozenset(cand.key for cand in senses_of(lexicon, word)
-                              if use.accepts_target(cand.pos))
-            bundle = bundles[(word, use)] = found or frozenset({External(word)})
-        return bundle
-
     for s in lexicon.entries:
         if not s.pos.is_verb:
             continue
-        source = s.key
-        if s.is_synonym_line:
+        synonym = s.is_synonym_line
+        if synonym:
             use = s.pos if s.pos is not PartOfSpeech.VB else PartOfSpeech.VI
             negated = False
         else:
             parsed = parse_sense(s)
             use, negated = _use_pos(s, parsed), parsed.negated
         for word in genus_words(s, lexicon):
-            arcs.append(Arc(source, word, targets_for(word, use), False,
-                            negated, s.is_synonym_line, s.line))
+            targets = bundles.get((word, use))
+            if targets is None:
+                found = frozenset(cand.key for cand in senses_of(lexicon, word)
+                                  if use.accepts_target(cand.pos))
+                targets = bundles[(word, use)] = found or frozenset({External(word)})
+            arcs.append(Arc(s.key, word, targets, False, negated, synonym, s.line))
 
-    for arc in arcs:
-        nodes.update(arc.targets)
-    ordered = tuple(sorted(arcs, key=lambda a: (a.line, a.genus_word)))
-    graph = DefinitionGraph(frozenset(nodes), ordered)
-    return graph
+    nodes: set[Node] = set(lexicon.sense_keys())
+    for targets in bundles.values():
+        nodes.update(targets)
+    arcs.sort(key=attrgetter("line", "genus_word"))
+    return DefinitionGraph(frozenset(nodes), tuple(arcs))
 
 
 def resolve(graph: DefinitionGraph, record: ResolutionRecord) -> DefinitionGraph:
@@ -189,12 +187,12 @@ def apply_resolutions(graph: DefinitionGraph,
         records, graph.nodes, {(arc.source, arc.genus_word) for arc in graph.arcs})
     new_arcs = []
     for arc in graph.arcs:
-        target = chosen.get((arc.source, arc.genus_word))
-        if target is None:
-            new_arcs.append(arc)
-        else:
-            new_arcs.append(arc._replace(targets=frozenset({target}),
-                                         resolved=True))
+        source, word, _, _, negated, synonym, line = arc
+        target = chosen.get((source, word))
+        if target is not None:
+            arc = Arc(source, word, frozenset((target,)), True, negated,
+                      synonym, line)
+        new_arcs.append(arc)
     return DefinitionGraph(graph.nodes, tuple(new_arcs))
 
 
@@ -207,7 +205,8 @@ def strongly_connected_components(graph: DefinitionGraph,
 
 def _tarjan(graph: DefinitionGraph, mode: str) -> list[list[Node]]:
     adj = graph._memo("edges", mode, _adjacency)
-    order = sorted(adj, key=_sort_key)
+    sort_key = {n: n.sort_key() for n in adj}.__getitem__
+    order = sorted(adj, key=sort_key)
     index: dict[Node, int] = {}
     low: dict[Node, int] = {}
     on_stack: set[Node] = set()
@@ -248,11 +247,13 @@ def _tarjan(graph: DefinitionGraph, mode: str) -> list[list[Node]]:
                     comp.append(w)
                     if w == node:
                         break
-                components.append(sorted(comp, key=_sort_key))
+                if len(comp) > 1:
+                    comp.sort(key=sort_key)
+                components.append(comp)
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
-    return sorted(components, key=lambda c: c[0].sort_key())
+    return sorted(components, key=lambda c: sort_key(c[0]))
 
 
 class Condensation(NamedTuple):

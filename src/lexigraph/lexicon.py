@@ -393,6 +393,9 @@ def merge_lexicons(*lexicons: Lexicon) -> Lexicon:
 # ---------------------------------------------------------------------------
 # LEXF ingestion
 
+_POS = {p.value: p for p in PartOfSpeech}
+
+
 def _parse_sense_key(text: str, line: int) -> SenseKey:
     parts = text.rsplit(":", 3)
     if len(parts) == 4 and parts[2].isdigit():
@@ -404,9 +407,8 @@ def _parse_sense_key(text: str, line: int) -> SenseKey:
             raise LexfError(f"bad sense key {text!r}", line)
         head, pos, label = parts
         homograph = 1
-    try:
-        p = PartOfSpeech(pos)
-    except ValueError:
+    p = _POS.get(pos)
+    if p is None:
         raise LexfError(f"bad part of speech in key {text!r}", line)
     return SenseKey(head, p, homograph, _parse_label(label, line).text)
 
@@ -428,8 +430,19 @@ def _parse_status(csv: str, line: int) -> frozenset[str]:
     return frozenset(out)
 
 
+def _memo(memo: dict, text: str, line: int, parse):
+    """``parse(text, line)``, once per distinct text of a file: a text that
+    fails is not stored, so it fails again wherever it recurs."""
+    value = memo.get(text)
+    if value is None:
+        value = memo[text] = parse(text, line)
+    return value
+
+
 def parse_lexf(text: str) -> Lexicon:
-    """Ingest a LEXF v1 file. Deterministic: same bytes, same Lexicon."""
+    """Ingest a LEXF v1 file. Deterministic: same bytes, same Lexicon.
+    The records of a file share one label, status set and R-record sense
+    key object per distinct text."""
     entries: list[Sense] = []
     seeds: dict[SenseKey, tuple[str, ...]] = {}
     resolutions: list[ResolutionRecord] = []
@@ -437,10 +450,17 @@ def parse_lexf(text: str) -> Lexicon:
     seen_headers: set[tuple] = set()
     seen_records: set[tuple] = set()
     pending_seeds: list[tuple[SenseKey, str, int]] = []
+    labels: dict[str, SenseLabel] = {}
+    statuses: dict[str, frozenset[str]] = {}
+    keys: dict[str, SenseKey] = {}
+
+    def add(sense: Sense, key: SenseKey) -> None:
+        vars(sense)["key"] = key    # the cached_property's value
+        entries.append(sense)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
         kind, _, rest = stripped.partition("|")
         if kind == "E":
@@ -448,9 +468,8 @@ def parse_lexf(text: str) -> Lexicon:
             if len(fields) != 3:
                 raise LexfError("E record needs headword|pos|homograph", lineno)
             headword, pos_text, hom_text = fields
-            try:
-                pos = PartOfSpeech(pos_text)
-            except ValueError:
+            pos = _POS.get(pos_text)
+            if pos is None:
                 raise LexfError(f"bad part of speech {pos_text!r}", lineno)
             if not hom_text.isdigit() or int(hom_text) < 1:
                 raise LexfError(f"bad homograph {hom_text!r}", lineno)
@@ -467,17 +486,17 @@ def parse_lexf(text: str) -> Lexicon:
                 raise LexfError("S record needs label|status|definition|[note]", lineno)
             label_text, status_csv, definition = fields[0], fields[1], fields[2]
             note = fields[3].strip() if len(fields) == 4 and fields[3].strip() else None
-            label = _parse_label(label_text, lineno)
-            if not definition.strip():
+            label = _memo(labels, label_text, lineno, _parse_label)
+            definition = definition.strip()
+            if not definition:
                 raise LexfError("empty definition on S record", lineno)
-            sense = Sense(current[0], current[1], current[2], label,
-                          _parse_status(status_csv, lineno), definition.strip(),
-                          note, (), lineno)
-            record_id = (sense.key, sense.raw_definition, sense.usage_note)
+            status = _memo(statuses, status_csv, lineno, _parse_status)
+            key = SenseKey(*current, label.text)
+            record_id = (key, definition, note)
             if record_id in seen_records:
-                raise LexfError(f"duplicate sense record {sense.key.render()}", lineno)
+                raise LexfError(f"duplicate sense record {key.render()}", lineno)
             seen_records.add(record_id)
-            entries.append(sense)
+            add(Sense(*current, label, status, definition, note, (), lineno), key)
         elif kind == "Y":
             if current is None:
                 raise LexfError("Y record outside an entry", lineno)
@@ -488,14 +507,13 @@ def parse_lexf(text: str) -> Lexicon:
             note = fields[2].strip() if len(fields) == 3 and fields[2].strip() else None
             if not syn or not syn.isupper():
                 raise LexfError(f"synonym must be a single uppercase word: {syn!r}", lineno)
-            label = _parse_label(label_text, lineno)
-            sense = Sense(current[0], current[1], current[2], label,
-                          frozenset(), "", note, (syn,), lineno)
-            record_id = (sense.key, syn, note)
+            label = _memo(labels, label_text, lineno, _parse_label)
+            key = SenseKey(*current, label.text)
+            record_id = (key, syn, note)
             if record_id in seen_records:
-                raise LexfError(f"duplicate synonym record {sense.key.render()}", lineno)
+                raise LexfError(f"duplicate synonym record {key.render()}", lineno)
             seen_records.add(record_id)
-            entries.append(sense)
+            add(Sense(*current, label, frozenset(), "", note, (syn,), lineno), key)
         elif kind == "F":
             if current is None:
                 raise LexfError("F record outside an entry", lineno)
@@ -503,24 +521,25 @@ def parse_lexf(text: str) -> Lexicon:
             label_text, _, payload = rest.partition("|")
             if not payload:
                 raise LexfError("F record needs label|seed-line", lineno)
-            label = _parse_label(label_text, lineno)
-            key = SenseKey(current[0], current[1], current[2], label.text)
+            label = _memo(labels, label_text, lineno, _parse_label)
+            key = SenseKey(*current, label.text)
             pending_seeds.append((key, payload.strip(), lineno))
         elif kind == "R":
             fields = rest.split("|")
             if len(fields) != 3:
                 raise LexfError("R record needs from|genus|to", lineno)
-            from_key = _parse_sense_key(fields[0], lineno)
-            target = _parse_sense_key(fields[2], lineno)
-            if not fields[1].strip():
+            from_key = _memo(keys, fields[0], lineno, _parse_sense_key)
+            target = _memo(keys, fields[2], lineno, _parse_sense_key)
+            genus_word = fields[1].strip()
+            if not genus_word:
                 raise LexfError("R record needs a genus word", lineno)
-            resolutions.append(ResolutionRecord(from_key, fields[1].strip(), target, lineno))
+            resolutions.append(ResolutionRecord(from_key, genus_word, target, lineno))
         else:
             raise LexfError(f"unknown record kind {kind!r}", lineno)
 
-    keys = {s.key for s in entries}
+    known = {s.key for s in entries}
     for key, payload, lineno in pending_seeds:
-        if key not in keys:
+        if key not in known:
             raise LexfError(f"F record for unknown sense {key.render()}", lineno)
         seeds[key] = seeds.get(key, ()) + (payload,)
     return Lexicon(tuple(entries), seeds, tuple(resolutions))
@@ -587,6 +606,8 @@ def _is_adverb(token: str) -> bool:
 
 def _tokenize(text: str) -> list[str]:
     """Whitespace tokens, with parenthesized groups kept whole."""
+    if "(" not in text:
+        return text.split()
     out: list[str] = []
     buf: list[str] = []
     depth = 0
@@ -648,45 +669,44 @@ def head_noun(text: str) -> str:
     return words[-1].rstrip(".,;") if words else ""
 
 
-def _consume_phrase_text(tokens: list[str], i: int) -> tuple[str, int]:
+# ``lowers`` below is ``tokens`` lowercased, computed once per definition.
+
+def _consume_phrase_text(tokens: list[str], lowers: list[str],
+                         i: int) -> tuple[str, int]:
     """Object of a prep phrase: tokens up to the next chunk boundary."""
-    parts: list[str] = []
+    start = i
     n = len(tokens)
     while i < n:
-        tok = tokens[i]
-        bare = tok.lower()
-        if bare in CHUNKING_PREPS and parts:
+        bare = lowers[i]
+        if bare in CHUNKING_PREPS:
             break
-        if bare == "or" and i + 1 < n and tokens[i + 1].lower() in CHUNKING_PREPS:
-            break  # "or" introducing a new coordinated phrase
-        if bare in HEDGE_WORDS and i + 1 < n and tokens[i + 1].lower() in CHUNKING_PREPS:
+        nxt = lowers[i + 1] if i + 1 < n else ""
+        if (bare == "or" or bare in HEDGE_WORDS) and nxt in CHUNKING_PREPS:
+            break  # "or" (or a hedge) introducing a new coordinated phrase
+        if bare == "as" and nxt == "if":
             break
-        if bare == "as" and i + 1 < n and tokens[i + 1].lower() in ("if",):
-            break
-        if bare in CHUNKING_PREPS and not parts:
-            break
-        parts.append(tok)
         i += 1
-    return " ".join(parts), i
+    return " ".join(tokens[start:i]), i
 
 
-def _segment_differentiae(tokens: list[str], start: int) -> list[Phrase]:
+def _segment_differentiae(tokens: list[str], lowers: list[str],
+                          start: int) -> list[Phrase]:
     phrases: list[Phrase] = []
     i = start
     n = len(tokens)
     while i < n:
         tok = tokens[i]
-        bare = tok.lower()
+        bare = lowers[i]
         hedge = False
-        if bare in HEDGE_WORDS and i + 1 < n and tokens[i + 1].lower() in CHUNKING_PREPS:
+        if bare in HEDGE_WORDS and i + 1 < n and lowers[i + 1] in CHUNKING_PREPS:
             hedge = True
             i += 1
             tok = tokens[i]
-            bare = tok.lower()
-        if bare == "or" and i + 1 < n and tokens[i + 1].lower() in CHUNKING_PREPS:
+            bare = lowers[i]
+        if bare == "or" and i + 1 < n and lowers[i + 1] in CHUNKING_PREPS:
             i += 1
             continue
-        if bare == "as" and i + 1 < n and tokens[i + 1].lower() == "if":
+        if bare == "as" and i + 1 < n and lowers[i + 1] == "if":
             # "as if ..." is a non-literal comparison; absorb to line end
             text = " ".join(tokens[i:])
             phrases.append(Phrase("clause", text, None, True))
@@ -705,12 +725,12 @@ def _segment_differentiae(tokens: list[str], start: int) -> list[Phrase]:
             prep = bare
             i += 1
             # "with or as if with X": hedged variant of a single phrase
-            if (i + 2 < n and tokens[i].lower() == "or"
-                    and tokens[i + 1].lower() == "as" and tokens[i + 2].lower() == "if"
-                    and i + 3 < n and tokens[i + 3].lower() == prep):
+            if (i + 2 < n and lowers[i] == "or"
+                    and lowers[i + 1] == "as" and lowers[i + 2] == "if"
+                    and i + 3 < n and lowers[i + 3] == prep):
                 i += 4
                 hedge = True
-            text, i = _consume_phrase_text(tokens, i)
+            text, i = _consume_phrase_text(tokens, lowers, i)
             # a parenthetical right inside the object stays with it
             while i < n and _is_paren(tokens[i]):
                 text = f"{text} {tokens[i]}".strip()
@@ -724,11 +744,11 @@ def _segment_differentiae(tokens: list[str], start: int) -> list[Phrase]:
             parts = [tok]
             i += 1
             while i < n:
-                nxt = tokens[i].lower()
+                nxt = lowers[i]
                 if _is_adverb(nxt):
                     parts.append(tokens[i])
                     i += 1
-                elif nxt == "or" and i + 1 < n and _is_adverb(tokens[i + 1].lower()):
+                elif nxt == "or" and i + 1 < n and _is_adverb(lowers[i + 1]):
                     parts.append(tokens[i])
                     parts.append(tokens[i + 1])
                     i += 2
@@ -737,7 +757,7 @@ def _segment_differentiae(tokens: list[str], start: int) -> list[Phrase]:
             phrases.append(Phrase("adverb", " ".join(parts)))
             continue
         # stray matter: gather until the next boundary as a clause
-        text, j = _consume_phrase_text(tokens, i)
+        text, j = _consume_phrase_text(tokens, lowers, i)
         if j == i:
             j += 1
             text = tok
@@ -751,32 +771,32 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
     differentiae. Total over verb definitions in the bundled corpus."""
     if not text or not text.strip():
         raise DefinitionParseError("empty definition")
-    tokens = _tokenize(text.strip())
-
     if not pos.is_verb:
         # non-verb senses: no verb genus; keep the head noun for callers
         head = head_noun(text)
         return ParsedDefinition(genus=(), object_np=None,
                                 genus_complement=head or None)
 
+    tokens = _tokenize(text)
+    lowers = [t.lower() for t in tokens]
     i = 0
     negated = False
-    if tokens and tokens[0].lower() == "to":
+    if tokens and lowers[0] == "to":
         i += 1  # infinitive marker
-    if i < len(tokens) and tokens[i].lower() == "not":
+    if i < len(tokens) and lowers[i] == "not":
         negated = True
         i += 1
     if i >= len(tokens):
         raise DefinitionParseError(f"no verb head in {text!r}")
 
     def read_head(j: int) -> tuple[str, int]:
-        head = tokens[j].lower()
+        head = lowers[j]
         j += 1
-        if (j < len(tokens) and tokens[j].lower() in PARTICLES
+        if (j < len(tokens) and lowers[j] in PARTICLES
                 and (j + 1 >= len(tokens)
-                     or tokens[j + 1].lower() in CHUNKING_PREPS
-                     or tokens[j + 1].lower() in WH_WORDS)):
-            head = f"{head} {tokens[j].lower()}"
+                     or lowers[j + 1] in CHUNKING_PREPS
+                     or lowers[j + 1] in WH_WORDS)):
+            head = f"{head} {lowers[j]}"
             j += 1
         return head, j
 
@@ -791,13 +811,13 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
     # coordination directly after the head: "lose or acquire", and the
     # "turn into or become" pattern where a prep precedes the coordinator
     while i < len(tokens):
-        nxt = tokens[i].lower()
+        nxt = lowers[i]
         if nxt in ("or", "and") and i + 1 < len(tokens):
             h, i = read_head(i + 1)
             heads.append(h)
         elif (nxt in CHUNKING_PREPS and i + 1 < len(tokens)
-              and tokens[i + 1].lower() == "or" and i + 2 < len(tokens)
-              and tokens[i + 2].lower() != "as"):
+              and lowers[i + 1] == "or" and i + 2 < len(tokens)
+              and lowers[i + 2] != "as"):
             # "turn into or become ..." coordinates heads across the prep;
             # "with or as if with ..." instead opens a hedged phrase
             i += 2
@@ -812,19 +832,19 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
     object_np = None
     span: list[str] = []
     while i < len(tokens):
-        bare = tokens[i].lower()
+        bare = lowers[i]
         if bare in CHUNKING_PREPS:
             break
         if _is_adverb(bare) or bare in HEDGE_WORDS:
             # attributive adverbs stay inside the span ("materially
             # different"); phrase-final ones open the differentiae
-            nxt = tokens[i + 1].lower() if i + 1 < len(tokens) else ""
+            nxt = lowers[i + 1] if i + 1 < len(tokens) else ""
             attributive = (span and nxt and nxt not in CHUNKING_PREPS
                            and not _is_adverb(nxt) and not _is_paren(tokens[i + 1])
                            and nxt != "as")
             if not attributive:
                 break
-        if bare == "as" and i + 1 < len(tokens) and tokens[i + 1].lower() == "if":
+        if bare == "as" and i + 1 < len(tokens) and lowers[i + 1] == "if":
             break
         if _is_paren(tokens[i]) and not span:
             specified_object = tokens[i][1:-1].strip()
@@ -844,7 +864,7 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
         else:
             object_np = joined
 
-    differentiae = _segment_differentiae(tokens, i)
+    differentiae = _segment_differentiae(tokens, lowers, i)
     return ParsedDefinition(tuple(heads), genus_complement, specified_object,
                             object_np, tuple(differentiae), negated)
 

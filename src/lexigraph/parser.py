@@ -665,14 +665,13 @@ class Entity:
 
 
 class DiscourseState:
-    """The entities of a discourse, the descriptor paths of each pending
-    result, and the (variable, value) bindings made so far."""
+    """The entities of a discourse and the (variable, value) bindings made
+    so far."""
 
-    __slots__ = ("entities", "pending", "bindings")
+    __slots__ = ("entities", "bindings")
 
     def __init__(self):
         self.entities: list[Entity] = []
-        self.pending: list[tuple[int, dict[str, str]]] = []
         self.bindings: list[tuple[str, str]] = []
 
     def find_entity(self, subject: Optional[Chunk]) -> Optional[Entity]:
@@ -746,10 +745,6 @@ def parse_discourse(sentences: Sequence[str], lexicon: Lexicon,
                 for path, var in old_desc.items():
                     if path in new_fills:
                         state.bindings.append((var, new_fills[path]))
-                state.pending = [(i, d) for i, d in state.pending
-                                 if i != entity.result_index]
-                state.pending.append((entity.result_index,
-                                      _descriptor_paths(renewed.frame)))
         else:
             if subject is not None:
                 entity = Entity(allocator.fresh(), subject.head, subject.text,
@@ -762,8 +757,6 @@ def parse_discourse(sentences: Sequence[str], lexicon: Lexicon,
         results.append(result)
         if entity is not None and entity.result_index is None:
             entity.result_index = len(results) - 1
-        state.pending.append((len(results) - 1,
-                              _descriptor_paths(result.frame)))
 
     return results, state
 

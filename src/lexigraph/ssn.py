@@ -58,10 +58,11 @@ class _QuestionFields(NamedTuple):
 
 
 class Question(_QuestionFields):
-    """A network question.  A FRAME-DIFF question holds, once computed,
-    what the sense parser tests a sentence against (``_probe``)."""
+    """A network question.  Its ``qid`` is formatted once, and a FRAME-DIFF
+    question holds, once computed, what the sense parser tests a sentence
+    against (``_probe``)."""
 
-    @property
+    @cached_property
     def qid(self) -> str:
         if self.kind == "FRAME-DIFF":
             return f"FRAME-DIFF {'.'.join(self.payload[0])}"

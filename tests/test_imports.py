@@ -1,9 +1,10 @@
 """Import footprint: ``import lexigraph`` loads no submodule, every public
 name still resolves, and each CLI command loads only the modules it uses
-and neither ``dataclasses`` nor ``inspect``."""
+and none of the slow standard modules below.  The child interpreters run
+with ``-S``: ``site`` can load some of them by itself (a ``.pth`` file of
+an installed package, such as certifi's, imports ``importlib.resources``)."""
 from __future__ import annotations
 
-import functools
 import importlib
 import os
 import subprocess
@@ -13,13 +14,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src"
-# what every command loads: the CLI, the bundled corpus and its data
-# package, the lexicon and the rule tables
-BASE = {"lexigraph", "cli", "corpus", "data", "lexicon", "prep_rules"}
+# what every command loads: the CLI, the bundled corpus, the lexicon and
+# the rule tables
+BASE = {"lexigraph", "cli", "corpus", "lexicon", "prep_rules"}
 
 # standard modules a command must not load: dataclasses costs about 10 ms
-# at start-up with the inspect, ast, dis and tokenize it imports
-SLOW = ("dataclasses", "inspect")
+# at start-up with the inspect, ast, dis and tokenize it imports, and
+# importlib.resources loads pathlib, zipfile and tempfile
+SLOW = ("dataclasses", "inspect", "importlib.resources", "pathlib",
+        "zipfile", "tempfile")
 
 REPORT = f"""\
 import contextlib, io, sys
@@ -36,7 +39,7 @@ def loaded_modules(code: str, *argv: str) -> tuple[str, set[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                          check=True, capture_output=True, text=True,
                          timeout=120).stdout.split()
     return out[0], set(out[1:])
@@ -57,7 +60,7 @@ def loaded_modules(code: str, *argv: str) -> tuple[str, set[str]]:
 def test_command_loads_only_what_it_uses(argv, extra):
     code, modules = loaded_modules(REPORT, *argv)
     assert code == "0"
-    assert modules == BASE | extra | slow_loaded_by_resources()
+    assert modules == BASE | extra
 
 
 def test_discourse_loads_only_what_it_uses(tmp_path):
@@ -65,18 +68,15 @@ def test_discourse_loads_only_what_it_uses(tmp_path):
     doc.write_text("The milk changed.\n", encoding="utf-8")
     code, modules = loaded_modules(REPORT, "discourse", "--file", str(doc))
     assert code == "0"
-    assert modules == (BASE | {"frames", "ssn", "parser"}
-                       | slow_loaded_by_resources())
+    assert modules == BASE | {"frames", "ssn", "parser"}
 
 
-@functools.cache
-def slow_loaded_by_resources() -> set[str]:
-    """The SLOW modules that ``importlib.resources``, which reads the
-    bundled corpus, loads by itself: inspect from Python 3.12 on."""
+def test_bare_start_loads_no_slow_module():
+    """So the checks above see what lexigraph loads, not what ``site``
+    or the interpreter loads."""
     _, modules = loaded_modules(
-        f"import sys, importlib.resources; "
-        f"print(0, *[m for m in {SLOW!r} if m in sys.modules])")
-    return modules
+        f"import sys; print(0, *[m for m in {SLOW!r} if m in sys.modules])")
+    assert modules == set()
 
 
 def test_package_import_loads_no_submodule():

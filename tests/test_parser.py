@@ -372,7 +372,9 @@ def test_unrelated_subjects_do_not_bind(lexicon, ssns, frames, rules):
         ["The milk changed.", "The voice changed."],
         lexicon, ssns, frames, rules)
     assert not state.bindings
-    assert len(state.pending) == 2
+    # each subject is its own entity, holding its own sentence's result
+    assert [(e.head, e.result_index) for e in state.entities] == [
+        ("milk", 0), ("voice", 1)]
 
 
 def test_plural_pronoun_corefers_with_latest_entity(lexicon, ssns, frames, rules):
