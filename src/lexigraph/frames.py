@@ -22,7 +22,6 @@ from .lexicon import (
     Sense,
     SenseKey,
     _label_ancestors,
-    genus_words,
     lower_alternatives,
     parse_sense,
     usage_particles,
@@ -169,17 +168,26 @@ class ApplyOutcome(NamedTuple):
 def find_slot(slots: tuple[Slot, ...], name: str
               ) -> Optional[tuple[tuple[str, ...], Slot]]:
     """Path and slot of the first slot with this name, breadth first in
-    slot order; else of the first one bound to this role; else None."""
-    bound: Optional[tuple[tuple[str, ...], Slot]] = None
-    queue = [((s.name,), s) for s in slots]
-    for path, slot in queue:  # also visits what the loop appends
+    slot order; else of the first one bound to this role; else None.  Only
+    the path of the slot returned is built."""
+    for slot in slots:
         if slot.name == name:
-            return path, slot
+            return (name,), slot
+    bound = None
+    queue = [(slot, None) for slot in slots]  # (slot, its parent's entry)
+    for entry in queue:  # also visits what the loop appends, level by level
+        slot = entry[0]
+        if slot.name == name:
+            return _entry_path(entry), slot
         if bound is None and slot.bind == name:
-            bound = path, slot
-        if slot.children:
-            queue.extend((path + (c.name,), c) for c in slot.children)
-    return bound
+            bound = entry
+        for child in slot.children:
+            queue.append((child, entry))
+    return None if bound is None else (_entry_path(bound), bound[0])
+
+
+def _entry_path(entry: Optional[tuple]) -> tuple[str, ...]:
+    return () if entry is None else _entry_path(entry[1]) + (entry[0].name,)
 
 
 def walk_slots(slots: tuple[Slot, ...]) -> Iterator[Slot]:
@@ -201,10 +209,11 @@ def update_slot(slots: tuple[Slot, ...], path: tuple[str, ...],
         if old.name == name:
             found = True
             break
-    else:
+    else:  # before the first slot that sorts after it
         found, old = False, Slot(name)
         rank = slot_order_key(name)
-        i = sum(slot_order_key(s.name) < rank for s in slots)
+        i = next((i for i, s in enumerate(slots)
+                  if slot_order_key(s.name) > rank), len(slots))
     if len(path) > 1:
         kids = update_slot(old.children, path[1:], change, *args)
         new = old if kids is old.children else Slot(
@@ -368,7 +377,7 @@ def load_seed_frames(lexicon: Lexicon) -> dict[SenseKey, Frame]:
     out: dict[SenseKey, Frame] = {}
     seeded = sorted(lexicon.seed_frames, key=SenseKey.sort_key)
     for key in seeded:
-        records = lexicon.records_for(key)
+        records = lexicon._by_key.get(key)
         if not records:
             continue
         primary = records[0]
@@ -534,13 +543,16 @@ class _FrameDerivation:
         record and genus word that lead there (None for a label ancestor).
         A key that is no sense of the lexicon (an R record's unknown
         target) has none, so it gets a provisional frame."""
-        if not self.lexicon.has_sense(key):
+        by_key = self.lexicon._by_key
+        records = by_key.get(key)
+        if records is None:
             return None
         for pk in _ancestor_keys(key):
-            if self.lexicon.has_sense(pk):
+            if pk in by_key:
                 return pk, None
-        for rec in self.lexicon.records_for(key):
-            for word in genus_words(rec, self.lexicon):
+        genus = self.lexicon._genus
+        for rec in records:
+            for word in genus[id(rec)]:
                 target = self.resolution_map.get((key, word))
                 if target is not None:
                     return target, (rec, word)
@@ -551,7 +563,7 @@ class _FrameDerivation:
         """The frame of ``key`` from the frame of its dependency: a label
         ancestor's when ``via`` is None, else the genus target of the
         (record, genus word) ``via``; a provisional frame when there is none."""
-        records = self.lexicon.records_for(key)
+        records = self.lexicon._by_key.get(key, ())
         if base is None:
             frame = _provisional(key, self.lexicon)
             fill_subject = True
@@ -577,11 +589,11 @@ class _FrameDerivation:
 def _provisional(key: SenseKey, lexicon: Lexicon) -> Frame:
     """Fallback frame: uppercased genus word as a provisional predicate."""
     predicate = key.headword.upper()
-    for rec in lexicon.records_for(key):
+    for rec in lexicon._by_key.get(key, ()):
         if rec.is_synonym_line:
             predicate = rec.synonym_refs[0].upper()
             break
-        words = genus_words(rec, lexicon)
+        words = lexicon._genus[id(rec)]
         if words:
             predicate = words[0].upper()
             break
@@ -648,15 +660,17 @@ def canonical_paths(frame: Frame) -> dict[tuple, tuple[tuple[str, ...], object]]
 def _slot_paths(out: dict, slot: Slot, sort_prefix: tuple,
                 display_prefix: tuple[str, ...]) -> None:
     """Add the canonical positions of ``slot`` and its children to ``out``."""
-    base_sort = sort_prefix + (slot_order_key(slot.name),)
-    base_disp = display_prefix + (slot.name,)
+    name, restrictions = slot.name, slot.restrictions
+    base_sort = sort_prefix + (slot_order_key(name),)
+    base_disp = display_prefix + (name,)
     out[base_sort + ((0, "case"),)] = (base_disp + ("case",),
                                        " v ".join(slot.case))
     out[base_sort + ((1, "bind"),)] = (base_disp + ("bind",), slot.bind or "")
     out[base_sort + ((2, "filler"),)] = (base_disp + ("filler",),
                                          slot.render_filler())
     out[base_sort + ((3, "restrictions"),)] = (
-        base_disp + ("restrictions",), tuple(sorted(slot.restrictions)))
+        base_disp + ("restrictions",),
+        tuple(sorted(restrictions)) if len(restrictions) > 1 else restrictions)
     for child in slot.children:
         _slot_paths(out, child, base_sort + ((4, "children"),), base_disp)
 
@@ -689,11 +703,16 @@ def frame_diff(a: Frame, b: Frame) -> Optional[DiffPoint]:
 EMPTY_VALUES = (None, "", ())
 
 
-def flat_group(frames: dict[SenseKey, Frame]) -> tuple[dict, list]:
+def flat_group(frames: dict[SenseKey, Frame], flats: Optional[dict] = None
+               ) -> tuple[dict, list]:
     """Each frame's ``canonical_paths`` and the sorted union of their
-    positions, as ``first_diff`` reads them."""
-    flats = {k: canonical_paths(f) for k, f in frames.items()}
-    return flats, sorted(set().union(*flats.values()))
+    positions, as ``first_diff`` reads them.  ``flats``, a caller's dict of
+    them by sense key, keeps each one for the key's next group."""
+    flats = {} if flats is None else flats
+    for k, f in frames.items():
+        if k not in flats:
+            flats[k] = canonical_paths(f)
+    return flats, sorted(set().union(*(flats[k] for k in frames)))
 
 
 def first_diff(keys: list[SenseKey], flats: dict, positions: list,
@@ -703,19 +722,19 @@ def first_diff(keys: list[SenseKey], flats: dict, positions: list,
     None.  An absent value (None) and an empty one ("" or ()) are no
     difference, so a position none of the keys has is none either, and
     ``flats`` and ``positions`` may cover more keys."""
+    flat_list = [flats[key] for key in keys]
     for index in range(start, len(positions)):
         pos = positions[index]
-        values = {}
-        display = None
-        for key in keys:
-            entry = flats[key].get(pos)
-            if entry is not None:
-                display = entry[0]
-            values[key] = entry[1] if entry is not None else None
-        distinct = {None if v in EMPTY_VALUES else repr(v)
-                    for v in values.values()}
+        entries = [flat.get(pos) for flat in flat_list]
+        if entries.count(entries[0]) == len(entries):
+            continue
+        # every canonical value is a str or a tuple of str
+        distinct = {None if e is None or e[1] in EMPTY_VALUES else e[1]
+                    for e in entries}
         if len(distinct) > 1:
-            return index, display, values
+            display = next(e[0] for e in entries if e is not None)
+            return index, display, {key: None if e is None else e[1]
+                                    for key, e in zip(keys, entries)}
     return None
 
 

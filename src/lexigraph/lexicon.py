@@ -166,13 +166,6 @@ class Sense(_LineBlind, _SenseFields):
     def is_synonym_line(self) -> bool:
         return bool(self.synonym_refs) and not self.raw_definition
 
-    @cached_property
-    def _parsed(self) -> Optional["ParsedDefinition"]:
-        """The memo behind ``parse_sense``."""
-        if self.is_synonym_line:
-            return None
-        return parse_definition(self.raw_definition, self.pos)
-
     @property
     def subject_restriction(self) -> Optional[str]:
         for s in self.status:
@@ -200,11 +193,11 @@ class Phrase(_PhraseFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if (self.kind == "prep-phrase") != (self.prep is not None):
+    def __new__(cls, kind: str, text: str, prep: Optional[str] = None,
+                hedged: bool = False):
+        if (kind == "prep-phrase") != (prep is not None):
             raise ValueError("prep present iff kind is prep-phrase")
-        return self
+        return tuple.__new__(cls, (kind, text, prep, hedged))
 
     @classmethod
     def _make(cls, iterable) -> "Phrase":  # so _replace checks too
@@ -871,9 +864,17 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
 
 def parse_sense(sense: Sense) -> Optional[ParsedDefinition]:
     """Parse a Sense record; synonym-only lines have no parse.  The parse
-    is memoized on the (immutable) Sense instance, so each record is
-    segmented once however many stages read it."""
-    return sense._parsed
+    is memoized on the (immutable) Sense instance, as ``_parsed`` in its
+    ``__dict__``, so each record is segmented once however many stages
+    read it."""
+    try:
+        return sense.__dict__["_parsed"]
+    except KeyError:  # the first read of this record
+        pass
+    parsed = sense.__dict__["_parsed"] = (
+        None if sense.is_synonym_line
+        else parse_definition(sense.raw_definition, sense.pos))
+    return parsed
 
 
 def usage_particles(note: Optional[str]) -> tuple[str, ...]:

@@ -39,7 +39,6 @@ from .lexicon import (
     Sense,
     SenseKey,
     _label_ancestors,
-    genus_words,
     head_noun,
     lower_alternatives,
     parse_sense,
@@ -496,10 +495,10 @@ class AutoResolution(NamedTuple):
 
 class _GenusTable:
     """What disambiguation needs to know about one genus verb, computed
-    once however many definitions use it: its verb sense keys in canonical
-    order (``rank`` maps each to its position), the family carrying a
-    respect group and the family whose subject is bound as the from-state,
-    the head of the latter, the particles each of its senses requires, and
+    once however many definitions use it: its verb sense keys, the family
+    carrying a respect group, the family whose subject is bound as the
+    from-state and the keys of both families, each in canonical order; the
+    head of the bind family, the particles each of its senses requires, and
     the respect alternatives stated in each respect-family frame."""
 
     def __init__(self, word: str, lexicon: Lexicon,
@@ -507,7 +506,6 @@ class _GenusTable:
         records = lexicon.records_by_key(word)
         self.keys = tuple(sorted((k for k in records if k.pos.is_verb),
                                  key=SenseKey.sort_key))
-        self.rank = {k: i for i, k in enumerate(self.keys)}
         self.respect_family: list[SenseKey] = []
         self.bind_family: list[SenseKey] = []
         self.respect_sets: dict[SenseKey, frozenset[str]] = {}
@@ -524,21 +522,21 @@ class _GenusTable:
             elif any(s.name == "RESPECT" for s in walk_slots(frame.slots)):
                 self.respect_family.append(k)
                 self.respect_sets[k] = frozenset().union(*frame._match_facts[1])
-        self.family_head = min(
-            self.bind_family, default=None,
-            key=lambda k: (len(_label_ancestors(k.label)), self.rank[k]))
-
-    def ordered(self, keys: Iterable[SenseKey]) -> tuple[SenseKey, ...]:
-        return tuple(sorted(set(keys), key=self.rank.__getitem__))
+        self.both_families = [k for k in self.keys
+                              if k in self.required or k in self.respect_sets]
+        # the first of the fewest label ancestors
+        self.family_head = min(self.bind_family, default=None,
+                               key=lambda k: len(_label_ancestors(k.label)))
 
 
 def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
                                frames: dict[SenseKey, Frame],
                                rules: RuleTable) -> AutoResolution:
-    """Propose the sense of the genus verb used by a definition: an
-    adjacent from...to pair forces the respect family; an into/to object
-    presumes the subject-transforming family subject to the essential-change
-    check; an in-phrase is compared against the subsense respect sets."""
+    """Propose the sense of the genus verb used by a definition (records of
+    ``lexicon``): an adjacent from...to pair forces the respect family; an
+    into/to object presumes the subject-transforming family subject to the
+    essential-change check; an in-phrase is compared against the subsense
+    respect sets."""
     return _propose(records, lexicon, frames, {})
 
 
@@ -550,7 +548,7 @@ def _propose(records: list[Sense], lexicon: Lexicon,
     using = records[0].key
     genus_word = None
     for rec in records:
-        words = genus_words(rec, lexicon)
+        words = lexicon._genus[id(rec)]
         if words:
             genus_word = words[0]
             break
@@ -561,11 +559,7 @@ def _propose(records: list[Sense], lexicon: Lexicon,
         table = tables[genus_word] = _GenusTable(genus_word, lexicon, frames)
     fam1, fam2 = table.respect_family, table.bind_family
 
-    def result(unique, candidates, why):
-        return AutoResolution(using, genus_word, unique,
-                              table.ordered(candidates), why)
-
-    phrases: list[Phrase] = []
+    phrases: Sequence[Phrase] = ()
     subject = None
     negated = False
     synonym_note_particles: tuple[str, ...] = ()
@@ -575,62 +569,59 @@ def _propose(records: list[Sense], lexicon: Lexicon,
             continue
         parsed = parse_sense(rec)
         if not phrases:
-            phrases = list(parsed.differentiae)
+            phrases = parsed.differentiae
             negated = parsed.negated
             subject = rec.subject_restriction
 
     pps = [p for p in phrases if p.kind == "prep-phrase" and not p.hedged]
-    for i in range(len(pps) - 1):
-        if pps[i].prep == "from" and pps[i + 1].prep == "to":
-            return result(None, fam1,
-                          "from...to pair: the respect family is intended; "
-                          "the particular respect needs further context")
-
     state_pp = next((p for p in pps if p.prep in ("into", "to")), None)
-    if state_pp is not None:
-        if not state_pp.text:
-            particles = {p.prep for p in pps}
-            keep = [k for k in fam2
-                    if not table.required[k] or table.required[k] & particles]
-            return result(None, keep or fam2,
-                          "state preposition without an object: "
-                          "subject-transforming family presumed, object "
-                          "awaited from context")
-        if len(split_alternatives(state_pp.text)) > 1:
-            return result(None, fam1 + fam2,
-                          "disjunctive state object: both families apply")
-        if essential_change(subject, state_pp.text):
-            head = table.family_head
-            if head is not None:
-                return result(head, [head],
-                              "essential change into a new kind: "
-                              "subject-transforming family head")
-        return result(None, fam1,
-                      "state object within the subject's stated kinds: "
-                      "accidental change, respect family")
-
     in_pp = next((p for p in pps if p.prep == "in" and p.text), None)
-    if in_pp is not None:
+    unique = None
+    if any(a.prep == "from" and b.prep == "to" for a, b in zip(pps, pps[1:])):
+        candidates = fam1
+        why = ("from...to pair: the respect family is intended; "
+               "the particular respect needs further context")
+    elif state_pp is not None and not state_pp.text:
+        particles = {p.prep for p in pps}
+        candidates = [k for k in fam2 if not table.required[k]
+                      or table.required[k] & particles] or fam2
+        why = ("state preposition without an object: subject-transforming "
+               "family presumed, object awaited from context")
+    elif state_pp is not None and len(split_alternatives(state_pp.text)) > 1:
+        candidates = table.both_families
+        why = "disjunctive state object: both families apply"
+    elif (state_pp is not None and table.family_head is not None
+          and essential_change(subject, state_pp.text)):
+        unique = table.family_head
+        candidates = [unique]
+        why = ("essential change into a new kind: "
+               "subject-transforming family head")
+    elif state_pp is not None:
+        candidates = fam1
+        why = ("state object within the subject's stated kinds: "
+               "accidental change, respect family")
+    elif in_pp is not None:
         given = lower_alternatives((in_pp.text,))
-        matches = [k for k in fam1 if given & table.respect_sets[k]]
-        if len(matches) == 1:
-            return result(matches[0], matches,
-                          "respect matches exactly one subsense restriction set")
-        if matches:
-            return result(None, matches,
-                          "respect matches several subsense restriction sets")
-        return result(None, fam1,
-                      "respect stated but matches no subsense set: "
-                      "respect family, subsense open")
-
-    if synonym_note_particles and set(synonym_note_particles) & {"into", "to"}:
-        return result(None, fam2,
-                      "bare cross-reference noted with a state preposition: "
-                      "subject-transforming family presumed")
-
-    why = ("negated use: any sense may be the negated base"
-           if negated else "no discriminating context: all senses apply")
-    return result(None, table.keys, why)
+        candidates = [k for k in fam1 if given & table.respect_sets[k]]
+        if len(candidates) == 1:
+            unique = candidates[0]
+            why = "respect matches exactly one subsense restriction set"
+        elif candidates:
+            why = "respect matches several subsense restriction sets"
+        else:
+            candidates = fam1
+            why = ("respect stated but matches no subsense set: "
+                   "respect family, subsense open")
+    elif set(synonym_note_particles) & {"into", "to"}:
+        candidates = fam2
+        why = ("bare cross-reference noted with a state preposition: "
+               "subject-transforming family presumed")
+    else:
+        candidates = table.keys
+        why = ("negated use: any sense may be the negated base" if negated
+               else "no discriminating context: all senses apply")
+    # every candidate list above keeps the canonical order of table.keys
+    return AutoResolution(using, genus_word, unique, tuple(candidates), why)
 
 
 def autoresolve_all(lexicon: Lexicon, frames: dict[SenseKey, Frame],
@@ -638,12 +629,12 @@ def autoresolve_all(lexicon: Lexicon, frames: dict[SenseKey, Frame],
                     genus_word: str = "change") -> list[AutoResolution]:
     """Proposals for every sense whose main verb is the given word."""
     tables: dict[str, _GenusTable] = {}
+    genus = lexicon._genus
     out = []
-    for key in lexicon.sense_keys():
+    for key, records in lexicon._by_key.items():
         if not key.pos.is_verb or key.headword == genus_word:
             continue
-        records = lexicon.records_for(key)
-        if any(genus_word in genus_words(rec, lexicon) for rec in records):
+        if any(genus_word in genus[id(rec)] for rec in records):
             out.append(_propose(records, lexicon, frames, tables))
     return sorted(out, key=lambda r: SenseKey.sort_key(r.using))
 

@@ -15,7 +15,6 @@ from .lexicon import (
     Lexicon,
     Sense,
     SenseKey,
-    genus_words,
     head_noun,
     parse_sense,
     senses_of,
@@ -73,9 +72,11 @@ class ReductionReport(NamedTuple):
 
 
 class ReductionContext:
-    """Shared lookups for the rules: resolved genus targets, frames, and
-    the prep rule table.  A use's deltas come from a ``FrameTable`` built
-    with these ``rules`` over the genus frame that ``frames`` holds."""
+    """Shared lookups for the rules, which read records of ``lexicon``:
+    resolved genus targets, the genus frame of each resolved use, each
+    record's genus words (the lexicon's index, not copied) and the prep
+    rule table.  A use's deltas come from a ``FrameTable`` built with these
+    ``rules`` over the genus frame that ``frames`` holds."""
 
     def __init__(self, lexicon: Lexicon, graph: DefinitionGraph,
                  frames: dict[SenseKey, Frame], rules: RuleTable,
@@ -85,11 +86,14 @@ class ReductionContext:
         self.frames = frames
         self.rules = rules
         self.operators = frozenset(operators)
+        self.genus = lexicon._genus   # genus words by record id
         # keyed by the record's id: the lexicon keeps every record alive
         # as long as the context
         self._deltas: dict[tuple[int, str], tuple[UseDelta, ...]] = {}
         self._resolved: dict[tuple[SenseKey, str], SenseKey] = {
             (a.source, a.genus_word): a.target() for a in graph.arcs if a.resolved}
+        self._genus_frames = {use: frames.get(target)
+                              for use, target in self._resolved.items()}
         if getattr(frames, "rules", None) is rules:
             for (rec_id, word), (rec, base, deltas) in frames.uses.items():
                 if self.genus_frame(rec.key, word) is base:
@@ -99,7 +103,7 @@ class ReductionContext:
         return self._resolved.get((key, genus_word))
 
     def genus_frame(self, key: SenseKey, genus_word: str) -> Optional[Frame]:
-        return self.frames.get(self.genus_target(key, genus_word))
+        return self._genus_frames.get((key, genus_word))
 
     def use_deltas(self, rec: Sense, genus_word: str) -> tuple[UseDelta, ...]:
         """The deltas of ``rec``'s use of ``genus_word`` over its genus
@@ -130,7 +134,7 @@ class ReductionContext:
         slot, or a literal with-an-instrument phrase in its definition."""
         if any(s.name == "INSTRUMENT" for s in walk_slots(frame.slots)):
             return True
-        for rec in self.lexicon.records_for(target):
+        for rec in self.lexicon._by_key.get(target, ()):
             if rec.is_synonym_line:
                 continue
             parsed = parse_sense(rec)
@@ -157,7 +161,7 @@ def rule_multi_concept(records: list[Sense],
             return NonprimitiveEvidence(
                 rec.key, "MULTI-CONCEPT",
                 f"operator NOT over {base}; operator contribution owed")
-        for word in genus_words(rec, ctx.lexicon):
+        for word in ctx.genus[id(rec)]:
             if word in ctx.operators:
                 return NonprimitiveEvidence(
                     rec.key, "MULTI-CONCEPT",
@@ -172,7 +176,7 @@ def rule_slot_fill(records: list[Sense],
     or a subject label fills SUBJ. Pure synonym lines are degenerate
     slot-fills: they bind nothing and add nothing of their own."""
     for rec in records:
-        for word in genus_words(rec, ctx.lexicon):
+        for word in ctx.genus[id(rec)]:
             base = ctx.genus_frame(rec.key, word)
             if base is None:
                 continue
@@ -201,7 +205,7 @@ def rule_word_government(records: list[Sense],
                         and not p.hedged and p.text]
         if not with_phrases:
             continue
-        for word in genus_words(rec, ctx.lexicon):
+        for word in ctx.genus[id(rec)]:
             target = ctx.genus_target(rec.key, word)
             base = ctx.genus_frame(rec.key, word)
             if target is None or base is None:
@@ -229,7 +233,7 @@ def rule_optional_component(records: list[Sense],
             continue
         if rec.subject_restriction:
             continue
-        word = next((w for w in genus_words(rec, ctx.lexicon)
+        word = next((w for w in ctx.genus[id(rec)]
                      if ctx.genus_frame(rec.key, w) is not None), None)
         if word is None:
             continue
@@ -258,7 +262,7 @@ _RULES = {
 def run_rule(rule: str, key: SenseKey, ctx: ReductionContext
              ) -> Optional[NonprimitiveEvidence]:
     """Re-run a single named rule on a single sense (evidence soundness)."""
-    return _RULES[rule](ctx.lexicon.records_for(key), ctx)
+    return _RULES[rule](ctx.lexicon._by_key.get(key, []), ctx)
 
 
 def reduce_fixpoint(lexicon: Lexicon, graph: DefinitionGraph,
@@ -280,7 +284,7 @@ def reduce_fixpoint(lexicon: Lexicon, graph: DefinitionGraph,
             for key in verb_keys:
                 if status[key] is not None:
                     continue
-                evidence = fn(lexicon.records_for(key), ctx)
+                evidence = fn(lexicon._by_key[key], ctx)  # not copied
                 if evidence is not None:
                     status[key] = evidence
                     changed = True

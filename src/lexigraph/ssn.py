@@ -165,7 +165,13 @@ def _pos_tag(pos: PartOfSpeech) -> str:
 def compile_ssn(headword: str,
                 senses_by_key: dict[SenseKey, list[Sense]],
                 frames: dict[SenseKey, Frame]) -> SSN:
-    """Compile the network for one headword over all its homographs."""
+    """Compile the network for one headword over all its homographs.  Each
+    frame is flattened at most once per call."""
+    if len(senses_by_key) == 1:  # nothing to sort or ask
+        (key,) = senses_by_key
+        frame = frames.get(key)
+        if frame is not None and key.headword == headword:
+            return SSN(headword, (key,), Terminal(key, frame))
     keys = sorted(senses_by_key, key=SenseKey.sort_key)
     if not keys:
         raise CompileError(f"no senses for {headword!r}")
@@ -174,17 +180,16 @@ def compile_ssn(headword: str,
     for k in keys:
         if k not in frames:
             raise CompileError(f"no frame for {k.render()}")
-    if len(keys) == 1:  # nothing to ask
-        return SSN(headword, (keys[0],), Terminal(keys[0], frames[keys[0]]))
     stages = _stage_questions(keys, senses_by_key)
-    root = _build(keys, 0, stages, senses_by_key, frames)
+    root = _build(keys, 0, stages, senses_by_key, frames, {})
     return SSN(headword, tuple(keys), root)
 
 
 def _build(group: list[SenseKey], stage_idx: int, stages,
-           senses_by_key, frames) -> Node:
+           senses_by_key, frames, flats: dict) -> Node:
     """The subtree that tells ``group`` apart, asking the stage questions
-    from ``stage_idx`` on, then frame differences."""
+    from ``stage_idx`` on, then frame differences.  ``flats`` holds the
+    frames of the network flattened so far (see ``flat_group``)."""
     if len(group) == 1:
         return Terminal(group[0], frames[group[0]])
     while stage_idx < len(stages):
@@ -196,10 +201,10 @@ def _build(group: list[SenseKey], stage_idx: int, stages,
         if len(parts) < 2 or len(outcomes) < 2:
             continue
         branches = tuple((answer, _build(sub, stage_idx, stages,
-                                         senses_by_key, frames))
+                                         senses_by_key, frames, flats))
                          for answer, sub in sorted(parts.items()))
         return Question(kind, payload, branches)
-    flats, positions = flat_group({k: frames[k] for k in group})
+    flats, positions = flat_group({k: frames[k] for k in group}, flats)
     return _frame_diff_tree(group, 0, flats, positions, senses_by_key, frames)
 
 
@@ -333,7 +338,8 @@ def traverse(ssn: SSN, oracle: Oracle) -> TraverseResult:
     senses: set[SenseKey] = set()
     open_questions: list[str] = []
     terminal = _walk(ssn.root, oracle, senses, open_questions)
-    return TraverseResult(tuple(sorted(senses, key=SenseKey.sort_key)),
+    # in the order of ``ssn.senses``, sorted when it was compiled
+    return TraverseResult(tuple(filter(senses.__contains__, ssn.senses)),
                           terminal and len(senses) == 1, tuple(open_questions))
 
 

@@ -1,5 +1,7 @@
-"""Shared test support: a hypothesis strategy for small generated LEXF
-lexicons, and a reader for the quoted strings of a DOT export.
+"""Shared test support: hypothesis strategies for small generated LEXF
+lexicons (among them ones whose frames are derived by applying uses, with
+the rule rows for their predicate families), and a reader for the quoted
+strings of a DOT export.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -14,6 +16,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from lexigraph.corpus import corpus_text
 from lexigraph.defgraph import build_graph
 from lexigraph.lexicon import parse_lexf
 
@@ -79,10 +82,12 @@ def lexf_texts(draw) -> str:
 
 
 @st.composite
-def resolved_lexf_texts(draw) -> str:
-    """A ``lexf_texts()`` text whose R records are replaced by valid ones:
-    most arcs of its graph are resolved to one sense of their bundle."""
-    text = "".join(line for line in draw(lexf_texts()).splitlines(True)
+def resolved_lexf_texts(draw, texts=None) -> str:
+    """A ``lexf_texts()`` text (or one drawn from ``texts``) whose R records
+    are replaced by valid ones: most arcs of its graph are resolved to one
+    sense of their bundle."""
+    drawn = draw(lexf_texts() if texts is None else texts)
+    text = "".join(line for line in drawn.splitlines(True)
                    if not line.startswith("R|"))
     records = []
     for arc in build_graph(parse_lexf(text)).arcs:
@@ -93,6 +98,75 @@ def resolved_lexf_texts(draw) -> str:
             records.append(f"R|{arc.source.render()}|{arc.genus_word}|"
                            f"{target.render()}\n")
     return text + "".join(records)
+
+
+# genus verbs whose seed lines give their frames slots to fill and
+# restrict, the verbs defined by them, and tails and statuses that make
+# their uses fill, restrict and add slots or leave residue
+USE_GENUS = ("alpha", "beta", "change", "give up")
+USE_VERBS = ("delta", "epsilon", "turn")
+USE_SEEDS = ("PRED {}", "COND FROM-STATE NE TO-STATE", "SLOT SUBJ CASE PAT|AGT",
+             "SLOT SUBJ BIND FROM-STATE", "SLOT ACCIDENTAL-ATTRS.RESPECT",
+             "SLOT ACCIDENTAL-ATTRS.RESPECT RESTRICT color",
+             "SLOT ACCIDENTAL-ATTRS.RESPECT.TO-STATE", "SLOT TO-STATE VALUE ice",
+             "SLOT INSTRUMENT")
+USE_TAILS = TAILS + (" by the wind", " into ice or into steam", " to a state",
+                     " in color or shape", " from hot to cold slowly")
+STATUSES = ("", "subject:water", "obs")
+
+
+@st.composite
+def _use_bases(draw) -> str:
+    lines: list[str] = []
+    genus_words = draw(st.lists(st.sampled_from(USE_GENUS), min_size=1,
+                                max_size=3, unique=True))
+    for word in genus_words:
+        labels = draw(st.lists(st.sampled_from(LABELS), min_size=1,
+                               max_size=3, unique=True))
+        lines.append(f"E|{word}|{draw(st.sampled_from(POS[:3]))}|1")
+        lines += [f"S|{label}||to move{draw(st.sampled_from(TAILS))}|"
+                  for label in labels]
+        for label in labels:
+            for seed in draw(st.lists(st.sampled_from(USE_SEEDS), max_size=3,
+                                      unique=True)):
+                lines.append(f"F|{label}|"
+                             + seed.format(word.upper().replace(" ", "-")))
+        lines.append("")
+    for word in draw(st.lists(st.sampled_from(USE_VERBS), min_size=1,
+                              max_size=3, unique=True)):
+        lines.append(f"E|{word}|{draw(st.sampled_from(POS[:3]))}|1")
+        for label in draw(st.lists(st.sampled_from(LABELS), min_size=1,
+                                   max_size=3, unique=True)):
+            lines.append(f"S|{label}|{draw(st.sampled_from(STATUSES))}|to "
+                         f"{draw(st.sampled_from(genus_words))}"
+                         f"{draw(st.sampled_from(USE_TAILS))}|"
+                         f"{draw(st.sampled_from(NOTES))}")
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def use_lexf_texts():
+    """A LEXF text whose senses derive their frames by applying uses:
+    genus verbs (``change`` among them) with seed lines, verbs defined by
+    them, and R records resolving most of their genus arcs.  Under
+    ``family_rules_text()`` the uses fill, restrict and add slots."""
+    return resolved_lexf_texts(_use_bases())
+
+
+def family_rules_text() -> str:
+    """The bundled rule table's rows for every predicate family that
+    ``lexf_texts()`` or ``use_lexf_texts()`` can give a frame."""
+    names = [w.upper() for w in HEADWORDS + USE_GENUS + GENUS_WORDS
+             + USE_VERBS + ("give", "move")]
+    # a seed's PRED joins a phrase with "-", a provisional predicate keeps
+    # its space
+    families = set(names) | {name.replace(" ", "-") for name in names}
+    rows = [line.split("\t") for line in
+            corpus_text("prep_rules.tsv").splitlines()
+            if line and not line.startswith("#")]
+    return "".join(f"{prep}\t{family}\t{slot}\t{action}\n"
+                   for prep, _, slot, action in rows
+                   for family in sorted(families))
 
 
 def lexgen():
