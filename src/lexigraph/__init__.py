@@ -21,13 +21,9 @@ _EXPORTS = {
     ),
     "frames": (
         "Descriptor", "Frame", "Slot", "UseDelta", "apply_use", "build_frames",
-        "frame_canonicalize", "frame_diff", "load_seed_frames",
-        "specialize_subsense", "use_deltas",
+        "load_seed_frames", "specialize_subsense", "use_deltas",
     ),
-    "prep_rules": (
-        "CueTable", "PrepSense", "PrepSpecKind", "RuleTable",
-        "classify_prep_sense",
-    ),
+    "prep_rules": ("RuleTable",),
     "reduction": ("ReductionReport", "reduce_fixpoint"),
     "ssn": ("SSN", "compile_ssn", "traverse"),
     "parser": (

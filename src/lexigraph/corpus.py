@@ -1,5 +1,5 @@
 """Bundled fixtures: the change lexicon, the word-government supplement,
-prep rule and cue tables, hand resolutions, and the manifest of expected
+the prep rule table, hand resolutions, and the manifest of expected
 counts with their derivations."""
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .lexicon import (
     parse_lexf,
     senses_of,
 )
-from .prep_rules import CueTable, RuleTable, load_cue_table, load_rule_table
+from .prep_rules import RuleTable, load_rule_table
 
 # The files are read from the directory next to this module, which a
 # zipped install does not have; importlib.resources would cost each CLI
@@ -43,10 +43,6 @@ def load_corpus(include_word_government: bool = False,
 
 def load_rules() -> RuleTable:
     return load_rule_table(_read("prep_rules.tsv"))
-
-
-def load_cues() -> CueTable:
-    return load_cue_table(_read("prep_cues.tsv"))
 
 
 class FixtureManifest(NamedTuple):

@@ -1,6 +1,7 @@
 """Case-frame representations: seeded frames, subsense specialization,
 derivation along resolved genus arcs, the three-way delta when one verb is
-used in defining another, and canonical tuple forms for diffing.
+used in defining another, and the flat canonical positions at which the
+first difference of a group of frames is found.
 
 Frames are persistent values: every derivation operation is pure and
 path-copies, rebuilding only the slots on the path it changes and sharing
@@ -24,7 +25,6 @@ from .lexicon import (
     _label_ancestors,
     lower_alternatives,
     parse_sense,
-    usage_particles,
 )
 from .prep_rules import RuleTable
 
@@ -360,7 +360,7 @@ def specialize_subsense(parent: Frame, subsense: Sense,
 def _annotate(frame: Frame, rec: Sense, fill_subject: bool = False) -> Frame:
     """Add a record's usage condition and subject restriction; with
     ``fill_subject`` the restriction also fills an empty SUBJ."""
-    particles = usage_particles(rec.usage_note)
+    particles = rec.usage_particles
     if particles:
         frame = _with_condition(frame, ("USED-WITH", tuple(sorted(particles))))
     subject = rec.subject_restriction
@@ -607,34 +607,10 @@ def _provisional(key: SenseKey, lexicon: Lexicon) -> Frame:
 
 
 # ---------------------------------------------------------------------------
-# canonical form and diffing
+# canonical positions and the first difference
 
 _TRANSITIVITY = {PartOfSpeech.VI: "intransitive", PartOfSpeech.VT: "transitive",
                  PartOfSpeech.VB: "both"}
-
-
-def _slot_canonical(slot: Slot) -> tuple:
-    return ("slot", slot.name,
-            ("case", " v ".join(slot.case)),
-            ("bind", slot.bind or ""),
-            ("filler", slot.render_filler()),
-            ("restrictions", tuple(sorted(slot.restrictions))),
-            ("children", tuple(_slot_canonical(c) for c in
-                               sorted(slot.children, key=lambda s: slot_order_key(s.name)))))
-
-
-def frame_canonicalize(frame: Frame) -> tuple:
-    """Deterministic ordered tuple: syntax first, contextual conditions,
-    then slots in canonical order, recursively."""
-    return ("frame",
-            ("pos", frame.pos.value),
-            ("transitivity", _TRANSITIVITY.get(frame.pos, "")),
-            ("predicate", frame.predicate,
-             "provisional" if frame.provisional else "fixed"),
-            ("conditions", tuple(sorted(render_condition(c)
-                                        for c in frame.conditions))),
-            ("slots", tuple(_slot_canonical(s) for s in
-                            sorted(frame.slots, key=lambda s: slot_order_key(s.name)))))
 
 
 def canonical_paths(frame: Frame) -> dict[tuple, tuple[tuple[str, ...], object]]:
@@ -675,29 +651,6 @@ def _slot_paths(out: dict, slot: Slot, sort_prefix: tuple,
         _slot_paths(out, child, base_sort + ((4, "children"),), base_disp)
 
 
-class DiffPoint(NamedTuple):
-    path: tuple[str, ...]
-    a_value: object
-    b_value: object
-
-    def render(self) -> str:
-        return f"{'.'.join(self.path)}: {self.a_value!r} vs {self.b_value!r}"
-
-
-def frame_diff(a: Frame, b: Frame) -> Optional[DiffPoint]:
-    """Lexicographically first differing position of the canonical tuples,
-    or None when equal."""
-    pa = canonical_paths(a)
-    pb = canonical_paths(b)
-    for pos in sorted(set(pa) | set(pb)):
-        va = pa.get(pos, (None, None))
-        vb = pb.get(pos, (None, None))
-        if va[1] != vb[1]:
-            display = va[0] if va[0] is not None else vb[0]
-            return DiffPoint(display, va[1], vb[1])
-    return None
-
-
 # the values of a canonical position that read as nothing: absent, or an
 # empty string or tuple
 EMPTY_VALUES = (None, "", ())
@@ -736,15 +689,6 @@ def first_diff(keys: list[SenseKey], flats: dict, positions: list,
             return index, display, {key: None if e is None else e[1]
                                     for key, e in zip(keys, entries)}
     return None
-
-
-def group_first_diff(frames: dict[SenseKey, Frame]):
-    """First canonical position at which any two frames of the group differ,
-    absent and empty values being alike: (display path, {sense key:
-    value-at-position}) or None."""
-    flats, positions = flat_group(frames)
-    found = first_diff(list(frames), flats, positions)
-    return None if found is None else found[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,18 @@ class Sense(_LineBlind, _SenseFields):
         return bool(self.synonym_refs) and not self.raw_definition
 
     @property
+    def usage_particles(self) -> tuple[str, ...]:
+        """Particles named by a 'used with X [or Y]' usage note."""
+        if not self.usage_note:
+            return ()
+        m = re.match(r"^(?:usu\.\s+|usually\s+)?used with\s+(.+)$",
+                     self.usage_note.strip())
+        if not m:
+            return ()
+        parts = re.split(r"\s+or\s+|,\s*", m.group(1))
+        return tuple(p.strip() for p in parts if p.strip())
+
+    @property
     def subject_restriction(self) -> Optional[str]:
         for s in self.status:
             if s.startswith("subject:"):
@@ -875,25 +887,3 @@ def parse_sense(sense: Sense) -> Optional[ParsedDefinition]:
         None if sense.is_synonym_line
         else parse_definition(sense.raw_definition, sense.pos))
     return parsed
-
-
-def usage_particles(note: Optional[str]) -> tuple[str, ...]:
-    """Particles named by a 'used with X [or Y]' usage note."""
-    if not note:
-        return ()
-    m = re.match(r"^(?:usu\.\s+|usually\s+)?used with\s+(.+)$", note.strip())
-    if not m:
-        return ()
-    body = m.group(1)
-    parts = re.split(r"\s+or\s+|,\s*", body)
-    return tuple(p.strip() for p in parts if p.strip())
-
-
-def usage_subject(note: Optional[str]) -> Optional[str]:
-    """Subject named by a 'used of X' usage note (first alternative)."""
-    if not note:
-        return None
-    m = re.match(r"^(?:usu\.\s+|usually\s+)?used of\s+(.+)$", note.strip())
-    if not m:
-        return None
-    return split_alternatives(m.group(1))[0] if split_alternatives(m.group(1)) else None

@@ -32,6 +32,7 @@ from .frames import (
 from .lexicon import (
     CHUNKING_PREPS,
     DETERMINERS,
+    PARTICLES,
     Lexicon,
     ParsedDefinition,
     Phrase,
@@ -43,7 +44,6 @@ from .lexicon import (
     lower_alternatives,
     parse_sense,
     split_alternatives,
-    usage_particles,
 )
 from .prep_rules import RuleTable
 
@@ -51,7 +51,6 @@ if TYPE_CHECKING:
     from .ssn import SSN, Question
 
 PRONOUNS = {"it", "they", "he", "she", "we", "you", "i", "them"}
-_PARTICLE_WORDS = {"up", "out", "off", "down", "away", "round"}
 _COORDINATORS = {"or", "and"}
 
 
@@ -164,7 +163,7 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
                 chunks.append(Chunk("particle", w, w))
             i = j
             continue
-        if w in _PARTICLE_WORDS and verb_idx is not None and i > verb_idx:
+        if w in PARTICLES and verb_idx is not None and i > verb_idx:
             flush_np(buf)
             chunks.append(Chunk("particle", w, w))
             i += 1
@@ -518,7 +517,7 @@ class _GenusTable:
                    for s in frame.slots):
                 self.bind_family.append(k)
                 self.required[k] = {p for rec in records[k]
-                                    for p in usage_particles(rec.usage_note)}
+                                    for p in rec.usage_particles}
             elif any(s.name == "RESPECT" for s in walk_slots(frame.slots)):
                 self.respect_family.append(k)
                 self.respect_sets[k] = frozenset().union(*frame._match_facts[1])
@@ -565,7 +564,7 @@ def _propose(records: list[Sense], lexicon: Lexicon,
     synonym_note_particles: tuple[str, ...] = ()
     for rec in records:
         if rec.is_synonym_line:
-            synonym_note_particles = usage_particles(rec.usage_note)
+            synonym_note_particles = rec.usage_particles
             continue
         parsed = parse_sense(rec)
         if not phrases:
@@ -721,7 +720,8 @@ def parse_discourse(sentences: Sequence[str], lexicon: Lexicon,
         if entity is not None:
             subject_override = entity.text
             merged = entity.chunks + [c for c in chunks
-                                      if c.kind != "noun-phrase"]
+                                      if c.kind != "noun-phrase"
+                                      and c not in entity.chunks]
             entity.chunks = merged
             # re-run the pending result with the merged evidence
             if entity.result_index is not None:

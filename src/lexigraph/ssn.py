@@ -2,7 +2,7 @@
 
 Branch order: part of speech, transitivity, specified objects, adjective
 complement, usage conditions, then frame-difference questions generated by
-first differences over canonical frame tuples, recursively. Usage-style
+first differences over canonical frame positions, recursively. Usage-style
 questions carry necessary-condition semantics: absence prunes, presence
 does not confirm.
 
@@ -27,7 +27,6 @@ from .lexicon import (
     dot_quote,
     lower_alternatives,
     parse_sense,
-    usage_particles,
 )
 
 
@@ -262,7 +261,7 @@ def _stage_questions(keys, senses_by_key):
     particle_sets: dict[tuple[str, ...], set[SenseKey]] = {}
     for k in keys:
         for rec in senses_by_key[k]:
-            particles = usage_particles(rec.usage_note)
+            particles = rec.usage_particles
             if particles:
                 particle_sets.setdefault(tuple(sorted(particles)), set()).add(k)
 

@@ -24,11 +24,6 @@ def rules():
 
 
 @pytest.fixture(scope="session")
-def cues():
-    return corpus.load_cues()
-
-
-@pytest.fixture(scope="session")
 def manifest():
     return corpus.load_manifest()
 

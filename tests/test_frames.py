@@ -19,10 +19,10 @@ from lexigraph.frames import (
     SpecializationError,
     apply_use,
     build_frames,
-    frame_canonicalize,
-    frame_diff,
+    canonical_paths,
+    first_diff,
+    flat_group,
     frame_to_text,
-    group_first_diff,
     load_seed_frames,
     render_condition,
     slot_order_key,
@@ -148,8 +148,7 @@ def test_identity_specialization(lexicon, frames):
     subsense = [s for s in senses_of(lexicon, "change", PartOfSpeech.VI)
                 if s.label.text == "1a"][0]
     f = specialize_subsense(parent, subsense, ())
-    stripped = frame_diff(parent, f)
-    assert stripped is None  # only provenance differs
+    assert frame_first_diff(parent, f) is None  # only provenance differs
 
 
 def test_specialize_rejects_non_child():
@@ -221,7 +220,7 @@ def test_apply_use_no_differentiae(frames, rules):
     use = parse_definition("change", PartOfSpeech.VI)
     outcome = apply_use(base, use, rules)
     assert outcome.deltas == ()
-    assert frame_diff(base, outcome.frame) is None
+    assert frame_first_diff(base, outcome.frame) is None
 
 
 def test_apply_use_is_additive(lexicon, frames, rules):
@@ -330,41 +329,52 @@ def test_operations_keep_hand_built_frames_in_slot_order(lexicon, rules):
 
 
 # ---------------------------------------------------------------------------
-# canonical form and diffs
+# canonical positions and the first difference
+
+def frame_first_diff(*frames):
+    """The first difference of ``frames`` as a network finds it: (display
+    path, [the value of each frame there]), or None."""
+    group = dict(enumerate(frames))
+    found = first_diff(list(group), *flat_group(group))
+    return None if found is None else (found[1], [found[2][i] for i in group])
+
 
 def test_canonicalize_idempotent(frames):
     f = frames[change_key("1")]
-    assert frame_canonicalize(f) == frame_canonicalize(f)
+    assert canonical_paths(f) == canonical_paths(f)
 
 
 def test_canonicalize_order_independent():
     a = Frame("X", PartOfSpeech.VI, slots=(Slot("SUBJ"), Slot("MANNER")))
     b = Frame("X", PartOfSpeech.VI, slots=(Slot("MANNER"), Slot("SUBJ")))
-    assert frame_canonicalize(a) == frame_canonicalize(b)
+    assert canonical_paths(a) == canonical_paths(b)
+    assert frame_first_diff(a, b) is None
 
 
 def test_diff_identity(frames):
     f = frames[change_key("1c")]
-    assert frame_diff(f, f) is None
+    assert frame_first_diff(f, f) is None
 
 
 def test_diff_sense_one_vs_two_at_subject_binding(frames):
-    d = frame_diff(frames[change_key("1")], frames[change_key("2")])
-    assert d.path == ("slots", "SUBJ", "bind")
-    assert d.a_value == "" and d.b_value == "FROM-STATE"
+    path, values = frame_first_diff(frames[change_key("1")],
+                                    frames[change_key("2")])
+    assert path == ("slots", "SUBJ", "bind")
+    assert values == ["", "FROM-STATE"]
 
 
 def test_diff_1a_vs_1b1_at_respect(frames):
-    d = frame_diff(frames[change_key("1a")], frames[change_key("1b(1)")])
-    assert d.path[-2:] == ("RESPECT", "restrictions")
-    assert d.a_value == ("characteristic, property, or tendency",)
-    assert d.b_value == ("form, appearance, position, state, or stage",)
+    path, values = frame_first_diff(frames[change_key("1a")],
+                                    frames[change_key("1b(1)")])
+    assert path[-2:] == ("RESPECT", "restrictions")
+    assert values == [("characteristic, property, or tendency",),
+                      ("form, appearance, position, state, or stage",)]
 
 
 def test_group_first_diff_on_subsenses(frames):
     group = {change_key(l): frames[change_key(l)]
              for l in ("1", "1a", "1b(1)", "1d", "1f", "1g", "1i")}
-    path, values = group_first_diff(group)
+    _, path, values = first_diff(list(group), *flat_group(group))
     assert path[-2:] == ("RESPECT", "restrictions")
     assert values[change_key("1")] == ()
 
@@ -374,7 +384,7 @@ def test_all_change_frames_distinct(frames):
     assert len(keys) == 19
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
-            assert frame_diff(frames[a], frames[b]) is not None, (a, b)
+            assert frame_first_diff(frames[a], frames[b]) is not None, (a, b)
 
 
 def test_provisional_predicates(frames):

@@ -5,6 +5,7 @@ with ``-S``: ``site`` can load some of them by itself (a ``.pth`` file of
 an installed package, such as certifi's, imports ``importlib.resources``)."""
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -45,7 +46,8 @@ def loaded_modules(code: str, *argv: str) -> tuple[str, set[str]]:
     return out[0], set(out[1:])
 
 
-@pytest.mark.parametrize("argv,extra", [
+# each command, and the modules it loads beyond BASE
+COMMANDS = [
     (["ingest"], set()),
     (["graph"], {"defgraph"}),
     (["scc"], {"defgraph"}),
@@ -56,7 +58,14 @@ def loaded_modules(code: str, *argv: str) -> tuple[str, set[str]]:
     (["autoresolve"], {"frames", "parser"}),
     (["parse", "--text", "The milk changed into curd"],
      {"frames", "ssn", "parser"}),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+]
+
+
+def _argv_id(value):
+    return " ".join(value) if isinstance(value, list) else None
+
+
+@pytest.mark.parametrize("argv,extra", COMMANDS, ids=_argv_id)
 def test_command_loads_only_what_it_uses(argv, extra):
     code, modules = loaded_modules(REPORT, *argv)
     assert code == "0"
@@ -94,3 +103,24 @@ def test_every_public_name_resolves():
     assert set(lexigraph.__all__) <= set(dir(lexigraph))
     with pytest.raises(AttributeError):
         lexigraph.no_such_name
+
+
+# the AST nodes of the modules each command loads: where no bytecode is
+# cached, a call compiles every one of them (about 1.2 us a node on a
+# 2-vCPU VM); discourse loads the modules parse does.  The count is the
+# same on Python 3.10 to 3.13; a change may lower a ceiling, not raise it.
+AST_CEILINGS = {"ingest": 9905, "graph": 12404, "scc": 12404,
+                "primitives": 12404, "frames": 15043, "ssn": 18331,
+                "reduce": 19510, "autoresolve": 20531, "parse": 23819}
+
+
+def _ast_nodes(module: str) -> int:
+    name = "__init__" if module == "lexigraph" else module
+    source = (SRC / "lexigraph" / f"{name}.py").read_text(encoding="utf-8")
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("argv,extra", COMMANDS, ids=_argv_id)
+def test_command_compiles_at_most_its_ceiling(argv, extra):
+    nodes = sum(_ast_nodes(module) for module in BASE | extra)
+    assert nodes <= AST_CEILINGS[argv[0]]

@@ -11,6 +11,7 @@ from lexigraph.lexicon import (
     DefinitionParseError,
     LexfError,
     PartOfSpeech,
+    Sense,
     SenseKey,
     SenseLabel,
     _label_parts,
@@ -22,8 +23,6 @@ from lexigraph.lexicon import (
     senses_of,
     serialize_lexf,
     split_alternatives,
-    usage_particles,
-    usage_subject,
 )
 from lexigraph.corpus import corpus_text
 
@@ -253,11 +252,15 @@ def test_homographs_are_distinct():
 
 
 def test_usage_note_parsing():
-    assert usage_particles("used with into") == ("into",)
-    assert usage_particles("used with into or to") == ("into", "to")
-    assert usage_particles("usu. used with against") == ("against",)
-    assert usage_particles("used of the moon") == ()
-    assert usage_subject("used of the moon") == "moon"
+    def particles(note):
+        return Sense("w", PartOfSpeech.VI, 1, SenseLabel("1"),
+                     usage_note=note).usage_particles
+
+    assert particles("used with into") == ("into",)
+    assert particles("used with into or to") == ("into", "to")
+    assert particles("usu. used with against") == ("against",)
+    assert particles("used of the moon") == ()
+    assert particles(None) == ()
 
 
 def test_split_alternatives():

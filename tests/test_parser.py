@@ -399,3 +399,24 @@ def test_results_tsv(lexicon, ssns, frames, rules):
     tsv = results_to_tsv([r])
     assert tsv.startswith("word\t")
     assert "change:vi:1:2a" in tsv
+
+
+@pytest.mark.parametrize("first,again", [
+    ("The milk changed slowly.", "It changed slowly."),
+    ("The milk changed.", "It turned into curd."),
+    ("The voice changed in pitch.", "The voice changed slowly in pitch."),
+    ("The moon changed.", "They changed up."),
+])
+def test_repeating_a_coreferent_sentence_adds_no_evidence(
+        lexicon, ssns, frames, rules, first, again):
+    # the pending result merges each chunk once, however often a later
+    # sentence repeats it
+    once, _ = parse_discourse([first, again], lexicon, ssns, frames, rules)
+    for k in (2, 3):
+        repeated, _ = parse_discourse([first] + [again] * k, lexicon, ssns,
+                                      frames, rules)
+        for r in (repeated[0], *repeated[2:]):
+            assert len(set(r.deltas)) == len(r.deltas)
+        assert repeated[0].deltas == once[0].deltas
+        assert repeated[0].candidates == once[0].candidates
+        assert repeated[-1].deltas == once[1].deltas

@@ -50,7 +50,7 @@ PINNED = {
         "frames": "31a0f673996f7bce85e557569ecd5735a5608f336c5905ec0ebca3e29be47dff",
         "ssn": "da072dd280d270539e29ac9e2403402b41fc053f625cd038ad4a81691929c7c4",
         "autoresolve": "4ceac969d5decf3219ece9d5cb8a3b3d4b7a25280b90778da0529a1c6aa6370c",
-        "discourse-tsv": "ad47323819269469a756fcc3ae2931d064fc4d74372b266b368326876379ce61",
+        "discourse-tsv": "b9751b89312eed14e624c3a6be9c244a1b379a12eedd89b08abfbf61e6a1fe5f",
         "parse": "a1d805bc6b75ab4f07dbf18856d87ece336afc706e861d8ba1a07d80c9aadf6d"},
     11: {"graph": "e9114cd31167056b4a367dcd11e2c74a937b807593b48985eeead61ac4f436d6",
          "graph-tsv": "09d266b7ae27b24e68258f5916089781ef44789e2370a13e9b243f7b4a28ad60",
@@ -58,7 +58,7 @@ PINNED = {
          "frames": "31a0f673996f7bce85e557569ecd5735a5608f336c5905ec0ebca3e29be47dff",
          "ssn": "da072dd280d270539e29ac9e2403402b41fc053f625cd038ad4a81691929c7c4",
          "autoresolve": "40885ec08abf4fe8c9fa46117b9504586eb470fe3a25685fa1771ea8d7ae7056",
-         "discourse-tsv": "d8f58f6623052945713d35321f31679350e2f5eb2cf88375b7c89e7467065026",
+         "discourse-tsv": "669a5ec98d73e7412220d32fde1ba76b5e4f5d3509d83ff146fd4d514cebf7a6",
          "parse": "c30cda3b36bd3aca9c09422f425ef6dffb80622360e56bd60d6996113be3c3d0"},
 }
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from support import dot_strings, lexf_texts
 from lexigraph import corpus
 from lexigraph.corpus import load_rules
-from lexigraph.frames import build_frames, group_first_diff
+from lexigraph.frames import build_frames, first_diff, flat_group
 from lexigraph.lexicon import PartOfSpeech, Sense, SenseKey, parse_lexf
 from lexigraph.ssn import (
     CompileError,
@@ -330,7 +330,8 @@ def test_frame_diff_questions_equal_a_fresh_group_first_diff(rules, text):
             if q.kind != "FRAME-DIFF":
                 continue
             group = _keys_under(q)
-            path, values = group_first_diff({k: frames[k] for k in group})
+            flats, positions = flat_group({k: frames[k] for k in group})
+            _, path, values = first_diff(group, flats, positions, start=0)
             assert q.payload[0] == tuple(path)
             alts = q.alternatives()
             assert list(alts) == [answer for answer, _ in q.branches]

@@ -16,7 +16,6 @@ from lexigraph.defgraph import (
 from lexigraph.frames import (
     ApplyOutcome,
     Descriptor,
-    DiffPoint,
     Frame,
     Slot,
     UseDelta,
@@ -32,7 +31,6 @@ from lexigraph.lexicon import (
     SenseLabel,
 )
 from lexigraph.parser import AutoResolution, Chunk, DisambiguationResult
-from lexigraph.prep_rules import PrepSense, PrepSpecKind
 from lexigraph.reduction import NonprimitiveEvidence, ReductionReport
 from lexigraph.ssn import SSN, Nonterminal, Question, Terminal, TraverseResult
 
@@ -125,9 +123,6 @@ SAMPLES = [
      "conditions=(), slots=(), provisional=False, sense=None, provenance=()), "
      "deltas=(UseDelta(kind='FILL', path=('TO-STATE',), value='curd'),), "
      "residue=('x',))"),
-    (DiffPoint, lambda: DiffPoint(("predicate",), ("A", "fixed"), None),
-     "a_value", False,
-     "DiffPoint(path=('predicate',), a_value=('A', 'fixed'), b_value=None)"),
     (Chunk, lambda: Chunk("verb", "changed", None, "change"), "lemma", False,
      "Chunk(kind='verb', text='changed', prep=None, lemma='change')"),
     (DisambiguationResult,
@@ -146,13 +141,6 @@ SAMPLES = [
      "homograph=1, label='1a'), genus_word='change', unique=None, "
      "candidates=(SenseKey(headword='change', pos=<PartOfSpeech.VI: 'vi'>, "
      "homograph=1, label='2'),), rationale='why')"),
-    (PrepSense,
-     lambda: PrepSense("into", ((PrepSpecKind.OBJECT_CHARACTERIZATION, "result"),),
-                       None, ("TO-STATE", "FILL")),
-     "specs", False,
-     "PrepSense(prep='into', specs=((<PrepSpecKind.OBJECT_CHARACTERIZATION: "
-     "'OBJECT-CHARACTERIZATION'>, 'result'),), cross_ref=None, "
-     "slot_action=('TO-STATE', 'FILL'))"),
     (NonprimitiveEvidence, lambda: NonprimitiveEvidence(KEY, "SLOT-FILL", "into"),
      "rule", False,
      "NonprimitiveEvidence(sense=SenseKey(headword='turn', "
