@@ -10,14 +10,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import corpus as corpus_mod
-from .lexicon import (
-    Lexicon,
-    LexfError,
-    genus_words,
-    merge_lexicons,
-    parse_lexf,
-    resolution_targets,
-)
+from .lexicon import Lexicon, LexfError, merge_lexicons, parse_lexf
 from .prep_rules import load_rule_table
 
 USAGE_ERROR = 1
@@ -61,22 +54,12 @@ class Analysis:
         return apply_resolutions(build_graph(self.lexicon),
                                  self.lexicon.resolutions)
 
-    def checked(self) -> Lexicon:
-        """The lexicon, once every resolution record passes the checks the
-        graph makes, without building the graph."""
-        lexicon = self.lexicon
-        arcs = {(rec.key, word) for rec in lexicon.entries if rec.pos.is_verb
-                for word in genus_words(rec, lexicon)}
-        resolution_targets(lexicon.resolutions, lexicon._by_key, arcs)
-        return lexicon
-
     @cached_property
     def frames(self):
-        """The frames of every sense, once the rule table loads and the
-        resolution records are checked."""
+        """The frames of every sense, once the rule table loads (and then
+        the lexicon checks its resolution records)."""
         from .frames import build_frames
-        rules = self.rules
-        return build_frames(self.checked(), rules)
+        return build_frames(self.lexicon, self.rules)
 
     @cached_property
     def networks(self) -> _NetworkCache:
@@ -182,30 +165,25 @@ def _dispatch(args, a: Analysis) -> int:
     mode = "resolved-only" if mode_name == "resolved" else "optimistic"
 
     if args.command == "ingest":
-        report = corpus_mod.verify_fixture(a.checked())
+        a.lexicon._resolved  # its R records must pass the graph's checks
+        report = corpus_mod.verify_fixture(a.lexicon)
         _emit(args, report.to_text())
         if not report.ok:
             print("lexigraph: manifest mismatch", file=sys.stderr)
             return DATA_ERROR
         return 0
 
-    if args.command == "graph":
+    if args.command in ("graph", "scc"):
         from .defgraph import (
             components_tsv,
             strongly_connected_components,
             to_dot,
         )
-        if args.format == "tsv":
+        if args.command == "graph" and args.format != "tsv":
+            _emit(args, to_dot(a.graph))
+        else:
             comps = strongly_connected_components(a.graph, mode)
             _emit(args, components_tsv(comps))
-        else:
-            _emit(args, to_dot(a.graph))
-        return 0
-
-    if args.command == "scc":
-        from .defgraph import components_tsv, strongly_connected_components
-        comps = strongly_connected_components(a.graph, mode)
-        _emit(args, components_tsv(comps))
         return 0
 
     if args.command == "primitives":
@@ -235,7 +213,8 @@ def _dispatch(args, a: Analysis) -> int:
 
     if args.command == "reduce":
         from .reduction import reduce_fixpoint
-        report = reduce_fixpoint(a.lexicon, a.graph, a.frames, a.rules)
+        a.lexicon._resolved  # the R records are checked before the rule table
+        report = reduce_fixpoint(a.lexicon, None, a.frames, a.rules)
         if args.format == "tsv":
             _emit(args, report.to_tsv())
         else:
@@ -245,8 +224,7 @@ def _dispatch(args, a: Analysis) -> int:
     if args.command == "frames":
         from .frames import frame_to_text
         frames = a.frames
-        keys = [k for k in sorted(frames, key=lambda k: k.sort_key())
-                if k.headword == args.word
+        keys = [k for k in a.lexicon._sorted_keys if k.headword == args.word
                 and (args.label is None or k.label == args.label)]
         if not keys:
             label = "" if args.label is None else f" with label {args.label!r}"

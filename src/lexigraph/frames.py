@@ -375,20 +375,19 @@ def load_seed_frames(lexicon: Lexicon) -> dict[SenseKey, Frame]:
     subsenses inherit.  A root frame whose lines name no predicate takes a
     provisional one, as an unseeded sense would."""
     out: dict[SenseKey, Frame] = {}
-    seeded = sorted(lexicon.seed_frames, key=SenseKey.sort_key)
-    for key in seeded:
-        records = lexicon._by_key.get(key)
-        if not records:
+    seeds = lexicon.seed_frames
+    for key in lexicon._sorted_keys:
+        if key not in seeds:
             continue
+        records = lexicon._by_key[key]
         primary = records[0]
         parent = next((out[pk] for pk in _ancestor_keys(key) if pk in out),
                       None)
         if parent is not None:
-            frame = specialize_subsense(parent, primary,
-                                        lexicon.seed_frames[key])
+            frame = specialize_subsense(parent, primary, seeds[key])
         else:
             frame = Frame("", key.pos, sense=key, provenance=("seeded",))
-            for line in lexicon.seed_frames[key]:
+            for line in seeds[key]:
                 frame = _apply_seed_line(frame, line)
             if not frame.predicate:
                 frame = frame._replace(
@@ -487,9 +486,10 @@ class FrameTable(dict):
 def build_frames(lexicon: Lexicon, rules: RuleTable) -> FrameTable:
     """A frame for every sense: seeded senses from their seed lines (with
     label-parent inheritance), other senses derived along their resolved
-    genus arc, and provisional frames where no resolution exists."""
+    genus arc, and provisional frames where no resolution exists.  Raises
+    the ResolutionError the definition graph would for a bad R record."""
     derivation = _FrameDerivation(lexicon, rules)
-    for key in sorted(lexicon.sense_keys(), key=SenseKey.sort_key):
+    for key in lexicon._sorted_keys:
         derivation.frame_for(key)
     return derivation.frames
 
@@ -498,18 +498,18 @@ class _FrameDerivation:
     """The state of one ``build_frames`` call.
 
     A sense's frame depends on at most one other frame: its nearest
-    label ancestor's, or else the target of its first resolved genus word.
-    ``frame_for`` follows that chain with an explicit stack, so a chain of
-    any depth derives without recursion; a key met again while its chain
-    is still open (a cycle) contributes a provisional frame, which is not
-    kept."""
+    label ancestor's, or else the target of its first resolved genus word,
+    read from the lexicon's checked resolution map (``Lexicon._resolved``),
+    so every key on a chain is a sense of the lexicon.  ``frame_for``
+    follows that chain with an explicit stack, so a chain of any depth
+    derives without recursion; a key met again while its chain is still
+    open (a cycle) contributes a provisional frame, which is not kept."""
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
+        self.resolved = lexicon._resolved   # checked before the seed lines
         self.frames = FrameTable(load_seed_frames(lexicon))
         self.frames.rules, self.frames.uses = rules, {}
-        self.resolution_map = {(r.from_key, r.genus_word): r.target
-                               for r in lexicon.resolutions}
 
     def frame_for(self, key: SenseKey) -> Frame:
         frame = self.frames.get(key)
@@ -540,20 +540,15 @@ class _FrameDerivation:
     def _dependency(self, key: SenseKey
                     ) -> Optional[tuple[SenseKey, Optional[tuple[Sense, str]]]]:
         """The key whose frame this key's frame is derived from, with the
-        record and genus word that lead there (None for a label ancestor).
-        A key that is no sense of the lexicon (an R record's unknown
-        target) has none, so it gets a provisional frame."""
+        record and genus word that lead there (None for a label ancestor)."""
         by_key = self.lexicon._by_key
-        records = by_key.get(key)
-        if records is None:
-            return None
         for pk in _ancestor_keys(key):
             if pk in by_key:
                 return pk, None
         genus = self.lexicon._genus
-        for rec in records:
+        for rec in by_key[key]:
             for word in genus[id(rec)]:
-                target = self.resolution_map.get((key, word))
+                target = self.resolved.get((key, word))
                 if target is not None:
                     return target, (rec, word)
         return None
@@ -563,7 +558,7 @@ class _FrameDerivation:
         """The frame of ``key`` from the frame of its dependency: a label
         ancestor's when ``via`` is None, else the genus target of the
         (record, genus word) ``via``; a provisional frame when there is none."""
-        records = self.lexicon._by_key.get(key, ())
+        records = self.lexicon._by_key[key]
         if base is None:
             frame = _provisional(key, self.lexicon)
             fill_subject = True
@@ -589,7 +584,7 @@ class _FrameDerivation:
 def _provisional(key: SenseKey, lexicon: Lexicon) -> Frame:
     """Fallback frame: uppercased genus word as a provisional predicate."""
     predicate = key.headword.upper()
-    for rec in lexicon._by_key.get(key, ()):
+    for rec in lexicon._by_key[key]:
         if rec.is_synonym_line:
             predicate = rec.synonym_refs[0].upper()
             break

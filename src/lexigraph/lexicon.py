@@ -117,9 +117,6 @@ class SenseLabel(_SenseLabelFields):
     def ancestors(self) -> list["SenseLabel"]:
         return [SenseLabel(text) for text in _label_ancestors(self.text)]
 
-    def sort_key(self) -> tuple:
-        return self.parts
-
     def __str__(self) -> str:
         return self.text
 
@@ -307,9 +304,26 @@ class Lexicon(_LexiconFields):
         return grouped
 
     @cached_property
+    def _sorted_keys(self) -> list[SenseKey]:
+        """The sense keys by ``SenseKey.sort_key``, equal ones (labels
+        such as "1" and "01") in file order."""
+        return sorted(self._by_key, key=SenseKey.sort_key)
+
+    @cached_property
     def _genus(self) -> dict[int, list[str]]:
         """Genus words by record id; ``entries`` keeps each record alive."""
         return {id(s): _genus_words(s, self) for s in self.entries}
+
+    @cached_property
+    def _resolved(self) -> dict[tuple[SenseKey, str], SenseKey]:
+        """The target of each (verb sense, genus word) the R records
+        resolve, once they pass the checks the definition graph makes
+        (``resolution_targets``), without building the graph: its arcs are
+        the genus words of the verb records."""
+        genus = self._genus
+        arcs = {(s.key, word) for s in self.entries if s.pos.is_verb
+                for word in genus[id(s)]}
+        return resolution_targets(self.resolutions, self._by_key, arcs)
 
     @cached_property
     def _by_headword(self) -> dict[str, list[Sense]]:
@@ -332,9 +346,6 @@ class Lexicon(_LexiconFields):
 
     def records_for(self, key: SenseKey) -> list[Sense]:
         return list(self._by_key.get(key, ()))
-
-    def has_sense(self, key: SenseKey) -> bool:
-        return key in self._by_key
 
     def records_by_key(self, headword: str) -> dict[SenseKey, list[Sense]]:
         """The records of each sense key of a headword, keys in file order."""

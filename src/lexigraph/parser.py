@@ -9,6 +9,7 @@ surfaced, never guessed.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -502,9 +503,11 @@ class _GenusTable:
 
     def __init__(self, word: str, lexicon: Lexicon,
                  frames: dict[SenseKey, Frame]):
-        records = lexicon.records_by_key(word)
-        self.keys = tuple(sorted((k for k in records if k.pos.is_verb),
-                                 key=SenseKey.sort_key))
+        # the word's keys are one run of the lexicon's sorted keys
+        keys = lexicon._sorted_keys
+        start = bisect_left(keys, word, key=_headword)
+        end = bisect_right(keys, word, start, key=_headword)
+        self.keys = tuple(k for k in keys[start:end] if k.pos.is_verb)
         self.respect_family: list[SenseKey] = []
         self.bind_family: list[SenseKey] = []
         self.respect_sets: dict[SenseKey, frozenset[str]] = {}
@@ -516,7 +519,7 @@ class _GenusTable:
             if any(s.name == "SUBJ" and s.bind == "FROM-STATE"
                    for s in frame.slots):
                 self.bind_family.append(k)
-                self.required[k] = {p for rec in records[k]
+                self.required[k] = {p for rec in lexicon._by_key[k]
                                     for p in rec.usage_particles}
             elif any(s.name == "RESPECT" for s in walk_slots(frame.slots)):
                 self.respect_family.append(k)
@@ -526,6 +529,10 @@ class _GenusTable:
         # the first of the fewest label ancestors
         self.family_head = min(self.bind_family, default=None,
                                key=lambda k: len(_label_ancestors(k.label)))
+
+
+def _headword(key: SenseKey) -> str:
+    return key.headword
 
 
 def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
@@ -628,14 +635,15 @@ def autoresolve_all(lexicon: Lexicon, frames: dict[SenseKey, Frame],
                     genus_word: str = "change") -> list[AutoResolution]:
     """Proposals for every sense whose main verb is the given word."""
     tables: dict[str, _GenusTable] = {}
-    genus = lexicon._genus
+    genus, by_key = lexicon._genus, lexicon._by_key
     out = []
-    for key, records in lexicon._by_key.items():
+    for key in lexicon._sorted_keys:
         if not key.pos.is_verb or key.headword == genus_word:
             continue
+        records = by_key[key]
         if any(genus_word in genus[id(rec)] for rec in records):
             out.append(_propose(records, lexicon, frames, tables))
-    return sorted(out, key=lambda r: SenseKey.sort_key(r.using))
+    return out
 
 
 # ---------------------------------------------------------------------------

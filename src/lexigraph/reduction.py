@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .defgraph import DefinitionGraph
 from .frames import Frame, UseDelta, use_deltas, walk_slots
 from .lexicon import (
     Lexicon,
@@ -73,16 +72,17 @@ class ReductionReport(NamedTuple):
 
 class ReductionContext:
     """Shared lookups for the rules, which read records of ``lexicon``:
-    resolved genus targets, the genus frame of each resolved use, each
-    record's genus words (the lexicon's index, not copied) and the prep
-    rule table.  A use's deltas come from a ``FrameTable`` built with these
-    ``rules`` over the genus frame that ``frames`` holds."""
+    resolved genus targets (the lexicon's checked resolution map,
+    ``Lexicon._resolved``; no graph is built), the genus frame of each
+    resolved use, each record's genus words (the lexicon's index, not
+    copied) and the prep rule table.  A use's deltas come from a
+    ``FrameTable`` built with these ``rules`` over the genus frame that
+    ``frames`` holds."""
 
-    def __init__(self, lexicon: Lexicon, graph: DefinitionGraph,
-                 frames: dict[SenseKey, Frame], rules: RuleTable,
+    def __init__(self, lexicon: Lexicon, frames: dict[SenseKey, Frame],
+                 rules: RuleTable,
                  operators: Iterable[str] = DEFAULT_OPERATORS):
         self.lexicon = lexicon
-        self.graph = graph
         self.frames = frames
         self.rules = rules
         self.operators = frozenset(operators)
@@ -90,8 +90,7 @@ class ReductionContext:
         # keyed by the record's id: the lexicon keeps every record alive
         # as long as the context
         self._deltas: dict[tuple[int, str], tuple[UseDelta, ...]] = {}
-        self._resolved: dict[tuple[SenseKey, str], SenseKey] = {
-            (a.source, a.genus_word): a.target() for a in graph.arcs if a.resolved}
+        self._resolved = lexicon._resolved
         self._genus_frames = {use: frames.get(target)
                               for use, target in self._resolved.items()}
         if getattr(frames, "rules", None) is rules:
@@ -265,14 +264,15 @@ def run_rule(rule: str, key: SenseKey, ctx: ReductionContext
     return _RULES[rule](ctx.lexicon._by_key.get(key, []), ctx)
 
 
-def reduce_fixpoint(lexicon: Lexicon, graph: DefinitionGraph,
+def reduce_fixpoint(lexicon: Lexicon, graph: object,
                     frames: dict[SenseKey, Frame], rules: RuleTable,
                     operators: Iterable[str] = DEFAULT_OPERATORS) -> ReductionReport:
     """Apply the rules in fixed order repeatedly until no sense changes
-    status. Deterministic output."""
-    ctx = ReductionContext(lexicon, graph, frames, rules, operators)
-    verb_keys = [k for k in lexicon.sense_keys() if k.pos.is_verb]
-    verb_keys.sort(key=SenseKey.sort_key)
+    status. Deterministic output.  ``graph`` is unused (``None`` will do):
+    the rules read resolved genus targets from the lexicon's checked
+    resolution map, the one the resolved definition graph carries."""
+    ctx = ReductionContext(lexicon, frames, rules, operators)
+    verb_keys = [k for k in lexicon._sorted_keys if k.pos.is_verb]
     status: dict[SenseKey, Optional[NonprimitiveEvidence]] = {
         k: None for k in verb_keys}
     iterations = 0

@@ -1,7 +1,8 @@
 """Shared test support: hypothesis strategies for small generated LEXF
 lexicons (among them ones whose frames are derived by applying uses, with
-the rule rows for their predicate families), and a reader for the quoted
-strings of a DOT export.
+the rule rows for their predicate families), a generated text without
+the R records the graph rejects, and a reader for the quoted strings of a
+DOT export.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -14,11 +15,15 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from lexigraph.corpus import corpus_text
-from lexigraph.defgraph import build_graph
-from lexigraph.lexicon import parse_lexf
+from lexigraph.defgraph import apply_resolutions, build_graph
+from lexigraph.frames import build_frames
+from lexigraph.lexicon import ResolutionError, parse_lexf
+from lexigraph.prep_rules import RuleTable
+from lexigraph.ssn import CompileError, compile_ssn
 
 HEADWORDS = ("alpha", "beta", "gamma", "give", "give up", "into")
 GENUS_WORDS = ("alpha", "beta", "gamma", "give up", "delta")
@@ -151,6 +156,48 @@ def use_lexf_texts():
     them, and R records resolving most of their genus arcs.  Under
     ``family_rules_text()`` the uses fill, restrict and add slots."""
     return resolved_lexf_texts(_use_bases())
+
+
+def accepted(text: str) -> str:
+    """``text`` without the R records that ``apply_resolutions`` rejects
+    (each record is checked on its own, so the rest pass together).  Where
+    it rejects the text's records, ``build_frames`` must raise the same
+    ResolutionError."""
+    lexicon = parse_lexf(text)
+    graph = build_graph(lexicon)
+    try:
+        apply_resolutions(graph, lexicon.resolutions)
+    except ResolutionError as exc:
+        with pytest.raises(ResolutionError) as raised:
+            build_frames(lexicon, RuleTable())
+        assert str(raised.value) == str(exc)
+    else:
+        return text
+    kept = []
+    for line in text.splitlines():
+        if line.startswith("R|"):
+            try:
+                apply_resolutions(graph, parse_lexf(line).resolutions)
+            except ResolutionError:
+                continue
+        kept.append(line)
+    return "\n".join(kept) + "\n"
+
+
+def analysable(text: str, rules) -> tuple[str, list[str]]:
+    """``accepted(text)``, and the headwords whose network then compiles:
+    a full analysis succeeds on both."""
+    text = accepted(text)
+    lexicon = parse_lexf(text)
+    frames = build_frames(lexicon, rules)
+    headwords = []
+    for headword in lexicon.headwords():
+        try:
+            compile_ssn(headword, lexicon.records_by_key(headword), frames)
+        except CompileError:
+            continue
+        headwords.append(headword)
+    return text, headwords
 
 
 def family_rules_text() -> str:

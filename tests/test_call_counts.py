@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from support import lexf_texts, lexgen, resolved_lexf_texts
+from support import accepted, lexf_texts, lexgen, resolved_lexf_texts
 from lexigraph import corpus, frames as frames_mod, lexicon as lexicon_mod
 from lexigraph import parser as parser_mod, ssn as ssn_mod
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import build_frames
 from lexigraph.lexicon import (
     PartOfSpeech,
-    ResolutionError,
     genus_words,
     merge_lexicons,
     parse_lexf,
@@ -70,6 +69,21 @@ def test_one_pass_computes_each_use_once(monkeypatch, word_government):
     assert all(n <= words[use] for use, n in uses.items())
 
 
+def test_analysis_sorts_the_sense_keys_once(monkeypatch):
+    lx = corpus.load_corpus(include_word_government=True)
+    rules = corpus.load_rules()
+    calls = counting(monkeypatch, lexicon_mod.SenseKey, "sort_key",
+                     lambda key: key)
+    keys = lx._sorted_keys
+    assert sum(calls.values()) == len(keys)
+    calls.clear()
+    # frames, reduction and autoresolve read the lexicon's sorted keys
+    frames = build_frames(lx, rules)
+    assert reduce_fixpoint(lx, None, frames, rules).set_aside
+    assert autoresolve_all(lx, frames, rules)
+    assert not calls
+
+
 def test_reduction_reads_the_deltas_of_the_derivation(monkeypatch, lexicon,
                                                       resolved_graph, rules):
     frames = build_frames(lexicon, rules)
@@ -97,23 +111,20 @@ RULES_TEXT = "".join(
 
 
 def check_carried_facts(text: str) -> None:
+    text = accepted(text)
     lx = parse_lexf(text)
     rules = load_rule_table(RULES_TEXT)
-    try:
-        graph = apply_resolutions(build_graph(lx), lx.resolutions)
-    except ResolutionError:  # the frames then follow records the graph lacks
-        graph = build_graph(lx)
     frames = build_frames(lx, rules)
-    report = reduce_fixpoint(lx, graph, frames, rules)
-    assert report == reduce_fixpoint(lx, graph, dict(frames), rules)
+    report = reduce_fixpoint(lx, None, frames, rules)
+    assert report == reduce_fixpoint(lx, None, dict(frames), rules)
     # a table of the same text is another object: the deltas kept with
     # frames built from it are not read, and the result is the same
     other = build_frames(lx, load_rule_table(RULES_TEXT))
-    assert report == reduce_fixpoint(lx, graph, other, rules)
+    assert report == reduce_fixpoint(lx, None, other, rules)
     # nor those kept with frames built from another table
     empty = build_frames(lx, load_rule_table(""))
-    assert (reduce_fixpoint(lx, graph, empty, rules)
-            == reduce_fixpoint(lx, graph, dict(empty), rules))
+    assert (reduce_fixpoint(lx, None, empty, rules)
+            == reduce_fixpoint(lx, None, dict(empty), rules))
     fresh = parse_lexf(text)
     for rec, fresh_rec in zip(lx.entries, fresh.entries):
         assert lx._genus[id(rec)] == genus_words(fresh_rec, fresh)
@@ -125,8 +136,8 @@ def test_carried_facts_equal_fresh_ones(text):
     check_carried_facts(text)
 
 
-# valid R records, so that frames and graph follow the same arcs: about
-# one example in eight then reads deltas the frames kept, and one in
+# valid R records, so that most genus arcs are resolved: about one
+# example in eight then reads deltas the frames kept, and one in
 # twenty-five has a use over a provisional frame made for a cycle
 @settings(max_examples=100, deadline=None)
 @given(resolved_lexf_texts())

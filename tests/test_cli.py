@@ -199,6 +199,19 @@ def test_frames_dump(capout):
     assert "phase of the moon" in out
 
 
+def test_frames_lists_equal_labels_in_file_order(capout, tmp_path):
+    # labels 1 and 01 sort equal: they print in file order, whichever of
+    # them a record resolves to (and so derives first)
+    path = tmp_path / "tie.lexf"
+    path.write_text("E|bar|vi|1\nS|1||to foo slowly|\n\n"
+                    "E|foo|vi|1\nS|1||to move|\nS|01||to move fast|\n\n"
+                    "R|bar:vi:1:1|foo|foo:vi:1:01\n", encoding="utf-8")
+    code, out, _ = capout(["--lexicon", str(path), "frames", "--word", "foo"])
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("sense:")] == [
+        "sense: foo:vi:1:1", "sense: foo:vi:1:01"]
+
+
 def test_frames_unknown_label_names_the_label(capout):
     # change has frames, only none under label 9z; the message once said
     # "no frames for 'change'"

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from support import (
     PHRASAL_LEXF,
     UNKNOWN_SUBSENSE_LEXF,
+    accepted,
     chain_lexf,
     chain_word,
     lexf_texts,
 )
+from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import (
     Descriptor,
     Frame,
@@ -31,6 +33,7 @@ from lexigraph.frames import (
 )
 from lexigraph.lexicon import (
     PartOfSpeech,
+    ResolutionError,
     Sense,
     SenseKey,
     SenseLabel,
@@ -461,17 +464,30 @@ def test_deep_chain_derives_without_recursion(rules):
                                   + ("applied use",) * (depth - 1))
 
 
-def test_unknown_target_with_label_parent_gets_provisional_frame(rules):
-    # the unknown target has no records to specialize from its label
-    # parent's frame, so it is provisional, like an unknown target whose
-    # label has no parent
+def test_unknown_target_with_label_parent_is_rejected(rules):
+    # the target's label parent is a sense, the target is none: the frames
+    # reject the record with the graph's message, and make no frame for it
     lx = parse_lexf(UNKNOWN_SUBSENSE_LEXF)
+    message = "^unknown target sense beta:vi:1:1b$"
+    with pytest.raises(ResolutionError, match=message):
+        apply_resolutions(build_graph(lx), lx.resolutions)
+    with pytest.raises(ResolutionError, match=message):
+        build_frames(lx, rules)
+
+
+def test_equal_sort_keys_keep_file_order(rules):
+    # labels 1 and 01 sort equal; the frames of both are made whatever
+    # order their seed lines come in, and the lexicon lists them in file
+    # order
+    text = ("E|alpha|vi|1\nS|1||to move|\nS|01||to move fast|\n"
+            "F|01|PRED FAST\nF|1|PRED MOVE\n")
+    swapped = text.replace("F|01|PRED FAST\nF|1|PRED MOVE\n",
+                           "F|1|PRED MOVE\nF|01|PRED FAST\n")
+    lx = parse_lexf(text)
+    assert [k.label for k in lx._sorted_keys] == ["1", "01"]
     frames = build_frames(lx, rules)
-    missing = SenseKey("beta", PartOfSpeech.VI, 1, "1b")
-    assert frames[missing].provisional
-    assert frames[missing].provenance == ("provisional predicate",)
-    alpha = frames[SenseKey("alpha", PartOfSpeech.VI, 1, "1")]
-    assert alpha.provenance == ("provisional predicate", "applied use")
+    assert frames == build_frames(parse_lexf(swapped), rules)
+    assert [frames[k].predicate for k in lx._sorted_keys] == ["MOVE", "FAST"]
 
 
 def family_rules(lx) -> RuleTable:
@@ -500,7 +516,7 @@ def assert_in_slot_order(frame: Frame):
 @settings(max_examples=40, deadline=None)
 @given(lexf_texts())
 def test_frames_keep_slots_and_conditions_in_order(text):
-    lx = parse_lexf(text)
+    lx = parse_lexf(accepted(text))
     rules = family_rules(lx)
     frames = build_frames(lx, rules)
     uses = [parse_sense(s) for s in lx.entries
@@ -514,7 +530,7 @@ def test_frames_keep_slots_and_conditions_in_order(text):
 @settings(max_examples=40, deadline=None)
 @given(lexf_texts())
 def test_use_deltas_equal_apply_use_deltas(text):
-    lx = parse_lexf(text)
+    lx = parse_lexf(accepted(text))
     rules = family_rules(lx)
     frames = build_frames(lx, rules)
     uses = [parse_sense(s) for s in lx.entries

@@ -54,7 +54,7 @@ COMMANDS = [
     (["primitives"], {"defgraph"}),
     (["frames", "--word", "change"], {"frames"}),
     (["ssn", "--word", "change"], {"frames", "ssn"}),
-    (["reduce"], {"defgraph", "frames", "reduction"}),
+    (["reduce"], {"frames", "reduction"}),
     (["autoresolve"], {"frames", "parser"}),
     (["parse", "--text", "The milk changed into curd"],
      {"frames", "ssn", "parser"}),
@@ -109,9 +109,9 @@ def test_every_public_name_resolves():
 # cached, a call compiles every one of them (about 1.2 us a node on a
 # 2-vCPU VM); discourse loads the modules parse does.  The count is the
 # same on Python 3.10 to 3.13; a change may lower a ceiling, not raise it.
-AST_CEILINGS = {"ingest": 9905, "graph": 12404, "scc": 12404,
-                "primitives": 12404, "frames": 15043, "ssn": 18331,
-                "reduce": 19510, "autoresolve": 20531, "parse": 23819}
+AST_CEILINGS = {"ingest": 9891, "graph": 12390, "scc": 12390,
+                "primitives": 12390, "frames": 14973, "ssn": 18261,
+                "reduce": 16874, "autoresolve": 20498, "parse": 23786}
 
 
 def _ast_nodes(module: str) -> int:

@@ -305,6 +305,7 @@ def test_indexes_equal_linear_scans(text):
     entries = lx.entries
     keys = _first_seen(s.key for s in entries)
     assert lx.sense_keys() == keys
+    assert lx._sorted_keys == sorted(keys, key=SenseKey.sort_key)
     assert lx.headwords() == _first_seen(s.headword for s in entries)
     absent = SenseKey("zzz", PartOfSpeech.VI, 1, "1")
     for key in keys + [absent]:
@@ -313,7 +314,6 @@ def test_indexes_equal_linear_scans(text):
         assert got == expected and [s.line for s in got] == [s.line for s in expected]
         got.clear()   # a fresh list each call
         assert lx.records_for(key) == expected
-        assert lx.has_sense(key) == bool(expected)
     for word in HEADWORDS + ("zzz",):
         assert lx.has_headword(word) == any(s.headword == word for s in entries)
         for pos in (None, *PartOfSpeech):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
-from support import lexf_texts
+from support import analysable, lexf_texts
 from lexigraph import corpus
 from lexigraph.defgraph import (
     apply_resolutions,
@@ -23,7 +23,7 @@ from lexigraph.defgraph import (
     strongly_connected_components,
 )
 from lexigraph.frames import build_frames, frame_to_text
-from lexigraph.lexicon import ResolutionError, parse_lexf
+from lexigraph.lexicon import parse_lexf
 from lexigraph.parser import (
     SentenceContext,
     VarAllocator,
@@ -33,7 +33,6 @@ from lexigraph.parser import (
 )
 from lexigraph.reduction import reduce_fixpoint
 from lexigraph.ssn import (
-    CompileError,
     build_all_ssns,
     compile_ssn,
     oracle_reaching,
@@ -132,32 +131,6 @@ def analyse(text: str, headwords: list[str], rules) -> None:
     for headword in headwords:
         compile_ssn(headword, lexicon.records_by_key(headword), frames)
     autoresolve_all(lexicon, frames, rules)
-
-
-def analysable(text: str, rules) -> tuple[str, list[str]]:
-    """``text`` without the R records that ``apply_resolutions`` rejects,
-    and the headwords whose network then compiles: ``analyse`` succeeds on
-    both."""
-    graph = build_graph(parse_lexf(text))
-    kept = []
-    for line in text.splitlines():
-        if line.startswith("R|"):
-            try:
-                apply_resolutions(graph, parse_lexf(line).resolutions)
-            except ResolutionError:
-                continue
-        kept.append(line)
-    text = "\n".join(kept) + "\n"
-    lexicon = parse_lexf(text)
-    frames = build_frames(lexicon, rules)
-    headwords = []
-    for headword in lexicon.headwords():
-        try:
-            compile_ssn(headword, lexicon.records_by_key(headword), frames)
-        except CompileError:
-            continue
-        headwords.append(headword)
-    return text, headwords
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import GENUS_WORDS, PHRASAL_LEXF, lexf_texts
+from support import GENUS_WORDS, PHRASAL_LEXF, accepted, lexf_texts
 from lexigraph import corpus
 from lexigraph.frames import Descriptor, build_frames
 from lexigraph.lexicon import (
@@ -316,7 +316,7 @@ def _proposal_fields(p) -> tuple:
 @settings(max_examples=150, deadline=None)
 @given(lexf_texts())
 def test_autoresolve_all_equals_per_sense_calls(rules, text):
-    lx = parse_lexf(text)
+    lx = parse_lexf(accepted(text))
     frames = build_frames(lx, rules)
     for word in GENUS_WORDS:
         expected = [

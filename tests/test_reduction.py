@@ -16,8 +16,8 @@ from lexigraph.reduction import (
 
 
 @pytest.fixture(scope="module")
-def ctx(lexicon, resolved_graph, frames, rules):
-    return ReductionContext(lexicon, resolved_graph, frames, rules)
+def ctx(lexicon, frames, rules):
+    return ReductionContext(lexicon, frames, rules)
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +59,8 @@ def test_chop_not_word_government(ctx):
 
 
 def test_knife_word_government(wordgov_lexicon, rules):
-    graph = apply_resolutions(build_graph(wordgov_lexicon),
-                              wordgov_lexicon.resolutions)
     frames = build_frames(wordgov_lexicon, rules)
-    wctx = ReductionContext(wordgov_lexicon, graph, frames, rules)
+    wctx = ReductionContext(wordgov_lexicon, frames, rules)
     ev = run_rule("WORD-GOVERNMENT", key("knife", "vt", "1"), wctx)
     assert ev is not None and "instrument" in ev.detail
     # and slot-fill does not claim it first
@@ -93,9 +91,8 @@ def test_hold_multi_concept(ctx):
 def test_aspect_operator_multi_concept():
     lx = parse_lexf("E|simmer|vi|1\nS|1||begin to boil gently|\n")
     rules = load_rules()
-    graph = build_graph(lx)
     frames = build_frames(lx, rules)
-    c = ReductionContext(lx, graph, frames, rules)
+    c = ReductionContext(lx, frames, rules)
     ev = rule_multi_concept(lx.records_for(key("simmer", "vi", "1")), c)
     assert ev is not None and "begin" in ev.detail
 
@@ -157,14 +154,12 @@ def test_fixpoint_is_stable(lexicon, resolved_graph, frames, rules, report):
     assert again.remaining == report.remaining
 
 
-def test_monotone_under_added_resolutions(lexicon, graph, rules):
+def test_monotone_under_added_resolutions(lexicon, rules):
     # resolving nothing -> fewer or equal set-asides than resolving all
-    frames_bare = build_frames(
-        type(lexicon)(lexicon.entries, lexicon.seed_frames, ()), rules)
-    bare = reduce_fixpoint(lexicon, graph, frames_bare, rules)
-    frames_full = build_frames(lexicon, rules)
-    full = reduce_fixpoint(lexicon, apply_resolutions(graph, lexicon.resolutions),
-                           frames_full, rules)
+    unresolved = type(lexicon)(lexicon.entries, lexicon.seed_frames, ())
+    bare = reduce_fixpoint(unresolved, None, build_frames(unresolved, rules),
+                           rules)
+    full = reduce_fixpoint(lexicon, None, build_frames(lexicon, rules), rules)
     aside_bare = {ev.sense for ev in bare.set_aside}
     aside_full = {ev.sense for ev in full.set_aside}
     assert aside_bare <= aside_full

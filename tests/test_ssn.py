@@ -10,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from support import dot_strings, lexf_texts
+from support import accepted, dot_strings, lexf_texts
 from lexigraph import corpus
 from lexigraph.corpus import load_rules
 from lexigraph.frames import build_frames, first_diff, flat_group
@@ -319,7 +319,7 @@ def _keys_under(node) -> list[SenseKey]:
 def test_frame_diff_questions_equal_a_fresh_group_first_diff(rules, text):
     # each network flattens its frames once per frame-difference subtree;
     # every question must still be the first difference of its own group
-    lx = parse_lexf(text)
+    lx = parse_lexf(accepted(text))
     frames = build_frames(lx, rules)
     for headword in sorted(lx.headwords()):
         try:
