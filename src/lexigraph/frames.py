@@ -1,7 +1,8 @@
 """Case-frame representations: seeded frames, subsense specialization,
 derivation along resolved genus arcs, the three-way delta when one verb is
-used in defining another, and the flat canonical positions at which the
-first difference of a group of frames is found.
+used in defining another, and the flat canonical positions of a frame,
+at the first of which a sense selection network finds a group of frames
+to differ (``ssn.first_diff``).
 
 Frames are persistent values: every derivation operation is pure and
 path-copies, rebuilding only the slots on the path it changes and sharing
@@ -165,29 +166,30 @@ class ApplyOutcome(NamedTuple):
 # it rebuilds the slots on the path it changes and shares every other slot
 # with the frame it started from.
 
-def find_slot(slots: tuple[Slot, ...], name: str
-              ) -> Optional[tuple[tuple[str, ...], Slot]]:
-    """Path and slot of the first slot with this name, breadth first in
-    slot order; else of the first one bound to this role; else None.  Only
-    the path of the slot returned is built."""
-    for slot in slots:
-        if slot.name == name:
-            return (name,), slot
+# An entry locates a slot for ``_edit``: (the slot, its index among its
+# siblings, its parent's entry or None, 1).  The entry of a slot not there
+# is (a new empty slot, the index it is to take, its parent's entry, 0).
+
+def find_slot(slots: tuple[Slot, ...], name: str) -> Optional[tuple]:
+    """The entry of the first slot with this name, breadth first in slot
+    order; else of the first one bound to this role; else None.  Only the
+    entries of the slot found and of the slots whose children are visited
+    are built, and no path (``_entry_path`` gives it)."""
     bound = None
-    queue = [(slot, None) for slot in slots]  # (slot, its parent's entry)
-    for entry in queue:  # also visits what the loop appends, level by level
-        slot = entry[0]
-        if slot.name == name:
-            return _entry_path(entry), slot
-        if bound is None and slot.bind == name:
-            bound = entry
-        for child in slot.children:
-            queue.append((child, entry))
-    return None if bound is None else (_entry_path(bound), bound[0])
+    levels = [(slots, None)]
+    for level, parent in levels:  # also visits what the loop appends
+        for i, slot in enumerate(level):
+            if slot.name == name:
+                return slot, i, parent, 1
+            if bound is None and slot.bind == name:
+                bound = slot, i, parent, 1
+            if slot.children:
+                levels.append((slot.children, (slot, i, parent, 1)))
+    return bound
 
 
 def _entry_path(entry: Optional[tuple]) -> tuple[str, ...]:
-    return () if entry is None else _entry_path(entry[1]) + (entry[0].name,)
+    return () if entry is None else _entry_path(entry[2]) + (entry[0].name,)
 
 
 def walk_slots(slots: tuple[Slot, ...]) -> Iterator[Slot]:
@@ -204,25 +206,38 @@ def update_slot(slots: tuple[Slot, ...], path: tuple[str, ...],
     """``slots`` with the slot at ``path`` replaced by ``change(slot,
     *args)``; a slot missing on the path is created empty at its slot-order
     position.  Every slot off the path is shared."""
-    name = path[0]
-    for i, old in enumerate(slots):
-        if old.name == name:
-            found = True
-            break
-    else:  # before the first slot that sorts after it
-        found, old = False, Slot(name)
-        rank = slot_order_key(name)
-        i = next((i for i, s in enumerate(slots)
-                  if slot_order_key(s.name) > rank), len(slots))
-    if len(path) > 1:
-        kids = update_slot(old.children, path[1:], change, *args)
-        new = old if kids is old.children else Slot(
-            old.name, old.case, old.bind, old.filler, old.restrictions, kids)
-    else:
-        new = change(old, *args)
-    if found and new is old:
+    entry, level = None, slots
+    for name in path:
+        for i, slot in enumerate(level):
+            if slot.name == name:
+                entry = slot, i, entry, 1
+                break
+        else:  # before the first slot that sorts after it
+            rank = slot_order_key(name)
+            entry = Slot(name), next((i for i, s in enumerate(level)
+                                      if slot_order_key(s.name) > rank),
+                                     len(level)), entry, 0
+        level = entry[0].children
+    return _edit(slots, entry, change, *args)
+
+
+def _edit(slots: tuple[Slot, ...], entry: tuple, change: Callable[..., Slot],
+          *args) -> tuple[Slot, ...]:
+    """``slots`` with ``change(slot, *args)`` in place of the slot of
+    ``entry``, an entry made on ``slots`` (inserted, for a slot not
+    there): its ancestors are rebuilt in one walk up the entry, without
+    looking its path up again by name, and every other slot is shared."""
+    old, i, parent, there = entry
+    new = change(old, *args)
+    if there and new is old:
         return slots
-    return slots[:i] + (new,) + slots[i + found:]
+    while parent is not None:
+        kids = parent[0].children
+        kids = kids[:i] + (new,) + kids[i + there:]
+        old, i, parent, there = parent
+        new = Slot(old.name, old.case, old.bind, old.filler, old.restrictions,
+                   kids)
+    return slots[:i] + (new,) + slots[i + there:]
 
 
 def _as_is(slot: Slot, *_) -> Slot:
@@ -326,12 +341,9 @@ def _apply_seed_line(frame: Frame, line: str) -> Frame:
     elif not value:
         what = "a slot" if action == "BIND" else "text"
         raise SeedGrammarError(f"{action} needs {what}: {line!r}")
-    if action == "RESTRICT":
-        slots = update_slot(frame.slots, path, _restricted, value)
-    else:
-        slots = update_slot(frame.slots, path, _with, _SEED_FIELDS[action],
-                            value)
-    return frame._replace(slots=slots)
+    change = ((_restricted,) if action == "RESTRICT"
+              else (_with, _SEED_FIELDS[action]))
+    return frame._replace(slots=update_slot(frame.slots, path, *change, value))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +443,9 @@ def _apply_use_to(slots: tuple[Slot, ...], family: str, use: ParsedDefinition,
                   rules: RuleTable
                   ) -> tuple[tuple[Slot, ...], tuple[UseDelta, ...], tuple[str, ...]]:
     """Apply a use to the slots of a frame of predicate ``family``: (the new
-    slots, deltas, residue)."""
+    slots, deltas, residue).  Only the use's differentiae are read, so a
+    sentence (``parser.SentenceContext``, whose differentiae are chunks)
+    applies as a use too."""
     deltas: list[UseDelta] = []
     residue: list[str] = []
     descriptor_count = 0
@@ -452,13 +466,17 @@ def _apply_use_to(slots: tuple[Slot, ...], family: str, use: ParsedDefinition,
             residue.append(f"{phrase.prep}-phrase: {phrase.text}")
             continue
         slot_name, kind = action
-        path, slot = find_slot(slots, slot_name) or ((slot_name,), None)
+        entry = find_slot(slots, slot_name)
+        if entry is None:  # a new empty slot at the top level
+            slots = update_slot(slots, (slot_name,), _as_is)
+            entry = find_slot(slots, slot_name)
+        path = _entry_path(entry)
         if kind == "RESTRICT":
-            change = _restricted if phrase.text else _as_is
-            slots = update_slot(slots, path, change, phrase.text)
+            if phrase.text:
+                slots = _edit(slots, entry, _restricted, phrase.text)
             deltas.append(UseDelta("RESTRICT", path, phrase.text))
             continue
-        if slot is not None and slot.filler is not None:
+        if entry[0].filler is not None:
             residue.append(f"{phrase.prep}-phrase (slot already filled): "
                            f"{phrase.text}")
             continue
@@ -466,11 +484,11 @@ def _apply_use_to(slots: tuple[Slot, ...], family: str, use: ParsedDefinition,
         if not filler:
             descriptor_count += 1
             filler = Descriptor(f"obj{descriptor_count}", ("contextual object",))
-        slots = update_slot(slots, path, _with, "filler", filler)
+        slots = _edit(slots, entry, _with, "filler", filler)
         if slot_name == "AGENT":
             subj = find_slot(slots, "SUBJ")
-            if subj is not None and "AGT" in subj[1].case:
-                slots = update_slot(slots, subj[0], _with, "case", ("PAT",))
+            if subj is not None and "AGT" in subj[0].case:
+                slots = _edit(slots, subj, _with, "case", ("PAT",))
         deltas.append(UseDelta("FILL", path, phrase.text or filler.render()))
     return slots, tuple(deltas), tuple(residue)
 
@@ -602,7 +620,7 @@ def _provisional(key: SenseKey, lexicon: Lexicon) -> Frame:
 
 
 # ---------------------------------------------------------------------------
-# canonical positions and the first difference
+# canonical positions
 
 _TRANSITIVITY = {PartOfSpeech.VI: "intransitive", PartOfSpeech.VT: "transitive",
                  PartOfSpeech.VB: "both"}
@@ -646,46 +664,6 @@ def _slot_paths(out: dict, slot: Slot, sort_prefix: tuple,
         _slot_paths(out, child, base_sort + ((4, "children"),), base_disp)
 
 
-# the values of a canonical position that read as nothing: absent, or an
-# empty string or tuple
-EMPTY_VALUES = (None, "", ())
-
-
-def flat_group(frames: dict[SenseKey, Frame], flats: Optional[dict] = None
-               ) -> tuple[dict, list]:
-    """Each frame's ``canonical_paths`` and the sorted union of their
-    positions, as ``first_diff`` reads them.  ``flats``, a caller's dict of
-    them by sense key, keeps each one for the key's next group."""
-    flats = {} if flats is None else flats
-    for k, f in frames.items():
-        if k not in flats:
-            flats[k] = canonical_paths(f)
-    return flats, sorted(set().union(*(flats[k] for k in frames)))
-
-
-def first_diff(keys: list[SenseKey], flats: dict, positions: list,
-               start: int = 0):
-    """The first of ``positions[start:]`` at which any two of ``keys``
-    differ: (its index, display path, {sense key: value-at-position}), or
-    None.  An absent value (None) and an empty one ("" or ()) are no
-    difference, so a position none of the keys has is none either, and
-    ``flats`` and ``positions`` may cover more keys."""
-    flat_list = [flats[key] for key in keys]
-    for index in range(start, len(positions)):
-        pos = positions[index]
-        entries = [flat.get(pos) for flat in flat_list]
-        if entries.count(entries[0]) == len(entries):
-            continue
-        # every canonical value is a str or a tuple of str
-        distinct = {None if e is None or e[1] in EMPTY_VALUES else e[1]
-                    for e in entries}
-        if len(distinct) > 1:
-            display = next(e[0] for e in entries if e is not None)
-            return index, display, {key: None if e is None else e[1]
-                                    for key, e in zip(keys, entries)}
-    return None
-
-
 # ---------------------------------------------------------------------------
 # dump format
 
@@ -697,22 +675,22 @@ def frame_to_text(frame: Frame) -> str:
         lines.append(f"sense: {frame.sense.render()}")
     for cond in sorted(frame.conditions, key=render_condition):
         lines.append(f"condition: {render_condition(cond)}")
-    for slot in sorted(frame.slots, key=lambda s: slot_order_key(s.name)):
-        _emit_slot(lines, slot, 1)
+    _emit_slots(lines, frame.slots, 1)
     return "\n".join(lines) + "\n"
 
 
-def _emit_slot(lines: list[str], slot: Slot, depth: int) -> None:
-    """Append ``slot`` and its children to ``lines``, indented by depth."""
-    bits = [slot.name]
-    if slot.case:
-        bits.append(f"case={' v '.join(slot.case)}")
-    if slot.bind:
-        bits.append(f"bind={slot.bind}")
-    if slot.filler is not None:
-        bits.append(f"= {slot.render_filler()}")
-    for r in slot.restrictions:
-        bits.append(f"[{r}]")
-    lines.append("  " * depth + " ".join(bits))
-    for child in sorted(slot.children, key=lambda s: slot_order_key(s.name)):
-        _emit_slot(lines, child, depth + 1)
+def _emit_slots(lines: list[str], slots: tuple[Slot, ...], depth: int) -> None:
+    """Append ``slots`` in slot order, each before its children, to
+    ``lines``, indented by depth."""
+    for slot in sorted(slots, key=lambda s: slot_order_key(s.name)):
+        bits = [slot.name]
+        if slot.case:
+            bits.append(f"case={' v '.join(slot.case)}")
+        if slot.bind:
+            bits.append(f"bind={slot.bind}")
+        if slot.filler is not None:
+            bits.append(f"= {slot.render_filler()}")
+        for r in slot.restrictions:
+            bits.append(f"[{r}]")
+        lines.append("  " * depth + " ".join(bits))
+        _emit_slots(lines, slot.children, depth + 1)

@@ -24,10 +24,11 @@ from .frames import (
     Frame,
     Slot,
     UseDelta,
-    apply_use,
+    _apply_use_to,
+    _canonical,
+    _entry_path,
     find_slot,
     frame_to_text,
-    update_slot,
     walk_slots,
 )
 from .lexicon import (
@@ -35,7 +36,6 @@ from .lexicon import (
     DETERMINERS,
     PARTICLES,
     Lexicon,
-    ParsedDefinition,
     Phrase,
     ResolutionRecord,
     Sense,
@@ -68,6 +68,9 @@ class Chunk(NamedTuple):
     text: str
     prep: Optional[str] = None
     lemma: Optional[str] = None   # verb chunks: lexicon headword
+    # read as a definition's differentia (``Phrase``): a sentence hedges
+    # nothing
+    hedged = False
 
     @property
     def head(self) -> str:
@@ -108,8 +111,9 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
                    lexicon: Lexicon) -> list[Chunk]:
     """Deterministic chunking: POS by lexicon lookup with verb preference
     for the single main-verb position, greedy prep-phrase grouping.  An
-    "or" or "and" right before a preposition ends a prep phrase and is
-    dropped: "into curd or into cheese" is two phrases."""
+    "or" or "and" right before a preposition or at the end of the sentence
+    ends a prep phrase and is dropped: "into curd or into cheese" is two
+    phrases, and "into curd or" is "into curd"."""
     if isinstance(tokens, str):
         tokens = tokens.split()
     if not tokens:
@@ -152,8 +156,8 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
             obj: list[str] = []
             j = i + 1
             while j < n and words[j] not in prep_words:
-                if (words[j] in _COORDINATORS and j + 1 < n
-                        and words[j + 1] in prep_words):
+                if words[j] in _COORDINATORS and (
+                        j + 1 == n or words[j + 1] in prep_words):
                     j += 1
                     break
                 obj.append(words[j])
@@ -186,11 +190,13 @@ def chunk_sentence(tokens: Union[str, Sequence[str]],
 class SentenceContext:
     """The chunks of one sentence and its roles, found in one pass: the
     (first) verb, the subject (the first noun phrase before the verb), the
-    object (the first noun phrase after it), the prep phrases, and the
-    prepositions and particles present."""
+    object (the first noun phrase after it), the prep phrases, the
+    prepositions and particles present, and the differentiae (the prep
+    phrase and adverb chunks), so that a sentence applies to a frame as a
+    use does (``frames._apply_use_to``)."""
 
     __slots__ = ("chunks", "verb", "subject", "object_np", "prep_phrases",
-                 "particles")
+                 "particles", "differentiae")
 
     def __init__(self, chunks: list[Chunk]):
         self.chunks = chunks
@@ -199,6 +205,7 @@ class SentenceContext:
         self.object_np: Optional[Chunk] = None
         self.prep_phrases: list[Chunk] = []
         self.particles: set[str] = set()
+        self.differentiae: list[Chunk] = []
         for c in chunks:
             kind = c.kind
             if kind == "verb":
@@ -211,28 +218,17 @@ class SentenceContext:
             elif kind == "prep-phrase":
                 self.prep_phrases.append(c)
                 self.particles.add(c.prep)
+                self.differentiae.append(c)
             elif kind == "particle":
                 self.particles.add(c.prep)
+            elif kind == "adverb":
+                self.differentiae.append(c)
 
     def pp_object(self, preps: Sequence[str]) -> Optional[Chunk]:
         for c in self.prep_phrases:
             if c.prep in preps:
                 return c
         return None
-
-    def to_parsed_definition(self) -> ParsedDefinition:
-        """The sentence's phrase matter as differentiae, for slot filling."""
-        phrases = []
-        for c in self.chunks:
-            if c.kind == "prep-phrase":
-                phrases.append(Phrase("prep-phrase", c.text, c.prep))
-            elif c.kind == "adverb":
-                phrases.append(Phrase("adverb", c.text))
-        verb = self.verb
-        return ParsedDefinition(
-            genus=(verb.lemma,) if verb and verb.lemma else (),
-            object_np=self.object_np.text if self.object_np else None,
-            differentiae=tuple(phrases))
 
 
 def essential_change(subject_text: Optional[str], object_text: str) -> bool:
@@ -400,39 +396,52 @@ MANDATORY_SLOTS = {"SUBJ", "FROM-STATE", "TO-STATE"}
 
 def _instantiate(frame: Frame, oracle: ContextOracle,
                  allocator: VarAllocator) -> tuple[Frame, tuple[UseDelta, ...]]:
-    outcome = apply_use(frame, oracle.ctx.to_parsed_definition(), oracle.rules)
-    slots = outcome.frame.slots
-    deltas = list(outcome.deltas)
-    subject = oracle.subject_text
+    """The frame with the sentence applied as a use, the subject in the
+    SUBJ slot (``find_slot``'s) when that is empty, and a fresh descriptor
+    in every other empty mandatory slot, with the deltas of the first two.
+    After the use, the slot tree is rebuilt once and the frame built once."""
+    frame = _canonical(frame)
+    slots, deltas, _ = _apply_use_to(frame.slots, frame.predicate,
+                                     oracle.ctx, oracle.rules)
+    subject, path = oracle.subject_text, ()
     if subject:
-        found = find_slot(slots, "SUBJ")
-        if found and found[1].filler is None:
-            slots = update_slot(slots, found[0], lambda s: Slot(
-                s.name, s.case, s.bind, subject, s.restrictions, s.children))
-            deltas.append(UseDelta("FILL", found[0], subject))
-    slots = _fill_descriptors(slots, allocator)
-    return outcome.frame._replace(slots=slots), tuple(deltas)
+        entry = find_slot(slots, "SUBJ")
+        if entry is not None and entry[0].filler is None:
+            path = _entry_path(entry)
+            deltas += (UseDelta("FILL", path, subject),)
+    return Frame(frame.predicate, frame.pos, frame.conditions,
+                 _filled_slots(slots, allocator, path, subject),
+                 frame.provisional, frame.sense,
+                 frame.provenance + ("applied use",)), deltas
 
 
-def _fill_descriptors(slots: tuple[Slot, ...],
-                      allocator: VarAllocator) -> tuple[Slot, ...]:
-    """A fresh descriptor in every empty mandatory slot: one named by
-    MANDATORY_SLOTS, bound to a role, or with a case.  Variables are
-    allocated in name order at each level, parents before children.  A
-    slot that gains no descriptor, nor do its children, is kept as is."""
-    filled: dict[str, Slot] = {}
-    for slot in sorted(slots, key=lambda s: s.name):
-        filler = slot.filler
-        if filler is None and (slot.name in MANDATORY_SLOTS
-                               or slot.bind is not None or slot.case):
-            filler = Descriptor(allocator.fresh(), slot.restrictions)
-        kids = (_fill_descriptors(slot.children, allocator) if slot.children
-                else ())
-        filled[slot.name] = (slot if filler is slot.filler
-                             and kids == slot.children else Slot(
-                                 slot.name, slot.case, slot.bind, filler,
-                                 slot.restrictions, kids))
-    return tuple(filled[s.name] for s in slots)
+def _filled_slots(slots: tuple[Slot, ...], allocator: VarAllocator,
+                  path: tuple[str, ...], subject: Optional[str]
+                  ) -> tuple[Slot, ...]:
+    """``slots`` with ``subject`` in the slot at ``path`` (in none when
+    ``path`` is empty) and a fresh descriptor in every other empty
+    mandatory slot: one named by MANDATORY_SLOTS, bound to a role, or with
+    a case.  Variables are allocated in name order at each level, parents
+    before children.  A slot that gains nothing, nor do its children, is
+    kept as is, and so are ``slots`` when none of them gains anything."""
+    out = None
+    # (slot, index) pairs in name order: the names of a level differ
+    for slot, i in sorted(zip(slots, range(len(slots)))):
+        name, case, bind, filler, restrictions, kids = slot
+        on_path = path and name == path[0]
+        if on_path and len(path) == 1:
+            filler = subject
+        elif filler is None and (name in MANDATORY_SLOTS or bind is not None
+                                 or case):
+            filler = Descriptor(allocator.fresh(), restrictions)
+        if kids:
+            kids = _filled_slots(kids, allocator, path[1:] if on_path else (),
+                                 subject)
+        if filler is not slot.filler or kids is not slot.children:
+            if out is None:
+                out = list(slots)
+            out[i] = Slot(name, case, bind, filler, restrictions, kids)
+    return slots if out is None else tuple(out)
 
 
 def _match_score(frame: Frame, oracle: ContextOracle) -> int:

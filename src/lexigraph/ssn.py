@@ -14,10 +14,12 @@ records the question.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .frames import EMPTY_VALUES, Frame, first_diff, flat_group
+from .frames import Frame, canonical_paths
 from .lexicon import (
     PartOfSpeech,
     Sense,
@@ -145,6 +147,44 @@ Oracle = dict | Callable[[Question], str]
 
 
 # ---------------------------------------------------------------------------
+# first differences over canonical positions (``frames.canonical_paths``)
+
+# the values of a canonical position that read as nothing: absent, or an
+# empty string or tuple
+EMPTY_VALUES = (None, "", ())
+
+
+def flat_group(frames: dict[SenseKey, Frame]) -> tuple[dict, list]:
+    """Each frame's ``canonical_paths`` and the sorted union of their
+    positions, as ``first_diff`` reads them."""
+    flats = {k: canonical_paths(f) for k, f in frames.items()}
+    return flats, sorted(set().union(*flats.values()))
+
+
+def first_diff(keys: list[SenseKey], flats: dict, positions: list,
+               start: int = 0):
+    """The first of ``positions[start:]`` at which any two of ``keys``
+    differ: (its index, display path, {sense key: value-at-position}), or
+    None.  An absent value (None) and an empty one ("" or ()) are no
+    difference, so a position none of the keys has is none either, and
+    ``flats`` and ``positions`` may cover more keys."""
+    flat_list = [flats[key] for key in keys]
+    for index in range(start, len(positions)):
+        pos = positions[index]
+        entries = [flat.get(pos) for flat in flat_list]
+        if entries.count(entries[0]) == len(entries):
+            continue
+        # every canonical value is a str or a tuple of str
+        distinct = {None if e is None or e[1] in EMPTY_VALUES else e[1]
+                    for e in entries}
+        if len(distinct) > 1:
+            display = next(e[0] for e in entries if e is not None)
+            return index, display, {key: None if e is None else e[1]
+                                    for key, e in zip(keys, entries)}
+    return None
+
+
+# ---------------------------------------------------------------------------
 # compilation
 
 def _render_value(value: object) -> str:
@@ -163,15 +203,13 @@ def _pos_tag(pos: PartOfSpeech) -> str:
 
 def compile_ssn(headword: str,
                 senses_by_key: dict[SenseKey, list[Sense]],
-                frames: dict[SenseKey, Frame]) -> SSN:
-    """Compile the network for one headword over all its homographs.  Each
-    frame is flattened at most once per call."""
-    if len(senses_by_key) == 1:  # nothing to sort or ask
-        (key,) = senses_by_key
-        frame = frames.get(key)
-        if frame is not None and key.headword == headword:
-            return SSN(headword, (key,), Terminal(key, frame))
-    keys = sorted(senses_by_key, key=SenseKey.sort_key)
+                frames: dict[SenseKey, Frame], presorted: bool = False) -> SSN:
+    """Compile the network for one headword over all its homographs; with
+    ``presorted``, the keys of ``senses_by_key`` are in ``SenseKey.sort_key``
+    order already.  The frames of the network are flattened once, when
+    the first group of senses needs their first difference."""
+    keys = (list(senses_by_key) if presorted or len(senses_by_key) < 2
+            else sorted(senses_by_key, key=SenseKey.sort_key))
     if not keys:
         raise CompileError(f"no senses for {headword!r}")
     if any(k.headword != headword for k in keys):
@@ -179,16 +217,19 @@ def compile_ssn(headword: str,
     for k in keys:
         if k not in frames:
             raise CompileError(f"no frame for {k.render()}")
-    stages = _stage_questions(keys, senses_by_key)
-    root = _build(keys, 0, stages, senses_by_key, frames, {})
+    # one sense: nothing to ask
+    stages = _stage_questions(keys, senses_by_key) if len(keys) > 1 else ()
+    root = _build(keys, 0, stages, senses_by_key, frames, [])
     return SSN(headword, tuple(keys), root)
 
 
 def _build(group: list[SenseKey], stage_idx: int, stages,
-           senses_by_key, frames, flats: dict) -> Node:
+           senses_by_key, frames, flat: list) -> Node:
     """The subtree that tells ``group`` apart, asking the stage questions
-    from ``stage_idx`` on, then frame differences.  ``flats`` holds the
-    frames of the network flattened so far (see ``flat_group``)."""
+    from ``stage_idx`` on, then frame differences.  ``flat`` is empty
+    until a group first gets to frame differences; then it holds
+    ``flat_group`` of every frame of the network, whose sorted positions
+    serve every group (``first_diff`` skips a position a group lacks)."""
     if len(group) == 1:
         return Terminal(group[0], frames[group[0]])
     while stage_idx < len(stages):
@@ -200,11 +241,12 @@ def _build(group: list[SenseKey], stage_idx: int, stages,
         if len(parts) < 2 or len(outcomes) < 2:
             continue
         branches = tuple((answer, _build(sub, stage_idx, stages,
-                                         senses_by_key, frames, flats))
+                                         senses_by_key, frames, flat))
                          for answer, sub in sorted(parts.items()))
         return Question(kind, payload, branches)
-    flats, positions = flat_group({k: frames[k] for k in group}, flats)
-    return _frame_diff_tree(group, 0, flats, positions, senses_by_key, frames)
+    if not flat:
+        flat += flat_group({k: frames[k] for k in senses_by_key})
+    return _frame_diff_tree(group, 0, *flat, senses_by_key, frames)
 
 
 def _stage_questions(keys, senses_by_key):
@@ -237,25 +279,17 @@ def _stage_questions(keys, senses_by_key):
                 spec_objects.setdefault(parsed.specified_object, []).append(k)
 
     for word in sorted(spec_objects):
-        requiring = set(spec_objects[word])
         kind = "OBJ-IS" if len(word.split()) == 1 else "OBJ-SAT"
-
-        def oi_partition(group, requiring=requiring):
-            return {"yes": list(group),
-                    "no": [k for k in group if k not in requiring]}
-
-        stages.append((kind, (word,), oi_partition))
+        stages.append((kind, (word,), partial(
+            _necessary, ("yes", "no"), set(spec_objects[word]))))
 
     # adjective complement: definitions ending with "to be"
     adj_keys = {k for k in keys
                 for rec in senses_by_key[k]
                 if rec.raw_definition.rstrip(" .").endswith("to be")}
     if adj_keys:
-        def adj_partition(group):
-            return {"present": list(group),
-                    "absent": [k for k in group if k not in adj_keys]}
-
-        stages.append(("ADJ-COMPLEMENT", (), adj_partition))
+        stages.append(("ADJ-COMPLEMENT", (), partial(
+            _necessary, ("present", "absent"), adj_keys)))
 
     # usage conditions from particle notes; absence prunes
     particle_sets: dict[tuple[str, ...], set[SenseKey]] = {}
@@ -266,21 +300,23 @@ def _stage_questions(keys, senses_by_key):
                 particle_sets.setdefault(tuple(sorted(particles)), set()).add(k)
 
     for particles in sorted(particle_sets):
-        requiring = particle_sets[particles]
-
-        def usage_partition(group, requiring=frozenset(requiring)):
-            return {"present": list(group),
-                    "absent": [k for k in group if k not in requiring]}
-
-        stages.append(("USAGE", particles, usage_partition))
+        stages.append(("USAGE", particles, partial(
+            _necessary, ("present", "absent"), particle_sets[particles])))
 
     return stages
+
+
+def _necessary(answers: tuple[str, str], requiring, group):
+    """The partition by a necessary condition: the first answer keeps every
+    sense of ``group``, the second those not ``requiring`` it."""
+    return {answers[0]: list(group),
+            answers[1]: [k for k in group if k not in requiring]}
 
 
 def _frame_diff_tree(group: list[SenseKey], start: int, flats, positions,
                      senses_by_key, frames) -> Node:
     """Frame-difference questions that tell ``group`` apart.  ``flats``
-    and ``positions`` are those of the whole subtree's frames, flattened
+    and ``positions`` are those of the whole network's frames, flattened
     once; ``group`` agrees on ``positions[:start]``, as the first
     difference of a larger group was at ``start``."""
     if len(group) == 1:
@@ -435,6 +471,10 @@ def _dot_node(node: Node, lines: list[str], counter: list[int]) -> str:
 
 
 def build_all_ssns(lexicon, frames: dict[SenseKey, Frame]) -> dict[str, SSN]:
-    """One network per headword."""
-    return {hw: compile_ssn(hw, lexicon.records_by_key(hw), frames)
-            for hw in sorted(lexicon.headwords())}
+    """One network per headword, over its keys in the lexicon's sorted
+    order (``Lexicon._sorted_keys``, by headword first), so no network
+    sorts its keys again."""
+    by_key = lexicon._by_key
+    return {hw: compile_ssn(hw, {k: by_key[k] for k in keys}, frames, True)
+            for hw, keys in groupby(lexicon._sorted_keys,
+                                    attrgetter("headword"))}

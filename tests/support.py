@@ -1,8 +1,8 @@
 """Shared test support: hypothesis strategies for small generated LEXF
 lexicons (among them ones whose frames are derived by applying uses, with
-the rule rows for their predicate families), a generated text without
-the R records the graph rejects, and a reader for the quoted strings of a
-DOT export.
+the rule rows for their predicate families) and for slot trees, a
+generated text without the R records the graph rejects, and a reader for
+the quoted strings of a DOT export.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from lexigraph.corpus import corpus_text
 from lexigraph.defgraph import apply_resolutions, build_graph
-from lexigraph.frames import build_frames
+from lexigraph.frames import Slot, build_frames, slot_order_key
 from lexigraph.lexicon import ResolutionError, parse_lexf
 from lexigraph.prep_rules import RuleTable
 from lexigraph.ssn import CompileError, compile_ssn
@@ -156,6 +156,26 @@ def use_lexf_texts():
     them, and R records resolving most of their genus arcs.  Under
     ``family_rules_text()`` the uses fill, restrict and add slots."""
     return resolved_lexf_texts(_use_bases())
+
+
+# slot names of the fixed order and two open extension names, which sort
+# last; a name may recur at several levels
+NAMES = ("SUBJ", "FROM-STATE", "TO-STATE", "RESPECT", "MANNER",
+         "ACCIDENTAL-ATTRS", "AGENT", "ZONE")
+
+
+@st.composite
+def slot_trees(draw, depth: int = 3) -> tuple[Slot, ...]:
+    """Slots as the operations keep them: one per name at each level, in
+    slot order, some bound to a role, some filled or restricted."""
+    names = draw(st.lists(st.sampled_from(NAMES), max_size=4, unique=True))
+    return tuple(
+        Slot(name, draw(st.sampled_from(((), ("PAT",), ("PAT", "AGT")))),
+             draw(st.sampled_from((None,) + NAMES)),
+             draw(st.sampled_from((None, "ice"))),
+             draw(st.sampled_from(((), ("color",), ("size", "color")))),
+             draw(slot_trees(depth - 1)) if depth else ())
+        for name in sorted(names, key=slot_order_key))
 
 
 def accepted(text: str) -> str:

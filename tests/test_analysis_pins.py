@@ -9,9 +9,10 @@ per-run memos are keyed by object id or by sense key, so this runs in CI
 under two ``PYTHONHASHSEED`` values and under ``PYTHONOPTIMIZE=1``.
 
 The slot operations ``find_slot`` and ``update_slot`` equal the
-path-building reference versions kept below, on drawn slot trees, and
-every command's output on lexicons whose frames are derived by applying
-uses is the same with the reference versions in their place.
+path-building reference versions kept below, on drawn slot trees, and so
+does the one-walk edit (``_edit``) of the slot ``find_slot`` finds; every
+command's output on lexicons whose frames are derived by applying uses is
+the same with the reference versions in their place.
 
 When a change alters a product on purpose, print the new hashes with
 ``PYTHONPATH=src:tests python tests/test_analysis_pins.py`` and review why.
@@ -29,13 +30,21 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from support import family_rules_text, lexgen, use_lexf_texts
+from support import (
+    NAMES,
+    family_rules_text,
+    lexgen,
+    slot_trees,
+    use_lexf_texts,
+)
 from lexigraph import corpus, frames as frames_mod, parser as parser_mod
 from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import (
     Slot,
     _as_is,
+    _edit,
+    _entry_path,
     _restricted,
     _with,
     build_frames,
@@ -158,24 +167,23 @@ def reference_update_slot(slots, path, change, *args):
     return slots[:i] + (new,) + slots[i + found:]
 
 
-# slot names of the fixed order and two open extension names, which sort
-# last; a name may recur at several levels
-NAMES = ("SUBJ", "FROM-STATE", "TO-STATE", "RESPECT", "MANNER",
-         "ACCIDENTAL-ATTRS", "AGENT", "ZONE")
+def reference_find(slots, name):
+    """The entry (see ``frames.find_slot``) of the reference's slot, made
+    by walking its path by name."""
+    found = reference_find_slot(slots, name)
+    if found is None:
+        return None
+    entry, level = None, slots
+    for step in found[0]:
+        i = [s.name for s in level].index(step)
+        entry = (level[i], i, entry, 1)
+        level = level[i].children
+    return entry
 
 
-@st.composite
-def slot_trees(draw, depth: int = 3) -> tuple[Slot, ...]:
-    """Slots as the operations keep them: one per name at each level, in
-    slot order, some bound to a role, some filled or restricted."""
-    names = draw(st.lists(st.sampled_from(NAMES), max_size=4, unique=True))
-    return tuple(
-        Slot(name, draw(st.sampled_from(((), ("PAT",), ("PAT", "AGT")))),
-             draw(st.sampled_from((None,) + NAMES)),
-             draw(st.sampled_from((None, "ice"))),
-             draw(st.sampled_from(((), ("color",), ("size", "color")))),
-             draw(slot_trees(depth - 1)) if depth else ())
-        for name in sorted(names, key=slot_order_key))
+def reference_edit(slots, entry, change, *args):
+    """The edit of ``entry``'s slot, walking its path down by name."""
+    return reference_update_slot(slots, _entry_path(entry), change, *args)
 
 
 CHANGES = ((_as_is, ()), (_restricted, ("color",)), (_restricted, ("hue", True)),
@@ -185,7 +193,10 @@ CHANGES = ((_as_is, ()), (_restricted, ("color",)), (_restricted, ("hue", True))
 @settings(max_examples=150, deadline=None)
 @given(slot_trees(), st.sampled_from(NAMES))
 def test_find_slot_equals_the_reference(slots, name):
-    assert find_slot(slots, name) == reference_find_slot(slots, name)
+    entry = find_slot(slots, name)
+    found = None if entry is None else (_entry_path(entry), entry[0])
+    assert found == reference_find_slot(slots, name)
+    assert entry == reference_find(slots, name)
 
 
 @settings(max_examples=150, deadline=None)
@@ -197,6 +208,24 @@ def test_update_slot_equals_the_reference(slots, path, change):
     reference = reference_update_slot(slots, tuple(path), fn, *args)
     assert new == reference
     assert (new is slots) == (reference is slots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_trees(), st.sampled_from(NAMES), st.sampled_from(CHANGES))
+def test_one_walk_edit_equals_update_slot(slots, name, change):
+    """The edit a use makes, of the slot ``find_slot`` finds; a slot not
+    there is first made empty at the top level, as a use makes it."""
+    fn, args = change
+    entry = find_slot(slots, name)
+    if entry is None:
+        slots = update_slot(slots, (name,), _as_is)
+        entry = find_slot(slots, name)
+    new = _edit(slots, entry, fn, *args)
+    path = _entry_path(entry)
+    for reference in (update_slot(slots, path, fn, *args),
+                      reference_update_slot(slots, path, fn, *args)):
+        assert new == reference
+        assert (new is slots) == (reference is slots)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +262,10 @@ def reference_slot_operations():
     with contextlib.ExitStack() as stack:
         for module in (frames_mod, parser_mod):
             stack.enter_context(mock.patch.object(
-                module, "find_slot", reference_find_slot))
-            stack.enter_context(mock.patch.object(
-                module, "update_slot", reference_update_slot))
+                module, "find_slot", reference_find))
+        for name, reference in (("update_slot", reference_update_slot),
+                                ("_edit", reference_edit)):
+            stack.enter_context(mock.patch.object(frames_mod, name, reference))
         yield
 
 

@@ -29,7 +29,7 @@ from lexigraph.lexicon import (
 from lexigraph.parser import autoresolve_all
 from lexigraph.prep_rules import load_rule_table
 from lexigraph.reduction import reduce_fixpoint
-from lexigraph.ssn import build_all_ssns
+from lexigraph.ssn import build_all_ssns, compile_ssn
 
 
 def counting(monkeypatch, module, name: str, key) -> collections.Counter:
@@ -77,11 +77,20 @@ def test_analysis_sorts_the_sense_keys_once(monkeypatch):
     keys = lx._sorted_keys
     assert sum(calls.values()) == len(keys)
     calls.clear()
-    # frames, reduction and autoresolve read the lexicon's sorted keys
+    # frames, reduction, networks and autoresolve read the lexicon's
+    # sorted keys
     frames = build_frames(lx, rules)
     assert reduce_fixpoint(lx, None, frames, rules).set_aside
+    networks = build_all_ssns(lx, frames)
     assert autoresolve_all(lx, frames, rules)
     assert not calls
+    # the CLI compiles a headword's network from its records in file
+    # order (``cli._NetworkCache``), and compile_ssn sorts them into the
+    # same network
+    assert any(len(net.senses) > 1 for net in networks.values())
+    for headword, net in networks.items():
+        assert compile_ssn(headword, lx.records_by_key(headword),
+                           frames) == net
 
 
 def test_reduction_reads_the_deltas_of_the_derivation(monkeypatch, lexicon,

@@ -22,8 +22,6 @@ from lexigraph.frames import (
     apply_use,
     build_frames,
     canonical_paths,
-    first_diff,
-    flat_group,
     frame_to_text,
     load_seed_frames,
     render_condition,
@@ -42,6 +40,7 @@ from lexigraph.lexicon import (
     parse_sense,
     senses_of,
 )
+from lexigraph.ssn import first_diff, flat_group
 
 
 def change_key(label: str) -> SenseKey:

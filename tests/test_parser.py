@@ -3,20 +3,44 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import GENUS_WORDS, PHRASAL_LEXF, accepted, lexf_texts
+from support import (
+    GENUS_WORDS,
+    PHRASAL_LEXF,
+    accepted,
+    family_rules_text,
+    lexf_texts,
+    slot_trees,
+    use_lexf_texts,
+)
 from lexigraph import corpus
-from lexigraph.frames import Descriptor, build_frames
+from lexigraph.frames import (
+    Descriptor,
+    Frame,
+    Slot,
+    UseDelta,
+    _entry_path,
+    apply_use,
+    build_frames,
+    find_slot,
+    update_slot,
+)
 from lexigraph.lexicon import (
     CHUNKING_PREPS,
+    ParsedDefinition,
     PartOfSpeech,
+    Phrase,
     SenseKey,
     genus_words,
     parse_lexf,
 )
 from lexigraph.parser import (
+    Chunk,
     ChunkError,
+    ContextOracle,
+    MANDATORY_SLOTS,
     SentenceContext,
     VarAllocator,
+    _instantiate,
     autoresolve_all,
     chunk_sentence,
     disambiguate,
@@ -25,6 +49,7 @@ from lexigraph.parser import (
     parse_discourse,
     results_to_tsv,
 )
+from lexigraph.prep_rules import load_rule_table
 from lexigraph.ssn import build_all_ssns
 
 
@@ -118,6 +143,17 @@ def test_coordinated_respect_phrase_restricts_the_respect(lexicon, ssns,
     restrictions = _slot(r.frame, "RESPECT").restrictions
     assert "color" in restrictions
     assert not any(t.endswith((" or", " and")) for t in restrictions)
+
+
+def test_chunk_drops_a_coordinator_that_ends_the_sentence(lexicon, ssns,
+                                                          frames, rules):
+    for text in ("The milk changed into curd or",
+                 "The milk changed into curd and"):
+        chunks = chunk_sentence(text, lexicon)
+        assert chunks[2:] == [("prep-phrase", "curd", "into", None)]
+    r = run("The milk changed into curd or", lexicon, ssns, frames, rules)
+    assert [d.render() for d in r.deltas] == [
+        "FILL RESULT = curd", "FILL SUBJ = the milk"]
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +275,110 @@ def test_no_state_leaks_between_sentences(lexicon, ssns, frames, rules,
             _ALONE[text] = run(text, *separate_analysis)
     for text in data.draw(st.permutations(sentences)):
         assert run(text, lexicon, ssns, frames, rules) == _ALONE[text]
+
+
+# ---------------------------------------------------------------------------
+# instantiation: one rebuild of the slot tree equals the three steps it
+# replaced, kept here as the reference
+
+def reference_instantiate(frame, oracle, allocator):
+    """The three steps: apply the sentence as a use (``apply_use``, on
+    the ``Phrase``s of its chunks), fill SUBJ with the subject by a lookup
+    and a walk down its path (``find_slot`` and ``update_slot``, which
+    ``test_analysis_pins.py`` checks against their own references), fill
+    descriptors in a second pass, and build the frame again."""
+    phrases = tuple(Phrase("prep-phrase", c.text, c.prep)
+                    if c.kind == "prep-phrase" else Phrase("adverb", c.text)
+                    for c in oracle.ctx.chunks
+                    if c.kind in ("prep-phrase", "adverb"))
+    outcome = apply_use(frame, ParsedDefinition((), differentiae=phrases),
+                        oracle.rules)
+    slots = outcome.frame.slots
+    deltas = list(outcome.deltas)
+    subject = oracle.subject_text
+    if subject:
+        found = find_slot(slots, "SUBJ")
+        if found and found[0].filler is None:
+            path = _entry_path(found)
+            slots = update_slot(slots, path, lambda s: s._replace(
+                filler=subject))
+            deltas.append(UseDelta("FILL", path, subject))
+    slots = reference_fill_descriptors(slots, allocator)
+    return outcome.frame._replace(slots=slots), tuple(deltas)
+
+
+def reference_fill_descriptors(slots, allocator):
+    """The descriptor pass the one rebuild replaced."""
+    filled = {}
+    for slot in sorted(slots, key=lambda s: s.name):
+        filler = slot.filler
+        if filler is None and (slot.name in MANDATORY_SLOTS
+                               or slot.bind is not None or slot.case):
+            filler = Descriptor(allocator.fresh(), slot.restrictions)
+        kids = (reference_fill_descriptors(slot.children, allocator)
+                if slot.children else ())
+        filled[slot.name] = (slot if filler is slot.filler
+                             and kids == slot.children else Slot(
+                                 slot.name, slot.case, slot.bind, filler,
+                                 slot.restrictions, kids))
+    return tuple(filled[s.name] for s in slots)
+
+
+_PHRASES = st.sampled_from([
+    ("prep-phrase", text, prep)
+    for prep in ("into", "to", "from", "in", "by", "with", "through", "within")
+    for text in ("ice", "color or shape")] + [
+    ("adverb", "slowly", None), ("adverb", "quickly", None)])
+
+
+@st.composite
+def _sentence_chunks(draw):
+    """A sentence's chunks: a subject or none, the verb, and prep phrases
+    (some a from...to pair) and adverbs."""
+    chunks = []
+    subject = draw(st.sampled_from((None, "the water", "it")))
+    if subject:
+        chunks.append(Chunk("noun-phrase", subject))
+    chunks.append(Chunk("verb", "changed", None, "change"))
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            chunks += [Chunk("prep-phrase", "hot", "from"),
+                       Chunk("prep-phrase", "cold", "to")]
+        else:
+            chunks.append(Chunk(*draw(_PHRASES)))
+    return chunks
+
+
+USE_RULES = load_rule_table(family_rules_text())
+
+
+def _frames():
+    """A frame derived by applying uses, or one of a drawn slot tree, with
+    nested and bound subjects and levels whose name order is not their
+    slot order."""
+    def derived(text):
+        frames = build_frames(parse_lexf(text), USE_RULES)
+        return st.sampled_from([frames[k]
+                                for k in sorted(frames, key=SenseKey.sort_key)])
+
+    return st.one_of(use_lexf_texts().flatmap(derived), slot_trees().map(
+        lambda slots: Frame("ALPHA", PartOfSpeech.VI, (), slots)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frames(), _sentence_chunks(), st.sampled_from((None, "the ice")),
+       st.integers(0, 3))
+def test_instantiation_equals_the_three_step_reference(frame, chunks,
+                                                       override, start):
+    oracle = ContextOracle(SentenceContext(chunks), USE_RULES, override)
+    # ``start``: the variables a discourse allocated before
+    allocator, reference_allocator = VarAllocator(), VarAllocator()
+    allocator.count = reference_allocator.count = start
+    got = _instantiate(frame, oracle, allocator)
+    expected = reference_instantiate(frame, oracle, reference_allocator)
+    assert got == expected
+    assert repr(got) == repr(expected)
+    assert allocator.count == reference_allocator.count
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from support import accepted, dot_strings, lexf_texts
 from lexigraph import corpus
 from lexigraph.corpus import load_rules
-from lexigraph.frames import build_frames, first_diff, flat_group
+from lexigraph.frames import build_frames
 from lexigraph.lexicon import PartOfSpeech, Sense, SenseKey, parse_lexf
 from lexigraph.ssn import (
     CompileError,
@@ -23,6 +23,8 @@ from lexigraph.ssn import (
     Terminal,
     build_all_ssns,
     compile_ssn,
+    first_diff,
+    flat_group,
     oracle_reaching,
     to_dot,
     to_text,
