@@ -81,11 +81,11 @@ class _NetworkCache:
 
     def __getitem__(self, headword: str):
         if headword not in self._nets:
-            from .ssn import compile_ssn
-            grouped = self._lexicon.records_by_key(headword)
-            if not grouped:
+            if headword not in self:
                 raise KeyError(headword)
-            self._nets[headword] = compile_ssn(headword, grouped, self._frames)
+            from .ssn import compile_ssn
+            self._nets[headword] = compile_ssn(headword, self._lexicon,
+                                               self._frames)
         return self._nets[headword]
 
 
@@ -224,8 +224,8 @@ def _dispatch(args, a: Analysis) -> int:
     if args.command == "frames":
         from .frames import frame_to_text
         frames = a.frames
-        keys = [k for k in a.lexicon._sorted_keys if k.headword == args.word
-                and (args.label is None or k.label == args.label)]
+        keys = [k for k in a.lexicon._by_headword.get(args.word, ())
+                if args.label is None or k.label == args.label]
         if not keys:
             label = "" if args.label is None else f" with label {args.label!r}"
             print(f"lexigraph: no frames for {args.word!r}{label}",

@@ -28,7 +28,6 @@ from .lexicon import (
     genus_words,
     parse_sense,
     resolution_targets,
-    senses_of,
 )
 
 MODES = ("optimistic", "resolved-only")
@@ -159,8 +158,8 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
         for word in genus_words(s, lexicon):
             targets = bundles.get((word, use))
             if targets is None:
-                found = frozenset(cand.key for cand in senses_of(lexicon, word)
-                                  if use.accepts_target(cand.pos))
+                found = frozenset(k for k in lexicon._by_headword.get(word, ())
+                                  if use.accepts_target(k.pos))
                 targets = bundles[(word, use)] = found or frozenset({External(word)})
             arcs.append(Arc(s.key, word, targets, False, negated, synonym, s.line))
 

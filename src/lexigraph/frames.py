@@ -306,6 +306,10 @@ def _canonical(frame: Frame) -> Frame:
 
 _SEED_FIELDS = {"CASE": "case", "VALUE": "filler", "BIND": "bind"}
 
+# the deepest slot path a seed line may name: the operations on a slot
+# tree recurse once per level, and seed lines are the only source of depth
+MAX_SLOT_DEPTH = 100
+
 
 def _apply_seed_line(frame: Frame, line: str) -> Frame:
     """``frame`` with one seed line folded in."""
@@ -328,6 +332,9 @@ def _apply_seed_line(frame: Frame, line: str) -> Frame:
     if not toks:
         raise SeedGrammarError(f"SLOT needs a path: {line!r}")
     path = tuple(toks[0].split("."))
+    if len(path) > MAX_SLOT_DEPTH:
+        raise SeedGrammarError(f"slot path of {len(path)} levels, "
+                               f"more than {MAX_SLOT_DEPTH}")
     if len(toks) == 1:  # a bare declaration
         return frame._replace(slots=update_slot(frame.slots, path, _as_is))
     action, _, payload = toks[1].partition(" ")

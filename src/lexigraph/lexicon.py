@@ -284,8 +284,9 @@ class Lexicon(_LexiconFields):
     tuple.  The lookups below read by-key and by-headword indexes that
     are built from ``entries`` on first use and kept for the life of the
     instance, so they assume ``entries`` never changes.  The indexes are
-    not fields: ``==`` and ``serialize_lexf`` ignore them.  Every lookup
-    keeps file order.
+    not fields: ``==`` and ``serialize_lexf`` ignore them.  The records of
+    a key keep file order; the keys of a headword, and the headwords, come
+    in ``SenseKey.sort_key`` order, so no reader sorts them again.
     """
 
     def __new__(cls, entries: tuple[Sense, ...] = (),
@@ -326,10 +327,12 @@ class Lexicon(_LexiconFields):
         return resolution_targets(self.resolutions, self._by_key, arcs)
 
     @cached_property
-    def _by_headword(self) -> dict[str, list[Sense]]:
-        grouped: dict[str, list[Sense]] = {}
-        for s in self.entries:
-            grouped.setdefault(s.headword, []).append(s)
+    def _by_headword(self) -> dict[str, list[SenseKey]]:
+        """Each headword's sense keys, one run of ``_sorted_keys`` each, so
+        the headwords are sorted too."""
+        grouped: dict[str, list[SenseKey]] = {}
+        for k in self._sorted_keys:
+            grouped.setdefault(k.headword, []).append(k)
         return grouped
 
     @cached_property
@@ -347,13 +350,6 @@ class Lexicon(_LexiconFields):
     def records_for(self, key: SenseKey) -> list[Sense]:
         return list(self._by_key.get(key, ()))
 
-    def records_by_key(self, headword: str) -> dict[SenseKey, list[Sense]]:
-        """The records of each sense key of a headword, keys in file order."""
-        grouped: dict[SenseKey, list[Sense]] = {}
-        for s in self._by_headword.get(headword, ()):
-            grouped.setdefault(s.key, []).append(s)
-        return grouped
-
     def headwords(self) -> list[str]:
         return list(self._by_headword)
 
@@ -363,9 +359,11 @@ class Lexicon(_LexiconFields):
 
 def senses_of(lexicon: Lexicon, headword: str,
               pos: Optional[PartOfSpeech] = None) -> list[Sense]:
-    """All senses of a headword across homographs, in file order."""
-    return [s for s in lexicon._by_headword.get(headword, ())
-            if pos is None or s.pos is pos]
+    """All senses of a headword across homographs: its keys in
+    ``SenseKey.sort_key`` order, the records of a key in file order."""
+    by_key = lexicon._by_key
+    return [s for k in lexicon._by_headword.get(headword, ())
+            if pos is None or k.pos is pos for s in by_key[k]]
 
 
 def genus_words(sense: Sense, lexicon: Lexicon) -> list[str]:

@@ -9,7 +9,6 @@ surfaced, never guessed.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -512,11 +511,8 @@ class _GenusTable:
 
     def __init__(self, word: str, lexicon: Lexicon,
                  frames: dict[SenseKey, Frame]):
-        # the word's keys are one run of the lexicon's sorted keys
-        keys = lexicon._sorted_keys
-        start = bisect_left(keys, word, key=_headword)
-        end = bisect_right(keys, word, start, key=_headword)
-        self.keys = tuple(k for k in keys[start:end] if k.pos.is_verb)
+        self.keys = tuple(k for k in lexicon._by_headword.get(word, ())
+                          if k.pos.is_verb)
         self.respect_family: list[SenseKey] = []
         self.bind_family: list[SenseKey] = []
         self.respect_sets: dict[SenseKey, frozenset[str]] = {}
@@ -538,10 +534,6 @@ class _GenusTable:
         # the first of the fewest label ancestors
         self.family_head = min(self.bind_family, default=None,
                                key=lambda k: len(_label_ancestors(k.label)))
-
-
-def _headword(key: SenseKey) -> str:
-    return key.headword
 
 
 def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cached_property, partial
-from itertools import groupby
-from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .frames import Frame, canonical_paths
 from .lexicon import (
+    Lexicon,
     PartOfSpeech,
-    Sense,
     SenseKey,
     _label_ancestors,
     _label_parts,
@@ -201,35 +199,33 @@ def _pos_tag(pos: PartOfSpeech) -> str:
     return "v" if pos.is_verb else pos.value
 
 
-def compile_ssn(headword: str,
-                senses_by_key: dict[SenseKey, list[Sense]],
-                frames: dict[SenseKey, Frame], presorted: bool = False) -> SSN:
-    """Compile the network for one headword over all its homographs; with
-    ``presorted``, the keys of ``senses_by_key`` are in ``SenseKey.sort_key``
-    order already.  The frames of the network are flattened once, when
-    the first group of senses needs their first difference."""
-    keys = (list(senses_by_key) if presorted or len(senses_by_key) < 2
-            else sorted(senses_by_key, key=SenseKey.sort_key))
+def compile_ssn(headword: str, lexicon: Lexicon,
+                frames: dict[SenseKey, Frame]) -> SSN:
+    """Compile the network for one headword over all its homographs, its
+    sense keys in the lexicon's order (``Lexicon._by_headword``).  The
+    frames of the network are flattened once, when the first group of
+    senses needs their first difference."""
+    keys = lexicon._by_headword.get(headword)
     if not keys:
         raise CompileError(f"no senses for {headword!r}")
-    if any(k.headword != headword for k in keys):
-        raise CompileError("all senses must share the headword")
     for k in keys:
         if k not in frames:
             raise CompileError(f"no frame for {k.render()}")
+    frames = {k: frames[k] for k in keys}  # the network's own
     # one sense: nothing to ask
-    stages = _stage_questions(keys, senses_by_key) if len(keys) > 1 else ()
-    root = _build(keys, 0, stages, senses_by_key, frames, [])
+    stages = _stage_questions(keys, lexicon._by_key) if len(keys) > 1 else ()
+    root = _build(keys, 0, stages, frames, [])
     return SSN(headword, tuple(keys), root)
 
 
-def _build(group: list[SenseKey], stage_idx: int, stages,
-           senses_by_key, frames, flat: list) -> Node:
+def _build(group: list[SenseKey], stage_idx: int, stages, frames,
+           flat: list) -> Node:
     """The subtree that tells ``group`` apart, asking the stage questions
-    from ``stage_idx`` on, then frame differences.  ``flat`` is empty
-    until a group first gets to frame differences; then it holds
-    ``flat_group`` of every frame of the network, whose sorted positions
-    serve every group (``first_diff`` skips a position a group lacks)."""
+    from ``stage_idx`` on, then frame differences.  ``frames`` are those
+    of the network; ``flat`` is empty until a group first gets to frame
+    differences, then it holds their ``flat_group``, whose sorted
+    positions serve every group (``first_diff`` skips a position a group
+    lacks)."""
     if len(group) == 1:
         return Terminal(group[0], frames[group[0]])
     while stage_idx < len(stages):
@@ -240,13 +236,13 @@ def _build(group: list[SenseKey], stage_idx: int, stages,
         outcomes = {tuple(sub) for sub in parts.values()}
         if len(parts) < 2 or len(outcomes) < 2:
             continue
-        branches = tuple((answer, _build(sub, stage_idx, stages,
-                                         senses_by_key, frames, flat))
+        branches = tuple((answer, _build(sub, stage_idx, stages, frames,
+                                         flat))
                          for answer, sub in sorted(parts.items()))
         return Question(kind, payload, branches)
     if not flat:
-        flat += flat_group({k: frames[k] for k in senses_by_key})
-    return _frame_diff_tree(group, 0, *flat, senses_by_key, frames)
+        flat += flat_group(frames)
+    return _frame_diff_tree(group, 0, *flat, frames)
 
 
 def _stage_questions(keys, senses_by_key):
@@ -314,7 +310,7 @@ def _necessary(answers: tuple[str, str], requiring, group):
 
 
 def _frame_diff_tree(group: list[SenseKey], start: int, flats, positions,
-                     senses_by_key, frames) -> Node:
+                     frames) -> Node:
     """Frame-difference questions that tell ``group`` apart.  ``flats``
     and ``positions`` are those of the whole network's frames, flattened
     once; ``group`` agrees on ``positions[:start]``, as the first
@@ -323,7 +319,7 @@ def _frame_diff_tree(group: list[SenseKey], start: int, flats, positions,
         return Terminal(group[0], frames[group[0]])
     diff = first_diff(group, flats, positions, start)
     if diff is None:
-        return _collapse(group, senses_by_key, frames)
+        return _collapse(group, frames)
     index, path, values = diff
     concrete: dict[str, list[SenseKey]] = {}
     empties: list[SenseKey] = []
@@ -338,25 +334,26 @@ def _frame_diff_tree(group: list[SenseKey], start: int, flats, positions,
     for answer in sorted(concrete):
         sub = concrete[answer]
         branches.append((answer, _frame_diff_tree(
-            sub, index, flats, positions, senses_by_key, frames)))
+            sub, index, flats, positions, frames)))
         alts.append((answer, values[sub[0]]))
     if empties:
         branches.append(("other", _frame_diff_tree(
-            empties, index, flats, positions, senses_by_key, frames)))
+            empties, index, flats, positions, frames)))
         alts.append(("other", ""))
     return Question("FRAME-DIFF", (tuple(path), tuple(alts)), tuple(branches))
 
 
-def _collapse(group, senses_by_key, frames) -> Node:
-    """Identical canonical frames: collapse to a label-parent nonterminal,
-    else the distinctness requirement is violated."""
+def _collapse(group, frames) -> Node:
+    """Identical canonical frames: collapse to a label-parent nonterminal
+    (a sense of the network, so ``frames`` holds it), else the
+    distinctness requirement is violated."""
     common = set.intersection(*({k.label, *_label_ancestors(k.label)}
                                 for k in group))
     base = group[0]
     for label in sorted(common, key=_label_parts, reverse=True):
         parent_key = SenseKey(base.headword, base.pos, base.homograph, label)
-        if parent_key in senses_by_key:
-            return Nonterminal(parent_key, tuple(group), frames.get(parent_key))
+        if parent_key in frames:
+            return Nonterminal(parent_key, tuple(group), frames[parent_key])
     a, b = group[0], group[1]
     raise CompileError(
         f"duplicate canonical frames among sibling senses: "
@@ -470,11 +467,8 @@ def _dot_node(node: Node, lines: list[str], counter: list[int]) -> str:
     return name
 
 
-def build_all_ssns(lexicon, frames: dict[SenseKey, Frame]) -> dict[str, SSN]:
-    """One network per headword, over its keys in the lexicon's sorted
-    order (``Lexicon._sorted_keys``, by headword first), so no network
-    sorts its keys again."""
-    by_key = lexicon._by_key
-    return {hw: compile_ssn(hw, {k: by_key[k] for k in keys}, frames, True)
-            for hw, keys in groupby(lexicon._sorted_keys,
-                                    attrgetter("headword"))}
+def build_all_ssns(lexicon: Lexicon,
+                   frames: dict[SenseKey, Frame]) -> dict[str, SSN]:
+    """One network per headword of the lexicon, in its headword order."""
+    return {hw: compile_ssn(hw, lexicon, frames)
+            for hw in lexicon._by_headword}

@@ -213,7 +213,7 @@ def analysable(text: str, rules) -> tuple[str, list[str]]:
     headwords = []
     for headword in lexicon.headwords():
         try:
-            compile_ssn(headword, lexicon.records_by_key(headword), frames)
+            compile_ssn(headword, lexicon, frames)
         except CompileError:
             continue
         headwords.append(headword)

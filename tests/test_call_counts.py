@@ -7,7 +7,9 @@ no lookup table."""
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
+import io
 import re
 
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from support import accepted, lexf_texts, lexgen, resolved_lexf_texts
 from lexigraph import corpus, frames as frames_mod, lexicon as lexicon_mod
 from lexigraph import parser as parser_mod, ssn as ssn_mod
+from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import build_frames
 from lexigraph.lexicon import (
@@ -83,14 +86,16 @@ def test_analysis_sorts_the_sense_keys_once(monkeypatch):
     assert reduce_fixpoint(lx, None, frames, rules).set_aside
     networks = build_all_ssns(lx, frames)
     assert autoresolve_all(lx, frames, rules)
-    assert not calls
-    # the CLI compiles a headword's network from its records in file
-    # order (``cli._NetworkCache``), and compile_ssn sorts them into the
-    # same network
+    # the CLI compiles a headword's network on demand
+    # (``cli._NetworkCache``): the same network, from the same sorted keys
     assert any(len(net.senses) > 1 for net in networks.values())
     for headword, net in networks.items():
-        assert compile_ssn(headword, lx.records_by_key(headword),
-                           frames) == net
+        assert compile_ssn(headword, lx, frames) == net
+    assert not calls
+    # a command sorts the keys of the lexicon it loads once
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["ssn", "--word", "change"]) == 0
+    assert set(calls.values()) == {1}
 
 
 def test_reduction_reads_the_deltas_of_the_derivation(monkeypatch, lexicon,

@@ -13,6 +13,7 @@ from support import UNKNOWN_SUBSENSE_LEXF, chain_lexf, chain_word, lexf_texts
 from test_golden_cli import GOLDEN, golden_commands
 from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
+from lexigraph.frames import MAX_SLOT_DEPTH
 from lexigraph.lexicon import ResolutionError, parse_lexf
 
 
@@ -87,6 +88,27 @@ def test_deep_definition_chain_commands_succeed(capout, tmp_path):
         code, out, err = capout(["--lexicon", str(path), *argv])
         assert code == 0, (argv, err)
         assert out
+
+
+def test_deep_seed_slot_path_is_data_error(capout, tmp_path):
+    # each operation on a slot tree recurses once per level: a seed path of
+    # 1,500 levels once ended frames and parse in a RecursionError traceback
+    path = tmp_path / "deep.lexf"
+    for depth in (MAX_SLOT_DEPTH, 1500):
+        slot = ".".join(["SUBJ"] + ["PART"] * (depth - 1))
+        path.write_text(f"E|zap|vi|1\nS|1||become bar|\nF|1|PRED ZAP\n"
+                        f"F|1|SLOT {slot} VALUE v\n", encoding="utf-8")
+        for argv in (["frames", "--word", "zap"],
+                     ["parse", "--text", "The milk zap"]):
+            code, out, err = capout(["--lexicon", str(path), *argv])
+            if depth == MAX_SLOT_DEPTH:
+                assert code == 0, (argv, err)
+                assert out.count("PART") == depth - 1
+                assert "PART = v" in out
+            else:
+                assert (code, out) == (2, ""), argv
+                assert err == ("lexigraph: slot path of 1500 levels, "
+                               f"more than {MAX_SLOT_DEPTH}\n")
 
 
 # alpha's one arc is to beta; each R record below fails one check of

@@ -305,8 +305,15 @@ def test_indexes_equal_linear_scans(text):
     entries = lx.entries
     keys = _first_seen(s.key for s in entries)
     assert lx.sense_keys() == keys
-    assert lx._sorted_keys == sorted(keys, key=SenseKey.sort_key)
-    assert lx.headwords() == _first_seen(s.headword for s in entries)
+    sorted_keys = sorted(keys, key=SenseKey.sort_key)
+    assert lx._sorted_keys == sorted_keys
+    # the keys of a headword are one run of the sorted keys, so the
+    # headwords come sorted
+    words = sorted({s.headword for s in entries})
+    assert lx.headwords() == words
+    assert list(lx._by_headword.items()) == [
+        (word, [k for k in sorted_keys if k.headword == word])
+        for word in words]
     absent = SenseKey("zzz", PartOfSpeech.VI, 1, "1")
     for key in keys + [absent]:
         expected = [s for s in entries if s.key == key]
@@ -317,15 +324,13 @@ def test_indexes_equal_linear_scans(text):
     for word in HEADWORDS + ("zzz",):
         assert lx.has_headword(word) == any(s.headword == word for s in entries)
         for pos in (None, *PartOfSpeech):
-            assert senses_of(lx, word, pos) == [
-                s for s in entries
-                if s.headword == word and (pos is None or s.pos is pos)]
-        grouped: dict = {}
-        for s in entries:
-            if s.headword == word:
-                grouped.setdefault(s.key, []).append(s)
-        assert lx.records_by_key(word) == grouped
-        assert list(lx.records_by_key(word)) == list(grouped)
+            # the word's keys in sorted order, a key's records in file order
+            expected = [s for k in sorted_keys
+                        if k.headword == word and (pos is None or k.pos is pos)
+                        for s in entries if s.key == k]
+            got = senses_of(lx, word, pos)
+            assert got == expected
+            assert [s.line for s in got] == [s.line for s in expected]
     assert lx.verb_headwords == {s.headword for s in entries if s.pos.is_verb}
     assert lx.prep_headwords == {s.headword for s in entries
                                  if s.pos is PartOfSpeech.PREP}
@@ -339,7 +344,6 @@ def test_warmed_lexicon_equals_fresh_parse(text):
         warm.records_for(key)
     for word in warm.headwords():
         senses_of(warm, word)
-        warm.records_by_key(word)
     for sense in warm.entries:
         parse_sense(sense)
     assert warm.verb_headwords is not None and warm.prep_headwords is not None

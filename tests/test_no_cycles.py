@@ -129,7 +129,7 @@ def analyse(text: str, headwords: list[str], rules) -> None:
     frames = build_frames(lexicon, rules)
     reduce_fixpoint(lexicon, resolved, frames, rules)
     for headword in headwords:
-        compile_ssn(headword, lexicon.records_by_key(headword), frames)
+        compile_ssn(headword, lexicon, frames)
     autoresolve_all(lexicon, frames, rules)
 
 

@@ -36,19 +36,11 @@ def change_key(label: str) -> SenseKey:
     return SenseKey("change", PartOfSpeech.VI, 1, label)
 
 
-def _grouped(lexicon, headword):
-    out = {}
-    for s in lexicon.entries:
-        if s.headword == headword:
-            out.setdefault(s.key, []).append(s)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # compilation shape
 
 def test_single_sense_headword_is_single_terminal(lexicon, frames):
-    net = compile_ssn("deform", _grouped(lexicon, "deform"), frames)
+    net = compile_ssn("deform", lexicon, frames)
     assert isinstance(net.root, Terminal)
     assert not net.questions()
 
@@ -83,6 +75,15 @@ def test_subsenses_discriminated_by_respect(change_ssn):
     assert "FRAME-DIFF slots.ACCIDENTAL-ATTRS.RESPECT.restrictions" in qids
 
 
+def test_compile_needs_senses_and_their_frames(lexicon, frames):
+    with pytest.raises(CompileError, match="no senses for 'zzz'"):
+        compile_ssn("zzz", lexicon, frames)
+    missing = dict(frames)
+    del missing[change_key("2")]
+    with pytest.raises(CompileError, match="no frame for change:vi:1:2$"):
+        compile_ssn("change", lexicon, missing)
+
+
 def test_duplicate_frames_error():
     lx = parse_lexf(
         "E|w|vi|1\n"
@@ -92,7 +93,7 @@ def test_duplicate_frames_error():
         "F|3b|PRED GROW\n")
     frames = build_frames(lx, load_rules())
     with pytest.raises(CompileError) as err:
-        compile_ssn("w", _grouped(lx, "w"), frames)
+        compile_ssn("w", lx, frames)
     assert "w:vi:1:2a" in str(err.value) and "w:vi:1:3b" in str(err.value)
 
 
@@ -105,7 +106,7 @@ def test_indistinguishable_subsenses_collapse_to_parent():
         "F|1|PRED MOVE\n")
     frames = build_frames(lx, load_rules())
     # children inherit the parent frame unchanged: identical representations
-    net = compile_ssn("w", _grouped(lx, "w"), frames)
+    net = compile_ssn("w", lx, frames)
     assert isinstance(net.root, Nonterminal)
     assert net.root.sense == SenseKey("w", PartOfSpeech.VI, 1, "1")
     assert set(net.root.members) == {
@@ -116,7 +117,7 @@ def test_indistinguishable_subsenses_collapse_to_parent():
 
 def test_pos_stage_branches_across_homograph_sets(wordgov_lexicon, rules):
     frames = build_frames(wordgov_lexicon, rules)
-    net = compile_ssn("knife", _grouped(wordgov_lexicon, "knife"), frames)
+    net = compile_ssn("knife", wordgov_lexicon, frames)
     assert isinstance(net.root, Question) and net.root.kind == "POS"
     answers = dict(net.root.branches)
     assert set(answers) == {"n", "v"}
@@ -129,7 +130,7 @@ def test_transitivity_stage():
         "E|skim|vi|1\nS|1||glide lightly|\n"
         "E|skim|vt|1\nS|1||remove (film) from a liquid|\n")
     frames = build_frames(lx, load_rules())
-    net = compile_ssn("skim", _grouped(lx, "skim"), frames)
+    net = compile_ssn("skim", lx, frames)
     qs = {q.kind for q in net.questions()}
     assert "TRANSITIVITY" in qs
     result = traverse(net, {"TRANSITIVITY": "vt"})
@@ -142,7 +143,7 @@ def test_specified_object_stage():
         "S|1||to clear (water) from a boat by dipping and throwing over the side|\n"
         "S|2||to deliver (personal property) in trust to another|\n")
     frames = build_frames(lx, load_rules())
-    net = compile_ssn("bail", _grouped(lx, "bail"), frames)
+    net = compile_ssn("bail", lx, frames)
     kinds = {q.kind for q in net.questions()}
     assert "OBJ-IS" in kinds          # the literal word "water"
     assert "OBJ-SAT" in kinds         # the generic "personal property"
@@ -162,7 +163,7 @@ def test_adjective_complement_stage():
         "S|1||perceive oneself to be|\n"
         "S|2||seem especially to the touch|\n")
     frames = build_frames(lx, load_rules())
-    net = compile_ssn("feel", _grouped(lx, "feel"), frames)
+    net = compile_ssn("feel", lx, frames)
     kinds = {q.kind for q in net.questions()}
     assert "ADJ-COMPLEMENT" in kinds
     result = traverse(net, {"ADJ-COMPLEMENT": "absent"})
@@ -302,7 +303,7 @@ def test_empty_slot_against_no_slot_is_no_frame_difference(rules):
     # asking there recursed on the same group until RecursionError
     lx = parse_lexf("E|alpha|vt|1\nY|1|ALPHA\nF|1|SLOT SUBJ BIND FROM-STATE\n\n"
                     "E|alpha|vt|2\nY|1|ALPHA\nF|1|SLOT RESPECT RESTRICT color\n")
-    net = compile_ssn("alpha", lx.records_by_key("alpha"), build_frames(lx, rules))
+    net = compile_ssn("alpha", lx, build_frames(lx, rules))
     assert [q.qid for q in net.questions()] == ["FRAME-DIFF slots.SUBJ.bind"]
     assert net.root.alternatives() == {"FROM-STATE": "FROM-STATE", "other": ""}
 
@@ -325,7 +326,7 @@ def test_frame_diff_questions_equal_a_fresh_group_first_diff(rules, text):
     frames = build_frames(lx, rules)
     for headword in sorted(lx.headwords()):
         try:
-            net = compile_ssn(headword, lx.records_by_key(headword), frames)
+            net = compile_ssn(headword, lx, frames)
         except CompileError:
             continue
         for q in net.questions():
