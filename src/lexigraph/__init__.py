@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "frames": (
         "Descriptor", "Frame", "Slot", "UseDelta", "apply_use", "build_frames",
-        "load_seed_frames", "specialize_subsense", "use_deltas",
+        "specialize_subsense", "use_deltas",
     ),
     "prep_rules": ("RuleTable",),
     "reduction": ("ReductionReport", "reduce_fixpoint"),

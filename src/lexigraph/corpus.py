@@ -31,11 +31,9 @@ def corpus_text(name: str = "change_corpus.lexf") -> str:
     return _read(name)
 
 
-def load_corpus(include_word_government: bool = False,
-                include_resolutions: bool = True) -> Lexicon:
-    parts = [parse_lexf(_read("change_corpus.lexf"))]
-    if include_resolutions:
-        parts.append(parse_lexf(_read("resolutions.lexf")))
+def load_corpus(include_word_government: bool = False) -> Lexicon:
+    parts = [parse_lexf(_read("change_corpus.lexf")),
+             parse_lexf(_read("resolutions.lexf"))]
     if include_word_government:
         parts.append(parse_lexf(_read("wordgov_corpus.lexf")))
     return merge_lexicons(*parts)

@@ -1,8 +1,10 @@
-"""Case-frame representations: seeded frames, subsense specialization,
-derivation along resolved genus arcs, the three-way delta when one verb is
-used in defining another, and the flat canonical positions of a frame,
-at the first of which a sense selection network finds a group of frames
-to differ (``ssn.first_diff``).
+"""Case-frame representations: the derivation of every sense's frame in
+one place (``build_frames``: a subsense specializes its label parent's
+frame with its own seed lines, a seeded root starts from its seed lines,
+another sense derives along its resolved genus arc), the three-way delta
+when one verb is used in defining another, and the flat canonical
+positions of a frame, at the first of which a sense selection network
+finds a group of frames to differ (``ssn.first_diff``).
 
 Frames are persistent values: every derivation operation is pure and
 path-copies, rebuilding only the slots on the path it changes and sharing
@@ -389,37 +391,6 @@ def _annotate(frame: Frame, rec: Sense, fill_subject: bool = False) -> Frame:
     return frame
 
 
-def load_seed_frames(lexicon: Lexicon) -> dict[SenseKey, Frame]:
-    """Frames for every sense that carries seed lines, parents first so
-    subsenses inherit.  A root frame whose lines name no predicate takes a
-    provisional one, as an unseeded sense would."""
-    out: dict[SenseKey, Frame] = {}
-    seeds = lexicon.seed_frames
-    for key in lexicon._sorted_keys:
-        if key not in seeds:
-            continue
-        records = lexicon._by_key[key]
-        primary = records[0]
-        parent = next((out[pk] for pk in _ancestor_keys(key) if pk in out),
-                      None)
-        if parent is not None:
-            frame = specialize_subsense(parent, primary, seeds[key])
-        else:
-            frame = Frame("", key.pos, sense=key, provenance=("seeded",))
-            for line in seeds[key]:
-                frame = _apply_seed_line(frame, line)
-            if not frame.predicate:
-                frame = frame._replace(
-                    provisional=True,
-                    predicate=_provisional(key, lexicon).predicate)
-            frame = _annotate(frame, primary)
-        # coordinate records may add their own usage notes / subjects
-        for rec in records[1:]:
-            frame = _annotate(frame, rec)
-        out[key] = frame
-    return out
-
-
 def _ancestor_keys(key: SenseKey) -> list[SenseKey]:
     """The keys of a sense's label ancestors, nearest first."""
     return [SenseKey(key.headword, key.pos, key.homograph, text)
@@ -509,10 +480,11 @@ class FrameTable(dict):
 
 
 def build_frames(lexicon: Lexicon, rules: RuleTable) -> FrameTable:
-    """A frame for every sense: seeded senses from their seed lines (with
-    label-parent inheritance), other senses derived along their resolved
-    genus arc, and provisional frames where no resolution exists.  Raises
-    the ResolutionError the definition graph would for a bad R record."""
+    """A frame for every sense (see ``_FrameDerivation``): the table lists
+    the seeded senses first, then the rest, each group in sorted-key
+    order.  Raises the ResolutionError the definition graph would for a
+    bad R record, and for a bad seed line a SeedGrammarError that names
+    its sense."""
     derivation = _FrameDerivation(lexicon, rules)
     for key in lexicon._sorted_keys:
         derivation.frame_for(key)
@@ -523,7 +495,9 @@ class _FrameDerivation:
     """The state of one ``build_frames`` call.
 
     A sense's frame depends on at most one other frame: its nearest
-    label ancestor's, or else the target of its first resolved genus word,
+    label ancestor's in the lexicon, which it specializes with its own
+    seed lines, if any; else, for a seeded sense, none, as it starts from
+    its seed lines; else the target of its first resolved genus word,
     read from the lexicon's checked resolution map (``Lexicon._resolved``),
     so every key on a chain is a sense of the lexicon.  ``frame_for``
     follows that chain with an explicit stack, so a chain of any depth
@@ -533,7 +507,11 @@ class _FrameDerivation:
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
         self.resolved = lexicon._resolved   # checked before the seed lines
-        self.frames = FrameTable(load_seed_frames(lexicon))
+        self.seeds = lexicon.seed_frames
+        # places for the seeded senses first; the derivation order, and so
+        # where a cycle breaks, does not depend on which senses are seeded
+        self.frames = FrameTable.fromkeys(k for k in lexicon._sorted_keys
+                                          if k in self.seeds)
         self.frames.rules, self.frames.uses = rules, {}
 
     def frame_for(self, key: SenseKey) -> Frame:
@@ -565,11 +543,14 @@ class _FrameDerivation:
     def _dependency(self, key: SenseKey
                     ) -> Optional[tuple[SenseKey, Optional[tuple[Sense, str]]]]:
         """The key whose frame this key's frame is derived from, with the
-        record and genus word that lead there (None for a label ancestor)."""
+        record and genus word that lead there (None for a label ancestor);
+        None for a seeded sense without a label ancestor."""
         by_key = self.lexicon._by_key
         for pk in _ancestor_keys(key):
             if pk in by_key:
                 return pk, None
+        if key in self.seeds:
+            return None
         genus = self.lexicon._genus
         for rec in by_key[key]:
             for word in genus[id(rec)]:
@@ -582,15 +563,11 @@ class _FrameDerivation:
                 base: Optional[Frame]) -> Frame:
         """The frame of ``key`` from the frame of its dependency: a label
         ancestor's when ``via`` is None, else the genus target of the
-        (record, genus word) ``via``; a provisional frame when there is none."""
-        records = self.lexicon._by_key[key]
-        if base is None:
-            frame = _provisional(key, self.lexicon)
-            fill_subject = True
-        elif via is None:
-            frame = specialize_subsense(base, records[0])
-            records, fill_subject = records[1:], False
-        else:
+        (record, genus word) ``via``; from its seed lines, or else a
+        provisional frame, when there is none."""
+        records, seeds = self.lexicon._by_key[key], self.seeds.get(key, ())
+        fill_subject = via is not None or (base is None and not seeds)
+        if via is not None:
             (rec, word), slots, note = via, base.slots, "synonym copy"
             if not rec.is_synonym_line:
                 slots, deltas, _ = _apply_use_to(slots, base.predicate,
@@ -600,7 +577,24 @@ class _FrameDerivation:
             frame = Frame(base.predicate, rec.pos,
                           _without_usage(base.conditions), slots,
                           base.provisional, key, base.provenance + (note,))
-            fill_subject = True
+        elif fill_subject:
+            frame = _provisional(key, self.lexicon)
+        else:
+            try:
+                if base is not None:
+                    frame = specialize_subsense(base, records[0], seeds)
+                    records = records[1:]
+                else:
+                    frame = Frame("", key.pos, sense=key,
+                                  provenance=("seeded",))
+                    for line in seeds:
+                        frame = _apply_seed_line(frame, line)
+            except SeedGrammarError as exc:
+                raise SeedGrammarError(f"{key.render()}: {exc}") from exc
+            if base is None and not frame.predicate:
+                frame = frame._replace(
+                    provisional=True,
+                    predicate=_provisional(key, self.lexicon).predicate)
         for rec in records:
             frame = _annotate(frame, rec, fill_subject)
         return frame

@@ -107,10 +107,6 @@ class SenseLabel(_SenseLabelFields):
     def _make(cls, iterable) -> "SenseLabel":  # so _replace checks too
         return cls(*iterable)
 
-    @property
-    def parts(self) -> tuple[int, str, int]:
-        return _label_parts(self.text)
-
     def parent(self) -> Optional["SenseLabel"]:
         return next(iter(self.ancestors()), None)
 
@@ -187,9 +183,6 @@ class Sense(_LineBlind, _SenseFields):
         return frozenset(s.split(":", 1)[1] for s in self.status if s.startswith("field:"))
 
 
-PHRASE_KINDS = ("prep-phrase", "adverb", "infinitive", "clause", "coordination")
-
-
 class _PhraseFields(NamedTuple):
     kind: str
     text: str
@@ -211,9 +204,6 @@ class Phrase(_PhraseFields):
     @classmethod
     def _make(cls, iterable) -> "Phrase":  # so _replace checks too
         return cls(*iterable)
-
-    def alternatives(self) -> tuple[str, ...]:
-        return split_alternatives(self.text)
 
 
 class ParsedDefinition(NamedTuple):

@@ -9,14 +9,7 @@ surfaced, never guessed.
 """
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Iterable,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .frames import (
     Descriptor,
@@ -106,18 +99,13 @@ def _verb_lemma(word: str, verb_words: frozenset[str]) -> Optional[str]:
     return None
 
 
-def chunk_sentence(tokens: Union[str, Sequence[str]],
-                   lexicon: Lexicon) -> list[Chunk]:
+def chunk_sentence(text: str, lexicon: Lexicon) -> list[Chunk]:
     """Deterministic chunking: POS by lexicon lookup with verb preference
     for the single main-verb position, greedy prep-phrase grouping.  An
     "or" or "and" right before a preposition or at the end of the sentence
     ends a prep phrase and is dropped: "into curd or into cheese" is two
     phrases, and "into curd or" is "into curd"."""
-    if isinstance(tokens, str):
-        tokens = tokens.split()
-    if not tokens:
-        raise ChunkError("empty input")
-    words = [w for w in map(_strip_token, tokens) if w]
+    words = [w for w in map(_strip_token, text.split()) if w]
     if not words:
         raise ChunkError("empty input")
 

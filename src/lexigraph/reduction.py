@@ -7,7 +7,7 @@ fixpoint loop sequences them.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .frames import Frame, UseDelta, use_deltas, walk_slots
 from .lexicon import (
@@ -20,7 +20,8 @@ from .lexicon import (
 )
 from .prep_rules import RuleTable
 
-DEFAULT_OPERATORS = ("attempt", "begin", "cause", "cease", "refuse", "serve")
+DEFAULT_OPERATORS = frozenset(("attempt", "begin", "cause", "cease", "refuse",
+                               "serve"))
 
 RULE_ORDER = ("MULTI-CONCEPT", "SLOT-FILL", "WORD-GOVERNMENT",
               "OPTIONAL-COMPONENT")
@@ -80,12 +81,10 @@ class ReductionContext:
     ``frames`` holds."""
 
     def __init__(self, lexicon: Lexicon, frames: dict[SenseKey, Frame],
-                 rules: RuleTable,
-                 operators: Iterable[str] = DEFAULT_OPERATORS):
+                 rules: RuleTable):
         self.lexicon = lexicon
         self.frames = frames
         self.rules = rules
-        self.operators = frozenset(operators)
         self.genus = lexicon._genus   # genus words by record id
         # keyed by the record's id: the lexicon keeps every record alive
         # as long as the context
@@ -161,7 +160,7 @@ def rule_multi_concept(records: list[Sense],
                 rec.key, "MULTI-CONCEPT",
                 f"operator NOT over {base}; operator contribution owed")
         for word in ctx.genus[id(rec)]:
-            if word in ctx.operators:
+            if word in DEFAULT_OPERATORS:
                 return NonprimitiveEvidence(
                     rec.key, "MULTI-CONCEPT",
                     f"operator {word} over embedded concept; "
@@ -265,13 +264,13 @@ def run_rule(rule: str, key: SenseKey, ctx: ReductionContext
 
 
 def reduce_fixpoint(lexicon: Lexicon, graph: object,
-                    frames: dict[SenseKey, Frame], rules: RuleTable,
-                    operators: Iterable[str] = DEFAULT_OPERATORS) -> ReductionReport:
+                    frames: dict[SenseKey, Frame],
+                    rules: RuleTable) -> ReductionReport:
     """Apply the rules in fixed order repeatedly until no sense changes
     status. Deterministic output.  ``graph`` is unused (``None`` will do):
     the rules read resolved genus targets from the lexicon's checked
     resolution map, the one the resolved definition graph carries."""
-    ctx = ReductionContext(lexicon, frames, rules, operators)
+    ctx = ReductionContext(lexicon, frames, rules)
     verb_keys = [k for k in lexicon._sorted_keys if k.pos.is_verb]
     status: dict[SenseKey, Optional[NonprimitiveEvidence]] = {
         k: None for k in verb_keys}

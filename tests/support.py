@@ -56,8 +56,9 @@ def _verb_line(draw) -> str:
 @st.composite
 def lexf_texts(draw) -> str:
     """A valid LEXF text: entries, an optional seed line per entry (a
-    predicate, a subject bound as the from-state, or a respect group), and
-    R records that may or may not name a real arc."""
+    predicate, a subject bound as the from-state, or a respect group) on
+    any of its senses, so a seeded subsense may sit under an unseeded
+    label parent, and R records that may or may not name a real arc."""
     lines: list[str] = []
     keys: list[str] = []
     for headword, pos, hom in draw(_headers):
@@ -71,10 +72,10 @@ def lexf_texts(draw) -> str:
                 body.append(line)
         lines.append(f"E|{headword}|{pos}|{hom}")
         lines.extend(body)
-        first_label = body[0].split("|")[1]
         if draw(st.booleans()):
+            label = draw(st.sampled_from(body)).split("|")[1]
             seed = draw(st.sampled_from(SEED_LINES))
-            lines.append(f"F|{first_label}|"
+            lines.append(f"F|{label}|"
                          + seed.format(headword.upper().replace(' ', '-')))
         keys.extend(f"{headword}:{pos}:{hom}:{ln.split('|')[1]}" for ln in body)
         lines.append("")

@@ -107,8 +107,8 @@ def test_deep_seed_slot_path_is_data_error(capout, tmp_path):
                 assert "PART = v" in out
             else:
                 assert (code, out) == (2, ""), argv
-                assert err == ("lexigraph: slot path of 1500 levels, "
-                               f"more than {MAX_SLOT_DEPTH}\n")
+                assert err == ("lexigraph: zap:vi:1:1: slot path of 1500 "
+                               f"levels, more than {MAX_SLOT_DEPTH}\n")
 
 
 # alpha's one arc is to beta; each R record below fails one check of

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from support import (
     PHRASAL_LEXF,
@@ -19,22 +19,24 @@ from lexigraph.frames import (
     SeedGrammarError,
     Slot,
     SpecializationError,
+    _FrameDerivation,
     apply_use,
     build_frames,
     canonical_paths,
     frame_to_text,
-    load_seed_frames,
     render_condition,
     slot_order_key,
     specialize_subsense,
     use_deltas,
 )
 from lexigraph.lexicon import (
+    Lexicon,
     PartOfSpeech,
     ResolutionError,
     Sense,
     SenseKey,
     SenseLabel,
+    merge_lexicons,
     parse_definition,
     parse_lexf,
     parse_sense,
@@ -67,9 +69,8 @@ def all_respects(frame: Frame) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # seeds
 
-def test_seed_frame_sense_one_structure(lexicon):
-    seeded = load_seed_frames(lexicon)
-    f1 = seeded[change_key("1")]
+def test_seed_frame_sense_one_structure(frames):
+    f1 = frames[change_key("1")]
     assert f1.predicate == "BECOME-DIFFERENT"
     assert ("NE", "FROM-STATE", "TO-STATE") in f1.conditions
     subj = find_slot(f1, "SUBJ")
@@ -83,9 +84,8 @@ def test_seed_frame_sense_one_structure(lexicon):
     assert acc is not None
 
 
-def test_seed_frame_sense_two_bindings(lexicon):
-    seeded = load_seed_frames(lexicon)
-    f2 = seeded[change_key("2")]
+def test_seed_frame_sense_two_bindings(frames):
+    f2 = frames[change_key("2")]
     assert f2.predicate == "BECOME-DIFFERENT"
     subj = find_slot(f2, "SUBJ")
     assert subj.bind == "FROM-STATE"
@@ -95,32 +95,71 @@ def test_seed_frame_sense_two_bindings(lexicon):
     assert {c.name for c in subj.children} == {"TIME1"}
 
 
-def test_sense_without_seed_lines_absent_from_seed_map(lexicon):
-    seeded = load_seed_frames(lexicon)
-    assert change_key("3") not in seeded
-    assert change_key("4a") not in seeded
+def test_sense_without_seed_lines_takes_no_seeded_frame(frames):
+    # neither sense carries seed lines, nor has a label parent in the
+    # lexicon or a resolved genus arc
+    for label in ("3", "4a"):
+        assert frames[change_key(label)].provenance == (
+            "provisional predicate",)
 
 
-def test_bad_seed_line_raises():
-    from lexigraph.lexicon import parse_lexf
+def test_bad_seed_line_raises(rules):
     lx = parse_lexf("E|w|vi|1\nS|1||move about|\nF|1|SLOT SUBJ WIGGLE x\n")
-    with pytest.raises(SeedGrammarError):
-        load_seed_frames(lx)
+    with pytest.raises(SeedGrammarError,
+                       match="^w:vi:1:1: unknown slot action 'WIGGLE'$"):
+        build_frames(lx, rules)
 
 
-def test_root_seed_without_pred_gets_provisional_predicate():
+def test_root_seed_without_pred_gets_provisional_predicate(rules):
     lx = parse_lexf("E|alpha|vi|1\nS|1||to move|\nS|1a||to move fast|\n"
                     "F|1|SLOT SUBJ BIND FROM-STATE\n"
                     "F|1a|SLOT MANNER RESTRICT fast\n")
-    seeded = load_seed_frames(lx)
-    root = seeded[SenseKey("alpha", PartOfSpeech.VI, 1, "1")]
+    frames = build_frames(lx, rules)
+    root = frames[SenseKey("alpha", PartOfSpeech.VI, 1, "1")]
     assert (root.predicate, root.provisional) == ("MOVE", True)
     assert find_slot(root, "SUBJ").bind == "FROM-STATE"
     assert root.provenance == ("seeded",)
     # a subsense seed still inherits its parent's predicate
-    sub = seeded[SenseKey("alpha", PartOfSpeech.VI, 1, "1a")]
+    sub = frames[SenseKey("alpha", PartOfSpeech.VI, 1, "1a")]
     assert (sub.predicate, sub.provisional) == ("MOVE", True)
     assert find_slot(sub, "MANNER").restrictions == ("fast",)
+
+
+# A subsense whose label parent carries no seed lines, under a seeded root
+SUBSENSE_LEXF = ("E|alpha|vi|1\nS|1||to move|\n"
+                 "S|1a|subject:water|to move fast|\n"
+                 "S|1a(1)||to move very fast|\n"
+                 "F|1|PRED MOVE\nF|1|SLOT SUBJ CASE PAT|AGT\n")
+
+
+def test_seeded_subsense_keeps_what_an_unseeded_parent_gives(rules):
+    key = SenseKey("alpha", PartOfSpeech.VI, 1, "1a(1)")
+    plain = build_frames(parse_lexf(SUBSENSE_LEXF), rules)[key]
+    assert find_slot(plain, "SUBJ").restrictions == ("water",)
+    assert plain.provenance[-1] == "specialized from alpha:vi:1:1a"
+    seeded = build_frames(parse_lexf(
+        SUBSENSE_LEXF + "F|1a(1)|SLOT MANNER RESTRICT very fast\n"), rules)
+    assert seeded[key] == plain._replace(
+        slots=plain.slots + (Slot("MANNER", restrictions=("very fast",)),))
+
+
+def test_seeded_subsense_keeps_its_parents_genus_frame(lexicon, rules):
+    # scoot 1 derives from change 2 along its resolved arc; 1a from 1
+    key = SenseKey("scoot", PartOfSpeech.VI, 1, "1a")
+
+    def scoot_frame(seed: str) -> Frame:
+        text = ("E|scoot|vi|1\nS|1||to change into a new place|\n"
+                f"S|1a||to change quickly|\n{seed}"
+                "R|scoot:vi:1:1|change|change:vi:1:2\n")
+        return build_frames(merge_lexicons(lexicon, parse_lexf(text)),
+                            rules)[key]
+
+    plain = scoot_frame("")
+    assert (plain.predicate, plain.provisional) == ("BECOME-DIFFERENT", False)
+    assert find_slot(plain, "SUBJ").bind == "FROM-STATE"
+    assert find_slot(plain, "RESULT").filler == "a new place"
+    assert scoot_frame("F|1a|SLOT MANNER RESTRICT quickly\n") == plain._replace(
+        slots=plain.slots + (Slot("MANNER", restrictions=("quickly",)),))
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +576,43 @@ def test_use_deltas_equal_apply_use_deltas(text):
     for base in frames.values():
         for use in uses:
             assert use_deltas(base, use, rules) == apply_use(base, use, rules).deltas
+
+
+# alpha 1a is on a cycle through its label parent: alpha 1 is defined by
+# beta 1, resolved to beta 1, which is resolved to alpha 1a
+CYCLE_LEXF = """\
+E|alpha|vi|1
+S|1||to beta slowly|
+S|1a||to move fast|
+
+E|beta|vi|1
+S|1||to alpha quickly|
+
+R|alpha:vi:1:1|beta|beta:vi:1:1
+R|beta:vi:1:1|alpha|alpha:vi:1:1a
+"""
+
+
+@settings(max_examples=40, deadline=None)
+@given(lexf_texts())
+@example(CYCLE_LEXF)
+def test_a_subsense_seed_line_adds_only_its_slot(text):
+    # a seed line on a sense with a label parent in the lexicon changes
+    # its frame by that line alone, whatever the parent's seed lines and
+    # wherever a cycle through it breaks; ZZ is a fresh name, so its slot
+    # sorts last
+    lx = parse_lexf(accepted(text))
+    rules = family_rules(lx)
+    frames = build_frames(lx, rules)
+    derivation = _FrameDerivation(lx, rules)
+    zz = Slot("ZZ", restrictions=("zz",))
+    for key in lx._sorted_keys:
+        dep = derivation._dependency(key)
+        if dep is None or dep[1] is not None:
+            continue  # no label parent in the lexicon
+        seeds = dict(lx.seed_frames)
+        seeds[key] = seeds.get(key, ()) + ("SLOT ZZ RESTRICT zz",)
+        seeded = build_frames(Lexicon(lx.entries, seeds, lx.resolutions),
+                              rules)
+        assert seeded[key] == frames[key]._replace(
+            slots=frames[key].slots + (zz,))

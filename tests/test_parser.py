@@ -95,7 +95,7 @@ def test_chunk_empty_errors(lexicon):
     with pytest.raises(ChunkError):
         chunk_sentence("", lexicon)
     with pytest.raises(ChunkError):
-        chunk_sentence([], lexicon)
+        chunk_sentence(" ... ?! ", lexicon)
 
 
 def test_chunk_without_known_verb(lexicon):
