@@ -188,27 +188,13 @@ def _dispatch(args, a: Analysis) -> int:
 
     if args.command == "primitives":
         from .defgraph import primitive_candidates
-        report = primitive_candidates(a.graph)
-        lines = []
-        for comp in report.candidates:
-            lines.append("candidate\t" + "\t".join(n.render() for n in comp))
-        for leaf in report.undefined_leaves:
-            lines.append(f"undefined-leaf\t{leaf.render()}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, primitive_candidates(a.graph).to_tsv())
         return 0
 
     if args.command == "autoresolve":
         from .parser import autoresolve_all
         proposals = autoresolve_all(a.lexicon, a.frames, a.rules)
-        lines = []
-        for p in proposals:
-            if p.unique is not None:
-                lines.append(f"R|{p.using.render()}|{p.genus_word}|"
-                             f"{p.unique.render()}")
-            else:
-                cands = ",".join(k.render() for k in p.candidates)
-                lines.append(f"# {p.using.render()}: {p.rationale}: {cands}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(p.render() for p in proposals) + "\n")
         return 0
 
     if args.command == "reduce":
@@ -269,8 +255,7 @@ def _parse(args, a: Analysis) -> int:
 
     if args.command == "parse":
         chunks = chunk_sentence(args.text, lexicon)
-        ctx = SentenceContext(chunks)
-        verb = ctx.verb
+        verb = SentenceContext(chunks).verb
         if verb is None or verb.lemma not in ssns:
             print("lexigraph: no known verb in the sentence", file=sys.stderr)
             return DATA_ERROR

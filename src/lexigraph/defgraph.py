@@ -314,6 +314,14 @@ class PrimitiveReport(NamedTuple):
     candidates: tuple[tuple[SenseKey, ...], ...]
     undefined_leaves: tuple[External, ...]
 
+    def to_tsv(self) -> str:
+        """A line per candidate component, then per undefined leaf."""
+        lines = ["candidate\t" + "\t".join(n.render() for n in comp)
+                 for comp in self.candidates]
+        lines += [f"undefined-leaf\t{leaf.render()}"
+                  for leaf in self.undefined_leaves]
+        return "\n".join(lines) + "\n"
+
 
 def primitive_candidates(graph: DefinitionGraph) -> PrimitiveReport:
     """Terminal components of the resolved-only condensation whose members

@@ -2,9 +2,8 @@
 one place (``build_frames``: a subsense specializes its label parent's
 frame with its own seed lines, a seeded root starts from its seed lines,
 another sense derives along its resolved genus arc), the three-way delta
-when one verb is used in defining another, and the flat canonical
-positions of a frame, at the first of which a sense selection network
-finds a group of frames to differ (``ssn.first_diff``).
+when one verb is used in defining another, and the plan by which a
+sentence parse fills a frame's empty mandatory slots (``fill_plan``).
 
 Frames are persistent values: every derivation operation is pure and
 path-copies, rebuilding only the slots on the path it changes and sharing
@@ -110,9 +109,10 @@ class _FrameFields(NamedTuple):
 
 
 class Frame(_FrameFields):
-    """A sense's case frame: predicate, conditions and slots.  It holds two
-    memos, computed on first use: whether it is canonical, and its match
-    facts; a frame from ``_replace`` starts without them."""
+    """A sense's case frame: predicate, conditions and slots.  It holds
+    three memos, computed on first use: whether it is canonical, its match
+    facts and its fill plan; a frame from ``_replace`` starts without
+    them."""
 
     @cached_property
     def _is_canonical(self) -> bool:
@@ -137,6 +137,12 @@ class Frame(_FrameFields):
                       for s in slots if s.name == "RESPECT" and s.restrictions),
                 tuple(frozenset(c[1]) for c in self.conditions
                       if c[0] == "USED-WITH"))
+
+    @cached_property
+    def _fill_plan(self) -> tuple:
+        """``fill_plan(self.slots)``, what ``parser._instantiate`` reads
+        when a sentence leaves the slots as they are."""
+        return fill_plan(self.slots)
 
 
 class UseDelta(NamedTuple):
@@ -192,6 +198,43 @@ def find_slot(slots: tuple[Slot, ...], name: str) -> Optional[tuple]:
 
 def _entry_path(entry: Optional[tuple]) -> tuple[str, ...]:
     return () if entry is None else _entry_path(entry[2]) + (entry[0].name,)
+
+
+# the slots a parse fills when empty, besides those bound to a role or
+# with a case
+MANDATORY_SLOTS = {"SUBJ", "FROM-STATE", "TO-STATE"}
+
+
+def fill_plan(slots: tuple[Slot, ...]) -> tuple:
+    """What a parse fills in ``slots`` (``parser._instantiate``): the path
+    of the SUBJ slot ``find_slot`` finds, if that slot is empty (else
+    None), and the steps to every empty mandatory slot.  The steps of a
+    level are (index, 2 for that SUBJ slot, else 1 for an empty mandatory
+    slot, else 0, the steps of its children), in name order, for the slots
+    that are filled or sit above one that is.  A plan holds no slot."""
+    entry = find_slot(slots, "SUBJ")
+    path = _entry_path(entry) if entry and entry[0].filler is None else None
+    return path, _fill_steps(slots, path or ())
+
+
+def _fill_steps(slots: tuple[Slot, ...], path: tuple[str, ...]) -> tuple:
+    """The steps of ``fill_plan`` for ``slots``, the SUBJ slot to fill at
+    ``path`` below them (none when it is empty)."""
+    steps = []
+    # (slot, index) pairs in name order: the names of a level differ
+    for slot, i in sorted(zip(slots, range(len(slots)))):
+        name, case, bind, filler, _, kids = slot
+        on_path = path and name == path[0]
+        if kids:
+            kids = _fill_steps(kids, path[1:] if on_path else ())
+        if on_path and len(path) == 1:
+            steps.append((i, 2, kids))
+        elif filler is None and (name in MANDATORY_SLOTS or bind is not None
+                                 or case):
+            steps.append((i, 1, kids))
+        elif kids:
+            steps.append((i, 0, kids))
+    return tuple(steps)
 
 
 def walk_slots(slots: tuple[Slot, ...]) -> Iterator[Slot]:
@@ -618,51 +661,6 @@ def _provisional(key: SenseKey, lexicon: Lexicon) -> Frame:
     slots = (Slot("SUBJ", ("PAT", "AGT")),) if key.pos.is_verb else ()
     return Frame(predicate, key.pos, (), slots, True, key,
                  ("provisional predicate",))
-
-
-# ---------------------------------------------------------------------------
-# canonical positions
-
-_TRANSITIVITY = {PartOfSpeech.VI: "intransitive", PartOfSpeech.VT: "transitive",
-                 PartOfSpeech.VB: "both"}
-
-
-def canonical_paths(frame: Frame) -> dict[tuple, tuple[tuple[str, ...], object]]:
-    """Flatten to {sortable position: (display path, value)}; alignment-proof
-    across frames with different slot inventories."""
-    out: dict[tuple, tuple[tuple[str, ...], object]] = {
-        ((0, "pos"),): (("pos",), frame.pos.value),
-        ((1, "transitivity"),): (("transitivity",),
-                                 _TRANSITIVITY.get(frame.pos, "")),
-        ((2, "predicate"),): (("predicate",),
-                              (frame.predicate,
-                               "provisional" if frame.provisional else "fixed")),
-        ((3, "conditions"),): (("conditions",),
-                               tuple(sorted(render_condition(c)
-                                            for c in frame.conditions))),
-    }
-
-    for slot in frame.slots:
-        _slot_paths(out, slot, ((4, "slots"),), ("slots",))
-    return out
-
-
-def _slot_paths(out: dict, slot: Slot, sort_prefix: tuple,
-                display_prefix: tuple[str, ...]) -> None:
-    """Add the canonical positions of ``slot`` and its children to ``out``."""
-    name, restrictions = slot.name, slot.restrictions
-    base_sort = sort_prefix + (slot_order_key(name),)
-    base_disp = display_prefix + (name,)
-    out[base_sort + ((0, "case"),)] = (base_disp + ("case",),
-                                       " v ".join(slot.case))
-    out[base_sort + ((1, "bind"),)] = (base_disp + ("bind",), slot.bind or "")
-    out[base_sort + ((2, "filler"),)] = (base_disp + ("filler",),
-                                         slot.render_filler())
-    out[base_sort + ((3, "restrictions"),)] = (
-        base_disp + ("restrictions",),
-        tuple(sorted(restrictions)) if len(restrictions) > 1 else restrictions)
-    for child in slot.children:
-        _slot_paths(out, child, base_sort + ((4, "children"),), base_disp)
 
 
 # ---------------------------------------------------------------------------

@@ -330,9 +330,11 @@ class Lexicon(_LexiconFields):
         return frozenset(s.headword for s in self.entries if s.pos.is_verb)
 
     @cached_property
-    def prep_headwords(self) -> frozenset[str]:
+    def chunking_preps(self) -> frozenset[str]:
+        """What the sentence chunker reads as a preposition: a preposition
+        headword or one of ``CHUNKING_PREPS``."""
         return frozenset(s.headword for s in self.entries
-                         if s.pos is PartOfSpeech.PREP)
+                         if s.pos is PartOfSpeech.PREP) | CHUNKING_PREPS
 
     def sense_keys(self) -> list[SenseKey]:
         return list(self._by_key)

@@ -18,13 +18,11 @@ from .frames import (
     UseDelta,
     _apply_use_to,
     _canonical,
-    _entry_path,
-    find_slot,
+    fill_plan,
     frame_to_text,
     walk_slots,
 )
 from .lexicon import (
-    CHUNKING_PREPS,
     DETERMINERS,
     PARTICLES,
     Lexicon,
@@ -74,7 +72,9 @@ def _strip_token(token: str) -> str:
 
 
 def _inflection_candidates(word: str) -> list[str]:
-    out = [word]
+    """The lemmas an inflected ``word`` may have, in the order they are
+    tried."""
+    out = []
     if word.endswith("ing") and len(word) > 4:
         out += [word[:-3], word[:-3] + "e"]
     if word.endswith("ied") and len(word) > 4:
@@ -93,6 +93,8 @@ def _inflection_candidates(word: str) -> list[str]:
 
 
 def _verb_lemma(word: str, verb_words: frozenset[str]) -> Optional[str]:
+    if word in verb_words:
+        return word
     for cand in _inflection_candidates(word):
         if cand in verb_words:
             return cand
@@ -109,8 +111,7 @@ def chunk_sentence(text: str, lexicon: Lexicon) -> list[Chunk]:
     if not words:
         raise ChunkError("empty input")
 
-    verb_words = lexicon.verb_headwords
-    prep_words = lexicon.prep_headwords | CHUNKING_PREPS
+    verb_words, prep_words = lexicon.verb_headwords, lexicon.chunking_preps
 
     verb_idx = lemma = None
     for i, w in enumerate(words):
@@ -378,65 +379,59 @@ class VarAllocator:
         return f"v{self.count}"
 
 
-MANDATORY_SLOTS = {"SUBJ", "FROM-STATE", "TO-STATE"}
-
-
 def _instantiate(frame: Frame, oracle: ContextOracle,
                  allocator: VarAllocator) -> tuple[Frame, tuple[UseDelta, ...]]:
     """The frame with the sentence applied as a use, the subject in the
     SUBJ slot (``find_slot``'s) when that is empty, and a fresh descriptor
     in every other empty mandatory slot, with the deltas of the first two.
-    After the use, the slot tree is rebuilt once and the frame built once."""
+    What to fill is the frame's fill plan (``frames.fill_plan``), kept on
+    the frame; a use that edits the slots makes a plan of its own, which
+    is not kept.  Only the filled slots and those above them are
+    rebuilt, and the frame is built once."""
     frame = _canonical(frame)
     slots, deltas, _ = _apply_use_to(frame.slots, frame.predicate,
                                      oracle.ctx, oracle.rules)
-    subject, path = oracle.subject_text, ()
-    if subject:
-        entry = find_slot(slots, "SUBJ")
-        if entry is not None and entry[0].filler is None:
-            path = _entry_path(entry)
-            deltas += (UseDelta("FILL", path, subject),)
+    if slots is frame.slots:
+        path, steps = frame._fill_plan
+    else:
+        path, steps = fill_plan(slots)
+    subject = oracle.subject_text
+    if subject and path:
+        deltas += (UseDelta("FILL", path, subject),)
     return Frame(frame.predicate, frame.pos, frame.conditions,
-                 _filled_slots(slots, allocator, path, subject),
+                 _filled(slots, steps, allocator, subject),
                  frame.provisional, frame.sense,
                  frame.provenance + ("applied use",)), deltas
 
 
-def _filled_slots(slots: tuple[Slot, ...], allocator: VarAllocator,
-                  path: tuple[str, ...], subject: Optional[str]
-                  ) -> tuple[Slot, ...]:
-    """``slots`` with ``subject`` in the slot at ``path`` (in none when
-    ``path`` is empty) and a fresh descriptor in every other empty
-    mandatory slot: one named by MANDATORY_SLOTS, bound to a role, or with
-    a case.  Variables are allocated in name order at each level, parents
-    before children.  A slot that gains nothing, nor do its children, is
-    kept as is, and so are ``slots`` when none of them gains anything."""
-    out = None
-    # (slot, index) pairs in name order: the names of a level differ
-    for slot, i in sorted(zip(slots, range(len(slots)))):
-        name, case, bind, filler, restrictions, kids = slot
-        on_path = path and name == path[0]
-        if on_path and len(path) == 1:
+def _filled(slots: tuple[Slot, ...], steps: tuple, allocator: VarAllocator,
+            subject: Optional[str]) -> tuple[Slot, ...]:
+    """``slots`` with a fill plan's ``steps`` taken: the subject, when
+    there is one, in the slot that is to get it, and a fresh descriptor in
+    every other slot that gets something, allocated in the steps' order."""
+    out = list(slots)
+    for i, gets, kids in steps:
+        name, case, bind, filler, restrictions, children = slots[i]
+        if gets == 2 and subject:
             filler = subject
-        elif filler is None and (name in MANDATORY_SLOTS or bind is not None
-                                 or case):
+        elif gets:
             filler = Descriptor(allocator.fresh(), restrictions)
         if kids:
-            kids = _filled_slots(kids, allocator, path[1:] if on_path else (),
-                                 subject)
-        if filler is not slot.filler or kids is not slot.children:
-            if out is None:
-                out = list(slots)
-            out[i] = Slot(name, case, bind, filler, restrictions, kids)
-    return slots if out is None else tuple(out)
+            children = _filled(children, kids, allocator, subject)
+        out[i] = Slot(name, case, bind, filler, restrictions, children)
+    return tuple(out)
 
 
 def _match_score(frame: Frame, oracle: ContextOracle) -> int:
     """Informative-match refinement: count context-confirmed constraints,
-    read from the frame's match facts."""
+    read from the frame's match facts; a frame without any scores 0, and
+    no fact of the sentence is read for it."""
     subjects, respects, particle_sets = frame._match_facts
-    names = oracle.subject_names() if subjects and oracle.subject_text else ("",)
-    score = sum(f in names for f in subjects) if names[0] else 0
+    score = 0
+    if subjects and oracle.subject_text:
+        names = oracle.subject_names()
+        if names[0]:
+            score = sum(f in names for f in subjects)
     if respects and oracle.in_given is not None:
         score += sum(not oracle.in_given.isdisjoint(r) for r in respects)
     if particle_sets:
@@ -457,10 +452,8 @@ def disambiguate(word: str, chunks: list[Chunk], ssn: SSN,
 
     ``lexicon`` is unused: no answer reads the lexicon.  It keeps its
     position because callers pass the arguments after it positionally."""
-    from .ssn import traverse  # the only use of ssn here; autoresolve needs none
-
     oracle = ContextOracle(SentenceContext(chunks), rules, subject_override)
-    result = traverse(ssn, oracle)
+    result = ssn.traverse(oracle)
     candidates = list(result.senses)
     if len(candidates) > 1:
         scores = {k: _match_score(frames[k], oracle) for k in candidates}
@@ -487,6 +480,15 @@ class AutoResolution(NamedTuple):
         if self.unique is None:
             return None
         return ResolutionRecord(self.using, self.genus_word, self.unique)
+
+    def render(self) -> str:
+        """A unique proposal as its LEXF R line, another as a comment line
+        with its rationale and candidates."""
+        if self.unique is not None:
+            return (f"R|{self.using.render()}|{self.genus_word}|"
+                    f"{self.unique.render()}")
+        cands = ",".join(k.render() for k in self.candidates)
+        return f"# {self.using.render()}: {self.rationale}: {cands}"
 
 
 class _GenusTable:
@@ -673,20 +675,13 @@ class DiscourseState:
         return None
 
 
-def _descriptor_paths(frame: Frame) -> dict[str, str]:
-    """Unfilled-slot descriptor vars by role; the role is the slot's bound
-    alias when it has one, so bindings survive a change of frame shape."""
-    out: dict[str, str] = {}
+def _fills_by_role(frame: Frame, kind: type) -> dict:
+    """The first filler of type ``kind`` of each role: a descriptor or a
+    literal.  The role is the slot's bound alias when it has one, so
+    bindings survive a change of frame shape."""
+    out = {}
     for slot in walk_slots(frame.slots):
-        if isinstance(slot.filler, Descriptor):
-            out.setdefault(slot.bind or slot.name, slot.filler.var)
-    return out
-
-
-def _literal_fills(frame: Frame) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for slot in walk_slots(frame.slots):
-        if isinstance(slot.filler, str):
+        if isinstance(slot.filler, kind):
             out.setdefault(slot.bind or slot.name, slot.filler)
     return out
 
@@ -723,16 +718,17 @@ def parse_discourse(sentences: Sequence[str], lexicon: Lexicon,
             # re-run the pending result with the merged evidence
             if entity.result_index is not None:
                 old = results[entity.result_index]
-                old_desc = _descriptor_paths(old.frame)
+                old_desc = _fills_by_role(old.frame, Descriptor)
                 prior_ssn = ssns[old.lemma]
                 renewed = disambiguate(old.word, merged, prior_ssn, frames,
                                        rules, lexicon, allocator,
                                        subject_override=entity.text)
                 results[entity.result_index] = renewed
-                new_fills = _literal_fills(renewed.frame)
-                for path, var in old_desc.items():
-                    if path in new_fills:
-                        state.bindings.append((var, new_fills[path]))
+                new_fills = _fills_by_role(renewed.frame, str)
+                for role, descriptor in old_desc.items():
+                    if role in new_fills:
+                        state.bindings.append((descriptor.var,
+                                               new_fills[role]))
         else:
             if subject is not None:
                 entity = Entity(allocator.fresh(), subject.head, subject.text,

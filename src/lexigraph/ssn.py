@@ -17,7 +17,7 @@ from collections.abc import Callable
 from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
-from .frames import Frame, canonical_paths
+from .frames import Frame, Slot, render_condition, slot_order_key
 from .lexicon import (
     Lexicon,
     PartOfSpeech,
@@ -134,6 +134,20 @@ class SSN(NamedTuple):
                 stack.extend(child for _, child in reversed(node.branches))
         return out
 
+    def traverse(self, oracle: Oracle) -> TraverseResult:
+        """Deterministic walk. A concrete answer follows its branch;
+        anything else retains all branches (union) and records the
+        question.  The result holds the senses reached and the questions
+        left open.  A method, so that the parser reaches it through the
+        network it is given, without importing this module."""
+        senses: set[SenseKey] = set()
+        open_questions: list[str] = []
+        terminal = _walk(self.root, oracle, senses, open_questions)
+        # in the order of the network's senses, sorted when it was compiled
+        return TraverseResult(tuple(filter(senses.__contains__, self.senses)),
+                              terminal and len(senses) == 1,
+                              tuple(open_questions))
+
 
 class TraverseResult(NamedTuple):
     senses: tuple[SenseKey, ...]
@@ -145,7 +159,49 @@ Oracle = dict | Callable[[Question], str]
 
 
 # ---------------------------------------------------------------------------
-# first differences over canonical positions (``frames.canonical_paths``)
+# canonical positions and their first differences
+
+_TRANSITIVITY = {PartOfSpeech.VI: "intransitive", PartOfSpeech.VT: "transitive",
+                 PartOfSpeech.VB: "both"}
+
+
+def canonical_paths(frame: Frame) -> dict[tuple, tuple[tuple[str, ...], object]]:
+    """Flatten to {sortable position: (display path, value)}; alignment-proof
+    across frames with different slot inventories."""
+    out: dict[tuple, tuple[tuple[str, ...], object]] = {
+        ((0, "pos"),): (("pos",), frame.pos.value),
+        ((1, "transitivity"),): (("transitivity",),
+                                 _TRANSITIVITY.get(frame.pos, "")),
+        ((2, "predicate"),): (("predicate",),
+                              (frame.predicate,
+                               "provisional" if frame.provisional else "fixed")),
+        ((3, "conditions"),): (("conditions",),
+                               tuple(sorted(render_condition(c)
+                                            for c in frame.conditions))),
+    }
+
+    for slot in frame.slots:
+        _slot_paths(out, slot, ((4, "slots"),), ("slots",))
+    return out
+
+
+def _slot_paths(out: dict, slot: Slot, sort_prefix: tuple,
+                display_prefix: tuple[str, ...]) -> None:
+    """Add the canonical positions of ``slot`` and its children to ``out``."""
+    name, restrictions = slot.name, slot.restrictions
+    base_sort = sort_prefix + (slot_order_key(name),)
+    base_disp = display_prefix + (name,)
+    out[base_sort + ((0, "case"),)] = (base_disp + ("case",),
+                                       " v ".join(slot.case))
+    out[base_sort + ((1, "bind"),)] = (base_disp + ("bind",), slot.bind or "")
+    out[base_sort + ((2, "filler"),)] = (base_disp + ("filler",),
+                                         slot.render_filler())
+    out[base_sort + ((3, "restrictions"),)] = (
+        base_disp + ("restrictions",),
+        tuple(sorted(restrictions)) if len(restrictions) > 1 else restrictions)
+    for child in slot.children:
+        _slot_paths(out, child, base_sort + ((4, "children"),), base_disp)
+
 
 # the values of a canonical position that read as nothing: absent, or an
 # empty string or tuple
@@ -363,16 +419,7 @@ def _collapse(group, frames) -> Node:
 # ---------------------------------------------------------------------------
 # traversal
 
-def traverse(ssn: SSN, oracle: Oracle) -> TraverseResult:
-    """Deterministic walk. A concrete answer follows its branch; anything
-    else retains all branches (union) and records the question.  The
-    result holds the senses reached and the questions left open."""
-    senses: set[SenseKey] = set()
-    open_questions: list[str] = []
-    terminal = _walk(ssn.root, oracle, senses, open_questions)
-    # in the order of ``ssn.senses``, sorted when it was compiled
-    return TraverseResult(tuple(filter(senses.__contains__, ssn.senses)),
-                          terminal and len(senses) == 1, tuple(open_questions))
+traverse = SSN.traverse
 
 
 def _walk(node: Node, oracle: Oracle, senses: set[SenseKey],
@@ -395,27 +442,6 @@ def _walk(node: Node, oracle: Oracle, senses: set[SenseKey],
     for _, child in node.branches:
         _walk(child, oracle, senses, open_questions)
     return False
-
-
-def oracle_reaching(ssn: SSN, target: SenseKey) -> Optional[dict]:
-    """An answer map under which traversal returns exactly the target
-    (completeness helper)."""
-    return _search(ssn.root, target, {})
-
-
-def _search(node: Node, target: SenseKey, answers: dict) -> Optional[dict]:
-    """``oracle_reaching`` below ``node``, given the answers that lead there."""
-    if isinstance(node, Terminal):
-        return answers if node.sense == target else None
-    if isinstance(node, Nonterminal):
-        return None
-    for answer, child in node.branches:
-        if node.qid in answers and answers[node.qid] != answer:
-            continue
-        found = _search(child, target, {**answers, node.qid: answer})
-        if found is not None:
-            return found
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared test support: hypothesis strategies for small generated LEXF
 lexicons (among them ones whose frames are derived by applying uses, with
 the rule rows for their predicate families) and for slot trees, a
-generated text without the R records the graph rejects, and a reader for
-the quoted strings of a DOT export.
+generated text without the R records the graph rejects, a reader for
+the quoted strings of a DOT export, and an answer map that leads a network
+to one sense.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -23,7 +24,7 @@ from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import Slot, build_frames, slot_order_key
 from lexigraph.lexicon import ResolutionError, parse_lexf
 from lexigraph.prep_rules import RuleTable
-from lexigraph.ssn import CompileError, compile_ssn
+from lexigraph.ssn import CompileError, Nonterminal, Terminal, compile_ssn
 
 HEADWORDS = ("alpha", "beta", "gamma", "give", "give up", "into")
 GENUS_WORDS = ("alpha", "beta", "gamma", "give up", "delta")
@@ -313,3 +314,24 @@ def chain_lexf(depth: int) -> str:
         lines.append(f"R|{chain_word(n)}:vi:1:1|{chain_word(n - 1)}|"
                      f"{chain_word(n - 1)}:vi:1:1")
     return "\n".join(lines) + "\n"
+
+
+def oracle_reaching(ssn, target) -> dict | None:
+    """An answer map under which traversal returns exactly the target: the
+    first one a depth-first search of the network finds, else None."""
+    return _search(ssn.root, target, {})
+
+
+def _search(node, target, answers: dict) -> dict | None:
+    """``oracle_reaching`` below ``node``, given the answers that lead there."""
+    if isinstance(node, Terminal):
+        return answers if node.sense == target else None
+    if isinstance(node, Nonterminal):
+        return None
+    for answer, child in node.branches:
+        if node.qid in answers and answers[node.qid] != answer:
+            continue
+        found = _search(child, target, {**answers, node.qid: answer})
+        if found is not None:
+            return found
+    return None

@@ -28,8 +28,9 @@ from lexigraph.parser import (
     parse_discourse,
 )
 from lexigraph.reduction import reduce_fixpoint
-from lexigraph.ssn import build_all_ssns, traverse, oracle_reaching
+from lexigraph.ssn import build_all_ssns, traverse
 
+from support import oracle_reaching
 from test_defgraph import oracle_sccs, oracle_condensation_arcs, reachability
 
 

@@ -37,7 +37,7 @@ from support import (
     slot_trees,
     use_lexf_texts,
 )
-from lexigraph import corpus, frames as frames_mod, parser as parser_mod
+from lexigraph import corpus, frames as frames_mod
 from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import (
@@ -260,10 +260,9 @@ def command_outputs(text: str, rules_path: str) -> list[tuple[int, str, str]]:
 @contextlib.contextmanager
 def reference_slot_operations():
     with contextlib.ExitStack() as stack:
-        for module in (frames_mod, parser_mod):
-            stack.enter_context(mock.patch.object(
-                module, "find_slot", reference_find))
-        for name, reference in (("update_slot", reference_update_slot),
+        # the parser finds slots through frames (``fill_plan``)
+        for name, reference in (("find_slot", reference_find),
+                                ("update_slot", reference_update_slot),
                                 ("_edit", reference_edit)):
             stack.enter_context(mock.patch.object(frames_mod, name, reference))
         yield

@@ -3,9 +3,11 @@ frames, reduction, networks and autoresolve computes a record's genus words
 once and applies each use of a genus word once, and facts carried from one
 stage to the next equal the ones a stage would compute afresh.  Each fact of
 a sentence is computed once per parse of it, and network traversal builds
-no lookup table."""
+no lookup table.  A frame's fill plan is computed once per frame, and a
+parse runs no import statement."""
 from __future__ import annotations
 
+import builtins
 import collections
 import contextlib
 import functools
@@ -259,6 +261,64 @@ def test_each_question_builds_its_alternatives_once(monkeypatch, lexicon,
     assert built
     assert parse() == first
     assert max(built.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the parse path: a frame's fill plan is computed once per frame, and a parse
+# runs no import statement
+
+def slot_levels(slots) -> int:
+    """The levels of a slot tree that hold slots."""
+    return 1 + sum(1 for s in frames_mod.walk_slots(slots) if s.children)
+
+
+@pytest.mark.parametrize("text", ["The wind changed",
+                                  "The milk changed into curd"])
+def test_second_parse_reads_the_frame_plan(monkeypatch, lexicon, rules,
+                                           text):
+    frames = build_frames(lexicon, rules)
+    network = build_all_ssns(lexicon, frames)["change"]
+    chunks = parser_mod.chunk_sentence(text, lexicon)
+
+    def parse():
+        return parser_mod.disambiguate("changed", chunks, network, frames,
+                                       rules, lexicon)
+
+    first = parse()
+    imports, sorts = [], []
+    real_import = builtins.__import__
+
+    def counting_import(*args, **kwargs):
+        imports.append(args[0])
+        return real_import(*args, **kwargs)
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    # every sorted call made by the code of the parse path's modules
+    for module in (parser_mod, frames_mod, ssn_mod):
+        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
+    finds = counting(monkeypatch, frames_mod, "find_slot",
+                     lambda slots, name: name)
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    second = parse()
+    monkeypatch.undo()
+    assert second == first and repr(second) == repr(first)
+    assert imports == []
+    frame = frames[first.candidates[0]]
+    ctx = parser_mod.SentenceContext(chunks)
+    slots = frames_mod._apply_use_to(frame.slots, frame.predicate, ctx,
+                                     rules)[0]
+    if slots is frame.slots:
+        # the frame's plan: no level sorted, no SUBJ searched
+        assert text == "The wind changed"
+        assert sorts == [] and sum(finds.values()) == 0
+    else:
+        # the use fills RESULT: the edited tree gets a plan of its own,
+        # sorting each of its levels once, and the SUBJ slot is found once
+        assert sorts and len(sorts) == slot_levels(slots)
+        assert finds["SUBJ"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from lexigraph.frames import (
     _FrameDerivation,
     apply_use,
     build_frames,
-    canonical_paths,
     frame_to_text,
     render_condition,
     slot_order_key,
@@ -42,7 +41,7 @@ from lexigraph.lexicon import (
     parse_sense,
     senses_of,
 )
-from lexigraph.ssn import first_diff, flat_group
+from lexigraph.ssn import canonical_paths, first_diff, flat_group
 
 
 def change_key(label: str) -> SenseKey:

@@ -8,6 +8,7 @@ from support import HEADWORDS, PHRASAL_LEXF, lexf_texts, lexgen
 from lexigraph import corpus
 from lexigraph.defgraph import build_graph
 from lexigraph.lexicon import (
+    CHUNKING_PREPS,
     DefinitionParseError,
     LexfError,
     PartOfSpeech,
@@ -332,8 +333,8 @@ def test_indexes_equal_linear_scans(text):
             assert got == expected
             assert [s.line for s in got] == [s.line for s in expected]
     assert lx.verb_headwords == {s.headword for s in entries if s.pos.is_verb}
-    assert lx.prep_headwords == {s.headword for s in entries
-                                 if s.pos is PartOfSpeech.PREP}
+    assert lx.chunking_preps == {s.headword for s in entries
+                                 if s.pos is PartOfSpeech.PREP} | CHUNKING_PREPS
 
 
 @settings(max_examples=80, deadline=None)
@@ -346,7 +347,7 @@ def test_warmed_lexicon_equals_fresh_parse(text):
         senses_of(warm, word)
     for sense in warm.entries:
         parse_sense(sense)
-    assert warm.verb_headwords is not None and warm.prep_headwords is not None
+    assert warm.verb_headwords is not None and warm.chunking_preps is not None
     fresh = parse_lexf(text)
     assert warm == fresh
     assert serialize_lexf(warm) == serialize_lexf(fresh)

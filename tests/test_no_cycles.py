@@ -4,17 +4,23 @@ collection afterwards finds nothing unreachable.
 
 Each case covers a successful call only: an exception raised and caught
 legitimately leaves a cycle between its traceback and the frames on it.
+
+A stream of parses keeps nothing in the parse path's modules, and a frame
+that holds its fill plan is freed by reference counting alone.
 """
 from __future__ import annotations
 
 import gc
+import weakref
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 
-from support import analysable, lexf_texts
+from support import analysable, lexf_texts, lexgen
+from test_scaled_outputs import sentence_stream
 from lexigraph import corpus
+from lexigraph import frames as frames_mod, parser as parser_mod, ssn as ssn_mod
 from lexigraph.defgraph import (
     apply_resolutions,
     build_graph,
@@ -23,7 +29,7 @@ from lexigraph.defgraph import (
     strongly_connected_components,
 )
 from lexigraph.frames import build_frames, frame_to_text
-from lexigraph.lexicon import parse_lexf
+from lexigraph.lexicon import merge_lexicons, parse_lexf
 from lexigraph.parser import (
     SentenceContext,
     VarAllocator,
@@ -35,7 +41,6 @@ from lexigraph.reduction import reduce_fixpoint
 from lexigraph.ssn import (
     build_all_ssns,
     compile_ssn,
-    oracle_reaching,
     to_dot,
     to_text,
 )
@@ -108,8 +113,6 @@ EXPORTS = {
     "ssn.to_text": lambda net, frames: to_text(net),
     "ssn.to_dot": lambda net, frames: to_dot(net),
     "SSN.questions": lambda net, frames: net.questions(),
-    "oracle_reaching": lambda net, frames: [oracle_reaching(net, k)
-                                            for k in net.senses],
     "frame_to_text": lambda net, frames: [frame_to_text(f)
                                           for f in frames.values()],
 }
@@ -137,3 +140,53 @@ def analyse(text: str, headwords: list[str], rules) -> None:
 @given(lexf_texts())
 def test_generated_analysis_leaves_no_cyclic_garbage(rules, text):
     assert garbage_left(analyse, *analysable(text, rules), rules) == 0
+
+
+def module_containers() -> dict:
+    """The size of the namespace of the parser, frames and ssn modules and
+    of every dict, set and list they hold."""
+    sizes = {}
+    for module in (parser_mod, frames_mod, ssn_mod):
+        sizes[module.__name__] = len(vars(module))
+        for name, value in vars(module).items():
+            if isinstance(value, (dict, set, list)):
+                sizes[module.__name__, name] = len(value)
+    return sizes
+
+
+class Sentinel:
+    pass
+
+
+def test_parse_stream_keeps_nothing_and_frees_planned_frames(rules):
+    generated = lexgen().generate(16, 1)
+    lexicon = merge_lexicons(*(parse_lexf(t) for t in generated.texts()))
+    frames = build_frames(lexicon, rules)
+    networks = build_all_ssns(lexicon, frames)
+    before = module_containers()
+    # 2,000 sentences: the seeded x16 stream of the scaled-output pins, for
+    # five seeds
+    sentences = [text for seed in range(1, 6)
+                 for text in sentence_stream(generated, seed)]
+    assert len(sentences) == 2000
+    planned = set()
+    for text in sentences:
+        chunks = chunk_sentence(text, lexicon)
+        verb = SentenceContext(chunks).verb
+        result = disambiguate(verb.text, chunks, networks[verb.lemma], frames,
+                              rules, lexicon, VarAllocator())
+        planned.add(result.candidates[0])
+    assert module_containers() == before
+    # the frames the stream read hold their plans; one that does is freed
+    # with the analysis, with the cycle collector off
+    key = min(k for k in planned if "_fill_plan" in vars(frames[k]))
+    sentinel = Sentinel()
+    alive = weakref.ref(sentinel)
+    vars(frames[key])["sentinel"] = sentinel
+    gc.collect()
+    gc.disable()
+    try:
+        del sentinel, frames, networks, lexicon, result
+        assert alive() is None
+    finally:
+        gc.enable()

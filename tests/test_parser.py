@@ -14,6 +14,7 @@ from support import (
 )
 from lexigraph import corpus
 from lexigraph.frames import (
+    MANDATORY_SLOTS,
     Descriptor,
     Frame,
     Slot,
@@ -25,7 +26,6 @@ from lexigraph.frames import (
     update_slot,
 )
 from lexigraph.lexicon import (
-    CHUNKING_PREPS,
     ParsedDefinition,
     PartOfSpeech,
     Phrase,
@@ -37,7 +37,6 @@ from lexigraph.parser import (
     Chunk,
     ChunkError,
     ContextOracle,
-    MANDATORY_SLOTS,
     SentenceContext,
     VarAllocator,
     _instantiate,
@@ -245,7 +244,7 @@ def _sentences(lexicon, ssns):
     questions, with a subject, prep phrases and an adverb."""
     verbs = sorted(w for w in lexicon.verb_headwords if " " not in w)
     asking = [w for w in verbs if len(ssns[w].senses) > 1]
-    preps = sorted(lexicon.prep_headwords | CHUNKING_PREPS)
+    preps = sorted(lexicon.chunking_preps)
     phrase = st.tuples(st.sampled_from(preps), st.sampled_from(_OBJECTS))
     return st.builds(
         lambda subj, verb, phrases, adverb: " ".join(
@@ -367,18 +366,29 @@ def _frames():
 
 @settings(max_examples=200, deadline=None)
 @given(_frames(), _sentence_chunks(), st.sampled_from((None, "the ice")),
-       st.integers(0, 3))
+       st.integers(0, 3), st.booleans())
 def test_instantiation_equals_the_three_step_reference(frame, chunks,
-                                                       override, start):
-    oracle = ContextOracle(SentenceContext(chunks), USE_RULES, override)
-    # ``start``: the variables a discourse allocated before
-    allocator, reference_allocator = VarAllocator(), VarAllocator()
-    allocator.count = reference_allocator.count = start
-    got = _instantiate(frame, oracle, allocator)
-    expected = reference_instantiate(frame, oracle, reference_allocator)
-    assert got == expected
-    assert repr(got) == repr(expected)
-    assert allocator.count == reference_allocator.count
+                                                       override, start,
+                                                       edited_first):
+    """Each frame is instantiated twice, in either order: with a sentence
+    whose prep phrases and adverbs make a use that may edit its slots (an
+    adverb is added when none was drawn), and with the subject and verb
+    alone, whose use edits nothing.  The frame keeps the fill plan of its
+    own slots only, so neither instantiation may read the other's plan."""
+    editing = chunks
+    if not any(c.kind in ("prep-phrase", "adverb") for c in chunks):
+        editing = chunks + [Chunk("adverb", "slowly")]
+    plain = [c for c in chunks if c.kind in ("noun-phrase", "verb")]
+    for sentence in ((editing, plain) if edited_first else (plain, editing)):
+        oracle = ContextOracle(SentenceContext(sentence), USE_RULES, override)
+        # ``start``: the variables a discourse allocated before
+        allocator, reference_allocator = VarAllocator(), VarAllocator()
+        allocator.count = reference_allocator.count = start
+        got = _instantiate(frame, oracle, allocator)
+        expected = reference_instantiate(frame, oracle, reference_allocator)
+        assert got == expected
+        assert repr(got) == repr(expected)
+        assert allocator.count == reference_allocator.count
 
 
 # ---------------------------------------------------------------------------

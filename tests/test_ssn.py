@@ -10,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from support import accepted, dot_strings, lexf_texts
+from support import accepted, dot_strings, lexf_texts, oracle_reaching
 from lexigraph import corpus
 from lexigraph.corpus import load_rules
 from lexigraph.frames import build_frames
@@ -25,7 +25,6 @@ from lexigraph.ssn import (
     compile_ssn,
     first_diff,
     flat_group,
-    oracle_reaching,
     to_dot,
     to_text,
     traverse,
