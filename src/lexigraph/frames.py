@@ -1,9 +1,8 @@
 """Case-frame representations: the derivation of every sense's frame in
 one place (``build_frames``: a subsense specializes its label parent's
 frame with its own seed lines, a seeded root starts from its seed lines,
-another sense derives along its resolved genus arc), the three-way delta
-when one verb is used in defining another, and the plan by which a
-sentence parse fills a frame's empty mandatory slots (``fill_plan``).
+another sense derives along its resolved genus arc), and the three-way
+delta when one verb is used in defining another.
 
 Frames are persistent values: every derivation operation is pure and
 path-copies, rebuilding only the slots on the path it changes and sharing
@@ -25,7 +24,6 @@ from .lexicon import (
     Sense,
     SenseKey,
     _label_ancestors,
-    lower_alternatives,
     parse_sense,
 )
 from .prep_rules import RuleTable
@@ -110,9 +108,9 @@ class _FrameFields(NamedTuple):
 
 class Frame(_FrameFields):
     """A sense's case frame: predicate, conditions and slots.  It holds
-    three memos, computed on first use: whether it is canonical, its match
-    facts and its fill plan; a frame from ``_replace`` starts without
-    them."""
+    whether it is canonical, computed on first use, and the memos the
+    parser keeps in its ``__dict__``; a frame from ``_replace`` starts
+    without them."""
 
     @cached_property
     def _is_canonical(self) -> bool:
@@ -121,28 +119,6 @@ class Frame(_FrameFields):
         return (list(self.conditions)
                 == sorted(self.conditions, key=render_condition)
                 and _sorted_slots(self.slots) == self.slots)
-
-    @cached_property
-    def _match_facts(self) -> tuple:
-        """What ``parser._match_score`` reads: the lowercased string filler
-        of each SUBJ slot; per RESPECT slot with restrictions, the lowercased
-        alternatives of the RESPECT restrictions at and below it; the
-        particles of each USED-WITH condition."""
-        slots = list(walk_slots(self.slots))
-        return (tuple(s.filler.lower() for s in slots
-                      if s.name == "SUBJ" and isinstance(s.filler, str)),
-                tuple(lower_alternatives(r for t in walk_slots((s,))
-                                         if t.name == "RESPECT"
-                                         for r in t.restrictions)
-                      for s in slots if s.name == "RESPECT" and s.restrictions),
-                tuple(frozenset(c[1]) for c in self.conditions
-                      if c[0] == "USED-WITH"))
-
-    @cached_property
-    def _fill_plan(self) -> tuple:
-        """``fill_plan(self.slots)``, what ``parser._instantiate`` reads
-        when a sentence leaves the slots as they are."""
-        return fill_plan(self.slots)
 
 
 class UseDelta(NamedTuple):
@@ -198,43 +174,6 @@ def find_slot(slots: tuple[Slot, ...], name: str) -> Optional[tuple]:
 
 def _entry_path(entry: Optional[tuple]) -> tuple[str, ...]:
     return () if entry is None else _entry_path(entry[2]) + (entry[0].name,)
-
-
-# the slots a parse fills when empty, besides those bound to a role or
-# with a case
-MANDATORY_SLOTS = {"SUBJ", "FROM-STATE", "TO-STATE"}
-
-
-def fill_plan(slots: tuple[Slot, ...]) -> tuple:
-    """What a parse fills in ``slots`` (``parser._instantiate``): the path
-    of the SUBJ slot ``find_slot`` finds, if that slot is empty (else
-    None), and the steps to every empty mandatory slot.  The steps of a
-    level are (index, 2 for that SUBJ slot, else 1 for an empty mandatory
-    slot, else 0, the steps of its children), in name order, for the slots
-    that are filled or sit above one that is.  A plan holds no slot."""
-    entry = find_slot(slots, "SUBJ")
-    path = _entry_path(entry) if entry and entry[0].filler is None else None
-    return path, _fill_steps(slots, path or ())
-
-
-def _fill_steps(slots: tuple[Slot, ...], path: tuple[str, ...]) -> tuple:
-    """The steps of ``fill_plan`` for ``slots``, the SUBJ slot to fill at
-    ``path`` below them (none when it is empty)."""
-    steps = []
-    # (slot, index) pairs in name order: the names of a level differ
-    for slot, i in sorted(zip(slots, range(len(slots)))):
-        name, case, bind, filler, _, kids = slot
-        on_path = path and name == path[0]
-        if kids:
-            kids = _fill_steps(kids, path[1:] if on_path else ())
-        if on_path and len(path) == 1:
-            steps.append((i, 2, kids))
-        elif filler is None and (name in MANDATORY_SLOTS or bind is not None
-                                 or case):
-            steps.append((i, 1, kids))
-        elif kids:
-            steps.append((i, 0, kids))
-    return tuple(steps)
 
 
 def walk_slots(slots: tuple[Slot, ...]) -> Iterator[Slot]:

@@ -18,7 +18,8 @@ from .frames import (
     UseDelta,
     _apply_use_to,
     _canonical,
-    fill_plan,
+    _entry_path,
+    find_slot,
     frame_to_text,
     walk_slots,
 )
@@ -262,63 +263,69 @@ class ContextOracle:
         return self._subject_names
 
     def __call__(self, q: Question) -> str:
-        if q.kind == "POS":
+        """The answer the sentence bears out: for a FRAME-DIFF question,
+        the answer whose fact (``Question._probe``) it bears out, the
+        probes most asked first; a probe whose sentence fact is absent
+        answers at once."""
+        kind = q.kind
+        if kind == "FRAME-DIFF":
+            probe, other, facts = q._probe
+            ctx = self.ctx
+            if probe == "predicate":
+                pps = ctx.prep_phrases
+                if not pps:
+                    return "unknown"
+                slot_action = self.rules.slot_action
+                return next((a for a, family in facts if any(
+                    slot_action(pp.prep, family) for pp in pps)), "unknown")
+            if probe == "bind":  # the FROM-STATE answer, if any, is the fact
+                pp = ctx.pp_object(("into", "to"))
+                if pp is not None and pp.text:
+                    if not essential_change(self.subject_text, pp.text):
+                        return other
+                    return "FROM-STATE" if facts else "unknown"
+                return other if {"from", "to"} <= ctx.particles else "unknown"
+            if probe == "subject":
+                if self.subject_text is None:
+                    return "unknown"
+                names = self.subject_names()
+                return next((a for a, value in facts if value in names), other)
+            if probe == "respect":
+                if self.in_given is None:
+                    return "unknown"
+                return next((a for a, alts in facts
+                             if not self.in_given.isdisjoint(alts)), other)
+            if probe == "conditions":
+                return self._conditions_answer(facts)
+            if probe == "filler" and ctx.prep_phrases:
+                texts = [pp.text.lower() for pp in ctx.prep_phrases]
+                return next((a for a, value in facts if value in texts),
+                            "unknown")
+            return "unknown"
+        if kind == "USAGE":
+            return ("absent" if self.ctx.particles.isdisjoint(q.payload)
+                    else "present")
+        if kind == "POS":
             return "v" if self.ctx.verb is not None else "unknown"
-        if q.kind == "TRANSITIVITY":
+        if kind == "TRANSITIVITY":
             return "vt" if self.ctx.object_np is not None else "vi"
-        if q.kind in ("OBJ-IS", "OBJ-SAT"):
+        if kind in ("OBJ-IS", "OBJ-SAT"):
             obj = self.ctx.object_np
             if obj is None:
                 return "no"
             wanted = q.payload[0]
-            if q.kind == "OBJ-IS":
+            if kind == "OBJ-IS":
                 return "yes" if obj.head == wanted else "no"
             return ("yes" if set(split_alternatives(obj.text))
                     & set(split_alternatives(wanted)) else "no")
-        if q.kind == "ADJ-COMPLEMENT":
+        if kind == "ADJ-COMPLEMENT":
             return "absent"
-        if q.kind == "USAGE":
-            return ("absent" if self.ctx.particles.isdisjoint(q.payload)
-                    else "present")
-        if q.kind == "FRAME-DIFF":
-            return self._frame_diff_answer(q)
-        return "unknown"
-
-    # -- frame-difference probes ------------------------------------------
-
-    def _frame_diff_answer(self, q: Question) -> str:
-        """The answer whose fact (``Question._probe``) the sentence bears out."""
-        probe, other, facts = q._probe
-        if probe == "predicate":
-            return next((a for a, family in facts if any(
-                self.rules.slot_action(pp.prep, family)
-                for pp in self.ctx.prep_phrases)), "unknown")
-        if probe == "conditions":
-            return self._conditions_answer(facts)
-        if probe == "bind":  # the FROM-STATE answer, if any, is the fact
-            pp = self.ctx.pp_object(("into", "to"))
-            if pp is not None and pp.text:
-                if not essential_change(self.subject_text, pp.text):
-                    return other
-                return "FROM-STATE" if facts else "unknown"
-            return other if {"from", "to"} <= self.ctx.particles else "unknown"
-        if probe == "subject":
-            if self.subject_text is None:
-                return "unknown"
-            names = self.subject_names()
-            return next((a for a, value in facts if value in names), other)
-        if probe == "respect":
-            if self.in_given is None:
-                return "unknown"
-            return next((a for a, alts in facts
-                         if not self.in_given.isdisjoint(alts)), other)
-        if probe == "filler":
-            texts = [pp.text.lower() for pp in self.ctx.prep_phrases]
-            return next((a for a, value in facts if value in texts), "unknown")
         return "unknown"
 
     def _conditions_answer(self, facts: tuple) -> str:
         present = self.ctx.particles
+        if not present:  # no USED-WITH condition is met
+            return "unknown"
         scored: list[tuple[int, str]] = []
         base: Optional[tuple[int, str]] = None
         any_relevant = False
@@ -384,17 +391,24 @@ def _instantiate(frame: Frame, oracle: ContextOracle,
     """The frame with the sentence applied as a use, the subject in the
     SUBJ slot (``find_slot``'s) when that is empty, and a fresh descriptor
     in every other empty mandatory slot, with the deltas of the first two.
-    What to fill is the frame's fill plan (``frames.fill_plan``), kept on
-    the frame; a use that edits the slots makes a plan of its own, which
-    is not kept.  Only the filled slots and those above them are
-    rebuilt, and the frame is built once."""
+    What to fill is the fill plan (``fill_plan``) of the tree the use
+    leaves.  The frame keeps, in its ``__dict__``, one plan per shape of
+    tree: that of its own slots under ``()``, and that of an edited tree
+    under the use's ordered (delta kind, slot path) pairs, never its text,
+    as a FILL, RESTRICT or ADD-SLOT edit leaves the same names, binds,
+    cases and empty slots whatever its text.  Only the filled slots and
+    those above them are rebuilt, and the frame is built once."""
     frame = _canonical(frame)
     slots, deltas, _ = _apply_use_to(frame.slots, frame.predicate,
                                      oracle.ctx, oracle.rules)
-    if slots is frame.slots:
-        path, steps = frame._fill_plan
-    else:
-        path, steps = fill_plan(slots)
+    shape = () if slots is frame.slots else tuple(d[:2] for d in deltas)
+    plans = frame.__dict__.get("_fill_plans")
+    if plans is None:
+        plans = frame.__dict__["_fill_plans"] = {}
+    plan = plans.get(shape)
+    if plan is None:
+        plan = plans[shape] = fill_plan(slots)
+    path, steps = plan
     subject = oracle.subject_text
     if subject and path:
         deltas += (UseDelta("FILL", path, subject),)
@@ -402,6 +416,43 @@ def _instantiate(frame: Frame, oracle: ContextOracle,
                  _filled(slots, steps, allocator, subject),
                  frame.provisional, frame.sense,
                  frame.provenance + ("applied use",)), deltas
+
+
+# the slots a parse fills when empty, besides those bound to a role or
+# with a case
+MANDATORY_SLOTS = {"SUBJ", "FROM-STATE", "TO-STATE"}
+
+
+def fill_plan(slots: tuple[Slot, ...]) -> tuple:
+    """What a parse fills in ``slots``: the path of the SUBJ slot
+    ``find_slot`` finds, if that slot is empty (else None), and the steps
+    to every empty mandatory slot.  The steps of a level are (index, 2 for
+    that SUBJ slot, else 1 for an empty mandatory slot, else 0, the steps
+    of its children), in name order, for the slots that are filled or sit
+    above one that is.  A plan holds no slot."""
+    entry = find_slot(slots, "SUBJ")
+    path = _entry_path(entry) if entry and entry[0].filler is None else None
+    return path, _fill_steps(slots, path or ())
+
+
+def _fill_steps(slots: tuple[Slot, ...], path: tuple[str, ...]) -> tuple:
+    """The steps of ``fill_plan`` for ``slots``, the SUBJ slot to fill at
+    ``path`` below them (none when it is empty)."""
+    steps = []
+    # (slot, index) pairs in name order: the names of a level differ
+    for slot, i in sorted(zip(slots, range(len(slots)))):
+        name, case, bind, filler, _, kids = slot
+        on_path = path and name == path[0]
+        if kids:
+            kids = _fill_steps(kids, path[1:] if on_path else ())
+        if on_path and len(path) == 1:
+            steps.append((i, 2, kids))
+        elif filler is None and (name in MANDATORY_SLOTS or bind is not None
+                                 or case):
+            steps.append((i, 1, kids))
+        elif kids:
+            steps.append((i, 0, kids))
+    return tuple(steps)
 
 
 def _filled(slots: tuple[Slot, ...], steps: tuple, allocator: VarAllocator,
@@ -422,11 +473,33 @@ def _filled(slots: tuple[Slot, ...], steps: tuple, allocator: VarAllocator,
     return tuple(out)
 
 
+def _match_facts(frame: Frame) -> tuple:
+    """What ``_match_score`` reads, kept in the frame's ``__dict__``: the
+    lowercased string filler of each SUBJ slot; per RESPECT slot with
+    restrictions, the lowercased alternatives of the RESPECT restrictions
+    at and below it; the particles of each USED-WITH condition."""
+    try:
+        return frame.__dict__["_match_facts"]
+    except KeyError:  # the first read of this frame
+        pass
+    slots = list(walk_slots(frame.slots))
+    facts = frame.__dict__["_match_facts"] = (
+        tuple(s.filler.lower() for s in slots
+              if s.name == "SUBJ" and isinstance(s.filler, str)),
+        tuple(lower_alternatives(r for t in walk_slots((s,))
+                                 if t.name == "RESPECT"
+                                 for r in t.restrictions)
+              for s in slots if s.name == "RESPECT" and s.restrictions),
+        tuple(frozenset(c[1]) for c in frame.conditions
+              if c[0] == "USED-WITH"))
+    return facts
+
+
 def _match_score(frame: Frame, oracle: ContextOracle) -> int:
     """Informative-match refinement: count context-confirmed constraints,
     read from the frame's match facts; a frame without any scores 0, and
     no fact of the sentence is read for it."""
-    subjects, respects, particle_sets = frame._match_facts
+    subjects, respects, particle_sets = _match_facts(frame)
     score = 0
     if subjects and oracle.subject_text:
         names = oracle.subject_names()
@@ -518,7 +591,7 @@ class _GenusTable:
                                     for p in rec.usage_particles}
             elif any(s.name == "RESPECT" for s in walk_slots(frame.slots)):
                 self.respect_family.append(k)
-                self.respect_sets[k] = frozenset().union(*frame._match_facts[1])
+                self.respect_sets[k] = frozenset().union(*_match_facts(frame)[1])
         self.both_families = [k for k in self.keys
                               if k in self.required or k in self.respect_sets]
         # the first of the fewest label ancestors

@@ -37,7 +37,7 @@ from support import (
     slot_trees,
     use_lexf_texts,
 )
-from lexigraph import corpus, frames as frames_mod
+from lexigraph import corpus, frames as frames_mod, parser as parser_mod
 from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import (
@@ -260,11 +260,13 @@ def command_outputs(text: str, rules_path: str) -> list[tuple[int, str, str]]:
 @contextlib.contextmanager
 def reference_slot_operations():
     with contextlib.ExitStack() as stack:
-        # the parser finds slots through frames (``fill_plan``)
         for name, reference in (("find_slot", reference_find),
                                 ("update_slot", reference_update_slot),
                                 ("_edit", reference_edit)):
             stack.enter_context(mock.patch.object(frames_mod, name, reference))
+        # the parser's fill plan finds the SUBJ slot itself
+        stack.enter_context(mock.patch.object(parser_mod, "find_slot",
+                                              reference_find))
         yield
 
 

@@ -3,8 +3,9 @@ frames, reduction, networks and autoresolve computes a record's genus words
 once and applies each use of a genus word once, and facts carried from one
 stage to the next equal the ones a stage would compute afresh.  Each fact of
 a sentence is computed once per parse of it, and network traversal builds
-no lookup table.  A frame's fill plan is computed once per frame, and a
-parse runs no import statement."""
+no lookup table.  A frame's fill plan is computed once per frame and shape
+of the tree a sentence's use leaves, and a parse runs no import
+statement."""
 from __future__ import annotations
 
 import builtins
@@ -212,25 +213,27 @@ def ambiguous_parses(lexicon, rules):
         assert len(results[0].candidates) > 1 and results[0].open_questions
         return results
 
-    return parse
+    return parse, frames
 
 
 def test_second_parse_builds_no_match_facts(monkeypatch, lexicon, rules):
-    parse = ambiguous_parses(lexicon, rules)
-    built: collections.Counter = collections.Counter()
-    memo = frames_mod.Frame.__dict__["_match_facts"]
-    real = memo.func
-    monkeypatch.setattr(memo, "func",
-                        lambda frame: built.update([id(frame)]) or real(frame))
+    parse, frames = ambiguous_parses(lexicon, rules)
+    # building a frame's match facts walks its slots from the top, once
+    tops = {id(frame.slots) for frame in frames.values()}
+    builds = counting(monkeypatch, parser_mod, "walk_slots",
+                      lambda slots: id(slots) in tops)
     first = parse()
-    assert built and max(built.values()) == 1
-    before = sum(built.values())
+    held = {k: vars(frame)["_match_facts"] for k, frame in frames.items()
+            if "_match_facts" in vars(frame)}
+    assert held and builds[True] == len(held)
     assert parse() == first
-    assert sum(built.values()) == before
+    assert builds[True] == len(held)
+    assert all(vars(frames[k])["_match_facts"] is facts
+               for k, facts in held.items())
 
 
 def test_second_parse_walks_no_slots(monkeypatch, lexicon, rules):
-    parse = ambiguous_parses(lexicon, rules)
+    parse, _ = ambiguous_parses(lexicon, rules)
     steps = [0]
     for module in (parser_mod, frames_mod):
         def counting_walk(slots, real=module.walk_slots):
@@ -247,7 +250,7 @@ def test_second_parse_walks_no_slots(monkeypatch, lexicon, rules):
 
 def test_each_question_builds_its_alternatives_once(monkeypatch, lexicon,
                                                     rules):
-    parse = ambiguous_parses(lexicon, rules)
+    parse, _ = ambiguous_parses(lexicon, rules)
     built: collections.Counter = collections.Counter()
 
     def counting_dict(*args, **kwargs):
@@ -264,18 +267,18 @@ def test_each_question_builds_its_alternatives_once(monkeypatch, lexicon,
 
 
 # ---------------------------------------------------------------------------
-# the parse path: a frame's fill plan is computed once per frame, and a parse
-# runs no import statement
-
-def slot_levels(slots) -> int:
-    """The levels of a slot tree that hold slots."""
-    return 1 + sum(1 for s in frames_mod.walk_slots(slots) if s.children)
-
+# the parse path: a frame's fill plan is computed once per frame and shape
+# of the tree a sentence's use leaves, and a parse runs no import statement
 
 @pytest.mark.parametrize("text", ["The wind changed",
                                   "The milk changed into curd"])
 def test_second_parse_reads_the_frame_plan(monkeypatch, lexicon, rules,
                                            text):
+    """A second parse reads the plan its frame kept: its own for "The wind
+    changed", whose use leaves the slots as they are, and that of the
+    edited tree's shape for "The milk changed into curd", whose use fills
+    RESULT.  It sorts no slot level, searches no SUBJ slot and runs no
+    import statement."""
     frames = build_frames(lexicon, rules)
     network = build_all_ssns(lexicon, frames)["change"]
     chunks = parser_mod.chunk_sentence(text, lexicon)
@@ -296,29 +299,24 @@ def test_second_parse_reads_the_frame_plan(monkeypatch, lexicon, rules,
         sorts.append(args)
         return sorted(*args, **kwargs)
 
-    # every sorted call made by the code of the parse path's modules
+    # every sorted and find_slot call made by the code of the parse path's
+    # modules
     for module in (parser_mod, frames_mod, ssn_mod):
         monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
-    finds = counting(monkeypatch, frames_mod, "find_slot",
-                     lambda slots, name: name)
+    finds = [counting(monkeypatch, module, "find_slot",
+                      lambda slots, name: name)
+             for module in (parser_mod, frames_mod)]
     monkeypatch.setattr(builtins, "__import__", counting_import)
     second = parse()
     monkeypatch.undo()
     assert second == first and repr(second) == repr(first)
-    assert imports == []
+    assert imports == [] and sorts == []
+    assert sum(found["SUBJ"] for found in finds) == 0
     frame = frames[first.candidates[0]]
     ctx = parser_mod.SentenceContext(chunks)
     slots = frames_mod._apply_use_to(frame.slots, frame.predicate, ctx,
                                      rules)[0]
-    if slots is frame.slots:
-        # the frame's plan: no level sorted, no SUBJ searched
-        assert text == "The wind changed"
-        assert sorts == [] and sum(finds.values()) == 0
-    else:
-        # the use fills RESULT: the edited tree gets a plan of its own,
-        # sorting each of its levels once, and the SUBJ slot is found once
-        assert sorts and len(sorts) == slot_levels(slots)
-        assert finds["SUBJ"] == 1
+    assert (slots is frame.slots) == (text == "The wind changed")
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +470,8 @@ def test_carried_match_facts_give_the_walked_score(oracle):
         assert score == walked_match_score(frame, oracle)
         fresh = frame._replace()
         assert "_match_facts" not in vars(fresh)
-        assert fresh._match_facts == frame._match_facts
+        assert (parser_mod._match_facts(fresh)
+                == parser_mod._match_facts(frame))
         total += score
     target(float(total))  # toward sentences that confirm many constraints
 

@@ -5,8 +5,9 @@ collection afterwards finds nothing unreachable.
 Each case covers a successful call only: an exception raised and caught
 legitimately leaves a cycle between its traceback and the frames on it.
 
-A stream of parses keeps nothing in the parse path's modules, and a frame
-that holds its fill plan is freed by reference counting alone.
+A stream of parses keeps nothing in the parse path's modules, a frame keeps
+a fill plan per edit shape it meets, and a frame that holds its fill plans
+is freed by reference counting alone.
 """
 from __future__ import annotations
 
@@ -169,24 +170,42 @@ def test_parse_stream_keeps_nothing_and_frees_planned_frames(rules):
     sentences = [text for seed in range(1, 6)
                  for text in sentence_stream(generated, seed)]
     assert len(sentences) == 2000
-    planned = set()
-    for text in sentences:
-        chunks = chunk_sentence(text, lexicon)
-        verb = SentenceContext(chunks).verb
-        result = disambiguate(verb.text, chunks, networks[verb.lemma], frames,
-                              rules, lexicon, VarAllocator())
-        planned.add(result.candidates[0])
+
+    def parse_stream() -> dict:
+        """Parse every sentence; per frame reached, the number of plans it
+        keeps and of the phrase structures (the kind and preposition of
+        each prep-phrase and adverb chunk, not its text) it met."""
+        met: dict = {}
+        for text in sentences:
+            chunks = chunk_sentence(text, lexicon)
+            ctx = SentenceContext(chunks)
+            result = disambiguate(ctx.verb.text, chunks,
+                                  networks[ctx.verb.lemma], frames, rules,
+                                  lexicon, VarAllocator())
+            met.setdefault(result.candidates[0], set()).add(
+                tuple((c.kind, c.prep) for c in ctx.differentiae))
+        return {k: (len(vars(frames[k])["_fill_plans"]), len(structures))
+                for k, structures in met.items()}
+
+    kept = parse_stream()
+    # a phrase structure makes one edit shape on a frame, whatever the text
+    # of its phrases: no frame keeps more plans than it met structures, and
+    # some frame keeps the plan of an edited tree beside its own
+    assert all(plans <= structures for plans, structures in kept.values())
+    assert max(plans for plans, _ in kept.values()) > 1
+    # a second pass meets no new edit shape, so no store grows
+    assert parse_stream() == kept
     assert module_containers() == before
-    # the frames the stream read hold their plans; one that does is freed
-    # with the analysis, with the cycle collector off
-    key = min(k for k in planned if "_fill_plan" in vars(frames[k]))
+    # a frame holding plans is freed with the analysis, with the cycle
+    # collector off
+    key = min(k for k, (plans, _) in kept.items() if plans > 1)
     sentinel = Sentinel()
     alive = weakref.ref(sentinel)
     vars(frames[key])["sentinel"] = sentinel
     gc.collect()
     gc.disable()
     try:
-        del sentinel, frames, networks, lexicon, result
+        del sentinel, frames, networks, lexicon
         assert alive() is None
     finally:
         gc.enable()

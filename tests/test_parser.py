@@ -14,7 +14,6 @@ from support import (
 )
 from lexigraph import corpus
 from lexigraph.frames import (
-    MANDATORY_SLOTS,
     Descriptor,
     Frame,
     Slot,
@@ -34,6 +33,7 @@ from lexigraph.lexicon import (
     parse_lexf,
 )
 from lexigraph.parser import (
+    MANDATORY_SLOTS,
     Chunk,
     ChunkError,
     ContextOracle,
@@ -364,23 +364,39 @@ def _frames():
         lambda slots: Frame("ALPHA", PartOfSpeech.VI, (), slots)))
 
 
+# each drawn phrase text and another, neither empty: a phrase with the
+# other text makes the same edit as the phrase
+_OTHER_TEXT = {"ice": "steam", "color or shape": "size", "hot": "warm",
+               "cold": "cool", "slowly": "gently", "quickly": "briskly"}
+
+
 @settings(max_examples=200, deadline=None)
-@given(_frames(), _sentence_chunks(), st.sampled_from((None, "the ice")),
-       st.integers(0, 3), st.booleans())
-def test_instantiation_equals_the_three_step_reference(frame, chunks,
+@given(_frames(), _sentence_chunks(), _sentence_chunks(),
+       st.sampled_from((None, "the ice")), st.integers(0, 3),
+       st.permutations(range(5)))
+def test_instantiation_equals_the_three_step_reference(frame, chunks, others,
                                                        override, start,
-                                                       edited_first):
-    """Each frame is instantiated twice, in either order: with a sentence
-    whose prep phrases and adverbs make a use that may edit its slots (an
-    adverb is added when none was drawn), and with the subject and verb
-    alone, whose use edits nothing.  The frame keeps the fill plan of its
-    own slots only, so neither instantiation may read the other's plan."""
+                                                       order):
+    """Each frame is instantiated five times, in a drawn order: twice with
+    a sentence whose prep phrases and adverbs make a use that may edit its
+    slots (an adverb is added when none was drawn), once with the same
+    phrases in other words, which edit the same slots, once with another
+    drawn sentence, which may edit others, and once with the subject and
+    verb alone, whose use edits nothing.  The frame keeps a fill plan per
+    shape of the trees its uses leave, so no instantiation may read the
+    plan of a tree of another shape."""
     editing = chunks
     if not any(c.kind in ("prep-phrase", "adverb") for c in chunks):
         editing = chunks + [Chunk("adverb", "slowly")]
+    reworded = [c._replace(text=_OTHER_TEXT[c.text])
+                if c.kind in ("prep-phrase", "adverb") else c
+                for c in editing]
     plain = [c for c in chunks if c.kind in ("noun-phrase", "verb")]
-    for sentence in ((editing, plain) if edited_first else (plain, editing)):
-        oracle = ContextOracle(SentenceContext(sentence), USE_RULES, override)
+    sentences = (editing, editing, reworded, others, plain)
+    shapes = {}
+    for index in order:
+        oracle = ContextOracle(SentenceContext(sentences[index]), USE_RULES,
+                               override)
         # ``start``: the variables a discourse allocated before
         allocator, reference_allocator = VarAllocator(), VarAllocator()
         allocator.count = reference_allocator.count = start
@@ -389,6 +405,8 @@ def test_instantiation_equals_the_three_step_reference(frame, chunks,
         assert got == expected
         assert repr(got) == repr(expected)
         assert allocator.count == reference_allocator.count
+        shapes[index] = [delta[:2] for delta in got[1]]
+    assert shapes[0] == shapes[1] == shapes[2]
 
 
 # ---------------------------------------------------------------------------
