@@ -13,8 +13,8 @@ _EXPORTS = {
         "Lexicon", "LexfError", "ParsedDefinition", "PartOfSpeech", "Phrase",
         "ResolutionRecord", "Sense", "SenseKey", "SenseLabel", "genus_words",
         "merge_lexicons", "parse_definition", "parse_lexf", "senses_of",
-        "serialize_lexf",
     ),
+    "lexf_writer": ("serialize_lexf",),
     "defgraph": (
         "Arc", "DefinitionGraph", "External", "build_graph", "condensation",
         "primitive_candidates", "resolve", "strongly_connected_components",

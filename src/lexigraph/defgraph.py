@@ -24,6 +24,9 @@ from .lexicon import (
     Sense,
     SenseKey,
     _LineBlind,
+    _VB,
+    _VI,
+    _VT,
     dot_quote,
     genus_words,
     parse_sense,
@@ -135,8 +138,8 @@ def _adjacency(graph: DefinitionGraph, mode: str) -> dict[Node, list[Node]]:
 def _use_pos(sense: Sense, parsed) -> PartOfSpeech:
     """Transitivity of the genus use, read off the parsed definition."""
     if parsed is not None and parsed.transitive_use:
-        return PartOfSpeech.VT
-    return PartOfSpeech.VI
+        return _VT
+    return _VI
 
 
 def build_graph(lexicon: Lexicon) -> DefinitionGraph:
@@ -150,7 +153,7 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
             continue
         synonym = s.is_synonym_line
         if synonym:
-            use = s.pos if s.pos is not PartOfSpeech.VB else PartOfSpeech.VI
+            use = s.pos if s.pos is not _VB else _VI
             negated = False
         else:
             parsed = parse_sense(s)

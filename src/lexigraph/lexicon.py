@@ -36,18 +36,23 @@ class PartOfSpeech(str, Enum):
     ADV = "adv"
     PREP = "prep"
 
-    @property
-    def is_verb(self) -> bool:
-        return self in (PartOfSpeech.VI, PartOfSpeech.VT, PartOfSpeech.VB)
+    def __init__(self, value: str):
+        # a plain attribute, set once per member: a property would run on
+        # every read and look up the verb members through the metaclass
+        self.is_verb = value in ("vi", "vt", "vb")
 
     def accepts_target(self, target: "PartOfSpeech") -> bool:
         """POS compatibility for genus arcs: vi uses reach vi and vb senses,
         vt uses reach vt and vb; vb uses reach any verb sense."""
         if not (self.is_verb and target.is_verb):
             return self is target
-        if self is PartOfSpeech.VB:
+        if self is _VB:
             return True
-        return target is self or target is PartOfSpeech.VB
+        return target is self or target is _VB
+
+
+# the members that per-record and per-arc code reads, as module names
+_VI, _VT, _VB = PartOfSpeech.VI, PartOfSpeech.VT, PartOfSpeech.VB
 
 
 _LABEL_RE = re.compile(r"^(\d+)([a-z])?(?:\((\d+)\))?$")
@@ -147,36 +152,69 @@ class _SenseFields(NamedTuple):
     line: int = 0
 
 
+class _Kept:
+    """A fact of a record, computed on its first read and kept in the
+    record's ``__dict__``, which later reads find first: a non-data
+    descriptor.  ``parse_lexf`` writes the key and flags of the records it
+    makes.
+    Not ``functools.cached_property``, whose first read takes a lock on
+    Python 3.11."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.compute(record)
+        return value
+
+
+_USED_WITH = re.compile(r"^(?:usu\.\s+|usually\s+)?used with\s+(.+)$")
+_PARTICLE_SEP = re.compile(r"\s+or\s+|,\s*")
+
+
+def _usage_particles(note: Optional[str]) -> tuple[str, ...]:
+    """Particles named by a 'used with X [or Y]' usage note."""
+    m = _USED_WITH.match(note.strip()) if note else None
+    if not m:
+        return ()
+    return tuple(p.strip() for p in _PARTICLE_SEP.split(m.group(1))
+                 if p.strip())
+
+
+def _subject_restriction(status: frozenset[str]) -> Optional[str]:
+    for s in status:
+        if s.startswith("subject:"):
+            return s.split(":", 1)[1]
+    return None
+
+
 class Sense(_LineBlind, _SenseFields):
     """One definition (or synonym) line of an entry. Coordinate lines under
-    the same label are separate Sense records sharing the label."""
+    the same label are separate Sense records sharing the label.  Its key
+    and the facts below are kept on the record (``_Kept``)."""
 
-    @cached_property
+    @_Kept
     def key(self) -> SenseKey:
         return SenseKey(self.headword, self.pos, self.homograph, self.label.text)
 
-    @property
+    @_Kept
     def is_synonym_line(self) -> bool:
         return bool(self.synonym_refs) and not self.raw_definition
 
-    @property
+    @_Kept
     def usage_particles(self) -> tuple[str, ...]:
-        """Particles named by a 'used with X [or Y]' usage note."""
-        if not self.usage_note:
-            return ()
-        m = re.match(r"^(?:usu\.\s+|usually\s+)?used with\s+(.+)$",
-                     self.usage_note.strip())
-        if not m:
-            return ()
-        parts = re.split(r"\s+or\s+|,\s*", m.group(1))
-        return tuple(p.strip() for p in parts if p.strip())
+        return _usage_particles(self.usage_note)
 
-    @property
+    @_Kept
     def subject_restriction(self) -> Optional[str]:
-        for s in self.status:
-            if s.startswith("subject:"):
-                return s.split(":", 1)[1]
-        return None
+        return _subject_restriction(self.status)
+
+    @_Kept
+    def _parsed(self) -> Optional["ParsedDefinition"]:
+        return (None if self.is_synonym_line
+                else parse_definition(self.raw_definition, self.pos))
 
     @property
     def field_labels(self) -> frozenset[str]:
@@ -274,9 +312,10 @@ class Lexicon(_LexiconFields):
     tuple.  The lookups below read by-key and by-headword indexes that
     are built from ``entries`` on first use and kept for the life of the
     instance, so they assume ``entries`` never changes.  The indexes are
-    not fields: ``==`` and ``serialize_lexf`` ignore them.  The records of
-    a key keep file order; the keys of a headword, and the headwords, come
-    in ``SenseKey.sort_key`` order, so no reader sorts them again.
+    not fields: ``==`` and ``lexf_writer.serialize_lexf`` ignore them.  The
+    records of a key keep file order; the keys of a headword, and the
+    headwords, come in ``SenseKey.sort_key`` order, so no reader sorts them
+    again.
     """
 
     def __new__(cls, entries: tuple[Sense, ...] = (),
@@ -447,8 +486,9 @@ def _memo(memo: dict, text: str, line: int, parse):
 
 def parse_lexf(text: str) -> Lexicon:
     """Ingest a LEXF v1 file. Deterministic: same bytes, same Lexicon.
-    The records of a file share one label, status set and R-record sense
-    key object per distinct text."""
+    The records of a file share one label, status set, usage particle
+    tuple and R-record sense key object per distinct text, and each record
+    is made with its key and flags kept (``Sense``)."""
     entries: list[Sense] = []
     seeds: dict[SenseKey, tuple[str, ...]] = {}
     resolutions: list[ResolutionRecord] = []
@@ -459,9 +499,18 @@ def parse_lexf(text: str) -> Lexicon:
     labels: dict[str, SenseLabel] = {}
     statuses: dict[str, frozenset[str]] = {}
     keys: dict[str, SenseKey] = {}
+    particles: dict[Optional[str], tuple[str, ...]] = {}
 
-    def add(sense: Sense, key: SenseKey) -> None:
-        vars(sense)["key"] = key    # the cached_property's value
+    def add(sense: Sense, key: SenseKey, synonym: bool) -> None:
+        """Keep ``sense`` with the values of its kept facts."""
+        note = sense.usage_note
+        if note not in particles:
+            particles[note] = _usage_particles(note)
+        facts = sense.__dict__
+        facts["key"] = key
+        facts["is_synonym_line"] = synonym
+        facts["usage_particles"] = particles[note]
+        facts["subject_restriction"] = _subject_restriction(sense.status)
         entries.append(sense)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -502,7 +551,8 @@ def parse_lexf(text: str) -> Lexicon:
             if record_id in seen_records:
                 raise LexfError(f"duplicate sense record {key.render()}", lineno)
             seen_records.add(record_id)
-            add(Sense(*current, label, status, definition, note, (), lineno), key)
+            add(Sense(*current, label, status, definition, note, (), lineno),
+                key, False)
         elif kind == "Y":
             if current is None:
                 raise LexfError("Y record outside an entry", lineno)
@@ -519,7 +569,8 @@ def parse_lexf(text: str) -> Lexicon:
             if record_id in seen_records:
                 raise LexfError(f"duplicate synonym record {key.render()}", lineno)
             seen_records.add(record_id)
-            add(Sense(*current, label, frozenset(), "", note, (syn,), lineno), key)
+            add(Sense(*current, label, frozenset(), "", note, (syn,), lineno),
+                key, True)
         elif kind == "F":
             if current is None:
                 raise LexfError("F record outside an entry", lineno)
@@ -549,38 +600,6 @@ def parse_lexf(text: str) -> Lexicon:
             raise LexfError(f"F record for unknown sense {key.render()}", lineno)
         seeds[key] = seeds.get(key, ()) + (payload,)
     return Lexicon(tuple(entries), seeds, tuple(resolutions))
-
-
-def serialize_lexf(lexicon: Lexicon) -> str:
-    """Write a Lexicon back out as LEXF; parse(serialize(lx)) == lx."""
-    lines: list[str] = []
-    current: Optional[tuple] = None
-    emitted_seeds: set[SenseKey] = set()
-    for s in lexicon.entries:
-        header = (s.headword, s.pos, s.homograph)
-        if header != current:
-            if current is not None:
-                lines.append("")
-            lines.append(f"E|{s.headword}|{s.pos.value}|{s.homograph}")
-            current = header
-        if s.is_synonym_line:
-            row = f"Y|{s.label}|{s.synonym_refs[0]}"
-            if s.usage_note:
-                row += f"|{s.usage_note}"
-            lines.append(row)
-        else:
-            note = s.usage_note or ""
-            status = ",".join(sorted(s.status))
-            lines.append(f"S|{s.label}|{status}|{s.raw_definition}|{note}")
-        if s.key not in emitted_seeds:
-            for payload in lexicon.seed_frames.get(s.key, ()):
-                lines.append(f"F|{s.label}|{payload}")
-            emitted_seeds.add(s.key)
-    if lexicon.resolutions:
-        lines.append("")
-        for r in lexicon.resolutions:
-            lines.append(f"R|{r.from_key.render()}|{r.genus_word}|{r.target.render()}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -877,14 +896,6 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
 
 def parse_sense(sense: Sense) -> Optional[ParsedDefinition]:
     """Parse a Sense record; synonym-only lines have no parse.  The parse
-    is memoized on the (immutable) Sense instance, as ``_parsed`` in its
-    ``__dict__``, so each record is segmented once however many stages
-    read it."""
-    try:
-        return sense.__dict__["_parsed"]
-    except KeyError:  # the first read of this record
-        pass
-    parsed = sense.__dict__["_parsed"] = (
-        None if sense.is_synonym_line
-        else parse_definition(sense.raw_definition, sense.pos))
-    return parsed
+    is kept on the (immutable) Sense instance, as ``_parsed``, so each
+    record is segmented once however many stages read it."""
+    return sense._parsed

@@ -22,6 +22,9 @@ from .lexicon import (
     Lexicon,
     PartOfSpeech,
     SenseKey,
+    _VB,
+    _VI,
+    _VT,
     _label_ancestors,
     _label_parts,
     dot_quote,
@@ -270,20 +273,25 @@ def compile_ssn(headword: str, lexicon: Lexicon,
     frames = {k: frames[k] for k in keys}  # the network's own
     # one sense: nothing to ask
     stages = _stage_questions(keys, lexicon._by_key) if len(keys) > 1 else ()
-    root = _build(keys, 0, stages, frames, [])
-    return SSN(headword, tuple(keys), root)
+    # a one-sense group's subtree: its terminal
+    built = {(k,): Terminal(k, frames[k]) for k in keys}
+    return SSN(headword, tuple(keys), _build(keys, 0, stages, frames, [], built))
 
 
 def _build(group: list[SenseKey], stage_idx: int, stages, frames,
-           flat: list) -> Node:
+           flat: list, built: dict) -> Node:
     """The subtree that tells ``group`` apart, asking the stage questions
     from ``stage_idx`` on, then frame differences.  ``frames`` are those
     of the network; ``flat`` is empty until a group first gets to frame
     differences, then it holds their ``flat_group``, whose sorted
     positions serve every group (``first_diff`` skips a position a group
-    lacks)."""
+    lacks).  ``built`` holds each subtree made: a stage question's under
+    its group and the index of the stage after it, one of frame
+    differences (or a terminal) under the group alone.  A group the
+    questions lead to again (a "present" answer keeps them all) shares
+    it, so the tree's subtrees are shared objects."""
     if len(group) == 1:
-        return Terminal(group[0], frames[group[0]])
+        return built[tuple(group)]
     while stage_idx < len(stages):
         kind, payload, partition = stages[stage_idx]
         stage_idx += 1
@@ -292,13 +300,17 @@ def _build(group: list[SenseKey], stage_idx: int, stages, frames,
         outcomes = {tuple(sub) for sub in parts.values()}
         if len(parts) < 2 or len(outcomes) < 2:
             continue
-        branches = tuple((answer, _build(sub, stage_idx, stages, frames,
-                                         flat))
-                         for answer, sub in sorted(parts.items()))
-        return Question(kind, payload, branches)
+        node = built.get((tuple(group), stage_idx))
+        if node is None:
+            node = built[tuple(group), stage_idx] = Question(
+                kind, payload, tuple(
+                    (answer, _build(sub, stage_idx, stages, frames, flat,
+                                    built))
+                    for answer, sub in sorted(parts.items())))
+        return node
     if not flat:
         flat += flat_group(frames)
-    return _frame_diff_tree(group, 0, *flat, frames)
+    return _frame_diff_tree(group, 0, *flat, frames, built)
 
 
 def _stage_questions(keys, senses_by_key):
@@ -314,8 +326,8 @@ def _stage_questions(keys, senses_by_key):
     stages.append(("POS", (), pos_partition))
 
     def trans_partition(group):
-        vi = [k for k in group if k.pos in (PartOfSpeech.VI, PartOfSpeech.VB)]
-        vt = [k for k in group if k.pos in (PartOfSpeech.VT, PartOfSpeech.VB)]
+        vi = [k for k in group if k.pos in (_VI, _VB)]
+        vt = [k for k in group if k.pos in (_VT, _VB)]
         return {"vi": vi, "vt": vt}
 
     stages.append(("TRANSITIVITY", (), trans_partition))
@@ -366,16 +378,19 @@ def _necessary(answers: tuple[str, str], requiring, group):
 
 
 def _frame_diff_tree(group: list[SenseKey], start: int, flats, positions,
-                     frames) -> Node:
+                     frames, built: dict) -> Node:
     """Frame-difference questions that tell ``group`` apart.  ``flats``
     and ``positions`` are those of the whole network's frames, flattened
     once; ``group`` agrees on ``positions[:start]``, as the first
-    difference of a larger group was at ``start``."""
-    if len(group) == 1:
-        return Terminal(group[0], frames[group[0]])
+    difference of a larger group was at ``start``, so the subtree depends
+    on ``group`` alone and ``built`` holds it under ``tuple(group)``."""
+    node = built.get(tuple(group))
+    if node is not None:
+        return node
     diff = first_diff(group, flats, positions, start)
     if diff is None:
-        return _collapse(group, frames)
+        node = built[tuple(group)] = _collapse(group, frames)
+        return node
     index, path, values = diff
     concrete: dict[str, list[SenseKey]] = {}
     empties: list[SenseKey] = []
@@ -390,13 +405,15 @@ def _frame_diff_tree(group: list[SenseKey], start: int, flats, positions,
     for answer in sorted(concrete):
         sub = concrete[answer]
         branches.append((answer, _frame_diff_tree(
-            sub, index, flats, positions, frames)))
+            sub, index, flats, positions, frames, built)))
         alts.append((answer, values[sub[0]]))
     if empties:
         branches.append(("other", _frame_diff_tree(
-            empties, index, flats, positions, frames)))
+            empties, index, flats, positions, frames, built)))
         alts.append(("other", ""))
-    return Question("FRAME-DIFF", (tuple(path), tuple(alts)), tuple(branches))
+    node = built[tuple(group)] = Question(
+        "FRAME-DIFF", (tuple(path), tuple(alts)), tuple(branches))
+    return node
 
 
 def _collapse(group, frames) -> Node:

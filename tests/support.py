@@ -2,8 +2,9 @@
 lexicons (among them ones whose frames are derived by applying uses, with
 the rule rows for their predicate families) and for slot trees, a
 generated text without the R records the graph rejects, a reader for
-the quoted strings of a DOT export, and an answer map that leads a network
-to one sense.
+the quoted strings of a DOT export, an answer map that leads a network
+to one sense, and the network compile as one recursive walk that shares
+no subtree, a reference for ``compile_ssn``.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -24,7 +25,20 @@ from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import Slot, build_frames, slot_order_key
 from lexigraph.lexicon import ResolutionError, parse_lexf
 from lexigraph.prep_rules import RuleTable
-from lexigraph.ssn import CompileError, Nonterminal, Terminal, compile_ssn
+from lexigraph.ssn import (
+    EMPTY_VALUES,
+    SSN,
+    CompileError,
+    Nonterminal,
+    Question,
+    Terminal,
+    _collapse,
+    _render_value,
+    _stage_questions,
+    compile_ssn,
+    first_diff,
+    flat_group,
+)
 
 HEADWORDS = ("alpha", "beta", "gamma", "give", "give up", "into")
 GENUS_WORDS = ("alpha", "beta", "gamma", "give up", "delta")
@@ -335,3 +349,78 @@ def _search(node, target, answers: dict) -> dict | None:
         if found is not None:
             return found
     return None
+
+
+def reference_compile_ssn(headword, lexicon, frames) -> SSN:
+    """``compile_ssn`` as one recursive walk that builds a subtree for each
+    group wherever the questions lead to it, sharing none: the network as
+    a tree of its own nodes, equal to the compiled one."""
+    keys = lexicon._by_headword.get(headword)
+    if not keys:
+        raise CompileError(f"no senses for {headword!r}")
+    for k in keys:
+        if k not in frames:
+            raise CompileError(f"no frame for {k.render()}")
+    frames = {k: frames[k] for k in keys}
+    stages = _stage_questions(keys, lexicon._by_key) if len(keys) > 1 else ()
+    return SSN(headword, tuple(keys),
+               _reference_build(keys, 0, stages, frames, []))
+
+
+def _reference_build(group, stage_idx, stages, frames, flat):
+    if len(group) == 1:
+        return Terminal(group[0], frames[group[0]])
+    while stage_idx < len(stages):
+        kind, payload, partition = stages[stage_idx]
+        stage_idx += 1
+        parts = {a: sub for a, sub in partition(group).items() if sub}
+        if len(parts) < 2 or len({tuple(sub) for sub in parts.values()}) < 2:
+            continue
+        return Question(kind, payload, tuple(
+            (answer, _reference_build(sub, stage_idx, stages, frames, flat))
+            for answer, sub in sorted(parts.items())))
+    if not flat:
+        flat += flat_group(frames)
+    return _reference_frame_diff_tree(group, 0, *flat, frames)
+
+
+def _reference_frame_diff_tree(group, start, flats, positions, frames):
+    if len(group) == 1:
+        return Terminal(group[0], frames[group[0]])
+    diff = first_diff(group, flats, positions, start)
+    if diff is None:
+        return _collapse(group, frames)
+    index, path, values = diff
+    concrete: dict = {}
+    empties = []
+    for k in group:
+        v = values.get(k)
+        if v in EMPTY_VALUES:
+            empties.append(k)
+        else:
+            concrete.setdefault(_render_value(v), []).append(k)
+    branches = []
+    alts = []
+    for answer in sorted(concrete):
+        sub = concrete[answer]
+        branches.append((answer, _reference_frame_diff_tree(
+            sub, index, flats, positions, frames)))
+        alts.append((answer, values[sub[0]]))
+    if empties:
+        branches.append(("other", _reference_frame_diff_tree(
+            empties, index, flats, positions, frames)))
+        alts.append(("other", ""))
+    return Question("FRAME-DIFF", (tuple(path), tuple(alts)), tuple(branches))
+
+
+def node_objects(node) -> dict:
+    """The distinct node objects under ``node``, by id."""
+    seen: dict = {}
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, Question):
+                stack.extend(child for _, child in node.branches)
+    return seen

@@ -1,9 +1,10 @@
 """Each per-record fact is computed once per analysis: one pass of graph,
 frames, reduction, networks and autoresolve computes a record's genus words
 once and applies each use of a genus word once, and facts carried from one
-stage to the next equal the ones a stage would compute afresh.  Each fact of
-a sentence is computed once per parse of it, and network traversal builds
-no lookup table.  A frame's fill plan is computed once per frame and shape
+stage to the next equal the ones a stage would compute afresh; ingest
+parses each distinct usage note of a file once, and no later stage parses
+one again.  Each fact of a sentence is computed once per parse of it, and
+network traversal builds no lookup table.  A frame's fill plan is computed once per frame and shape
 of the tree a sentence's use leaves, and a parse runs no import
 statement."""
 from __future__ import annotations
@@ -73,6 +74,27 @@ def test_one_pass_computes_each_use_once(monkeypatch, word_government):
     words = {id(lexicon_mod.parse_sense(rec)): len(genus_words(rec, lx))
              for rec in lx.entries if not rec.is_synonym_line}
     assert all(n <= words[use] for use, n in uses.items())
+
+
+def test_x16_analysis_parses_each_usage_note_once(monkeypatch):
+    # ingest keeps a record's usage particles, parsing each distinct note
+    # of a file once, and no later stage parses a note again
+    texts = lexgen().generate(16, 1).texts()
+    rules = corpus.load_rules()
+    notes = counting(monkeypatch, lexicon_mod, "_usage_particles",
+                     lambda note: note)
+    lx = merge_lexicons(*(parse_lexf(text) for text in texts))
+    at_ingest = collections.Counter(notes)
+    carried = collections.Counter(rec.usage_note for rec in lx.entries)
+    assert any(rec.usage_particles for rec in lx.entries)
+    assert all(n <= carried[note] for note, n in at_ingest.items())
+    assert sum(at_ingest.values()) < len(lx.entries)
+    graph = apply_resolutions(build_graph(lx), lx.resolutions)
+    frames = build_frames(lx, rules)
+    assert reduce_fixpoint(lx, graph, frames, rules).set_aside
+    build_all_ssns(lx, frames)
+    autoresolve_all(lx, frames, rules)
+    assert notes == at_ingest
 
 
 def test_analysis_sorts_the_sense_keys_once(monkeypatch):

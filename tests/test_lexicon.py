@@ -22,10 +22,10 @@ from lexigraph.lexicon import (
     parse_lexf,
     parse_sense,
     senses_of,
-    serialize_lexf,
     split_alternatives,
 )
 from lexigraph.corpus import corpus_text
+from lexigraph.lexf_writer import serialize_lexf
 
 
 def test_minimal_entry():

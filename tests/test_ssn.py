@@ -9,12 +9,32 @@ import weakref
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from support import accepted, dot_strings, lexf_texts, oracle_reaching
+from support import (
+    GENUS_WORDS,
+    TAILS,
+    accepted,
+    dot_strings,
+    family_rules_text,
+    lexf_texts,
+    lexgen,
+    node_objects,
+    oracle_reaching,
+    reference_compile_ssn,
+    use_lexf_texts,
+)
 from lexigraph import corpus
 from lexigraph.corpus import load_rules
 from lexigraph.frames import build_frames
-from lexigraph.lexicon import PartOfSpeech, Sense, SenseKey, parse_lexf
+from lexigraph.lexicon import (
+    PartOfSpeech,
+    Sense,
+    SenseKey,
+    merge_lexicons,
+    parse_lexf,
+)
+from lexigraph.prep_rules import load_rule_table
 from lexigraph.ssn import (
     CompileError,
     Nonterminal,
@@ -346,6 +366,141 @@ def test_frame_diff_questions_equal_a_fresh_group_first_diff(rules, text):
                     assert alts[answer] == values[under[0]]
                     assert all(repr(values[k]) == repr(alts[answer])
                                for k in under)
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees: a network compiles each group once, and reads as the
+# tree of its own nodes that the unshared reference builds
+
+def _compiled(compile, headword, lexicon, frames):
+    """The network, or the message of the CompileError it raises."""
+    try:
+        return compile(headword, lexicon, frames)
+    except CompileError as exc:
+        return str(exc)
+
+
+def _same_network(net, ref, answer_maps) -> None:
+    assert net == ref
+    assert to_text(net) == to_text(ref)
+    assert to_dot(net) == to_dot(ref)
+    assert net.questions() == ref.questions()
+    for answers in answer_maps:
+        assert traverse(net, answers) == traverse(ref, answers)
+
+
+def test_change_network_shares_its_subtrees(lexicon, frames, change_ssn):
+    ref = reference_compile_ssn("change", lexicon, frames)
+    questions = change_ssn.questions()
+    assert len(questions) == len(ref.questions()) == 53
+    assert len({id(q) for q in questions}) == 22
+    assert len(node_objects(change_ssn.root)) == 41
+    assert len(node_objects(ref.root)) == 193
+    # the subtrees are kept for one call: a second compile shares none
+    again = compile_ssn("change", lexicon, frames)
+    assert again == change_ssn
+    assert not node_objects(again.root).keys() & node_objects(change_ssn.root).keys()
+
+
+USE_RULES = load_rule_table(family_rules_text())
+PARTICLE_NOTES = ("", "used with about", "used with into", "used with over",
+                  "used with up", "used with into or up")
+
+
+@st.composite
+def usage_lexf_texts(draw) -> str:
+    """One headword as vi, vt and vb entries whose senses name particles:
+    the transitivity answers share the vb senses, and the usage questions
+    lead to a group of them at several stages."""
+    lines = []
+    for pos, senses in (("vi", 1), ("vt", 1), ("vb", 2)):
+        lines.append(f"E|w|{pos}|1")
+        for label in draw(st.lists(st.sampled_from(("1", "1a", "2", "3")),
+                                   min_size=senses, max_size=senses + 1,
+                                   unique=True)):
+            lines.append(f"S|{label}||to {draw(st.sampled_from(GENUS_WORDS))}"
+                         f"{draw(st.sampled_from(TAILS))}|"
+                         f"{draw(st.sampled_from(PARTICLE_NOTES))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_group_met_at_two_stages_is_asked_from_each(rules):
+    # vb 1 and 2 meet after "about" (vi 1 absent), where "into" tells them
+    # apart, and after "over" (vt 1 absent), where only "up" is left
+    lx = parse_lexf("E|w|vb|1\nS|1||to grow|used with into\n"
+                    "S|2||to shrink|used with up\n\n"
+                    "E|w|vi|1\nS|1||to move slowly|used with about\n\n"
+                    "E|w|vt|1\nS|1||to hit something|used with over\n")
+    frames = build_frames(lx, rules)
+    net = compile_ssn("w", lx, frames)
+    _same_network(net, reference_compile_ssn("w", lx, frames), [{}])
+    qids = [q.qid for q in net.questions()]
+    assert "USAGE used with into" in qids and "USAGE used with up" in qids
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(lexf_texts(), use_lexf_texts(), usage_lexf_texts()), st.data())
+def test_shared_network_equals_the_unshared_reference(text, data):
+    lx = parse_lexf(accepted(text))
+    frames = build_frames(lx, USE_RULES)
+    for headword in lx.headwords():
+        net = _compiled(compile_ssn, headword, lx, frames)
+        ref = _compiled(reference_compile_ssn, headword, lx, frames)
+        if isinstance(ref, str):
+            assert net == ref
+            continue
+        answer_maps = [
+            {q.qid: data.draw(st.sampled_from(
+                [answer for answer, _ in q.branches] + ["unknown"]))
+             for q in ref.questions()}
+            for _ in range(2)]
+        _same_network(net, ref, [{}] + answer_maps)
+
+
+def test_compile_errors_equal_the_reference(rules):
+    # two senses with the same frame under a usage question: the group is
+    # reached under both of its answers and fails where it is first told
+    # apart
+    lx = parse_lexf(
+        "E|w|vi|1\n"
+        "S|2a||grow larger|used with into\n"
+        "S|3b||grow smaller|\n"
+        "S|4||grow quiet|\n"
+        "F|2a|PRED GROW\n"
+        "F|3b|PRED GROW\n"
+        "F|4|PRED GROW\n")
+    frames = build_frames(lx, rules)
+    error = _compiled(reference_compile_ssn, "w", lx, frames)
+    assert error.startswith("duplicate canonical frames")
+    assert _compiled(compile_ssn, "w", lx, frames) == error
+    assert (_compiled(compile_ssn, "zzz", lx, frames)
+            == _compiled(reference_compile_ssn, "zzz", lx, frames))
+
+
+@pytest.mark.parametrize("word_government", [False, True])
+def test_bundled_networks_equal_the_unshared_reference(rules, word_government):
+    lx = corpus.load_corpus(include_word_government=word_government)
+    frames = build_frames(lx, rules)
+    rng = random.Random(23)
+    for headword in lx.headwords():
+        net = compile_ssn(headword, lx, frames)
+        ref = reference_compile_ssn(headword, lx, frames)
+        reaching = [oracle_reaching(ref, key) for key in ref.senses]
+        drawn = [_random_answers(ref, rng) for _ in range(20)]
+        _same_network(net, ref,
+                      [{}] + [m for m in reaching if m is not None] + drawn)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_x16_networks_equal_the_unshared_reference(rules, seed):
+    texts = lexgen().generate(16, seed).texts()
+    lx = merge_lexicons(*(parse_lexf(text) for text in texts))
+    frames = build_frames(lx, rules)
+    rng = random.Random(seed)
+    for headword in lx.headwords():
+        ref = reference_compile_ssn(headword, lx, frames)
+        _same_network(compile_ssn(headword, lx, frames), ref,
+                      [{}, _random_answers(ref, rng)])
 
 
 def test_analysis_is_freed_without_the_cycle_collector():
