@@ -28,8 +28,9 @@ _EXPORTS = {
     "ssn": ("SSN", "compile_ssn", "traverse"),
     "parser": (
         "DisambiguationResult", "chunk_sentence", "disambiguate",
-        "disambiguate_in_definition", "parse_discourse",
+        "parse_discourse",
     ),
+    "autoresolve": ("disambiguate_in_definition",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

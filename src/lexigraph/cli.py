@@ -11,7 +11,6 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from .lexicon import Lexicon, LexfError, merge_lexicons, parse_lexf
-from .prep_rules import load_rule_table
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -19,14 +18,14 @@ AMBIGUITY_REMAINING = 3
 
 
 def _load_lexicon(args) -> Lexicon:
-    if not args.lexicon:
+    """The ``--lexicon`` files, else the bundled corpus, with the
+    ``--resolutions`` file on top."""
+    paths = args.lexicon + ([args.resolutions] if args.resolutions else [])
+    if not paths:
         return corpus_mod.load_corpus()
-    parts = []
-    for path in args.lexicon:
+    parts = [] if args.lexicon else [corpus_mod.load_corpus()]
+    for path in paths:
         with open(path, encoding="utf-8") as fh:
-            parts.append(parse_lexf(fh.read()))
-    if args.resolutions:
-        with open(args.resolutions, encoding="utf-8") as fh:
             parts.append(parse_lexf(fh.read()))
     return merge_lexicons(*parts)
 
@@ -34,8 +33,8 @@ def _load_lexicon(args) -> Lexicon:
 class Analysis:
     """One run's stages over one lexicon.  Each stage is computed on first
     use and kept, and imports its module only then, so a command loads only
-    what it reads: graph, scc and primitives never pay for frames, networks
-    or the parser."""
+    what it reads: ingest, graph, scc and primitives never pay for the rule
+    table, frames, networks or the parser."""
 
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
@@ -44,6 +43,7 @@ class Analysis:
     def rules(self):
         override = os.environ.get("LEXIGRAPH_RULES")
         if override:
+            from .prep_rules import load_rule_table
             with open(override, encoding="utf-8") as fh:
                 return load_rule_table(fh.read())
         return corpus_mod.load_rules()
@@ -62,31 +62,9 @@ class Analysis:
         return build_frames(self.lexicon, self.rules)
 
     @cached_property
-    def networks(self) -> _NetworkCache:
-        return _NetworkCache(self.lexicon, self.frames)
-
-
-class _NetworkCache:
-    """Networks are compiled per headword on demand: an under-resolved
-    lexicon may lack distinct representations for words the invocation
-    never asks about."""
-
-    def __init__(self, lexicon: Lexicon, frames):
-        self._lexicon = lexicon
-        self._frames = frames
-        self._nets: dict = {}
-
-    def __contains__(self, headword: str) -> bool:
-        return self._lexicon.has_headword(headword)
-
-    def __getitem__(self, headword: str):
-        if headword not in self._nets:
-            if headword not in self:
-                raise KeyError(headword)
-            from .ssn import compile_ssn
-            self._nets[headword] = compile_ssn(headword, self._lexicon,
-                                               self._frames)
-        return self._nets[headword]
+    def networks(self):
+        from .ssn import NetworkCache
+        return NetworkCache(self.lexicon, self.frames)
 
 
 FORMATS = ("dot", "tsv", "text")
@@ -166,7 +144,8 @@ def _dispatch(args, a: Analysis) -> int:
 
     if args.command == "ingest":
         a.lexicon._resolved  # its R records must pass the graph's checks
-        report = corpus_mod.verify_fixture(a.lexicon)
+        from .manifest import verify_fixture
+        report = verify_fixture(a.lexicon)
         _emit(args, report.to_text())
         if not report.ok:
             print("lexigraph: manifest mismatch", file=sys.stderr)
@@ -192,7 +171,7 @@ def _dispatch(args, a: Analysis) -> int:
         return 0
 
     if args.command == "autoresolve":
-        from .parser import autoresolve_all
+        from .autoresolve import autoresolve_all
         proposals = autoresolve_all(a.lexicon, a.frames, a.rules)
         _emit(args, "\n".join(p.render() for p in proposals) + "\n")
         return 0
@@ -230,57 +209,11 @@ def _dispatch(args, a: Analysis) -> int:
         return 0
 
     if args.command in ("parse", "discourse"):
-        from .parser import ChunkError, NoNetworkError
-        try:
-            return _parse(args, a)
-        except (ChunkError, NoNetworkError) as exc:
-            print(f"lexigraph: {exc}", file=sys.stderr)
-            return DATA_ERROR
+        from .parser import run_command
+        return run_command(args, a)
 
     print(f"lexigraph: unknown command {args.command!r}", file=sys.stderr)
     return USAGE_ERROR
-
-
-def _parse(args, a: Analysis) -> int:
-    """The parse and discourse commands."""
-    from .parser import (
-        SentenceContext,
-        VarAllocator,
-        chunk_sentence,
-        disambiguate,
-        parse_discourse,
-        results_to_tsv,
-    )
-    lexicon, frames, ssns = a.lexicon, a.frames, a.networks
-
-    if args.command == "parse":
-        chunks = chunk_sentence(args.text, lexicon)
-        verb = SentenceContext(chunks).verb
-        if verb is None or verb.lemma not in ssns:
-            print("lexigraph: no known verb in the sentence", file=sys.stderr)
-            return DATA_ERROR
-        result = disambiguate(verb.text, chunks, ssns[verb.lemma], frames,
-                              a.rules, lexicon, VarAllocator())
-        if args.format == "tsv":
-            _emit(args, results_to_tsv([result]))
-        else:
-            _emit(args, result.to_text())
-        if args.strict and (len(result.candidates) > 1 or result.open_questions):
-            return AMBIGUITY_REMAINING
-        return 0
-
-    with open(args.file, encoding="utf-8") as fh:
-        sentences = [ln.strip() for ln in fh if ln.strip()]
-    results, state = parse_discourse(sentences, lexicon, ssns, frames, a.rules)
-    if args.format == "tsv":
-        _emit(args, results_to_tsv(results))
-    else:
-        parts = [r.to_text() for r in results]
-        if state.bindings:
-            parts.append("bindings:\n" + "\n".join(
-                f"  ?{var} = {value}" for var, value in state.bindings) + "\n")
-        _emit(args, "\n".join(parts))
-    return 0
 
 
 def main() -> None:

@@ -1,8 +1,10 @@
 """Case-frame representations: the derivation of every sense's frame in
 one place (``build_frames``: a subsense specializes its label parent's
 frame with its own seed lines, a seeded root starts from its seed lines,
-another sense derives along its resolved genus arc), and the three-way
-delta when one verb is used in defining another.
+another sense derives along its resolved genus arc), the three-way
+delta when one verb is used in defining another, and the facts that both
+the sense parser and autoresolve match a sentence or a definition
+against (``essential_change``, ``_match_facts``).
 
 Frames are persistent values: every derivation operation is pure and
 path-copies, rebuilding only the slots on the path it changes and sharing
@@ -24,7 +26,10 @@ from .lexicon import (
     Sense,
     SenseKey,
     _label_ancestors,
+    head_noun,
+    lower_alternatives,
     parse_sense,
+    split_alternatives,
 )
 from .prep_rules import RuleTable
 
@@ -632,3 +637,43 @@ def _emit_slots(lines: list[str], slots: tuple[Slot, ...], depth: int) -> None:
             bits.append(f"[{r}]")
         lines.append("  " * depth + " ".join(bits))
         _emit_slots(lines, slot.children, depth + 1)
+
+
+# ---------------------------------------------------------------------------
+# facts that both a sentence's parse and autoresolve read
+
+def essential_change(subject_text: Optional[str], object_text: str) -> bool:
+    """Crude but deterministic: the change is accidental when the object
+    head is listed among the subject's stated kinds, else essential."""
+    obj_head = head_noun(object_text).lower()
+    if not obj_head:
+        return True
+    kinds: set[str] = set()
+    if subject_text:
+        for alt in split_alternatives(subject_text):
+            kinds.add(alt.lower())
+            kinds.update(w.lower() for w in alt.split())
+    return obj_head not in kinds
+
+
+def _match_facts(frame: Frame) -> tuple:
+    """What ``parser._match_score`` reads, kept in the frame's
+    ``__dict__`` (autoresolve reads the respect alternatives too): the
+    lowercased string filler of each SUBJ slot; per RESPECT slot with
+    restrictions, the lowercased alternatives of the RESPECT restrictions
+    at and below it; the particles of each USED-WITH condition."""
+    try:
+        return frame.__dict__["_match_facts"]
+    except KeyError:  # the first read of this frame
+        pass
+    slots = list(walk_slots(frame.slots))
+    facts = frame.__dict__["_match_facts"] = (
+        tuple(s.filler.lower() for s in slots
+              if s.name == "SUBJ" and isinstance(s.filler, str)),
+        tuple(lower_alternatives(r for t in walk_slots((s,))
+                                 if t.name == "RESPECT"
+                                 for r in t.restrictions)
+              for s in slots if s.name == "RESPECT" and s.restrictions),
+        tuple(frozenset(c[1]) for c in frame.conditions
+              if c[0] == "USED-WITH"))
+    return facts

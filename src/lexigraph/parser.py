@@ -9,6 +9,7 @@ surfaced, never guessed.
 """
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .frames import (
@@ -19,6 +20,8 @@ from .frames import (
     _apply_use_to,
     _canonical,
     _entry_path,
+    _match_facts,
+    essential_change,
     find_slot,
     frame_to_text,
     walk_slots,
@@ -27,19 +30,15 @@ from .lexicon import (
     DETERMINERS,
     PARTICLES,
     Lexicon,
-    Phrase,
-    ResolutionRecord,
-    Sense,
     SenseKey,
-    _label_ancestors,
     head_noun,
     lower_alternatives,
-    parse_sense,
     split_alternatives,
 )
 from .prep_rules import RuleTable
 
 if TYPE_CHECKING:
+    from .cli import Analysis
     from .ssn import SSN, Question
 
 PRONOUNS = {"it", "they", "he", "she", "we", "you", "i", "them"}
@@ -218,20 +217,6 @@ class SentenceContext:
             if c.prep in preps:
                 return c
         return None
-
-
-def essential_change(subject_text: Optional[str], object_text: str) -> bool:
-    """Crude but deterministic: the change is accidental when the object
-    head is listed among the subject's stated kinds, else essential."""
-    obj_head = head_noun(object_text).lower()
-    if not obj_head:
-        return True
-    kinds: set[str] = set()
-    if subject_text:
-        for alt in split_alternatives(subject_text):
-            kinds.add(alt.lower())
-            kinds.update(w.lower() for w in alt.split())
-    return obj_head not in kinds
 
 
 class ContextOracle:
@@ -473,28 +458,6 @@ def _filled(slots: tuple[Slot, ...], steps: tuple, allocator: VarAllocator,
     return tuple(out)
 
 
-def _match_facts(frame: Frame) -> tuple:
-    """What ``_match_score`` reads, kept in the frame's ``__dict__``: the
-    lowercased string filler of each SUBJ slot; per RESPECT slot with
-    restrictions, the lowercased alternatives of the RESPECT restrictions
-    at and below it; the particles of each USED-WITH condition."""
-    try:
-        return frame.__dict__["_match_facts"]
-    except KeyError:  # the first read of this frame
-        pass
-    slots = list(walk_slots(frame.slots))
-    facts = frame.__dict__["_match_facts"] = (
-        tuple(s.filler.lower() for s in slots
-              if s.name == "SUBJ" and isinstance(s.filler, str)),
-        tuple(lower_alternatives(r for t in walk_slots((s,))
-                                 if t.name == "RESPECT"
-                                 for r in t.restrictions)
-              for s in slots if s.name == "RESPECT" and s.restrictions),
-        tuple(frozenset(c[1]) for c in frame.conditions
-              if c[0] == "USED-WITH"))
-    return facts
-
-
 def _match_score(frame: Frame, oracle: ContextOracle) -> int:
     """Informative-match refinement: count context-confirmed constraints,
     read from the frame's match facts; a frame without any scores 0, and
@@ -536,178 +499,6 @@ def disambiguate(word: str, chunks: list[Chunk], ssn: SSN,
                                  allocator or VarAllocator())
     return DisambiguationResult(word, ssn.headword, tuple(candidates), frame,
                                 result.open_questions, deltas)
-
-
-# ---------------------------------------------------------------------------
-# resolving genus uses inside definitions
-
-class AutoResolution(NamedTuple):
-    using: SenseKey
-    genus_word: str
-    unique: Optional[SenseKey]
-    candidates: tuple[SenseKey, ...]
-    rationale: str
-
-    @property
-    def record(self) -> Optional[ResolutionRecord]:
-        if self.unique is None:
-            return None
-        return ResolutionRecord(self.using, self.genus_word, self.unique)
-
-    def render(self) -> str:
-        """A unique proposal as its LEXF R line, another as a comment line
-        with its rationale and candidates."""
-        if self.unique is not None:
-            return (f"R|{self.using.render()}|{self.genus_word}|"
-                    f"{self.unique.render()}")
-        cands = ",".join(k.render() for k in self.candidates)
-        return f"# {self.using.render()}: {self.rationale}: {cands}"
-
-
-class _GenusTable:
-    """What disambiguation needs to know about one genus verb, computed
-    once however many definitions use it: its verb sense keys, the family
-    carrying a respect group, the family whose subject is bound as the
-    from-state and the keys of both families, each in canonical order; the
-    head of the bind family, the particles each of its senses requires, and
-    the respect alternatives stated in each respect-family frame."""
-
-    def __init__(self, word: str, lexicon: Lexicon,
-                 frames: dict[SenseKey, Frame]):
-        self.keys = tuple(k for k in lexicon._by_headword.get(word, ())
-                          if k.pos.is_verb)
-        self.respect_family: list[SenseKey] = []
-        self.bind_family: list[SenseKey] = []
-        self.respect_sets: dict[SenseKey, frozenset[str]] = {}
-        self.required: dict[SenseKey, set[str]] = {}
-        for k in self.keys:
-            frame = frames.get(k)
-            if frame is None:
-                continue
-            if any(s.name == "SUBJ" and s.bind == "FROM-STATE"
-                   for s in frame.slots):
-                self.bind_family.append(k)
-                self.required[k] = {p for rec in lexicon._by_key[k]
-                                    for p in rec.usage_particles}
-            elif any(s.name == "RESPECT" for s in walk_slots(frame.slots)):
-                self.respect_family.append(k)
-                self.respect_sets[k] = frozenset().union(*_match_facts(frame)[1])
-        self.both_families = [k for k in self.keys
-                              if k in self.required or k in self.respect_sets]
-        # the first of the fewest label ancestors
-        self.family_head = min(self.bind_family, default=None,
-                               key=lambda k: len(_label_ancestors(k.label)))
-
-
-def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
-                               frames: dict[SenseKey, Frame],
-                               rules: RuleTable) -> AutoResolution:
-    """Propose the sense of the genus verb used by a definition (records of
-    ``lexicon``): an adjacent from...to pair forces the respect family; an
-    into/to object presumes the subject-transforming family subject to the
-    essential-change check; an in-phrase is compared against the subsense
-    respect sets."""
-    return _propose(records, lexicon, frames, {})
-
-
-def _propose(records: list[Sense], lexicon: Lexicon,
-             frames: dict[SenseKey, Frame],
-             tables: dict[str, _GenusTable]) -> AutoResolution:
-    """``disambiguate_in_definition``, reading and filling ``tables``, the
-    genus tables of one run."""
-    using = records[0].key
-    genus_word = None
-    for rec in records:
-        words = lexicon._genus[id(rec)]
-        if words:
-            genus_word = words[0]
-            break
-    if genus_word is None:
-        raise ValueError(f"{using.render()} has no genus")
-    table = tables.get(genus_word)
-    if table is None:
-        table = tables[genus_word] = _GenusTable(genus_word, lexicon, frames)
-    fam1, fam2 = table.respect_family, table.bind_family
-
-    phrases: Sequence[Phrase] = ()
-    subject = None
-    negated = False
-    synonym_note_particles: tuple[str, ...] = ()
-    for rec in records:
-        if rec.is_synonym_line:
-            synonym_note_particles = rec.usage_particles
-            continue
-        parsed = parse_sense(rec)
-        if not phrases:
-            phrases = parsed.differentiae
-            negated = parsed.negated
-            subject = rec.subject_restriction
-
-    pps = [p for p in phrases if p.kind == "prep-phrase" and not p.hedged]
-    state_pp = next((p for p in pps if p.prep in ("into", "to")), None)
-    in_pp = next((p for p in pps if p.prep == "in" and p.text), None)
-    unique = None
-    if any(a.prep == "from" and b.prep == "to" for a, b in zip(pps, pps[1:])):
-        candidates = fam1
-        why = ("from...to pair: the respect family is intended; "
-               "the particular respect needs further context")
-    elif state_pp is not None and not state_pp.text:
-        particles = {p.prep for p in pps}
-        candidates = [k for k in fam2 if not table.required[k]
-                      or table.required[k] & particles] or fam2
-        why = ("state preposition without an object: subject-transforming "
-               "family presumed, object awaited from context")
-    elif state_pp is not None and len(split_alternatives(state_pp.text)) > 1:
-        candidates = table.both_families
-        why = "disjunctive state object: both families apply"
-    elif (state_pp is not None and table.family_head is not None
-          and essential_change(subject, state_pp.text)):
-        unique = table.family_head
-        candidates = [unique]
-        why = ("essential change into a new kind: "
-               "subject-transforming family head")
-    elif state_pp is not None:
-        candidates = fam1
-        why = ("state object within the subject's stated kinds: "
-               "accidental change, respect family")
-    elif in_pp is not None:
-        given = lower_alternatives((in_pp.text,))
-        candidates = [k for k in fam1 if given & table.respect_sets[k]]
-        if len(candidates) == 1:
-            unique = candidates[0]
-            why = "respect matches exactly one subsense restriction set"
-        elif candidates:
-            why = "respect matches several subsense restriction sets"
-        else:
-            candidates = fam1
-            why = ("respect stated but matches no subsense set: "
-                   "respect family, subsense open")
-    elif set(synonym_note_particles) & {"into", "to"}:
-        candidates = fam2
-        why = ("bare cross-reference noted with a state preposition: "
-               "subject-transforming family presumed")
-    else:
-        candidates = table.keys
-        why = ("negated use: any sense may be the negated base" if negated
-               else "no discriminating context: all senses apply")
-    # every candidate list above keeps the canonical order of table.keys
-    return AutoResolution(using, genus_word, unique, tuple(candidates), why)
-
-
-def autoresolve_all(lexicon: Lexicon, frames: dict[SenseKey, Frame],
-                    rules: RuleTable,
-                    genus_word: str = "change") -> list[AutoResolution]:
-    """Proposals for every sense whose main verb is the given word."""
-    tables: dict[str, _GenusTable] = {}
-    genus, by_key = lexicon._genus, lexicon._by_key
-    out = []
-    for key in lexicon._sorted_keys:
-        if not key.pos.is_verb or key.headword == genus_word:
-            continue
-        records = by_key[key]
-        if any(genus_word in genus[id(rec)] for rec in records):
-            out.append(_propose(records, lexicon, frames, tables))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -825,3 +616,61 @@ def results_to_tsv(results: Iterable[DisambiguationResult]) -> str:
         senses = ",".join(k.render() for k in r.candidates)
         rows.append(f"{r.word}\t{senses}\t{fills}")
     return "\n".join(rows) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the parse and discourse commands, here so that no other command
+# compiles them
+
+def run_command(args, a: Analysis) -> int:
+    """The CLI's parse or discourse command on the run's analysis."""
+    from .cli import AMBIGUITY_REMAINING, DATA_ERROR, _emit
+    try:
+        lexicon, frames, ssns = a.lexicon, a.frames, a.networks
+
+        if args.command == "parse":
+            chunks = chunk_sentence(args.text, lexicon)
+            verb = SentenceContext(chunks).verb
+            if verb is None or verb.lemma not in ssns:
+                print("lexigraph: no known verb in the sentence",
+                      file=sys.stderr)
+                return DATA_ERROR
+            result = disambiguate(verb.text, chunks, ssns[verb.lemma], frames,
+                                  a.rules, lexicon, VarAllocator())
+            if args.format == "tsv":
+                _emit(args, results_to_tsv([result]))
+            else:
+                _emit(args, result.to_text())
+            if args.strict and (len(result.candidates) > 1
+                                or result.open_questions):
+                return AMBIGUITY_REMAINING
+            return 0
+
+        with open(args.file, encoding="utf-8") as fh:
+            sentences = [ln.strip() for ln in fh if ln.strip()]
+        results, state = parse_discourse(sentences, lexicon, ssns, frames,
+                                         a.rules)
+        if args.format == "tsv":
+            _emit(args, results_to_tsv(results))
+        else:
+            parts = [r.to_text() for r in results]
+            if state.bindings:
+                parts.append("bindings:\n" + "\n".join(
+                    f"  ?{var} = {value}" for var, value in state.bindings)
+                    + "\n")
+            _emit(args, "\n".join(parts))
+        return 0
+    except (ChunkError, NoNetworkError) as exc:
+        print(f"lexigraph: {exc}", file=sys.stderr)
+        return DATA_ERROR
+
+
+def __getattr__(name: str):
+    """``autoresolve_all`` lives in ``autoresolve``, which the parse
+    commands never load; perfbench still reads it here.  Resolved on first
+    read, then kept as a module attribute."""
+    if name != "autoresolve_all":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .autoresolve import autoresolve_all
+    globals()[name] = autoresolve_all
+    return autoresolve_all

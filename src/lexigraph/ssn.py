@@ -510,6 +510,28 @@ def _dot_node(node: Node, lines: list[str], counter: list[int]) -> str:
     return name
 
 
+class NetworkCache:
+    """The CLI's networks, compiled per headword on demand: an
+    under-resolved lexicon may lack distinct representations for words
+    the invocation never asks about."""
+
+    def __init__(self, lexicon: Lexicon, frames):
+        self._lexicon = lexicon
+        self._frames = frames
+        self._nets: dict = {}
+
+    def __contains__(self, headword: str) -> bool:
+        return self._lexicon.has_headword(headword)
+
+    def __getitem__(self, headword: str):
+        if headword not in self._nets:
+            if headword not in self:
+                raise KeyError(headword)
+            self._nets[headword] = compile_ssn(headword, self._lexicon,
+                                               self._frames)
+        return self._nets[headword]
+
+
 def build_all_ssns(lexicon: Lexicon,
                    frames: dict[SenseKey, Frame]) -> dict[str, SSN]:
     """One network per headword of the lexicon, in its headword order."""

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from lexigraph import corpus
+from lexigraph import corpus, manifest as manifest_mod
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import build_frames
 from lexigraph.ssn import build_all_ssns
@@ -25,7 +25,7 @@ def rules():
 
 @pytest.fixture(scope="session")
 def manifest():
-    return corpus.load_manifest()
+    return manifest_mod.load_manifest()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from lexigraph.corpus import load_corpus, load_manifest, load_rules
+from lexigraph.autoresolve import autoresolve_all
+from lexigraph.corpus import load_corpus, load_rules
 from lexigraph.defgraph import (
     Arc,
     DefinitionGraph,
@@ -19,10 +20,10 @@ from lexigraph.defgraph import (
 )
 from lexigraph.frames import apply_use, build_frames
 from lexigraph.lexicon import PartOfSpeech, SenseKey, parse_sense, senses_of
+from lexigraph.manifest import load_manifest
 from lexigraph.parser import (
     SentenceContext,
     VarAllocator,
-    autoresolve_all,
     chunk_sentence,
     disambiguate,
     parse_discourse,

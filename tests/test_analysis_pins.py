@@ -54,7 +54,7 @@ from lexigraph.frames import (
 )
 from lexigraph.lexicon import SenseKey, merge_lexicons, parse_lexf
 from lexigraph.prep_rules import load_rule_table
-from lexigraph.parser import autoresolve_all
+from lexigraph.autoresolve import autoresolve_all
 from lexigraph.reduction import reduce_fixpoint
 from lexigraph.ssn import build_all_ssns, to_text
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from support import accepted, lexf_texts, lexgen, resolved_lexf_texts
 from lexigraph import corpus, frames as frames_mod, lexicon as lexicon_mod
 from lexigraph import parser as parser_mod, ssn as ssn_mod
+from lexigraph.autoresolve import autoresolve_all
 from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import build_frames
@@ -33,7 +34,6 @@ from lexigraph.lexicon import (
     parse_lexf,
     split_alternatives,
 )
-from lexigraph.parser import autoresolve_all
 from lexigraph.prep_rules import load_rule_table
 from lexigraph.reduction import reduce_fixpoint
 from lexigraph.ssn import build_all_ssns, compile_ssn
@@ -112,7 +112,7 @@ def test_analysis_sorts_the_sense_keys_once(monkeypatch):
     networks = build_all_ssns(lx, frames)
     assert autoresolve_all(lx, frames, rules)
     # the CLI compiles a headword's network on demand
-    # (``cli._NetworkCache``): the same network, from the same sorted keys
+    # (``ssn.NetworkCache``): the same network, from the same sorted keys
     assert any(len(net.senses) > 1 for net in networks.values())
     for headword, net in networks.items():
         assert compile_ssn(headword, lx, frames) == net
@@ -242,7 +242,7 @@ def test_second_parse_builds_no_match_facts(monkeypatch, lexicon, rules):
     parse, frames = ambiguous_parses(lexicon, rules)
     # building a frame's match facts walks its slots from the top, once
     tops = {id(frame.slots) for frame in frames.values()}
-    builds = counting(monkeypatch, parser_mod, "walk_slots",
+    builds = counting(monkeypatch, frames_mod, "walk_slots",
                       lambda slots: id(slots) in tops)
     first = parse()
     held = {k: vars(frame)["_match_facts"] for k, frame in frames.items()
@@ -492,8 +492,8 @@ def test_carried_match_facts_give_the_walked_score(oracle):
         assert score == walked_match_score(frame, oracle)
         fresh = frame._replace()
         assert "_match_facts" not in vars(fresh)
-        assert (parser_mod._match_facts(fresh)
-                == parser_mod._match_facts(frame))
+        assert (frames_mod._match_facts(fresh)
+                == frames_mod._match_facts(frame))
         total += score
     target(float(total))  # toward sentences that confirm many constraints
 
@@ -538,7 +538,7 @@ def paired_answer(oracle, q) -> str:
     if last == "bind" and "SUBJ" in path:
         pp = ctx.pp_object(("into", "to"))
         if pp is not None and pp.text:
-            if parser_mod.essential_change(oracle.subject_text, pp.text):
+            if frames_mod.essential_change(oracle.subject_text, pp.text):
                 return "FROM-STATE" if "FROM-STATE" in alts else "unknown"
             return other
         return other if "from" in ctx.particles and "to" in ctx.particles \
@@ -591,7 +591,7 @@ def paired_conditions_answer(oracle, alts) -> str:
             if set(hit) & {"into", "to"}:
                 any_relevant = True
                 pp = oracle.ctx.pp_object(hit)
-                if pp is not None and pp.text and not parser_mod.essential_change(
+                if pp is not None and pp.text and not frames_mod.essential_change(
                         oracle.subject_text, pp.text):
                     ok = False
                     break

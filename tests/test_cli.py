@@ -386,3 +386,30 @@ def test_commands_without_rules_ignore_rule_table(tmp_path, capout,
     code, out, err = capout(argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
+
+
+BUNDLED = [str(Path(__file__).parents[1] / "src" / "lexigraph" / "data" / name)
+           for name in ("change_corpus.lexf", "resolutions.lexf")]
+
+
+@pytest.mark.parametrize("record,code,err", [
+    # a sense that does not exist: once silently ignored on the bundled corpus
+    pytest.param("R|nonexistent:vi:1:1|change|change:vi:1:1", 2,
+                 "lexigraph: no arc from nonexistent:vi:1:1 via 'change'\n",
+                 id="unknown-sense"),
+    # a valid record, overriding the bundled one for caramelize
+    pytest.param("R|caramelize:vi:1|change|change:vi:1", 0, "", id="override"),
+])
+@pytest.mark.parametrize("command", ["reduce", "graph"])
+def test_resolutions_apply_on_top_of_the_bundled_corpus(capout, tmp_path,
+                                                        record, code, err,
+                                                        command):
+    path = tmp_path / "extra.lexf"
+    path.write_text(record + "\n", encoding="utf-8")
+    bundled = capout(["--resolutions", str(path), command])
+    explicit = capout([f"--lexicon={p}" for p in BUNDLED]
+                      + ["--resolutions", str(path), command])
+    assert bundled == explicit
+    assert bundled[0] == code and bundled[2] == err
+    if code == 0:
+        assert bundled[1] != capout([command])[1]

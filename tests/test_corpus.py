@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from lexigraph.corpus import lexicon_counts, load_corpus, verify_fixture
+from lexigraph.corpus import load_corpus
+from lexigraph.manifest import lexicon_counts, verify_fixture
 from lexigraph.lexicon import PartOfSpeech, senses_of
 
 

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src"
-# what every command loads: the CLI, the bundled corpus, the lexicon and
-# the rule tables
-BASE = {"lexigraph", "cli", "corpus", "lexicon", "prep_rules"}
+# what every command loads: the CLI, the bundled corpus and the lexicon
+BASE = {"lexigraph", "cli", "corpus", "lexicon"}
+# what every command that derives frames loads
+FRAMES = {"frames", "prep_rules"}
 
 # standard modules a command must not load: dataclasses costs about 10 ms
 # at start-up with the inspect, ast, dis and tokenize it imports, and
@@ -46,18 +47,21 @@ def loaded_modules(code: str, *argv: str) -> tuple[str, set[str]]:
     return out[0], set(out[1:])
 
 
-# each command, and the modules it loads beyond BASE
+# each command, and the modules it loads beyond BASE: only ingest loads
+# the manifest check, only the commands that derive frames load the rule
+# table, autoresolve loads neither the sentence parser nor the networks,
+# and parse and discourse do not load autoresolve
 COMMANDS = [
-    (["ingest"], set()),
+    (["ingest"], {"manifest"}),
     (["graph"], {"defgraph"}),
     (["scc"], {"defgraph"}),
     (["primitives"], {"defgraph"}),
-    (["frames", "--word", "change"], {"frames"}),
-    (["ssn", "--word", "change"], {"frames", "ssn"}),
-    (["reduce"], {"frames", "reduction"}),
-    (["autoresolve"], {"frames", "parser"}),
+    (["frames", "--word", "change"], FRAMES),
+    (["ssn", "--word", "change"], FRAMES | {"ssn"}),
+    (["reduce"], FRAMES | {"reduction"}),
+    (["autoresolve"], FRAMES | {"autoresolve"}),
     (["parse", "--text", "The milk changed into curd"],
-     {"frames", "ssn", "parser"}),
+     FRAMES | {"ssn", "parser"}),
 ]
 
 
@@ -77,7 +81,7 @@ def test_discourse_loads_only_what_it_uses(tmp_path):
     doc.write_text("The milk changed.\n", encoding="utf-8")
     code, modules = loaded_modules(REPORT, "discourse", "--file", str(doc))
     assert code == "0"
-    assert modules == BASE | {"frames", "ssn", "parser"}
+    assert modules == BASE | FRAMES | {"ssn", "parser"}
 
 
 def test_bare_start_loads_no_slow_module():
@@ -106,12 +110,13 @@ def test_every_public_name_resolves():
 
 
 # the AST nodes of the modules each command loads: where no bytecode is
-# cached, a call compiles every one of them (about 1.2 us a node on a
-# 2-vCPU VM); discourse loads the modules parse does.  The count is the
-# same on Python 3.10 to 3.13; a change may lower a ceiling, not raise it.
-AST_CEILINGS = {"ingest": 9490, "graph": 12051, "scc": 12051,
-                "primitives": 12051, "frames": 13711, "ssn": 17522,
-                "reduce": 15582, "autoresolve": 19524, "parse": 23335}
+# cached, a call compiles every one of them (about 1.7 us a node in a
+# fresh process on a 2-vCPU VM); discourse loads the modules parse does.
+# The count is the same on Python 3.10 to 3.13; a change may lower a
+# ceiling, not raise it.
+AST_CEILINGS = {"ingest": 8748, "graph": 10598, "scc": 10598,
+                "primitives": 10598, "frames": 12850, "ssn": 16770,
+                "reduce": 14721, "autoresolve": 14208, "parse": 21390}
 
 
 def _ast_nodes(module: str) -> int:
@@ -124,3 +129,60 @@ def _ast_nodes(module: str) -> int:
 def test_command_compiles_at_most_its_ceiling(argv, extra):
     nodes = sum(_ast_nodes(module) for module in BASE | extra)
     assert nodes <= AST_CEILINGS[argv[0]]
+
+
+# perfbench/run.py reads lexigraph through ``L``, one attribute per module
+# of its MODULES: a name moved out of one of them must still resolve there
+PERFBENCH = Path(__file__).parents[1] / "perfbench" / "run.py"
+# (module perfbench reads it from, name, the module that defines it)
+FORWARDED = [("parser", "autoresolve_all", "autoresolve"),
+             ("corpus", "verify_fixture", "manifest")]
+
+
+def perfbench_reads() -> tuple[tuple[str, ...], set[tuple[str, str]]]:
+    """perfbench's MODULES and every ``L.<module>.<name>`` it reads."""
+    tree = ast.parse(PERFBENCH.read_text(encoding="utf-8"))
+    modules = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["MODULES"])
+    reads = {(node.value.attr, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Attribute)
+             and isinstance(node.value.value, ast.Name)
+             and node.value.value.id == "L"}
+    return modules, reads
+
+
+CONTRACT = """\
+import importlib, sys
+modules, reads, forwarded = eval(sys.argv[1])
+L = {m: importlib.import_module("lexigraph." + m) for m in modules}
+# the set-up import compiles neither module a name is forwarded to
+bad = ["loaded:" + home for _, _, home in forwarded
+       if "lexigraph." + home in sys.modules]
+bad += [m + "." + n for m, n in sorted(reads)
+        if m not in L or not hasattr(L[m], n)]
+for m, n, home in forwarded:
+    value = getattr(L[m], n)
+    moved = getattr(importlib.import_module("lexigraph." + home), n)
+    if value is not moved or vars(L[m]).get(n) is not value:
+        bad.append("not-kept:" + m + "." + n)
+import lexigraph
+value = lexigraph.disambiguate_in_definition
+if (value is not sys.modules["lexigraph.autoresolve"].disambiguate_in_definition
+        or vars(lexigraph).get("disambiguate_in_definition") is not value):
+    bad.append("not-kept:lexigraph.disambiguate_in_definition")
+print(0, *bad)
+"""
+
+
+def test_perfbench_reads_resolve_in_a_fresh_import():
+    """Each ``L.<module>.<name>`` of perfbench/run.py resolves, the set-up
+    import of its MODULES compiles neither ``autoresolve`` nor ``manifest``,
+    and a forwarded name is the moved object, kept in the module's globals
+    after its first read."""
+    modules, reads = perfbench_reads()
+    assert {"cli", "corpus", "parser"} <= set(modules)
+    assert {(m, n) for m, n, _ in FORWARDED} <= reads
+    code, bad = loaded_modules(CONTRACT, repr((modules, reads, FORWARDED)))
+    assert (code, bad) == ("0", set())

@@ -22,6 +22,7 @@ from support import analysable, lexf_texts, lexgen
 from test_scaled_outputs import sentence_stream
 from lexigraph import corpus
 from lexigraph import frames as frames_mod, parser as parser_mod, ssn as ssn_mod
+from lexigraph.autoresolve import autoresolve_all
 from lexigraph.defgraph import (
     apply_resolutions,
     build_graph,
@@ -34,7 +35,6 @@ from lexigraph.lexicon import merge_lexicons, parse_lexf
 from lexigraph.parser import (
     SentenceContext,
     VarAllocator,
-    autoresolve_all,
     chunk_sentence,
     disambiguate,
 )

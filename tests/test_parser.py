@@ -13,6 +13,7 @@ from support import (
     use_lexf_texts,
 )
 from lexigraph import corpus
+from lexigraph.autoresolve import autoresolve_all, disambiguate_in_definition
 from lexigraph.frames import (
     Descriptor,
     Frame,
@@ -21,6 +22,7 @@ from lexigraph.frames import (
     _entry_path,
     apply_use,
     build_frames,
+    essential_change,
     find_slot,
     update_slot,
 )
@@ -40,11 +42,8 @@ from lexigraph.parser import (
     SentenceContext,
     VarAllocator,
     _instantiate,
-    autoresolve_all,
     chunk_sentence,
     disambiguate,
-    disambiguate_in_definition,
-    essential_change,
     parse_discourse,
     results_to_tsv,
 )

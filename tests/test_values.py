@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from lexigraph.corpus import FixtureManifest, VerifyReport, VerifyRow
+from lexigraph.autoresolve import AutoResolution
 from lexigraph.defgraph import (
     Arc,
     Condensation,
@@ -30,7 +30,8 @@ from lexigraph.lexicon import (
     SenseKey,
     SenseLabel,
 )
-from lexigraph.parser import AutoResolution, Chunk, DisambiguationResult
+from lexigraph.manifest import FixtureManifest, VerifyReport, VerifyRow
+from lexigraph.parser import Chunk, DisambiguationResult
 from lexigraph.reduction import NonprimitiveEvidence, ReductionReport
 from lexigraph.ssn import SSN, Nonterminal, Question, Terminal, TraverseResult
 
