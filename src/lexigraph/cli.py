@@ -139,9 +139,6 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def _dispatch(args, a: Analysis) -> int:
-    mode_name = getattr(args, "mode", "optimistic")
-    mode = "resolved-only" if mode_name == "resolved" else "optimistic"
-
     if args.command == "ingest":
         a.lexicon._resolved  # its R records must pass the graph's checks
         from .manifest import verify_fixture
@@ -161,8 +158,9 @@ def _dispatch(args, a: Analysis) -> int:
         if args.command == "graph" and args.format != "tsv":
             _emit(args, to_dot(a.graph))
         else:
-            comps = strongly_connected_components(a.graph, mode)
-            _emit(args, components_tsv(comps))
+            _emit(args, components_tsv(strongly_connected_components(
+                a.graph,
+                "resolved-only" if args.mode == "resolved" else "optimistic")))
         return 0
 
     if args.command == "primitives":
@@ -180,10 +178,8 @@ def _dispatch(args, a: Analysis) -> int:
         from .reduction import reduce_fixpoint
         a.lexicon._resolved  # the R records are checked before the rule table
         report = reduce_fixpoint(a.lexicon, None, a.frames, a.rules)
-        if args.format == "tsv":
-            _emit(args, report.to_tsv())
-        else:
-            _emit(args, report.to_tsv() + "\n" + report.summary())
+        _emit(args, report.to_tsv() if args.format == "tsv"
+              else report.to_tsv() + "\n" + report.summary())
         return 0
 
     if args.command == "frames":
@@ -208,12 +204,9 @@ def _dispatch(args, a: Analysis) -> int:
         _emit(args, to_dot(net) if args.format == "dot" else to_text(net))
         return 0
 
-    if args.command in ("parse", "discourse"):
-        from .parser import run_command
-        return run_command(args, a)
-
-    print(f"lexigraph: unknown command {args.command!r}", file=sys.stderr)
-    return USAGE_ERROR
+    # parse or discourse, the last commands the argument parser admits
+    from .parser import run_command
+    return AMBIGUITY_REMAINING if run_command(args, a, _emit) else 0
 
 
 def main() -> None:

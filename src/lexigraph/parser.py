@@ -9,7 +9,6 @@ surfaced, never guessed.
 """
 from __future__ import annotations
 
-import sys
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .frames import (
@@ -49,8 +48,8 @@ class ChunkError(ValueError):
     pass
 
 
-class NoNetworkError(KeyError):
-    pass
+class NoNetworkError(KeyError, ValueError):
+    """A sentence whose verb has no network: a data error to the CLI."""
 
 
 class Chunk(NamedTuple):
@@ -622,47 +621,38 @@ def results_to_tsv(results: Iterable[DisambiguationResult]) -> str:
 # the parse and discourse commands, here so that no other command
 # compiles them
 
-def run_command(args, a: Analysis) -> int:
-    """The CLI's parse or discourse command on the run's analysis."""
-    from .cli import AMBIGUITY_REMAINING, DATA_ERROR, _emit
-    try:
-        lexicon, frames, ssns = a.lexicon, a.frames, a.networks
+def run_command(args, a: Analysis, emit) -> bool:
+    """The CLI's parse or discourse command on the run's analysis, its
+    output written by ``emit(args, text)``; the CLI passes that in, as it
+    may be running as ``__main__``, where importing ``cli`` here would
+    compile and run it a second time.  A data error raises ValueError.
+    The result says whether a ``--strict`` parse left ambiguity."""
+    lexicon, frames, ssns = a.lexicon, a.frames, a.networks
+    if args.command == "parse":
+        chunks = chunk_sentence(args.text, lexicon)
+        verb = SentenceContext(chunks).verb
+        if verb is None or verb.lemma not in ssns:
+            raise ValueError("no known verb in the sentence")
+        result = disambiguate(verb.text, chunks, ssns[verb.lemma], frames,
+                              a.rules, lexicon, VarAllocator())
+        emit(args, results_to_tsv([result]) if args.format == "tsv"
+             else result.to_text())
+        return args.strict and (len(result.candidates) > 1
+                                or bool(result.open_questions))
 
-        if args.command == "parse":
-            chunks = chunk_sentence(args.text, lexicon)
-            verb = SentenceContext(chunks).verb
-            if verb is None or verb.lemma not in ssns:
-                print("lexigraph: no known verb in the sentence",
-                      file=sys.stderr)
-                return DATA_ERROR
-            result = disambiguate(verb.text, chunks, ssns[verb.lemma], frames,
-                                  a.rules, lexicon, VarAllocator())
-            if args.format == "tsv":
-                _emit(args, results_to_tsv([result]))
-            else:
-                _emit(args, result.to_text())
-            if args.strict and (len(result.candidates) > 1
-                                or result.open_questions):
-                return AMBIGUITY_REMAINING
-            return 0
-
-        with open(args.file, encoding="utf-8") as fh:
-            sentences = [ln.strip() for ln in fh if ln.strip()]
-        results, state = parse_discourse(sentences, lexicon, ssns, frames,
-                                         a.rules)
-        if args.format == "tsv":
-            _emit(args, results_to_tsv(results))
-        else:
-            parts = [r.to_text() for r in results]
-            if state.bindings:
-                parts.append("bindings:\n" + "\n".join(
-                    f"  ?{var} = {value}" for var, value in state.bindings)
-                    + "\n")
-            _emit(args, "\n".join(parts))
-        return 0
-    except (ChunkError, NoNetworkError) as exc:
-        print(f"lexigraph: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    with open(args.file, encoding="utf-8") as fh:
+        sentences = [ln.strip() for ln in fh if ln.strip()]
+    results, state = parse_discourse(sentences, lexicon, ssns, frames, a.rules)
+    if args.format == "tsv":
+        emit(args, results_to_tsv(results))
+    else:
+        parts = [r.to_text() for r in results]
+        if state.bindings:
+            parts.append("bindings:\n" + "\n".join(
+                f"  ?{var} = {value}" for var, value in state.bindings)
+                + "\n")
+        emit(args, "\n".join(parts))
+    return False
 
 
 def __getattr__(name: str):

@@ -1,10 +1,12 @@
 """Sense selection networks: an ordered question tree per headword.
 
 Branch order: part of speech, transitivity, specified objects, adjective
-complement, usage conditions, then frame-difference questions generated by
-first differences over canonical frame positions, recursively. Usage-style
-questions carry necessary-condition semantics: absence prunes, presence
-does not confirm.
+complement, usage conditions, then frame-difference questions, each at the
+first canonical frame position where the senses left differ; a subgroup
+is told apart from where its parent split on. Usage-style questions carry
+necessary-condition semantics: absence prunes, presence does not confirm.
+Compiling, exporting and walking a network keep their own stacks, so no
+depth of a network is a depth of recursion.
 
 Compiled networks are immutable and shareable; traversal keeps all state
 in the traversal record, which holds the senses reached and the questions
@@ -128,7 +130,7 @@ class SSN(NamedTuple):
 
     def questions(self) -> list[Question]:
         """Every question of the network, depth first, parents first."""
-        out: list[Question] = []
+        out = []
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -141,15 +143,36 @@ class SSN(NamedTuple):
         """Deterministic walk. A concrete answer follows its branch;
         anything else retains all branches (union) and records the
         question.  The result holds the senses reached and the questions
-        left open.  A method, so that the parser reaches it through the
-        network it is given, without importing this module."""
-        senses: set[SenseKey] = set()
-        open_questions: list[str] = []
-        terminal = _walk(self.root, oracle, senses, open_questions)
-        # in the order of the network's senses, sorted when it was compiled
+        left open, each once, in the order a depth-first walk first meets
+        it.  A method, so that the parser reaches it through the network
+        it is given, without importing this module."""
+        senses, opened, noted = set(), [], set()
+        stack, node = [], self.root  # (answer, node) pairs, as branches are
+        while True:
+            while isinstance(node, Question):
+                answer = (oracle(node) if callable(oracle)
+                          else oracle.get(node.qid, "unknown"))
+                if not isinstance(answer, str):
+                    answer = "unknown"
+                for branch, child in reversed(node.branches):  # as a dict
+                    if branch == answer:                        # would
+                        break
+                else:  # every branch, the first one (``child``) next
+                    qid = node.qid
+                    if qid not in noted:
+                        noted.add(qid)
+                        opened.append(qid)
+                    stack += node.branches[:0:-1]
+                node = child
+            senses.add(node.sense)
+            if not stack:
+                break
+            node = stack.pop()[1]
+        # in the order of the network's senses, sorted when it was compiled;
+        # with no question open, the walk followed one path to one node
         return TraverseResult(tuple(filter(senses.__contains__, self.senses)),
-                              terminal and len(senses) == 1,
-                              tuple(open_questions))
+                              not opened and isinstance(node, Terminal),
+                              tuple(opened))
 
 
 class TraverseResult(NamedTuple):
@@ -162,193 +185,261 @@ Oracle = dict | Callable[[Question], str]
 
 
 # ---------------------------------------------------------------------------
-# canonical positions and their first differences
+# canonical positions
+#
+# A frame's positions, in the order in which a first difference is sought:
+# its pos, transitivity, predicate and conditions, then its slots in slot
+# order, each slot's case, bind, filler and restrictions before its
+# children.  The frames of a network are walked together over a trie of
+# their slot paths (Knuth, TAOCP vol. 3, 6.3), built one level at a time
+# where a walk first needs it, and no frame is flattened.  The walk reads
+# a frame as ``frames._canonical`` would put it: conditions sorted, slots
+# in slot order, the last slot of a name.  A trie node is [its holders
+# ({sense: slot} in the network's order), its children or None, its
+# display path, {field: the holders' concrete values ({sense: value})}];
+# the root holds the frames themselves, and its display path is empty.
 
 _TRANSITIVITY = {PartOfSpeech.VI: "intransitive", PartOfSpeech.VT: "transitive",
                  PartOfSpeech.VB: "both"}
 
-
-def canonical_paths(frame: Frame) -> dict[tuple, tuple[tuple[str, ...], object]]:
-    """Flatten to {sortable position: (display path, value)}; alignment-proof
-    across frames with different slot inventories."""
-    out: dict[tuple, tuple[tuple[str, ...], object]] = {
-        ((0, "pos"),): (("pos",), frame.pos.value),
-        ((1, "transitivity"),): (("transitivity",),
-                                 _TRANSITIVITY.get(frame.pos, "")),
-        ((2, "predicate"),): (("predicate",),
-                              (frame.predicate,
-                               "provisional" if frame.provisional else "fixed")),
-        ((3, "conditions"),): (("conditions",),
-                               tuple(sorted(render_condition(c)
-                                            for c in frame.conditions))),
-    }
-
-    for slot in frame.slots:
-        _slot_paths(out, slot, ((4, "slots"),), ("slots",))
-    return out
+# the fields of a slot, then of a frame: their display names and values
+_FIELDS = (("case", "bind", "filler", "restrictions"),
+           ("pos", "transitivity", "predicate", "conditions"))
+_VALUES = (
+    (lambda s: " v ".join(s.case), lambda s: s.bind or "", Slot.render_filler,
+     lambda s: tuple(sorted(s.restrictions))),
+    (lambda f: f.pos.value, lambda f: _TRANSITIVITY.get(f.pos, ""),
+     lambda f: (f.predicate, "provisional" if f.provisional else "fixed"),
+     lambda f: tuple(sorted(map(render_condition, f.conditions)))))
 
 
-def _slot_paths(out: dict, slot: Slot, sort_prefix: tuple,
-                display_prefix: tuple[str, ...]) -> None:
-    """Add the canonical positions of ``slot`` and its children to ``out``."""
-    name, restrictions = slot.name, slot.restrictions
-    base_sort = sort_prefix + (slot_order_key(name),)
-    base_disp = display_prefix + (name,)
-    out[base_sort + ((0, "case"),)] = (base_disp + ("case",),
-                                       " v ".join(slot.case))
-    out[base_sort + ((1, "bind"),)] = (base_disp + ("bind",), slot.bind or "")
-    out[base_sort + ((2, "filler"),)] = (base_disp + ("filler",),
-                                         slot.render_filler())
-    out[base_sort + ((3, "restrictions"),)] = (
-        base_disp + ("restrictions",),
-        tuple(sorted(restrictions)) if len(restrictions) > 1 else restrictions)
-    for child in slot.children:
-        _slot_paths(out, child, base_sort + ((4, "children"),), base_disp)
-
-
-# the values of a canonical position that read as nothing: absent, or an
-# empty string or tuple
-EMPTY_VALUES = (None, "", ())
-
-
-def flat_group(frames: dict[SenseKey, Frame]) -> tuple[dict, list]:
-    """Each frame's ``canonical_paths`` and the sorted union of their
-    positions, as ``first_diff`` reads them."""
-    flats = {k: canonical_paths(f) for k, f in frames.items()}
-    return flats, sorted(set().union(*flats.values()))
-
-
-def first_diff(keys: list[SenseKey], flats: dict, positions: list,
-               start: int = 0):
-    """The first of ``positions[start:]`` at which any two of ``keys``
-    differ: (its index, display path, {sense key: value-at-position}), or
-    None.  An absent value (None) and an empty one ("" or ()) are no
-    difference, so a position none of the keys has is none either, and
-    ``flats`` and ``positions`` may cover more keys."""
-    flat_list = [flats[key] for key in keys]
-    for index in range(start, len(positions)):
-        pos = positions[index]
-        entries = [flat.get(pos) for flat in flat_list]
-        if entries.count(entries[0]) == len(entries):
-            continue
-        # every canonical value is a str or a tuple of str
-        distinct = {None if e is None or e[1] in EMPTY_VALUES else e[1]
-                    for e in entries}
-        if len(distinct) > 1:
-            display = next(e[0] for e in entries if e is not None)
-            return index, display, {key: None if e is None else e[1]
-                                    for key, e in zip(keys, entries)}
-    return None
+def _difference(where, group, size, pending, node, start):
+    """The first position at which the ``size`` senses of ``group`` that
+    ``where`` still maps to it differ, from field ``start`` of trie node
+    ``node`` on, then on the nodes ``pending`` (a linked stack, (node,
+    rest) or ()): (the nodes still pending, the node, the field, [(sense,
+    value)] of the senses with a concrete value there), else None.  A node
+    that no sense holds, or whose slots are one object (or equal) for
+    every sense, is skipped with its subtree, so only the slots the senses
+    do not share are walked."""
+    while True:
+        holders, top = node[0], not node[2]
+        held = [k for k in holders if where[k] is group]
+        slots = [holders[k] for k in held]
+        if held and slots.count(slots[0]) < size:  # fewer, or not one slot
+            if len(held) < size:  # -1: the senses without the slot
+                held.append(-1)
+            for field in range(start, 4):
+                values = node[3].get(field)
+                if values is None:  # every holder's concrete value
+                    values = node[3][field] = {
+                        k: v for k, x in holders.items()
+                        if (v := _VALUES[top][field](x))}  # not "" or ()
+                # the distinct values, None for a sense without one
+                if len(set(map(values.get, held))) > 1:
+                    return pending, node, field, [(k, values[k]) for k in held
+                                                  if k in values]
+            if node[1] is None:  # its children: every holder's, by name
+                by_name = {}  # the last slot of a name
+                for k, x in holders.items():
+                    for slot in x.slots if top else x.children:
+                        by_name.setdefault(slot.name, {})[k] = slot
+                node[1] = [[by_name[name], None,
+                            (node[2] or ("slots",)) + (name,), {}]
+                           for name in sorted(by_name, key=slot_order_key)]
+            for child in reversed(node[1]):
+                pending = child, pending
+        if not pending:
+            return None
+        (node, pending), start = pending, 0
 
 
 # ---------------------------------------------------------------------------
 # compilation
 
 def _render_value(value: object) -> str:
-    if value is None:
-        return ""
     if isinstance(value, tuple):
         if len(value) == 2 and value[1] in ("fixed", "provisional"):
             return value[0] if value[1] == "fixed" else f"{value[0]} (provisional)"
-        return "; ".join(str(v) for v in value)
-    return str(value)
-
-
-def _pos_tag(pos: PartOfSpeech) -> str:
-    return "v" if pos.is_verb else pos.value
+        return "; ".join(value)
+    return value
 
 
 def compile_ssn(headword: str, lexicon: Lexicon,
                 frames: dict[SenseKey, Frame]) -> SSN:
     """Compile the network for one headword over all its homographs, its
-    sense keys in the lexicon's order (``Lexicon._by_headword``).  The
-    frames of the network are flattened once, when the first group of
-    senses needs their first difference."""
+    sense keys in the lexicon's order (``Lexicon._by_headword``)."""
     keys = lexicon._by_headword.get(headword)
     if not keys:
         raise CompileError(f"no senses for {headword!r}")
     for k in keys:
         if k not in frames:
             raise CompileError(f"no frame for {k.render()}")
-    frames = {k: frames[k] for k in keys}  # the network's own
-    # one sense: nothing to ask
-    stages = _stage_questions(keys, lexicon._by_key) if len(keys) > 1 else ()
-    # a one-sense group's subtree: its terminal
-    built = {(k,): Terminal(k, frames[k]) for k in keys}
-    return SSN(headword, tuple(keys), _build(keys, 0, stages, frames, [], built))
+    return SSN(headword, tuple(keys), Terminal(keys[0], frames[keys[0]])
+               if len(keys) == 1  # nothing to ask
+               else _build(keys, _stage_questions(keys, lexicon._by_key),
+                           {k: frames[k] for k in keys}))  # the network's own
 
 
-def _build(group: list[SenseKey], stage_idx: int, stages, frames,
-           flat: list, built: dict) -> Node:
-    """The subtree that tells ``group`` apart, asking the stage questions
-    from ``stage_idx`` on, then frame differences.  ``frames`` are those
-    of the network; ``flat`` is empty until a group first gets to frame
-    differences, then it holds their ``flat_group``, whose sorted
-    positions serve every group (``first_diff`` skips a position a group
-    lacks).  ``built`` holds each subtree made: a stage question's under
-    its group and the index of the stage after it, one of frame
-    differences (or a terminal) under the group alone.  A group the
-    questions lead to again (a "present" answer keeps them all) shares
-    it, so the tree's subtrees are shared objects."""
-    if len(group) == 1:
-        return built[tuple(group)]
-    while stage_idx < len(stages):
-        kind, payload, partition = stages[stage_idx]
-        stage_idx += 1
-        parts = partition(group)
-        parts = {a: sub for a, sub in parts.items() if sub}
-        outcomes = {tuple(sub) for sub in parts.values()}
-        if len(parts) < 2 or len(outcomes) < 2:
+def _build(keys, stages, frames) -> Node:
+    """The tree that tells ``keys`` apart: the stage questions, then
+    frame differences, built from explicit stacks, so that no depth of
+    the tree is a depth of recursion.  A group is a tuple of senses
+    numbered by their place in ``keys``.
+
+    ``built`` holds each subtree made, so a group the questions lead to
+    again (a "present" answer keeps them all) shares it: a stage
+    question's under its stage index and group, one of frame differences
+    (or a terminal) under the group alone.  First the stage questions are
+    planned depth first: ``key_of`` maps a group and a stage index to the
+    key of its subtree, and ``questions`` holds the kind, payload and
+    (answer, subgroup) pairs of each stage question.  The groups that no
+    stage question splits are then told apart by frame differences, and
+    last the stage questions are made, the last stages' first, since a
+    question leads only to later ones."""
+    built = {(i,): Terminal(k, frames[k]) for i, k in enumerate(keys)}
+    key_of, questions, left = {}, {}, {}  # left: what no stage splits
+    everyone = tuple(range(len(keys)))
+    todo = [(everyone, 0)]
+    while todo:
+        task = group, stage_idx = todo.pop()
+        if task in key_of:
             continue
-        node = built.get((tuple(group), stage_idx))
-        if node is None:
-            node = built[tuple(group), stage_idx] = Question(
-                kind, payload, tuple(
-                    (answer, _build(sub, stage_idx, stages, frames, flat,
-                                    built))
-                    for answer, sub in sorted(parts.items())))
-        return node
-    if not flat:
-        flat += flat_group(frames)
-    return _frame_diff_tree(group, 0, *flat, frames, built)
+        key_of[task] = group
+        while stage_idx < len(stages):
+            kind, payload, partition = stages[stage_idx]
+            stage_idx += 1
+            parts = {a: tuple(sub) for a, sub in partition(group).items() if sub}
+            if len(parts) > 1 and len(set(parts.values())) > 1:
+                parts = sorted(parts.items())
+                key_of[task] = stage_idx, group
+                questions[stage_idx, group] = kind, payload, parts
+                todo += [(sub, stage_idx) for _, sub in reversed(parts)
+                         if len(sub) > 1]
+                break
+        else:
+            left[group] = None
+    if left:
+        _frame_diff_trees(keys, frames, left, built)
+    for key in sorted(questions, reverse=True):
+        kind, payload, parts = questions[key]
+        built[key] = Question(kind, payload, tuple(
+            (answer, built[key_of.get((sub, key[0]), sub)])
+            for answer, sub in parts))
+    return built[key_of[everyone, 0]]
+
+
+def _frame_diff_trees(keys, frames, left, built) -> None:
+    """Put into ``built`` the frame-difference subtree of each group in
+    ``left``, the groups that no stage question splits, in the order in
+    which they were first reached.  A group's questions are asked depth
+    first from a stack, and its nodes made in the reverse order, each
+    subtree before its parent.
+
+    A task is (size, group, pending, trie node, field): the ``size`` senses
+    of ``group`` that ``where`` still maps to it, which agree up to that
+    field of that node (field -1 before the first).  A subgroup resumes
+    where its parent split, and a split maps anew only the senses with a
+    value there: the others keep the parent's group.  Groups below two
+    different groups left are one group only if each of their senses is
+    in both, so only such a group is kept in ``built`` (under its senses),
+    besides the groups left and the terminals."""
+    seen, twice = set(), set()
+    for group in left:
+        twice.update(seen.intersection(group))
+        seen.update(group)
+    root = [dict(enumerate(frames.values())), None, (), {}]
+    where = [None] * len(keys)
+    for entry in left:
+        for i in entry:
+            where[i] = entry
+        # each group's key and node, or its question's payload, in preorder
+        plan = []
+        todo = [(len(entry), entry, (), root, -1)]
+        while todo:
+            size, group, pending, tnode, field = todo.pop()
+            # its senses, named only for a key: a terminal's, one that may
+            # be met again, or a group's that the stage questions leave
+            members = (tuple([i for i in group if where[i] is group])
+                       if size == 1 or twice else group)
+            key = (members if not plan or size == 1
+                   or twice.issuperset(members) else None)
+            node = built.get(key)
+            if node is None:
+                diff = _difference(where, group, size, pending, tnode,
+                                   field + 1)
+                if diff is None:
+                    node = _collapse([keys[i] for i in group
+                                      if where[i] is group], frames)
+                else:  # each concrete answer's senses a group of their own
+                    pending, tnode, field, found = diff
+                    parts = {}
+                    for i, v in found:
+                        parts.setdefault(_render_value(v), []).append((i, v))
+                    subs, alts = [], []
+                    for answer, pairs in sorted(parts.items()):
+                        sub = tuple([i for i, _ in pairs])
+                        for i in sub:
+                            where[i] = sub
+                        subs.append((len(sub), sub))
+                        alts.append((answer, pairs[0][1]))
+                    if len(found) < size:
+                        subs.append((size - len(found), group))
+                        alts.append(("other", ""))
+                    node = (tnode[2] + (_FIELDS[not tnode[2]][field],),
+                            tuple(alts))
+                    todo += [(*sub, pending, tnode, field)
+                             for sub in reversed(subs)]
+            plan.append((key, node))
+        # made in reverse preorder, so a question finds its subtrees on
+        # ``made``, its first branch's on top
+        made = []
+        for key, node in reversed(plan):
+            if type(node) is tuple:  # a question's payload
+                node = Question("FRAME-DIFF", node, tuple(
+                    (answer, made.pop()) for answer, _ in node[1]))
+            if key:
+                built[key] = node
+            made.append(node)
+
+
+def _pos_parts(pos, group):
+    parts = {}
+    for i in group:
+        parts.setdefault("v" if pos[i].is_verb else pos[i].value, []).append(i)
+    return parts
+
+
+def _transitivity_parts(pos, group):
+    return {"vi": [i for i in group if pos[i] in (_VI, _VB)],
+            "vt": [i for i in group if pos[i] in (_VT, _VB)]}
 
 
 def _stage_questions(keys, senses_by_key):
-    """The syntactic/usage question specs, in pipeline order."""
-    stages = []
-
-    def pos_partition(group):
-        parts: dict[str, list[SenseKey]] = {}
-        for k in group:
-            parts.setdefault(_pos_tag(k.pos), []).append(k)
-        return parts
-
-    stages.append(("POS", (), pos_partition))
-
-    def trans_partition(group):
-        vi = [k for k in group if k.pos in (_VI, _VB)]
-        vt = [k for k in group if k.pos in (_VT, _VB)]
-        return {"vi": vi, "vt": vt}
-
-    stages.append(("TRANSITIVITY", (), trans_partition))
+    """The syntactic/usage question specs, in pipeline order, each
+    partitioning a group of senses numbered by their place in ``keys``; no
+    POS or TRANSITIVITY question where every sense has one part of speech,
+    as neither could tell any of them apart."""
+    pos = [k.pos for k in keys]
+    stages = [("POS", (), partial(_pos_parts, pos)),
+              ("TRANSITIVITY", (), partial(_transitivity_parts, pos))
+              ] if len(set(pos)) > 1 else []
 
     # specified objects: necessary conditions on the object word
-    spec_objects: dict[str, list[SenseKey]] = {}
-    for k in keys:
+    spec_objects = {}
+    for i, k in enumerate(keys):
         for rec in senses_by_key[k]:
-            if rec.is_synonym_line:
-                continue
-            parsed = parse_sense(rec)
-            if parsed.specified_object:
-                spec_objects.setdefault(parsed.specified_object, []).append(k)
+            if word := (not rec.is_synonym_line
+                        and parse_sense(rec).specified_object):
+                spec_objects.setdefault(word, []).append(i)
 
     for word in sorted(spec_objects):
-        kind = "OBJ-IS" if len(word.split()) == 1 else "OBJ-SAT"
-        stages.append((kind, (word,), partial(
-            _necessary, ("yes", "no"), set(spec_objects[word]))))
+        stages.append(("OBJ-IS" if len(word.split()) == 1 else "OBJ-SAT",
+                       (word,), partial(_necessary, ("yes", "no"),
+                                        set(spec_objects[word]))))
 
     # adjective complement: definitions ending with "to be"
-    adj_keys = {k for k in keys
+    adj_keys = {i for i, k in enumerate(keys)
                 for rec in senses_by_key[k]
                 if rec.raw_definition.rstrip(" .").endswith("to be")}
     if adj_keys:
@@ -356,12 +447,11 @@ def _stage_questions(keys, senses_by_key):
             _necessary, ("present", "absent"), adj_keys)))
 
     # usage conditions from particle notes; absence prunes
-    particle_sets: dict[tuple[str, ...], set[SenseKey]] = {}
-    for k in keys:
+    particle_sets = {}
+    for i, k in enumerate(keys):
         for rec in senses_by_key[k]:
-            particles = rec.usage_particles
-            if particles:
-                particle_sets.setdefault(tuple(sorted(particles)), set()).add(k)
+            if particles := rec.usage_particles:
+                particle_sets.setdefault(tuple(sorted(particles)), set()).add(i)
 
     for particles in sorted(particle_sets):
         stages.append(("USAGE", particles, partial(
@@ -373,47 +463,8 @@ def _stage_questions(keys, senses_by_key):
 def _necessary(answers: tuple[str, str], requiring, group):
     """The partition by a necessary condition: the first answer keeps every
     sense of ``group``, the second those not ``requiring`` it."""
-    return {answers[0]: list(group),
+    return {answers[0]: group,
             answers[1]: [k for k in group if k not in requiring]}
-
-
-def _frame_diff_tree(group: list[SenseKey], start: int, flats, positions,
-                     frames, built: dict) -> Node:
-    """Frame-difference questions that tell ``group`` apart.  ``flats``
-    and ``positions`` are those of the whole network's frames, flattened
-    once; ``group`` agrees on ``positions[:start]``, as the first
-    difference of a larger group was at ``start``, so the subtree depends
-    on ``group`` alone and ``built`` holds it under ``tuple(group)``."""
-    node = built.get(tuple(group))
-    if node is not None:
-        return node
-    diff = first_diff(group, flats, positions, start)
-    if diff is None:
-        node = built[tuple(group)] = _collapse(group, frames)
-        return node
-    index, path, values = diff
-    concrete: dict[str, list[SenseKey]] = {}
-    empties: list[SenseKey] = []
-    for k in group:
-        v = values.get(k)
-        if v in EMPTY_VALUES:
-            empties.append(k)
-        else:
-            concrete.setdefault(_render_value(v), []).append(k)
-    branches: list[tuple[str, Node]] = []
-    alts: list[tuple[str, object]] = []
-    for answer in sorted(concrete):
-        sub = concrete[answer]
-        branches.append((answer, _frame_diff_tree(
-            sub, index, flats, positions, frames, built)))
-        alts.append((answer, values[sub[0]]))
-    if empties:
-        branches.append(("other", _frame_diff_tree(
-            empties, index, flats, positions, frames, built)))
-        alts.append(("other", ""))
-    node = built[tuple(group)] = Question(
-        "FRAME-DIFF", (tuple(path), tuple(alts)), tuple(branches))
-    return node
 
 
 def _collapse(group, frames) -> Node:
@@ -422,15 +473,13 @@ def _collapse(group, frames) -> Node:
     distinctness requirement is violated."""
     common = set.intersection(*({k.label, *_label_ancestors(k.label)}
                                 for k in group))
-    base = group[0]
     for label in sorted(common, key=_label_parts, reverse=True):
-        parent_key = SenseKey(base.headword, base.pos, base.homograph, label)
+        parent_key = group[0]._replace(label=label)
         if parent_key in frames:
             return Nonterminal(parent_key, tuple(group), frames[parent_key])
-    a, b = group[0], group[1]
     raise CompileError(
         f"duplicate canonical frames among sibling senses: "
-        f"{a.render()} and {b.render()}")
+        f"{group[0].render()} and {group[1].render()}")
 
 
 # ---------------------------------------------------------------------------
@@ -439,37 +488,14 @@ def _collapse(group, frames) -> Node:
 traverse = SSN.traverse
 
 
-def _walk(node: Node, oracle: Oracle, senses: set[SenseKey],
-          open_questions: list[str]) -> bool:
-    """Add the senses ``traverse`` reaches from ``node`` to ``senses``, and
-    say whether it reached a terminal; each question left open is noted
-    once."""
-    if not isinstance(node, Question):
-        senses.add(node.sense)
-        return isinstance(node, Terminal)
-    answer = oracle(node) if callable(oracle) else oracle.get(node.qid, "unknown")
-    if not isinstance(answer, str):
-        answer = "unknown"
-    for branch, child in reversed(node.branches):  # as a dict of them would
-        if branch == answer:
-            return _walk(child, oracle, senses, open_questions)
-    qid = node.qid
-    if qid not in open_questions:
-        open_questions.append(qid)
-    for _, child in node.branches:
-        _walk(child, oracle, senses, open_questions)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # exports
 
 def to_text(ssn: SSN) -> str:
-    lines: list[str] = [f"ssn for {ssn.headword} ({len(ssn.senses)} senses)"]
-    stack: list[tuple[Node, int, str]] = [(ssn.root, 1, "")]
+    lines = [f"ssn for {ssn.headword} ({len(ssn.senses)} senses)"]
+    stack = [(ssn.root, "  ", "")]
     while stack:
-        node, depth, label = stack.pop()
-        pad = "  " * depth
+        node, pad, label = stack.pop()
         if isinstance(node, Terminal):
             lines.append(f"{pad}{label}-> sense {node.sense.render()}")
         elif isinstance(node, Nonterminal):
@@ -478,36 +504,37 @@ def to_text(ssn: SSN) -> str:
                          f"({len(node.members)} members)")
         else:
             lines.append(f"{pad}{label}? {node.qid}")
-            stack.extend((child, depth + 1, f"[{answer}] ")
+            stack.extend((child, pad + "  ", f"[{answer}] ")
                          for answer, child in reversed(node.branches))
     return "\n".join(lines) + "\n"
 
 
 def to_dot(ssn: SSN) -> str:
+    """The network in DOT, its nodes numbered in preorder; the line of an
+    edge follows the lines of the subtree it leads to."""
     lines = ["digraph ssn {"]
-    _dot_node(ssn.root, lines, [0])
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_node(node: Node, lines: list[str], counter: list[int]) -> str:
-    """Append the DOT lines of ``node``'s subtree, numbering its nodes in
-    preorder, and return the node's name."""
-    counter[0] += 1
-    name = f"n{counter[0]}"
-    if isinstance(node, Terminal):
-        lines.append(f"  {name} [shape=box, "
-                     f"label={dot_quote(node.sense.render())}];")
-        return name
-    if isinstance(node, Nonterminal):
-        lines.append(f"  {name} [shape=box, style=dashed, label="
-                     f"{dot_quote(node.sense.render() + ' (nonterminal)')}];")
-        return name
-    lines.append(f"  {name} [shape=diamond, label={dot_quote(node.qid)}];")
-    for answer, child in node.branches:
-        cname = _dot_node(child, lines, counter)
-        lines.append(f"  {name} -> {cname} [label={dot_quote(answer)}];")
-    return name
+    stack = [(ssn.root, "", "")]
+    count = 0
+    while stack:
+        node, parent, answer = stack.pop()
+        if isinstance(node, str):  # the line of an edge
+            lines.append(node)
+            continue
+        count += 1
+        if parent:  # after the lines of this subtree
+            stack.append((f"  {parent} -> n{count} "
+                          f"[label={dot_quote(answer)}];", "", ""))
+        if isinstance(node, Question):
+            shape, label = "diamond", node.qid
+            stack += [(child, f"n{count}", a)
+                      for a, child in reversed(node.branches)]
+        elif isinstance(node, Terminal):
+            shape, label = "box", node.sense.render()
+        else:
+            shape = "box, style=dashed"
+            label = f"{node.sense.render()} (nonterminal)"
+        lines.append(f"  n{count} [shape={shape}, label={dot_quote(label)}];")
+    return "\n".join(lines) + "\n}\n"
 
 
 class NetworkCache:

@@ -4,7 +4,8 @@ the rule rows for their predicate families) and for slot trees, a
 generated text without the R records the graph rejects, a reader for
 the quoted strings of a DOT export, an answer map that leads a network
 to one sense, and the network compile as one recursive walk that shares
-no subtree, a reference for ``compile_ssn``.
+no subtree and finds first differences by flattening each frame, a
+reference for ``compile_ssn``.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -22,11 +23,16 @@ from hypothesis import strategies as st
 
 from lexigraph.corpus import corpus_text
 from lexigraph.defgraph import apply_resolutions, build_graph
-from lexigraph.frames import Slot, build_frames, slot_order_key
+from lexigraph.frames import (
+    Slot,
+    build_frames,
+    render_condition,
+    slot_order_key,
+)
 from lexigraph.lexicon import ResolutionError, parse_lexf
 from lexigraph.prep_rules import RuleTable
 from lexigraph.ssn import (
-    EMPTY_VALUES,
+    _TRANSITIVITY,
     SSN,
     CompileError,
     Nonterminal,
@@ -36,8 +42,6 @@ from lexigraph.ssn import (
     _render_value,
     _stage_questions,
     compile_ssn,
-    first_diff,
-    flat_group,
 )
 
 HEADWORDS = ("alpha", "beta", "gamma", "give", "give up", "into")
@@ -330,6 +334,31 @@ def chain_lexf(depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def wide_lexf(senses: int) -> str:
+    """One verb entry whose ``senses`` senses each differ from the others
+    at a slot of their own: its network asks one new position per level,
+    a chain of frame differences as deep as the sense count."""
+    numbers = range(1, senses + 1)
+    return ("E|zap|vi|1\n" + "".join(f"S|{i}||become bar|\n" for i in numbers)
+            + "".join(f"F|{i}|SLOT X{i} VALUE v\n" for i in numbers))
+
+
+@st.composite
+def wide_lexf_texts(draw) -> str:
+    """One verb entry of 2 to 60 senses, each differing from the others at
+    a position of its own: a slot of its own, a child of its own under a
+    slot they may all hold, or a child under a slot of its own, filled,
+    restricted or given a case."""
+    senses = draw(st.integers(2, 60))
+    lines = ["E|zap|vi|1"] + [f"S|{i}||become bar|"
+                              for i in range(1, senses + 1)]
+    for i in range(1, senses + 1):
+        path = draw(st.sampled_from(("X{}", "A.X{}", "X{}.B"))).format(i)
+        action = draw(st.sampled_from(("VALUE v", "RESTRICT r", "CASE PAT")))
+        lines.append(f"F|{i}|SLOT {path} {action}")
+    return "\n".join(lines) + "\n"
+
+
 def oracle_reaching(ssn, target) -> dict | None:
     """An answer map under which traversal returns exactly the target: the
     first one a depth-first search of the network finds, else None."""
@@ -351,9 +380,87 @@ def _search(node, target, answers: dict) -> dict | None:
     return None
 
 
+# the values of a canonical position that read as nothing: absent, or an
+# empty string or tuple
+EMPTY_VALUES = (None, "", ())
+
+
+# The first difference of a group of frames by flattening: every frame
+# becomes a dict of its canonical positions, whose sorted union is scanned
+# in order.  ``compile_ssn`` finds the same first differences by walking
+# the frames' slot trees together.
+
+def canonical_paths(frame) -> dict[tuple, tuple[tuple[str, ...], object]]:
+    """Flatten to {sortable position: (display path, value)}; alignment-proof
+    across frames with different slot inventories."""
+    out: dict[tuple, tuple[tuple[str, ...], object]] = {
+        ((0, "pos"),): (("pos",), frame.pos.value),
+        ((1, "transitivity"),): (("transitivity",),
+                                 _TRANSITIVITY.get(frame.pos, "")),
+        ((2, "predicate"),): (("predicate",),
+                              (frame.predicate,
+                               "provisional" if frame.provisional else "fixed")),
+        ((3, "conditions"),): (("conditions",),
+                               tuple(sorted(render_condition(c)
+                                            for c in frame.conditions))),
+    }
+
+    for slot in frame.slots:
+        _slot_paths(out, slot, ((4, "slots"),), ("slots",))
+    return out
+
+
+def _slot_paths(out: dict, slot: Slot, sort_prefix: tuple,
+                display_prefix: tuple[str, ...]) -> None:
+    """Add the canonical positions of ``slot`` and its children to ``out``."""
+    name, restrictions = slot.name, slot.restrictions
+    base_sort = sort_prefix + (slot_order_key(name),)
+    base_disp = display_prefix + (name,)
+    out[base_sort + ((0, "case"),)] = (base_disp + ("case",),
+                                       " v ".join(slot.case))
+    out[base_sort + ((1, "bind"),)] = (base_disp + ("bind",), slot.bind or "")
+    out[base_sort + ((2, "filler"),)] = (base_disp + ("filler",),
+                                         slot.render_filler())
+    out[base_sort + ((3, "restrictions"),)] = (
+        base_disp + ("restrictions",),
+        tuple(sorted(restrictions)) if len(restrictions) > 1 else restrictions)
+    for child in slot.children:
+        _slot_paths(out, child, base_sort + ((4, "children"),), base_disp)
+
+
+def flat_group(frames: dict) -> tuple[dict, list]:
+    """Each frame's ``canonical_paths`` and the sorted union of their
+    positions, as ``first_diff`` reads them."""
+    flats = {k: canonical_paths(f) for k, f in frames.items()}
+    return flats, sorted(set().union(*flats.values()))
+
+
+def first_diff(keys: list, flats: dict, positions: list, start: int = 0):
+    """The first of ``positions[start:]`` at which any two of ``keys``
+    differ: (its index, display path, {sense key: value-at-position}), or
+    None.  An absent value (None) and an empty one ("" or ()) are no
+    difference, so a position none of the keys has is none either, and
+    ``flats`` and ``positions`` may cover more keys."""
+    flat_list = [flats[key] for key in keys]
+    for index in range(start, len(positions)):
+        pos = positions[index]
+        entries = [flat.get(pos) for flat in flat_list]
+        if entries.count(entries[0]) == len(entries):
+            continue
+        # every canonical value is a str or a tuple of str
+        distinct = {None if e is None or e[1] in EMPTY_VALUES else e[1]
+                    for e in entries}
+        if len(distinct) > 1:
+            display = next(e[0] for e in entries if e is not None)
+            return index, display, {key: None if e is None else e[1]
+                                    for key, e in zip(keys, entries)}
+    return None
+
+
 def reference_compile_ssn(headword, lexicon, frames) -> SSN:
     """``compile_ssn`` as one recursive walk that builds a subtree for each
-    group wherever the questions lead to it, sharing none: the network as
+    group wherever the questions lead to it, sharing none, and flattens
+    every frame of the network for its first differences: the network as
     a tree of its own nodes, equal to the compiled one."""
     keys = lexicon._by_headword.get(headword)
     if not keys:
@@ -363,13 +470,14 @@ def reference_compile_ssn(headword, lexicon, frames) -> SSN:
             raise CompileError(f"no frame for {k.render()}")
     frames = {k: frames[k] for k in keys}
     stages = _stage_questions(keys, lexicon._by_key) if len(keys) > 1 else ()
-    return SSN(headword, tuple(keys),
-               _reference_build(keys, 0, stages, frames, []))
+    # a group is a list of senses numbered by their place in ``keys``
+    return SSN(headword, tuple(keys), _reference_build(
+        list(range(len(keys))), 0, stages, keys, frames, []))
 
 
-def _reference_build(group, stage_idx, stages, frames, flat):
+def _reference_build(group, stage_idx, stages, keys, frames, flat):
     if len(group) == 1:
-        return Terminal(group[0], frames[group[0]])
+        return Terminal(keys[group[0]], frames[keys[group[0]]])
     while stage_idx < len(stages):
         kind, payload, partition = stages[stage_idx]
         stage_idx += 1
@@ -377,19 +485,20 @@ def _reference_build(group, stage_idx, stages, frames, flat):
         if len(parts) < 2 or len({tuple(sub) for sub in parts.values()}) < 2:
             continue
         return Question(kind, payload, tuple(
-            (answer, _reference_build(sub, stage_idx, stages, frames, flat))
+            (answer, _reference_build(list(sub), stage_idx, stages, keys,
+                                      frames, flat))
             for answer, sub in sorted(parts.items())))
     if not flat:
-        flat += flat_group(frames)
-    return _reference_frame_diff_tree(group, 0, *flat, frames)
+        flat += flat_group(dict(enumerate(frames.values())))
+    return _reference_frame_diff_tree(group, 0, *flat, keys, frames)
 
 
-def _reference_frame_diff_tree(group, start, flats, positions, frames):
+def _reference_frame_diff_tree(group, start, flats, positions, keys, frames):
     if len(group) == 1:
-        return Terminal(group[0], frames[group[0]])
+        return Terminal(keys[group[0]], frames[keys[group[0]]])
     diff = first_diff(group, flats, positions, start)
     if diff is None:
-        return _collapse(group, frames)
+        return _collapse([keys[i] for i in group], frames)
     index, path, values = diff
     concrete: dict = {}
     empties = []
@@ -404,11 +513,11 @@ def _reference_frame_diff_tree(group, start, flats, positions, frames):
     for answer in sorted(concrete):
         sub = concrete[answer]
         branches.append((answer, _reference_frame_diff_tree(
-            sub, index, flats, positions, frames)))
+            sub, index, flats, positions, keys, frames)))
         alts.append((answer, values[sub[0]]))
     if empties:
         branches.append(("other", _reference_frame_diff_tree(
-            empties, index, flats, positions, frames)))
+            empties, index, flats, positions, keys, frames)))
         alts.append(("other", ""))
     return Question("FRAME-DIFF", (tuple(path), tuple(alts)), tuple(branches))
 

@@ -7,8 +7,11 @@ from support import (
     PHRASAL_LEXF,
     UNKNOWN_SUBSENSE_LEXF,
     accepted,
+    canonical_paths,
     chain_lexf,
     chain_word,
+    first_diff,
+    flat_group,
     lexf_texts,
 )
 from lexigraph.defgraph import apply_resolutions, build_graph
@@ -41,7 +44,6 @@ from lexigraph.lexicon import (
     parse_sense,
     senses_of,
 )
-from lexigraph.ssn import canonical_paths, first_diff, flat_group
 
 
 def change_key(label: str) -> SenseKey:

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import gc
 import importlib
+import os
 import pkgutil
 import random
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +20,16 @@ from support import (
     accepted,
     dot_strings,
     family_rules_text,
+    first_diff,
+    flat_group,
     lexf_texts,
     lexgen,
     node_objects,
     oracle_reaching,
     reference_compile_ssn,
     use_lexf_texts,
+    wide_lexf,
+    wide_lexf_texts,
 )
 from lexigraph import corpus
 from lexigraph.corpus import load_rules
@@ -43,8 +50,6 @@ from lexigraph.ssn import (
     Terminal,
     build_all_ssns,
     compile_ssn,
-    first_diff,
-    flat_group,
     to_dot,
     to_text,
     traverse,
@@ -501,6 +506,51 @@ def test_x16_networks_equal_the_unshared_reference(rules, seed):
         ref = reference_compile_ssn(headword, lx, frames)
         _same_network(compile_ssn(headword, lx, frames), ref,
                       [{}, _random_answers(ref, rng)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(lexf_texts(), wide_lexf_texts()))
+def test_networks_and_their_walks_equal_the_recursive_reference(rules, text):
+    # the compile walks the frames' slot trees together and builds from
+    # explicit stacks; the reference flattens every frame and recurses
+    lx = parse_lexf(accepted(text))
+    frames = build_frames(lx, rules)
+    for headword in lx.headwords():
+        net = _compiled(compile_ssn, headword, lx, frames)
+        ref = _compiled(reference_compile_ssn, headword, lx, frames)
+        if isinstance(ref, str):
+            assert net == ref
+            continue
+        _same_network(net, ref, [{}])
+        for key in ref.senses:
+            assert oracle_reaching(net, key) == oracle_reaching(ref, key)
+
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+@pytest.mark.parametrize("senses", [1200, 5000])
+def test_a_network_as_deep_as_its_senses_needs_no_recursion(tmp_path, senses):
+    """Each sense differs at a position of its own, so the network is a
+    chain of questions as deep as the sense count.  Every command that
+    compiles, exports or walks it exits 0 in a fresh interpreter, under
+    the default recursion limit."""
+    lexf = tmp_path / "wide.lexf"
+    lexf.write_text(wide_lexf(senses), encoding="utf-8")
+    story = tmp_path / "story.txt"
+    story.write_text("The milk zap.\nIt zap.\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for argv in (["ssn", "--word", "zap"],
+                 ["--format", "dot", "ssn", "--word", "zap"],
+                 ["parse", "--text", "The milk zap"],
+                 ["discourse", "--file", str(story)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "lexigraph.cli", "--lexicon", str(lexf),
+             *argv], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, ""), argv
 
 
 def test_analysis_is_freed_without_the_cycle_collector():
