@@ -3,14 +3,13 @@ error, 3 ambiguity remaining under parse --strict. Diagnostics go to the
 error stream, data to the output stream; text reports are stable-ordered."""
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import cached_property
-from typing import Optional
+from types import SimpleNamespace
 
 from . import corpus as corpus_mod
-from .lexicon import Lexicon, LexfError, merge_lexicons, parse_lexf
+from .lexicon import Lexicon, merge_lexicons, parse_lexf
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -41,8 +40,7 @@ class Analysis:
 
     @cached_property
     def rules(self):
-        override = os.environ.get("LEXIGRAPH_RULES")
-        if override:
+        if override := os.environ.get("LEXIGRAPH_RULES"):
             from .prep_rules import load_rule_table
             with open(override, encoding="utf-8") as fh:
                 return load_rule_table(fh.read())
@@ -67,53 +65,72 @@ class Analysis:
         return NetworkCache(self.lexicon, self.frames)
 
 
-FORMATS = ("dot", "tsv", "text")
+# the command table, the CLI's one grammar.  An option is its flag and the
+# keyword arguments of argparse's add_argument; _read_argv reads their
+# action ("append" or "store_true"), choices, default and required as
+# argparse does, and usage.build_argparser hands them to argparse.  The
+# output options are accepted before or after the command, the input
+# options before it only; a command is its help and its own options.
+OUTPUT_OPTIONS = {"--format": {"choices": ("dot", "tsv", "text"),
+                               "default": "text"},
+                  "--output": {"help": "output path (default stdout)"}}
+INPUT_OPTIONS = {
+    "--lexicon": {"action": "append", "default": [],
+                  "help": "LEXF file (repeatable); bundled corpus if omitted"},
+    "--resolutions": {"help": "extra LEXF file of R records"}}
+_MODE = {"--mode": {"choices": ("optimistic", "resolved"),
+                    "default": "optimistic"}}
+COMMANDS = {
+    "ingest": ("validate input and check manifest counts", {}),
+    "graph": ("export the definition graph", _MODE),
+    "scc": ("strongly connected components", _MODE),
+    "primitives": ("primitive candidates and undefined leaves", {}),
+    "autoresolve": ("propose resolution records", {}),
+    "reduce": ("non-primitive reduction report", {}),
+    "frames": ("dump a sense frame",
+               {"--word": {"required": True}, "--label": {}}),
+    "ssn": ("export a sense selection network", {"--word": {"required": True}}),
+    "parse": ("disambiguate one sentence", {
+        "--text": {"required": True},
+        "--strict": {"action": "store_true", "default": False,
+                     "help": "exit 3 when ambiguity remains"}}),
+    "discourse": ("parse sentences from a file", {
+        "--file": {"required": True, "help": "one sentence per line"}}),
+}
 
 
-def build_argparser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lexigraph",
-        description="dictionary-definition analysis over LEXF lexicons")
-    parser.add_argument("--lexicon", action="append", default=[],
-                        help="LEXF file (repeatable); bundled corpus if omitted")
-    parser.add_argument("--resolutions", help="extra LEXF file of R records")
-    parser.add_argument("--format", choices=FORMATS, default="text")
-    parser.add_argument("--output", help="output path (default stdout)")
-    # --format and --output are also accepted after the subcommand; there
-    # they default to SUPPRESS, so a value given before it is kept
-    output_flags = argparse.ArgumentParser(add_help=False)
-    output_flags.add_argument("--format", choices=FORMATS,
-                              default=argparse.SUPPRESS)
-    output_flags.add_argument("--output", default=argparse.SUPPRESS,
-                              help="output path (default stdout)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, **kwargs) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[output_flags], **kwargs)
-
-    command("ingest", help="validate input and check manifest counts")
-    graph_p = command("graph", help="export the definition graph")
-    graph_p.add_argument("--mode", choices=("optimistic", "resolved"),
-                         default="optimistic")
-    scc_p = command("scc", help="strongly connected components")
-    scc_p.add_argument("--mode", choices=("optimistic", "resolved"),
-                       default="optimistic")
-    command("primitives", help="primitive candidates and undefined leaves")
-    command("autoresolve", help="propose resolution records")
-    command("reduce", help="non-primitive reduction report")
-    frames_p = command("frames", help="dump a sense frame")
-    frames_p.add_argument("--word", required=True)
-    frames_p.add_argument("--label")
-    ssn_p = command("ssn", help="export a sense selection network")
-    ssn_p.add_argument("--word", required=True)
-    parse_p = command("parse", help="disambiguate one sentence")
-    parse_p.add_argument("--text", required=True)
-    parse_p.add_argument("--strict", action="store_true",
-                         help="exit 3 when ambiguity remains")
-    disc_p = command("discourse", help="parse sentences from a file")
-    disc_p.add_argument("--file", required=True,
-                        help="one sentence per line")
-    return parser
+def _read_argv(argv):
+    """The namespace argparse gives a well-formed ``argv``, read from the
+    command table: the options before the command, the command, then its
+    own options and the output options.  None for any token the table does
+    not name exactly (help, an abbreviation, ``--opt=value``, ``--``, a
+    value that begins with "-", a choice not listed, a second command) or
+    a required option left out; argparse then reads or reports it."""
+    options = {**INPUT_OPTIONS, **OUTPUT_OPTIONS, **COMMANDS}
+    command = None
+    given = {}
+    for token in (tokens := iter(argv)):
+        spec = options.get(token)
+        if spec is None:
+            return None
+        if token in COMMANDS:
+            command = token
+            options = {**OUTPUT_OPTIONS, **spec[1]}
+        elif spec.get("action") == "store_true":
+            given[token] = True
+        else:
+            value = next(tokens, "-")  # a missing value is declined as "-"
+            if (value.startswith("-")
+                    or value not in spec.get("choices", (value,))):
+                return None
+            given[token] = ([*given.get(token, ()), value]  # "append"
+                            if spec.get("action") else value)
+    if not command or any(flag not in given for flag in options
+                          if options[flag].get("required")):
+        return None
+    return SimpleNamespace(command=command, **{
+        flag[2:]: given.get(flag, spec.get("default"))
+        for flag, spec in {**INPUT_OPTIONS, **options}.items()})
 
 
 def _emit(args, text: str) -> None:
@@ -124,89 +141,78 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_argparser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
+def run(argv: list[str] | None = None) -> int:
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        from .usage import build_argparser
+        try:
+            args = build_argparser(INPUT_OPTIONS, OUTPUT_OPTIONS,
+                                   COMMANDS).parse_args(argv)
+        except SystemExit as exc:
+            return USAGE_ERROR if exc.code else 0
 
     try:
         return _dispatch(args, Analysis(_load_lexicon(args)))
-    except (LexfError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"lexigraph: {exc}", file=sys.stderr)
         return DATA_ERROR
 
 
 def _dispatch(args, a: Analysis) -> int:
-    if args.command == "ingest":
-        a.lexicon._resolved  # its R records must pass the graph's checks
+    command = args.command
+    lexicon = a.lexicon
+    if command == "ingest":
+        lexicon._resolved  # its R records must pass the graph's checks
         from .manifest import verify_fixture
-        report = verify_fixture(a.lexicon)
+        report = verify_fixture(lexicon)
         _emit(args, report.to_text())
         if not report.ok:
-            print("lexigraph: manifest mismatch", file=sys.stderr)
-            return DATA_ERROR
+            raise ValueError("manifest mismatch")
         return 0
 
-    if args.command in ("graph", "scc"):
+    if command in ("graph", "scc"):
         from .defgraph import (
             components_tsv,
             strongly_connected_components,
             to_dot,
         )
-        if args.command == "graph" and args.format != "tsv":
-            _emit(args, to_dot(a.graph))
-        else:
-            _emit(args, components_tsv(strongly_connected_components(
-                a.graph,
-                "resolved-only" if args.mode == "resolved" else "optimistic")))
-        return 0
-
-    if args.command == "primitives":
+        text = (to_dot(a.graph) if command == "graph" and args.format != "tsv"
+                else components_tsv(strongly_connected_components(
+                    a.graph, "resolved-only" if args.mode == "resolved"
+                    else "optimistic")))
+    elif command == "primitives":
         from .defgraph import primitive_candidates
-        _emit(args, primitive_candidates(a.graph).to_tsv())
-        return 0
-
-    if args.command == "autoresolve":
+        text = primitive_candidates(a.graph).to_tsv()
+    elif command == "autoresolve":
         from .autoresolve import autoresolve_all
-        proposals = autoresolve_all(a.lexicon, a.frames, a.rules)
-        _emit(args, "\n".join(p.render() for p in proposals) + "\n")
-        return 0
-
-    if args.command == "reduce":
+        text = "\n".join(p.render() for p in autoresolve_all(
+            lexicon, a.frames, a.rules)) + "\n"
+    elif command == "reduce":
         from .reduction import reduce_fixpoint
-        a.lexicon._resolved  # the R records are checked before the rule table
-        report = reduce_fixpoint(a.lexicon, None, a.frames, a.rules)
-        _emit(args, report.to_tsv() if args.format == "tsv"
-              else report.to_tsv() + "\n" + report.summary())
-        return 0
-
-    if args.command == "frames":
+        lexicon._resolved  # the R records are checked before the rule table
+        report = reduce_fixpoint(lexicon, None, a.frames, a.rules)
+        text = report.to_tsv() + ("" if args.format == "tsv"
+                                  else "\n" + report.summary())
+    elif command == "frames":
         from .frames import frame_to_text
         frames = a.frames
-        keys = [k for k in a.lexicon._by_headword.get(args.word, ())
+        keys = [k for k in lexicon._by_headword.get(args.word, ())
                 if args.label is None or k.label == args.label]
         if not keys:
             label = "" if args.label is None else f" with label {args.label!r}"
-            print(f"lexigraph: no frames for {args.word!r}{label}",
-                  file=sys.stderr)
-            return DATA_ERROR
-        _emit(args, "\n".join(frame_to_text(frames[k]) for k in keys))
-        return 0
-
-    if args.command == "ssn":
+            raise ValueError(f"no frames for {args.word!r}{label}")
+        text = "\n".join(frame_to_text(frames[k]) for k in keys)
+    elif command == "ssn":
         from .ssn import to_dot, to_text
         if args.word not in a.networks:
-            print(f"lexigraph: no senses for {args.word!r}", file=sys.stderr)
-            return DATA_ERROR
+            raise ValueError(f"no senses for {args.word!r}")
         net = a.networks[args.word]
-        _emit(args, to_dot(net) if args.format == "dot" else to_text(net))
-        return 0
-
-    # parse or discourse, the last commands the argument parser admits
-    from .parser import run_command
-    return AMBIGUITY_REMAINING if run_command(args, a, _emit) else 0
+        text = to_dot(net) if args.format == "dot" else to_text(net)
+    else:  # parse or discourse, the last commands the table admits
+        from .parser import run_command
+        return AMBIGUITY_REMAINING if run_command(args, a, _emit) else 0
+    _emit(args, text)
+    return 0
 
 
 def main() -> None:

@@ -32,9 +32,6 @@ class NonprimitiveEvidence(NamedTuple):
     rule: str
     detail: str
 
-    def render(self) -> str:
-        return f"{self.sense.render()}\t{self.rule}\t{self.detail}"
-
 
 class ReductionReport(NamedTuple):
     initial: int

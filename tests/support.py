@@ -3,9 +3,11 @@ lexicons (among them ones whose frames are derived by applying uses, with
 the rule rows for their predicate families) and for slot trees, a
 generated text without the R records the graph rejects, a reader for
 the quoted strings of a DOT export, an answer map that leads a network
-to one sense, and the network compile as one recursive walk that shares
+to one sense, the network compile as one recursive walk that shares
 no subtree and finds first differences by flattening each frame, a
-reference for ``compile_ssn``.
+reference for ``compile_ssn``, and the CLI's argparse parser as it was
+written out by hand before the command table, a reference for the argv
+reader and the parser built from the table.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -13,6 +15,7 @@ coordinate lines of one sense key may be split by lines of another.
 """
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import re
 import sys
@@ -533,3 +536,55 @@ def node_objects(node) -> dict:
             if isinstance(node, Question):
                 stack.extend(child for _, child in node.branches)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# the CLI's argparse parser, written out by hand
+
+FORMATS = ("dot", "tsv", "text")
+
+
+def reference_build_argparser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lexigraph",
+        description="dictionary-definition analysis over LEXF lexicons")
+    parser.add_argument("--lexicon", action="append", default=[],
+                        help="LEXF file (repeatable); bundled corpus if omitted")
+    parser.add_argument("--resolutions", help="extra LEXF file of R records")
+    parser.add_argument("--format", choices=FORMATS, default="text")
+    parser.add_argument("--output", help="output path (default stdout)")
+    # --format and --output are also accepted after the subcommand; there
+    # they default to SUPPRESS, so a value given before it is kept
+    output_flags = argparse.ArgumentParser(add_help=False)
+    output_flags.add_argument("--format", choices=FORMATS,
+                              default=argparse.SUPPRESS)
+    output_flags.add_argument("--output", default=argparse.SUPPRESS,
+                              help="output path (default stdout)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[output_flags], **kwargs)
+
+    command("ingest", help="validate input and check manifest counts")
+    graph_p = command("graph", help="export the definition graph")
+    graph_p.add_argument("--mode", choices=("optimistic", "resolved"),
+                         default="optimistic")
+    scc_p = command("scc", help="strongly connected components")
+    scc_p.add_argument("--mode", choices=("optimistic", "resolved"),
+                       default="optimistic")
+    command("primitives", help="primitive candidates and undefined leaves")
+    command("autoresolve", help="propose resolution records")
+    command("reduce", help="non-primitive reduction report")
+    frames_p = command("frames", help="dump a sense frame")
+    frames_p.add_argument("--word", required=True)
+    frames_p.add_argument("--label")
+    ssn_p = command("ssn", help="export a sense selection network")
+    ssn_p.add_argument("--word", required=True)
+    parse_p = command("parse", help="disambiguate one sentence")
+    parse_p.add_argument("--text", required=True)
+    parse_p.add_argument("--strict", action="store_true",
+                         help="exit 3 when ambiguity remains")
+    disc_p = command("discourse", help="parse sentences from a file")
+    disc_p.add_argument("--file", required=True,
+                        help="one sentence per line")
+    return parser

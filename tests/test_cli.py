@@ -310,6 +310,17 @@ def test_parse_with_explicit_unresolved_lexicon(tmp_path, capout):
     assert "change:vi:1:2a" in out
 
 
+def test_lexicons_that_repeat_an_entry_are_a_data_error(tmp_path, capout):
+    first, second = tmp_path / "first.lexf", tmp_path / "second.lexf"
+    first.write_text("E|give|vt|1\nS|1||to hand over|\n", encoding="utf-8")
+    second.write_text("E|quit|vi|1\nS|1||to stop|\n\n"
+                      "E|give|vt|1\nS|1||to present|\n", encoding="utf-8")
+    code, out, err = capout(["--lexicon", str(first), "--lexicon",
+                             str(second), "graph"])
+    assert (code, out) == (2, "")
+    assert err == "lexigraph: duplicate entry across files: give:vt:1\n"
+
+
 def test_discourse_file(tmp_path, capout):
     doc = tmp_path / "story.txt"
     doc.write_text("The milk changed.\nIt turned into curd.\n",

@@ -21,10 +21,13 @@ BASE = {"lexigraph", "cli", "corpus", "lexicon"}
 FRAMES = {"frames", "prep_rules"}
 
 # standard modules a command must not load: dataclasses costs about 10 ms
-# at start-up with the inspect, ast, dis and tokenize it imports, and
-# importlib.resources loads pathlib, zipfile and tempfile
+# at start-up with the inspect, ast, dis and tokenize it imports,
+# importlib.resources loads pathlib, zipfile and tempfile, and argparse
+# loads gettext, whose first message lookup loads locale (the CLI reads
+# argv from its command table and builds argparse's parser only for help
+# and usage errors)
 SLOW = ("dataclasses", "inspect", "importlib.resources", "pathlib",
-        "zipfile", "tempfile")
+        "zipfile", "tempfile", "argparse", "gettext", "locale")
 
 REPORT = f"""\
 import contextlib, io, sys
@@ -93,6 +96,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
+@pytest.mark.parametrize("argv,code", [(["--help"], "0"),
+                                       (["graph", "--mode", "both"], "1")],
+                         ids=_argv_id)
+def test_help_and_usage_errors_build_the_argparser(argv, code):
+    """Help and a usage error load ``usage``, the parser built from the
+    command table, and argparse with it."""
+    exit_code, modules = loaded_modules(REPORT, *argv)
+    assert exit_code == code
+    assert modules - set(SLOW) == BASE | {"usage"}
+    assert "argparse" in modules
+
+
 @pytest.mark.parametrize("command", ["parse", "discourse"])
 def test_the_running_cli_is_not_imported_again(tmp_path, command):
     """Run as ``python -m lexigraph.cli`` runs it, as perfbench's CLI_MAIN
@@ -138,9 +153,9 @@ def test_every_public_name_resolves():
 # fresh process on a 2-vCPU VM); discourse loads the modules parse does.
 # The count is the same on Python 3.10 to 3.13; a change may lower a
 # ceiling, not raise it.
-AST_CEILINGS = {"ingest": 8700, "graph": 10550, "scc": 10550,
-                "primitives": 10550, "frames": 12802, "ssn": 16769,
-                "reduce": 14673, "autoresolve": 14160, "parse": 21346}
+AST_CEILINGS = {"ingest": 8695, "graph": 10545, "scc": 10545,
+                "primitives": 10545, "frames": 12797, "ssn": 16764,
+                "reduce": 14641, "autoresolve": 14155, "parse": 21341}
 
 
 def _ast_nodes(module: str) -> int:
