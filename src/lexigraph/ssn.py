@@ -1,22 +1,23 @@
-"""Sense selection networks: an ordered question tree per headword.
+"""Sense selection networks: a question tree per headword.
 
-Branch order: part of speech, transitivity, specified objects, adjective
-complement, usage conditions, then frame-difference questions, each at the
-first canonical frame position where the senses left differ; a subgroup
-is told apart from where its parent split on. Usage-style questions carry
-necessary-condition semantics: absence prunes, presence does not confirm.
-Compiling, exporting and walking a network keep their own stacks, so no
-depth of a network is a depth of recursion.
+A network branches on part of speech and transitivity.  Each group of
+senses those leave is sieved by its necessary conditions (specified
+objects, adjective complement, usage conditions) in that order: absence
+prunes, presence does not confirm.  The senses that survive are then told
+apart by frame-difference questions, each at the first canonical frame
+position where the senses left differ; a subgroup is told apart from
+where its parent split on.  Compiling, exporting and walking a network
+keep their own stacks, so no depth of a network is a depth of recursion.
 
 Compiled networks are immutable and shareable; traversal keeps all state
 in the traversal record, which holds the senses reached and the questions
-left open, nothing else. An unknown answer retains every branch and
-records the question.
+left open, nothing else.  An unknown answer prunes nothing: it retains
+every branch and records the question.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .frames import Frame, Slot, render_condition, slot_order_key
@@ -64,7 +65,10 @@ class _QuestionFields(NamedTuple):
 class Question(_QuestionFields):
     """A network question.  Its ``qid`` is formatted once, and a FRAME-DIFF
     question holds, once computed, what the sense parser tests a sentence
-    against (``_probe``)."""
+    against (``_probe``).  A necessary condition (OBJ-IS, OBJ-SAT,
+    ADJ-COMPLEMENT, USAGE) leads to no node: its branches pair its pruning
+    answer with the senses requiring it, then its keeping answer with the
+    others, each a bit set over its ``Sieve``'s senses."""
 
     @cached_property
     def qid(self) -> str:
@@ -120,7 +124,31 @@ class Question(_QuestionFields):
         return "none", other, ()
 
 
-Node = Terminal | Nonterminal | Question
+class _SieveFields(NamedTuple):
+    senses: tuple[SenseKey, ...]                # in the network's order
+    conditions: tuple[Question, ...]            # in stage order
+    tree: "Node"                                # of all ``senses``
+
+
+class Sieve(_SieveFields):
+    """A group of senses that no POS or TRANSITIVITY question tells apart:
+    the necessary conditions that split it, and its first-difference tree.
+    ``_sieve`` gives it, outside its fields and so outside equality, the
+    network's frames (``_frames``) and the tree of each group of its senses
+    made so far, under the group's bit set, -1 for all (``_trees``): a
+    smaller group's is built the first time a traversal reaches it."""
+
+    def tree_of(self, alive: int) -> "Node":
+        """The first-difference tree of the senses the bit set ``alive``
+        names."""
+        if alive not in self._trees:
+            self._trees[alive] = _tree(
+                [k for i, k in enumerate(self.senses) if alive >> i & 1],
+                self._frames)
+        return self._trees[alive]
+
+
+Node = Terminal | Nonterminal | Question | Sieve
 
 
 class SSN(NamedTuple):
@@ -129,12 +157,17 @@ class SSN(NamedTuple):
     root: Node
 
     def questions(self) -> list[Question]:
-        """Every question of the network, depth first, parents first."""
+        """Every question of the network, depth first, parents first: a
+        sieve's conditions, then the questions of its whole group's tree
+        (those of a smaller group's tree are among them)."""
         out = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if isinstance(node, Question):
+            if isinstance(node, Sieve):
+                out += node.conditions
+                stack.append(node.tree)
+            elif isinstance(node, Question):
                 out.append(node)
                 stack.extend(child for _, child in reversed(node.branches))
         return out
@@ -142,18 +175,24 @@ class SSN(NamedTuple):
     def traverse(self, oracle: Oracle) -> TraverseResult:
         """Deterministic walk. A concrete answer follows its branch;
         anything else retains all branches (union) and records the
-        question.  The result holds the senses reached and the questions
-        left open, each once, in the order a depth-first walk first meets
-        it.  A method, so that the parser reaches it through the network
-        it is given, without importing this module."""
+        question.  A sieve asks its conditions in order, each where the
+        senses left include some that require it and some that do not:
+        the pruning answer drops those, the keeping answer none, and an
+        unknown one walks on with both, pruning first; then the walk goes
+        on in the tree of the senses left.  The result holds the senses
+        reached and the questions left open, each once, in the order a
+        depth-first walk first meets it.  A method, so that the parser
+        reaches it through the network it is given, without importing
+        this module."""
+        ask = oracle if callable(oracle) else (
+            lambda q: oracle.get(q.qid, "unknown"))
         senses, opened, noted = set(), [], set()
-        stack, node = [], self.root  # (answer, node) pairs, as branches are
+        # (answer, node) pairs, as branches are, and ((senses left, next
+        # condition), sieve) to walk on with after an unknown condition
+        stack, state, node = [], None, self.root
         while True:
-            while isinstance(node, Question):
-                answer = (oracle(node) if callable(oracle)
-                          else oracle.get(node.qid, "unknown"))
-                if not isinstance(answer, str):
-                    answer = "unknown"
+            if isinstance(node, Question):
+                answer = ask(node)
                 for branch, child in reversed(node.branches):  # as a dict
                     if branch == answer:                        # would
                         break
@@ -164,10 +203,27 @@ class SSN(NamedTuple):
                         opened.append(qid)
                     stack += node.branches[:0:-1]
                 node = child
-            senses.add(node.sense)
-            if not stack:
-                break
-            node = stack.pop()[1]
+            elif type(node) is Sieve:  # cheaper for each leaf that fails it
+                # the senses left, a bit set, -1 for all
+                alive, start = state if type(state) is tuple else (-1, 0)
+                for q in node.conditions[start:]:
+                    start += 1
+                    (prune, needing), (keep, others) = q.branches
+                    if alive & needing and alive & others and (
+                            answer := ask(q)) != keep:
+                        if answer != prune:  # on with both, keeping later
+                            qid = q.qid
+                            if qid not in noted:
+                                noted.add(qid)
+                                opened.append(qid)
+                            stack.append(((alive, start), node))
+                        alive &= others
+                state, node = None, node.tree_of(alive)
+            else:
+                senses.add(node.sense)
+                if not stack:
+                    break
+                state, node = stack.pop()
         # in the order of the network's senses, sorted when it was compiled;
         # with no question open, the walk followed one path to one node
         return TraverseResult(tuple(filter(senses.__contains__, self.senses)),
@@ -182,6 +238,7 @@ class TraverseResult(NamedTuple):
 
 
 Oracle = dict | Callable[[Question], str]
+traverse = SSN.traverse
 
 
 # ---------------------------------------------------------------------------
@@ -268,203 +325,127 @@ def _render_value(value: object) -> str:
 def compile_ssn(headword: str, lexicon: Lexicon,
                 frames: dict[SenseKey, Frame]) -> SSN:
     """Compile the network for one headword over all its homographs, its
-    sense keys in the lexicon's order (``Lexicon._by_headword``)."""
+    sense keys in the lexicon's order (``Lexicon._by_headword``): a POS
+    question where they have several parts of speech, TRANSITIVITY
+    questions, and a sieve for each group those leave."""
     keys = lexicon._by_headword.get(headword)
     if not keys:
         raise CompileError(f"no senses for {headword!r}")
     for k in keys:
         if k not in frames:
             raise CompileError(f"no frame for {k.render()}")
-    return SSN(headword, tuple(keys), Terminal(keys[0], frames[keys[0]])
-               if len(keys) == 1  # nothing to ask
-               else _build(keys, _stage_questions(keys, lexicon._by_key),
-                           {k: frames[k] for k in keys}))  # the network's own
+    if len(keys) == 1:  # nothing to ask
+        return SSN(headword, tuple(keys), Terminal(keys[0], frames[keys[0]]))
+    parts = {}
+    for k in keys:
+        parts.setdefault("v" if k.pos.is_verb else k.pos.value, []).append(k)
+    branches = tuple([(answer, _transitivity(group, lexicon, frames))
+                      for answer, group in sorted(parts.items())])
+    return SSN(headword, tuple(keys), branches[0][1] if len(branches) == 1
+               else Question("POS", (), branches))
 
 
-def _build(keys, stages, frames) -> Node:
-    """The tree that tells ``keys`` apart: the stage questions, then
-    frame differences, built from explicit stacks, so that no depth of
-    the tree is a depth of recursion.  A group is a tuple of senses
-    numbered by their place in ``keys``.
-
-    ``built`` holds each subtree made, so a group the questions lead to
-    again (a "present" answer keeps them all) shares it: a stage
-    question's under its stage index and group, one of frame differences
-    (or a terminal) under the group alone.  First the stage questions are
-    planned depth first: ``key_of`` maps a group and a stage index to the
-    key of its subtree, and ``questions`` holds the kind, payload and
-    (answer, subgroup) pairs of each stage question.  The groups that no
-    stage question splits are then told apart by frame differences, and
-    last the stage questions are made, the last stages' first, since a
-    question leads only to later ones."""
-    built = {(i,): Terminal(k, frames[k]) for i, k in enumerate(keys)}
-    key_of, questions, left = {}, {}, {}  # left: what no stage splits
-    everyone = tuple(range(len(keys)))
-    todo = [(everyone, 0)]
-    while todo:
-        task = group, stage_idx = todo.pop()
-        if task in key_of:
-            continue
-        key_of[task] = group
-        while stage_idx < len(stages):
-            kind, payload, partition = stages[stage_idx]
-            stage_idx += 1
-            parts = {a: tuple(sub) for a, sub in partition(group).items() if sub}
-            if len(parts) > 1 and len(set(parts.values())) > 1:
-                parts = sorted(parts.items())
-                key_of[task] = stage_idx, group
-                questions[stage_idx, group] = kind, payload, parts
-                todo += [(sub, stage_idx) for _, sub in reversed(parts)
-                         if len(sub) > 1]
-                break
-        else:
-            left[group] = None
-    if left:
-        _frame_diff_trees(keys, frames, left, built)
-    for key in sorted(questions, reverse=True):
-        kind, payload, parts = questions[key]
-        built[key] = Question(kind, payload, tuple(
-            (answer, built[key_of.get((sub, key[0]), sub)])
-            for answer, sub in parts))
-    return built[key_of[everyone, 0]]
+def _transitivity(keys, lexicon, frames) -> Node:
+    """A TRANSITIVITY question where it tells the senses ``keys`` apart,
+    with a sieve under each answer, else their sieve."""
+    vi = [k for k in keys if k.pos in (_VI, _VB)]
+    vt = [k for k in keys if k.pos in (_VT, _VB)]
+    if vi and vt and vi != vt:
+        return Question("TRANSITIVITY", (), (
+            ("vi", _sieve(vi, lexicon, frames)),
+            ("vt", _sieve(vt, lexicon, frames))))
+    return _sieve(keys, lexicon, frames)
 
 
-def _frame_diff_trees(keys, frames, left, built) -> None:
-    """Put into ``built`` the frame-difference subtree of each group in
-    ``left``, the groups that no stage question splits, in the order in
-    which they were first reached.  A group's questions are asked depth
-    first from a stack, and its nodes made in the reverse order, each
-    subtree before its parent.
+def _conditions(keys, senses_by_key) -> list[Question]:
+    """The necessary conditions of the senses ``keys``, in stage order:
+    specified objects (OBJ-IS for one word, else OBJ-SAT) by word, the
+    adjective complement of definitions ending with "to be", then the
+    usage conditions of particle notes by particles, each that some of
+    them require and some do not; its branches pair its pruning answer
+    with the senses requiring it, its keeping answer with the others, each
+    a bit set of their places in ``keys``."""
+    needing = {}  # (stage, payload, kind, pruning answer, keeping answer)
+    for i, k in enumerate(keys):
+        for rec in senses_by_key[k]:
+            word = (not rec.is_synonym_line
+                    and parse_sense(rec).specified_object)
+            for condition in (  # those the record names
+                    word and (0, (word,), "OBJ-IS" if len(word.split()) == 1
+                              else "OBJ-SAT", "no", "yes"),
+                    rec.raw_definition.rstrip(" .").endswith("to be")
+                    and (1, (), "ADJ-COMPLEMENT", "absent", "present"),
+                    rec.usage_particles and (2, tuple(sorted(
+                        rec.usage_particles)), "USAGE", "absent", "present")):
+                if condition:
+                    needing[condition] = needing.get(condition, 0) | 1 << i
+    everyone = (1 << len(keys)) - 1
+    return [Question(kind, payload, ((prune, bits), (keep, everyone ^ bits)))
+            for (_, payload, kind, prune, keep), bits
+            in sorted(needing.items()) if bits != everyone]
+
+
+def _sieve(keys, lexicon, frames) -> Node:
+    """The node of the senses ``keys``: their first-difference tree, under
+    a sieve of the conditions that split them where there are such."""
+    node = tree = _tree(keys, frames)
+    if conditions := tuple(_conditions(keys, lexicon._by_key)):
+        node = Sieve(tuple(keys), conditions, tree)
+        node._frames, node._trees = frames, {-1: tree}
+    return node
+
+
+def _tree(keys, frames) -> Node:
+    """The first-difference tree of the senses ``keys`` (``frames`` holds
+    theirs and their label parents'), from explicit stacks: its questions
+    are found depth first, and its nodes made in the reverse order.
 
     A task is (size, group, pending, trie node, field): the ``size`` senses
-    of ``group`` that ``where`` still maps to it, which agree up to that
-    field of that node (field -1 before the first).  A subgroup resumes
-    where its parent split, and a split maps anew only the senses with a
-    value there: the others keep the parent's group.  Groups below two
-    different groups left are one group only if each of their senses is
-    in both, so only such a group is kept in ``built`` (under its senses),
-    besides the groups left and the terminals."""
-    seen, twice = set(), set()
-    for group in left:
-        twice.update(seen.intersection(group))
-        seen.update(group)
-    root = [dict(enumerate(frames.values())), None, (), {}]
-    where = [None] * len(keys)
-    for entry in left:
-        for i in entry:
-            where[i] = entry
-        # each group's key and node, or its question's payload, in preorder
-        plan = []
-        todo = [(len(entry), entry, (), root, -1)]
-        while todo:
-            size, group, pending, tnode, field = todo.pop()
-            # its senses, named only for a key: a terminal's, one that may
-            # be met again, or a group's that the stage questions leave
-            members = (tuple([i for i in group if where[i] is group])
-                       if size == 1 or twice else group)
-            key = (members if not plan or size == 1
-                   or twice.issuperset(members) else None)
-            node = built.get(key)
-            if node is None:
-                diff = _difference(where, group, size, pending, tnode,
-                                   field + 1)
-                if diff is None:
-                    node = _collapse([keys[i] for i in group
-                                      if where[i] is group], frames)
-                else:  # each concrete answer's senses a group of their own
-                    pending, tnode, field, found = diff
-                    parts = {}
-                    for i, v in found:
-                        parts.setdefault(_render_value(v), []).append((i, v))
-                    subs, alts = [], []
-                    for answer, pairs in sorted(parts.items()):
-                        sub = tuple([i for i, _ in pairs])
-                        for i in sub:
-                            where[i] = sub
-                        subs.append((len(sub), sub))
-                        alts.append((answer, pairs[0][1]))
-                    if len(found) < size:
-                        subs.append((size - len(found), group))
-                        alts.append(("other", ""))
-                    node = (tnode[2] + (_FIELDS[not tnode[2]][field],),
-                            tuple(alts))
-                    todo += [(*sub, pending, tnode, field)
-                             for sub in reversed(subs)]
-            plan.append((key, node))
-        # made in reverse preorder, so a question finds its subtrees on
-        # ``made``, its first branch's on top
-        made = []
-        for key, node in reversed(plan):
-            if type(node) is tuple:  # a question's payload
-                node = Question("FRAME-DIFF", node, tuple(
-                    (answer, made.pop()) for answer, _ in node[1]))
-            if key:
-                built[key] = node
-            made.append(node)
-
-
-def _pos_parts(pos, group):
-    parts = {}
-    for i in group:
-        parts.setdefault("v" if pos[i].is_verb else pos[i].value, []).append(i)
-    return parts
-
-
-def _transitivity_parts(pos, group):
-    return {"vi": [i for i in group if pos[i] in (_VI, _VB)],
-            "vt": [i for i in group if pos[i] in (_VT, _VB)]}
-
-
-def _stage_questions(keys, senses_by_key):
-    """The syntactic/usage question specs, in pipeline order, each
-    partitioning a group of senses numbered by their place in ``keys``; no
-    POS or TRANSITIVITY question where every sense has one part of speech,
-    as neither could tell any of them apart."""
-    pos = [k.pos for k in keys]
-    stages = [("POS", (), partial(_pos_parts, pos)),
-              ("TRANSITIVITY", (), partial(_transitivity_parts, pos))
-              ] if len(set(pos)) > 1 else []
-
-    # specified objects: necessary conditions on the object word
-    spec_objects = {}
-    for i, k in enumerate(keys):
-        for rec in senses_by_key[k]:
-            if word := (not rec.is_synonym_line
-                        and parse_sense(rec).specified_object):
-                spec_objects.setdefault(word, []).append(i)
-
-    for word in sorted(spec_objects):
-        stages.append(("OBJ-IS" if len(word.split()) == 1 else "OBJ-SAT",
-                       (word,), partial(_necessary, ("yes", "no"),
-                                        set(spec_objects[word]))))
-
-    # adjective complement: definitions ending with "to be"
-    adj_keys = {i for i, k in enumerate(keys)
-                for rec in senses_by_key[k]
-                if rec.raw_definition.rstrip(" .").endswith("to be")}
-    if adj_keys:
-        stages.append(("ADJ-COMPLEMENT", (), partial(
-            _necessary, ("present", "absent"), adj_keys)))
-
-    # usage conditions from particle notes; absence prunes
-    particle_sets = {}
-    for i, k in enumerate(keys):
-        for rec in senses_by_key[k]:
-            if particles := rec.usage_particles:
-                particle_sets.setdefault(tuple(sorted(particles)), set()).add(i)
-
-    for particles in sorted(particle_sets):
-        stages.append(("USAGE", particles, partial(
-            _necessary, ("present", "absent"), particle_sets[particles])))
-
-    return stages
-
-
-def _necessary(answers: tuple[str, str], requiring, group):
-    """The partition by a necessary condition: the first answer keeps every
-    sense of ``group``, the second those not ``requiring`` it."""
-    return {answers[0]: group,
-            answers[1]: [k for k in group if k not in requiring]}
+    of ``group`` (a tuple of places in ``keys``) that ``where`` still maps
+    to it, which agree up to that field of that node (field -1 before the
+    first).  A subgroup resumes where its parent split, and a split maps
+    anew only the senses with a value there: the others keep the parent's
+    group."""
+    everyone = tuple(range(len(keys)))
+    where = [everyone] * len(keys)
+    root = [{i: frames[k] for i, k in enumerate(keys)}, None, (), {}]
+    plan = []  # each group's node, or its question's payload, in preorder
+    todo = [(len(keys), everyone, (), root, -1)]
+    while todo:
+        size, group, pending, tnode, field = todo.pop()
+        diff = size > 1 and _difference(where, group, size, pending, tnode,
+                                        field + 1)
+        if not diff:  # one sense, or senses no position tells apart
+            members = [keys[i] for i in group if where[i] is group]
+            node = (Terminal(members[0], frames[members[0]]) if size == 1
+                    else _collapse(members, frames))
+        else:  # each concrete answer's senses a group of their own
+            pending, tnode, field, found = diff
+            parts = {}
+            for i, v in found:
+                parts.setdefault(_render_value(v), []).append((i, v))
+            subs, alts = [], []
+            for answer, pairs in sorted(parts.items()):
+                sub = tuple([i for i, _ in pairs])
+                for i in sub:
+                    where[i] = sub
+                subs.append((len(sub), sub, pending, tnode, field))
+                alts.append((answer, pairs[0][1]))
+            if len(found) < size:
+                subs.append((size - len(found), group, pending, tnode, field))
+                alts.append(("other", ""))
+            node = tnode[2] + (_FIELDS[not tnode[2]][field],), tuple(alts)
+            todo += reversed(subs)
+        plan.append(node)
+    # made in reverse preorder, so a question finds its subtrees on
+    # ``made``, its first branch's on top
+    made = []
+    for node in reversed(plan):
+        if type(node) is tuple:  # a question's payload
+            node = Question("FRAME-DIFF", node, tuple(
+                (answer, made.pop()) for answer, _ in node[1]))
+        made.append(node)
+    return made.pop()
 
 
 def _collapse(group, frames) -> Node:
@@ -483,19 +464,31 @@ def _collapse(group, frames) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# traversal
-
-traverse = SSN.traverse
-
-
-# ---------------------------------------------------------------------------
 # exports
 
+def _chain(sieve):
+    """The sieve as its exports show it: its conditions in order, each a
+    question whose one branch, named by the senses its pruning answer
+    drops, leads to the next, the last one's to the whole group's tree."""
+    node = sieve.tree
+    for q in reversed(sieve.conditions):
+        (prune, needing), _ = q.branches
+        node = q._replace(branches=((f"{prune} prunes " + ", ".join([
+            k.render() for i, k in enumerate(sieve.senses)
+            if needing >> i & 1]), node),))
+    return node
+
+
 def to_text(ssn: SSN) -> str:
+    """The network as an indented tree.  A question's ``[other]`` branch,
+    and the one branch of a sieve's condition (``_chain``), are printed at
+    the question's own indent, so that a chain of them reads flat."""
     lines = [f"ssn for {ssn.headword} ({len(ssn.senses)} senses)"]
     stack = [(ssn.root, "  ", "")]
     while stack:
         node, pad, label = stack.pop()
+        if isinstance(node, Sieve):
+            node = _chain(node)
         if isinstance(node, Terminal):
             lines.append(f"{pad}{label}-> sense {node.sense.render()}")
         elif isinstance(node, Nonterminal):
@@ -504,14 +497,17 @@ def to_text(ssn: SSN) -> str:
                          f"({len(node.members)} members)")
         else:
             lines.append(f"{pad}{label}? {node.qid}")
-            stack.extend((child, pad + "  ", f"[{answer}] ")
+            stack.extend((child, pad if answer == "other"
+                          or len(node.branches) == 1 else pad + "  ",
+                          f"[{answer}] ")
                          for answer, child in reversed(node.branches))
     return "\n".join(lines) + "\n"
 
 
 def to_dot(ssn: SSN) -> str:
     """The network in DOT, its nodes numbered in preorder; the line of an
-    edge follows the lines of the subtree it leads to."""
+    edge follows the lines of the subtree it leads to.  A sieve is shown
+    as its ``_chain``."""
     lines = ["digraph ssn {"]
     stack = [(ssn.root, "", "")]
     count = 0
@@ -524,6 +520,8 @@ def to_dot(ssn: SSN) -> str:
         if parent:  # after the lines of this subtree
             stack.append((f"  {parent} -> n{count} "
                           f"[label={dot_quote(answer)}];", "", ""))
+        if isinstance(node, Sieve):
+            node = _chain(node)
         if isinstance(node, Question):
             shape, label = "diamond", node.qid
             stack += [(child, f"n{count}", a)

@@ -2,12 +2,15 @@
 lexicons (among them ones whose frames are derived by applying uses, with
 the rule rows for their predicate families) and for slot trees, a
 generated text without the R records the graph rejects, a reader for
-the quoted strings of a DOT export, an answer map that leads a network
-to one sense, the network compile as one recursive walk that shares
-no subtree and finds first differences by flattening each frame, a
-reference for ``compile_ssn``, and the CLI's argparse parser as it was
-written out by hand before the command table, a reference for the argv
-reader and the parser built from the table.
+the quoted strings of a DOT export, one-entry lexicons whose senses
+each differ at a slot, or require a condition, of their own, an answer
+map that leads a network to one sense, the network compile as one
+recursive walk that asks each necessary condition as a two-way question,
+shares no subtree and finds first differences by flattening each frame,
+a reference for what traversing a compiled network selects, and the
+CLI's argparse parser as it was written out by hand before the command
+table, a reference for the argv reader and the parser built from the
+table.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -36,14 +39,18 @@ from lexigraph.lexicon import ResolutionError, parse_lexf
 from lexigraph.prep_rules import RuleTable
 from lexigraph.ssn import (
     _TRANSITIVITY,
+    _VB,
+    _VI,
+    _VT,
     SSN,
     CompileError,
     Nonterminal,
     Question,
+    Sieve,
     Terminal,
     _collapse,
+    _conditions,
     _render_value,
-    _stage_questions,
     compile_ssn,
 )
 
@@ -346,6 +353,28 @@ def wide_lexf(senses: int) -> str:
             + "".join(f"F|{i}|SLOT X{i} VALUE v\n" for i in numbers))
 
 
+def particle_lexf(senses: int) -> str:
+    """One verb entry whose ``senses`` senses are each used with a particle
+    of their own, and a preposition entry per particle, so a sentence can
+    name one: one usage condition per sense."""
+    numbers = range(1, senses + 1)
+    return ("E|zap|vi|1\n"
+            + "".join(f"S|{i}||to become bar {i}|used with p{i}\n"
+                      for i in numbers)
+            + "".join(f"\nE|p{i}|prep|1\nS|1||a particle|\n"
+                      for i in numbers))
+
+
+def object_lexf(senses: int) -> str:
+    """One transitive verb entry whose ``senses`` senses each specify an
+    object of their own and differ at a slot of their own: one OBJ-IS
+    condition per sense."""
+    numbers = range(1, senses + 1)
+    return ("E|zap|vt|1\n"
+            + "".join(f"S|{i}||to hit (thing{i}) hard|\n" for i in numbers)
+            + "".join(f"F|{i}|SLOT X{i} VALUE v\n" for i in numbers))
+
+
 @st.composite
 def wide_lexf_texts(draw) -> str:
     """One verb entry of 2 to 60 senses, each differing from the others at
@@ -364,12 +393,26 @@ def wide_lexf_texts(draw) -> str:
 
 def oracle_reaching(ssn, target) -> dict | None:
     """An answer map under which traversal returns exactly the target: the
-    first one a depth-first search of the network finds, else None."""
+    first one a depth-first search of the network finds, else None.  At a
+    sieve it keeps the conditions the target requires and prunes the
+    others, and searches the tree of the senses left."""
     return _search(ssn.root, target, {})
 
 
 def _search(node, target, answers: dict) -> dict | None:
     """``oracle_reaching`` below ``node``, given the answers that lead there."""
+    if isinstance(node, Sieve):
+        if target not in node.senses:
+            return None
+        place, alive = node.senses.index(target), -1
+        for q in node.conditions:
+            (prune, needing), (keep, others) = q.branches
+            if needing >> place & 1:
+                answers = {**answers, q.qid: keep}
+            else:
+                answers = {**answers, q.qid: prune}
+                alive &= others
+        return _search(node.tree_of(alive), target, answers)
     if isinstance(node, Terminal):
         return answers if node.sense == target else None
     if isinstance(node, Nonterminal):
@@ -461,21 +504,52 @@ def first_diff(keys: list, flats: dict, positions: list, start: int = 0):
 
 
 def reference_compile_ssn(headword, lexicon, frames) -> SSN:
-    """``compile_ssn`` as one recursive walk that builds a subtree for each
-    group wherever the questions lead to it, sharing none, and flattens
-    every frame of the network for its first differences: the network as
-    a tree of its own nodes, equal to the compiled one."""
+    """The network as a tree with no sieve: one recursive walk that asks
+    each stage question (POS, TRANSITIVITY, then each necessary condition
+    as a two-way question whose keeping answer leads to the whole group)
+    where it splits the group, builds a subtree for each group wherever
+    the questions lead to it, sharing none, and flattens every frame of
+    the network for its first differences.  Traversing it selects what
+    traversing the compiled network does, under any answers."""
     keys = lexicon._by_headword.get(headword)
     if not keys:
         raise CompileError(f"no senses for {headword!r}")
     for k in keys:
         if k not in frames:
             raise CompileError(f"no frame for {k.render()}")
-    frames = {k: frames[k] for k in keys}
-    stages = _stage_questions(keys, lexicon._by_key) if len(keys) > 1 else ()
+    frames = {k: frames[k] for k in keys}  # the network's own
+    stages = _reference_stages(keys, lexicon) if len(keys) > 1 else ()
     # a group is a list of senses numbered by their place in ``keys``
     return SSN(headword, tuple(keys), _reference_build(
         list(range(len(keys))), 0, stages, keys, frames, []))
+
+
+def _reference_stages(keys, lexicon):
+    """The stage questions, in order, each (kind, payload, partition of a
+    group); no POS or TRANSITIVITY question where every sense has one part
+    of speech."""
+    pos = [k.pos for k in keys]
+
+    def by_pos(group):
+        parts = {}
+        for i in group:
+            parts.setdefault("v" if pos[i].is_verb else pos[i].value,
+                             []).append(i)
+        return parts
+
+    def by_transitivity(group):
+        return {"vi": [i for i in group if pos[i] in (_VI, _VB)],
+                "vt": [i for i in group if pos[i] in (_VT, _VB)]}
+
+    def necessary(q):  # the keeping answer keeps every sense
+        (prune, needing), (keep, _) = q.branches
+        return lambda group: {keep: group, prune: [
+            i for i in group if not needing >> i & 1]}
+
+    stages = ([("POS", (), by_pos), ("TRANSITIVITY", (), by_transitivity)]
+              if len(set(pos)) > 1 else [])
+    return stages + [(q.kind, q.payload, necessary(q))
+                     for q in _conditions(keys, lexicon._by_key)]
 
 
 def _reference_build(group, stage_idx, stages, keys, frames, flat):
@@ -526,15 +600,19 @@ def _reference_frame_diff_tree(group, start, flats, positions, keys, frames):
 
 
 def node_objects(node) -> dict:
-    """The distinct node objects under ``node``, by id."""
+    """The distinct node objects under ``node``, by id: a sieve, its
+    conditions and the nodes of its whole group's tree among them."""
     seen: dict = {}
     stack = [node]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            if isinstance(node, Question):
-                stack.extend(child for _, child in node.branches)
+            if isinstance(node, Sieve):
+                stack += [*node.conditions, node.tree]
+            elif isinstance(node, Question):  # a sieve's conditions lead
+                stack.extend(child for _, child in node.branches  # to bit
+                             if not isinstance(child, int))       # sets
     return seen
 
 

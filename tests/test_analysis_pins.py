@@ -63,28 +63,28 @@ PINNED = {
         "frames": "8a932c422e212aa0337e655ec94d13ed7386133a3d576ef1bbb604b36b143183",
         "uses": "89ff89010a716a0e3d4ccdd2d91ff2870f3744745480cb1445334d6c45c286df",
         "reduction": "f46fe9527063a203e931475056f3b37ca71d1fb2c59f0b6fbe0dac72e2ef158a",
-        "ssn": "29bd890d57b3e4e837e2c41a08c5f669dcc7ed25e7c99403cc7c45a7086fead9",
+        "ssn": "7af6255b581f22ad5665cd5dde32f0f97b20cb28e3085e0a4d7e3ee1964549af",
         "autoresolve": "8dbd4744a485731a2b932465f7d161002f62b710b7ca40abe442b22f1190e5ff",
     },
     "corpus+wordgov": {
         "frames": "5594600305b1e6787da098085d8368967bc868674bfa9e2a8ac6bf67f3a2ec96",
         "uses": "d1b7cf1bd76606d3151be67a8328c813a75f97da5940e2d239ffa3428896e2d0",
         "reduction": "7c146d5df642f16c0f02d0bcfe93452e0c55bdcb102edcba110e4909401092d7",
-        "ssn": "1baf8a4ef50c9e3abedd8eed9e5498c435c4d528d84519cc897d731f90f36400",
+        "ssn": "167ab284be726a05a636f99ef6fb6efa78a95cefbbb11bf06be8789cb8830b90",
         "autoresolve": "8dbd4744a485731a2b932465f7d161002f62b710b7ca40abe442b22f1190e5ff",
     },
     "x16-seed7": {
         "frames": "9af1e168ec864547575c2cddd467263c73d64397b745fd42d3cf4ecdbad301c9",
         "uses": "979b50fa510848e1a115bd70cb9c978849b2f8258593db3801fa725e3a39ce80",
         "reduction": "702f68fbbf75274aa47c5be9444075fef1d0a825702c93aebe6cdb0676d86b5c",
-        "ssn": "54a9923fa4c97d8c6fac8c75f3c4b2af06b1427185d53fc5192a7187e16517aa",
+        "ssn": "e8530348730af02ce72beeb4492dd32e6924b7d303142333772ebc54e361e384",
         "autoresolve": "5a103e64da4fe266885ee1d06a2f6fdb6ce205226687d25dd095978402badb7f",
     },
     "x16-seed11": {
         "frames": "8cb3c6685b92a5de3582f87af32cac105ed9e40d969fd2d9886dcce5a074ca5f",
         "uses": "3fd19e2d28a45ec6d3cd09ca5040f9d22c6d216bea77d7c4f49a09e7d0607192",
         "reduction": "6def60ce4d3d2962580a8a18f06bcb25905e1e99d2c7580b6bbbd4bebfffcb85",
-        "ssn": "da1c0971a9393bd108e5e7e4eee62b4527c72986f920d408affc3c1c21421cfd",
+        "ssn": "5ae9035616b7a5d7b6064dae2a239a085742afa2a27ab237c5ffc9f290f90cbe",
         "autoresolve": "8328bc8f418e6cbf1ca74e7635c5b3e0e5a08661737e69d3e39bdca9dd667a93",
     },
 }

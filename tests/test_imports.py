@@ -154,8 +154,8 @@ def test_every_public_name_resolves():
 # The count is the same on Python 3.10 to 3.13; a change may lower a
 # ceiling, not raise it.
 AST_CEILINGS = {"ingest": 8695, "graph": 10545, "scc": 10545,
-                "primitives": 10545, "frames": 12797, "ssn": 16764,
-                "reduce": 14641, "autoresolve": 14155, "parse": 21341}
+                "primitives": 10545, "frames": 12797, "ssn": 16760,
+                "reduce": 14641, "autoresolve": 14155, "parse": 21337}
 
 
 def _ast_nodes(module: str) -> int:

@@ -48,7 +48,7 @@ PINNED = {
         "graph-tsv": "630a4a5803c5595e9a71795440e5ce6c64ff5a02e968251672aaaf32aebf4823",
         "reduce-tsv": "21832ab407f10f8983100e298d48940578679f263647d0644463bf44c21c3bcf",
         "frames": "31a0f673996f7bce85e557569ecd5735a5608f336c5905ec0ebca3e29be47dff",
-        "ssn": "da072dd280d270539e29ac9e2403402b41fc053f625cd038ad4a81691929c7c4",
+        "ssn": "79458d8793d884712328cc1f93aacafb75074c12ae0fcb90862493147aac63ab",
         "autoresolve": "4ceac969d5decf3219ece9d5cb8a3b3d4b7a25280b90778da0529a1c6aa6370c",
         "discourse-tsv": "b9751b89312eed14e624c3a6be9c244a1b379a12eedd89b08abfbf61e6a1fe5f",
         "parse": "a1d805bc6b75ab4f07dbf18856d87ece336afc706e861d8ba1a07d80c9aadf6d"},
@@ -56,7 +56,7 @@ PINNED = {
          "graph-tsv": "09d266b7ae27b24e68258f5916089781ef44789e2370a13e9b243f7b4a28ad60",
          "reduce-tsv": "8303fe08e15f0cf873b42b12101043e919a244fc8ce46d0e06e59751956ba03d",
          "frames": "31a0f673996f7bce85e557569ecd5735a5608f336c5905ec0ebca3e29be47dff",
-         "ssn": "da072dd280d270539e29ac9e2403402b41fc053f625cd038ad4a81691929c7c4",
+         "ssn": "79458d8793d884712328cc1f93aacafb75074c12ae0fcb90862493147aac63ab",
          "autoresolve": "40885ec08abf4fe8c9fa46117b9504586eb470fe3a25685fa1771ea8d7ae7056",
          "discourse-tsv": "669a5ec98d73e7412220d32fde1ba76b5e4f5d3509d83ff146fd4d514cebf7a6",
          "parse": "c30cda3b36bd3aca9c09422f425ef6dffb80622360e56bd60d6996113be3c3d0"},

@@ -25,7 +25,9 @@ from support import (
     lexf_texts,
     lexgen,
     node_objects,
+    object_lexf,
     oracle_reaching,
+    particle_lexf,
     reference_compile_ssn,
     use_lexf_texts,
     wide_lexf,
@@ -47,6 +49,7 @@ from lexigraph.ssn import (
     Nonterminal,
     Question,
     SSN,
+    Sieve,
     Terminal,
     build_all_ssns,
     compile_ssn,
@@ -374,8 +377,12 @@ def test_frame_diff_questions_equal_a_fresh_group_first_diff(rules, text):
 
 
 # ---------------------------------------------------------------------------
-# shared subtrees: a network compiles each group once, and reads as the
-# tree of its own nodes that the unshared reference builds
+# what a network selects: traversing it walks to what traversing the tree
+# of the reference compile does, which asks each necessary condition as a
+# two-way question whose keeping answer leads to the whole group
+
+CONDITIONS = ("OBJ-IS", "OBJ-SAT", "ADJ-COMPLEMENT", "USAGE")
+
 
 def _compiled(compile, headword, lexicon, frames):
     """The network, or the message of the CompileError it raises."""
@@ -385,26 +392,88 @@ def _compiled(compile, headword, lexicon, frames):
         return str(exc)
 
 
-def _same_network(net, ref, answer_maps) -> None:
-    assert net == ref
-    assert to_text(net) == to_text(ref)
-    assert to_dot(net) == to_dot(ref)
-    assert net.questions() == ref.questions()
+def _answer_maps(ref, choose, count: int) -> list[dict]:
+    """The empty map, ``count`` maps that answer every necessary condition
+    with one of its two answers, and ``count`` that may leave any question
+    unknown, each answer picked by ``choose`` from the reference's
+    answers to the question."""
+    questions = sorted({q.qid: q for q in ref.questions()}.items())
+    return [{}] + [
+        {qid: choose([answer for answer, _ in q.branches]
+                     + ["unknown"] * (free or q.kind not in CONDITIONS))
+         for qid, q in questions}
+        for free in (False, True) for _ in range(count)]
+
+
+def _walk(net, answers: dict):
+    """The traversal under ``answers`` and the questions it asked."""
+    asked = set()
+
+    def oracle(q):
+        asked.add(q.qid)
+        return answers.get(q.qid, "unknown")
+
+    return traverse(net, oracle), asked
+
+
+def _selects_as_the_reference(net, ref, answer_maps) -> None:
+    """Under every map the network walks to the senses, terminal and open
+    questions the reference walks to.  A condition left unknown prunes
+    nothing: the senses include those under its keeping answer, and it is
+    open wherever that walk asks it.  ``oracle_reaching`` finds a map that
+    leads to exactly each sense the reference leads to alone."""
+    conditions = {q.qid: [answer for answer, _ in q.branches]
+                  for q in ref.questions() if q.kind in CONDITIONS}
     for answers in answer_maps:
-        assert traverse(net, answers) == traverse(ref, answers)
+        walked = traverse(net, answers)
+        assert walked == traverse(ref, answers), answers
+        for qid, (_, keep) in conditions.items():
+            if answers.get(qid) not in conditions[qid]:
+                kept, asked = _walk(net, {**answers, qid: keep})
+                assert set(kept.senses) <= set(walked.senses)
+                assert (qid in walked.open_questions) == (qid in asked)
+    for key in ref.senses:
+        reaching = oracle_reaching(net, key)
+        assert (reaching is None) == (oracle_reaching(ref, key) is None), key
+        if reaching is not None:
+            assert traverse(net, reaching) == ((key,), True, ())
 
 
-def test_change_network_shares_its_subtrees(lexicon, frames, change_ssn):
+def _check_headwords(lexicon, frames, choose, count: int) -> None:
+    """Each headword's network raises the reference's CompileError, or
+    selects as the reference does under ``_answer_maps``."""
+    for headword in lexicon.headwords():
+        net = _compiled(compile_ssn, headword, lexicon, frames)
+        ref = _compiled(reference_compile_ssn, headword, lexicon, frames)
+        if isinstance(ref, str) or isinstance(net, str):
+            assert net == ref
+            continue
+        _selects_as_the_reference(net, ref, _answer_maps(ref, choose, count))
+
+
+def test_change_network_counts(lexicon, frames, change_ssn):
+    # a sieve of the three usage conditions over the tree of all 19
+    # senses; the reference reads as 193 nodes and 53 questions
     ref = reference_compile_ssn("change", lexicon, frames)
-    questions = change_ssn.questions()
-    assert len(questions) == len(ref.questions()) == 53
-    assert len({id(q) for q in questions}) == 22
-    assert len(node_objects(change_ssn.root)) == 41
-    assert len(node_objects(ref.root)) == 193
-    # the subtrees are kept for one call: a second compile shares none
-    again = compile_ssn("change", lexicon, frames)
-    assert again == change_ssn
-    assert not node_objects(again.root).keys() & node_objects(change_ssn.root).keys()
+    assert len(ref.questions()) == 53 and len(node_objects(ref.root)) == 193
+    assert isinstance(change_ssn.root, Sieve)
+    assert [q.qid for q in change_ssn.root.conditions] == [
+        "USAGE used with for", "USAGE used with into", "USAGE used with to"]
+    assert len(change_ssn.questions()) == 9
+    assert len(node_objects(change_ssn.root)) == 29
+    assert len(node_objects(change_ssn.root.tree)) == 25
+    # a smaller group's tree is built where a traversal first reaches it,
+    # kept, and takes no part in equality
+    fresh = compile_ssn("change", lexicon, frames)
+    assert list(fresh.root._trees) == [-1]
+    pruned = {qid: "absent" for qid in ("USAGE used with for",
+                                        "USAGE used with into",
+                                        "USAGE used with to")}
+    first = traverse(fresh, pruned)
+    assert len(fresh.root._trees) == 2 and fresh == change_ssn
+    tree = fresh.root.tree_of(list(fresh.root._trees)[1])
+    assert traverse(fresh, pruned) == first
+    assert fresh.root.tree_of(list(fresh.root._trees)[1]) is tree
 
 
 USE_RULES = load_rule_table(family_rules_text())
@@ -415,8 +484,8 @@ PARTICLE_NOTES = ("", "used with about", "used with into", "used with over",
 @st.composite
 def usage_lexf_texts(draw) -> str:
     """One headword as vi, vt and vb entries whose senses name particles:
-    the transitivity answers share the vb senses, and the usage questions
-    lead to a group of them at several stages."""
+    the transitivity answers share the vb senses, and the usage conditions
+    leave a group of them at several stages."""
     lines = []
     for pos, senses in (("vi", 1), ("vt", 1), ("vb", 2)):
         lines.append(f"E|w|{pos}|1")
@@ -438,34 +507,25 @@ def test_a_group_met_at_two_stages_is_asked_from_each(rules):
                     "E|w|vt|1\nS|1||to hit something|used with over\n")
     frames = build_frames(lx, rules)
     net = compile_ssn("w", lx, frames)
-    _same_network(net, reference_compile_ssn("w", lx, frames), [{}])
+    ref = reference_compile_ssn("w", lx, frames)
+    _selects_as_the_reference(net, ref, _answer_maps(
+        ref, random.Random(5).choice, 20))
     qids = [q.qid for q in net.questions()]
     assert "USAGE used with into" in qids and "USAGE used with up" in qids
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(lexf_texts(), use_lexf_texts(), usage_lexf_texts()), st.data())
-def test_shared_network_equals_the_unshared_reference(text, data):
+def test_traversals_equal_the_reference(text, data):
     lx = parse_lexf(accepted(text))
-    frames = build_frames(lx, USE_RULES)
-    for headword in lx.headwords():
-        net = _compiled(compile_ssn, headword, lx, frames)
-        ref = _compiled(reference_compile_ssn, headword, lx, frames)
-        if isinstance(ref, str):
-            assert net == ref
-            continue
-        answer_maps = [
-            {q.qid: data.draw(st.sampled_from(
-                [answer for answer, _ in q.branches] + ["unknown"]))
-             for q in ref.questions()}
-            for _ in range(2)]
-        _same_network(net, ref, [{}] + answer_maps)
+    _check_headwords(lx, build_frames(lx, USE_RULES),
+                     lambda options: data.draw(st.sampled_from(options)), 2)
 
 
 def test_compile_errors_equal_the_reference(rules):
-    # two senses with the same frame under a usage question: the group is
-    # reached under both of its answers and fails where it is first told
-    # apart
+    # two senses with the same frame under a usage condition: the whole
+    # group's tree, built at compile time, fails where the reference's
+    # first group of them does
     lx = parse_lexf(
         "E|w|vi|1\n"
         "S|2a||grow larger|used with into\n"
@@ -483,50 +543,57 @@ def test_compile_errors_equal_the_reference(rules):
 
 
 @pytest.mark.parametrize("word_government", [False, True])
-def test_bundled_networks_equal_the_unshared_reference(rules, word_government):
+def test_bundled_traversals_equal_the_reference(rules, word_government):
     lx = corpus.load_corpus(include_word_government=word_government)
-    frames = build_frames(lx, rules)
-    rng = random.Random(23)
-    for headword in lx.headwords():
-        net = compile_ssn(headword, lx, frames)
-        ref = reference_compile_ssn(headword, lx, frames)
-        reaching = [oracle_reaching(ref, key) for key in ref.senses]
-        drawn = [_random_answers(ref, rng) for _ in range(20)]
-        _same_network(net, ref,
-                      [{}] + [m for m in reaching if m is not None] + drawn)
+    _check_headwords(lx, build_frames(lx, rules), random.Random(23).choice,
+                     10)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_x16_networks_equal_the_unshared_reference(rules, seed):
+def test_x16_traversals_equal_the_reference(rules, seed):
     texts = lexgen().generate(16, seed).texts()
     lx = merge_lexicons(*(parse_lexf(text) for text in texts))
-    frames = build_frames(lx, rules)
-    rng = random.Random(seed)
-    for headword in lx.headwords():
-        ref = reference_compile_ssn(headword, lx, frames)
-        _same_network(compile_ssn(headword, lx, frames), ref,
-                      [{}, _random_answers(ref, rng)])
+    _check_headwords(lx, build_frames(lx, rules), random.Random(seed).choice,
+                     1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(lexf_texts(), wide_lexf_texts()))
-def test_networks_and_their_walks_equal_the_recursive_reference(rules, text):
+@given(st.one_of(lexf_texts(), wide_lexf_texts()), st.data())
+def test_wide_traversals_equal_the_reference(rules, text, data):
     # the compile walks the frames' slot trees together and builds from
     # explicit stacks; the reference flattens every frame and recurses
     lx = parse_lexf(accepted(text))
-    frames = build_frames(lx, rules)
-    for headword in lx.headwords():
-        net = _compiled(compile_ssn, headword, lx, frames)
-        ref = _compiled(reference_compile_ssn, headword, lx, frames)
-        if isinstance(ref, str):
-            assert net == ref
-            continue
-        _same_network(net, ref, [{}])
-        for key in ref.senses:
-            assert oracle_reaching(net, key) == oracle_reaching(ref, key)
+    _check_headwords(lx, build_frames(lx, rules),
+                     lambda options: data.draw(st.sampled_from(options)), 1)
 
 
 SRC = Path(__file__).parents[1] / "src"
+
+
+def _network_commands(tmp_path, text: str, sentence: str, timeout: int):
+    """Run ``ssn``, ``--format dot ssn``, ``parse`` of ``sentence`` and a
+    two-line ``discourse`` on the network of "zap" in ``text``, each in a
+    fresh interpreter under the default recursion limit: each exits 0
+    within ``timeout`` seconds, and the ``ssn`` text is returned."""
+    lexf = tmp_path / "zap.lexf"
+    lexf.write_text(text, encoding="utf-8")
+    story = tmp_path / "story.txt"
+    story.write_text(f"{sentence}.\nIt zap.\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outputs = []
+    for argv in (["ssn", "--word", "zap"],
+                 ["--format", "dot", "ssn", "--word", "zap"],
+                 ["parse", "--text", sentence],
+                 ["discourse", "--file", str(story)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "lexigraph.cli", "--lexicon", str(lexf),
+             *argv], env=env, capture_output=True, text=True,
+            timeout=timeout)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        outputs.append(done.stdout)
+    return outputs[0]
 
 
 @pytest.mark.parametrize("senses", [1200, 5000])
@@ -535,22 +602,38 @@ def test_a_network_as_deep_as_its_senses_needs_no_recursion(tmp_path, senses):
     chain of questions as deep as the sense count.  Every command that
     compiles, exports or walks it exits 0 in a fresh interpreter, under
     the default recursion limit."""
-    lexf = tmp_path / "wide.lexf"
-    lexf.write_text(wide_lexf(senses), encoding="utf-8")
-    story = tmp_path / "story.txt"
-    story.write_text("The milk zap.\nIt zap.\n", encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    for argv in (["ssn", "--word", "zap"],
-                 ["--format", "dot", "ssn", "--word", "zap"],
-                 ["parse", "--text", "The milk zap"],
-                 ["discourse", "--file", str(story)]):
-        done = subprocess.run(
-            [sys.executable, "-m", "lexigraph.cli", "--lexicon", str(lexf),
-             *argv], env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE, text=True, timeout=300)
-        assert (done.returncode, done.stderr) == (0, ""), argv
+    _network_commands(tmp_path, wide_lexf(senses), "The milk zap", 300)
+
+
+def test_network_text_is_linear_in_its_senses(rules):
+    # the chain's "other" answers print at one indent, so its text grows
+    # as its senses do; it grew with their square (2.96 MB at 1,200 senses)
+    per_sense = []
+    for senses in (1200, 5000):
+        lx = parse_lexf(wide_lexf(senses))
+        text = to_text(compile_ssn("zap", lx, build_frames(lx, rules)))
+        per_sense.append(len(text.encode()) / senses)
+    assert per_sense[1] <= 1.5 * per_sense[0]
+
+
+@pytest.mark.parametrize("senses", [14, 20, 64])
+@pytest.mark.parametrize("lexf,sentence", [
+    (particle_lexf, "The milk zap p3 the cup"),
+    (object_lexf, "The milk zap the thing3")], ids=["usage", "object"])
+def test_independent_conditions_do_not_multiply_a_network(tmp_path, senses,
+                                                          lexf, sentence):
+    """One sense per usage condition (or specified object), each its own:
+    the network is a sieve of one condition per sense over one tree, so
+    its text grows as its senses do, and every command exits 0 within 20
+    seconds (well under a second each where it was measured).  Each
+    condition doubled the tree: 32,751 questions and 849 ms of compiling
+    at 14 senses."""
+    text = _network_commands(tmp_path, lexf(senses), sentence, 20)
+    assert len(text.encode()) < 200 * senses
+    lx = parse_lexf(lexf(senses))
+    net = compile_ssn("zap", lx, build_frames(lx, load_rules()))
+    assert len(net.root.conditions) == senses
+    assert len(net.questions()) < 2 * senses
 
 
 def test_analysis_is_freed_without_the_cycle_collector():
