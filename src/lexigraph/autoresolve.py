@@ -8,7 +8,8 @@ networks, so the ``autoresolve`` command compiles neither.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .frames import Frame, _match_facts, essential_change, walk_slots
 from .lexicon import (
@@ -25,15 +26,15 @@ from .lexicon import (
 from .prep_rules import RuleTable
 
 
-class AutoResolution(NamedTuple):
-    using: SenseKey
-    genus_word: str
-    unique: Optional[SenseKey]
-    candidates: tuple[SenseKey, ...]
-    rationale: str
+class AutoResolution(namedtuple(
+        "AutoResolution", "using genus_word unique candidates rationale")):
+    """The proposal for one use of a genus word: the using SenseKey, the
+    one target (``unique``) or None, the candidate keys left and why."""
+
+    __slots__ = ()
 
     @property
-    def record(self) -> Optional[ResolutionRecord]:
+    def record(self) -> ResolutionRecord | None:
         if self.unique is None:
             return None
         return ResolutionRecord(self.using, self.genus_word, self.unique)

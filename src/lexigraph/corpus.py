@@ -4,10 +4,11 @@ counts is read and checked in ``manifest``, which only ``ingest`` loads."""
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
 
 from .lexicon import Lexicon, merge_lexicons, parse_lexf
 
+# true for type checkers only: ``typing.TYPE_CHECKING`` would import typing
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .prep_rules import RuleTable
 

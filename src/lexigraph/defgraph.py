@@ -12,9 +12,10 @@ Graphs are immutable values; resolve() returns a new graph.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, NamedTuple
 
 from .lexicon import (
     Lexicon,
@@ -36,12 +37,12 @@ from .lexicon import (
 MODES = ("optimistic", "resolved-only")
 
 
-class External(NamedTuple):
+class External(namedtuple("External", "headword")):
     """A genus word with no compatible sense in the lexicon.  Every other
     node is a SenseKey; ``pos is None`` tells the two apart.  External
     nodes have no arcs of their own."""
 
-    headword: str
+    __slots__ = ()
     pos = None
 
     def render(self) -> str:
@@ -58,20 +59,13 @@ def _sort_key(node: Node) -> tuple:
     return node.sort_key()
 
 
-class _ArcFields(NamedTuple):
-    source: SenseKey
-    genus_word: str
-    targets: frozenset[Node]
-    resolved: bool = False
-    negated: bool = False
-    synonym: bool = False
-    line: int = 0
-
-
-class Arc(_LineBlind, _ArcFields):
-    """One genus head of one definition line. Unresolved arcs bundle every
-    POS-compatible sense of the genus word; resolution narrows the bundle
-    to a single target."""
+class Arc(_LineBlind, namedtuple(
+        "Arc", "source genus_word targets resolved negated synonym line",
+        defaults=(False, False, False, 0))):
+    """One genus head of one definition line: from its source SenseKey via
+    its genus word to a frozenset of target nodes.  Unresolved arcs bundle
+    every POS-compatible sense of the genus word; resolution narrows the
+    bundle to a single target."""
 
     __slots__ = ()
 
@@ -84,16 +78,11 @@ class Arc(_LineBlind, _ArcFields):
         return next(iter(self.targets))
 
 
-class _DefinitionGraphFields(NamedTuple):
-    nodes: frozenset[Node]
-    arcs: tuple[Arc, ...]
-
-
-class DefinitionGraph(_DefinitionGraphFields):
-    """Nodes and arcs.  A graph is an immutable value: the adjacency,
-    components and condensation of each mode are computed on first use and
-    kept on the instance (not as fields, so ``==`` ignores them).  Callers
-    get copies of the mutable ones."""
+class DefinitionGraph(namedtuple("DefinitionGraph", "nodes arcs")):
+    """Nodes (a frozenset) and arcs (a tuple).  A graph is an immutable
+    value: the adjacency, components and condensation of each mode are
+    computed on first use and kept on the instance (not as fields, so
+    ``==`` ignores them).  Callers get copies of the mutable ones."""
 
     @cached_property
     def _by_mode(self) -> dict[tuple[str, str], object]:
@@ -258,9 +247,11 @@ def _tarjan(graph: DefinitionGraph, mode: str) -> list[list[Node]]:
     return sorted(components, key=lambda c: sort_key(c[0]))
 
 
-class Condensation(NamedTuple):
-    components: tuple[tuple[Node, ...], ...]
-    arcs: tuple[tuple[int, int], ...]          # indexes into components
+class Condensation(namedtuple("Condensation", "components arcs")):
+    """The strong components, each a tuple of nodes, and the arcs between
+    them as pairs of indexes into ``components``."""
+
+    __slots__ = ()
 
     def is_acyclic(self) -> bool:
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.components))}
@@ -313,9 +304,12 @@ def _condense(graph: DefinitionGraph, mode: str) -> Condensation:
     return Condensation(tuple(tuple(c) for c in comps), tuple(sorted(lifted)))
 
 
-class PrimitiveReport(NamedTuple):
-    candidates: tuple[tuple[SenseKey, ...], ...]
-    undefined_leaves: tuple[External, ...]
+class PrimitiveReport(namedtuple("PrimitiveReport",
+                                  "candidates undefined_leaves")):
+    """The candidate components, each a tuple of SenseKeys, and the
+    External leaves."""
+
+    __slots__ = ()
 
     def to_tsv(self) -> str:
         """A line per candidate component, then per undefined leaf."""

@@ -10,19 +10,19 @@ Frames are persistent values: every derivation operation is pure and
 path-copies, rebuilding only the slots on the path it changes and sharing
 every other slot with the frame it started from (Driscoll, Sarnak, Sleator
 and Tarjan 1989, "Making data structures persistent").  Slots, frames
-and deltas are NamedTuples, cheap to build.  Library code keeps no
+and deltas are named tuples, cheap to build.  Library code keeps no
 self-recursive closure, so reference counting alone frees whatever an
 analysis discards.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .lexicon import (
     Lexicon,
     ParsedDefinition,
-    PartOfSpeech,
     Sense,
     SenseKey,
     _label_ancestors,
@@ -58,12 +58,11 @@ class SpecializationError(ValueError):
     pass
 
 
-class Descriptor(NamedTuple):
+class Descriptor(namedtuple("Descriptor", "var features", defaults=((),))):
     """Oblique reference to an unknown concept: a variable that satisfies
     the listed features."""
 
-    var: str
-    features: tuple[str, ...] = ()
+    __slots__ = ()
 
     def render(self) -> str:
         if self.features:
@@ -74,13 +73,13 @@ class Descriptor(NamedTuple):
 Filler = str | Descriptor
 
 
-class Slot(NamedTuple):
-    name: str
-    case: tuple[str, ...] = ()            # disjunction, e.g. (PAT, AGT)
-    bind: Optional[str] = None             # alias to another slot role
-    filler: Optional[Filler] = None
-    restrictions: tuple[str, ...] = ()
-    children: tuple["Slot", ...] = ()
+class Slot(namedtuple("Slot", "name case bind filler restrictions children",
+                      defaults=((), None, None, (), ()))):
+    """A frame slot: its name, its case labels (a disjunction, e.g. PAT,
+    AGT), the slot role it is bound to or None, its ``Filler`` or None,
+    its restriction phrases and its child slots."""
+
+    __slots__ = ()
 
     def render_filler(self) -> str:
         if self.filler is None:
@@ -101,18 +100,11 @@ def render_condition(cond: Condition) -> str:
     return " ".join(str(c) for c in cond)
 
 
-class _FrameFields(NamedTuple):
-    predicate: str
-    pos: PartOfSpeech
-    conditions: tuple[Condition, ...] = ()
-    slots: tuple[Slot, ...] = ()
-    provisional: bool = False
-    sense: Optional[SenseKey] = None
-    provenance: tuple[str, ...] = ()
-
-
-class Frame(_FrameFields):
-    """A sense's case frame: predicate, conditions and slots.  It holds
+class Frame(namedtuple("Frame", "predicate pos conditions slots provisional "
+                       "sense provenance",
+                       defaults=((), (), False, None, ()))):
+    """A sense's case frame: predicate, conditions and slots, whether it
+    is provisional, its SenseKey or None, and its provenance.  It holds
     whether it is canonical, computed on first use, and the memos the
     parser keeps in its ``__dict__``; a frame from ``_replace`` starts
     without them."""
@@ -126,22 +118,18 @@ class Frame(_FrameFields):
                 and _sorted_slots(self.slots) == self.slots)
 
 
-class UseDelta(NamedTuple):
-    """One effect of a use on the genus frame: fill a slot, restrict one,
-    or add one."""
+class UseDelta(namedtuple("UseDelta", "kind path value")):
+    """One effect of a use on the genus frame (``kind`` FILL, RESTRICT or
+    ADD-SLOT): fill a slot, restrict one, or add one, at a slot path."""
 
-    kind: str                  # FILL | RESTRICT | ADD-SLOT
-    path: tuple[str, ...]
-    value: str
+    __slots__ = ()
 
     def render(self) -> str:
         return f"{self.kind} {'.'.join(self.path)} = {self.value}"
 
 
-class ApplyOutcome(NamedTuple):
-    frame: Frame
-    deltas: tuple[UseDelta, ...]
-    residue: tuple[str, ...]    # differentiae that mapped to nothing
+# ``residue``: the differentiae that mapped to nothing
+ApplyOutcome = namedtuple("ApplyOutcome", "frame deltas residue")
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +147,7 @@ class ApplyOutcome(NamedTuple):
 # siblings, its parent's entry or None, 1).  The entry of a slot not there
 # is (a new empty slot, the index it is to take, its parent's entry, 0).
 
-def find_slot(slots: tuple[Slot, ...], name: str) -> Optional[tuple]:
+def find_slot(slots: tuple[Slot, ...], name: str) -> tuple | None:
     """The entry of the first slot with this name, breadth first in slot
     order; else of the first one bound to this role; else None.  Only the
     entries of the slot found and of the slots whose children are visited
@@ -177,7 +165,7 @@ def find_slot(slots: tuple[Slot, ...], name: str) -> Optional[tuple]:
     return bound
 
 
-def _entry_path(entry: Optional[tuple]) -> tuple[str, ...]:
+def _entry_path(entry: tuple | None) -> tuple[str, ...]:
     return () if entry is None else _entry_path(entry[2]) + (entry[0].name,)
 
 
@@ -506,7 +494,7 @@ class _FrameDerivation:
         if frame is not None:
             return frame
         # walk to the first dependency with a frame, then derive back
-        chain: list[tuple[SenseKey, Optional[tuple[Sense, str]]]] = []
+        chain: list[tuple[SenseKey, tuple[Sense, str] | None]] = []
         open_keys: set[SenseKey] = set()
         while True:
             open_keys.add(key)
@@ -528,7 +516,7 @@ class _FrameDerivation:
         return frame
 
     def _dependency(self, key: SenseKey
-                    ) -> Optional[tuple[SenseKey, Optional[tuple[Sense, str]]]]:
+                    ) -> tuple[SenseKey, tuple[Sense, str] | None] | None:
         """The key whose frame this key's frame is derived from, with the
         record and genus word that lead there (None for a label ancestor);
         None for a seeded sense without a label ancestor."""
@@ -546,8 +534,8 @@ class _FrameDerivation:
                     return target, (rec, word)
         return None
 
-    def _derive(self, key: SenseKey, via: Optional[tuple[Sense, str]],
-                base: Optional[Frame]) -> Frame:
+    def _derive(self, key: SenseKey, via: tuple[Sense, str] | None,
+                base: Frame | None) -> Frame:
         """The frame of ``key`` from the frame of its dependency: a label
         ancestor's when ``via`` is None, else the genus target of the
         (record, genus word) ``via``; from its seed lines, or else a
@@ -642,7 +630,7 @@ def _emit_slots(lines: list[str], slots: tuple[Slot, ...], depth: int) -> None:
 # ---------------------------------------------------------------------------
 # facts that both a sentence's parse and autoresolve read
 
-def essential_change(subject_text: Optional[str], object_text: str) -> bool:
+def essential_change(subject_text: str | None, object_text: str) -> bool:
     """Crude but deterministic: the change is accidental when the object
     head is listed among the subject's stated kinds, else essential."""
     obj_head = head_noun(object_text).lower()

@@ -2,15 +2,13 @@
 none compiles it."""
 from __future__ import annotations
 
-from typing import Optional
-
 from .lexicon import Lexicon, SenseKey
 
 
 def serialize_lexf(lexicon: Lexicon) -> str:
     """Write a Lexicon back out as LEXF; parse(serialize(lx)) == lx."""
     lines: list[str] = []
-    current: Optional[tuple] = None
+    current: tuple | None = None
     emitted_seeds: set[SenseKey] = set()
     for s in lexicon.entries:
         header = (s.headword, s.pos, s.homograph)

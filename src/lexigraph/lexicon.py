@@ -8,15 +8,16 @@ segmentation, not syntax.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Container, Iterable
 from enum import Enum
 from functools import cache, cached_property
-from typing import Container, Iterable, NamedTuple, Optional
 
 
 class LexfError(ValueError):
     """Ingestion failure; message carries the offending line number."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -55,13 +56,14 @@ class PartOfSpeech(str, Enum):
 _VI, _VT, _VB = PartOfSpeech.VI, PartOfSpeech.VT, PartOfSpeech.VB
 
 
-_LABEL_RE = re.compile(r"^(\d+)([a-z])?(?:\((\d+)\))?$")
+_LABEL_RE = re.compile(r"(\d+)([a-z])?(?:\((\d+)\))?")
 
 
 @cache
 def _label_parts(text: str) -> tuple[int, str, int]:
-    """(number, letter, parenthesized number) of a sense label, memoized."""
-    m = _LABEL_RE.match(text)
+    """(number, letter, parenthesized number) of a sense label, memoized.
+    The whole text must match: ``$`` would let a final newline through."""
+    m = _LABEL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"bad sense label: {text!r}")
     return int(m.group(1)), m.group(2) or "", int(m.group(3) or 0)
@@ -94,11 +96,7 @@ class _LineBlind:
         return hash(self[:-1])
 
 
-class _SenseLabelFields(NamedTuple):
-    text: str
-
-
-class SenseLabel(_SenseLabelFields):
+class SenseLabel(namedtuple("SenseLabel", "text")):
     """Hierarchical sense label: digit(s), optional letter, optional
     parenthesized number ("1", "1b", "1b(2)"), checked on construction."""
 
@@ -112,7 +110,7 @@ class SenseLabel(_SenseLabelFields):
     def _make(cls, iterable) -> "SenseLabel":  # so _replace checks too
         return cls(*iterable)
 
-    def parent(self) -> Optional["SenseLabel"]:
+    def parent(self) -> SenseLabel | None:
         return next(iter(self.ancestors()), None)
 
     def ancestors(self) -> list["SenseLabel"]:
@@ -122,11 +120,11 @@ class SenseLabel(_SenseLabelFields):
         return self.text
 
 
-class SenseKey(NamedTuple):
-    headword: str
-    pos: PartOfSpeech
-    homograph: int
-    label: str
+class SenseKey(namedtuple("SenseKey", "headword pos homograph label")):
+    """A sense's address: headword, ``PartOfSpeech``, homograph number
+    and label text."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         return f"{self.headword}:{self.pos.value}:{self.homograph}:{self.label}"
@@ -138,18 +136,6 @@ class SenseKey(NamedTuple):
 
 
 _STATUS_SIMPLE = {"obs", "dial", "Brit", "specif"}
-
-
-class _SenseFields(NamedTuple):
-    headword: str
-    pos: PartOfSpeech
-    homograph: int
-    label: SenseLabel
-    status: frozenset[str] = frozenset()
-    raw_definition: str = ""
-    usage_note: Optional[str] = None
-    synonym_refs: tuple[str, ...] = ()
-    line: int = 0
 
 
 class _Kept:
@@ -174,7 +160,7 @@ _USED_WITH = re.compile(r"^(?:usu\.\s+|usually\s+)?used with\s+(.+)$")
 _PARTICLE_SEP = re.compile(r"\s+or\s+|,\s*")
 
 
-def _usage_particles(note: Optional[str]) -> tuple[str, ...]:
+def _usage_particles(note: str | None) -> tuple[str, ...]:
     """Particles named by a 'used with X [or Y]' usage note."""
     m = _USED_WITH.match(note.strip()) if note else None
     if not m:
@@ -183,17 +169,22 @@ def _usage_particles(note: Optional[str]) -> tuple[str, ...]:
                  if p.strip())
 
 
-def _subject_restriction(status: frozenset[str]) -> Optional[str]:
+def _subject_restriction(status: frozenset[str]) -> str | None:
     for s in status:
         if s.startswith("subject:"):
             return s.split(":", 1)[1]
     return None
 
 
-class Sense(_LineBlind, _SenseFields):
-    """One definition (or synonym) line of an entry. Coordinate lines under
-    the same label are separate Sense records sharing the label.  Its key
-    and the facts below are kept on the record (``_Kept``)."""
+class Sense(_LineBlind, namedtuple(
+        "Sense", "headword pos homograph label status raw_definition "
+        "usage_note synonym_refs line",
+        defaults=(frozenset(), "", None, (), 0))):
+    """One definition (or synonym) line of an entry: its ``SenseLabel``,
+    status set, definition text, usage note or None, synonym references
+    and the LEXF line it came from.  Coordinate lines under the same label
+    are separate Sense records sharing the label.  Its key and the facts
+    below are kept on the record (``_Kept``)."""
 
     @_Kept
     def key(self) -> SenseKey:
@@ -208,11 +199,11 @@ class Sense(_LineBlind, _SenseFields):
         return _usage_particles(self.usage_note)
 
     @_Kept
-    def subject_restriction(self) -> Optional[str]:
+    def subject_restriction(self) -> str | None:
         return _subject_restriction(self.status)
 
     @_Kept
-    def _parsed(self) -> Optional["ParsedDefinition"]:
+    def _parsed(self) -> ParsedDefinition | None:
         return (None if self.is_synonym_line
                 else parse_definition(self.raw_definition, self.pos))
 
@@ -221,19 +212,13 @@ class Sense(_LineBlind, _SenseFields):
         return frozenset(s.split(":", 1)[1] for s in self.status if s.startswith("field:"))
 
 
-class _PhraseFields(NamedTuple):
-    kind: str
-    text: str
-    prep: Optional[str] = None
-    hedged: bool = False
-
-
-class Phrase(_PhraseFields):
+class Phrase(namedtuple("Phrase", "kind text prep hedged",
+                        defaults=(None, False))):
     """One differentia of a definition, checked on construction."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, text: str, prep: Optional[str] = None,
+    def __new__(cls, kind: str, text: str, prep: str | None = None,
                 hedged: bool = False):
         if (kind == "prep-phrase") != (prep is not None):
             raise ValueError("prep present iff kind is prep-phrase")
@@ -244,27 +229,24 @@ class Phrase(_PhraseFields):
         return cls(*iterable)
 
 
-class ParsedDefinition(NamedTuple):
-    genus: tuple[str, ...]
-    genus_complement: Optional[str] = None
-    specified_object: Optional[str] = None
-    object_np: Optional[str] = None
-    differentiae: tuple[Phrase, ...] = ()
-    negated: bool = False
+class ParsedDefinition(namedtuple(
+        "ParsedDefinition", "genus genus_complement specified_object "
+        "object_np differentiae negated",
+        defaults=(None, None, None, (), False))):
+    """A definition's segmentation: its genus heads, the complement,
+    specified object or object noun phrase after them (each text or None),
+    its ``Phrase`` differentiae and whether it is negated."""
+
+    __slots__ = ()
 
     @property
     def transitive_use(self) -> bool:
         return self.specified_object is not None or self.object_np is not None
 
 
-class _ResolutionRecordFields(NamedTuple):
-    from_key: SenseKey
-    genus_word: str
-    target: SenseKey
-    line: int = 0
-
-
-class ResolutionRecord(_LineBlind, _ResolutionRecordFields):
+class ResolutionRecord(_LineBlind, namedtuple(
+        "ResolutionRecord", "from_key genus_word target line",
+        defaults=(0,))):
     """Resolves one genus arc to a single target sense."""
 
     __slots__ = ()
@@ -299,16 +281,11 @@ def resolution_targets(records: Iterable[ResolutionRecord],
     return chosen
 
 
-class _LexiconFields(NamedTuple):
-    entries: tuple[Sense, ...]
-    seed_frames: dict   # SenseKey -> tuple[str, ...]
-    resolutions: tuple[ResolutionRecord, ...]
+class Lexicon(namedtuple("Lexicon", "entries seed_frames resolutions")):
+    """Sense records in file order, seed frames (a dict of SenseKey to
+    seed lines) and resolution records.
 
-
-class Lexicon(_LexiconFields):
-    """Sense records in file order, seed frames and resolution records.
-
-    A Lexicon is an immutable value: a NamedTuple whose ``entries`` is a
+    A Lexicon is an immutable value: a named tuple whose ``entries`` is a
     tuple.  The lookups below read by-key and by-headword indexes that
     are built from ``entries`` on first use and kept for the life of the
     instance, so they assume ``entries`` never changes.  The indexes are
@@ -319,7 +296,7 @@ class Lexicon(_LexiconFields):
     """
 
     def __new__(cls, entries: tuple[Sense, ...] = (),
-                seed_frames: Optional[dict] = None,
+                seed_frames: dict | None = None,
                 resolutions: tuple[ResolutionRecord, ...] = ()):
         return super().__new__(cls, entries,
                                {} if seed_frames is None else seed_frames,
@@ -389,7 +366,7 @@ class Lexicon(_LexiconFields):
 
 
 def senses_of(lexicon: Lexicon, headword: str,
-              pos: Optional[PartOfSpeech] = None) -> list[Sense]:
+              pos: PartOfSpeech | None = None) -> list[Sense]:
     """All senses of a headword across homographs: its keys in
     ``SenseKey.sort_key`` order, the records of a key in file order."""
     by_key = lexicon._by_key
@@ -492,14 +469,14 @@ def parse_lexf(text: str) -> Lexicon:
     entries: list[Sense] = []
     seeds: dict[SenseKey, tuple[str, ...]] = {}
     resolutions: list[ResolutionRecord] = []
-    current: Optional[tuple[str, PartOfSpeech, int]] = None
+    current: tuple[str, PartOfSpeech, int] | None = None
     seen_headers: set[tuple] = set()
     seen_records: set[tuple] = set()
     pending_seeds: list[tuple[SenseKey, str, int]] = []
     labels: dict[str, SenseLabel] = {}
     statuses: dict[str, frozenset[str]] = {}
     keys: dict[str, SenseKey] = {}
-    particles: dict[Optional[str], tuple[str, ...]] = {}
+    particles: dict[str | None, tuple[str, ...]] = {}
 
     def add(sense: Sense, key: SenseKey, synonym: bool) -> None:
         """Keep ``sense`` with the values of its kept facts."""
@@ -894,7 +871,7 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
                             object_np, tuple(differentiae), negated)
 
 
-def parse_sense(sense: Sense) -> Optional[ParsedDefinition]:
+def parse_sense(sense: Sense) -> ParsedDefinition | None:
     """Parse a Sense record; synonym-only lines have no parse.  The parse
     is kept on the (immutable) Sense instance, as ``_parsed``, so each
     record is segmented once however many stages read it."""

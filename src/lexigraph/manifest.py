@@ -3,15 +3,16 @@ derivations, and the report-only check of the counts a lexicon alone
 gives.  Only the ``ingest`` command loads it."""
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .corpus import _read
 from .lexicon import Lexicon, PartOfSpeech, genus_words, senses_of
 
 
-class FixtureManifest(NamedTuple):
-    values: dict
-    derivations: dict
+class FixtureManifest(namedtuple("FixtureManifest", "values derivations")):
+    """Each manifest key's expected count and its derivation."""
+
+    __slots__ = ()
 
     def expected(self, key: str) -> int:
         return self.values[key]
@@ -33,12 +34,10 @@ def load_manifest() -> FixtureManifest:
     return FixtureManifest(values, derivations)
 
 
-class VerifyRow(NamedTuple):
+class VerifyRow(namedtuple("VerifyRow", "key expected actual")):
     """One manifest count; ``actual`` is None when it was not computed."""
 
-    key: str
-    expected: int
-    actual: Optional[int]
+    __slots__ = ()
 
     @property
     def checked(self) -> bool:
@@ -49,8 +48,10 @@ class VerifyRow(NamedTuple):
         return self.actual == self.expected
 
 
-class VerifyReport(NamedTuple):
-    rows: tuple[VerifyRow, ...]
+class VerifyReport(namedtuple("VerifyReport", "rows")):
+    """A ``VerifyRow`` per manifest key, sorted by key."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -101,7 +102,7 @@ def lexicon_counts(lexicon: Lexicon) -> dict:
 
 
 def verify_fixture(lexicon: Lexicon,
-                   manifest: Optional[FixtureManifest] = None) -> VerifyReport:
+                   manifest: FixtureManifest | None = None) -> VerifyReport:
     """Report-only check of the lexicon-derivable manifest counts; the
     other manifest keys are reported as unchecked."""
     manifest = manifest or load_manifest()

@@ -9,7 +9,8 @@ surfaced, never guessed.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .frames import (
     Descriptor,
@@ -36,6 +37,8 @@ from .lexicon import (
 )
 from .prep_rules import RuleTable
 
+# true for type checkers only: ``typing.TYPE_CHECKING`` would import typing
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .cli import Analysis
     from .ssn import SSN, Question
@@ -52,11 +55,12 @@ class NoNetworkError(KeyError, ValueError):
     """A sentence whose verb has no network: a data error to the CLI."""
 
 
-class Chunk(NamedTuple):
-    kind: str                     # verb | noun-phrase | prep-phrase | adverb | particle
-    text: str
-    prep: Optional[str] = None
-    lemma: Optional[str] = None   # verb chunks: lexicon headword
+class Chunk(namedtuple("Chunk", "kind text prep lemma", defaults=(None, None))):
+    """A sentence chunk: its kind (verb, noun-phrase, prep-phrase, adverb
+    or particle), its text, a prep-phrase's preposition, and a verb's
+    lexicon headword (``lemma``)."""
+
+    __slots__ = ()
     # read as a definition's differentia (``Phrase``): a sentence hedges
     # nothing
     hedged = False
@@ -91,7 +95,7 @@ def _inflection_candidates(word: str) -> list[str]:
     return out
 
 
-def _verb_lemma(word: str, verb_words: frozenset[str]) -> Optional[str]:
+def _verb_lemma(word: str, verb_words: frozenset[str]) -> str | None:
     if word in verb_words:
         return word
     for cand in _inflection_candidates(word):
@@ -187,9 +191,9 @@ class SentenceContext:
 
     def __init__(self, chunks: list[Chunk]):
         self.chunks = chunks
-        self.verb: Optional[Chunk] = None
-        self.subject: Optional[Chunk] = None
-        self.object_np: Optional[Chunk] = None
+        self.verb: Chunk | None = None
+        self.subject: Chunk | None = None
+        self.object_np: Chunk | None = None
         self.prep_phrases: list[Chunk] = []
         self.particles: set[str] = set()
         self.differentiae: list[Chunk] = []
@@ -211,7 +215,7 @@ class SentenceContext:
             elif kind == "adverb":
                 self.differentiae.append(c)
 
-    def pp_object(self, preps: Sequence[str]) -> Optional[Chunk]:
+    def pp_object(self, preps: Sequence[str]) -> Chunk | None:
         for c in self.prep_phrases:
             if c.prep in preps:
                 return c
@@ -228,7 +232,7 @@ class ContextOracle:
     __slots__ = ("ctx", "rules", "subject_text", "in_given", "_subject_names")
 
     def __init__(self, ctx: SentenceContext, rules: RuleTable,
-                 subject_override: Optional[str] = None):
+                 subject_override: str | None = None):
         self.ctx = ctx
         self.rules = rules
         self.subject_text = subject_override or (
@@ -236,7 +240,7 @@ class ContextOracle:
         in_pp = ctx.pp_object(("in",))
         self.in_given = (None if in_pp is None
                          else lower_alternatives((in_pp.text,)))
-        self._subject_names: Optional[tuple[str, str]] = None
+        self._subject_names: tuple[str, str] | None = None
 
     def subject_names(self) -> tuple[str, str]:
         """The subject's lowercased head and lowercased text; call only
@@ -311,7 +315,7 @@ class ContextOracle:
         if not present:  # no USED-WITH condition is met
             return "unknown"
         scored: list[tuple[int, str]] = []
-        base: Optional[tuple[int, str]] = None
+        base: tuple[int, str] | None = None
         any_relevant = False
         for answer, (count, used_with) in facts:
             if not used_with:
@@ -340,13 +344,13 @@ class ContextOracle:
 # ---------------------------------------------------------------------------
 # disambiguation
 
-class DisambiguationResult(NamedTuple):
-    word: str
-    lemma: str
-    candidates: tuple[SenseKey, ...]
-    frame: Frame
-    open_questions: tuple[str, ...]
-    deltas: tuple[UseDelta, ...] = ()
+class DisambiguationResult(namedtuple(
+        "DisambiguationResult",
+        "word lemma candidates frame open_questions deltas", defaults=((),))):
+    """A parsed verb: the sense keys left, the instantiated frame, the
+    questions left open and the deltas of the sentence's use."""
+
+    __slots__ = ()
 
     def to_text(self) -> str:
         lines = [f"word: {self.word} (lemma {self.lemma})",
@@ -440,7 +444,7 @@ def _fill_steps(slots: tuple[Slot, ...], path: tuple[str, ...]) -> tuple:
 
 
 def _filled(slots: tuple[Slot, ...], steps: tuple, allocator: VarAllocator,
-            subject: Optional[str]) -> tuple[Slot, ...]:
+            subject: str | None) -> tuple[Slot, ...]:
     """``slots`` with a fill plan's ``steps`` taken: the subject, when
     there is one, in the slot that is to get it, and a fresh descriptor in
     every other slot that gets something, allocated in the steps' order."""
@@ -478,8 +482,8 @@ def _match_score(frame: Frame, oracle: ContextOracle) -> int:
 def disambiguate(word: str, chunks: list[Chunk], ssn: SSN,
                  frames: dict[SenseKey, Frame], rules: RuleTable,
                  lexicon: Lexicon,
-                 allocator: Optional[VarAllocator] = None,
-                 subject_override: Optional[str] = None) -> DisambiguationResult:
+                 allocator: VarAllocator | None = None,
+                 subject_override: str | None = None) -> DisambiguationResult:
     """Traverse the word's network with context-probing answers, refine by
     informative match, and instantiate the representative frame.  The
     sentence's roles and facts are found once, in the oracle, and read by
@@ -513,7 +517,7 @@ class Entity:
                  chunks: list[Chunk]):
         self.var, self.head, self.text = var, head, text
         self.sentence, self.chunks = sentence, chunks
-        self.result_index: Optional[int] = None
+        self.result_index: int | None = None
 
 
 class DiscourseState:
@@ -526,7 +530,7 @@ class DiscourseState:
         self.entities: list[Entity] = []
         self.bindings: list[tuple[str, str]] = []
 
-    def find_entity(self, subject: Optional[Chunk]) -> Optional[Entity]:
+    def find_entity(self, subject: Chunk | None) -> Entity | None:
         if subject is None:
             return None
         head = subject.head

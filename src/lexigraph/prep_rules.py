@@ -4,7 +4,7 @@ it names and whether it FILLs or RESTRICTs that slot.  The table ships as
 data (``data/prep_rules.tsv``)."""
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 
 _COLUMNS = ("preposition", "predicate family", "slot", "action")
@@ -27,7 +27,7 @@ class RuleTable:
             raise ValueError(f"action {action!r} is neither FILL nor RESTRICT")
         self._rows[(prep, family)] = (slot, action)
 
-    def slot_action(self, prep: str, family: str) -> Optional[tuple[str, str]]:
+    def slot_action(self, prep: str, family: str) -> tuple[str, str] | None:
         return self._rows.get((prep, family))
 
 

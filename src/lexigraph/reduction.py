@@ -7,7 +7,7 @@ fixpoint loop sequences them.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .frames import Frame, UseDelta, use_deltas, walk_slots
 from .lexicon import (
@@ -27,17 +27,15 @@ RULE_ORDER = ("MULTI-CONCEPT", "SLOT-FILL", "WORD-GOVERNMENT",
               "OPTIONAL-COMPONENT")
 
 
-class NonprimitiveEvidence(NamedTuple):
-    sense: SenseKey
-    rule: str
-    detail: str
+NonprimitiveEvidence = namedtuple("NonprimitiveEvidence", "sense rule detail")
 
 
-class ReductionReport(NamedTuple):
-    initial: int
-    set_aside: tuple[NonprimitiveEvidence, ...]
-    remaining: tuple[SenseKey, ...]
-    iterations: int
+class ReductionReport(namedtuple("ReductionReport",
+                                 "initial set_aside remaining iterations")):
+    """The verb sense count, the evidence of each sense set aside, the
+    sense keys remaining and the fixpoint's iteration count."""
+
+    __slots__ = ()
 
     def tallies(self) -> dict[str, int]:
         out = {rule: 0 for rule in RULE_ORDER}
@@ -94,10 +92,10 @@ class ReductionContext:
                 if self.genus_frame(rec.key, word) is base:
                     self._deltas[rec_id, word] = deltas
 
-    def genus_target(self, key: SenseKey, genus_word: str) -> Optional[SenseKey]:
+    def genus_target(self, key: SenseKey, genus_word: str) -> SenseKey | None:
         return self._resolved.get((key, genus_word))
 
-    def genus_frame(self, key: SenseKey, genus_word: str) -> Optional[Frame]:
+    def genus_frame(self, key: SenseKey, genus_word: str) -> Frame | None:
         return self._genus_frames.get((key, genus_word))
 
     def use_deltas(self, rec: Sense, genus_word: str) -> tuple[UseDelta, ...]:
@@ -144,7 +142,7 @@ class ReductionContext:
 # the four rules; each returns evidence or None
 
 def rule_multi_concept(records: list[Sense],
-                       ctx: ReductionContext) -> Optional[NonprimitiveEvidence]:
+                       ctx: ReductionContext) -> NonprimitiveEvidence | None:
     """The definition is at least two verb concepts: an operator verb over
     an embedded concept, or negation of the base concept."""
     for rec in records:
@@ -166,7 +164,7 @@ def rule_multi_concept(records: list[Sense],
 
 
 def rule_slot_fill(records: list[Sense],
-                   ctx: ReductionContext) -> Optional[NonprimitiveEvidence]:
+                   ctx: ReductionContext) -> NonprimitiveEvidence | None:
     """Differentiae give a value to an unbound argument of the genus frame,
     or a subject label fills SUBJ. Pure synonym lines are degenerate
     slot-fills: they bind nothing and add nothing of their own."""
@@ -188,7 +186,7 @@ def rule_slot_fill(records: list[Sense],
 
 
 def rule_word_government(records: list[Sense],
-                         ctx: ReductionContext) -> Optional[NonprimitiveEvidence]:
+                         ctx: ReductionContext) -> NonprimitiveEvidence | None:
     """A with-phrase whose object is itself defined as an instrument, under
     a genus whose frame declares an instrument-bearing pattern."""
     for rec in records:
@@ -217,7 +215,7 @@ def rule_word_government(records: list[Sense],
 
 
 def rule_optional_component(records: list[Sense],
-                            ctx: ReductionContext) -> Optional[NonprimitiveEvidence]:
+                            ctx: ReductionContext) -> NonprimitiveEvidence | None:
     """The definition adds only optional matter over its genus: manner
     adverbs or other adverbial phrases, and no fills."""
     for rec in records:
@@ -255,7 +253,7 @@ _RULES = {
 
 
 def run_rule(rule: str, key: SenseKey, ctx: ReductionContext
-             ) -> Optional[NonprimitiveEvidence]:
+             ) -> NonprimitiveEvidence | None:
     """Re-run a single named rule on a single sense (evidence soundness)."""
     return _RULES[rule](ctx.lexicon._by_key.get(key, []), ctx)
 
@@ -269,7 +267,7 @@ def reduce_fixpoint(lexicon: Lexicon, graph: object,
     resolution map, the one the resolved definition graph carries."""
     ctx = ReductionContext(lexicon, frames, rules)
     verb_keys = [k for k in lexicon._sorted_keys if k.pos.is_verb]
-    status: dict[SenseKey, Optional[NonprimitiveEvidence]] = {
+    status: dict[SenseKey, NonprimitiveEvidence | None] = {
         k: None for k in verb_keys}
     iterations = 0
     while True:

@@ -16,9 +16,9 @@ every branch and records the question.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 from functools import cached_property
-from typing import NamedTuple, Optional
 
 from .frames import Frame, Slot, render_condition, slot_order_key
 from .lexicon import (
@@ -40,35 +40,24 @@ class CompileError(ValueError):
     pass
 
 
-class Terminal(NamedTuple):
-    sense: SenseKey
-    frame: Frame
+Terminal = namedtuple("Terminal", "sense frame")
+# an exhausted, indistinguishable group collapsed to its parent sense, with
+# the group's frame or None
+Nonterminal = namedtuple("Nonterminal", "sense members frame",
+                         defaults=(None,))
 
 
-class Nonterminal(NamedTuple):
-    """Exhausted, indistinguishable group collapsed to its parent sense."""
-
-    sense: SenseKey
-    members: tuple[SenseKey, ...]
-    frame: Optional[Frame] = None
-
-
-class _QuestionFields(NamedTuple):
-    kind: str                                   # POS | TRANSITIVITY | OBJ-IS |
-                                                # OBJ-SAT | ADJ-COMPLEMENT |
-                                                # USAGE | FRAME-DIFF
-    payload: tuple                              # kind-specific, renderable
-    branches: tuple[tuple[str, "Node"], ...]
-    retain_all_on_unknown: bool = True
-
-
-class Question(_QuestionFields):
-    """A network question.  Its ``qid`` is formatted once, and a FRAME-DIFF
-    question holds, once computed, what the sense parser tests a sentence
-    against (``_probe``).  A necessary condition (OBJ-IS, OBJ-SAT,
-    ADJ-COMPLEMENT, USAGE) leads to no node: its branches pair its pruning
-    answer with the senses requiring it, then its keeping answer with the
-    others, each a bit set over its ``Sieve``'s senses."""
+class Question(namedtuple("Question",
+                          "kind payload branches retain_all_on_unknown",
+                          defaults=(True,))):
+    """A network question: its kind (POS, TRANSITIVITY, OBJ-IS, OBJ-SAT,
+    ADJ-COMPLEMENT, USAGE or FRAME-DIFF), a kind-specific renderable
+    payload, and its (answer, node) branches.  Its ``qid`` is formatted
+    once, and a FRAME-DIFF question holds, once computed, what the sense
+    parser tests a sentence against (``_probe``).  A necessary condition
+    (OBJ-IS, OBJ-SAT, ADJ-COMPLEMENT, USAGE) leads to no node: its branches
+    pair its pruning answer with the senses requiring it, then its keeping
+    answer with the others, each a bit set over its ``Sieve``'s senses."""
 
     @cached_property
     def qid(self) -> str:
@@ -124,15 +113,10 @@ class Question(_QuestionFields):
         return "none", other, ()
 
 
-class _SieveFields(NamedTuple):
-    senses: tuple[SenseKey, ...]                # in the network's order
-    conditions: tuple[Question, ...]            # in stage order
-    tree: "Node"                                # of all ``senses``
-
-
-class Sieve(_SieveFields):
-    """A group of senses that no POS or TRANSITIVITY question tells apart:
-    the necessary conditions that split it, and its first-difference tree.
+class Sieve(namedtuple("Sieve", "senses conditions tree")):
+    """A group of senses that no POS or TRANSITIVITY question tells apart,
+    in the network's order: the necessary conditions that split it, in
+    stage order, and the first-difference tree of all its senses.
     ``_sieve`` gives it, outside its fields and so outside equality, the
     network's frames (``_frames``) and the tree of each group of its senses
     made so far, under the group's bit set, -1 for all (``_trees``): a
@@ -151,10 +135,10 @@ class Sieve(_SieveFields):
 Node = Terminal | Nonterminal | Question | Sieve
 
 
-class SSN(NamedTuple):
-    headword: str
-    senses: tuple[SenseKey, ...]
-    root: Node
+class SSN(namedtuple("SSN", "headword senses root")):
+    """A headword's network: its sense keys, sorted, and its root node."""
+
+    __slots__ = ()
 
     def questions(self) -> list[Question]:
         """Every question of the network, depth first, parents first: a
@@ -231,10 +215,7 @@ class SSN(NamedTuple):
                               tuple(opened))
 
 
-class TraverseResult(NamedTuple):
-    senses: tuple[SenseKey, ...]
-    terminal: bool
-    open_questions: tuple[str, ...]
+TraverseResult = namedtuple("TraverseResult", "senses terminal open_questions")
 
 
 Oracle = dict | Callable[[Question], str]

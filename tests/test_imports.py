@@ -22,12 +22,14 @@ FRAMES = {"frames", "prep_rules"}
 
 # standard modules a command must not load: dataclasses costs about 10 ms
 # at start-up with the inspect, ast, dis and tokenize it imports,
-# importlib.resources loads pathlib, zipfile and tempfile, and argparse
+# importlib.resources loads pathlib, zipfile and tempfile, argparse
 # loads gettext, whose first message lookup loads locale (the CLI reads
 # argv from its command table and builds argparse's parser only for help
-# and usage errors)
+# and usage errors), and typing costs about 4 ms (value types are
+# collections.namedtuple classes, and annotation-only names are imported
+# under a TYPE_CHECKING guard)
 SLOW = ("dataclasses", "inspect", "importlib.resources", "pathlib",
-        "zipfile", "tempfile", "argparse", "gettext", "locale")
+        "zipfile", "tempfile", "argparse", "gettext", "locale", "typing")
 
 REPORT = f"""\
 import contextlib, io, sys
@@ -153,9 +155,9 @@ def test_every_public_name_resolves():
 # fresh process on a 2-vCPU VM); discourse loads the modules parse does.
 # The count is the same on Python 3.10 to 3.13; a change may lower a
 # ceiling, not raise it.
-AST_CEILINGS = {"ingest": 8695, "graph": 10545, "scc": 10545,
-                "primitives": 10545, "frames": 12797, "ssn": 16760,
-                "reduce": 14641, "autoresolve": 14155, "parse": 21337}
+AST_CEILINGS = {"ingest": 8490, "graph": 10252, "scc": 10252,
+                "primitives": 10252, "frames": 12451, "ssn": 16293,
+                "reduce": 14252, "autoresolve": 13782, "parse": 20806}
 
 
 def _ast_nodes(module: str) -> int:
@@ -168,6 +170,35 @@ def _ast_nodes(module: str) -> int:
 def test_command_compiles_at_most_its_ceiling(argv, extra):
     nodes = sum(_ast_nodes(module) for module in BASE | extra)
     assert nodes <= AST_CEILINGS[argv[0]]
+
+
+def _typing_imports(nodes) -> list[int]:
+    """The lines of the imports of typing among ``nodes`` and under them,
+    outside an ``if TYPE_CHECKING:`` block."""
+    found = []
+    for node in nodes:
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            found += _typing_imports(node.orelse)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module] if node.level == 0 else [])
+            if any(name.partition(".")[0] == "typing" for name in names):
+                found.append(node.lineno)
+        else:
+            found += _typing_imports(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "lexigraph").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_typing_at_run_time(path):
+    """Only type checkers, for which ``TYPE_CHECKING`` is true, read an
+    import of typing; a module sets the name to False itself, since ``from
+    typing import TYPE_CHECKING`` is an import of typing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _typing_imports(tree.body) == []
 
 
 # perfbench/run.py reads lexigraph through ``L``, one attribute per module

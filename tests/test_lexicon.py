@@ -16,6 +16,7 @@ from lexigraph.lexicon import (
     SenseKey,
     SenseLabel,
     _label_parts,
+    _parse_sense_key,
     genus_words,
     merge_lexicons,
     parse_definition,
@@ -88,6 +89,16 @@ def test_sense_label_parent_chain():
     assert SenseLabel("1b").parent() == SenseLabel("1")
     assert SenseLabel("1").parent() is None
     assert [a.text for a in SenseLabel("1b(2)").ancestors()] == ["1b", "1"]
+
+
+def test_a_label_with_a_final_newline_is_rejected():
+    """``$`` matches before a final newline: the label check matches the
+    whole text, so such a label, and a sense key ending in one, fail."""
+    with pytest.raises(ValueError, match="bad sense label"):
+        SenseLabel("1b\n")
+    with pytest.raises(LexfError, match=r"line 1: bad sense label: '2b\\n'"):
+        _parse_sense_key("change:vi:1:2b\n", 1)
+    assert _parse_sense_key("change:vi:1:2b", 1).render() == "change:vi:1:2b"
 
 
 def test_sense_key_sort_key():

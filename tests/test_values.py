@@ -185,6 +185,57 @@ SAMPLES = [
 ]
 IDS = [entry[0].__name__ for entry in SAMPLES]
 
+# each type's ``_fields`` and ``_field_defaults``, as a space-separated
+# string and a dict
+FIELDS = {
+    SenseLabel: ("text", {}),
+    SenseKey: ("headword pos homograph label", {}),
+    Sense: ("headword pos homograph label status raw_definition usage_note "
+            "synonym_refs line",
+            {"status": frozenset(), "raw_definition": "", "usage_note": None,
+             "synonym_refs": (), "line": 0}),
+    Phrase: ("kind text prep hedged", {"prep": None, "hedged": False}),
+    ParsedDefinition: ("genus genus_complement specified_object object_np "
+                       "differentiae negated",
+                       {"genus_complement": None, "specified_object": None,
+                        "object_np": None, "differentiae": (),
+                        "negated": False}),
+    ResolutionRecord: ("from_key genus_word target line", {"line": 0}),
+    Lexicon: ("entries seed_frames resolutions", {}),
+    External: ("headword", {}),
+    Arc: ("source genus_word targets resolved negated synonym line",
+          {"resolved": False, "negated": False, "synonym": False, "line": 0}),
+    DefinitionGraph: ("nodes arcs", {}),
+    Condensation: ("components arcs", {}),
+    PrimitiveReport: ("candidates undefined_leaves", {}),
+    Descriptor: ("var features", {"features": ()}),
+    Slot: ("name case bind filler restrictions children",
+           {"case": (), "bind": None, "filler": None, "restrictions": (),
+            "children": ()}),
+    Frame: ("predicate pos conditions slots provisional sense provenance",
+            {"conditions": (), "slots": (), "provisional": False,
+             "sense": None, "provenance": ()}),
+    UseDelta: ("kind path value", {}),
+    ApplyOutcome: ("frame deltas residue", {}),
+    Chunk: ("kind text prep lemma", {"prep": None, "lemma": None}),
+    DisambiguationResult: ("word lemma candidates frame open_questions deltas",
+                           {"deltas": ()}),
+    AutoResolution: ("using genus_word unique candidates rationale", {}),
+    NonprimitiveEvidence: ("sense rule detail", {}),
+    ReductionReport: ("initial set_aside remaining iterations", {}),
+    Terminal: ("sense frame", {}),
+    Nonterminal: ("sense members frame", {"frame": None}),
+    Question: ("kind payload branches retain_all_on_unknown",
+               {"retain_all_on_unknown": True}),
+    SSN: ("headword senses root", {}),
+    TraverseResult: ("senses terminal open_questions", {}),
+    FixtureManifest: ("values derivations", {}),
+    VerifyRow: ("key expected actual", {}),
+    VerifyReport: ("rows", {}),
+}
+# the types that keep memos of derived facts in an instance ``__dict__``
+MEMO_TYPES = {Sense, Lexicon, Frame, DefinitionGraph, Question}
+
 
 def _hash(value):
     """The value's hash, or the name of the error hashing it raises: a type
@@ -229,6 +280,22 @@ def test_repr_is_unchanged(cls, make, _, __, text):
     assert repr(make()) == text
 
 
+def test_every_value_type_is_pinned():
+    assert set(FIELDS) == {entry[0] for entry in SAMPLES}
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_fields_and_defaults_are_unchanged(cls):
+    fields, defaults = FIELDS[cls]
+    assert cls._fields == tuple(fields.split())
+    assert cls._field_defaults == defaults
+
+
+@pytest.mark.parametrize("cls,make,_,__,___", SAMPLES, ids=IDS)
+def test_only_the_memo_types_have_an_instance_dict(cls, make, _, __, ___):
+    assert hasattr(make(), "__dict__") == (cls in MEMO_TYPES)
+
+
 def test_sense_label_orders_by_text():
     labels = [SenseLabel(t) for t in ("2", "1b", "1b(2)", "10")]
     assert sorted(labels) == [SenseLabel(t) for t in ("10", "1b", "1b(2)", "2")]
@@ -239,11 +306,13 @@ def test_sense_label_orders_by_text():
     lambda: SenseLabel("1b)"),
     lambda: SenseLabel._make(["b"]),
     lambda: SenseLabel("1b")._replace(text="b1"),
+    lambda: SenseLabel("1b")._replace(text="x"),
+    lambda: SenseLabel("1b\n"),
     lambda: Phrase("adverb", "slowly", "into"),
     lambda: Phrase._make(["prep-phrase", "curd", None, False]),
     lambda: Phrase("prep-phrase", "curd", "into")._replace(prep=None),
-], ids=["label", "label-make", "label-replace", "phrase", "phrase-make",
-        "phrase-replace"])
+], ids=["label", "label-make", "label-replace", "label-replace-x",
+        "label-final-newline", "phrase", "phrase-make", "phrase-replace"])
 def test_every_construction_is_checked(build):
     with pytest.raises(ValueError):
         build()
