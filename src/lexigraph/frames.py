@@ -309,6 +309,8 @@ def _apply_seed_line(frame: Frame, line: str) -> Frame:
     if not toks:
         raise SeedGrammarError(f"SLOT needs a path: {line!r}")
     path = tuple(toks[0].split("."))
+    if "" in path:
+        raise SeedGrammarError(f"empty component in slot path {toks[0]!r}")
     if len(path) > MAX_SLOT_DEPTH:
         raise SeedGrammarError(f"slot path of {len(path)} levels, "
                                f"more than {MAX_SLOT_DEPTH}")

@@ -56,7 +56,8 @@ class PartOfSpeech(str, Enum):
 _VI, _VT, _VB = PartOfSpeech.VI, PartOfSpeech.VT, PartOfSpeech.VB
 
 
-_LABEL_RE = re.compile(r"(\d+)([a-z])?(?:\((\d+)\))?")
+# ASCII digits only: ``\d`` would take any Unicode decimal digit
+_LABEL_RE = re.compile(r"([0-9]+)([a-z])?(?:\(([0-9]+)\))?")
 
 
 @cache
@@ -417,22 +418,36 @@ def merge_lexicons(*lexicons: Lexicon) -> Lexicon:
 
 _POS = {p.value: p for p in PartOfSpeech}
 
+# the fields of each record kind split on every bar (an F record's seed
+# line may hold bars): the fewest and the most it may have, a usage note
+# being optional, and the shape its message names
+_SHAPES = {"E": (3, 3, "headword|pos|homograph"),
+           "S": (3, 4, "label|status|definition|[note]"),
+           "Y": (2, 3, "label|SYNONYM|[note]"),
+           "R": (3, 3, "from|genus|to")}
+
+
+def _homograph(text: str) -> int | None:
+    """The number a homograph field spells in ASCII digits, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than ``int`` reads from a str
+        return None
+
 
 def _parse_sense_key(text: str, line: int) -> SenseKey:
+    """``head:pos:homograph:label``, or ``head:pos:label`` of homograph 1;
+    the headword may hold colons."""
     parts = text.rsplit(":", 3)
-    if len(parts) == 4 and parts[2].isdigit():
-        head, pos, hom, label = parts
-        homograph = int(hom)
-    else:
-        parts = text.rsplit(":", 2)
+    homograph = _homograph(parts[2]) if len(parts) == 4 else None
+    if homograph is None:
+        homograph, parts = 1, text.rsplit(":", 2)
         if len(parts) != 3:
             raise LexfError(f"bad sense key {text!r}", line)
-        head, pos, label = parts
-        homograph = 1
-    p = _POS.get(pos)
+    p = _POS.get(parts[1])
     if p is None:
         raise LexfError(f"bad part of speech in key {text!r}", line)
-    return SenseKey(head, p, homograph, _parse_label(label, line).text)
+    return SenseKey(parts[0], p, homograph, _parse_label(parts[-1], line).text)
 
 
 def _parse_label(text: str, line: int) -> SenseLabel:
@@ -478,98 +493,77 @@ def parse_lexf(text: str) -> Lexicon:
     keys: dict[str, SenseKey] = {}
     particles: dict[str | None, tuple[str, ...]] = {}
 
-    def add(sense: Sense, key: SenseKey, synonym: bool) -> None:
-        """Keep ``sense`` with the values of its kept facts."""
-        note = sense.usage_note
-        if note not in particles:
-            particles[note] = _usage_particles(note)
-        facts = sense.__dict__
-        facts["key"] = key
-        facts["is_synonym_line"] = synonym
-        facts["usage_particles"] = particles[note]
-        facts["subject_restriction"] = _subject_restriction(sense.status)
-        entries.append(sense)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped[0] == "#":
             continue
         kind, _, rest = stripped.partition("|")
-        if kind == "E":
-            fields = rest.split("|")
-            if len(fields) != 3:
-                raise LexfError("E record needs headword|pos|homograph", lineno)
-            headword, pos_text, hom_text = fields
-            pos = _POS.get(pos_text)
-            if pos is None:
-                raise LexfError(f"bad part of speech {pos_text!r}", lineno)
-            if not hom_text.isdigit() or int(hom_text) < 1:
-                raise LexfError(f"bad homograph {hom_text!r}", lineno)
-            header = (headword, pos, int(hom_text))
-            if header in seen_headers:
-                raise LexfError(f"duplicate entry {headword}:{pos_text}:{hom_text}", lineno)
-            seen_headers.add(header)
-            current = header
-        elif kind == "S":
-            if current is None:
-                raise LexfError("S record outside an entry", lineno)
-            fields = rest.split("|")
-            if len(fields) not in (3, 4):
-                raise LexfError("S record needs label|status|definition|[note]", lineno)
-            label_text, status_csv, definition = fields[0], fields[1], fields[2]
-            note = fields[3].strip() if len(fields) == 4 and fields[3].strip() else None
-            label = _memo(labels, label_text, lineno, _parse_label)
-            definition = definition.strip()
-            if not definition:
-                raise LexfError("empty definition on S record", lineno)
-            status = _memo(statuses, status_csv, lineno, _parse_status)
-            key = SenseKey(*current, label.text)
-            record_id = (key, definition, note)
-            if record_id in seen_records:
-                raise LexfError(f"duplicate sense record {key.render()}", lineno)
-            seen_records.add(record_id)
-            add(Sense(*current, label, status, definition, note, (), lineno),
-                key, False)
-        elif kind == "Y":
-            if current is None:
-                raise LexfError("Y record outside an entry", lineno)
-            fields = rest.split("|")
-            if len(fields) not in (2, 3):
-                raise LexfError("Y record needs label|SYNONYM|[note]", lineno)
-            label_text, syn = fields[0], fields[1]
-            note = fields[2].strip() if len(fields) == 3 and fields[2].strip() else None
-            if not syn or not syn.isupper():
-                raise LexfError(f"synonym must be a single uppercase word: {syn!r}", lineno)
-            label = _memo(labels, label_text, lineno, _parse_label)
-            key = SenseKey(*current, label.text)
-            record_id = (key, syn, note)
-            if record_id in seen_records:
-                raise LexfError(f"duplicate synonym record {key.render()}", lineno)
-            seen_records.add(record_id)
-            add(Sense(*current, label, frozenset(), "", note, (syn,), lineno),
-                key, True)
-        elif kind == "F":
-            if current is None:
-                raise LexfError("F record outside an entry", lineno)
-            # split only twice: the payload may contain bars (CASE PAT|AGT)
+        if current is None and kind in ("S", "Y", "F"):
+            raise LexfError(f"{kind} record outside an entry", lineno)
+        if kind == "F":
+            # split only once: the seed line may hold bars (CASE PAT|AGT)
             label_text, _, payload = rest.partition("|")
             if not payload:
                 raise LexfError("F record needs label|seed-line", lineno)
             label = _memo(labels, label_text, lineno, _parse_label)
-            key = SenseKey(*current, label.text)
-            pending_seeds.append((key, payload.strip(), lineno))
+            pending_seeds.append((SenseKey(*current, label.text),
+                                  payload.strip(), lineno))
+            continue
+        shape = _SHAPES.get(kind)
+        if shape is None:
+            raise LexfError(f"unknown record kind {kind!r}", lineno)
+        fields = rest.split("|")
+        if not shape[0] <= len(fields) <= shape[1]:
+            raise LexfError(f"{kind} record needs {shape[2]}", lineno)
+        if kind == "E":
+            headword, pos_text, hom_text = fields
+            pos = _POS.get(pos_text)
+            if pos is None:
+                raise LexfError(f"bad part of speech {pos_text!r}", lineno)
+            homograph = _homograph(hom_text)
+            if not homograph:
+                raise LexfError(f"bad homograph {hom_text!r}", lineno)
+            current = (headword, pos, homograph)
+            if current in seen_headers:
+                raise LexfError(f"duplicate entry {headword}:{pos_text}:{hom_text}", lineno)
+            seen_headers.add(current)
         elif kind == "R":
-            fields = rest.split("|")
-            if len(fields) != 3:
-                raise LexfError("R record needs from|genus|to", lineno)
             from_key = _memo(keys, fields[0], lineno, _parse_sense_key)
             target = _memo(keys, fields[2], lineno, _parse_sense_key)
             genus_word = fields[1].strip()
             if not genus_word:
                 raise LexfError("R record needs a genus word", lineno)
             resolutions.append(ResolutionRecord(from_key, genus_word, target, lineno))
-        else:
-            raise LexfError(f"unknown record kind {kind!r}", lineno)
+        else:  # S or Y: a sense record; ``said`` is its definition or synonym
+            synonym = kind == "Y"
+            said = fields[1] if synonym else fields[2].strip()
+            if synonym and not said.isupper():
+                raise LexfError(f"synonym must be a single uppercase word: {said!r}", lineno)
+            label = _memo(labels, fields[0], lineno, _parse_label)
+            if not said:  # only a definition can be empty here
+                raise LexfError("empty definition on S record", lineno)
+            status = _memo(statuses, "" if synonym else fields[1], lineno,
+                           _parse_status)
+            # the optional last field is the usage note
+            note = (fields[-1].strip() or None if len(fields) == shape[1]
+                    else None)
+            key = SenseKey(*current, label.text)
+            record_id = (key, said, note)
+            if record_id in seen_records:
+                raise LexfError(f"duplicate {'synonym' if synonym else 'sense'} "
+                                f"record {key.render()}", lineno)
+            seen_records.add(record_id)
+            if note not in particles:
+                particles[note] = _usage_particles(note)
+            sense = Sense(*current, label, status, "" if synonym else said,
+                          note, (said,) if synonym else (), lineno)
+            # the kept facts (``_Kept``) that ingest knows already
+            facts = sense.__dict__
+            facts["key"] = key
+            facts["is_synonym_line"] = synonym
+            facts["usage_particles"] = particles[note]
+            facts["subject_restriction"] = _subject_restriction(status)
+            entries.append(sense)
 
     known = {s.key for s in entries}
     for key, payload, lineno in pending_seeds:

@@ -111,6 +111,24 @@ def test_deep_seed_slot_path_is_data_error(capout, tmp_path):
                                f"levels, more than {MAX_SLOT_DEPTH}\n")
 
 
+@pytest.mark.parametrize("lexf, error", [
+    ("E|alpha|vi|\u00b2\nS|1||to move|\n", "line 1: bad homograph '\u00b2'"),
+    ("E|alpha|vi|1\nS|1||to move|\nR|alpha:vi:\u00b2:1|move|alpha:vi:1:1\n",
+     "line 3: bad part of speech in key 'alpha:vi:\u00b2:1'"),
+    (f"E|alpha|vi|{'1' * 4301}\nS|1||to move|\n",
+     f"line 1: bad homograph '{'1' * 4301}'"),
+], ids=["E", "R-key", "E-4301-digits"])
+def test_homograph_of_other_digits_is_a_line_numbered_data_error(
+        capout, tmp_path, lexf, error):
+    # a superscript two passes ``str.isdigit`` and then fails in ``int``, as
+    # a homograph of more digits than ``int`` reads does: both once ended
+    # ingest with ``int``'s message, which names no line
+    path = tmp_path / "homograph.lexf"
+    path.write_text(lexf, encoding="utf-8")
+    assert capout(["--lexicon", str(path), "ingest"]) == (
+        2, "", f"lexigraph: {error}\n")
+
+
 # alpha's one arc is to beta; each R record below fails one check of
 # defgraph.apply_resolutions, the first two ones frames did not make
 BAD_RECORD_LEXF = """\

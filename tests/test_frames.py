@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -14,6 +16,7 @@ from support import (
     flat_group,
     lexf_texts,
 )
+from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import (
     Descriptor,
@@ -109,6 +112,21 @@ def test_bad_seed_line_raises(rules):
     with pytest.raises(SeedGrammarError,
                        match="^w:vi:1:1: unknown slot action 'WIGGLE'$"):
         build_frames(lx, rules)
+
+
+@pytest.mark.parametrize("path", ["SUBJ..OBJ", ".X", "X."])
+def test_slot_path_with_an_empty_component_raises(rules, path, tmp_path,
+                                                  capsys):
+    """Such a path once made a slot with no name: ``frames`` printed a
+    blank slot line with ``OBJ = x`` under it."""
+    text = f"E|w|vi|1\nS|1||move about|\nF|1|SLOT {path} VALUE x\n"
+    error = f"w:vi:1:1: empty component in slot path {path!r}"
+    with pytest.raises(SeedGrammarError, match=f"^{re.escape(error)}$"):
+        build_frames(parse_lexf(text), rules)
+    lexf = tmp_path / "w.lexf"
+    lexf.write_text(text, encoding="utf-8")
+    assert run(["--lexicon", str(lexf), "frames", "--word", "w"]) == 2
+    assert capsys.readouterr() == ("", f"lexigraph: {error}\n")
 
 
 def test_root_seed_without_pred_gets_provisional_predicate(rules):

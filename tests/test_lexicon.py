@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import HEADWORDS, PHRASAL_LEXF, lexf_texts, lexgen
@@ -11,6 +11,7 @@ from lexigraph.lexicon import (
     CHUNKING_PREPS,
     DefinitionParseError,
     LexfError,
+    Lexicon,
     PartOfSpeech,
     Sense,
     SenseKey,
@@ -72,6 +73,46 @@ def test_ingestion_errors_carry_line_numbers(bad, message):
     assert "line" in str(err.value)
 
 
+# a line with several faults reports the first of them: outside an entry
+# before its field count, a synonym before its label, and a label before
+# its definition and then its status
+FIRST_ERRORS = [
+    ("Y|1", "line 1: Y record outside an entry"),
+    ("F|x", "line 1: F record outside an entry"),
+    ("S|x|rare", "line 1: S record outside an entry"),
+    ("E|a|vi|1\nS|x|rare", "line 2: S record needs label|status|definition|[note]"),
+    ("E|a|vi|1\nS|1||a|b|c", "line 2: S record needs label|status|definition|[note]"),
+    ("E|a|vi|1\nY|x", "line 2: Y record needs label|SYNONYM|[note]"),
+    ("E|a|vi|1\nY|1|GO|n|m", "line 2: Y record needs label|SYNONYM|[note]"),
+    ("E|a|vi|1\nF|x", "line 2: F record needs label|seed-line"),
+    ("E|a|vi|1\nF|1|", "line 2: F record needs label|seed-line"),
+    ("E|a|vi|1|2", "line 1: E record needs headword|pos|homograph"),
+    ("E|a|vq|0", "line 1: bad part of speech 'vq'"),
+    ("E|a|vi|0", "line 1: bad homograph '0'"),
+    ("E|a|vi|01\nE|a|vi|1", "line 2: duplicate entry a:vi:1"),
+    ("E|a|vi|1\nY|x|go", "line 2: synonym must be a single uppercase word: 'go'"),
+    ("E|a|vi|1\nY|x|", "line 2: synonym must be a single uppercase word: ''"),
+    ("E|a|vi|1\nY|x|GO", "line 2: bad sense label: 'x'"),
+    ("E|a|vi|1\nS|x|rare| |", "line 2: bad sense label: 'x'"),
+    ("E|a|vi|1\nS|1|rare| |", "line 2: empty definition on S record"),
+    ("E|a|vi|1\nS|1|rare|to go|", "line 2: unknown status label 'rare'"),
+    ("E|a|vi|1\nS|1||to go|n\nS|1|obs| to go | n ",
+     "line 3: duplicate sense record a:vi:1:1"),
+    ("E|a|vi|1\nY|1|GO\nY|1|GO|", "line 3: duplicate synonym record a:vi:1:1"),
+    ("E|a|vi|1\nS|1||GO|\nY|1|GO", "line 3: duplicate synonym record a:vi:1:1"),
+    ("E|a|vi|1\nR|a:vi:1:x|go", "line 2: R record needs from|genus|to"),
+    ("E|a|vi|1\nR|a:vi:1:x|go|a:vq:1", "line 2: bad sense label: 'x'"),
+    ("X|a", "line 1: unknown record kind 'X'"),
+]
+
+
+@pytest.mark.parametrize("text, error", FIRST_ERRORS)
+def test_a_bad_line_reports_its_first_error(text, error):
+    with pytest.raises(LexfError) as err:
+        parse_lexf(text)
+    assert str(err.value) == error
+
+
 def test_round_trip(lexicon):
     text = serialize_lexf(lexicon)
     again = parse_lexf(text)
@@ -113,7 +154,7 @@ def test_sense_key_sort_key():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.from_regex(r"\d+[a-z]?(\(\d+\))?", fullmatch=True))
+@given(st.from_regex(r"[0-9]+[a-z]?(\([0-9]+\))?", fullmatch=True))
 def test_label_parts_memo_equals_a_fresh_parse(label):
     fresh = _label_parts.__wrapped__(label)   # the regex match, unmemoized
     assert _label_parts(label) == fresh
@@ -125,6 +166,15 @@ def test_label_parts_memo_equals_a_fresh_parse(label):
      "line 3: bad sense label: 'b1'"),
     ("E|change|vi|1\nS|1||to vary|\nR|change:vi:1:1(x)|vary|change:vi:1:1\n",
      "line 3: bad sense label: '1(x)'"),
+    # a label's digits are ASCII: `\d` took ARABIC-INDIC DIGIT ONE too
+    ("E|change|vi|1\nS|1||to vary|\nS|1\u0661||to vary|\n",
+     "line 3: bad sense label: '1\u0661'"),
+    ("E|change|vi|1\nS|1||to vary|\nY|\u0661|VARY\n",
+     "line 3: bad sense label: '\u0661'"),
+    ("E|change|vi|1\nS|1||to vary|\nF|1(\u0661)|PRED VARY\n",
+     "line 3: bad sense label: '1(\u0661)'"),
+    ("E|change|vi|1\nS|1||to vary|\nR|change:vi:1:1|vary|change:vi:1:\u0661\n",
+     "line 3: bad sense label: '\u0661'"),
 ])
 def test_bad_label_fails_alike_on_every_ingest(text, error):
     # a failed label parse is not memoized: the second ingest of the same
@@ -133,6 +183,57 @@ def test_bad_label_fails_alike_on_every_ingest(text, error):
         with pytest.raises(LexfError) as err:
             parse_lexf(text)
         assert (str(err.value), err.value.line) == (error, 3)
+
+
+# the bar fields of each record kind that hold a label, a homograph or
+# a sense key
+NUMBERED_FIELDS = {"E": (3,), "S": (1,), "Y": (1,), "F": (1,), "R": (1, 3)}
+# digits of other scripts: ARABIC-INDIC ONE is a decimal digit, which
+# ``int`` reads; SUPERSCRIPT TWO and CIRCLED DIGIT ONE pass ``isdigit``
+# and fail in ``int``
+DIGITS = "019\u0661\u00b2\u2460"
+FIELD_TEXTS = st.one_of(
+    st.text(),
+    st.text(st.sampled_from(DIGITS), min_size=1, max_size=3),
+    st.tuples(st.text(st.sampled_from(DIGITS), min_size=1, max_size=2),
+              st.sampled_from(("", "a", "b(1)", "(\u0661)"))).map("".join))
+
+
+@st.composite
+def lexf_with_a_number_field_replaced(draw) -> str:
+    """A ``lexf_texts()`` text with one label, homograph or R-key field,
+    or one colon part of an R key, replaced by drawn text."""
+    lines = draw(lexf_texts()).splitlines()
+    i, f = draw(st.sampled_from([
+        (i, f) for i, line in enumerate(lines)
+        for f in NUMBERED_FIELDS.get(line[:1], ())]))
+    fields = lines[i].split("|")
+    new = draw(FIELD_TEXTS)
+    if fields[0] == "R" and draw(st.booleans()):
+        parts = fields[f].split(":")
+        parts[draw(st.integers(0, len(parts) - 1))] = new
+        new = ":".join(parts)
+    fields[f] = new
+    lines[i] = "|".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexf_with_a_number_field_replaced())
+@example("E|alpha|vi|\u00b2\nS|1||to move|\n")
+@example("E|alpha|vi|1\nS|1||to move|\nR|alpha:vi:\u2460:1|move|alpha:vi:1\n")
+@example("E|alpha|vi|" + "1" * 4301 + "\nS|1||to move|\n")
+def test_any_number_field_ends_in_a_lexicon_or_a_line_error(text):
+    """Whatever a label, homograph or R-key field holds, Unicode digits
+    included, ingest returns a Lexicon or raises a LexfError that names
+    its line, never another exception."""
+    try:
+        lexicon = parse_lexf(text)
+    except LexfError as exc:
+        assert exc.line is not None
+        assert str(exc).startswith(f"line {exc.line}: ")
+    else:
+        assert isinstance(lexicon, Lexicon)
 
 
 def test_genus_words_keep_listed_phrases_whole():

@@ -308,11 +308,13 @@ def test_sense_label_orders_by_text():
     lambda: SenseLabel("1b")._replace(text="b1"),
     lambda: SenseLabel("1b")._replace(text="x"),
     lambda: SenseLabel("1b\n"),
+    lambda: SenseLabel("1\u0661"),
     lambda: Phrase("adverb", "slowly", "into"),
     lambda: Phrase._make(["prep-phrase", "curd", None, False]),
     lambda: Phrase("prep-phrase", "curd", "into")._replace(prep=None),
 ], ids=["label", "label-make", "label-replace", "label-replace-x",
-        "label-final-newline", "phrase", "phrase-make", "phrase-replace"])
+        "label-final-newline", "label-other-digit", "phrase", "phrase-make",
+        "phrase-replace"])
 def test_every_construction_is_checked(build):
     with pytest.raises(ValueError):
         build()
