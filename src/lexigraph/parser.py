@@ -306,8 +306,8 @@ class ContextOracle:
                 return "yes" if obj.head == wanted else "no"
             return ("yes" if set(split_alternatives(obj.text))
                     & set(split_alternatives(wanted)) else "no")
-        if kind == "ADJ-COMPLEMENT":
-            return "absent"
+        if kind == "ADJ-COMPLEMENT":  # the noun phrase after the verb
+            return "absent" if self.ctx.object_np is None else "present"
         return "unknown"
 
     def _conditions_answer(self, facts: tuple) -> str:

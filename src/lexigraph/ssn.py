@@ -47,9 +47,7 @@ Nonterminal = namedtuple("Nonterminal", "sense members frame",
                          defaults=(None,))
 
 
-class Question(namedtuple("Question",
-                          "kind payload branches retain_all_on_unknown",
-                          defaults=(True,))):
+class Question(namedtuple("Question", "kind payload branches")):
     """A network question: its kind (POS, TRANSITIVITY, OBJ-IS, OBJ-SAT,
     ADJ-COMPLEMENT, USAGE or FRAME-DIFF), a kind-specific renderable
     payload, and its (answer, node) branches.  Its ``qid`` is formatted

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from lexigraph import corpus
 from lexigraph.defgraph import build_graph
 from lexigraph.lexicon import (
     CHUNKING_PREPS,
+    HEDGE_WORDS,
     DefinitionParseError,
     LexfError,
     Lexicon,
@@ -16,6 +20,7 @@ from lexigraph.lexicon import (
     Sense,
     SenseKey,
     SenseLabel,
+    _is_adverb,
     _label_parts,
     _parse_sense_key,
     genus_words,
@@ -103,6 +108,11 @@ FIRST_ERRORS = [
     ("E|a|vi|1\nR|a:vi:1:x|go", "line 2: R record needs from|genus|to"),
     ("E|a|vi|1\nR|a:vi:1:x|go|a:vq:1", "line 2: bad sense label: 'x'"),
     ("X|a", "line 1: unknown record kind 'X'"),
+    ("E|a|vi|1\nY|1|GO AWAY, 2",
+     "line 2: synonym must be a single uppercase word: 'GO AWAY, 2'"),
+    pytest.param("E|a|vi|1\nS|" + "1" * 4301 + "||to go|",
+                 "line 2: bad sense label: '" + "1" * 4301 + "'",
+                 id="a-label-of-4301-digits"),
 ]
 
 
@@ -324,6 +334,73 @@ def test_parse_definition_raises_only_its_own_error(text, pos):
         parse_definition(text, pos)
     except DefinitionParseError:
         pass
+
+
+# the tokens the segmenter tests for, some in mixed case: prepositions,
+# coordinators, "as if" (and "with or as if with", which it reads as one
+# hedged phrase), hedges and other adverbs, parentheticals whole and split,
+# the negation and infinitive marker, particles, wh-words, determiners and
+# object openers, copular and other heads
+SEGMENT_TOKENS = (
+    "into", "to", "from", "in", "by", "with", "within", "between", "for",
+    "against", "on", "at", "through", "over", "upon", "toward", "without",
+    "under", "about", "of", "or", "and", "as", "if", "with or as if with",
+    "into or as if into", "usu.", "usually", "often", "esp.", "especially",
+    "sometimes", "chiefly", "more", "less", "very", "too", "slowly", "fly",
+    "(x)", "(one's hair)", "(", "one's", "hair)", "(a", "b)", "not", "up",
+    "out", "off", "round", "down", "away", "what", "whatever", "who",
+    "which", "a", "an", "the", "one", "some", "its", "something", "oneself",
+    "itself", "be", "become", "turn", "grow", "get", "remain", "change",
+    "give", "move", "things", "state", "x", "Into", "OR", "As", "IF",
+    "Usually", "The", "Be", "Up", "(X)", "Slowly", "Not", "To", "What")
+
+SEGMENTATION_PINS = {
+    "corpora":
+        "a05f952a9055c611e0e33eabc60b2a97d30db0efb1c606d1a0ed4b4dee244f7e",
+    "random":
+        "30e87af081be2b98c02b5831d177def658f03aef1c9de623977365dbfee69e47"}
+
+
+def _segmentation_digest(texts) -> str:
+    """sha256 of what ``parse_definition`` gives each text under vi, vt,
+    vb and n: the ``repr`` of its parse, or its exception's type and
+    message."""
+    digest = hashlib.sha256()
+    for text in texts:
+        for pos in (PartOfSpeech.VI, PartOfSpeech.VT, PartOfSpeech.VB,
+                    PartOfSpeech.NOUN):
+            try:
+                out = repr(parse_definition(text, pos))
+            except Exception as exc:  # pinned, whatever it is
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(f"{out}\n".encode())
+    return digest.hexdigest()
+
+
+def test_segmentation_of_the_corpora_is_pinned():
+    """Every S-line definition of the bundled corpora and of the x16
+    lexicons for seeds 7 and 11 segments as it did."""
+    texts = [corpus_text(name) for name in
+             ("change_corpus.lexf", "wordgov_corpus.lexf")]
+    for seed in (7, 11):
+        texts += lexgen().generate(16, seed).texts()
+    definitions = [s.raw_definition for text in texts
+                   for s in parse_lexf(text).entries if s.raw_definition]
+    assert _segmentation_digest(definitions) == SEGMENTATION_PINS["corpora"]
+
+
+def test_segmentation_of_token_sequences_is_pinned():
+    """20,000 seeded sequences of 1 to 12 segmenter tokens segment as they
+    did."""
+    rng = random.Random(30)
+    texts = [" ".join(rng.choice(SEGMENT_TOKENS)
+                      for _ in range(rng.randint(1, 12)))
+             for _ in range(20_000)]
+    assert _segmentation_digest(texts) == SEGMENTATION_PINS["random"]
+
+
+def test_every_hedge_word_is_an_adverb():
+    assert all(_is_adverb(word) for word in HEDGE_WORDS)
 
 
 def test_parse_definition_total_over_corpus(lexicon):

@@ -198,6 +198,71 @@ def test_open_questions_come_from_the_network(lexicon, ssns, frames, rules):
     assert set(r.open_questions) <= valid
 
 
+# verb senses whose network asks what the words of a sentence answer:
+# part of speech (a noun sense), transitivity (vi, vt and vb senses), a
+# specified object of one word (OBJ-IS) and of several (OBJ-SAT), and an
+# adjective complement (a definition ending "to be"); and a network of
+# two vi senses asked only about the complement
+ZAP_LEXF = {
+    "mixed": "E|zap|vi|1\nS|1||to become bar|\nS|2||to go away|\n"
+             "E|zap|vt|1\nS|1||to strike (metal)|\n"
+             "S|2||to cause (a liquid) to become solid|\n"
+             "S|3||to hit something hard|\n"
+             "E|zap|vb|1\nS|1||to seem to be|\n"
+             "E|zap|n|1\nS|1||a sudden sound|\n",
+    "complement": "E|zap|vi|1\nS|1||to become bar|\nS|2||to seem to be|\n",
+}
+
+
+@pytest.fixture(scope="module")
+def zap_analyses(rules):
+    out = {}
+    for name, text in ZAP_LEXF.items():
+        lx = parse_lexf(text)
+        frames = build_frames(lx, rules)
+        out[name] = lx, build_all_ssns(lx, frames), frames, rules
+    return out
+
+
+def test_the_mixed_network_asks_each_sentence_question(zap_analyses):
+    _, ssns, _, _ = zap_analyses["mixed"]
+    assert [q.qid for q in ssns["zap"].questions()] == [
+        "POS", "TRANSITIVITY", "ADJ-COMPLEMENT", "FRAME-DIFF pos",
+        "FRAME-DIFF predicate", "OBJ-SAT a liquid", "OBJ-IS metal",
+        "ADJ-COMPLEMENT", "FRAME-DIFF pos", "FRAME-DIFF predicate"]
+
+
+@pytest.mark.parametrize("lexf, text, candidates, open_questions", [
+    # no object: vi; no complement prunes the "to be" sense
+    ("mixed", "The milk zapped", ["zap:vi:1:1", "zap:vi:1:2"],
+     ("FRAME-DIFF predicate",)),
+    # an object: vt; it is neither object, and it is a complement
+    ("mixed", "The milk zapped sour", ["zap:vb:1:1", "zap:vt:1:3"],
+     ("FRAME-DIFF pos",)),
+    # the specified object, bare or with a determiner, keeps its sense
+    ("mixed", "The smith zapped metal",
+     ["zap:vb:1:1", "zap:vt:1:1", "zap:vt:1:3"],
+     ("FRAME-DIFF pos", "FRAME-DIFF predicate")),
+    ("mixed", "The smith zapped the metal",
+     ["zap:vb:1:1", "zap:vt:1:1", "zap:vt:1:3"],
+     ("FRAME-DIFF pos", "FRAME-DIFF predicate")),
+    ("mixed", "The cold zapped a liquid",
+     ["zap:vb:1:1", "zap:vt:1:2", "zap:vt:1:3"],
+     ("FRAME-DIFF pos", "FRAME-DIFF predicate")),
+    ("mixed", "The cold zapped water", ["zap:vb:1:1", "zap:vt:1:3"],
+     ("FRAME-DIFF pos",)),
+    # the complement is answered from the sentence, not assumed absent
+    ("complement", "The milk zapped sour", ["zap:vi:1:1", "zap:vi:1:2"],
+     ("FRAME-DIFF predicate",)),
+    ("complement", "The milk zapped", ["zap:vi:1:1"], ()),
+])
+def test_sentence_words_answer_the_network(zap_analyses, lexf, text,
+                                           candidates, open_questions):
+    r = run(text, *zap_analyses[lexf])
+    assert [k.render() for k in r.candidates] == candidates
+    assert r.open_questions == open_questions
+
+
 def _slot(frame, name):
     def walk(slots):
         for s in slots:

@@ -165,8 +165,7 @@ SAMPLES = [
      "branches", False,
      "Question(kind='USAGE', payload=('into',), branches=(('absent', "
      "Nonterminal(sense=SenseKey(headword='turn', pos=<PartOfSpeech.VI: 'vi'>, "
-     "homograph=1, label='1a'), members=(), frame=None)),), "
-     "retain_all_on_unknown=True)"),
+     "homograph=1, label='1a'), members=(), frame=None)),))"),
     (SSN, lambda: SSN("turn", (KEY,), Nonterminal(KEY, ())), "root", False,
      "SSN(headword='turn', senses=(SenseKey(headword='turn', "
      "pos=<PartOfSpeech.VI: 'vi'>, homograph=1, label='1a'),), "
@@ -225,8 +224,7 @@ FIELDS = {
     ReductionReport: ("initial set_aside remaining iterations", {}),
     Terminal: ("sense frame", {}),
     Nonterminal: ("sense members frame", {"frame": None}),
-    Question: ("kind payload branches retain_all_on_unknown",
-               {"retain_all_on_unknown": True}),
+    Question: ("kind payload branches", {}),
     SSN: ("headword senses root", {}),
     TraverseResult: ("senses terminal open_questions", {}),
     FixtureManifest: ("values derivations", {}),
