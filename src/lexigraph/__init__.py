@@ -14,13 +14,12 @@ _EXPORTS = {
         "ResolutionRecord", "Sense", "SenseKey", "SenseLabel", "genus_words",
         "merge_lexicons", "parse_definition", "parse_lexf", "senses_of",
     ),
-    "lexf_writer": ("serialize_lexf",),
     "defgraph": (
         "Arc", "DefinitionGraph", "External", "build_graph", "condensation",
-        "primitive_candidates", "resolve", "strongly_connected_components",
+        "primitive_candidates", "strongly_connected_components",
     ),
     "frames": (
-        "Descriptor", "Frame", "Slot", "UseDelta", "apply_use", "build_frames",
+        "Descriptor", "Frame", "Slot", "UseDelta", "build_frames",
         "specialize_subsense", "use_deltas",
     ),
     "prep_rules": ("RuleTable",),
@@ -30,7 +29,6 @@ _EXPORTS = {
         "DisambiguationResult", "chunk_sentence", "disambiguate",
         "parse_discourse",
     ),
-    "autoresolve": ("disambiguate_in_definition",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

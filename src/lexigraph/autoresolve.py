@@ -15,7 +15,6 @@ from .frames import Frame, _match_facts, essential_change, walk_slots
 from .lexicon import (
     Lexicon,
     Phrase,
-    ResolutionRecord,
     Sense,
     SenseKey,
     _label_ancestors,
@@ -32,12 +31,6 @@ class AutoResolution(namedtuple(
     one target (``unique``) or None, the candidate keys left and why."""
 
     __slots__ = ()
-
-    @property
-    def record(self) -> ResolutionRecord | None:
-        if self.unique is None:
-            return None
-        return ResolutionRecord(self.using, self.genus_word, self.unique)
 
     def render(self) -> str:
         """A unique proposal as its LEXF R line, another as a comment line
@@ -84,22 +77,15 @@ class _GenusTable:
                                key=lambda k: len(_label_ancestors(k.label)))
 
 
-def disambiguate_in_definition(records: list[Sense], lexicon: Lexicon,
-                               frames: dict[SenseKey, Frame],
-                               rules: RuleTable) -> AutoResolution:
-    """Propose the sense of the genus verb used by a definition (records of
-    ``lexicon``): an adjacent from...to pair forces the respect family; an
-    into/to object presumes the subject-transforming family subject to the
-    essential-change check; an in-phrase is compared against the subsense
-    respect sets."""
-    return _propose(records, lexicon, frames, {})
-
-
 def _propose(records: list[Sense], lexicon: Lexicon,
              frames: dict[SenseKey, Frame],
              tables: dict[str, _GenusTable]) -> AutoResolution:
-    """``disambiguate_in_definition``, reading and filling ``tables``, the
-    genus tables of one run."""
+    """Propose the sense of the genus verb used by a definition (records of
+    ``lexicon``), reading and filling ``tables``, the genus tables of one
+    run: an adjacent from...to pair forces the respect family; an into/to
+    object presumes the subject-transforming family subject to the
+    essential-change check; an in-phrase is compared against the subsense
+    respect sets."""
     using = records[0].key
     genus_word = None
     for rec in records:

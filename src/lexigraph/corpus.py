@@ -23,10 +23,6 @@ def _read(name: str) -> str:
         return fh.read()
 
 
-def corpus_text(name: str = "change_corpus.lexf") -> str:
-    return _read(name)
-
-
 def load_corpus(include_word_government: bool = False) -> Lexicon:
     parts = [parse_lexf(_read("change_corpus.lexf")),
              parse_lexf(_read("resolutions.lexf"))]

@@ -8,7 +8,7 @@ with no compatible sense in the lexicon becomes an External node, rendered
 
 Arc direction is definiendum -> defining sense ("derives from"); primitives
 live in terminal (sink-side) components of the fully resolved graph.
-Graphs are immutable values; resolve() returns a new graph.
+Graphs are immutable values; apply_resolutions() returns a new graph.
 """
 from __future__ import annotations
 
@@ -69,14 +69,6 @@ class Arc(_LineBlind, namedtuple(
 
     __slots__ = ()
 
-    def target(self) -> SenseKey:
-        """The one target of a resolved arc; ValueError for a bundle."""
-        if not self.resolved or len(self.targets) != 1:
-            raise ValueError(
-                f"arc {self.source.render()} via {self.genus_word!r} is not "
-                f"resolved to one target")
-        return next(iter(self.targets))
-
 
 class DefinitionGraph(namedtuple("DefinitionGraph", "nodes arcs")):
     """Nodes (a frozenset) and arcs (a tuple).  A graph is an immutable
@@ -99,17 +91,10 @@ class DefinitionGraph(namedtuple("DefinitionGraph", "nodes arcs")):
             value = memo[(fact, mode)] = compute(self, mode)
         return value
 
-    def arcs_from(self, node: SenseKey) -> list[Arc]:
-        return [a for a in self.arcs if a.source == node]
-
-    def edges(self, mode: str) -> dict[Node, list[Node]]:
-        """Adjacency under a mode: optimistic takes every member of every
-        bundle; resolved-only takes resolved arcs exclusively."""
-        return {n: list(outs)
-                for n, outs in self._memo("edges", mode, _adjacency).items()}
-
 
 def _adjacency(graph: DefinitionGraph, mode: str) -> dict[Node, list[Node]]:
+    """Adjacency under a mode: optimistic takes every member of every
+    bundle; resolved-only takes resolved arcs exclusively."""
     adj: dict[Node, list[Node]] = {n: [] for n in graph.nodes}
     for arc in graph.arcs:
         if mode == "resolved-only" and not arc.resolved:
@@ -160,12 +145,6 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
         nodes.update(targets)
     arcs.sort(key=attrgetter("line", "genus_word"))
     return DefinitionGraph(frozenset(nodes), tuple(arcs))
-
-
-def resolve(graph: DefinitionGraph, record: ResolutionRecord) -> DefinitionGraph:
-    """Resolve every arc matching (from sense, genus word) to the single
-    target sense. Idempotent for a repeated record."""
-    return apply_resolutions(graph, (record,))
 
 
 def apply_resolutions(graph: DefinitionGraph,

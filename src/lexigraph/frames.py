@@ -128,10 +128,6 @@ class UseDelta(namedtuple("UseDelta", "kind path value")):
         return f"{self.kind} {'.'.join(self.path)} = {self.value}"
 
 
-# ``residue``: the differentiae that mapped to nothing
-ApplyOutcome = namedtuple("ApplyOutcome", "frame deltas residue")
-
-
 # ---------------------------------------------------------------------------
 # persistent slot operations
 #
@@ -374,33 +370,23 @@ def _ancestor_keys(key: SenseKey) -> list[SenseKey]:
             for text in _label_ancestors(key.label)]
 
 
-def apply_use(base: Frame, use: ParsedDefinition,
-              rules: RuleTable) -> ApplyOutcome:
-    """The three-way delta of using a verb in defining another: each
-    differentia may fill a slot, add a restriction, or add a slot.
-    Unmapped differentiae land in the residue, never dropped."""
-    base = _canonical(base)
-    slots, deltas, residue = _apply_use_to(base.slots, base.predicate, use,
-                                           rules)
-    frame = base._replace(slots=slots,
-                          provenance=base.provenance + ("applied use",))
-    return ApplyOutcome(frame, deltas, residue)
-
-
 def use_deltas(base: Frame, use: ParsedDefinition,
                rules: RuleTable) -> tuple[UseDelta, ...]:
-    """The deltas of ``apply_use(base, use, rules)``, without building the
-    resulting frame."""
+    """The deltas of applying ``use`` to ``base`` (``_apply_use_to``),
+    without building the resulting frame."""
     return _apply_use_to(_canonical(base).slots, base.predicate, use, rules)[1]
 
 
 def _apply_use_to(slots: tuple[Slot, ...], family: str, use: ParsedDefinition,
                   rules: RuleTable
                   ) -> tuple[tuple[Slot, ...], tuple[UseDelta, ...], tuple[str, ...]]:
-    """Apply a use to the slots of a frame of predicate ``family``: (the new
-    slots, deltas, residue).  Only the use's differentiae are read, so a
-    sentence (``parser.SentenceContext``, whose differentiae are chunks)
-    applies as a use too."""
+    """The three-way delta of using a verb in defining another, applied to
+    the slots of a frame of predicate ``family``: each differentia may fill
+    a slot, add a restriction, or add a slot.  Returns (the new slots,
+    deltas, residue); unmapped differentiae land in the residue, never
+    dropped.  Only the use's differentiae are read, so a sentence
+    (``parser.SentenceContext``, whose differentiae are chunks) applies as
+    a use too."""
     deltas: list[UseDelta] = []
     residue: list[str] = []
     descriptor_count = 0

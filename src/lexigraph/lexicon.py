@@ -114,12 +114,6 @@ class SenseLabel(namedtuple("SenseLabel", "text")):
     def _make(cls, iterable) -> "SenseLabel":  # so _replace checks too
         return cls(*iterable)
 
-    def parent(self) -> SenseLabel | None:
-        return next(iter(self.ancestors()), None)
-
-    def ancestors(self) -> list["SenseLabel"]:
-        return [SenseLabel(text) for text in _label_ancestors(self.text)]
-
     def __str__(self) -> str:
         return self.text
 
@@ -293,10 +287,9 @@ class Lexicon(namedtuple("Lexicon", "entries seed_frames resolutions")):
     tuple.  The lookups below read by-key and by-headword indexes that
     are built from ``entries`` on first use and kept for the life of the
     instance, so they assume ``entries`` never changes.  The indexes are
-    not fields: ``==`` and ``lexf_writer.serialize_lexf`` ignore them.  The
-    records of a key keep file order; the keys of a headword, and the
-    headwords, come in ``SenseKey.sort_key`` order, so no reader sorts them
-    again.
+    not fields: ``==`` and ``repr`` ignore them.  The records of a key
+    keep file order; the keys of a headword, and the headwords, come in
+    ``SenseKey.sort_key`` order, so no reader sorts them again.
     """
 
     def __new__(cls, entries: tuple[Sense, ...] = (),
@@ -358,9 +351,6 @@ class Lexicon(namedtuple("Lexicon", "entries seed_frames resolutions")):
 
     def sense_keys(self) -> list[SenseKey]:
         return list(self._by_key)
-
-    def records_for(self, key: SenseKey) -> list[Sense]:
-        return list(self._by_key.get(key, ()))
 
     def headwords(self) -> list[str]:
         return list(self._by_headword)

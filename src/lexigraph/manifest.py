@@ -9,13 +9,8 @@ from .corpus import _read
 from .lexicon import Lexicon, PartOfSpeech, genus_words, senses_of
 
 
-class FixtureManifest(namedtuple("FixtureManifest", "values derivations")):
-    """Each manifest key's expected count and its derivation."""
-
-    __slots__ = ()
-
-    def expected(self, key: str) -> int:
-        return self.values[key]
+# each manifest key's expected count and its derivation
+FixtureManifest = namedtuple("FixtureManifest", "values derivations")
 
 
 def load_manifest() -> FixtureManifest:

@@ -51,10 +51,6 @@ class ChunkError(ValueError):
     pass
 
 
-class NoNetworkError(KeyError, ValueError):
-    """A sentence whose verb has no network: a data error to the CLI."""
-
-
 class Chunk(namedtuple("Chunk", "kind text prep lemma", defaults=(None, None))):
     """A sentence chunk: its kind (verb, noun-phrase, prep-phrase, adverb
     or particle), its text, a prep-phrase's preposition, and a verb's
@@ -572,7 +568,7 @@ def parse_discourse(sentences: Sequence[str], lexicon: Lexicon,
         ctx = SentenceContext(chunks)
         verb = ctx.verb
         if verb is None or verb.lemma not in ssns:
-            raise NoNetworkError(f"no network for sentence {idx + 1}")
+            raise ChunkError(f"no network for sentence {idx + 1}")
         subject = ctx.subject
         entity = state.find_entity(subject)
         subject_override = None

@@ -7,10 +7,11 @@ each differ at a slot, or require a condition, of their own, an answer
 map that leads a network to one sense, the network compile as one
 recursive walk that asks each necessary condition as a two-way question,
 shares no subtree and finds first differences by flattening each frame,
-a reference for what traversing a compiled network selects, and the
-CLI's argparse parser as it was written out by hand before the command
-table, a reference for the argv reader and the parser built from the
-table.
+a reference for what traversing a compiled network selects, the CLI's
+argparse parser as it was written out by hand before the command table,
+a reference for the argv reader and the parser built from the table, a
+definition graph's adjacency read off its arcs, and a writer of a
+Lexicon back out as LEXF.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -27,7 +28,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from lexigraph.corpus import corpus_text
+from lexigraph.corpus import _read
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import (
     Slot,
@@ -35,7 +36,7 @@ from lexigraph.frames import (
     render_condition,
     slot_order_key,
 )
-from lexigraph.lexicon import ResolutionError, parse_lexf
+from lexigraph.lexicon import Lexicon, ResolutionError, SenseKey, parse_lexf
 from lexigraph.prep_rules import RuleTable
 from lexigraph.ssn import (
     _TRANSITIVITY,
@@ -259,7 +260,7 @@ def family_rules_text() -> str:
     # its space
     families = set(names) | {name.replace(" ", "-") for name in names}
     rows = [line.split("\t") for line in
-            corpus_text("prep_rules.tsv").splitlines()
+            _read("prep_rules.tsv").splitlines()
             if line and not line.startswith("#")]
     return "".join(f"{prep}\t{family}\t{slot}\t{action}\n"
                    for prep, _, slot, action in rows
@@ -666,3 +667,49 @@ def reference_build_argparser() -> argparse.ArgumentParser:
     disc_p.add_argument("--file", required=True,
                         help="one sentence per line")
     return parser
+
+
+# ---------------------------------------------------------------------------
+# a definition graph's adjacency, and a lexicon written back out
+
+def edges(graph, mode: str) -> dict:
+    """Each node's targets under a mode, read off the graph's arcs:
+    optimistic takes every member of every bundle, resolved-only the
+    resolved arcs only."""
+    adj: dict = {n: set() for n in graph.nodes}
+    for arc in graph.arcs:
+        if mode == "optimistic" or arc.resolved:
+            adj[arc.source] |= arc.targets
+    return adj
+
+
+def serialize_lexf(lexicon: Lexicon) -> str:
+    """Write a Lexicon back out as LEXF; parse(serialize(lx)) == lx."""
+    lines: list[str] = []
+    current: tuple | None = None
+    emitted_seeds: set[SenseKey] = set()
+    for s in lexicon.entries:
+        header = (s.headword, s.pos, s.homograph)
+        if header != current:
+            if current is not None:
+                lines.append("")
+            lines.append(f"E|{s.headword}|{s.pos.value}|{s.homograph}")
+            current = header
+        if s.is_synonym_line:
+            row = f"Y|{s.label}|{s.synonym_refs[0]}"
+            if s.usage_note:
+                row += f"|{s.usage_note}"
+            lines.append(row)
+        else:
+            note = s.usage_note or ""
+            status = ",".join(sorted(s.status))
+            lines.append(f"S|{s.label}|{status}|{s.raw_definition}|{note}")
+        if s.key not in emitted_seeds:
+            for payload in lexicon.seed_frames.get(s.key, ()):
+                lines.append(f"F|{s.label}|{payload}")
+            emitted_seeds.add(s.key)
+    if lexicon.resolutions:
+        lines.append("")
+        for r in lexicon.resolutions:
+            lines.append(f"R|{r.from_key.render()}|{r.genus_word}|{r.target.render()}")
+    return "\n".join(lines) + "\n"

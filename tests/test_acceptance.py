@@ -18,7 +18,7 @@ from lexigraph.defgraph import (
     condensation,
     strongly_connected_components,
 )
-from lexigraph.frames import apply_use, build_frames
+from lexigraph.frames import build_frames, use_deltas
 from lexigraph.lexicon import PartOfSpeech, SenseKey, parse_sense, senses_of
 from lexigraph.manifest import load_manifest
 from lexigraph.parser import (
@@ -31,7 +31,7 @@ from lexigraph.parser import (
 from lexigraph.reduction import reduce_fixpoint
 from lexigraph.ssn import build_all_ssns, traverse
 
-from support import oracle_reaching
+from support import edges, oracle_reaching
 from test_defgraph import oracle_sccs, oracle_condensation_arcs, reachability
 
 
@@ -124,13 +124,12 @@ def test_criterion_2_respect_deltas_from_uses(env):
         for (head, label), expected in rows.items():
             sense = [s for s in senses_of(lexicon, head)
                      if s.label.text == label][0]
-            outcome = apply_use(base, parse_sense(sense), rules)
-            deltas = [d for d in outcome.deltas
+            deltas = [d for d in use_deltas(base, parse_sense(sense), rules)
                       if d.kind == "RESTRICT" and d.path[-1] == "RESPECT"]
             assert len(deltas) == 1, (head, label)
             assert deltas[0].value == expected, (head, label)
             seen.append(deltas[0].value)
-        assert len(seen) == 7 == manifest.expected("respect_use_rows")
+        assert len(seen) == 7 == manifest.values["respect_use_rows"]
 
 
 def test_criterion_3_resolution_walkthrough(env):
@@ -160,14 +159,14 @@ def test_criterion_4_cycle_breaking(env):
                       "resolved graph has no nontrivial component", 1.0):
         comps = strongly_connected_components(graph, "optimistic")
         assert {frozenset(c) for c in comps} == oracle_sccs(
-            graph.edges("optimistic"))
+            edges(graph, "optimistic"))
         joined = [c for c in comps if len(c) > 1]
         assert len(joined) == 1
         heads = {n.headword for n in joined[0]}
         assert {"change", "turn"} <= heads
         resolved_comps = strongly_connected_components(resolved, "resolved-only")
         assert {frozenset(c) for c in resolved_comps} == oracle_sccs(
-            resolved.edges("resolved-only"))
+            edges(resolved, "resolved-only"))
         assert max(len(c) for c in resolved_comps) == 1
 
 
@@ -181,13 +180,13 @@ def test_criterion_5_reduction_fixpoint(env):
         aside = {ev.sense for ev in report.set_aside}
         assert len(using) == 47 and using <= aside
         tallies = report.tallies()
-        assert tallies["MULTI-CONCEPT"] == manifest.expected(
-            "reduction_multi_concept")
-        assert tallies["SLOT-FILL"] == manifest.expected("reduction_slot_fill")
-        assert tallies["WORD-GOVERNMENT"] == manifest.expected(
-            "reduction_word_government")
-        assert tallies["OPTIONAL-COMPONENT"] == manifest.expected(
-            "reduction_optional_component")
+        expected = manifest.values
+        assert tallies["MULTI-CONCEPT"] == expected["reduction_multi_concept"]
+        assert tallies["SLOT-FILL"] == expected["reduction_slot_fill"]
+        assert (tallies["WORD-GOVERNMENT"]
+                == expected["reduction_word_government"])
+        assert (tallies["OPTIONAL-COMPONENT"]
+                == expected["reduction_optional_component"])
         assert all(k.headword == "change" for k in report.remaining)
 
 
@@ -263,7 +262,7 @@ def test_criterion_8_component_oracle_equivalence(env):
                     if i != j and rng.random() < 0.1:
                         arcs.append(Arc(src, f"g{j}", frozenset({dst}), True))
             g = DefinitionGraph(frozenset(nodes), tuple(arcs))
-            adj = g.edges("resolved-only")
+            adj = edges(g, "resolved-only")
             comps = strongly_connected_components(g, "resolved-only")
             assert {frozenset(c) for c in comps} == oracle_sccs(adj), trial
             cond = condensation(g, "resolved-only")

@@ -136,6 +136,47 @@ def test_reduction_reads_the_deltas_of_the_derivation(monkeypatch, lexicon,
     assert sum(uses.values()) == 44
 
 
+# A subsense with an R record of its own: its frame specializes its label
+# parent's, so the derivation applies no use of its genus word, and the
+# reduction derives that use's deltas itself (``frames.use_deltas``).
+ALTER_LEXF = """\
+E|alter|vi|1
+S|1||to change|
+S|1a||to change in form|
+R|alter:vi:1:1a|change|change:vi:1:2
+"""
+ALTER_ROW = ("alter:vi:1:1a\tset-aside\tOPTIONAL-COMPONENT\t"
+             "adverbial only | in: form")
+
+
+def test_reduction_applies_the_uses_the_derivation_did_not(monkeypatch,
+                                                           tmp_path, rules):
+    lx = merge_lexicons(corpus.load_corpus(), parse_lexf(ALTER_LEXF))
+    frames = build_frames(lx, rules)
+    (alter_1a,) = [rec for rec in lx.entries
+                   if rec.headword == "alter" and rec.label.text == "1a"]
+    assert all(rec is not alter_1a for rec, _, _ in frames.uses.values())
+    uses = counting(monkeypatch, frames_mod, "_apply_use_to",
+                    lambda slots, family, use, rules: id(use))
+    report = reduce_fixpoint(lx, None, frames, rules)
+    assert uses == {id(lexicon_mod.parse_sense(alter_1a)): 1}
+    assert ALTER_ROW in report.to_tsv().splitlines()
+    # the same row from the command, reading the lexicons and the
+    # resolutions from files
+    files = {}
+    for name, text in (("change.lexf", corpus._read("change_corpus.lexf")),
+                       ("alter.lexf", ALTER_LEXF),
+                       ("resolutions.lexf", corpus._read("resolutions.lexf"))):
+        files[name] = tmp_path / name
+        files[name].write_text(text, encoding="utf-8")
+    out = tmp_path / "reduce.tsv"
+    assert run(["--lexicon", str(files["change.lexf"]),
+                "--lexicon", str(files["alter.lexf"]),
+                "--resolutions", str(files["resolutions.lexf"]),
+                "--output", str(out), "reduce", "--format", "tsv"]) == 0
+    assert ALTER_ROW in out.read_text(encoding="utf-8").splitlines()
+
+
 # the bundled table's rows for every predicate family that a generated
 # lexicon can have, so that its uses fill and restrict slots
 FAMILIES = ("ALPHA", "BETA", "GAMMA", "GIVE", "GIVE UP", "GIVE-UP", "DELTA",
@@ -144,7 +185,7 @@ RULES_TEXT = "".join(
     f"{prep}\t{family}\t{slot}\t{action}\n"
     for prep, _, slot, action in (
         line.split("\t")
-        for line in corpus.corpus_text("prep_rules.tsv").splitlines()
+        for line in corpus._read("prep_rules.tsv").splitlines()
         if line and not line.startswith("#"))
     for family in FAMILIES)
 

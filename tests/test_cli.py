@@ -299,9 +299,9 @@ def test_output_deterministic(capout):
 
 
 def test_inputs_not_mutated(tmp_path, capout):
-    from lexigraph.corpus import corpus_text
+    from lexigraph.corpus import _read
     src = tmp_path / "c.lexf"
-    src.write_text(corpus_text(), encoding="utf-8")
+    src.write_text(_read("change_corpus.lexf"), encoding="utf-8")
     before = src.read_text(encoding="utf-8")
     code, _, _ = capout(["--lexicon", str(src), "scc"])
     assert code == 0
@@ -319,9 +319,9 @@ def test_autoresolve_writes_to_new_file(tmp_path, capout):
 def test_parse_with_explicit_unresolved_lexicon(tmp_path, capout):
     # parsing asks only about the verb at hand; other headwords may lack
     # distinct representations in an unresolved lexicon
-    from lexigraph.corpus import corpus_text
+    from lexigraph.corpus import _read
     src = tmp_path / "change_corpus.lexf"
-    src.write_text(corpus_text(), encoding="utf-8")
+    src.write_text(_read("change_corpus.lexf"), encoding="utf-8")
     code, out, _ = capout(["--lexicon", str(src), "parse", "--text",
                            "The milk changed into curd"])
     assert code == 0
@@ -347,6 +347,14 @@ def test_discourse_file(tmp_path, capout):
     assert code == 0
     assert "change:vi:1:2a" in out
     assert "bindings:" in out and "curd" in out
+
+
+def test_discourse_sentence_without_a_network_is_data_error(tmp_path, capout):
+    doc = tmp_path / "story.txt"
+    doc.write_text("It.\n", encoding="utf-8")
+    code, out, err = capout(["discourse", "--file", str(doc)])
+    assert (code, out) == (2, "")
+    assert err == "lexigraph: no network for sentence 1\n"
 
 
 def test_missing_discourse_file_is_data_error(tmp_path, capout):

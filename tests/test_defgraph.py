@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import dot_strings, lexf_texts
+from support import dot_strings, edges, lexf_texts
 from lexigraph.defgraph import (
     MODES,
     Arc,
@@ -18,7 +18,6 @@ from lexigraph.defgraph import (
     components_tsv,
     condensation,
     primitive_candidates,
-    resolve,
     strongly_connected_components,
     to_dot,
 )
@@ -39,6 +38,10 @@ def node(key: str) -> SenseKey:
 
 def by_sort_key(node):
     return node.sort_key()
+
+
+def arcs_from(graph, source):
+    return [a for a in graph.arcs if a.source == source]
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,7 @@ def test_empty_lexicon_gives_empty_graph():
 
 def test_change_1f_turn_bundle(lexicon, graph):
     source = node("change:vi:1:1f")
-    arcs = [a for a in graph.arcs_from(source) if a.genus_word == "turn"]
+    arcs = [a for a in arcs_from(graph, source) if a.genus_word == "turn"]
     assert len(arcs) == 1
     labels = {t.label for t in arcs[0].targets}
     assert labels == {"3b(1)", "4c(1)", "6b(1)", "6b(2)"}
@@ -107,7 +110,7 @@ def test_every_using_sense_arcs_to_change(lexicon, graph):
     using = {s.key for s in lexicon.entries
              if s.pos.is_verb and s.headword != "change"}
     for key in using:
-        arcs = graph.arcs_from(key)
+        arcs = arcs_from(graph, key)
         assert any(a.genus_word == "change" for a in arcs), key
 
 
@@ -120,7 +123,7 @@ def test_external_genus_words_get_box_nodes(graph):
 
 
 def test_negated_genus_still_arcs(graph):
-    arcs = graph.arcs_from(node("hold:vi:1:1b(1)"))
+    arcs = arcs_from(graph, node("hold:vi:1:1b(1)"))
     assert arcs and arcs[0].negated
 
 
@@ -159,7 +162,7 @@ def test_vb_senses_are_targets_for_both_uses():
         "E|b|vb|1\nS|1||drift away|\n")
     g = build_graph(lx)
     for src in ("a:vi:1:1", "c:vt:1:1"):
-        arcs = g.arcs_from(node(src))
+        arcs = arcs_from(g, node(src))
         assert arcs[0].targets == frozenset({node("b:vb:1:1")}), src
 
 
@@ -170,37 +173,29 @@ def test_resolve_coalify(lexicon, graph):
     record = ResolutionRecord(
         SenseKey("coalify", PartOfSpeech.VB, 1, "1"), "change",
         SenseKey("change", PartOfSpeech.VI, 1, "2"))
-    g2 = resolve(graph, record)
-    arcs = [a for a in g2.arcs_from(node("coalify:vb:1:1"))
+    g2 = apply_resolutions(graph, (record,))
+    arcs = [a for a in arcs_from(g2, node("coalify:vb:1:1"))
             if a.genus_word == "change"]
-    assert arcs[0].resolved and arcs[0].target() == node("change:vi:1:2")
-
-
-def test_target_of_unresolved_bundle_raises(resolved_graph):
-    # a check that holds under python -O as well, where assert is skipped
-    arc = next(a for a in resolved_graph.arcs_from(node("change:vi:1:1f"))
-               if a.genus_word == "turn")
-    assert not arc.resolved and len(arc.targets) == 4
-    with pytest.raises(ValueError, match="not resolved to one target"):
-        arc.target()
+    assert arcs[0].resolved
+    assert arcs[0].targets == frozenset({node("change:vi:1:2")})
 
 
 def test_resolve_idempotent(lexicon, graph):
     record = lexicon.resolutions[0]
-    once = resolve(graph, record)
-    twice = resolve(once, record)
-    assert once == twice
+    once = apply_resolutions(graph, (record,))
+    twice = apply_resolutions(once, (record,))
+    assert once == twice == apply_resolutions(graph, (record, record))
 
 
 def test_resolve_errors(graph):
     with pytest.raises(ResolutionError):
-        resolve(graph, ResolutionRecord(
+        apply_resolutions(graph, (ResolutionRecord(
             SenseKey("nothere", PartOfSpeech.VI, 1, "1"), "change",
-            SenseKey("change", PartOfSpeech.VI, 1, "2")))
+            SenseKey("change", PartOfSpeech.VI, 1, "2")),))
     with pytest.raises(ResolutionError):
-        resolve(graph, ResolutionRecord(
+        apply_resolutions(graph, (ResolutionRecord(
             SenseKey("coalify", PartOfSpeech.VB, 1, "1"), "change",
-            SenseKey("turn", PartOfSpeech.VI, 1, "6b(2)")))
+            SenseKey("turn", PartOfSpeech.VI, 1, "6b(2)")),))
 
 
 def test_resolving_breaks_change_turn_cycle(lexicon, graph, resolved_graph):
@@ -216,8 +211,8 @@ def test_resolving_breaks_change_turn_cycle(lexicon, graph, resolved_graph):
     extra = ResolutionRecord(
         SenseKey("change", PartOfSpeech.VI, 1, "1f"), "turn",
         SenseKey("turn", PartOfSpeech.VI, 1, "3b(1)"))
-    g2 = resolve(resolved_graph, extra)
-    adj = g2.edges("resolved-only")
+    g2 = apply_resolutions(resolved_graph, (extra,))
+    adj = edges(g2, "resolved-only")
     for comp in oracle_sccs(adj):
         assert len(comp) == 1
 
@@ -226,8 +221,8 @@ def test_resolution_monotonicity(lexicon, graph):
     # resolved-only reachability after resolving is contained in the
     # optimistic reachability before
     resolved = apply_resolutions(graph, lexicon.resolutions)
-    before = reachability(graph.edges("optimistic"))
-    after = reachability(resolved.edges("resolved-only"))
+    before = reachability(edges(graph, "optimistic"))
+    after = reachability(edges(resolved, "resolved-only"))
     for n, reach in after.items():
         assert reach <= before[n]
 
@@ -246,7 +241,7 @@ def test_no_arcs_all_singletons():
 def test_corpus_components_match_oracle(graph, resolved_graph):
     for g, mode in ((graph, "optimistic"), (resolved_graph, "resolved-only")):
         comps = strongly_connected_components(g, mode)
-        assert {frozenset(c) for c in comps} == oracle_sccs(g.edges(mode))
+        assert {frozenset(c) for c in comps} == oracle_sccs(edges(g, mode))
         # canonical order: components by smallest member, members sorted
         firsts = [c[0].sort_key() for c in comps]
         assert firsts == sorted(firsts)
@@ -337,7 +332,7 @@ def test_components_match_oracle_on_random_graphs():
     rng = random.Random(20260810)
     for trial in range(60):
         g = _random_graph(rng, rng.randint(1, 30))
-        adj = g.edges("resolved-only")
+        adj = edges(g, "resolved-only")
         got = {frozenset(c)
                for c in strongly_connected_components(g, "resolved-only")}
         assert got == oracle_sccs(adj), f"trial {trial}"
@@ -422,12 +417,12 @@ def test_apply_resolutions_equals_per_record_fold(text, data):
 
     assert _outcome(lambda: apply_resolutions(graph, records)) == _outcome(fold)
     for record in records[:3]:
-        assert (_outcome(lambda: resolve(graph, record))
+        assert (_outcome(lambda: apply_resolutions(graph, (record,)))
                 == _outcome(lambda: _resolve_reference(graph, record)))
 
 
 def _graph_facts(g: DefinitionGraph) -> list:
-    return [(g.edges(m), strongly_connected_components(g, m), condensation(g, m))
+    return [(edges(g, m), strongly_connected_components(g, m), condensation(g, m))
             for m in MODES] + [primitive_candidates(g)]
 
 
@@ -449,10 +444,6 @@ def test_graph_facts_are_memoized_safely(text, data):
     # callers own what they are handed: mutating it leaves the memo intact
     bogus = External("bogus")
     for mode in MODES:
-        adj = g.edges(mode)
-        for outs in adj.values():
-            outs.append(bogus)
-        adj[bogus] = []
         comps = strongly_connected_components(g, mode)
         for comp in comps:
             comp.clear()
@@ -463,7 +454,7 @@ def test_graph_facts_are_memoized_safely(text, data):
 
 
 def test_unknown_mode_is_rejected(graph):
-    for fn in (graph.edges, lambda m: strongly_connected_components(graph, m),
+    for fn in (lambda m: strongly_connected_components(graph, m),
                lambda m: condensation(graph, m)):
         with pytest.raises(ValueError, match="unknown mode"):
             fn("pessimistic")
@@ -474,8 +465,9 @@ def test_apply_resolutions_last_record_wins(lexicon, graph):
     first = ResolutionRecord(source, "change", SenseKey("change", PartOfSpeech.VI, 1, "2"))
     last = ResolutionRecord(source, "change", SenseKey("change", PartOfSpeech.VI, 1, "1"))
     g = apply_resolutions(graph, [first, last])
-    arcs = [a for a in g.arcs_from(node("coalify:vb:1:1")) if a.genus_word == "change"]
-    assert arcs and all(a.target() == node("change:vi:1:1") for a in arcs)
+    arcs = [a for a in arcs_from(g, node("coalify:vb:1:1")) if a.genus_word == "change"]
+    assert arcs and all(a.resolved and a.targets == frozenset({node("change:vi:1:1")})
+                        for a in arcs)
 
 
 def test_apply_resolutions_reports_first_bad_record(graph):

@@ -25,8 +25,9 @@ from lexigraph.frames import (
     SeedGrammarError,
     Slot,
     SpecializationError,
+    _apply_use_to,
+    _canonical,
     _FrameDerivation,
-    apply_use,
     build_frames,
     frame_to_text,
     render_condition,
@@ -251,36 +252,47 @@ def test_respect_restrictions_reproduce_exactly(frames):
 
 
 # ---------------------------------------------------------------------------
-# apply_use
+# applying a use
+
+def applied(base: Frame, use, rules) -> tuple:
+    """``base`` with ``use`` applied as the frame derivation applies a
+    genus use (``_apply_use_to``), the deltas and the residue."""
+    slots, deltas, residue = _apply_use_to(base.slots, base.predicate, use,
+                                           rules)
+    return base._replace(slots=slots), deltas, residue
+
 
 def test_apply_use_coalify(lexicon, frames, rules):
-    base = frames[change_key("2")]
-    sense = [s for s in lexicon.entries if s.headword == "coalify"][0]
-    outcome = apply_use(base, parse_sense(sense), rules)
-    fills = {d.path[-1]: d.value for d in outcome.deltas if d.kind == "FILL"}
+    # coalify's frame derives along its resolved arc to change 2
+    key = SenseKey("coalify", PartOfSpeech.VB, 1, "1")
+    (sense,) = lexicon._by_key[key]
+    _, base, deltas = frames.uses[id(sense), "change"]
+    assert base is frames[change_key("2")]
+    fills = {d.path[-1]: d.value for d in deltas if d.kind == "FILL"}
     # the to-state of sense 2 is the RESULT slot via its binding
     assert fills["RESULT"] == "coal"
     assert fills["AGENT"] == "the process of coalification"
-    result = find_slot(outcome.frame, "RESULT")
+    result = find_slot(frames[key], "RESULT")
     assert result.bind == "TO-STATE" and result.filler == "coal"
-    subj = find_slot(outcome.frame, "SUBJ")
+    subj = find_slot(frames[key], "SUBJ")
     assert subj.case == ("PAT",)
+    assert frames[key].provenance[-1] == "applied use"
 
 
 def test_apply_use_deform(lexicon, frames, rules):
     base = frames[change_key("1")]
     sense = [s for s in lexicon.entries if s.headword == "deform"][0]
-    outcome = apply_use(base, parse_sense(sense), rules)
-    assert [(d.kind, d.path[-1], d.value) for d in outcome.deltas] == [
+    _, deltas, _ = applied(base, parse_sense(sense), rules)
+    assert [(d.kind, d.path[-1], d.value) for d in deltas] == [
         ("RESTRICT", "RESPECT", "shape")]
 
 
 def test_apply_use_no_differentiae(frames, rules):
     base = frames[change_key("1")]
     use = parse_definition("change", PartOfSpeech.VI)
-    outcome = apply_use(base, use, rules)
-    assert outcome.deltas == ()
-    assert frame_first_diff(base, outcome.frame) is None
+    frame, deltas, _ = applied(base, use, rules)
+    assert deltas == ()
+    assert frame_first_diff(base, frame) is None
 
 
 def test_apply_use_is_additive(lexicon, frames, rules):
@@ -312,10 +324,10 @@ def test_apply_use_is_additive(lexicon, frames, rules):
                 continue
             if sense.headword == "change":
                 continue
-            outcome = apply_use(base, parse_sense(sense), rules)
-            assert slot_names(base) <= slot_names(outcome.frame)
+            frame, _, _ = applied(base, parse_sense(sense), rules)
+            assert slot_names(base) <= slot_names(frame)
             before = restriction_sets(base)
-            after = restriction_sets(outcome.frame)
+            after = restriction_sets(frame)
             for name, restr in before.items():
                 assert restr <= after[name]
 
@@ -323,29 +335,29 @@ def test_apply_use_is_additive(lexicon, frames, rules):
 def test_apply_use_residue_never_drops(lexicon, frames, rules):
     base = frames[change_key("1")]
     sense = [s for s in lexicon.entries if s.headword == "range"][0]
-    outcome = apply_use(base, parse_sense(sense), rules)
-    assert not outcome.deltas
-    assert any("within" in r for r in outcome.residue)
+    _, deltas, residue = applied(base, parse_sense(sense), rules)
+    assert not deltas
+    assert any("within" in r for r in residue)
 
 
 def test_apply_use_fill_requires_unfilled_slot(lexicon, frames, rules):
     # differ carries two from...to pairs: the second pair cannot re-fill
     base = frames[change_key("1")]
     sense = [s for s in lexicon.entries if s.headword == "differ"][0]
-    outcome = apply_use(base, parse_sense(sense), rules)
-    from_fills = [d for d in outcome.deltas
+    _, deltas, residue = applied(base, parse_sense(sense), rules)
+    from_fills = [d for d in deltas
                   if d.kind == "FILL" and d.path[-1] == "FROM-STATE"]
     assert len(from_fills) == 1
-    assert any("already filled" in r for r in outcome.residue)
+    assert any("already filled" in r for r in residue)
 
 
 def test_apply_use_empty_object_fills_descriptor(lexicon, frames, rules):
     base = frames[change_key("2")]
     sense = [s for s in lexicon.entries if s.headword == "run into"][0]
-    outcome = apply_use(base, parse_sense(sense), rules)
-    fills = [d for d in outcome.deltas if d.kind == "FILL"]
+    frame, deltas, _ = applied(base, parse_sense(sense), rules)
+    fills = [d for d in deltas if d.kind == "FILL"]
     assert fills
-    result = find_slot(outcome.frame, "RESULT")
+    result = find_slot(frame, "RESULT")
     assert isinstance(result.filler, Descriptor)
 
 
@@ -357,14 +369,14 @@ def test_apply_use_shares_untouched_slots(lexicon, frames, rules):
             if not sense.pos.is_verb or sense.is_synonym_line:
                 continue
             after = {s.name: s
-                     for s in apply_use(base, parse_sense(sense), rules).frame.slots}
+                     for s in applied(base, parse_sense(sense), rules)[0].slots}
             for slot in base.slots:
                 assert after[slot.name] is slot or after[slot.name] != slot
     base = frames[change_key("1")]
     deform = [s for s in lexicon.entries if s.headword == "deform"][0]
-    outcome = apply_use(base, parse_sense(deform), rules)
-    assert [d.path[0] for d in outcome.deltas] == ["ACCIDENTAL-ATTRS"]
-    for old, new in zip(base.slots, outcome.frame.slots, strict=True):
+    frame, deltas, _ = applied(base, parse_sense(deform), rules)
+    assert [d.path[0] for d in deltas] == ["ACCIDENTAL-ATTRS"]
+    for old, new in zip(base.slots, frame.slots, strict=True):
         assert (new is old) == (old.name != "ACCIDENTAL-ATTRS")
 
 
@@ -379,13 +391,13 @@ def test_operations_keep_hand_built_frames_in_slot_order(lexicon, rules):
                                                       Slot("FROM-STATE"))),))))
     use = parse_definition("to change slowly from ice into coal",
                            PartOfSpeech.VI)
-    outcome = apply_use(base, use, rules)
-    assert [s.name for s in outcome.frame.slots] == [
+    frame, deltas, _ = applied(_canonical(base), use, rules)
+    assert [s.name for s in frame.slots] == [
         "SUBJ", "MANNER", "ACCIDENTAL-ATTRS"]
-    respect = find_slot(outcome.frame, "RESPECT")
+    respect = find_slot(frame, "RESPECT")
     assert [s.name for s in respect.children] == ["FROM-STATE", "TO-STATE"]
-    assert [c[0] for c in outcome.frame.conditions] == ["NE", "USED-WITH"]
-    assert use_deltas(base, use, rules) == outcome.deltas
+    assert [c[0] for c in frame.conditions] == ["NE", "USED-WITH"]
+    assert use_deltas(base, use, rules) == deltas
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +593,14 @@ def test_frames_keep_slots_and_conditions_in_order(text):
     for frame in frames.values():
         assert_in_slot_order(frame)
         for use in uses[:4]:
-            assert_in_slot_order(apply_use(frame, use, rules).frame)
+            assert_in_slot_order(applied(frame, use, rules)[0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(lexf_texts())
 def test_use_deltas_equal_apply_use_deltas(text):
+    """``use_deltas`` gives the deltas of applying the use, and those the
+    derivation kept for each use it applied."""
     lx = parse_lexf(accepted(text))
     rules = family_rules(lx)
     frames = build_frames(lx, rules)
@@ -594,7 +608,9 @@ def test_use_deltas_equal_apply_use_deltas(text):
             if s.pos.is_verb and not s.is_synonym_line]
     for base in frames.values():
         for use in uses:
-            assert use_deltas(base, use, rules) == apply_use(base, use, rules).deltas
+            assert use_deltas(base, use, rules) == applied(base, use, rules)[1]
+    for rec, base, deltas in frames.uses.values():
+        assert use_deltas(base, parse_sense(rec), rules) == deltas
 
 
 # alpha 1a is on a cycle through its label parent: alpha 1 is defined by

@@ -59,7 +59,7 @@ SEGMENTATION = "c9362df5f43c3c9b17ac72aca8923c031ceb1357338dd061ae25bef9bd50dc54
 def source_texts(name: str) -> list[str]:
     if name.startswith("x16-"):
         return lexgen().generate(16, int(name[4:])).texts()
-    return [corpus.corpus_text(name)]
+    return [corpus._read(name)]
 
 
 def stable_repr(lexicon) -> str:

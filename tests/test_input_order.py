@@ -31,7 +31,7 @@ def test_golden_output_ignores_block_order(rng: random.Random):
         lexicon_args: list[str] = []
         for name in FILES:
             # entry blocks and lone R lines, as the generator reads them
-            shuffled = lexgen()._blocks(corpus.corpus_text(name))
+            shuffled = lexgen()._blocks(corpus._read(name))
             rng.shuffle(shuffled)
             path = Path(tmp, name)
             path.write_text("".join(line + "\n" for block in shuffled

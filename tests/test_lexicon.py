@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import HEADWORDS, PHRASAL_LEXF, lexf_texts, lexgen
+from support import HEADWORDS, PHRASAL_LEXF, lexf_texts, lexgen, serialize_lexf
 from lexigraph import corpus
 from lexigraph.defgraph import build_graph
 from lexigraph.lexicon import (
@@ -21,6 +21,7 @@ from lexigraph.lexicon import (
     SenseKey,
     SenseLabel,
     _is_adverb,
+    _label_ancestors,
     _label_parts,
     _parse_sense_key,
     genus_words,
@@ -31,8 +32,7 @@ from lexigraph.lexicon import (
     senses_of,
     split_alternatives,
 )
-from lexigraph.corpus import corpus_text
-from lexigraph.lexf_writer import serialize_lexf
+from lexigraph.corpus import _read
 
 
 def test_minimal_entry():
@@ -136,10 +136,9 @@ def test_round_trip_is_stable(lexicon):
 
 
 def test_sense_label_parent_chain():
-    assert SenseLabel("1b(2)").parent() == SenseLabel("1b")
-    assert SenseLabel("1b").parent() == SenseLabel("1")
-    assert SenseLabel("1").parent() is None
-    assert [a.text for a in SenseLabel("1b(2)").ancestors()] == ["1b", "1"]
+    assert _label_ancestors("1b(2)") == ("1b", "1")
+    assert _label_ancestors("1b") == ("1",)
+    assert _label_ancestors("1") == ()
 
 
 def test_a_label_with_a_final_newline_is_rejected():
@@ -380,7 +379,7 @@ def _segmentation_digest(texts) -> str:
 def test_segmentation_of_the_corpora_is_pinned():
     """Every S-line definition of the bundled corpora and of the x16
     lexicons for seeds 7 and 11 segments as it did."""
-    texts = [corpus_text(name) for name in
+    texts = [_read(name) for name in
              ("change_corpus.lexf", "wordgov_corpus.lexf")]
     for seed in (7, 11):
         texts += lexgen().generate(16, seed).texts()
@@ -466,7 +465,7 @@ def test_phrasal_headword_entries(lexicon):
 
 
 def test_corpus_definition_strings_verbatim():
-    text = corpus_text()
+    text = _read("change_corpus.lexf")
     for needle in [
         "become different in one or more respects without becoming something else",
         "lose or acquire some characteristic, property, or tendency",
@@ -507,10 +506,8 @@ def test_indexes_equal_linear_scans(text):
     absent = SenseKey("zzz", PartOfSpeech.VI, 1, "1")
     for key in keys + [absent]:
         expected = [s for s in entries if s.key == key]
-        got = lx.records_for(key)
+        got = lx._by_key.get(key, [])
         assert got == expected and [s.line for s in got] == [s.line for s in expected]
-        got.clear()   # a fresh list each call
-        assert lx.records_for(key) == expected
     for word in HEADWORDS + ("zzz",):
         assert lx.has_headword(word) == any(s.headword == word for s in entries)
         for pos in (None, *PartOfSpeech):
@@ -531,7 +528,7 @@ def test_indexes_equal_linear_scans(text):
 def test_warmed_lexicon_equals_fresh_parse(text):
     warm = parse_lexf(text)
     for key in warm.sense_keys():
-        warm.records_for(key)
+        warm._by_key[key]
     for word in warm.headwords():
         senses_of(warm, word)
     for sense in warm.entries:
@@ -552,7 +549,7 @@ def test_parse_sense_memoized_per_record(lexicon):
         else:
             assert parsed == parse_definition(sense.raw_definition, sense.pos)
     # an equal record from a fresh parse carries its own memo
-    again = parse_lexf(corpus_text())
+    again = parse_lexf(_read("change_corpus.lexf"))
     assert parse_sense(again.entries[0]) is not parse_sense(lexicon.entries[0])
 
 

@@ -13,14 +13,15 @@ from support import (
     use_lexf_texts,
 )
 from lexigraph import corpus
-from lexigraph.autoresolve import autoresolve_all, disambiguate_in_definition
+from lexigraph.autoresolve import _propose, autoresolve_all
 from lexigraph.frames import (
     Descriptor,
     Frame,
     Slot,
     UseDelta,
+    _apply_use_to,
+    _canonical,
     _entry_path,
-    apply_use,
     build_frames,
     essential_change,
     find_slot,
@@ -345,7 +346,7 @@ def test_no_state_leaks_between_sentences(lexicon, ssns, frames, rules,
 # replaced, kept here as the reference
 
 def reference_instantiate(frame, oracle, allocator):
-    """The three steps: apply the sentence as a use (``apply_use``, on
+    """The three steps: apply the sentence as a use (``_apply_use_to``, on
     the ``Phrase``s of its chunks), fill SUBJ with the subject by a lookup
     and a walk down its path (``find_slot`` and ``update_slot``, which
     ``test_analysis_pins.py`` checks against their own references), fill
@@ -354,10 +355,11 @@ def reference_instantiate(frame, oracle, allocator):
                     if c.kind == "prep-phrase" else Phrase("adverb", c.text)
                     for c in oracle.ctx.chunks
                     if c.kind in ("prep-phrase", "adverb"))
-    outcome = apply_use(frame, ParsedDefinition((), differentiae=phrases),
-                        oracle.rules)
-    slots = outcome.frame.slots
-    deltas = list(outcome.deltas)
+    frame = _canonical(frame)
+    slots, deltas, _ = _apply_use_to(
+        frame.slots, frame.predicate,
+        ParsedDefinition((), differentiae=phrases), oracle.rules)
+    deltas = list(deltas)
     subject = oracle.subject_text
     if subject:
         found = find_slot(slots, "SUBJ")
@@ -367,7 +369,8 @@ def reference_instantiate(frame, oracle, allocator):
                 filler=subject))
             deltas.append(UseDelta("FILL", path, subject))
     slots = reference_fill_descriptors(slots, allocator)
-    return outcome.frame._replace(slots=slots), tuple(deltas)
+    return frame._replace(slots=slots, provenance=frame.provenance
+                          + ("applied use",)), tuple(deltas)
 
 
 def reference_fill_descriptors(slots, allocator):
@@ -485,8 +488,7 @@ def proposals(lexicon, frames, rules):
 def test_coalify_resolves_to_sense_two(proposals):
     p = proposals["coalify:1"]
     assert p.unique == change_key("2")
-    assert p.record is not None
-    assert p.record.target == change_key("2")
+    assert p.render() == "R|coalify:vb:1:1|change|change:vi:1:2"
 
 
 def test_from_to_rows_propose_family_one(proposals):
@@ -529,11 +531,11 @@ def test_autoresolve_tallies_match_manifest(proposals, manifest):
     both = sum(1 for p in proposals.values()
                if p.candidates == FAMILY1 + FAMILY2)
     alln = sum(1 for p in proposals.values() if len(p.candidates) == 19)
-    assert unique == manifest.expected("autoresolve_unique")
-    assert fam1 == manifest.expected("autoresolve_family1")
-    assert fam2 == manifest.expected("autoresolve_family2")
-    assert both == manifest.expected("autoresolve_both_families")
-    assert alln == manifest.expected("autoresolve_all_senses")
+    assert unique == manifest.values["autoresolve_unique"]
+    assert fam1 == manifest.values["autoresolve_family1"]
+    assert fam2 == manifest.values["autoresolve_family2"]
+    assert both == manifest.values["autoresolve_both_families"]
+    assert alln == manifest.values["autoresolve_all_senses"]
     assert unique + fam1 + fam2 + both + alln == 47
 
 
@@ -552,10 +554,10 @@ def test_autoresolve_all_equals_per_sense_calls(rules, text):
     frames = build_frames(lx, rules)
     for word in GENUS_WORDS:
         expected = [
-            disambiguate_in_definition(lx.records_for(key), lx, frames, rules)
+            _propose(lx._by_key[key], lx, frames, {})
             for key in sorted(lx.sense_keys(), key=SenseKey.sort_key)
             if key.pos.is_verb and key.headword != word
-            and any(word in genus_words(rec, lx) for rec in lx.records_for(key))]
+            and any(word in genus_words(rec, lx) for rec in lx._by_key[key])]
         got = autoresolve_all(lx, frames, rules, word)
         assert [_proposal_fields(p) for p in got] == [
             _proposal_fields(p) for p in expected]

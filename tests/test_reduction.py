@@ -93,7 +93,7 @@ def test_aspect_operator_multi_concept():
     rules = load_rules()
     frames = build_frames(lx, rules)
     c = ReductionContext(lx, frames, rules)
-    ev = rule_multi_concept(lx.records_for(key("simmer", "vi", "1")), c)
+    ev = rule_multi_concept(lx._by_key[key("simmer", "vi", "1")], c)
     assert ev is not None and "begin" in ev.detail
 
 
@@ -114,12 +114,11 @@ def test_all_using_senses_set_aside(lexicon, report):
 
 def test_tallies_match_manifest(report, manifest):
     t = report.tallies()
-    assert t["MULTI-CONCEPT"] == manifest.expected("reduction_multi_concept")
-    assert t["SLOT-FILL"] == manifest.expected("reduction_slot_fill")
-    assert t["WORD-GOVERNMENT"] == manifest.expected("reduction_word_government")
-    assert t["OPTIONAL-COMPONENT"] == manifest.expected(
-        "reduction_optional_component")
-    assert len(report.remaining) == manifest.expected("reduction_remaining")
+    assert t["MULTI-CONCEPT"] == manifest.values["reduction_multi_concept"]
+    assert t["SLOT-FILL"] == manifest.values["reduction_slot_fill"]
+    assert t["WORD-GOVERNMENT"] == manifest.values["reduction_word_government"]
+    assert t["OPTIONAL-COMPONENT"] == manifest.values["reduction_optional_component"]
+    assert len(report.remaining) == manifest.values["reduction_remaining"]
 
 
 def test_remaining_are_change_senses(report):

@@ -28,8 +28,10 @@ def check_accepted(text: str) -> None:
     the resolved graph's, and so is the reduction."""
     lx = parse_lexf(text)
     resolved = apply_resolutions(build_graph(lx), lx.resolutions)
-    graph_map = {(a.source, a.genus_word): a.target()
-                 for a in resolved.arcs if a.resolved}
+    graph_map = {}
+    for a in resolved.arcs:
+        if a.resolved:  # to one target
+            (graph_map[a.source, a.genus_word],) = a.targets
     assert lx._resolved == graph_map
     # the report of a lexicon whose map is taken from the graph's arcs
     from_graph = parse_lexf(text)

@@ -14,7 +14,6 @@ from lexigraph.defgraph import (
     PrimitiveReport,
 )
 from lexigraph.frames import (
-    ApplyOutcome,
     Descriptor,
     Frame,
     Slot,
@@ -118,12 +117,6 @@ SAMPLES = [
      "homograph=1, label='1a'), provenance=('seeded',))"),
     (UseDelta, _delta, "value", False,
      "UseDelta(kind='FILL', path=('TO-STATE',), value='curd')"),
-    (ApplyOutcome, lambda: ApplyOutcome(Frame("MOVE", VI), (_delta(),), ("x",)),
-     "residue", False,
-     "ApplyOutcome(frame=Frame(predicate='MOVE', pos=<PartOfSpeech.VI: 'vi'>, "
-     "conditions=(), slots=(), provisional=False, sense=None, provenance=()), "
-     "deltas=(UseDelta(kind='FILL', path=('TO-STATE',), value='curd'),), "
-     "residue=('x',))"),
     (Chunk, lambda: Chunk("verb", "changed", None, "change"), "lemma", False,
      "Chunk(kind='verb', text='changed', prep=None, lemma='change')"),
     (DisambiguationResult,
@@ -215,7 +208,6 @@ FIELDS = {
             {"conditions": (), "slots": (), "provisional": False,
              "sense": None, "provenance": ()}),
     UseDelta: ("kind path value", {}),
-    ApplyOutcome: ("frame deltas residue", {}),
     Chunk: ("kind text prep lemma", {"prep": None, "lemma": None}),
     DisambiguationResult: ("word lemma candidates frame open_questions deltas",
                            {"deltas": ()}),
