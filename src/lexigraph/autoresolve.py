@@ -1,7 +1,7 @@
-"""Resolving genus uses inside definitions: for each definition whose
-main verb is a given genus word, the sense of that verb it uses, proposed
-from the definition's own phrases as a LEXF R record, or the candidate
-senses left with the rationale.
+"""Resolving genus uses inside definitions: for each definition that has
+a given genus word among its genus heads, the sense of that verb it uses,
+proposed from the definition's own phrases as a LEXF R record, or the
+candidate senses left with the rationale.
 
 It reads frames and the lexicon only, not the sentence parser or the
 networks, so the ``autoresolve`` command compiles neither.
@@ -44,14 +44,16 @@ class AutoResolution(namedtuple(
 
 class _GenusTable:
     """What disambiguation needs to know about one genus verb, computed
-    once however many definitions use it: its verb sense keys, the family
-    carrying a respect group, the family whose subject is bound as the
-    from-state and the keys of both families, each in canonical order; the
-    head of the bind family, the particles each of its senses requires, and
-    the respect alternatives stated in each respect-family frame."""
+    once however many definitions use it: the word, its verb sense keys,
+    the family carrying a respect group, the family whose subject is bound
+    as the from-state and the keys of both families, each in canonical
+    order; the head of the bind family, the particles each of its senses
+    requires, and the respect alternatives stated in each respect-family
+    frame."""
 
     def __init__(self, word: str, lexicon: Lexicon,
                  frames: dict[SenseKey, Frame]):
+        self.word = word
         self.keys = tuple(k for k in lexicon._by_headword.get(word, ())
                           if k.pos.is_verb)
         self.respect_family: list[SenseKey] = []
@@ -77,27 +79,12 @@ class _GenusTable:
                                key=lambda k: len(_label_ancestors(k.label)))
 
 
-def _propose(records: list[Sense], lexicon: Lexicon,
-             frames: dict[SenseKey, Frame],
-             tables: dict[str, _GenusTable]) -> AutoResolution:
-    """Propose the sense of the genus verb used by a definition (records of
-    ``lexicon``), reading and filling ``tables``, the genus tables of one
-    run: an adjacent from...to pair forces the respect family; an into/to
-    object presumes the subject-transforming family subject to the
+def _propose(records: list[Sense], table: _GenusTable) -> AutoResolution:
+    """Propose the sense of ``table``'s genus verb used by a definition
+    (its records): an adjacent from...to pair forces the respect family; an
+    into/to object presumes the subject-transforming family subject to the
     essential-change check; an in-phrase is compared against the subsense
     respect sets."""
-    using = records[0].key
-    genus_word = None
-    for rec in records:
-        words = lexicon._genus[id(rec)]
-        if words:
-            genus_word = words[0]
-            break
-    if genus_word is None:
-        raise ValueError(f"{using.render()} has no genus")
-    table = tables.get(genus_word)
-    if table is None:
-        table = tables[genus_word] = _GenusTable(genus_word, lexicon, frames)
     fam1, fam2 = table.respect_family, table.bind_family
 
     phrases: Sequence[Phrase] = ()
@@ -162,20 +149,17 @@ def _propose(records: list[Sense], lexicon: Lexicon,
         why = ("negated use: any sense may be the negated base" if negated
                else "no discriminating context: all senses apply")
     # every candidate list above keeps the canonical order of table.keys
-    return AutoResolution(using, genus_word, unique, tuple(candidates), why)
+    return AutoResolution(records[0].key, table.word, unique,
+                          tuple(candidates), why)
 
 
 def autoresolve_all(lexicon: Lexicon, frames: dict[SenseKey, Frame],
                     rules: RuleTable,
                     genus_word: str = "change") -> list[AutoResolution]:
-    """Proposals for every sense whose main verb is the given word."""
-    tables: dict[str, _GenusTable] = {}
+    """Proposals for every sense with the given genus word, each about
+    that word, from its one genus table."""
+    table = _GenusTable(genus_word, lexicon, frames)
     genus, by_key = lexicon._genus, lexicon._by_key
-    out = []
-    for key in lexicon._sorted_keys:
-        if not key.pos.is_verb or key.headword == genus_word:
-            continue
-        records = by_key[key]
-        if any(genus_word in genus[id(rec)] for rec in records):
-            out.append(_propose(records, lexicon, frames, tables))
-    return out
+    return [_propose(by_key[key], table) for key in lexicon._sorted_keys
+            if key.pos.is_verb and key.headword != genus_word
+            and any(genus_word in genus[id(rec)] for rec in by_key[key])]

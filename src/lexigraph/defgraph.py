@@ -60,8 +60,8 @@ def _sort_key(node: Node) -> tuple:
 
 
 class Arc(_LineBlind, namedtuple(
-        "Arc", "source genus_word targets resolved negated synonym line",
-        defaults=(False, False, False, 0))):
+        "Arc", "source genus_word targets resolved negated line",
+        defaults=(False, False, 0))):
     """One genus head of one definition line: from its source SenseKey via
     its genus word to a frozenset of target nodes.  Unresolved arcs bundle
     every POS-compatible sense of the genus word; resolution narrows the
@@ -125,8 +125,7 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
     for s in lexicon.entries:
         if not s.pos.is_verb:
             continue
-        synonym = s.is_synonym_line
-        if synonym:
+        if s.is_synonym_line:
             use = s.pos if s.pos is not _VB else _VI
             negated = False
         else:
@@ -138,7 +137,7 @@ def build_graph(lexicon: Lexicon) -> DefinitionGraph:
                 found = frozenset(k for k in lexicon._by_headword.get(word, ())
                                   if use.accepts_target(k.pos))
                 targets = bundles[(word, use)] = found or frozenset({External(word)})
-            arcs.append(Arc(s.key, word, targets, False, negated, synonym, s.line))
+            arcs.append(Arc(s.key, word, targets, False, negated, s.line))
 
     nodes: set[Node] = set(lexicon.sense_keys())
     for targets in bundles.values():
@@ -157,11 +156,10 @@ def apply_resolutions(graph: DefinitionGraph,
         records, graph.nodes, {(arc.source, arc.genus_word) for arc in graph.arcs})
     new_arcs = []
     for arc in graph.arcs:
-        source, word, _, _, negated, synonym, line = arc
+        source, word, _, _, negated, line = arc
         target = chosen.get((source, word))
         if target is not None:
-            arc = Arc(source, word, frozenset((target,)), True, negated,
-                      synonym, line)
+            arc = Arc(source, word, frozenset((target,)), True, negated, line)
         new_arcs.append(arc)
     return DefinitionGraph(graph.nodes, tuple(new_arcs))
 
@@ -233,35 +231,22 @@ class Condensation(namedtuple("Condensation", "components arcs")):
     __slots__ = ()
 
     def is_acyclic(self) -> bool:
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.components))}
+        """Whether the arcs close no cycle: Kahn's count, in which each
+        component is freed once every arc into it is."""
+        indegree = [0] * len(self.components)
+        outs: list[list[int]] = [[] for _ in self.components]
         for a, b in self.arcs:
-            adj[a].append(b)
-        state: dict[int, int] = {}
-
-        def visit(u: int) -> bool:
-            stack = [(u, iter(adj[u]))]
-            state[u] = 1
-            while stack:
-                node, it = stack[-1]
-                found = False
-                for v in it:
-                    if state.get(v, 0) == 1:
-                        return False
-                    if state.get(v, 0) == 0:
-                        state[v] = 1
-                        stack.append((v, iter(adj[v])))
-                        found = True
-                        break
-                if not found:
-                    state[node] = 2
-                    stack.pop()
-            return True
-
-        for i in adj:
-            if state.get(i, 0) == 0:
-                if not visit(i):
-                    return False
-        return True
+            outs[a].append(b)
+            indegree[b] += 1
+        ready = [i for i, d in enumerate(indegree) if not d]
+        freed = 0
+        while ready:
+            freed += 1
+            for b in outs[ready.pop()]:
+                indegree[b] -= 1
+                if not indegree[b]:
+                    ready.append(b)
+        return freed == len(self.components)
 
 
 def condensation(graph: DefinitionGraph, mode: str = "optimistic") -> Condensation:

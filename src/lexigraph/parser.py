@@ -175,18 +175,17 @@ def chunk_sentence(text: str, lexicon: Lexicon) -> list[Chunk]:
 # sentence context and the probing oracle
 
 class SentenceContext:
-    """The chunks of one sentence and its roles, found in one pass: the
-    (first) verb, the subject (the first noun phrase before the verb), the
+    """The roles of one sentence's chunks, found in one pass: the (first)
+    verb, the subject (the first noun phrase before the verb), the
     object (the first noun phrase after it), the prep phrases, the
     prepositions and particles present, and the differentiae (the prep
     phrase and adverb chunks), so that a sentence applies to a frame as a
     use does (``frames._apply_use_to``)."""
 
-    __slots__ = ("chunks", "verb", "subject", "object_np", "prep_phrases",
-                 "particles", "differentiae")
+    __slots__ = ("verb", "subject", "object_np", "prep_phrases", "particles",
+                 "differentiae")
 
     def __init__(self, chunks: list[Chunk]):
-        self.chunks = chunks
         self.verb: Chunk | None = None
         self.subject: Chunk | None = None
         self.object_np: Chunk | None = None
@@ -505,15 +504,14 @@ def disambiguate(word: str, chunks: list[Chunk], ssn: SSN,
 
 class Entity:
     """A discourse referent, the chunks gathered for it so far and the
-    index of its pending result."""
+    index of its pending result, that of the sentence that introduced it."""
 
-    __slots__ = ("var", "head", "text", "sentence", "chunks", "result_index")
+    __slots__ = ("var", "head", "text", "chunks", "result_index")
 
-    def __init__(self, var: str, head: str, text: str, sentence: int,
-                 chunks: list[Chunk]):
+    def __init__(self, var: str, head: str, text: str, chunks: list[Chunk],
+                 result_index: int):
         self.var, self.head, self.text = var, head, text
-        self.sentence, self.chunks = sentence, chunks
-        self.result_index: int | None = None
+        self.chunks, self.result_index = chunks, result_index
 
 
 class DiscourseState:
@@ -579,31 +577,25 @@ def parse_discourse(sentences: Sequence[str], lexicon: Lexicon,
                                       and c not in entity.chunks]
             entity.chunks = merged
             # re-run the pending result with the merged evidence
-            if entity.result_index is not None:
-                old = results[entity.result_index]
-                old_desc = _fills_by_role(old.frame, Descriptor)
-                prior_ssn = ssns[old.lemma]
-                renewed = disambiguate(old.word, merged, prior_ssn, frames,
-                                       rules, lexicon, allocator,
-                                       subject_override=entity.text)
-                results[entity.result_index] = renewed
-                new_fills = _fills_by_role(renewed.frame, str)
-                for role, descriptor in old_desc.items():
-                    if role in new_fills:
-                        state.bindings.append((descriptor.var,
-                                               new_fills[role]))
-        else:
-            if subject is not None:
-                entity = Entity(allocator.fresh(), subject.head, subject.text,
-                                idx, list(chunks))
-                state.entities.append(entity)
+            old = results[entity.result_index]
+            old_desc = _fills_by_role(old.frame, Descriptor)
+            renewed = disambiguate(old.word, merged, ssns[old.lemma], frames,
+                                   rules, lexicon, allocator,
+                                   subject_override=entity.text)
+            results[entity.result_index] = renewed
+            new_fills = _fills_by_role(renewed.frame, str)
+            for role, descriptor in old_desc.items():
+                if role in new_fills:
+                    state.bindings.append((descriptor.var, new_fills[role]))
+        elif subject is not None:
+            # the fresh variable fixes the descriptor numbering
+            state.entities.append(Entity(allocator.fresh(), subject.head,
+                                         subject.text, list(chunks),
+                                         len(results)))
 
-        result = disambiguate(verb.text, chunks, ssns[verb.lemma], frames,
-                              rules, lexicon, allocator,
-                              subject_override=subject_override)
-        results.append(result)
-        if entity is not None and entity.result_index is None:
-            entity.result_index = len(results) - 1
+        results.append(disambiguate(verb.text, chunks, ssns[verb.lemma],
+                                    frames, rules, lexicon, allocator,
+                                    subject_override=subject_override))
 
     return results, state
 

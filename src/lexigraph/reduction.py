@@ -149,11 +149,11 @@ def rule_multi_concept(records: list[Sense],
         if rec.is_synonym_line:
             continue
         parsed = parse_sense(rec)
-        if parsed.negated:
-            base = parsed.genus[0] if parsed.genus else "?"
+        if parsed.negated:  # a verb's parse has a genus
             return NonprimitiveEvidence(
                 rec.key, "MULTI-CONCEPT",
-                f"operator NOT over {base}; operator contribution owed")
+                f"operator NOT over {parsed.genus[0]}; "
+                f"operator contribution owed")
         for word in ctx.genus[id(rec)]:
             if word in DEFAULT_OPERATORS:
                 return NonprimitiveEvidence(
@@ -232,15 +232,15 @@ def rule_optional_component(records: list[Sense],
             continue
         if any(d.kind == "FILL" for d in ctx.use_deltas(rec, word)):
             continue
-        if all(p.kind in ("adverb", "prep-phrase", "clause")
-               for p in parsed.differentiae):
-            manner = [p.text for p in parsed.differentiae if p.kind == "adverb"]
-            others = [f"{p.prep or p.kind}: {p.text}"
-                      for p in parsed.differentiae if p.kind != "adverb"]
-            detail = "MANNER " + "; ".join(manner) if manner else "adverbial only"
-            if others:
-                detail += " | " + "; ".join(others)
-            return NonprimitiveEvidence(rec.key, "OPTIONAL-COMPONENT", detail)
+        # optional matter only: a differentia is an adverb, a prep phrase
+        # or a clause, the only kinds ``_segment_differentiae`` makes
+        manner = [p.text for p in parsed.differentiae if p.kind == "adverb"]
+        others = [f"{p.prep or p.kind}: {p.text}"
+                  for p in parsed.differentiae if p.kind != "adverb"]
+        detail = "MANNER " + "; ".join(manner) if manner else "adverbial only"
+        if others:
+            detail += " | " + "; ".join(others)
+        return NonprimitiveEvidence(rec.key, "OPTIONAL-COMPONENT", detail)
     return None
 
 

@@ -40,11 +40,9 @@ class CompileError(ValueError):
     pass
 
 
-Terminal = namedtuple("Terminal", "sense frame")
-# an exhausted, indistinguishable group collapsed to its parent sense, with
-# the group's frame or None
-Nonterminal = namedtuple("Nonterminal", "sense members frame",
-                         defaults=(None,))
+Terminal = namedtuple("Terminal", "sense")
+# an exhausted, indistinguishable group collapsed to its parent sense
+Nonterminal = namedtuple("Nonterminal", "sense members")
 
 
 class Question(namedtuple("Question", "kind payload branches")):
@@ -293,12 +291,14 @@ def _difference(where, group, size, pending, node, start):
 # ---------------------------------------------------------------------------
 # compilation
 
-def _render_value(value: object) -> str:
-    if isinstance(value, tuple):
-        if len(value) == 2 and value[1] in ("fixed", "provisional"):
-            return value[0] if value[1] == "fixed" else f"{value[0]} (provisional)"
-        return "; ".join(value)
-    return value
+def _render_value(field: str, value: object) -> str:
+    """The answer that names ``value``, found at ``field`` (of ``_FIELDS``):
+    a predicate's name, marked when provisional, else the value, a tuple's
+    items joined."""
+    if field == "predicate":
+        name, status = value
+        return name if status == "fixed" else f"{name} (provisional)"
+    return "; ".join(value) if isinstance(value, tuple) else value
 
 
 def compile_ssn(headword: str, lexicon: Lexicon,
@@ -314,7 +314,7 @@ def compile_ssn(headword: str, lexicon: Lexicon,
         if k not in frames:
             raise CompileError(f"no frame for {k.render()}")
     if len(keys) == 1:  # nothing to ask
-        return SSN(headword, tuple(keys), Terminal(keys[0], frames[keys[0]]))
+        return SSN(headword, tuple(keys), Terminal(keys[0]))
     parts = {}
     for k in keys:
         parts.setdefault("v" if k.pos.is_verb else k.pos.value, []).append(k)
@@ -396,13 +396,14 @@ def _tree(keys, frames) -> Node:
                                         field + 1)
         if not diff:  # one sense, or senses no position tells apart
             members = [keys[i] for i in group if where[i] is group]
-            node = (Terminal(members[0], frames[members[0]]) if size == 1
+            node = (Terminal(members[0]) if size == 1
                     else _collapse(members, frames))
         else:  # each concrete answer's senses a group of their own
             pending, tnode, field, found = diff
+            name = _FIELDS[not tnode[2]][field]
             parts = {}
             for i, v in found:
-                parts.setdefault(_render_value(v), []).append((i, v))
+                parts.setdefault(_render_value(name, v), []).append((i, v))
             subs, alts = [], []
             for answer, pairs in sorted(parts.items()):
                 sub = tuple([i for i, _ in pairs])
@@ -413,7 +414,7 @@ def _tree(keys, frames) -> Node:
             if len(found) < size:
                 subs.append((size - len(found), group, pending, tnode, field))
                 alts.append(("other", ""))
-            node = tnode[2] + (_FIELDS[not tnode[2]][field],), tuple(alts)
+            node = tnode[2] + (name,), tuple(alts)
             todo += reversed(subs)
         plan.append(node)
     # made in reverse preorder, so a question finds its subtrees on
@@ -436,7 +437,7 @@ def _collapse(group, frames) -> Node:
     for label in sorted(common, key=_label_parts, reverse=True):
         parent_key = group[0]._replace(label=label)
         if parent_key in frames:
-            return Nonterminal(parent_key, tuple(group), frames[parent_key])
+            return Nonterminal(parent_key, tuple(group))
     raise CompileError(
         f"duplicate canonical frames among sibling senses: "
         f"{group[0].render()} and {group[1].render()}")

@@ -555,7 +555,7 @@ def _reference_stages(keys, lexicon):
 
 def _reference_build(group, stage_idx, stages, keys, frames, flat):
     if len(group) == 1:
-        return Terminal(keys[group[0]], frames[keys[group[0]]])
+        return Terminal(keys[group[0]])
     while stage_idx < len(stages):
         kind, payload, partition = stages[stage_idx]
         stage_idx += 1
@@ -573,7 +573,7 @@ def _reference_build(group, stage_idx, stages, keys, frames, flat):
 
 def _reference_frame_diff_tree(group, start, flats, positions, keys, frames):
     if len(group) == 1:
-        return Terminal(keys[group[0]], frames[keys[group[0]]])
+        return Terminal(keys[group[0]])
     diff = first_diff(group, flats, positions, start)
     if diff is None:
         return _collapse([keys[i] for i in group], frames)
@@ -585,7 +585,7 @@ def _reference_frame_diff_tree(group, start, flats, positions, keys, frames):
         if v in EMPTY_VALUES:
             empties.append(k)
         else:
-            concrete.setdefault(_render_value(v), []).append(k)
+            concrete.setdefault(_render_value(path[-1], v), []).append(k)
     branches = []
     alts = []
     for answer in sorted(concrete):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from support import UNKNOWN_SUBSENSE_LEXF, chain_lexf, chain_word, lexf_texts
 from test_golden_cli import GOLDEN, golden_commands
+from lexigraph import corpus
 from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import MAX_SLOT_DEPTH
@@ -233,6 +234,20 @@ def test_autoresolve_emits_records(capout):
     assert "R|coalify:vb:1:1|change|change:vi:1:2" in out
 
 
+def test_autoresolve_proposes_about_the_word_asked_for(capout, tmp_path):
+    # "turn" is the first genus word: the proposal was once about it, as
+    # "respect stated but matches no subsense set", with no candidate
+    path = tmp_path / "alter.lexf"
+    path.write_text("E|alter|vi|1\nS|1||turn or change in form|\n",
+                    encoding="utf-8")
+    code, out, _ = capout(["--lexicon", str(path), "--lexicon",
+                           os.path.join(corpus._DATA, "change_corpus.lexf"),
+                           "autoresolve"])
+    assert code == 0
+    assert [ln for ln in out.splitlines() if "alter" in ln] == [
+        "R|alter:vi:1:1|change|change:vi:1:1b(1)"]
+
+
 def test_frames_dump(capout):
     code, out, _ = capout(["frames", "--word", "change", "--label", "1e"])
     assert code == 0
@@ -264,6 +279,29 @@ def test_ssn_export(capout):
     code, out, _ = capout(["ssn", "--word", "change"])
     assert code == 0
     assert "ssn for change" in out
+
+
+@pytest.mark.parametrize("parent", ["", "S|1||become different|\n"],
+                         ids=["siblings", "with-parent"])
+def test_ssn_tells_a_restriction_list_from_a_predicate(capout, tmp_path,
+                                                       parent):
+    # the sorted restrictions ("color", "fixed") end as a predicate's
+    # (name, status) pair does: once labelled as one, they answered "color",
+    # as ("color",) does, and the two senses were taken for duplicates
+    path = tmp_path / "alter.lexf"
+    path.write_text(
+        "E|alter|vi|1\n" + parent
+        + "S|1a||become different in color|\n"
+        "S|1b||become different in color or fixity|\n"
+        "F|1a|SLOT RESPECT RESTRICT color\n"
+        "F|1b|SLOT RESPECT RESTRICT color\n"
+        "F|1b|SLOT RESPECT RESTRICT fixed\n", encoding="utf-8")
+    code, out, err = capout(["--lexicon", str(path), "ssn", "--word", "alter"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:4] == [
+        "  ? FRAME-DIFF slots.RESPECT.restrictions",
+        "    [color] -> sense alter:vi:1:1a",
+        "    [color; fixed] -> sense alter:vi:1:1b"]
 
 
 def test_output_flags_before_or_after_subcommand(tmp_path, capout):

@@ -10,6 +10,7 @@ from support import dot_strings, edges, lexf_texts
 from lexigraph.defgraph import (
     MODES,
     Arc,
+    Condensation,
     DefinitionGraph,
     External,
     ResolutionError,
@@ -258,6 +259,15 @@ def test_condensation_is_acyclic(graph, resolved_graph):
         assert condensation(g, mode).is_acyclic()
 
 
+@pytest.mark.parametrize("arcs", [((0, 1), (1, 2), (2, 0)), ((0, 0),)],
+                         ids=["cycle", "self-loop"])
+def test_a_cycle_of_components_is_not_acyclic(arcs):
+    # a condensation never holds one; a hand-built one may
+    alter = External("alter")
+    assert not Condensation(((alter,),) * 3, arcs).is_acyclic()
+    assert Condensation(((alter,),) * 3, arcs[1:]).is_acyclic()
+
+
 def test_condensation_lifted_arc_to_external_shift(graph):
     cond = condensation(graph, "optimistic")
     comps = cond.components
@@ -374,7 +384,7 @@ def _resolve_reference(graph: DefinitionGraph,
         if arc.source == source and arc.genus_word == record.genus_word:
             matched = True
             new_arcs.append(Arc(arc.source, arc.genus_word, frozenset({target}),
-                                True, arc.negated, arc.synonym, arc.line))
+                                True, arc.negated, arc.line))
         else:
             new_arcs.append(arc)
     if not matched:

@@ -13,7 +13,7 @@ from support import (
     use_lexf_texts,
 )
 from lexigraph import corpus
-from lexigraph.autoresolve import _propose, autoresolve_all
+from lexigraph.autoresolve import _GenusTable, _propose, autoresolve_all
 from lexigraph.frames import (
     Descriptor,
     Frame,
@@ -347,14 +347,13 @@ def test_no_state_leaks_between_sentences(lexicon, ssns, frames, rules,
 
 def reference_instantiate(frame, oracle, allocator):
     """The three steps: apply the sentence as a use (``_apply_use_to``, on
-    the ``Phrase``s of its chunks), fill SUBJ with the subject by a lookup
-    and a walk down its path (``find_slot`` and ``update_slot``, which
+    the ``Phrase``s of its differentiae), fill SUBJ with the subject by a
+    lookup and a walk down its path (``find_slot`` and ``update_slot``, which
     ``test_analysis_pins.py`` checks against their own references), fill
     descriptors in a second pass, and build the frame again."""
     phrases = tuple(Phrase("prep-phrase", c.text, c.prep)
                     if c.kind == "prep-phrase" else Phrase("adverb", c.text)
-                    for c in oracle.ctx.chunks
-                    if c.kind in ("prep-phrase", "adverb"))
+                    for c in oracle.ctx.differentiae)
     frame = _canonical(frame)
     slots, deltas, _ = _apply_use_to(
         frame.slots, frame.predicate,
@@ -554,13 +553,25 @@ def test_autoresolve_all_equals_per_sense_calls(rules, text):
     frames = build_frames(lx, rules)
     for word in GENUS_WORDS:
         expected = [
-            _propose(lx._by_key[key], lx, frames, {})
+            _propose(lx._by_key[key], _GenusTable(word, lx, frames))
             for key in sorted(lx.sense_keys(), key=SenseKey.sort_key)
             if key.pos.is_verb and key.headword != word
             and any(word in genus_words(rec, lx) for rec in lx._by_key[key])]
         got = autoresolve_all(lx, frames, rules, word)
         assert [_proposal_fields(p) for p in got] == [
             _proposal_fields(p) for p in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lexf_texts())
+def test_every_proposal_is_about_the_word_asked_for(rules, text):
+    # a proposal was once about its definition's first genus word, which
+    # need not be the word asked for
+    lx = parse_lexf(accepted(text))
+    frames = build_frames(lx, rules)
+    for word in GENUS_WORDS:
+        assert all(p.genus_word == word
+                   for p in autoresolve_all(lx, frames, rules, word))
 
 
 def test_autoresolve_keeps_a_listed_phrasal_genus(rules):

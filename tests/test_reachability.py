@@ -121,7 +121,9 @@ def never_called() -> set[tuple[str, str]]:
         os.chdir(GOLDEN)
         for stem, code, argv in golden_commands():
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.run(argv) == code, stem
+                got = cli.run(argv)
+            if got != code:  # not an assert: -O would skip the call
+                raise AssertionError(f"{stem}: exit {got}, not {code}")
         os.chdir(cwd)
         a = bench.analyse(L, gen.texts(), L.corpus.load_rules(), bench.NULL)
         bench.summarise(a)

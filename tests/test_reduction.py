@@ -181,3 +181,32 @@ def test_phrasal_genus_reaches_its_resolved_frame(rules):
     assert evidence.sense == key("quit", "vi", "1")
     assert evidence.rule == "OPTIONAL-COMPONENT"
     assert evidence.detail == "adverbial only | in: despair"
+
+
+INSTRUMENT_SLOT_LEXF = """E|strike|vt|1
+S|1||hit (something) hard|
+F|1|SLOT INSTRUMENT
+
+E|club|vt|1
+S|1||strike (someone) with a club|
+
+E|club|n|1
+S|1|field:instrument|a heavy stick|
+
+R|club:vt:1:1|strike|strike:vt:1:1
+"""
+
+
+def test_an_instrument_slot_lets_the_genus_govern_an_instrument(rules):
+    # the genus definition names no instrument: its seeded INSTRUMENT slot
+    # alone makes the with-phrase word government
+    rows = []
+    for text in (INSTRUMENT_SLOT_LEXF,
+                 INSTRUMENT_SLOT_LEXF.replace("F|1|SLOT INSTRUMENT\n", "")):
+        lx = parse_lexf(text)
+        report = reduce_fixpoint(lx, None, build_frames(lx, rules), rules)
+        rows.append(report.to_tsv().splitlines()[1])
+    assert rows[0] == ("club:vt:1:1\tset-aside\tWORD-GOVERNMENT\twith-phrase "
+                       "object 'club' is defined as an instrument governed "
+                       "by strike")
+    assert "WORD-GOVERNMENT" not in rows[1]

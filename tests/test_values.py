@@ -85,12 +85,12 @@ SAMPLES = [
     (External, lambda: External("alter"), "headword", False,
      "External(headword='alter')"),
     (Arc, lambda line=9: Arc(KEY, "change", frozenset({TARGET}), True, False,
-                             False, line), "targets", True,
+                             line), "targets", True,
      "Arc(source=SenseKey(headword='turn', pos=<PartOfSpeech.VI: 'vi'>, "
      "homograph=1, label='1a'), genus_word='change', "
      "targets=frozenset({SenseKey(headword='change', "
      "pos=<PartOfSpeech.VI: 'vi'>, homograph=1, label='2')}), resolved=True, "
-     "negated=False, synonym=False, line=9)"),
+     "negated=False, line=9)"),
     (DefinitionGraph, lambda: DefinitionGraph(frozenset({External("alter")}), ()),
      "arcs", False,
      "DefinitionGraph(nodes=frozenset({External(headword='alter')}), arcs=())"),
@@ -145,26 +145,23 @@ SAMPLES = [
      "ReductionReport(initial=2, set_aside=(), remaining=(SenseKey("
      "headword='change', pos=<PartOfSpeech.VI: 'vi'>, homograph=1, "
      "label='2'),), iterations=1)"),
-    (Terminal, lambda: Terminal(KEY, Frame("MOVE", VI)), "frame", False,
+    (Terminal, lambda: Terminal(KEY), "sense", False,
      "Terminal(sense=SenseKey(headword='turn', pos=<PartOfSpeech.VI: 'vi'>, "
-     "homograph=1, label='1a'), frame=Frame(predicate='MOVE', "
-     "pos=<PartOfSpeech.VI: 'vi'>, conditions=(), slots=(), provisional=False, "
-     "sense=None, provenance=()))"),
+     "homograph=1, label='1a'))"),
     (Nonterminal, lambda: Nonterminal(TARGET, (KEY,)), "members", False,
      "Nonterminal(sense=SenseKey(headword='change', pos=<PartOfSpeech.VI: 'vi'>, "
      "homograph=1, label='2'), members=(SenseKey(headword='turn', "
-     "pos=<PartOfSpeech.VI: 'vi'>, homograph=1, label='1a'),), frame=None)"),
+     "pos=<PartOfSpeech.VI: 'vi'>, homograph=1, label='1a'),))"),
     (Question, lambda: Question("USAGE", ("into",), (("absent", Nonterminal(KEY, ())),)),
      "branches", False,
      "Question(kind='USAGE', payload=('into',), branches=(('absent', "
      "Nonterminal(sense=SenseKey(headword='turn', pos=<PartOfSpeech.VI: 'vi'>, "
-     "homograph=1, label='1a'), members=(), frame=None)),))"),
+     "homograph=1, label='1a'), members=())),))"),
     (SSN, lambda: SSN("turn", (KEY,), Nonterminal(KEY, ())), "root", False,
      "SSN(headword='turn', senses=(SenseKey(headword='turn', "
      "pos=<PartOfSpeech.VI: 'vi'>, homograph=1, label='1a'),), "
      "root=Nonterminal(sense=SenseKey(headword='turn', "
-     "pos=<PartOfSpeech.VI: 'vi'>, homograph=1, label='1a'), members=(), "
-     "frame=None))"),
+     "pos=<PartOfSpeech.VI: 'vi'>, homograph=1, label='1a'), members=()))"),
     (TraverseResult, lambda: TraverseResult((KEY,), True, ()), "terminal", False,
      "TraverseResult(senses=(SenseKey(headword='turn', pos=<PartOfSpeech.VI: "
      "'vi'>, homograph=1, label='1a'),), terminal=True, open_questions=())"),
@@ -195,8 +192,8 @@ FIELDS = {
     ResolutionRecord: ("from_key genus_word target line", {"line": 0}),
     Lexicon: ("entries seed_frames resolutions", {}),
     External: ("headword", {}),
-    Arc: ("source genus_word targets resolved negated synonym line",
-          {"resolved": False, "negated": False, "synonym": False, "line": 0}),
+    Arc: ("source genus_word targets resolved negated line",
+          {"resolved": False, "negated": False, "line": 0}),
     DefinitionGraph: ("nodes arcs", {}),
     Condensation: ("components arcs", {}),
     PrimitiveReport: ("candidates undefined_leaves", {}),
@@ -214,8 +211,8 @@ FIELDS = {
     AutoResolution: ("using genus_word unique candidates rationale", {}),
     NonprimitiveEvidence: ("sense rule detail", {}),
     ReductionReport: ("initial set_aside remaining iterations", {}),
-    Terminal: ("sense frame", {}),
-    Nonterminal: ("sense members frame", {"frame": None}),
+    Terminal: ("sense", {}),
+    Nonterminal: ("sense members", {}),
     Question: ("kind payload branches", {}),
     SSN: ("headword senses root", {}),
     TraverseResult: ("senses terminal open_questions", {}),
