@@ -20,7 +20,6 @@ _EXPORTS = {
     ),
     "frames": (
         "Descriptor", "Frame", "Slot", "UseDelta", "build_frames",
-        "specialize_subsense", "use_deltas",
     ),
     "prep_rules": ("RuleTable",),
     "reduction": ("ReductionReport", "reduce_fixpoint"),

@@ -161,6 +161,7 @@ def run(argv: list[str] | None = None) -> int:
 def _dispatch(args, a: Analysis) -> int:
     command = args.command
     lexicon = a.lexicon
+    ambiguous = False
     if command == "ingest":
         lexicon._resolved  # its R records must pass the graph's checks
         from .manifest import verify_fixture
@@ -210,9 +211,9 @@ def _dispatch(args, a: Analysis) -> int:
         text = to_dot(net) if args.format == "dot" else to_text(net)
     else:  # parse or discourse, the last commands the table admits
         from .parser import run_command
-        return AMBIGUITY_REMAINING if run_command(args, a, _emit) else 0
+        text, ambiguous = run_command(args, a)
     _emit(args, text)
-    return 0
+    return AMBIGUITY_REMAINING if ambiguous else 0
 
 
 def main() -> None:

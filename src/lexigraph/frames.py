@@ -17,8 +17,7 @@ analysis discards.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
-from functools import cached_property
+from collections.abc import Callable, Iterator
 
 from .lexicon import (
     Lexicon,
@@ -51,10 +50,6 @@ def slot_order_key(name: str) -> tuple:
 
 
 class SeedGrammarError(ValueError):
-    pass
-
-
-class SpecializationError(ValueError):
     pass
 
 
@@ -95,9 +90,7 @@ Condition = tuple  # ("NE", a, b) | ("USED-WITH", (p1, p2, ...))
 def render_condition(cond: Condition) -> str:
     if cond[0] == "NE":
         return f"{cond[1]} NE {cond[2]}"
-    if cond[0] == "USED-WITH":
-        return "USED-WITH " + "|".join(cond[1])
-    return " ".join(str(c) for c in cond)
+    return "USED-WITH " + "|".join(cond[1])
 
 
 class Frame(namedtuple("Frame", "predicate pos conditions slots provisional "
@@ -105,17 +98,8 @@ class Frame(namedtuple("Frame", "predicate pos conditions slots provisional "
                        defaults=((), (), False, None, ()))):
     """A sense's case frame: predicate, conditions and slots, whether it
     is provisional, its SenseKey or None, and its provenance.  It holds
-    whether it is canonical, computed on first use, and the memos the
-    parser keeps in its ``__dict__``; a frame from ``_replace`` starts
-    without them."""
-
-    @cached_property
-    def _is_canonical(self) -> bool:
-        """The memo behind ``frames._canonical``: are the conditions sorted
-        and the slots in slot order at every level, one per name?"""
-        return (list(self.conditions)
-                == sorted(self.conditions, key=render_condition)
-                and _sorted_slots(self.slots) == self.slots)
+    the memos the parser keeps in its ``__dict__``; a frame from
+    ``_replace`` starts without them."""
 
 
 class UseDelta(namedtuple("UseDelta", "kind path value")):
@@ -131,13 +115,14 @@ class UseDelta(namedtuple("UseDelta", "kind path value")):
 # ---------------------------------------------------------------------------
 # persistent slot operations
 #
-# Every frame the operations below return keeps its slots in
+# Every frame is canonical when it is built: its slots are in
 # ``slot_order_key`` order at every level, one slot per name, and its
-# conditions sorted by ``render_condition``; ``find_slot`` and
-# ``update_slot`` rely on that order, and the public operations first put
-# a frame built otherwise into it (``_canonical``).  A change path-copies:
-# it rebuilds the slots on the path it changes and shares every other slot
-# with the frame it started from.
+# conditions are sorted by ``render_condition``.  Each operation below
+# keeps that order, so no reader restores it: ``find_slot`` and
+# ``update_slot`` rely on it, and ``frame_to_text`` and the networks read
+# a frame in its own order.  A change path-copies: it rebuilds the slots
+# on the path it changes and shares every other slot with the frame it
+# started from.
 
 # An entry locates a slot for ``_edit``: (the slot, its index among its
 # siblings, its parent's entry or None, 1).  The entry of a slot not there
@@ -249,23 +234,6 @@ def _without_usage(conds: tuple[Condition, ...]) -> tuple[Condition, ...]:
     return tuple(c for c in conds if c[0] != "USED-WITH")
 
 
-def _sorted_slots(slots: tuple[Slot, ...]) -> tuple[Slot, ...]:
-    """``slots`` in slot order at every level, the last of each name kept."""
-    by_name = {s.name: Slot(s.name, s.case, s.bind, s.filler, s.restrictions,
-                            _sorted_slots(s.children)) for s in slots}
-    return tuple(by_name[k] for k in sorted(by_name, key=slot_order_key))
-
-
-def _canonical(frame: Frame) -> Frame:
-    """A frame as the operations keep it (see above); the very frame when
-    it is so already, as every frame they return is."""
-    if frame._is_canonical:
-        return frame
-    return frame._replace(slots=_sorted_slots(frame.slots),
-                          conditions=tuple(sorted(frame.conditions,
-                                                  key=render_condition)))
-
-
 # ---------------------------------------------------------------------------
 # seed grammar
 #
@@ -331,50 +299,10 @@ def _apply_seed_line(frame: Frame, line: str) -> Frame:
 # ---------------------------------------------------------------------------
 # operations
 
-def specialize_subsense(parent: Frame, subsense: Sense,
-                        seed_lines: Iterable[str] = ()) -> Frame:
-    """Derive a subsense frame from its parent: apply the subsense's seed
-    lines, subject restriction, and usage conditions; all other structure
-    inherits."""
-    parent = _canonical(parent)
-    if (parent.sense is not None and parent.sense.label
-            not in _label_ancestors(subsense.label.text)):
-        raise SpecializationError(
-            f"{subsense.label} is not a child of {parent.sense.label}")
-    origin = parent.sense.render() if parent.sense else parent.predicate
-    frame = Frame(parent.predicate, subsense.pos,
-                  _without_usage(parent.conditions), parent.slots,
-                  parent.provisional, subsense.key,
-                  parent.provenance + (f"specialized from {origin}",))
-    for line in seed_lines:
-        frame = _apply_seed_line(frame, line)
-    return _annotate(frame, subsense)
-
-
-def _annotate(frame: Frame, rec: Sense, fill_subject: bool = False) -> Frame:
-    """Add a record's usage condition and subject restriction; with
-    ``fill_subject`` the restriction also fills an empty SUBJ."""
-    particles = rec.usage_particles
-    if particles:
-        frame = _with_condition(frame, ("USED-WITH", tuple(sorted(particles))))
-    subject = rec.subject_restriction
-    if subject:
-        frame = frame._replace(slots=update_slot(
-            frame.slots, ("SUBJ",), _restricted, subject, fill_subject))
-    return frame
-
-
 def _ancestor_keys(key: SenseKey) -> list[SenseKey]:
     """The keys of a sense's label ancestors, nearest first."""
     return [SenseKey(key.headword, key.pos, key.homograph, text)
             for text in _label_ancestors(key.label)]
-
-
-def use_deltas(base: Frame, use: ParsedDefinition,
-               rules: RuleTable) -> tuple[UseDelta, ...]:
-    """The deltas of applying ``use`` to ``base`` (``_apply_use_to``),
-    without building the resulting frame."""
-    return _apply_use_to(_canonical(base).slots, base.predicate, use, rules)[1]
 
 
 def _apply_use_to(slots: tuple[Slot, ...], family: str, use: ParsedDefinition,
@@ -524,42 +452,47 @@ class _FrameDerivation:
 
     def _derive(self, key: SenseKey, via: tuple[Sense, str] | None,
                 base: Frame | None) -> Frame:
-        """The frame of ``key`` from the frame of its dependency: a label
-        ancestor's when ``via`` is None, else the genus target of the
-        (record, genus word) ``via``; from its seed lines, or else a
-        provisional frame, when there is none."""
+        """The frame of ``key`` from the frame of its dependency, ``base``:
+        a label ancestor's when ``via`` is None, else the genus target of
+        the (record, genus word) ``via``, whose use it applies; with no
+        dependency, an empty seeded frame, or a provisional one for an
+        unseeded sense.  Then its seed lines, and each of its records'
+        usage condition and subject restriction, which also fills an empty
+        SUBJ of a frame derived along a genus arc or provisional."""
         records, seeds = self.lexicon._by_key[key], self.seeds.get(key, ())
         fill_subject = via is not None or (base is None and not seeds)
-        if via is not None:
-            (rec, word), slots, note = via, base.slots, "synonym copy"
-            if not rec.is_synonym_line:
-                slots, deltas, _ = _apply_use_to(slots, base.predicate,
-                                                 parse_sense(rec), self.rules)
-                self.frames.uses[id(rec), word] = rec, base, deltas
-                note = "applied use"
-            frame = Frame(base.predicate, rec.pos,
+        if base is None:
+            frame = (_provisional(key, self.lexicon) if fill_subject else
+                     Frame("", key.pos, sense=key, provenance=("seeded",)))
+        else:  # the base's structure, without its usage conditions
+            slots, note = base.slots, f"specialized from {base.sense.render()}"
+            if via is not None:
+                (rec, word), note = via, "synonym copy"
+                if not rec.is_synonym_line:
+                    slots, deltas, _ = _apply_use_to(
+                        slots, base.predicate, parse_sense(rec), self.rules)
+                    self.frames.uses[id(rec), word] = rec, base, deltas
+                    note = "applied use"
+            frame = Frame(base.predicate, key.pos,
                           _without_usage(base.conditions), slots,
                           base.provisional, key, base.provenance + (note,))
-        elif fill_subject:
-            frame = _provisional(key, self.lexicon)
-        else:
-            try:
-                if base is not None:
-                    frame = specialize_subsense(base, records[0], seeds)
-                    records = records[1:]
-                else:
-                    frame = Frame("", key.pos, sense=key,
-                                  provenance=("seeded",))
-                    for line in seeds:
-                        frame = _apply_seed_line(frame, line)
-            except SeedGrammarError as exc:
-                raise SeedGrammarError(f"{key.render()}: {exc}") from exc
-            if base is None and not frame.predicate:
-                frame = frame._replace(
-                    provisional=True,
-                    predicate=_provisional(key, self.lexicon).predicate)
+        try:
+            for line in seeds:
+                frame = _apply_seed_line(frame, line)
+        except SeedGrammarError as exc:
+            raise SeedGrammarError(f"{key.render()}: {exc}") from exc
+        if not frame.predicate:  # a seeded root without a PRED line
+            frame = frame._replace(
+                provisional=True,
+                predicate=_provisional(key, self.lexicon).predicate)
         for rec in records:
-            frame = _annotate(frame, rec, fill_subject)
+            if rec.usage_particles:
+                frame = _with_condition(frame, (
+                    "USED-WITH", tuple(sorted(rec.usage_particles))))
+            if rec.subject_restriction:
+                frame = frame._replace(slots=update_slot(
+                    frame.slots, ("SUBJ",), _restricted,
+                    rec.subject_restriction, fill_subject))
         return frame
 
 
@@ -587,21 +520,21 @@ def _provisional(key: SenseKey, lexicon: Lexicon) -> Frame:
 # dump format
 
 def frame_to_text(frame: Frame) -> str:
-    """Indented text tree, stable ordering."""
+    """Indented text tree, in the frame's own (canonical) order."""
     lines = [f"predicate: {frame.predicate}"
              + (" (provisional)" if frame.provisional else "")]
     if frame.sense:
         lines.append(f"sense: {frame.sense.render()}")
-    for cond in sorted(frame.conditions, key=render_condition):
+    for cond in frame.conditions:
         lines.append(f"condition: {render_condition(cond)}")
     _emit_slots(lines, frame.slots, 1)
     return "\n".join(lines) + "\n"
 
 
 def _emit_slots(lines: list[str], slots: tuple[Slot, ...], depth: int) -> None:
-    """Append ``slots`` in slot order, each before its children, to
-    ``lines``, indented by depth."""
-    for slot in sorted(slots, key=lambda s: slot_order_key(s.name)):
+    """Append ``slots``, each before its children, to ``lines``, indented
+    by depth."""
+    for slot in slots:
         bits = [slot.name]
         if slot.case:
             bits.append(f"case={' v '.join(slot.case)}")

@@ -170,7 +170,7 @@ def _usage_particles(note: str | None) -> tuple[str, ...]:
 def _subject_restriction(status: frozenset[str]) -> str | None:
     for s in status:
         if s.startswith("subject:"):
-            return s.split(":", 1)[1]
+            return s.removeprefix("subject:")
     return None
 
 
@@ -207,7 +207,8 @@ class Sense(_LineBlind, namedtuple(
 
     @property
     def field_labels(self) -> frozenset[str]:
-        return frozenset(s.split(":", 1)[1] for s in self.status if s.startswith("field:"))
+        return frozenset(s.removeprefix("field:") for s in self.status
+                         if s.startswith("field:"))
 
 
 class Phrase(namedtuple("Phrase", "kind text prep hedged",
@@ -453,7 +454,7 @@ def _parse_label(text: str, line: int) -> SenseLabel:
 def _parse_status(csv: str, line: int) -> frozenset[str]:
     out = set()
     for tok in filter(None, (t.strip() for t in csv.split(","))):
-        if tok in _STATUS_SIMPLE or tok.startswith("subject:") or tok.startswith("field:"):
+        if tok in _STATUS_SIMPLE or tok.startswith(("subject:", "field:")):
             out.add(tok)
         else:
             raise LexfError(f"unknown status label {tok!r}", line)

@@ -18,7 +18,6 @@ from .frames import (
     Slot,
     UseDelta,
     _apply_use_to,
-    _canonical,
     _entry_path,
     _match_facts,
     essential_change,
@@ -31,6 +30,7 @@ from .lexicon import (
     PARTICLES,
     Lexicon,
     SenseKey,
+    _is_adverb,
     head_noun,
     lower_alternatives,
     split_alternatives,
@@ -160,7 +160,7 @@ def chunk_sentence(text: str, lexicon: Lexicon) -> list[Chunk]:
             chunks.append(Chunk("particle", w, w))
             i += 1
             continue
-        if w.endswith("ly") and len(w) > 3:
+        if _is_adverb(w):
             flush_np(buf)
             chunks.append(Chunk("adverb", w))
             i += 1
@@ -381,7 +381,6 @@ def _instantiate(frame: Frame, oracle: ContextOracle,
     as a FILL, RESTRICT or ADD-SLOT edit leaves the same names, binds,
     cases and empty slots whatever its text.  Only the filled slots and
     those above them are rebuilt, and the frame is built once."""
-    frame = _canonical(frame)
     slots, deltas, _ = _apply_use_to(frame.slots, frame.predicate,
                                      oracle.ctx, oracle.rules)
     shape = () if slots is frame.slots else tuple(d[:2] for d in deltas)
@@ -613,12 +612,10 @@ def results_to_tsv(results: Iterable[DisambiguationResult]) -> str:
 # the parse and discourse commands, here so that no other command
 # compiles them
 
-def run_command(args, a: Analysis, emit) -> bool:
-    """The CLI's parse or discourse command on the run's analysis, its
-    output written by ``emit(args, text)``; the CLI passes that in, as it
-    may be running as ``__main__``, where importing ``cli`` here would
-    compile and run it a second time.  A data error raises ValueError.
-    The result says whether a ``--strict`` parse left ambiguity."""
+def run_command(args, a: Analysis) -> tuple[str, bool]:
+    """The CLI's parse or discourse command on the run's analysis: its
+    output, and whether a ``--strict`` parse left ambiguity.  A data error
+    raises ValueError."""
     lexicon, frames, ssns = a.lexicon, a.frames, a.networks
     if args.command == "parse":
         chunks = chunk_sentence(args.text, lexicon)
@@ -627,24 +624,21 @@ def run_command(args, a: Analysis, emit) -> bool:
             raise ValueError("no known verb in the sentence")
         result = disambiguate(verb.text, chunks, ssns[verb.lemma], frames,
                               a.rules, lexicon, VarAllocator())
-        emit(args, results_to_tsv([result]) if args.format == "tsv"
-             else result.to_text())
-        return args.strict and (len(result.candidates) > 1
-                                or bool(result.open_questions))
+        text = (results_to_tsv([result]) if args.format == "tsv"
+                else result.to_text())
+        return text, args.strict and (len(result.candidates) > 1
+                                      or bool(result.open_questions))
 
     with open(args.file, encoding="utf-8") as fh:
         sentences = [ln.strip() for ln in fh if ln.strip()]
     results, state = parse_discourse(sentences, lexicon, ssns, frames, a.rules)
     if args.format == "tsv":
-        emit(args, results_to_tsv(results))
-    else:
-        parts = [r.to_text() for r in results]
-        if state.bindings:
-            parts.append("bindings:\n" + "\n".join(
-                f"  ?{var} = {value}" for var, value in state.bindings)
-                + "\n")
-        emit(args, "\n".join(parts))
-    return False
+        return results_to_tsv(results), False
+    parts = [r.to_text() for r in results]
+    if state.bindings:
+        parts.append("bindings:\n" + "\n".join(
+            f"  ?{var} = {value}" for var, value in state.bindings) + "\n")
+    return "\n".join(parts), False
 
 
 def __getattr__(name: str):

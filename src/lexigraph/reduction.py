@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .frames import Frame, UseDelta, use_deltas, walk_slots
+from .frames import Frame, UseDelta, _apply_use_to, walk_slots
 from .lexicon import (
     Lexicon,
     Sense,
@@ -103,8 +103,9 @@ class ReductionContext:
         frame, which must exist; computed once per context."""
         key = (id(rec), genus_word)
         if key not in self._deltas:
-            self._deltas[key] = use_deltas(self.genus_frame(rec.key, genus_word),
-                                           parse_sense(rec), self.rules)
+            base = self.genus_frame(rec.key, genus_word)
+            self._deltas[key] = _apply_use_to(base.slots, base.predicate,
+                                              parse_sense(rec), self.rules)[1]
         return self._deltas[key]
 
     def noun_is_instrument(self, phrase_text: str) -> bool:

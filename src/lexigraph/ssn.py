@@ -81,18 +81,14 @@ class Question(namedtuple("Question", "kind payload branches")):
         ``bind`` only the FROM-STATE answer, else (``none``) nothing."""
         path, alts = self.payload[0], self.alternatives()
         other = "other" if "other" in alts else "unknown"
-        tuples = [(a, v if isinstance(v, tuple) else (v,))
-                  for a, v in alts.items()]
         if path == ("predicate",):
             return "predicate", other, tuple(
-                (a, alts[a][0] if isinstance(alts[a], tuple) and alts[a]
-                 else str(alts[a]).removesuffix(" (provisional)"))
-                for a in sorted(alts))
-        if path == ("conditions",):
+                (a, alts[a][0]) for a in sorted(alts))
+        if path == ("conditions",):  # "other" is "", no condition
             return "conditions", other, tuple((a, (len(v), tuple(
-                tuple(str(c).split(None, 1)[1].split("|"))
-                for c in v if str(c).startswith("USED-WITH"))))
-                for a, v in tuples)
+                tuple(c.split(None, 1)[1].split("|"))
+                for c in v if c.startswith("USED-WITH"))))
+                for a, v in alts.items())
         last = path[-1]
         if last == "bind" and "SUBJ" in path:
             return "bind", other, (
@@ -100,12 +96,12 @@ class Question(namedtuple("Question", "kind payload branches")):
         if last == "filler":
             return ("subject" if len(path) > 1 and path[1] == "SUBJ"
                     else "filler"), other, tuple(
-                        (a, str(v).lower()) for a, v in alts.items()
+                        (a, v.lower()) for a, v in alts.items()
                         if a != "other")
         if last == "restrictions" and len(path) > 1 and path[-2] == "RESPECT":
             return "respect", other, tuple(
-                (a, lower_alternatives(map(str, v)))
-                for a, v in tuples if a != "other")
+                (a, lower_alternatives(v)) for a, v in alts.items()
+                if a != "other")
         return "none", other, ()
 
 
@@ -227,11 +223,12 @@ traverse = SSN.traverse
 # children.  The frames of a network are walked together over a trie of
 # their slot paths (Knuth, TAOCP vol. 3, 6.3), built one level at a time
 # where a walk first needs it, and no frame is flattened.  The walk reads
-# a frame as ``frames._canonical`` would put it: conditions sorted, slots
-# in slot order, the last slot of a name.  A trie node is [its holders
-# ({sense: slot} in the network's order), its children or None, its
-# display path, {field: the holders' concrete values ({sense: value})}];
-# the root holds the frames themselves, and its display path is empty.
+# a frame in the canonical order it is built in (``frames``): conditions
+# sorted, slots in slot order, one slot of a name.  A trie node is [its
+# holders ({sense: slot} in the network's order), its children or None,
+# its display path, {field: the holders' concrete values ({sense:
+# value})}]; the root holds the frames themselves, and its display path
+# is empty.
 
 _TRANSITIVITY = {PartOfSpeech.VI: "intransitive", PartOfSpeech.VT: "transitive",
                  PartOfSpeech.VB: "both"}
@@ -244,7 +241,7 @@ _VALUES = (
      lambda s: tuple(sorted(s.restrictions))),
     (lambda f: f.pos.value, lambda f: _TRANSITIVITY.get(f.pos, ""),
      lambda f: (f.predicate, "provisional" if f.provisional else "fixed"),
-     lambda f: tuple(sorted(map(render_condition, f.conditions)))))
+     lambda f: tuple(map(render_condition, f.conditions))))
 
 
 def _difference(where, group, size, pending, node, start):

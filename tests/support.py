@@ -189,6 +189,27 @@ def use_lexf_texts():
     return resolved_lexf_texts(_use_bases())
 
 
+PARTICLE_NOTES = ("", "used with about", "used with into", "used with over",
+                  "used with up", "used with into or up")
+
+
+@st.composite
+def usage_lexf_texts(draw) -> str:
+    """One headword as vi, vt and vb entries whose senses name particles:
+    the transitivity answers share the vb senses, and the usage conditions
+    leave a group of them at several stages."""
+    lines = []
+    for pos, senses in (("vi", 1), ("vt", 1), ("vb", 2)):
+        lines.append(f"E|w|{pos}|1")
+        for label in draw(st.lists(st.sampled_from(("1", "1a", "2", "3")),
+                                   min_size=senses, max_size=senses + 1,
+                                   unique=True)):
+            lines.append(f"S|{label}||to {draw(st.sampled_from(GENUS_WORDS))}"
+                         f"{draw(st.sampled_from(TAILS))}|"
+                         f"{draw(st.sampled_from(PARTICLE_NOTES))}")
+    return "\n".join(lines) + "\n"
+
+
 # slot names of the fixed order and two open extension names, which sort
 # last; a name may recur at several levels
 NAMES = ("SUBJ", "FROM-STATE", "TO-STATE", "RESPECT", "MANNER",

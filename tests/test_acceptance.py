@@ -18,7 +18,7 @@ from lexigraph.defgraph import (
     condensation,
     strongly_connected_components,
 )
-from lexigraph.frames import build_frames, use_deltas
+from lexigraph.frames import _apply_use_to, build_frames
 from lexigraph.lexicon import PartOfSpeech, SenseKey, parse_sense, senses_of
 from lexigraph.manifest import load_manifest
 from lexigraph.parser import (
@@ -124,7 +124,8 @@ def test_criterion_2_respect_deltas_from_uses(env):
         for (head, label), expected in rows.items():
             sense = [s for s in senses_of(lexicon, head)
                      if s.label.text == label][0]
-            deltas = [d for d in use_deltas(base, parse_sense(sense), rules)
+            deltas = [d for d in _apply_use_to(base.slots, base.predicate,
+                                               parse_sense(sense), rules)[1]
                       if d.kind == "RESTRICT" and d.path[-1] == "RESPECT"]
             assert len(deltas) == 1, (head, label)
             assert deltas[0].value == expected, (head, label)

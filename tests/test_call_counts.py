@@ -14,7 +14,6 @@ import collections
 import contextlib
 import functools
 import io
-import re
 
 import pytest
 from hypothesis import given, settings, target
@@ -22,7 +21,8 @@ from hypothesis import strategies as st
 
 from support import accepted, lexf_texts, lexgen, resolved_lexf_texts
 from lexigraph import corpus, frames as frames_mod, lexicon as lexicon_mod
-from lexigraph import parser as parser_mod, ssn as ssn_mod
+from lexigraph import parser as parser_mod, reduction as reduction_mod
+from lexigraph import ssn as ssn_mod
 from lexigraph.autoresolve import autoresolve_all
 from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
@@ -59,14 +59,17 @@ def test_one_pass_computes_each_use_once(monkeypatch, word_government):
     rules = corpus.load_rules()
     genus = counting(monkeypatch, lexicon_mod, "_genus_words",
                      lambda rec, lexicon: id(rec))
-    # a record's parse is memoized on it, so its id names the record
-    uses = counting(monkeypatch, frames_mod, "_apply_use_to",
-                    lambda slots, family, use, rules: id(use))
+    # a record's parse is memoized on it, so its id names the record; the
+    # derivation and the reduction each apply a use
+    derived, reduced = (counting(monkeypatch, module, "_apply_use_to",
+                                 lambda slots, family, use, rules: id(use))
+                        for module in (frames_mod, reduction_mod))
     graph = apply_resolutions(build_graph(lx), lx.resolutions)
     frames = build_frames(lx, rules)
     report = reduce_fixpoint(lx, graph, frames, rules)
     build_all_ssns(lx, frames)
     autoresolve_all(lx, frames, rules)
+    uses = derived + reduced
 
     assert report.set_aside and sum(uses.values()) > 0
     assert set(genus) == {id(rec) for rec in lx.entries}
@@ -126,7 +129,7 @@ def test_analysis_sorts_the_sense_keys_once(monkeypatch):
 def test_reduction_reads_the_deltas_of_the_derivation(monkeypatch, lexicon,
                                                       resolved_graph, rules):
     frames = build_frames(lexicon, rules)
-    uses = counting(monkeypatch, frames_mod, "_apply_use_to",
+    uses = counting(monkeypatch, reduction_mod, "_apply_use_to",
                     lambda slots, family, use, rules: id(use))
     # on the bundled corpus every use the rules read was applied in
     # deriving the frames; a plain dict carries no deltas
@@ -138,7 +141,8 @@ def test_reduction_reads_the_deltas_of_the_derivation(monkeypatch, lexicon,
 
 # A subsense with an R record of its own: its frame specializes its label
 # parent's, so the derivation applies no use of its genus word, and the
-# reduction derives that use's deltas itself (``frames.use_deltas``).
+# reduction derives that use's deltas itself
+# (``reduction.ReductionContext.use_deltas``).
 ALTER_LEXF = """\
 E|alter|vi|1
 S|1||to change|
@@ -156,7 +160,7 @@ def test_reduction_applies_the_uses_the_derivation_did_not(monkeypatch,
     (alter_1a,) = [rec for rec in lx.entries
                    if rec.headword == "alter" and rec.label.text == "1a"]
     assert all(rec is not alter_1a for rec, _, _ in frames.uses.values())
-    uses = counting(monkeypatch, frames_mod, "_apply_use_to",
+    uses = counting(monkeypatch, reduction_mod, "_apply_use_to",
                     lambda slots, family, use, rules: id(use))
     report = reduce_fixpoint(lx, None, frames, rules)
     assert uses == {id(lexicon_mod.parse_sense(alter_1a)): 1}
@@ -398,17 +402,18 @@ HAND_BUILT_FRAME = frames_mod.Frame(
          frames_mod.Slot("SUBJ", filler="Voice")))))
 
 
-# questions no bundled or x16 network asks: a non-SUBJ filler, answers
-# out of order, string predicate and restriction values, and conditions
-# met by alternatives with more and fewer USED-WITH conditions
+# questions no bundled or x16 network asks, with values of the shapes the
+# compile makes (an "other" answer's value is ""): a non-SUBJ filler,
+# answers out of order, a provisional and a fixed predicate, restrictions
+# of several phrases, and conditions met by alternatives with more and
+# fewer USED-WITH conditions
 HAND_BUILT = tuple(ssn_mod.Question("FRAME-DIFF", (path, pairs), ())
                    for path, pairs in (
     (("slots", "RESULT", "filler"), (("curd", "curd"), ("Vapor", "Vapor"),
                                      ("other", ""))),
     (("predicate",), (("b", ("BECOME-DIFFERENT", "fixed")),
-                      ("a", "BECOME-DIFFERENT (provisional)"),
-                      ("other", ""))),
-    (("slots", "RESPECT", "restrictions"), (("color", "color or shape"),
+                      ("a", ("BECOME-DIFFERENT", "provisional")))),
+    (("slots", "RESPECT", "restrictions"), (("color", ("color or shape",)),
                                             ("size", ("size", "Weight")))),
     (("conditions",), (("b", ("USED-WITH up",)),
                        ("a", ("FROM-STATE NE TO-STATE", "USED-WITH up",
@@ -565,9 +570,7 @@ def paired_answer(oracle, q) -> str:
     path = q.payload[0]
     if path == ("predicate",):
         for answer in sorted(alts):
-            value = alts[answer]
-            family = value[0] if isinstance(value, tuple) and value else (
-                re.sub(r" \(provisional\)$", "", str(value)))
+            family = alts[answer][0]
             for pp in ctx.prep_phrases:
                 if oracle.rules.slot_action(pp.prep, family):
                     return answer
@@ -589,22 +592,21 @@ def paired_answer(oracle, q) -> str:
             return "unknown"
         names = oracle.subject_names()
         for answer, value in alts.items():
-            if answer != "other" and str(value).lower() in names:
+            if answer != "other" and value.lower() in names:
                 return answer
         return other
     if last == "restrictions" and len(path) > 1 and path[-2] == "RESPECT":
         if oracle.in_given is None:
             return "unknown"
         for answer, value in alts.items():
-            phrases = value if isinstance(value, tuple) else (value,)
             if answer != "other" and not oracle.in_given.isdisjoint(
-                    lower_alternatives(map(str, phrases))):
+                    lower_alternatives(value)):
                 return answer
         return other
     if last == "filler":
         for answer, value in alts.items():
             if answer != "other" and any(
-                    str(value).lower() == pp.text.lower()
+                    value.lower() == pp.text.lower()
                     for pp in ctx.prep_phrases):
                 return answer
     return "unknown"
@@ -615,16 +617,15 @@ def paired_conditions_answer(oracle, alts) -> str:
     scored: list[tuple[int, str]] = []
     base = None
     any_relevant = False
-    for answer, value in alts.items():
-        conds = value if isinstance(value, tuple) else (value,)
-        used_with = [c for c in conds if str(c).startswith("USED-WITH")]
+    for answer, conds in alts.items():  # "other" is "", no condition
+        used_with = [c for c in conds if c.startswith("USED-WITH")]
         if not used_with:
             if base is None or len(conds) < base[0]:
                 base = (len(conds), answer)
             continue
         ok = True
         for cond in used_with:
-            hit = [p for p in str(cond).split(None, 1)[1].split("|")
+            hit = [p for p in cond.split(None, 1)[1].split("|")
                    if p in present]
             if not hit:
                 ok = False

@@ -4,6 +4,7 @@ import re
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from support import (
     PHRASAL_LEXF,
@@ -15,7 +16,11 @@ from support import (
     first_diff,
     flat_group,
     lexf_texts,
+    lexgen,
+    usage_lexf_texts,
+    use_lexf_texts,
 )
+from lexigraph import corpus
 from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import (
@@ -24,30 +29,32 @@ from lexigraph.frames import (
     RuleTable,
     SeedGrammarError,
     Slot,
-    SpecializationError,
     _apply_use_to,
-    _canonical,
     _FrameDerivation,
     build_frames,
     frame_to_text,
     render_condition,
     slot_order_key,
-    specialize_subsense,
-    use_deltas,
 )
 from lexigraph.lexicon import (
     Lexicon,
     PartOfSpeech,
     ResolutionError,
-    Sense,
     SenseKey,
-    SenseLabel,
     merge_lexicons,
     parse_definition,
     parse_lexf,
     parse_sense,
     senses_of,
 )
+from lexigraph.parser import (
+    SentenceContext,
+    chunk_sentence,
+    disambiguate,
+    parse_discourse,
+)
+from lexigraph.reduction import ReductionContext
+from lexigraph.ssn import CompileError, compile_ssn
 
 
 def change_key(label: str) -> SenseKey:
@@ -204,20 +211,26 @@ def test_specialize_1e(frames):
     assert find_slot(f, "TIMEX") is not None
 
 
-def test_identity_specialization(lexicon, frames):
-    parent = frames[change_key("1")]
-    subsense = [s for s in senses_of(lexicon, "change", PartOfSpeech.VI)
-                if s.label.text == "1a"][0]
-    f = specialize_subsense(parent, subsense, ())
-    assert frame_first_diff(parent, f) is None  # only provenance differs
+# a subsense with no seed line, usage note or subject restriction of its
+# own, under a parent with a usage note
+IDENTITY_LEXF = """\
+E|w|vi|1
+S|1||to go|used with up
+S|1a||to go far|
+F|1|PRED GO
+F|1|SLOT SUBJ CASE PAT|AGT
+"""
 
 
-def test_specialize_rejects_non_child():
-    parent = Frame("X", PartOfSpeech.VI,
-                   sense=SenseKey("w", PartOfSpeech.VI, 1, "2"))
-    alien = Sense("w", PartOfSpeech.VI, 1, SenseLabel("1a"))
-    with pytest.raises(SpecializationError):
-        specialize_subsense(parent, alien, ())
+def test_identity_specialization(rules):
+    frames = build_frames(parse_lexf(IDENTITY_LEXF), rules)
+    key = SenseKey("w", PartOfSpeech.VI, 1, "1a")
+    parent, f = frames[key._replace(label="1")], frames[key]
+    assert parent.conditions == (("USED-WITH", ("up",)),)
+    # all but the parent's usage condition, its sense and its provenance
+    assert frame_first_diff(parent._replace(conditions=()), f) is None
+    assert f.slots is parent.slots and f.sense == key
+    assert f.provenance == ("seeded", "specialized from w:vi:1:1")
 
 
 def test_specialization_preserves_ne_condition(frames):
@@ -380,24 +393,35 @@ def test_apply_use_shares_untouched_slots(lexicon, frames, rules):
         assert (new is old) == (old.name != "ACCIDENTAL-ATTRS")
 
 
-def test_operations_keep_hand_built_frames_in_slot_order(lexicon, rules):
-    # a frame built out of slot order reads as its sorted form
-    base = Frame("BECOME-DIFFERENT", PartOfSpeech.VI,
-                 conditions=(("USED-WITH", ("to",)),
-                             ("NE", "FROM-STATE", "TO-STATE")),
-                 slots=(Slot("MANNER"), Slot("SUBJ", ("PAT", "AGT")),
-                        Slot("ACCIDENTAL-ATTRS", children=(
-                            Slot("RESPECT", children=(Slot("TO-STATE"),
-                                                      Slot("FROM-STATE"))),))))
+# seed lines that name the slots and conditions out of their order
+HAND_ORDER_LEXF = """\
+E|w|vi|1
+S|1||to become different|used with to
+F|1|PRED BECOME-DIFFERENT
+F|1|SLOT MANNER
+F|1|SLOT SUBJ CASE PAT|AGT
+F|1|SLOT ACCIDENTAL-ATTRS.RESPECT.TO-STATE
+F|1|SLOT ACCIDENTAL-ATTRS.RESPECT.FROM-STATE
+F|1|COND SUBJ NE TO-STATE
+F|1|COND FROM-STATE NE TO-STATE
+"""
+
+
+def test_operations_keep_hand_built_frames_in_slot_order(rules):
+    # a frame is built in slot order, and a use applied to it keeps it so
+    base = build_frames(parse_lexf(HAND_ORDER_LEXF), rules)[
+        SenseKey("w", PartOfSpeech.VI, 1, "1")]
     use = parse_definition("to change slowly from ice into coal",
                            PartOfSpeech.VI)
-    frame, deltas, _ = applied(_canonical(base), use, rules)
-    assert [s.name for s in frame.slots] == [
-        "SUBJ", "MANNER", "ACCIDENTAL-ATTRS"]
-    respect = find_slot(frame, "RESPECT")
-    assert [s.name for s in respect.children] == ["FROM-STATE", "TO-STATE"]
-    assert [c[0] for c in frame.conditions] == ["NE", "USED-WITH"]
-    assert use_deltas(base, use, rules) == deltas
+    for frame in (base, applied(base, use, rules)[0]):
+        assert [s.name for s in frame.slots] == [
+            "SUBJ", "MANNER", "ACCIDENTAL-ATTRS"]
+        respect = find_slot(frame, "RESPECT")
+        assert [s.name for s in respect.children] == ["FROM-STATE",
+                                                      "TO-STATE"]
+        assert frame.conditions == (("NE", "FROM-STATE", "TO-STATE"),
+                                    ("NE", "SUBJ", "TO-STATE"),
+                                    ("USED-WITH", ("to",)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,35 +606,92 @@ def assert_in_slot_order(frame: Frame):
                                             key=render_condition)
 
 
-@settings(max_examples=40, deadline=None)
-@given(lexf_texts())
-def test_frames_keep_slots_and_conditions_in_order(text):
-    lx = parse_lexf(accepted(text))
-    rules = family_rules(lx)
-    frames = build_frames(lx, rules)
+# a sentence with each kind of differentia, one with a pronoun subject
+# that a discourse reads as the entity before it, and one with an adverb
+# before the verb; "{}" is the verb
+SENTENCES = ("The glim {} into the flonk with a zorb",
+             "It {} from the glim to the flonk slowly",
+             "The flonk often {}")
+
+
+def instantiated_frames(lx, frames, rules) -> list[Frame]:
+    """The frames ``disambiguate`` and ``parse_discourse`` instantiate for
+    ``SENTENCES`` on each one-word verb headword whose network compiles."""
+    out = []
+    for headword in lx.verb_headwords:
+        try:
+            net = compile_ssn(headword, lx, frames)
+        except CompileError:  # siblings with one frame
+            continue
+        sentences = [s.format(headword) for s in SENTENCES]
+        chunked = [chunk_sentence(s, lx) for s in sentences]
+        if any(SentenceContext(c).verb is None
+               or SentenceContext(c).verb.lemma != headword for c in chunked):
+            continue  # a headword of more words, or one read as a noun
+        for chunks in chunked:
+            out.append(disambiguate(headword, chunks, net, frames, rules,
+                                    lx).frame)
+        results, _ = parse_discourse(sentences, lx, {headword: net}, frames,
+                                     rules)
+        out += [r.frame for r in results]
+    return out
+
+
+def assert_built_and_instantiated_in_order(lx, frames, rules) -> int:
+    """Every frame built, every frame with a use of the lexicon applied,
+    and every frame a parse instantiates, is in slot order; the count of
+    frames a parse instantiated."""
     uses = [parse_sense(s) for s in lx.entries
             if s.pos.is_verb and not s.is_synonym_line]
     for frame in frames.values():
         assert_in_slot_order(frame)
         for use in uses[:4]:
             assert_in_slot_order(applied(frame, use, rules)[0])
+    parsed = instantiated_frames(lx, frames, rules)
+    for frame in parsed:
+        assert_in_slot_order(frame)
+    return len(parsed)
 
 
 @settings(max_examples=40, deadline=None)
-@given(lexf_texts())
+@given(st.one_of(lexf_texts(), use_lexf_texts(), usage_lexf_texts()))
+def test_frames_keep_slots_and_conditions_in_order(text):
+    lx = parse_lexf(accepted(text))
+    rules = family_rules(lx)
+    assert_built_and_instantiated_in_order(lx, build_frames(lx, rules), rules)
+
+
+@pytest.mark.parametrize("source", ["corpus", "x16-7", "x16-11"])
+def test_bundled_and_x16_frames_keep_slots_and_conditions_in_order(
+        rules, source):
+    if source == "corpus":
+        lx = corpus.load_corpus(include_word_government=True)
+    else:
+        lx = merge_lexicons(*(parse_lexf(t) for t in lexgen().generate(
+            16, int(source.split("-")[1])).texts()))
+    frames = build_frames(lx, rules)
+    assert assert_built_and_instantiated_in_order(lx, frames, rules) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(lexf_texts(), use_lexf_texts()))
 def test_use_deltas_equal_apply_use_deltas(text):
-    """``use_deltas`` gives the deltas of applying the use, and those the
-    derivation kept for each use it applied."""
+    """The reduction's deltas of a use (``ReductionContext.use_deltas``)
+    are those of applying the use to its genus frame, whether the
+    derivation kept them or the reduction applies the use itself; and
+    those the derivation kept are those of the use it applied."""
     lx = parse_lexf(accepted(text))
     rules = family_rules(lx)
     frames = build_frames(lx, rules)
-    uses = [parse_sense(s) for s in lx.entries
-            if s.pos.is_verb and not s.is_synonym_line]
-    for base in frames.values():
-        for use in uses:
-            assert use_deltas(base, use, rules) == applied(base, use, rules)[1]
+    for table in (frames, dict(frames)):  # a plain dict carries no deltas
+        ctx = ReductionContext(lx, table, rules)
+        for (key, word), target in lx._resolved.items():
+            for rec in lx._by_key[key]:
+                if word in lx._genus[id(rec)] and not rec.is_synonym_line:
+                    assert ctx.use_deltas(rec, word) == applied(
+                        frames[target], parse_sense(rec), rules)[1]
     for rec, base, deltas in frames.uses.values():
-        assert use_deltas(base, parse_sense(rec), rules) == deltas
+        assert applied(base, parse_sense(rec), rules)[1] == deltas
 
 
 # alpha 1a is on a cycle through its label parent: alpha 1 is defined by

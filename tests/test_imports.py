@@ -157,9 +157,9 @@ def test_every_public_name_resolves():
 # The count is the same on Python 3.10 to 3.13; a change may lower a
 # ceiling, not raise it.  README states each command's count and each
 # module's, as the source has them.
-AST_CEILINGS = {"ingest": 7979, "graph": 9508, "scc": 9508,
-                "primitives": 9508, "frames": 11893, "ssn": 15698,
-                "reduce": 13660, "autoresolve": 13017, "parse": 20147}
+AST_CEILINGS = {"ingest": 7975, "graph": 9504, "scc": 9504,
+                "primitives": 9504, "frames": 11400, "ssn": 15127,
+                "reduce": 13181, "autoresolve": 12524, "parse": 19559}
 
 
 def _ast_nodes(module: str) -> int:

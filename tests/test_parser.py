@@ -13,6 +13,7 @@ from support import (
     use_lexf_texts,
 )
 from lexigraph import corpus
+from lexigraph.cli import run as cli_run
 from lexigraph.autoresolve import _GenusTable, _propose, autoresolve_all
 from lexigraph.frames import (
     Descriptor,
@@ -20,7 +21,6 @@ from lexigraph.frames import (
     Slot,
     UseDelta,
     _apply_use_to,
-    _canonical,
     _entry_path,
     build_frames,
     essential_change,
@@ -127,6 +127,20 @@ def test_chunk_drops_a_coordinator_before_a_preposition(lexicon):
     assert chunks[2] == ("prep-phrase", "color or shape", "in", None)
 
 
+def test_chunk_reads_the_segmenters_adverbs(lexicon, ssns, frames, rules):
+    # "often" is an adverb word of definitions (``lexicon.ADVERB_WORDS``),
+    # so the chunker reads it as one too: a manner before the verb, not
+    # part of the subject, and after it, not the object
+    chunks = chunk_sentence("The wind often changed", lexicon)
+    assert [(c.kind, c.text) for c in chunks] == [
+        ("noun-phrase", "the wind"), ("adverb", "often"),
+        ("verb", "changed")]
+    for text in ("The wind often changed", "The wind changed often"):
+        r = run(text, lexicon, ssns, frames, rules)
+        assert [d.render() for d in r.deltas] == [
+            "ADD-SLOT MANNER = often", "FILL SUBJ = the wind"], text
+
+
 def test_coordinated_state_phrase_fills_the_result(lexicon, ssns, frames,
                                                    rules):
     r = run("The milk changed into curd or into cheese", lexicon, ssns,
@@ -166,6 +180,31 @@ def test_milk_into_curd(lexicon, ssns, frames, rules):
     result = _slot(r.frame, "RESULT")
     assert result.bind == "TO-STATE" and result.filler == "curd"
     assert not r.open_questions
+
+
+# senses 1 and 2 differ only in 1's NE condition, and 3 needs "into"
+OTHER_CONDITIONS_LEXF = """\
+E|zap|vi|1
+S|1||to go|
+S|2||to move|
+S|3||to run|used with into
+F|1|PRED GO
+F|1|COND FROM-STATE NE TO-STATE
+F|2|PRED GO
+F|3|PRED GO
+"""
+
+
+def test_the_other_conditions_answer_has_no_condition(tmp_path, capsys):
+    # "into ice" does not change the ice essentially, so sense 3's usage
+    # is not met, and the oracle falls back to the sense with the fewest
+    # conditions: 2, whose "other" answer has none, not 1
+    lexf = tmp_path / "zap.lexf"
+    lexf.write_text(OTHER_CONDITIONS_LEXF, encoding="utf-8")
+    assert cli_run(["--lexicon", str(lexf), "--format", "tsv", "parse",
+                    "--text", "The ice zapped into ice"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[:2] == [
+        "zapped", "zap:vi:1:2"]
 
 
 def test_wind_sentence_is_ambiguous(lexicon, ssns, frames, rules):
@@ -354,7 +393,6 @@ def reference_instantiate(frame, oracle, allocator):
     phrases = tuple(Phrase("prep-phrase", c.text, c.prep)
                     if c.kind == "prep-phrase" else Phrase("adverb", c.text)
                     for c in oracle.ctx.differentiae)
-    frame = _canonical(frame)
     slots, deltas, _ = _apply_use_to(
         frame.slots, frame.predicate,
         ParsedDefinition((), differentiae=phrases), oracle.rules)

@@ -44,10 +44,6 @@ NEVER_CALLED = {
     ("__init__", "__dir__"): _NOISE_DUNDER,
     ("__init__", "__getattr__"): _NOISE_DUNDER,
     ("cli", "main"): "real path: the console script, which calls cli.run",
-    ("frames", "use_deltas"): (
-        "real path: the reduction's deltas of a use the frame derivation "
-        "did not apply, such as a subsense's own R record "
-        "(test_call_counts.py's alter lexicon)"),
     ("lexicon", "LexfError.__init__"): "noise: an error on a bad LEXF line",
     ("lexicon", "PartOfSpeech.__init__"): _NOISE_IMPORT,
     ("lexicon", "Phrase._make"): _NOISE_MAKE,

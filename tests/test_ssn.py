@@ -15,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import (
-    GENUS_WORDS,
-    TAILS,
     accepted,
     dot_strings,
     family_rules_text,
@@ -29,6 +27,7 @@ from support import (
     oracle_reaching,
     particle_lexf,
     reference_compile_ssn,
+    usage_lexf_texts,
     use_lexf_texts,
     wide_lexf,
     wide_lexf_texts,
@@ -477,25 +476,6 @@ def test_change_network_counts(lexicon, frames, change_ssn):
 
 
 USE_RULES = load_rule_table(family_rules_text())
-PARTICLE_NOTES = ("", "used with about", "used with into", "used with over",
-                  "used with up", "used with into or up")
-
-
-@st.composite
-def usage_lexf_texts(draw) -> str:
-    """One headword as vi, vt and vb entries whose senses name particles:
-    the transitivity answers share the vb senses, and the usage conditions
-    leave a group of them at several stages."""
-    lines = []
-    for pos, senses in (("vi", 1), ("vt", 1), ("vb", 2)):
-        lines.append(f"E|w|{pos}|1")
-        for label in draw(st.lists(st.sampled_from(("1", "1a", "2", "3")),
-                                   min_size=senses, max_size=senses + 1,
-                                   unique=True)):
-            lines.append(f"S|{label}||to {draw(st.sampled_from(GENUS_WORDS))}"
-                         f"{draw(st.sampled_from(TAILS))}|"
-                         f"{draw(st.sampled_from(PARTICLE_NOTES))}")
-    return "\n".join(lines) + "\n"
 
 
 def test_a_group_met_at_two_stages_is_asked_from_each(rules):

@@ -18,6 +18,7 @@ from lexigraph.frames import (
     Frame,
     Slot,
     UseDelta,
+    _match_facts,
 )
 from lexigraph.lexicon import (
     Lexicon,
@@ -309,9 +310,11 @@ def test_every_construction_is_checked(build):
 
 def test_replace_keeps_the_type_and_drops_memos():
     frame = _frame()
-    assert frame._is_canonical
-    moved = frame._replace(slots=(Slot("TO-STATE"), Slot("SUBJ")))
-    assert type(moved) is Frame and not moved._is_canonical
+    facts = _match_facts(frame)
+    assert vars(frame)["_match_facts"] is facts
+    moved = frame._replace(slots=(Slot("SUBJ", filler="ice"),))
+    assert type(moved) is Frame and "_match_facts" not in vars(moved)
+    assert _match_facts(moved) != facts
     sense = SAMPLES[2][1]()
     assert sense.key == KEY
     other = sense._replace(headword="change")
