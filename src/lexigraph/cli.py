@@ -3,66 +3,14 @@ error, 3 ambiguity remaining under parse --strict. Diagnostics go to the
 error stream, data to the output stream; text reports are stable-ordered."""
 from __future__ import annotations
 
-import os
 import sys
-from functools import cached_property
 from types import SimpleNamespace
 
-from . import corpus as corpus_mod
-from .lexicon import Lexicon, merge_lexicons, parse_lexf
+from .corpus import Analysis
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 AMBIGUITY_REMAINING = 3
-
-
-def _load_lexicon(args) -> Lexicon:
-    """The ``--lexicon`` files, else the bundled corpus, with the
-    ``--resolutions`` file on top."""
-    paths = args.lexicon + ([args.resolutions] if args.resolutions else [])
-    if not paths:
-        return corpus_mod.load_corpus()
-    parts = [] if args.lexicon else [corpus_mod.load_corpus()]
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            parts.append(parse_lexf(fh.read()))
-    return merge_lexicons(*parts)
-
-
-class Analysis:
-    """One run's stages over one lexicon.  Each stage is computed on first
-    use and kept, and imports its module only then, so a command loads only
-    what it reads: ingest, graph, scc and primitives never pay for the rule
-    table, frames, networks or the parser."""
-
-    def __init__(self, lexicon: Lexicon):
-        self.lexicon = lexicon
-
-    @cached_property
-    def rules(self):
-        if override := os.environ.get("LEXIGRAPH_RULES"):
-            from .prep_rules import load_rule_table
-            with open(override, encoding="utf-8") as fh:
-                return load_rule_table(fh.read())
-        return corpus_mod.load_rules()
-
-    @cached_property
-    def graph(self):
-        from .defgraph import apply_resolutions, build_graph
-        return apply_resolutions(build_graph(self.lexicon),
-                                 self.lexicon.resolutions)
-
-    @cached_property
-    def frames(self):
-        """The frames of every sense, once the rule table loads (and then
-        the lexicon checks its resolution records)."""
-        from .frames import build_frames
-        return build_frames(self.lexicon, self.rules)
-
-    @cached_property
-    def networks(self):
-        from .ssn import NetworkCache
-        return NetworkCache(self.lexicon, self.frames)
 
 
 # the command table, the CLI's one grammar.  An option is its flag and the
@@ -152,7 +100,7 @@ def run(argv: list[str] | None = None) -> int:
             return USAGE_ERROR if exc.code else 0
 
     try:
-        return _dispatch(args, Analysis(_load_lexicon(args)))
+        return _dispatch(args, Analysis(args.lexicon, args.resolutions))
     except (OSError, ValueError) as exc:
         print(f"lexigraph: {exc}", file=sys.stderr)
         return DATA_ERROR
@@ -163,7 +111,6 @@ def _dispatch(args, a: Analysis) -> int:
     lexicon = a.lexicon
     ambiguous = False
     if command == "ingest":
-        lexicon._resolved  # its R records must pass the graph's checks
         from .manifest import verify_fixture
         report = verify_fixture(lexicon)
         _emit(args, report.to_text())
@@ -190,7 +137,6 @@ def _dispatch(args, a: Analysis) -> int:
             lexicon, a.frames, a.rules)) + "\n"
     elif command == "reduce":
         from .reduction import reduce_fixpoint
-        lexicon._resolved  # the R records are checked before the rule table
         report = reduce_fixpoint(lexicon, None, a.frames, a.rules)
         text = report.to_tsv() + ("" if args.format == "tsv"
                                   else "\n" + report.summary())

@@ -465,8 +465,10 @@ class _FrameDerivation:
             frame = (_provisional(key, self.lexicon) if fill_subject else
                      Frame("", key.pos, sense=key, provenance=("seeded",)))
         else:  # the base's structure, without its usage conditions
-            slots, note = base.slots, f"specialized from {base.sense.render()}"
-            if via is not None:
+            slots = base.slots
+            if via is None:
+                note = f"specialized from {base.sense.render()}"
+            else:
                 (rec, word), note = via, "synonym copy"
                 if not rec.is_synonym_line:
                     slots, deltas, _ = _apply_use_to(

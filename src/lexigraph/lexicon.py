@@ -759,8 +759,13 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
     if i >= len(tokens):
         raise DefinitionParseError(f"no verb head in {text!r}")
 
-    def read_head(j: int) -> tuple[str, int]:
+    def read_head(j: int) -> tuple[str | None, int]:
+        """The verb head at ``j`` and the index after it, or None and
+        ``j`` for a word no verb head can be."""
         head = lowers[j]
+        if (not head.isalpha() or head in DETERMINERS
+                or head in CHUNKING_PREPS or head == "of"):
+            return None, j
         j += 1
         if (j < len(tokens) and lowers[j] in PARTICLES
                 and (j + 1 >= len(tokens)
@@ -771,37 +776,38 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
         return head, j
 
     head, i = read_head(i)
-    first_word = head.split()[0]
-    if (not head.replace(" ", "").isalpha()
-            or first_word in DETERMINERS
-            or first_word in CHUNKING_PREPS
-            or first_word == "of"):
+    if head is None:
         raise DefinitionParseError(f"no verb head in {text!r}")
     heads = [head]
     # coordination directly after the head: "lose or acquire", and the
-    # "turn into or become" pattern where a prep precedes the coordinator
+    # "turn into or become" pattern where a prep precedes the coordinator;
+    # a coordinate that is no head ("change or the like") ends the genus,
+    # and the rest, from the coordination on, is differentiae
+    has_span = True
     while i < len(tokens):
         nxt = lowers[i]
         if nxt in ("or", "and") and i + 1 < len(tokens):
-            h, i = read_head(i + 1)
-            heads.append(h)
+            h, j = read_head(i + 1)
         elif (nxt in CHUNKING_PREPS and i + 1 < len(tokens)
               and lowers[i + 1] == "or" and i + 2 < len(tokens)
               and lowers[i + 2] != "as"):
             # "turn into or become ..." coordinates heads across the prep;
             # "with or as if with ..." instead opens a hedged phrase
-            i += 2
-            h, i = read_head(i)
-            heads.append(h)
+            h, j = read_head(i + 2)
         else:
             break
+        if h is None:
+            has_span = False
+            break
+        heads.append(h)
+        i = j
 
     # span before the first differentia boundary: complement or object
     genus_complement = None
     specified_object = None
     object_np = None
     span: list[str] = []
-    while i < len(tokens):
+    while has_span and i < len(tokens):
         bare = lowers[i]
         if bare in CHUNKING_PREPS:
             break

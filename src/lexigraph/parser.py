@@ -40,7 +40,7 @@ from .prep_rules import RuleTable
 # true for type checkers only: ``typing.TYPE_CHECKING`` would import typing
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .cli import Analysis
+    from .corpus import Analysis
     from .ssn import SSN, Question
 
 PRONOUNS = {"it", "they", "he", "she", "we", "you", "i", "them"}

@@ -113,15 +113,10 @@ class ReductionContext:
         head = head_noun(phrase_text)
         if not head:
             return False
-        for sense in senses_of(self.lexicon, head):
-            if sense.pos.is_verb:
-                continue
-            if "instrument" in sense.field_labels:
-                return True
-            if not sense.is_synonym_line:
-                if head_noun(sense.raw_definition) == "instrument":
-                    return True
-        return False
+        return any("instrument" in s.field_labels or (
+                       not s.is_synonym_line
+                       and parse_sense(s).genus_complement == "instrument")
+                   for s in senses_of(self.lexicon, head) if not s.pos.is_verb)
 
     def frame_governs_instrument(self, frame: Frame, target: SenseKey) -> bool:
         """The genus frame declares an instrument pattern: an INSTRUMENT

@@ -36,7 +36,13 @@ from lexigraph.frames import (
     render_condition,
     slot_order_key,
 )
-from lexigraph.lexicon import Lexicon, ResolutionError, SenseKey, parse_lexf
+from lexigraph.lexicon import (
+    Lexicon,
+    PartOfSpeech,
+    ResolutionError,
+    SenseKey,
+    parse_lexf,
+)
 from lexigraph.prep_rules import RuleTable
 from lexigraph.ssn import (
     _TRANSITIVITY,
@@ -54,6 +60,16 @@ from lexigraph.ssn import (
     _render_value,
     compile_ssn,
 )
+
+
+def change_key(label: str) -> SenseKey:
+    return SenseKey("change", PartOfSpeech.VI, 1, label)
+
+
+FAMILY1 = tuple(change_key(l) for l in
+                ("1", "1a", "1b(1)", "1b(2)", "1c", "1d", "1e", "1f",
+                 "1g", "1h", "1i"))
+FAMILY2 = tuple(change_key(l) for l in ("2", "2a", "2b", "2c"))
 
 HEADWORDS = ("alpha", "beta", "gamma", "give", "give up", "into")
 GENUS_WORDS = ("alpha", "beta", "gamma", "give up", "delta")

@@ -31,17 +31,8 @@ from lexigraph.parser import (
 from lexigraph.reduction import reduce_fixpoint
 from lexigraph.ssn import build_all_ssns, traverse
 
-from support import edges, oracle_reaching
+from support import FAMILY1, change_key, edges, oracle_reaching
 from test_defgraph import oracle_sccs, oracle_condensation_arcs, reachability
-
-
-def change_key(label: str) -> SenseKey:
-    return SenseKey("change", PartOfSpeech.VI, 1, label)
-
-
-FAMILY1 = tuple(change_key(l) for l in
-                ("1", "1a", "1b(1)", "1b(2)", "1c", "1d", "1e", "1f",
-                 "1g", "1h", "1i"))
 
 
 @contextmanager

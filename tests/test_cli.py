@@ -488,3 +488,25 @@ def test_resolutions_apply_on_top_of_the_bundled_corpus(capout, tmp_path,
     assert bundled[0] == code and bundled[2] == err
     if code == 0:
         assert bundled[1] != capout([command])[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest"], ["graph"], ["scc"], ["primitives"], ["autoresolve"],
+    ["reduce"], ["frames", "--word", "change"], ["ssn", "--word", "change"],
+    ["parse", "--text", "The milk changed into curd"],
+    ["discourse", "--file", "story.txt"],
+], ids=lambda argv: argv[0])
+def test_a_bad_record_is_reported_before_a_bad_rule_table(capout, tmp_path,
+                                                          monkeypatch, argv):
+    # the analysis checks the R records when it is built, before any stage
+    # reads the rule table: frames, autoresolve, ssn, parse and discourse
+    # once reported the table instead
+    (tmp_path / "extra.lexf").write_text(
+        "R|nonexistent:vi:1:1|change|change:vi:1:1\n", encoding="utf-8")
+    (tmp_path / "rules.tsv").write_text("into\tBECOME-DIFFERENT\t\tFILL\n",
+                                        encoding="utf-8")
+    (tmp_path / "story.txt").write_text("The milk changed.\n", encoding="utf-8")
+    monkeypatch.setenv("LEXIGRAPH_RULES", "rules.tsv")
+    monkeypatch.chdir(tmp_path)
+    assert capout(["--resolutions", "extra.lexf", *argv]) == (
+        2, "", "lexigraph: no arc from nonexistent:vi:1:1 via 'change'\n")

@@ -11,6 +11,7 @@ from support import (
     UNKNOWN_SUBSENSE_LEXF,
     accepted,
     canonical_paths,
+    change_key,
     chain_lexf,
     chain_word,
     first_diff,
@@ -55,10 +56,6 @@ from lexigraph.parser import (
 )
 from lexigraph.reduction import ReductionContext
 from lexigraph.ssn import CompileError, compile_ssn
-
-
-def change_key(label: str) -> SenseKey:
-    return SenseKey("change", PartOfSpeech.VI, 1, label)
 
 
 def find_slot(frame: Frame, name: str):

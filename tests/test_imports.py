@@ -157,9 +157,9 @@ def test_every_public_name_resolves():
 # The count is the same on Python 3.10 to 3.13; a change may lower a
 # ceiling, not raise it.  README states each command's count and each
 # module's, as the source has them.
-AST_CEILINGS = {"ingest": 7975, "graph": 9504, "scc": 9504,
-                "primitives": 9504, "frames": 11400, "ssn": 15127,
-                "reduce": 13181, "autoresolve": 12524, "parse": 19559}
+AST_CEILINGS = {"ingest": 7972, "graph": 9501, "scc": 9501,
+                "primitives": 9501, "frames": 11394, "ssn": 15121,
+                "reduce": 13175, "autoresolve": 12518, "parse": 19553}
 
 
 def _ast_nodes(module: str) -> int:
@@ -240,6 +240,47 @@ def test_no_module_imports_typing_at_run_time(path):
     typing import TYPE_CHECKING`` is an import of typing."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _typing_imports(tree.body) == []
+
+
+def _cli_imports(tree: ast.Module) -> list[int]:
+    """The lines of the imports of ``lexigraph.cli`` in a module of the
+    package, wherever they stand, under a ``TYPE_CHECKING`` guard too."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "lexigraph." if node.level else ""
+            base = (package + (node.module or "")).rstrip(".")
+            names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if "lexigraph.cli" in names:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("from .cli import run", [1]),
+    ("from . import cli, corpus", [1]),
+    ("import lexigraph.cli as c", [1]),
+    ("from lexigraph import cli", [1]),
+    ("TYPE_CHECKING = False\nif TYPE_CHECKING:\n    from .cli import A", [3]),
+    ("def f():\n    from .cli import run", [2]),
+    ("from .corpus import Analysis\nimport lexigraph.client", []),
+])
+def test_cli_imports_are_found(source, lines):
+    assert _cli_imports(ast.parse(source)) == lines
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in sorted((SRC / "lexigraph").glob("*.py"))
+             if path.name != "cli.py"], ids=lambda path: path.name)
+def test_no_module_but_the_cli_imports_it(path):
+    """The library does not depend on its command line: what a command
+    reads (``corpus.Analysis`` among it) lives below ``cli``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _cli_imports(tree) == []
 
 
 # perfbench/run.py reads lexigraph through ``L``, one attribute per module

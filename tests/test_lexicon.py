@@ -16,7 +16,9 @@ from lexigraph.lexicon import (
     DefinitionParseError,
     LexfError,
     Lexicon,
+    ParsedDefinition,
     PartOfSpeech,
+    Phrase,
     Sense,
     SenseKey,
     SenseLabel,
@@ -357,7 +359,7 @@ SEGMENTATION_PINS = {
     "corpora":
         "a05f952a9055c611e0e33eabc60b2a97d30db0efb1c606d1a0ed4b4dee244f7e",
     "random":
-        "30e87af081be2b98c02b5831d177def658f03aef1c9de623977365dbfee69e47"}
+        "5d590ba6b0e8f496f0245b4de4e69074233644e76b30ee24c30f5c51f4e69990"}
 
 
 def _segmentation_digest(texts) -> str:
@@ -420,6 +422,19 @@ def test_coordination_split_counts(lexicon):
     }
     for text, heads in cases.items():
         assert len(parse_definition(text, PartOfSpeech.VI).genus) == heads
+
+
+@pytest.mark.parametrize("text,differentia", [
+    ("change or the like", Phrase("clause", "the like")),
+    ("move or to go", Phrase("prep-phrase", "go", "to")),
+    ("alter or 5 things", Phrase("clause", "5 things")),
+])
+def test_a_coordinate_that_is_no_head_ends_the_genus(text, differentia):
+    # each coordinate is checked as the first head is: these once gave the
+    # genus words "the", "to" and "5", and the rest as complement or object
+    parsed = parse_definition(text, PartOfSpeech.VI)
+    assert parsed == ParsedDefinition(genus=(text.split()[0],),
+                                      differentiae=(differentia,))
 
 
 def test_senses_of_queries(lexicon):

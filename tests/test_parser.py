@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (
+    FAMILY1,
+    FAMILY2,
     GENUS_WORDS,
     PHRASAL_LEXF,
     accepted,
+    change_key,
     family_rules_text,
     lexf_texts,
     slot_trees,
@@ -50,16 +53,6 @@ from lexigraph.parser import (
 )
 from lexigraph.prep_rules import load_rule_table
 from lexigraph.ssn import build_all_ssns
-
-
-def change_key(label: str) -> SenseKey:
-    return SenseKey("change", PartOfSpeech.VI, 1, label)
-
-
-FAMILY1 = tuple(change_key(l) for l in
-                ("1", "1a", "1b(1)", "1b(2)", "1c", "1d", "1e", "1f",
-                 "1g", "1h", "1i"))
-FAMILY2 = tuple(change_key(l) for l in ("2", "2a", "2b", "2c"))
 
 
 def run(text, lexicon, ssns, frames, rules):

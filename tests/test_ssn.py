@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from support import (
     accepted,
+    change_key,
     dot_strings,
     family_rules_text,
     first_diff,
@@ -56,10 +57,6 @@ from lexigraph.ssn import (
     to_text,
     traverse,
 )
-
-
-def change_key(label: str) -> SenseKey:
-    return SenseKey("change", PartOfSpeech.VI, 1, label)
 
 
 # ---------------------------------------------------------------------------
