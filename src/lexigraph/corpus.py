@@ -1,5 +1,6 @@
-"""Bundled fixtures: the change lexicon, the word-government supplement,
-the prep rule table and hand resolutions; and ``Analysis``, one run of the
+"""Bundled fixtures: the change lexicon, the prep rule table and hand
+resolutions (the word-government supplement beside them is read only by
+the tests and perfbench's generator); and ``Analysis``, one run of the
 pipeline over a lexicon read from them or from LEXF files.  The manifest
 of expected counts is read and checked in ``manifest``, which only
 ``ingest`` loads."""
@@ -26,12 +27,9 @@ def _read(name: str) -> str:
         return fh.read()
 
 
-def load_corpus(include_word_government: bool = False) -> Lexicon:
-    parts = [parse_lexf(_read("change_corpus.lexf")),
-             parse_lexf(_read("resolutions.lexf"))]
-    if include_word_government:
-        parts.append(parse_lexf(_read("wordgov_corpus.lexf")))
-    return merge_lexicons(*parts)
+def load_corpus() -> Lexicon:
+    return merge_lexicons(parse_lexf(_read("change_corpus.lexf")),
+                          parse_lexf(_read("resolutions.lexf")))
 
 
 def load_rules() -> RuleTable:

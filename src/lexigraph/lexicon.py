@@ -136,31 +136,13 @@ class SenseKey(namedtuple("SenseKey", "headword pos homograph label")):
 _STATUS_SIMPLE = {"obs", "dial", "Brit", "specif"}
 
 
-class _Kept:
-    """A fact of a record, computed on its first read and kept in the
-    record's ``__dict__``, which later reads find first: a non-data
-    descriptor.  ``parse_lexf`` writes the key and flags of the records it
-    makes.
-    Not ``functools.cached_property``, whose first read takes a lock on
-    Python 3.11."""
-
-    def __init__(self, compute):
-        self.compute, self.name = compute, compute.__name__
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return self
-        value = record.__dict__[self.name] = self.compute(record)
-        return value
-
-
 _USED_WITH = re.compile(r"^(?:usu\.\s+|usually\s+)?used with\s+(.+)$")
 _PARTICLE_SEP = re.compile(r"\s+or\s+|,\s*")
 
 
-def _usage_particles(note: str | None) -> tuple[str, ...]:
+def _usage_particles(note: str) -> tuple[str, ...]:
     """Particles named by a 'used with X [or Y]' usage note."""
-    m = _USED_WITH.match(note.strip()) if note else None
+    m = _USED_WITH.match(note.strip())
     if not m:
         return ()
     return tuple(p.strip() for p in _PARTICLE_SEP.split(m.group(1))
@@ -181,29 +163,29 @@ class Sense(_LineBlind, namedtuple(
     """One definition (or synonym) line of an entry: its ``SenseLabel``,
     status set, definition text, usage note or None, synonym references
     and the LEXF line it came from.  Coordinate lines under the same label
-    are separate Sense records sharing the label.  Its key and the facts
-    below are kept on the record (``_Kept``)."""
+    are separate Sense records sharing the label.  Its key and three
+    flags are set in its ``__dict__`` when it is made, whichever way
+    (``_replace``, ``copy`` and ``pickle`` come here through ``_make`` and
+    ``__new__``); ``parse_sense`` keeps its parse there on first read."""
 
-    @_Kept
-    def key(self) -> SenseKey:
-        return SenseKey(self.headword, self.pos, self.homograph, self.label.text)
+    def __new__(cls, headword: str, pos: PartOfSpeech, homograph: int,
+                label: SenseLabel, status: frozenset[str] = frozenset(),
+                raw_definition: str = "", usage_note: str | None = None,
+                synonym_refs: tuple[str, ...] = (), line: int = 0):
+        self = tuple.__new__(cls, (headword, pos, homograph, label, status,
+                                   raw_definition, usage_note, synonym_refs,
+                                   line))
+        facts = self.__dict__
+        facts["key"] = SenseKey(headword, pos, homograph, label.text)
+        facts["is_synonym_line"] = bool(synonym_refs) and not raw_definition
+        facts["usage_particles"] = (_usage_particles(usage_note)
+                                    if usage_note else ())
+        facts["subject_restriction"] = _subject_restriction(status)
+        return self
 
-    @_Kept
-    def is_synonym_line(self) -> bool:
-        return bool(self.synonym_refs) and not self.raw_definition
-
-    @_Kept
-    def usage_particles(self) -> tuple[str, ...]:
-        return _usage_particles(self.usage_note)
-
-    @_Kept
-    def subject_restriction(self) -> str | None:
-        return _subject_restriction(self.status)
-
-    @_Kept
-    def _parsed(self) -> ParsedDefinition | None:
-        return (None if self.is_synonym_line
-                else parse_definition(self.raw_definition, self.pos))
+    @classmethod
+    def _make(cls, iterable) -> "Sense":  # so _replace sets the facts too
+        return cls(*iterable)
 
     @property
     def field_labels(self) -> frozenset[str]:
@@ -299,6 +281,10 @@ class Lexicon(namedtuple("Lexicon", "entries seed_frames resolutions")):
         return super().__new__(cls, entries,
                                {} if seed_frames is None else seed_frames,
                                resolutions)
+
+    @classmethod
+    def _make(cls, iterable) -> "Lexicon":  # so _replace keeps the rule too
+        return cls(*iterable)
 
     # The index lists are never handed out: lookups return copies.
     @cached_property
@@ -472,9 +458,8 @@ def _memo(memo: dict, text: str, line: int, parse):
 
 def parse_lexf(text: str) -> Lexicon:
     """Ingest a LEXF v1 file. Deterministic: same bytes, same Lexicon.
-    The records of a file share one label, status set, usage particle
-    tuple and R-record sense key object per distinct text, and each record
-    is made with its key and flags kept (``Sense``)."""
+    The records of a file share one label, status set and R-record sense
+    key object per distinct text."""
     entries: list[Sense] = []
     seeds: dict[SenseKey, tuple[str, ...]] = {}
     resolutions: list[ResolutionRecord] = []
@@ -485,7 +470,6 @@ def parse_lexf(text: str) -> Lexicon:
     labels: dict[str, SenseLabel] = {}
     statuses: dict[str, frozenset[str]] = {}
     keys: dict[str, SenseKey] = {}
-    particles: dict[str | None, tuple[str, ...]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -511,6 +495,8 @@ def parse_lexf(text: str) -> Lexicon:
             raise LexfError(f"{kind} record needs {shape[2]}", lineno)
         if kind == "E":
             headword, pos_text, hom_text = fields
+            if not headword.strip():
+                raise LexfError("E record needs a headword", lineno)
             pos = _POS.get(pos_text)
             if pos is None:
                 raise LexfError(f"bad part of speech {pos_text!r}", lineno)
@@ -541,22 +527,13 @@ def parse_lexf(text: str) -> Lexicon:
             # the optional last field is the usage note
             note = (fields[-1].strip() or None if len(fields) == shape[1]
                     else None)
-            key = SenseKey(*current, label.text)
-            record_id = (key, said, note)
-            if record_id in seen_records:
-                raise LexfError(f"duplicate {'synonym' if synonym else 'sense'} "
-                                f"record {key.render()}", lineno)
-            seen_records.add(record_id)
-            if note not in particles:
-                particles[note] = _usage_particles(note)
             sense = Sense(*current, label, status, "" if synonym else said,
                           note, (said,) if synonym else (), lineno)
-            # the kept facts (``_Kept``) that ingest knows already
-            facts = sense.__dict__
-            facts["key"] = key
-            facts["is_synonym_line"] = synonym
-            facts["usage_particles"] = particles[note]
-            facts["subject_restriction"] = _subject_restriction(status)
+            record_id = (sense.key, said, note)
+            if record_id in seen_records:
+                raise LexfError(f"duplicate {'synonym' if synonym else 'sense'} "
+                                f"record {sense.key.render()}", lineno)
+            seen_records.add(record_id)
             entries.append(sense)
 
     known = {s.key for s in entries}
@@ -847,6 +824,13 @@ def parse_definition(text: str, pos: PartOfSpeech) -> ParsedDefinition:
 
 def parse_sense(sense: Sense) -> ParsedDefinition | None:
     """Parse a Sense record; synonym-only lines have no parse.  The parse
-    is kept on the (immutable) Sense instance, as ``_parsed``, so each
-    record is segmented once however many stages read it."""
-    return sense._parsed
+    is kept in the (immutable) record's ``__dict__``, as ``_parsed``, so
+    each record is segmented once however many stages read it."""
+    try:
+        return sense.__dict__["_parsed"]
+    except KeyError:  # the first read of this record
+        pass
+    parsed = sense.__dict__["_parsed"] = (
+        None if sense.is_synonym_line
+        else parse_definition(sense.raw_definition, sense.pos))
+    return parsed

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from support import wordgov_corpus
 from lexigraph import corpus, manifest as manifest_mod
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import build_frames
@@ -15,7 +16,7 @@ def lexicon():
 
 @pytest.fixture(scope="session")
 def wordgov_lexicon():
-    return corpus.load_corpus(include_word_government=True)
+    return wordgov_corpus()
 
 
 @pytest.fixture(scope="session")

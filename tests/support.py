@@ -10,8 +10,9 @@ shares no subtree and finds first differences by flattening each frame,
 a reference for what traversing a compiled network selects, the CLI's
 argparse parser as it was written out by hand before the command table,
 a reference for the argv reader and the parser built from the table, a
-definition graph's adjacency read off its arcs, and a writer of a
-Lexicon back out as LEXF.
+definition graph's adjacency read off its arcs, a writer of a Lexicon
+back out as LEXF, and the bundled corpus with its word-government
+supplement.
 
 Generated headwords share a small pool, so genus words hit defined senses, one
 headword has senses under several parts of speech and homographs, and
@@ -28,7 +29,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from lexigraph.corpus import _read
+from lexigraph.corpus import _read, load_corpus
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import (
     Slot,
@@ -41,6 +42,7 @@ from lexigraph.lexicon import (
     PartOfSpeech,
     ResolutionError,
     SenseKey,
+    merge_lexicons,
     parse_lexf,
 )
 from lexigraph.prep_rules import RuleTable
@@ -302,6 +304,13 @@ def family_rules_text() -> str:
     return "".join(f"{prep}\t{family}\t{slot}\t{action}\n"
                    for prep, _, slot, action in rows
                    for family in sorted(families))
+
+
+def wordgov_corpus() -> Lexicon:
+    """The bundled corpus with the word-government supplement merged in
+    after it, read afresh on each call."""
+    return merge_lexicons(load_corpus(),
+                          parse_lexf(_read("wordgov_corpus.lexf")))
 
 
 def lexgen():

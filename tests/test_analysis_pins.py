@@ -36,6 +36,7 @@ from support import (
     lexgen,
     slot_trees,
     use_lexf_texts,
+    wordgov_corpus,
 )
 from lexigraph import corpus, frames as frames_mod, parser as parser_mod
 from lexigraph.cli import run
@@ -94,7 +95,7 @@ def lexicon_of(name: str):
     if name == "corpus":
         return corpus.load_corpus()
     if name == "corpus+wordgov":
-        return corpus.load_corpus(include_word_government=True)
+        return wordgov_corpus()
     generated = lexgen().generate(16, int(name.removeprefix("x16-seed")))
     return merge_lexicons(*(parse_lexf(t) for t in generated.texts()))
 

@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from support import accepted, lexf_texts, lexgen, resolved_lexf_texts
+from support import (
+    accepted,
+    lexf_texts,
+    lexgen,
+    resolved_lexf_texts,
+    wordgov_corpus,
+)
 from lexigraph import corpus, frames as frames_mod, lexicon as lexicon_mod
 from lexigraph import parser as parser_mod, reduction as reduction_mod
 from lexigraph import ssn as ssn_mod
@@ -55,7 +61,7 @@ def counting(monkeypatch, module, name: str, key) -> collections.Counter:
 
 @pytest.mark.parametrize("word_government", [False, True])
 def test_one_pass_computes_each_use_once(monkeypatch, word_government):
-    lx = corpus.load_corpus(include_word_government=word_government)
+    lx = wordgov_corpus() if word_government else corpus.load_corpus()
     rules = corpus.load_rules()
     genus = counting(monkeypatch, lexicon_mod, "_genus_words",
                      lambda rec, lexicon: id(rec))
@@ -80,17 +86,17 @@ def test_one_pass_computes_each_use_once(monkeypatch, word_government):
 
 
 def test_x16_analysis_parses_each_usage_note_once(monkeypatch):
-    # ingest keeps a record's usage particles, parsing each distinct note
-    # of a file once, and no later stage parses a note again
+    # a record made with a usage note parses it once, a record made
+    # without one not at all, and no later stage parses a note again
     texts = lexgen().generate(16, 1).texts()
     rules = corpus.load_rules()
     notes = counting(monkeypatch, lexicon_mod, "_usage_particles",
                      lambda note: note)
     lx = merge_lexicons(*(parse_lexf(text) for text in texts))
     at_ingest = collections.Counter(notes)
-    carried = collections.Counter(rec.usage_note for rec in lx.entries)
     assert any(rec.usage_particles for rec in lx.entries)
-    assert all(n <= carried[note] for note, n in at_ingest.items())
+    assert at_ingest == collections.Counter(
+        rec.usage_note for rec in lx.entries if rec.usage_note)
     assert sum(at_ingest.values()) < len(lx.entries)
     graph = apply_resolutions(build_graph(lx), lx.resolutions)
     frames = build_frames(lx, rules)
@@ -101,7 +107,7 @@ def test_x16_analysis_parses_each_usage_note_once(monkeypatch):
 
 
 def test_analysis_sorts_the_sense_keys_once(monkeypatch):
-    lx = corpus.load_corpus(include_word_government=True)
+    lx = wordgov_corpus()
     rules = corpus.load_rules()
     calls = counting(monkeypatch, lexicon_mod.SenseKey, "sort_key",
                      lambda key: key)
@@ -432,7 +438,7 @@ def parse_inputs() -> tuple:
     rules = corpus.load_rules()
     frames: list = [HAND_BUILT_FRAME]
     questions: list = []
-    for lx in (corpus.load_corpus(include_word_government=True),
+    for lx in (wordgov_corpus(),
                *(merge_lexicons(*(parse_lexf(t) for t in
                                   lexgen().generate(16, seed).texts()))
                  for seed in (7, 11))):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from support import wordgov_corpus
 from lexigraph.corpus import load_corpus
 from lexigraph.manifest import lexicon_counts, verify_fixture
 from lexigraph.lexicon import PartOfSpeech, senses_of
@@ -47,7 +48,7 @@ def test_flagged_coordinate_sense_three(lexicon):
 
 
 def test_word_government_supplement_loads():
-    lx = load_corpus(include_word_government=True)
+    lx = wordgov_corpus()
     assert senses_of(lx, "knife", PartOfSpeech.NOUN)
     assert senses_of(lx, "knife", PartOfSpeech.VT)
     assert senses_of(lx, "cut", PartOfSpeech.VT)

@@ -20,8 +20,8 @@ from support import (
     lexgen,
     usage_lexf_texts,
     use_lexf_texts,
+    wordgov_corpus,
 )
-from lexigraph import corpus
 from lexigraph.cli import run
 from lexigraph.defgraph import apply_resolutions, build_graph
 from lexigraph.frames import (
@@ -662,7 +662,7 @@ def test_frames_keep_slots_and_conditions_in_order(text):
 def test_bundled_and_x16_frames_keep_slots_and_conditions_in_order(
         rules, source):
     if source == "corpus":
-        lx = corpus.load_corpus(include_word_government=True)
+        lx = wordgov_corpus()
     else:
         lx = merge_lexicons(*(parse_lexf(t) for t in lexgen().generate(
             16, int(source.split("-")[1])).texts()))

@@ -1,25 +1,29 @@
 """Facts kept once per value: a part of speech carries its verb-ness as a
-plain attribute, and a sense record keeps whether it is a synonym line, its
-subject restriction and its usage particles in its ``__dict__``, written by
-``parse_lexf`` or computed on the first read of a record made any other
-way.  Each equals the definition it replaced, kept below as a reference."""
+plain attribute, and a sense record holds its key, whether it is a
+synonym line, its subject restriction and its usage particles in its
+``__dict__`` from the moment it is made, however it is made.  Each equals
+the definition it replaced, kept below as a reference."""
 from __future__ import annotations
 
+import copy
 import pickle
 import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexigraph import lexicon as lexicon_mod
 from lexigraph.lexicon import (
     PartOfSpeech,
     Sense,
+    SenseKey,
     SenseLabel,
     merge_lexicons,
     parse_lexf,
+    parse_sense,
 )
 
-FLAGS = ("is_synonym_line", "subject_restriction", "usage_particles")
+FACTS = ("key", "is_synonym_line", "subject_restriction", "usage_particles")
 
 
 def reference_is_verb(pos: PartOfSpeech) -> bool:
@@ -34,8 +38,9 @@ def reference_accepts_target(pos: PartOfSpeech, target: PartOfSpeech) -> bool:
     return target is pos or target is PartOfSpeech.VB
 
 
-def reference_flags(rec: Sense) -> tuple:
-    """The three flags as the record's properties computed them."""
+def reference_facts(rec: Sense) -> tuple:
+    """The key and three flags as the record's properties computed them."""
+    key = SenseKey(rec.headword, rec.pos, rec.homograph, rec.label.text)
     synonym = bool(rec.synonym_refs) and not rec.raw_definition
     subject = None
     for s in rec.status:
@@ -49,11 +54,13 @@ def reference_flags(rec: Sense) -> tuple:
         if m:
             parts = re.split(r"\s+or\s+|,\s*", m.group(1))
             particles = tuple(p.strip() for p in parts if p.strip())
-    return synonym, subject, particles
+    return key, synonym, subject, particles
 
 
-def flags(rec: Sense) -> tuple:
-    return tuple(getattr(rec, name) for name in FLAGS)
+def held_facts(rec: Sense) -> tuple:
+    """The facts as the record's ``__dict__`` holds them, read without
+    going through an attribute that could compute one."""
+    return tuple(vars(rec)[name] for name in FACTS)
 
 
 def test_part_of_speech_facts_equal_the_old_definitions():
@@ -94,28 +101,83 @@ def lexf_text(lines) -> str:
     return "\n".join(rows) + "\n"
 
 
+# a value of each field, to replace it with
+FIELD_VALUES = {
+    "headword": st.sampled_from(("zap", "turn over")),
+    "pos": st.sampled_from(PartOfSpeech),
+    "homograph": st.integers(1, 3),
+    "label": st.sampled_from(("1", "2b", "1b(2)")).map(SenseLabel),
+    "status": st.frozensets(st.sampled_from(STATUS_TOKENS)),
+    "raw_definition": st.sampled_from(("", "to move")),
+    "usage_note": st.sampled_from(RAW_NOTES),
+    "synonym_refs": st.sampled_from(((), ("MOVE",))),
+    "line": st.integers(0, 9),
+}
+_replacements = st.lists(st.sampled_from(Sense._fields), min_size=1,
+                         unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({n: FIELD_VALUES[n] for n in names}))
+
+
+def test_every_field_has_replacement_values():
+    assert tuple(FIELD_VALUES) == Sense._fields
+
+
+def copies(rec: Sense) -> list[Sense]:
+    return [copy.copy(rec), copy.deepcopy(rec),
+            pickle.loads(pickle.dumps(rec))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_lines, st.frozensets(st.sampled_from(STATUS_TOKENS)),
        st.sampled_from(RAW_NOTES), st.sampled_from(("", "to move")),
-       st.sampled_from(((), ("MOVE",))))
+       st.sampled_from(((), ("MOVE",))), _replacements)
 def test_record_flags_equal_the_old_property_bodies(lines, status, note,
-                                                    definition, refs):
+                                                    definition, refs,
+                                                    replacement):
+    """Every record holds its facts from the start: one ingested, merged,
+    made directly, made by ``_replace`` of any fields, or copied or
+    pickled from any of those."""
     text = lexf_text(lines)
     parsed = parse_lexf(text).entries
     merged = merge_lexicons(parse_lexf(text),
                             parse_lexf("E|thing|n|1\nS|1||a thing|\n")).entries
-    for rec in parsed + merged:
-        # written at ingest, where the key is
-        assert {"key", *FLAGS} <= vars(rec).keys()
-        assert flags(rec) == reference_flags(rec)
     made = Sense("zap", PartOfSpeech.VT, 1, SenseLabel("1"), status,
                  definition, note, refs)
-    replaced = [rec._replace(status=status, usage_note=note,
-                             raw_definition=definition, synonym_refs=refs)
-                for rec in parsed]
-    for rec in [made] + replaced:
-        # computed on the first read, then kept
-        assert not set(FLAGS) & vars(rec).keys()
-        assert flags(rec) == reference_flags(rec)
-        assert {name: vars(rec)[name] for name in FLAGS} == dict(
-            zip(FLAGS, reference_flags(rec)))
+    replaced = [rec._replace(**replacement) for rec in (made, *parsed)]
+    records = [*parsed, *merged, made, *replaced]
+    for rec in records:
+        assert type(rec) is Sense
+        assert vars(rec).keys() == set(FACTS)
+        assert held_facts(rec) == reference_facts(rec)
+        # a copy holds the facts of the record it copies: with two subject
+        # labels, a rebuilt status set may iterate in another order, and
+        # the reference would then pick the other one
+        for c in copies(rec):
+            assert type(c) is Sense and tuple(c) == tuple(rec)
+            assert vars(c).keys() == set(FACTS)
+            assert held_facts(c) == held_facts(rec)
+    for rec in replaced:
+        assert {n: getattr(rec, n) for n in replacement} == replacement
+
+
+def test_parse_sense_segments_a_record_once(monkeypatch):
+    segmented = []
+    real = lexicon_mod.parse_definition
+
+    def counted(text, pos):
+        segmented.append(text)
+        return real(text, pos)
+
+    monkeypatch.setattr(lexicon_mod, "parse_definition", counted)
+    lx = parse_lexf("E|zap|vi|1\nS|1||to move into|\nY|2|MOVE|\n")
+    for rec in lx.entries:
+        first = parse_sense(rec)
+        assert parse_sense(rec) is first
+        # the parse is the one fact a record keeps after it is made
+        assert vars(rec).keys() == {*FACTS, "_parsed"}
+    assert parse_sense(lx.entries[1]) is None
+    assert segmented == ["to move into"]
+    # a record made by ``_replace`` is a new record, with no parse yet
+    moved = lx.entries[0]._replace(raw_definition="to move slowly")
+    assert parse_sense(moved).genus == ("move",)
+    assert segmented == ["to move into", "to move slowly"]

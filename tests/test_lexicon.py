@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import HEADWORDS, PHRASAL_LEXF, lexf_texts, lexgen, serialize_lexf
+from support import (
+    HEADWORDS,
+    PHRASAL_LEXF,
+    lexf_texts,
+    lexgen,
+    serialize_lexf,
+    wordgov_corpus,
+)
 from lexigraph import corpus
 from lexigraph.defgraph import build_graph
 from lexigraph.lexicon import (
@@ -94,6 +101,8 @@ FIRST_ERRORS = [
     ("E|a|vi|1\nF|x", "line 2: F record needs label|seed-line"),
     ("E|a|vi|1\nF|1|", "line 2: F record needs label|seed-line"),
     ("E|a|vi|1|2", "line 1: E record needs headword|pos|homograph"),
+    ("E||vi|1\nS|1||to go|", "line 1: E record needs a headword"),
+    ("E| |vi|1", "line 1: E record needs a headword"),
     ("E|a|vq|0", "line 1: bad part of speech 'vq'"),
     ("E|a|vi|0", "line 1: bad homograph '0'"),
     ("E|a|vi|01\nE|a|vi|1", "line 2: duplicate entry a:vi:1"),
@@ -574,7 +583,7 @@ def test_sense_keys_sort_as_by_the_pos_value(source):
     held its value: every sense key and every external node of the bundled
     corpus and of the x16 lexicons sorts as it did."""
     if source == "corpus":
-        lx = corpus.load_corpus(include_word_government=True)
+        lx = wordgov_corpus()
     else:
         lx = merge_lexicons(*(parse_lexf(t) for t in
                               lexgen().generate(16, source).texts()))

@@ -36,9 +36,8 @@ SRC = ROOT / "src"
 
 _NOISE_DUNDER = "noise: a dunder method"
 _NOISE_IMPORT = "noise: runs at import, before the trace starts"
-_NOISE_KEPT = ("noise: a kept-fact getter; parse_lexf writes the fact on "
-               "every record it reads")
-_NOISE_MAKE = "noise: namedtuple's _replace calls it, to check a new value"
+_NOISE_MAKE = ("noise: namedtuple's _replace calls it, to build a new value "
+               "through __new__")
 
 NEVER_CALLED = {
     ("__init__", "__dir__"): _NOISE_DUNDER,
@@ -46,14 +45,11 @@ NEVER_CALLED = {
     ("cli", "main"): "real path: the console script, which calls cli.run",
     ("lexicon", "LexfError.__init__"): "noise: an error on a bad LEXF line",
     ("lexicon", "PartOfSpeech.__init__"): _NOISE_IMPORT,
+    ("lexicon", "Lexicon._make"): _NOISE_MAKE,
     ("lexicon", "Phrase._make"): _NOISE_MAKE,
-    ("lexicon", "Sense.is_synonym_line"): _NOISE_KEPT,
-    ("lexicon", "Sense.key"): _NOISE_KEPT,
-    ("lexicon", "Sense.subject_restriction"): _NOISE_KEPT,
-    ("lexicon", "Sense.usage_particles"): _NOISE_KEPT,
+    ("lexicon", "Sense._make"): _NOISE_MAKE,
     ("lexicon", "SenseLabel.__str__"): _NOISE_DUNDER,
     ("lexicon", "SenseLabel._make"): _NOISE_MAKE,
-    ("lexicon", "_Kept.__init__"): _NOISE_IMPORT,
     ("lexicon", "_LineBlind.__eq__"): _NOISE_DUNDER,
     ("lexicon", "_LineBlind.__hash__"): _NOISE_DUNDER,
     ("lexicon", "_LineBlind.__ne__"): _NOISE_DUNDER,

@@ -32,6 +32,7 @@ from support import (
     use_lexf_texts,
     wide_lexf,
     wide_lexf_texts,
+    wordgov_corpus,
 )
 from lexigraph import corpus
 from lexigraph.corpus import load_rules
@@ -521,7 +522,7 @@ def test_compile_errors_equal_the_reference(rules):
 
 @pytest.mark.parametrize("word_government", [False, True])
 def test_bundled_traversals_equal_the_reference(rules, word_government):
-    lx = corpus.load_corpus(include_word_government=word_government)
+    lx = wordgov_corpus() if word_government else corpus.load_corpus()
     _check_headwords(lx, build_frames(lx, rules), random.Random(23).choice,
                      10)
 

@@ -1,10 +1,15 @@
 """Value semantics of the exported value types: fields cannot be assigned,
 an equal copy is equal and hashes alike, a record's source ``line`` takes
-no part in equality, and each type prints as it always has."""
+no part in equality, each type prints as it always has, and a type that
+defines ``__new__`` builds through it under ``_make`` and ``_replace``."""
 from __future__ import annotations
+
+import importlib
+import pkgutil
 
 import pytest
 
+import lexigraph
 from lexigraph.autoresolve import AutoResolution
 from lexigraph.defgraph import (
     Arc,
@@ -319,3 +324,53 @@ def test_replace_keeps_the_type_and_drops_memos():
     assert sense.key == KEY
     other = sense._replace(headword="change")
     assert type(other) is Sense and other.key.headword == "change"
+
+
+def _defines_new(cls: type) -> bool:
+    """Whether a namedtuple class defines ``__new__`` itself: a class
+    that namedtuple made holds its ``_fields`` and its own ``__new__``."""
+    return (issubclass(cls, tuple) and hasattr(cls, "_fields")
+            and "_fields" not in vars(cls) and "__new__" in vars(cls))
+
+
+def _types_with_a_new() -> set[type]:
+    """Every namedtuple class of ``lexigraph`` that defines ``__new__``."""
+    found = set()
+    for info in pkgutil.iter_modules(lexigraph.__path__):
+        module = importlib.import_module(f"lexigraph.{info.name}")
+        found |= {value for value in vars(module).values()
+                  if isinstance(value, type) and _defines_new(value)}
+    return found
+
+
+NEW_SAMPLES = [entry for entry in SAMPLES if _defines_new(entry[0])]
+
+
+def test_each_type_with_a_new_is_sampled():
+    assert _types_with_a_new() == {entry[0] for entry in NEW_SAMPLES}
+
+
+@pytest.mark.parametrize("cls,make,field,_,__", NEW_SAMPLES,
+                         ids=[entry[0].__name__ for entry in NEW_SAMPLES])
+def test_make_and_replace_construct_through_new(monkeypatch, cls, make,
+                                                field, _, __):
+    """namedtuple's ``_make``, which ``_replace`` calls, builds with
+    ``tuple.__new__``; a type that checks or derives in ``__new__``
+    routes ``_make`` through it."""
+    sample = make()
+    new = vars(cls)["__new__"]
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args[0])
+        return new(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+    assert cls._make(sample) == sample
+    assert sample._replace(**{field: getattr(sample, field)}) == sample
+    assert made == [cls, cls]
+
+
+def test_lexicon_keeps_its_rule_under_replace():
+    assert Lexicon()._replace(seed_frames=None).seed_frames == {}
+    assert Lexicon._make(((), None, ())).seed_frames == {}
